@@ -291,13 +291,6 @@ func runServeRead(o options, out io.Writer) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stop := make(chan struct{})
-	var toggler sync.WaitGroup
-	if o.trace {
-		toggler.Add(1)
-		go fe.toggleTracing(37*time.Millisecond, stop, &toggler)
-	}
-
 	type clientOut struct {
 		rtt   samples
 		done  []int // completions per rateWindow after warm-up
@@ -307,7 +300,6 @@ func runServeRead(o options, out io.Writer) (*result, error) {
 	begin := time.Now()
 	warmEnd := begin.Add(warmup(o.seconds))
 	end := begin.Add(o.budget())
-	mem := openCost()
 	var wg sync.WaitGroup
 	for i, c := range fe.clients {
 		wg.Add(1)
@@ -315,25 +307,35 @@ func runServeRead(o options, out io.Writer) (*result, error) {
 			defer wg.Done()
 			co := &outs[i]
 			stream := newReqStream(o.seed, uint64(i), orc.minN())
-			for now := time.Now(); now.Before(end); {
+			for time.Now().Before(end) {
 				req := stream.next()
 				traced := fe.on.Load()
+				sent := time.Now()
 				resp := c.Dispatch(req)
 				done := time.Now()
-				if !orc.check(req, resp) {
-					co.wrong++
-				}
-				if now.After(warmEnd) {
-					co.rtt = append(co.rtt, sample{done.Sub(now), traced})
+				if sent.After(warmEnd) {
+					co.rtt = append(co.rtt, sample{done.Sub(sent), traced})
 					k := int(done.Sub(warmEnd) / rateWindow)
 					for len(co.done) <= k {
 						co.done = append(co.done, 0)
 					}
 					co.done[k]++
 				}
-				now = done
+				if !orc.check(req, resp) {
+					co.wrong++
+				}
 			}
 		}(i, c)
+	}
+	// The cost window and dispatch timing open when warm-up ends, so
+	// both cover the same requests as the round-trip samples.
+	time.Sleep(time.Until(warmEnd))
+	mem := openCost()
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	if o.trace {
+		toggler.Add(1)
+		go fe.toggleTracing(37*time.Millisecond, stop, &toggler)
 	}
 	wg.Wait()
 	window := time.Since(warmEnd)
@@ -425,11 +427,15 @@ func pace(slots []reqTimes, stream *reqStream, rate float64, queue chan<- int, o
 	close(queue)
 }
 
-// Serve-churn load: the offered rate, the epoch advance interval, and
-// the segment length. Each segment serves a fresh timeline: how long a
+// Serve-churn load: the latency within which a reply counts towards
+// goodput, the offered rate, the epoch advance interval, and the
+// segment length. Each segment serves a fresh timeline: how long a
 // rebuild takes depends on the epoch graphs, and one timeline's graphs
-// are too alike to stand for the workload.
+// are too alike to stand for the workload. The offered rate is the
+// generator's, so throughput counts only replies within goodputLimit
+// of release: a rebuild that starves the reads for longer shows there.
 const (
+	goodputLimit    = 10 * time.Millisecond
 	churnRate       = 5000.0
 	churnAdvance    = 500 * time.Millisecond
 	churnSegmentLen = 2500 * time.Millisecond
@@ -474,6 +480,8 @@ func runServeChurn(o options, out io.Writer) (*result, error) {
 	var elapsed time.Duration
 	var spent durations
 	requests := 0
+	onTime := 0
+	var served time.Duration
 	lt := newLayerTimes()
 	for _, seg := range segs {
 		setups = append(setups, seg.setup.Seconds())
@@ -488,6 +496,7 @@ func runServeChurn(o options, out io.Writer) (*result, error) {
 		spent = append(spent, seg.dispatch...)
 		requests += len(seg.slots)
 		warmEnd := seg.slots[0].due.Add(warmup(seg.elapsed.Seconds()))
+		last := warmEnd
 		for _, s := range seg.slots {
 			if !s.ok {
 				r.failed++
@@ -495,10 +504,17 @@ func runServeChurn(o options, out io.Writer) (*result, error) {
 			if s.due.Before(warmEnd) {
 				continue
 			}
+			if s.reply.After(last) {
+				last = s.reply
+			}
+			if s.ok && s.reply.Sub(s.release) <= goodputLimit {
+				onTime++
+			}
 			lat = append(lat, sample{s.reply.Sub(s.release), s.traced})
 			queueWait = append(queueWait, sample{s.send.Sub(s.release), s.traced})
 			lag = append(lag, sample{s.release.Sub(s.due), s.traced})
 		}
+		served += last.Sub(warmEnd)
 		if o.trace {
 			if err := forceCentralChain(seg.mirror, lt); err != nil {
 				return nil, err
@@ -508,7 +524,9 @@ func runServeChurn(o options, out io.Writer) (*result, error) {
 	all, tracedLat, untracedLat := lat.split()
 	r.set("setup_s", median(setups))
 	r.set("run_ms", median(advMS))
-	r.set("ops_per_s", float64(requests)/elapsed.Seconds())
+	r.set("ops_per_s", float64(onTime)/served.Seconds())
+	r.note("goodput_per_s", r.values["ops_per_s"], "1/s")
+	r.note("offered_per_s", float64(requests)/elapsed.Seconds(), "1/s")
 	r.perOp(cost, requests)
 	r.note("lat_p50_us", quantile(all.micros(), 0.5), "us")
 	r.note("lat_p99_us", quantile(all.micros(), 0.99), "us")
