@@ -202,8 +202,8 @@ func runBuild(o options, out io.Writer) (*result, error) {
 	}
 	r.set("setup_s", median(setups))
 	r.set("run_ms", median(runs)*1000)
-	r.set("ops_per_s", float64(ops)/work.Seconds())
 	r.perOp(mem, ops)
+	r.note("constructions_per_s", float64(ops)/work.Seconds(), "1/s")
 	r.note("op_p50_us", median(opLat), "us")
 	r.note("run_s", median(runs), "s")
 	r.note("alloc_mb", float64(mem.allocBytes)/float64(len(passes))/1e6, "MB")

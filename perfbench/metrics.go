@@ -15,7 +15,6 @@ import (
 var endToEnd = []metricDef{
 	{"setup_s", "s"},
 	{"run_ms", "ms"},
-	{"ops_per_s", "1/s"},
 	{"cpu_us_per_op", "us"},
 	{"alloc_b_per_op", "B"},
 }
@@ -190,6 +189,35 @@ func (r *result) perOp(m costDelta, n int) {
 func (r *result) setRuntime(m costDelta) {
 	r.set("runtime.gc_n", float64(m.gcN))
 	r.set("runtime.gc_pause_ms", ms(m.gcPause))
+}
+
+// phaseTime is the wall and process CPU time of one phase.
+type phaseTime struct{ wall, cpu time.Duration }
+
+func timePhase(f func() error) (phaseTime, error) {
+	c0, t0 := cpuNow(), time.Now()
+	err := f()
+	return phaseTime{time.Since(t0), cpuNow() - c0}, err
+}
+
+type phaseTimes []phaseTime
+
+// medians returns the median wall and CPU time in seconds.
+func (ps phaseTimes) medians() (wall, cpu float64) {
+	var w, c durations
+	for _, p := range ps {
+		w, c = append(w, p.wall), append(c, p.cpu)
+	}
+	return median(w.secondsList()), median(c.secondsList())
+}
+
+// cpu returns the summed CPU time.
+func (ps phaseTimes) cpu() time.Duration {
+	var c time.Duration
+	for _, p := range ps {
+		c += p.cpu
+	}
+	return c
 }
 
 // cpuNow is the process's user plus system CPU time so far. On a
