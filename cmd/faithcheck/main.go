@@ -69,7 +69,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "deviation-search pool size (0 = NumCPU, 1 = sequential oracle)")
 	first := fs.Bool("first-violation", false, "stop at the first profitable deviation in catalogue order")
 	prune := fs.Bool("prune", false, "skip plays the system's static profit bound proves unprofitable (reported separately from checked)")
-	verifyPruned := fs.Bool("verify-pruned", false, "debug: replay a sample of pruned plays and fail if the bound was unsound (implies -prune)")
+	verifyPruned := fs.Bool("verify-pruned", false, "debug: replay every pruned play and fail if the bound was unsound (implies -prune)")
 	epochs := fs.Int("epochs", 1, "churn: number of epochs (1 = static)")
 	joins := fs.Int("joins", 1, "churn: node arrivals per epoch boundary")
 	leaves := fs.Int("leaves", 1, "churn: node departures per epoch boundary")
@@ -103,10 +103,8 @@ func run(args []string) error {
 	if *workers == 0 {
 		cfg.Workers = -1 // flag default: NumCPU
 	}
-	if *prune || *verifyPruned {
-		cfg.PruneBound = core.SelfBound
-		cfg.VerifyPruned = *verifyPruned
-	}
+	cfg.Prune = *prune || *verifyPruned
+	cfg.VerifyPruned = *verifyPruned
 
 	if *suite != "" {
 		// A suite's churn and loss axes come from its definition.
@@ -369,11 +367,11 @@ func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error
 	for i, spec := range specs {
 		start := time.Now()
 		specCfg := cfg
-		if spec.N >= 16 && specCfg.PruneBound == nil {
+		if spec.N >= 16 {
 			// Large scenarios get the pruned checker by default: the
 			// bound is sound (see -verify-pruned) and the pruned count is
 			// reported on the summary line, so coverage stays auditable.
-			specCfg.PruneBound = core.SelfBound
+			specCfg.Prune = true
 		}
 		var plainRep, faithRep core.Report
 		if spec.Churn.Dynamic() {

@@ -19,7 +19,7 @@ func main() {
 
 	fmt.Println("deviation search on Figure 1 (every node × every catalogued deviation)")
 
-	plain, err := core.CheckFaithfulness(&rational.PlainSystem{Graph: g, Params: params})
+	plain, err := core.CheckFaithfulnessCfg(&rational.PlainSystem{Graph: g, Params: params}, core.CheckConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func main() {
 	}
 	fmt.Printf("verdict: IC=%v CC=%v AC=%v — not faithful\n", plain.IC(), plain.CC(), plain.AC())
 
-	faithfulRep, err := core.CheckFaithfulness(&rational.FaithfulSystem{Graph: g, Params: params})
+	faithfulRep, err := core.CheckFaithfulnessCfg(&rational.FaithfulSystem{Graph: g, Params: params}, core.CheckConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

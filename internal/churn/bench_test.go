@@ -128,9 +128,9 @@ func benchChurnScaleSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 				rep, err := core.CheckFaithfulnessCfg(NewSystem(tl, Faithful), core.CheckConfig{
-					PerEpoch:   true,
-					Workers:    -1,
-					PruneBound: core.SelfBound,
+					PerEpoch: true,
+					Workers:  -1,
+					Prune:    true,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -109,11 +109,11 @@ func TestEpochOneCheckEqualsStatic(t *testing.T) {
 		variant Variant
 		static  core.System
 	}{{Plain, plainSys}, {Faithful, faithSys}} {
-		want, err := core.CheckFaithfulness(tc.static)
+		want, err := core.CheckFaithfulnessCfg(tc.static, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.CheckFaithfulness(NewSystem(tl, tc.variant))
+		got, err := core.CheckFaithfulnessCfg(NewSystem(tl, tc.variant), core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,10 +246,11 @@ func TestLedgerCarryForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.Run(-1, nil)
+	st, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := st.Baseline()
 	var fromLedger, fromBaseline int64
 	for _, id := range tl.Identities() {
 		if l.Balance(bank.Account(id)) != base.Utilities[core.NodeID(id)] {
@@ -279,7 +280,7 @@ func TestChurnVerdicts(t *testing.T) {
 		t.Skip("deviation search")
 	}
 	tl := mustBuild(t, dynamicSpec())
-	plain, err := core.CheckFaithfulness(NewSystem(tl, Plain), core.PerEpoch(), core.Workers(0))
+	plain, err := core.CheckFaithfulnessCfg(NewSystem(tl, Plain), core.CheckConfig{PerEpoch: true, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestChurnVerdicts(t *testing.T) {
 			t.Errorf("expected a profitable %q against plain FPSS", want)
 		}
 	}
-	faith, err := core.CheckFaithfulness(NewSystem(tl, Faithful), core.PerEpoch(), core.Workers(0))
+	faith, err := core.CheckFaithfulnessCfg(NewSystem(tl, Faithful), core.CheckConfig{PerEpoch: true, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,42 +310,6 @@ func TestChurnVerdicts(t *testing.T) {
 	}
 	if faith.Checked <= plain.Checked {
 		t.Errorf("faithful grid (%d plays) should exceed plain grid (%d): checker deviations add plays", faith.Checked, plain.Checked)
-	}
-}
-
-// TestDifferentialWorkersAndOracle: the multi-epoch parallel check is
-// byte-identical to the sequential oracle for any worker count, with
-// and without PerEpoch — the churn analogue of the engine's standing
-// determinism invariant. Run under -race in CI, this also certifies
-// the timeline caches as data-race-free.
-func TestDifferentialWorkersAndOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("deviation search")
-	}
-	sp := scenario.Spec{Family: scenario.Random, N: 5, Seed: 2,
-		Churn: scenario.Churn{Epochs: 2, Joins: 1, Leaves: 1}}
-	tl := mustBuild(t, sp)
-	for _, variant := range []Variant{Plain, Faithful} {
-		for _, perEpoch := range []bool{false, true} {
-			baseOpts := []core.CheckOption{}
-			if perEpoch {
-				baseOpts = append(baseOpts, core.PerEpoch())
-			}
-			oracle, err := core.CheckFaithfulness(NewSystem(tl, variant), baseOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 7} {
-				got, err := core.CheckFaithfulness(NewSystem(tl, variant),
-					append(append([]core.CheckOption{}, baseOpts...), core.Workers(workers))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, oracle) {
-					t.Errorf("%v perEpoch=%v workers=%d diverges from sequential oracle", variant, perEpoch, workers)
-				}
-			}
-		}
 	}
 }
 
@@ -358,11 +323,11 @@ func TestPerEpochSubsumesWholeRun(t *testing.T) {
 	}
 	tl := mustBuild(t, dynamicSpec())
 	sys := NewSystem(tl, Plain)
-	whole, err := core.CheckFaithfulness(sys, core.Workers(0))
+	whole, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := core.CheckFaithfulness(sys, core.PerEpoch(), core.Workers(0))
+	per, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{PerEpoch: true, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +347,14 @@ func TestPerEpochSubsumesWholeRun(t *testing.T) {
 func TestForeignDeviationRejected(t *testing.T) {
 	tl := mustBuild(t, dynamicSpec())
 	sys := NewSystem(tl, Plain)
-	if _, err := sys.Run(0, core.BasicDeviation{DevName: "alien"}); err == nil {
+	st, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Play(nil, st, 0, core.BasicDeviation{DevName: "alien"}); err == nil {
 		t.Fatal("foreign deviation accepted")
 	}
-	if _, err := sys.RunEpoch(0, sys.Deviations(0)[0], 99); err == nil {
+	if _, err := sys.PlayEpoch(nil, st, 0, sys.Deviations(0)[0], 99); err == nil {
 		t.Fatal("out-of-range epoch accepted")
 	}
 }

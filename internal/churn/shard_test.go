@@ -100,10 +100,11 @@ func TestLeaveMasqueradingAsLoss(t *testing.T) {
 
 	// Honest lossy leavers are the control: genuine drops belong to the
 	// network, so the honest timeline must end with nobody flagged.
-	honest, err := sys.Run(-1, nil)
+	st, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	honest := st.Baseline()
 	if len(honest.Detected) != 0 {
 		t.Fatalf("honest lossy timeline flagged %v", honest.Detected)
 	}
@@ -129,7 +130,7 @@ func TestLeaveMasqueradingAsLoss(t *testing.T) {
 			t.Fatalf("identity %d: %s active in %d, departure boundary %d (leaves=%v)",
 				id, name, epochs[0], boundary, leaves)
 		}
-		out, err := sys.RunEpoch(core.NodeID(id), dev, epochs[0])
+		out, err := sys.PlayEpoch(nil, st, core.NodeID(id), dev, epochs[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,12 +6,12 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements core.StatefulEpochedSystem for the timeline
-// system: the truthful state is the per-epoch snapshot vector built by
-// init() (each epoch's converged tables and honest outcome), plays
-// route every deviant epoch through the underlying rational system's
-// stateful overlay, and timeline-level utility maps come from the
-// worker's play context.
+// This file implements core.EpochedSystem's Snapshot, Play and
+// PlayEpoch for the timeline system: the truthful state is the
+// per-epoch snapshot vector built by init() (each epoch's converged
+// tables and honest outcome), plays route every deviant epoch through
+// the underlying rational system's overlay, and timeline-level utility
+// maps come from the worker's play context.
 
 // arenaKey keys the churn arena in a core.PlayContext (distinct from
 // the rational package's key, so both coexist on one context).
@@ -22,8 +22,8 @@ type playArena struct {
 }
 
 // timelineUtilities returns the identity-keyed utility map for one
-// timeline play — the context's reusable map, or a fresh one for
-// legacy Run/RunEpoch calls.
+// timeline play — the context's reusable map, or a fresh one for a nil
+// context.
 func timelineUtilities(ctx *core.PlayContext, hint int) map[core.NodeID]int64 {
 	if ctx == nil {
 		return make(map[core.NodeID]int64, hint)
@@ -48,7 +48,7 @@ type timelineState struct {
 // Baseline implements core.TruthfulState.
 func (st *timelineState) Baseline() core.Outcome { return st.base }
 
-// Snapshot implements core.StatefulSystem: one honest aggregation of
+// Snapshot implements core.System: one honest aggregation of
 // the timeline, retained. The per-epoch truthful snapshots are built
 // by init(), so this costs one summation beyond what any run pays.
 func (s *System) Snapshot() (core.TruthfulState, error) {
@@ -69,7 +69,9 @@ func (s *System) Snapshot() (core.TruthfulState, error) {
 	return s.snap, nil
 }
 
-// Play implements core.StatefulSystem. The returned Outcome's map
+// Play implements core.System: the deviation is active in every epoch
+// of its activity set — the dynamic analogue of a static deviant
+// playing its strategy for the whole run. The returned Outcome's map
 // belongs to the context's arena (valid until the next Play on it).
 func (s *System) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	if deviator < 0 || dev == nil {
@@ -80,7 +82,8 @@ func (s *System) Play(ctx *core.PlayContext, st core.TruthfulState, deviator cor
 	return s.run(ctx, deviator, dev, -1)
 }
 
-// PlayEpoch implements core.StatefulEpochedSystem.
+// PlayEpoch implements core.EpochedSystem: the deviation is pinned to
+// one epoch, every other epoch plays the suggested specification.
 func (s *System) PlayEpoch(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation, epoch int) (core.Outcome, error) {
 	if epoch < 0 || epoch >= len(s.tl.Epochs) {
 		return core.Outcome{}, fmt.Errorf("churn: epoch %d out of range [0,%d)", epoch, len(s.tl.Epochs))
@@ -94,11 +97,11 @@ func (s *System) PlayEpoch(ctx *core.PlayContext, st core.TruthfulState, deviato
 // timeline: within each epoch the bank settles the misreport back to
 // the true obligation and fines ε above it, so the deviator's epoch
 // utility never exceeds its honest value; whitewashing epochs credit
-// got − honest ≤ 0 on top. Whole-timeline and pinned plays are both
-// covered, so the epoch argument is ignored. Plain FPSS trusts DATA4
-// — exit scams genuinely profit — so no bound is claimed there, and
-// none for deviations that touch construction (e.g. stale catalogues).
-func (s *System) ProfitUpperBound(deviator core.NodeID, dev core.Deviation, _ int) (int64, bool) {
+// got − honest ≤ 0 on top. The bound covers whole-timeline and pinned
+// plays alike. Plain FPSS trusts DATA4 — exit scams genuinely profit —
+// so no bound is claimed there, and none for deviations that touch
+// construction (e.g. stale catalogues).
+func (s *System) ProfitUpperBound(deviator core.NodeID, dev core.Deviation) (int64, bool) {
 	if s.variant != Faithful {
 		return 0, false
 	}

@@ -79,24 +79,23 @@ func (d *deviation) activeIn(e int) bool {
 // identity set, a run is the whole timeline (one construction +
 // execution round per epoch), and utilities are summed per identity
 // across epochs with the bank's ledger carrying balances over the
-// boundaries. It implements core.EpochedSystem, so
-// core.CheckFaithfulness(sys, core.PerEpoch(), core.Workers(k)) replays
-// the (identity, deviation) grid per epoch through the same worker
-// pool the static search uses. Run and RunEpoch are safe for
-// concurrent calls once built (the per-epoch caches are lazily
-// initialized under sync.Once and read-only afterwards).
+// boundaries. It implements core.EpochedSystem, so a check with
+// CheckConfig.PerEpoch replays the (identity, deviation) grid per
+// epoch through the same worker pool the static search uses. Play and
+// PlayEpoch are safe for concurrent calls once built (the per-epoch
+// caches are lazily initialized under sync.Once and read-only
+// afterwards).
 type System struct {
 	tl      *Timeline
 	variant Variant
 
-	once     sync.Once
-	initErr  error
-	epochs   []core.System         // per-epoch rational system
-	stateful []core.StatefulSystem // the same systems, stateful view
-	states   []core.TruthfulState  // per-epoch truthful snapshot
-	honest   []core.Outcome        // per-epoch honest outcome, epoch-local keys
-	cats     map[Identity][]*deviation
-	ledger   *bank.Ledger
+	once    sync.Once
+	initErr error
+	epochs  []core.System        // per-epoch rational system
+	states  []core.TruthfulState // per-epoch truthful snapshot
+	honest  []core.Outcome       // per-epoch honest outcome, epoch-local keys
+	cats    map[Identity][]*deviation
+	ledger  *bank.Ledger
 
 	snapOnce sync.Once
 	snap     *timelineState
@@ -142,7 +141,6 @@ func (s *System) BuildStats() ([]BuildStat, error) {
 }
 
 var _ core.EpochedSystem = (*System)(nil)
-var _ core.StatefulEpochedSystem = (*System)(nil)
 var _ core.Bounder = (*System)(nil)
 
 // NewSystem wraps a timeline for one protocol variant.
@@ -159,7 +157,6 @@ func (s *System) NumEpochs() int { return len(s.tl.Epochs) }
 func (s *System) init() error {
 	s.once.Do(func() {
 		s.epochs = make([]core.System, len(s.tl.Epochs))
-		s.stateful = make([]core.StatefulSystem, len(s.tl.Epochs))
 		s.states = make([]core.TruthfulState, len(s.tl.Epochs))
 		s.honest = make([]core.Outcome, len(s.tl.Epochs))
 		for i, e := range s.tl.Epochs {
@@ -198,13 +195,11 @@ func (s *System) init() error {
 			// One truthful snapshot per epoch: its baseline doubles as
 			// the honest outcome, and every deviant epoch play overlays
 			// it through the caller's play context.
-			ss := core.AsStateful(s.epochs[i])
-			st, err := ss.Snapshot()
+			st, err := s.epochs[i].Snapshot()
 			if err != nil {
 				s.initErr = fmt.Errorf("churn: epoch %d baseline: %w", i, err)
 				return
 			}
-			s.stateful[i] = ss
 			s.states[i] = st
 			s.honest[i] = st.Baseline()
 			if s.statsOn {
@@ -296,27 +291,10 @@ func (s *System) EpochsOf(n core.NodeID, dev core.Deviation) []int {
 	return d.epochs
 }
 
-// Run implements core.System: the deviation is active in every epoch
-// of its activity set — the dynamic analogue of a static deviant
-// playing its strategy for the whole run.
-func (s *System) Run(deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
-	return s.run(nil, deviator, dev, -1)
-}
-
-// RunEpoch implements core.EpochedSystem: the deviation is pinned to
-// one epoch, every other epoch plays the suggested specification.
-func (s *System) RunEpoch(deviator core.NodeID, dev core.Deviation, epoch int) (core.Outcome, error) {
-	if epoch < 0 || epoch >= len(s.tl.Epochs) {
-		return core.Outcome{}, fmt.Errorf("churn: epoch %d out of range [0,%d)", epoch, len(s.tl.Epochs))
-	}
-	return s.run(nil, deviator, dev, epoch)
-}
-
 // run aggregates the timeline. pin >= 0 restricts the deviation to one
 // epoch. The honest per-epoch outcomes are cached, so a run only pays
-// for the epochs the deviation actually touches; with a play context
-// those epochs route through the per-epoch truthful snapshots and the
-// worker's arena instead of fresh full runs.
+// for the epochs the deviation actually touches, and those route
+// through the per-epoch truthful snapshots and the context's arena.
 func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Deviation, pin int) (core.Outcome, error) {
 	if err := s.init(); err != nil {
 		return core.Outcome{}, err
@@ -350,7 +328,7 @@ func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Devia
 		if act != nil {
 			// The epoch outcome may live in the context's arena: it is
 			// consumed below, before the next epoch's play reuses it.
-			deviant, err := s.stateful[e.Index].Play(ctx, s.states[e.Index], core.NodeID(act.local), act.dev)
+			deviant, err := s.epochs[e.Index].Play(ctx, s.states[e.Index], core.NodeID(act.local), act.dev)
 			if err != nil {
 				return core.Outcome{}, fmt.Errorf("churn: epoch %d: %w", e.Index, err)
 			}

@@ -26,22 +26,19 @@ type playResult struct {
 }
 
 // engine carries one search's resolved shape: the system under test,
-// its stateful view, the truthful snapshot every play overlays, and
-// the epoch capabilities when the grid is per-epoch.
+// the truthful snapshot every play overlays, and the epoch view when
+// the grid is per-epoch.
 type engine struct {
 	sys     System
-	ss      StatefulSystem
 	st      TruthfulState
-	epoched EpochedSystem         // non-nil iff cfg.PerEpoch
-	sepoch  StatefulEpochedSystem // non-nil when the system plays epochs against snapshots
+	epoched EpochedSystem // non-nil iff cfg.PerEpoch
 }
 
-// check is the deviation-search engine behind CheckFaithfulness and
-// CheckFaithfulnessCfg.
+// check is the deviation-search engine behind CheckFaithfulnessCfg.
 //
 // Determinism invariant: the Report (and any error) depends only on
 // the System and the config's semantic fields (EarlyStop, PerEpoch,
-// PruneBound) — never on the worker count, context pooling, or
+// Prune) — never on the worker count, context pooling, or
 // scheduling. Every job writes its result into its own
 // catalogue-order slot; violations are collected in slot order and
 // errors are reported for the earliest failing slot — exactly what
@@ -51,12 +48,11 @@ type engine struct {
 // *execute* more plays than the sequential one, but it reports the
 // same ones.
 func check(sys System, cfg CheckConfig) (Report, error) {
-	e := engine{sys: sys, ss: AsStateful(sys)}
-	st, err := e.ss.Snapshot()
+	st, err := sys.Snapshot()
 	if err != nil {
 		return Report{}, fmt.Errorf("%w: %v", ErrNoBaseline, err)
 	}
-	e.st = st
+	e := engine{sys: sys, st: st}
 	baseline := st.Baseline()
 
 	// Enumerate the catalogue up front (sequentially — Deviations need
@@ -68,12 +64,15 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 		if e.epoched, ok = sys.(EpochedSystem); !ok {
 			return Report{}, ErrNotEpoched
 		}
-		e.sepoch, _ = sys.(StatefulEpochedSystem)
+	}
+	var bounder Bounder
+	if cfg.Prune {
+		bounder, _ = sys.(Bounder)
 	}
 	var plays, pruned []play
 	add := func(p play) {
-		if cfg.PruneBound != nil {
-			if bound, ok := cfg.PruneBound(sys, p.node, p.dev, p.epoch); ok && bound <= p.base {
+		if bounder != nil {
+			if bound, ok := bounder.ProfitUpperBound(p.node, p.dev); ok && bound <= p.base {
 				// A violation needs a strict gain; a bound at or
 				// below the baseline proves there is none.
 				pruned = append(pruned, p)
@@ -199,20 +198,19 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 		sortViolations(rep.Violations)
 	}
 	if cfg.VerifyPruned {
-		if err := e.verifyPruned(pruned, cfg.verifyStride()); err != nil {
+		if err := e.verifyPruned(pruned); err != nil {
 			return Report{}, err
 		}
 	}
 	return rep, nil
 }
 
-// verifyPruned replays every stride-th pruned play sequentially and
-// fails if any of them turns out profitable — the debug net under an
-// unsound PruneBound.
-func (e *engine) verifyPruned(pruned []play, stride int) error {
+// verifyPruned replays every pruned play sequentially and fails if any
+// of them turns out profitable — the debug net under an unsound
+// Bounder.
+func (e *engine) verifyPruned(pruned []play) error {
 	ctx := NewPlayContext(0)
-	for i := 0; i < len(pruned); i += stride {
-		p := pruned[i]
+	for _, p := range pruned {
 		out, err := e.playOutcome(ctx, p)
 		if err != nil {
 			return fmt.Errorf("core: verify pruned node %d deviation %q: %w", p.node, p.dev.Name(), err)
@@ -225,16 +223,12 @@ func (e *engine) verifyPruned(pruned []play, stride int) error {
 	return nil
 }
 
-// playOutcome executes one play against the truthful snapshot,
-// preferring the stateful fast paths.
+// playOutcome executes one play against the truthful snapshot.
 func (e *engine) playOutcome(ctx *PlayContext, p play) (Outcome, error) {
 	if p.epoch >= 0 {
-		if e.sepoch != nil {
-			return e.sepoch.PlayEpoch(ctx, e.st, p.node, p.dev, p.epoch)
-		}
-		return e.epoched.RunEpoch(p.node, p.dev, p.epoch)
+		return e.epoched.PlayEpoch(ctx, e.st, p.node, p.dev, p.epoch)
 	}
-	return e.ss.Play(ctx, e.st, p.node, p.dev)
+	return e.sys.Play(ctx, e.st, p.node, p.dev)
 }
 
 // runPlay executes one deviant play and classifies the outcome. The

@@ -5,27 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/spec"
 )
-
-// concurrentFake wraps fakeSystem with a mutex-free concurrency-safe
-// Run (fakeSystem.Run only reads its maps) and records the number of
-// Run calls, so tests can observe how much work early stop saved.
-type concurrentFake struct {
-	*fakeSystem
-	mu   sync.Mutex
-	runs int
-}
-
-func (c *concurrentFake) Run(deviator NodeID, dev Deviation) (Outcome, error) {
-	c.mu.Lock()
-	c.runs++
-	c.mu.Unlock()
-	return c.fakeSystem.Run(deviator, dev)
-}
 
 // randomFake builds a fakeSystem with a seeded random payoff table:
 // ~1/3 of deviations strictly profitable, some ties, some losses.
@@ -48,12 +31,12 @@ func randomFake(seed int64) *fakeSystem {
 func TestDifferentialParallelVsSequential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		f := randomFake(seed)
-		want, err := CheckFaithfulness(f)
+		want, err := CheckFaithfulnessCfg(f, CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			got, err := CheckFaithfulness(&concurrentFake{fakeSystem: f}, Workers(workers))
+			got, err := CheckFaithfulnessCfg(f, CheckConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +56,7 @@ func TestEarlyStopSequentialSemantics(t *testing.T) {
 	f.addDeviation(0, "b-win", 4, spec.MessagePassing)
 	f.addDeviation(0, "c-win", 9, spec.Computation)
 	f.addDeviation(1, "d-win", 2, spec.InfoRevelation)
-	rep, err := CheckFaithfulness(f, EarlyStop())
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +77,12 @@ func TestEarlyStopSequentialSemantics(t *testing.T) {
 func TestEarlyStopParallelDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		f := randomFake(seed)
-		want, err := CheckFaithfulness(f, EarlyStop())
+		want, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 7} {
-			got, err := CheckFaithfulness(&concurrentFake{fakeSystem: f}, EarlyStop(), Workers(workers))
+			got, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,16 +99,13 @@ func TestEarlyStopOnFaithfulSystem(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "a", -1, spec.Computation)
 	f.addDeviation(1, "b", 0, spec.InfoRevelation)
-	for _, opts := range [][]CheckOption{
-		{EarlyStop()},
-		{EarlyStop(), Workers(4)},
-	} {
-		rep, err := CheckFaithfulness(&concurrentFake{fakeSystem: f}, opts...)
+	for _, workers := range []int{0, 4} {
+		rep, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rep.Faithful() || rep.Checked != 2 {
-			t.Errorf("opts %d: report %+v, want faithful with Checked=2", len(opts), rep)
+			t.Errorf("workers %d: report %+v, want faithful with Checked=2", workers, rep)
 		}
 	}
 }
@@ -138,12 +118,12 @@ func TestParallelRunErrorDeterministic(t *testing.T) {
 	f.addDeviation(0, "a", 1, spec.Computation)
 	f.addDeviation(1, "b", 1, spec.Computation)
 	f.runErr = errors.New("boom")
-	want, wantErr := CheckFaithfulness(f)
+	want, wantErr := CheckFaithfulnessCfg(f, CheckConfig{})
 	if wantErr == nil {
 		t.Fatal("sequential run should error")
 	}
 	for _, workers := range []int{2, 4} {
-		got, err := CheckFaithfulness(&concurrentFake{fakeSystem: f}, Workers(workers))
+		got, err := CheckFaithfulnessCfg(f, CheckConfig{Workers: workers})
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("workers %d: err = %v, want %v", workers, err, wantErr)
 		}
@@ -153,20 +133,20 @@ func TestParallelRunErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkersZeroMeansNumCPU: Workers(0) must run (and stay
-// deterministic) with the NumCPU pool.
-func TestWorkersZeroMeansNumCPU(t *testing.T) {
+// TestWorkersNegativeMeansNumCPU: a negative Workers must run (and
+// stay deterministic) with the NumCPU pool.
+func TestWorkersNegativeMeansNumCPU(t *testing.T) {
 	f := randomFake(42)
-	want, err := CheckFaithfulness(f)
+	want, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CheckFaithfulness(&concurrentFake{fakeSystem: f}, Workers(0))
+	got, err := CheckFaithfulnessCfg(f, CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("Workers(0) report %+v != sequential %+v", got, want)
+		t.Fatalf("Workers -1 report %+v != sequential %+v", got, want)
 	}
 }
 
@@ -178,15 +158,14 @@ func TestEarlyStopSavesWork(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.addDeviation(1, fmt.Sprintf("later-%d", i), 1, spec.Computation)
 	}
-	c := &concurrentFake{fakeSystem: f}
-	rep, err := CheckFaithfulness(c, EarlyStop())
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Checked != 1 {
 		t.Errorf("Checked = %d, want 1", rep.Checked)
 	}
-	if c.runs != 2 { // baseline + the one stopping play
-		t.Errorf("runs = %d, want 2 (baseline + stopping play)", c.runs)
+	if f.runs != 2 { // baseline + the one stopping play
+		t.Errorf("runs = %d, want 2 (baseline + stopping play)", f.runs)
 	}
 }

@@ -3,14 +3,14 @@ package core
 import "runtime"
 
 // CheckConfig configures CheckFaithfulnessCfg. The zero value is the
-// reference oracle: a purely sequential, unpruned search over the
-// whole (node, deviation) grid — safe for any System.
+// sequential, unpruned search over the whole (node, deviation) grid —
+// safe for any System.
 type CheckConfig struct {
 	// Workers is the worker-pool size for the deviation search.
 	// 0 means 1 (the sequential oracle); negative means
-	// runtime.NumCPU(). With more than one worker the System's
-	// Run/Play methods must be safe for concurrent calls — the
-	// rational package's systems are.
+	// runtime.NumCPU(). With more than one worker the System's Play
+	// must be safe for concurrent calls — the rational and churn
+	// systems are.
 	Workers int
 
 	// EarlyStop returns at the first profitable deviation in
@@ -29,25 +29,20 @@ type CheckConfig struct {
 	// must implement EpochedSystem (ErrNotEpoched otherwise).
 	PerEpoch bool
 
-	// PruneBound, when set, lets the engine skip plays that a static
-	// profit bound proves unprofitable: a play is pruned when the
-	// bound b (with ok=true) satisfies b <= baseline utility, since a
-	// violation requires a strict gain. Pruned plays are counted in
-	// Report.Pruned so coverage stays auditable. Use SelfBound for
-	// systems that implement Bounder. Soundness is the bound
+	// Prune lets the engine skip plays that the System's Bounder
+	// proves unprofitable: a play is pruned when the bound b (with
+	// ok=true) satisfies b <= baseline utility, since a violation
+	// requires a strict gain. Pruned plays are counted in
+	// Report.Pruned so coverage stays auditable. Systems that do not
+	// implement Bounder prune nothing. Soundness is the bound
 	// provider's responsibility — see VerifyPruned.
-	PruneBound PruneBound
+	Prune bool
 
-	// VerifyPruned replays a sample of pruned plays sequentially
-	// after the search and fails the check if any of them beats its
-	// baseline — a debug mode that catches unsound PruneBound
-	// implementations instead of silently under-reporting.
+	// VerifyPruned replays every pruned play sequentially after the
+	// search and fails the check if any of them beats its baseline — a
+	// debug mode that catches unsound Bounder implementations instead
+	// of silently under-reporting.
 	VerifyPruned bool
-
-	// VerifySample is the sampling stride for VerifyPruned: every
-	// VerifySample-th pruned play (in catalogue order) is replayed.
-	// Values below 1 mean 1 — replay every pruned play.
-	VerifySample int
 
 	// FreshContexts gives every play a fresh PlayContext instead of
 	// reusing one per worker — a debugging aid that rules out arena
@@ -56,35 +51,21 @@ type CheckConfig struct {
 	FreshContexts bool
 }
 
-// PruneBound returns an upper bound on the deviator's utility for the
-// play (node, dev) — pinned to epoch when epoch >= 0, whole-run when
-// epoch == -1. ok=false means no bound is available and the play must
-// run. A sound bound never undercuts a utility the play could
-// actually realize.
-type PruneBound func(sys System, deviator NodeID, dev Deviation, epoch int) (int64, bool)
-
 // Bounder is implemented by Systems that can statically bound a
 // play's profit from the truthful snapshot — e.g. "an
 // execution-phase-only misreport can pocket at most what the deviator
-// honestly owes". Wire it into a check with SelfBound.
+// honestly owes". CheckConfig.Prune consults it.
 type Bounder interface {
-	// ProfitUpperBound follows the PruneBound contract for this
-	// system's own deviations.
-	ProfitUpperBound(deviator NodeID, dev Deviation, epoch int) (int64, bool)
+	// ProfitUpperBound returns an upper bound on the deviator's
+	// utility for any play of dev, whole-run or pinned to one epoch.
+	// ok=false means no bound is available and the play must run. A
+	// sound bound never undercuts a utility the play could actually
+	// realize.
+	ProfitUpperBound(deviator NodeID, dev Deviation) (int64, bool)
 }
 
-// SelfBound is a PruneBound that delegates to the System's own
-// ProfitUpperBound when it implements Bounder, and declines to bound
-// otherwise.
-func SelfBound(sys System, deviator NodeID, dev Deviation, epoch int) (int64, bool) {
-	if b, ok := sys.(Bounder); ok {
-		return b.ProfitUpperBound(deviator, dev, epoch)
-	}
-	return 0, false
-}
-
-// normalized resolves the config's zero values into the effective
-// worker count.
+// workerCount resolves the config's Workers convention into the
+// effective pool size.
 func (c CheckConfig) workerCount() int {
 	switch {
 	case c.Workers == 0:
@@ -93,56 +74,4 @@ func (c CheckConfig) workerCount() int {
 		return runtime.NumCPU()
 	}
 	return c.Workers
-}
-
-// verifyStride resolves the VerifyPruned sampling stride.
-func (c CheckConfig) verifyStride() int {
-	if c.VerifySample < 1 {
-		return 1
-	}
-	return c.VerifySample
-}
-
-// CheckOption mutates a CheckConfig.
-//
-// Deprecated: build a CheckConfig and call CheckFaithfulnessCfg. The
-// option constructors below survive so historical call sites migrate
-// incrementally.
-type CheckOption func(*CheckConfig)
-
-// Workers sets the worker-pool size for the deviation search. k <= 0
-// means runtime.NumCPU().
-//
-// Deprecated: set CheckConfig.Workers (note the different zero/negative
-// convention documented there).
-func Workers(k int) CheckOption {
-	return func(c *CheckConfig) {
-		if k <= 0 {
-			k = runtime.NumCPU()
-		}
-		c.Workers = k
-	}
-}
-
-// PerEpoch expands the search grid to (node, deviation, epoch).
-//
-// Deprecated: set CheckConfig.PerEpoch.
-func PerEpoch() CheckOption {
-	return func(c *CheckConfig) { c.PerEpoch = true }
-}
-
-// EarlyStop makes the search return at the first profitable deviation
-// in catalogue order.
-//
-// Deprecated: set CheckConfig.EarlyStop.
-func EarlyStop() CheckOption {
-	return func(c *CheckConfig) { c.EarlyStop = true }
-}
-
-func applyOptions(opts []CheckOption) CheckConfig {
-	var cfg CheckConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }

@@ -10,8 +10,11 @@
 //   - the deviation model (a catalogue of alternative strategies per
 //     node, classified as information-revelation, message-passing or
 //     computation deviations per §3.4);
-//   - CheckFaithfulness, the verifier that exhaustively plays every
-//     catalogued unilateral deviation against the suggested strategy
+//   - System, the one shape every mechanism takes: Snapshot runs the
+//     suggested strategy once and Play runs one unilateral deviation
+//     against that snapshot;
+//   - CheckFaithfulnessCfg, the verifier that plays every catalogued
+//     unilateral deviation against the suggested strategy's outcome
 //     and reports any strict utility gain (violations of IC, CC or AC
 //     — Definitions 9–11); and
 //   - Report, which maps violations back onto the paper's property
@@ -65,15 +68,23 @@ type Outcome struct {
 
 // System is one concrete instance of a distributed mechanism: a fixed
 // topology and true-type profile, plus the machinery to execute the
-// suggested specification with at most one deviating node.
+// suggested specification with at most one deviating node. Snapshot
+// computes the truthful state once; Play runs one deviant play
+// against it.
 type System interface {
 	// Nodes lists the strategic participants.
 	Nodes() []NodeID
 	// Deviations enumerates the catalogued deviations for a node.
 	Deviations(n NodeID) []Deviation
-	// Run executes the mechanism. deviator < 0 (or dev == nil) runs
-	// the suggested specification s^m for everyone.
-	Run(deviator NodeID, dev Deviation) (Outcome, error)
+	// Snapshot runs the suggested specification s^m for everyone and
+	// captures the truthful state every play starts from.
+	Snapshot() (TruthfulState, error)
+	// Play executes the mechanism with one deviating node against a
+	// snapshot this System took; deviator < 0 (or dev == nil) yields
+	// the snapshot's baseline. The returned Outcome may live in the
+	// context's arena: it is valid only until the next Play on the
+	// same context (see PlayContext).
+	Play(ctx *PlayContext, st TruthfulState, deviator NodeID, dev Deviation) (Outcome, error)
 }
 
 // Violation records a strictly profitable unilateral deviation — a
@@ -85,8 +96,9 @@ type Violation struct {
 	Baseline  int64
 	Deviant   int64
 	// Epoch is the 1-based epoch the deviation was pinned to when the
-	// check ran with PerEpoch over an EpochedSystem; 0 means the play
-	// spanned the whole run (static scenarios and un-pinned searches).
+	// check ran with CheckConfig.PerEpoch over an EpochedSystem; 0
+	// means the play spanned the whole run (static scenarios and
+	// un-pinned searches).
 	Epoch int
 }
 
@@ -104,13 +116,13 @@ func (v Violation) String() string {
 type Report struct {
 	// Checked is the number of plays actually executed. Without
 	// pruning this is the full grid size ((node, deviation) pairs, or
-	// triples under PerEpoch); with a PruneBound it excludes the
-	// plays the bound skipped, so Checked + Pruned is the grid.
+	// triples under PerEpoch); with Prune it excludes the plays the
+	// bound skipped, so Checked + Pruned is the grid.
 	Checked int
-	// Pruned is the number of plays a PruneBound proved unprofitable
-	// and the engine skipped. Always 0 without a bound. Kept separate
-	// from Checked so suite output can't silently under-report
-	// coverage.
+	// Pruned is the number of plays the System's Bounder proved
+	// unprofitable and the engine skipped. Always 0 without Prune.
+	// Kept separate from Checked so suite output can't silently
+	// under-report coverage.
 	Pruned int
 	// Violations lists every strictly profitable deviation.
 	Violations []Violation
@@ -151,20 +163,20 @@ func (r Report) Faithful() bool { return len(r.Violations) == 0 }
 
 // EpochedSystem is a System whose runs span several epochs — a
 // dynamic network where nodes join and leave between construction
-// phases (internal/churn). On top of the whole-run Run inherited from
+// phases (internal/churn). On top of the whole-run Play inherited from
 // System (deviation active in every epoch the deviator participates
 // in), it can pin a deviation to a single epoch, which is what lets
-// CheckFaithfulness(…, PerEpoch()) replay the (node, deviation) grid
-// per epoch and attribute each violation to the epoch that admits it.
+// CheckConfig.PerEpoch replay the (node, deviation) grid per epoch and
+// attribute each violation to the epoch that admits it.
 type EpochedSystem interface {
 	System
 	// NumEpochs reports how many epochs a run spans (≥ 1).
 	NumEpochs() int
-	// RunEpoch executes the mechanism with the deviation active only
-	// in the given epoch (0-based); every other epoch follows the
-	// suggested specification. Utilities aggregate over all epochs,
-	// exactly like Run.
-	RunEpoch(deviator NodeID, dev Deviation, epoch int) (Outcome, error)
+	// PlayEpoch is Play with the deviation active only in the given
+	// epoch (0-based); every other epoch follows the suggested
+	// specification. Utilities aggregate over all epochs, exactly like
+	// Play.
+	PlayEpoch(ctx *PlayContext, st TruthfulState, deviator NodeID, dev Deviation, epoch int) (Outcome, error)
 	// EpochsOf lists the epochs (0-based, ascending) in which the
 	// deviation can differ from the suggested strategy for this
 	// deviator — e.g. only the epochs the node is a member of, or the
@@ -182,7 +194,7 @@ var ErrNoBaseline = errors.New("core: baseline run failed")
 // that does not implement EpochedSystem.
 var ErrNotEpoched = errors.New("core: PerEpoch requires an EpochedSystem")
 
-// CheckFaithfulness plays every catalogued unilateral deviation of
+// CheckFaithfulnessCfg plays every catalogued unilateral deviation of
 // every node against the suggested specification and records each
 // strict utility gain. Under the benevolence assumption (Remark 1) a
 // weak equilibrium suffices: ties are not violations.
@@ -191,24 +203,11 @@ var ErrNotEpoched = errors.New("core: PerEpoch requires an EpochedSystem")
 // quantify over profiles by invoking it across many sampled Systems
 // (the deviation search of experiment E6).
 //
-// With no options the search is sequential — the reference oracle.
-// Options are the deprecated spelling of CheckConfig fields; new code
-// should call CheckFaithfulnessCfg. The Report is byte-identical for
-// every worker count: see check.go for how the engine keeps
-// scheduling out of the output.
-func CheckFaithfulness(sys System, opts ...CheckOption) (Report, error) {
-	return check(sys, applyOptions(opts))
-}
-
-// CheckFaithfulnessCfg is CheckFaithfulness with the full engine
-// configuration: worker pool, early stop, per-epoch grids, profit-
-// bound pruning (PruneBound / VerifyPruned), and play-context
-// pooling. The zero CheckConfig is the sequential reference oracle.
-//
-// When sys implements StatefulSystem, the truthful state is
-// snapshotted once and every play overlays it through a worker-owned
-// PlayContext; legacy systems are adapted transparently (AsStateful)
-// and behave exactly as before.
+// The truthful state is snapshotted once and every play overlays it
+// through a worker-owned PlayContext. The zero CheckConfig is the
+// sequential search; the Report is byte-identical for every worker
+// count (see check.go for how the engine keeps scheduling out of the
+// output).
 func CheckFaithfulnessCfg(sys System, cfg CheckConfig) (Report, error) {
 	return check(sys, cfg)
 }
@@ -241,6 +240,6 @@ func (d BasicDeviation) Name() string { return d.DevName }
 
 // Classes implements Deviation. The returned slice is shared — the
 // check loop calls Classes on every play, and a defensive copy per
-// call is pure garbage; CheckFaithfulness copies it only when it
-// records a Violation. Callers must treat the result as read-only.
+// call is pure garbage; the engine copies it only when it records a
+// Violation. Callers must treat the result as read-only.
 func (d BasicDeviation) Classes() []spec.ActionKind { return d.DevClasses }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/spec"
@@ -10,6 +11,9 @@ import (
 
 // fakeSystem is a tiny 2-node game with a configurable payoff table:
 // each node may play "honest" (suggested) or one catalogued deviation.
+// Snapshot and Play only read the tables, so concurrent plays are safe;
+// runs counts them, so tests can observe how much work early stop
+// saved.
 type fakeSystem struct {
 	// gain[node][deviation name] = utility delta vs baseline.
 	gain     map[NodeID]map[string]int64
@@ -17,7 +21,15 @@ type fakeSystem struct {
 	baseline map[NodeID]int64
 	runErr   error
 	baseErr  error
+
+	mu   sync.Mutex
+	runs int
 }
+
+// fakeState is the fakes' truthful snapshot: just the honest outcome.
+type fakeState struct{ base Outcome }
+
+func (s fakeState) Baseline() Outcome { return s.base }
 
 func (f *fakeSystem) Nodes() []NodeID {
 	return []NodeID{0, 1}
@@ -25,17 +37,26 @@ func (f *fakeSystem) Nodes() []NodeID {
 
 func (f *fakeSystem) Deviations(n NodeID) []Deviation { return f.devs[n] }
 
-func (f *fakeSystem) Run(deviator NodeID, dev Deviation) (Outcome, error) {
-	if deviator < 0 {
-		if f.baseErr != nil {
-			return Outcome{}, f.baseErr
-		}
-		u := make(map[NodeID]int64, len(f.baseline))
-		for k, v := range f.baseline {
-			u[k] = v
-		}
-		return Outcome{Utilities: u, Completed: true}, nil
+func (f *fakeSystem) Snapshot() (TruthfulState, error) {
+	f.count()
+	if f.baseErr != nil {
+		return nil, f.baseErr
 	}
+	u := make(map[NodeID]int64, len(f.baseline))
+	for k, v := range f.baseline {
+		u[k] = v
+	}
+	return fakeState{Outcome{Utilities: u, Completed: true}}, nil
+}
+
+func (f *fakeSystem) count() {
+	f.mu.Lock()
+	f.runs++
+	f.mu.Unlock()
+}
+
+func (f *fakeSystem) Play(_ *PlayContext, _ TruthfulState, deviator NodeID, dev Deviation) (Outcome, error) {
+	f.count()
 	if f.runErr != nil {
 		return Outcome{}, f.runErr
 	}
@@ -64,7 +85,7 @@ func TestFaithfulWhenNoGain(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "drop-msg", -5, spec.MessagePassing)
 	f.addDeviation(1, "lie-cost", 0, spec.InfoRevelation) // tie: benevolence, not a violation
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +105,7 @@ func TestViolationAttribution(t *testing.T) {
 	f.addDeviation(0, "spoof-price", 7, spec.MessagePassing, spec.Computation)
 	f.addDeviation(1, "lie-cost", 3, spec.InfoRevelation)
 	f.addDeviation(1, "harmless", -1, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +136,7 @@ func TestViolationAttribution(t *testing.T) {
 func TestACOnlyViolation(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "miscompute", 4, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +151,7 @@ func TestACOnlyViolation(t *testing.T) {
 func TestBaselineError(t *testing.T) {
 	f := newFake()
 	f.baseErr = errors.New("boom")
-	if _, err := CheckFaithfulness(f); !errors.Is(err, ErrNoBaseline) {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); !errors.Is(err, ErrNoBaseline) {
 		t.Errorf("err = %v, want ErrNoBaseline", err)
 	}
 }
@@ -139,7 +160,7 @@ func TestRunError(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "x", 1, spec.Computation)
 	f.runErr = errors.New("deviant run failed")
-	if _, err := CheckFaithfulness(f); err == nil {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -147,7 +168,7 @@ func TestRunError(t *testing.T) {
 func TestMissingUtility(t *testing.T) {
 	f := newFake()
 	delete(f.baseline, 1)
-	if _, err := CheckFaithfulness(f); err == nil {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); err == nil {
 		t.Error("missing baseline utility should error")
 	}
 }
@@ -157,7 +178,7 @@ func TestViolationsSorted(t *testing.T) {
 	f.addDeviation(1, "zz", 1, spec.Computation)
 	f.addDeviation(1, "aa", 1, spec.Computation)
 	f.addDeviation(0, "mm", 1, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +209,7 @@ func TestViolationClassesIsolatedFromDeviation(t *testing.T) {
 	f := newFake()
 	f.devs[0] = append(f.devs[0], d)
 	f.gain[0]["x"] = 5
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +222,10 @@ func TestViolationClassesIsolatedFromDeviation(t *testing.T) {
 	}
 }
 
-func ExampleCheckFaithfulness() {
+func ExampleCheckFaithfulnessCfg() {
 	f := newFake()
 	f.addDeviation(0, "drop-forward", 9, spec.MessagePassing)
-	rep, _ := CheckFaithfulness(f)
+	rep, _ := CheckFaithfulnessCfg(f, CheckConfig{})
 	fmt.Println(rep.Faithful(), rep.CC())
 	// Output: false false
 }

@@ -17,8 +17,8 @@ type PlayContext struct {
 }
 
 // NewPlayContext returns an empty context tagged with a worker index.
-// Exposed for oracles and tests that drive StatefulSystem.Play
-// directly; the engine builds its own.
+// Exposed for oracles and tests that drive System.Play directly; the
+// engine builds its own.
 func NewPlayContext(worker int) *PlayContext {
 	return &PlayContext{worker: worker}
 }
@@ -70,64 +70,14 @@ type TruthfulState interface {
 	Baseline() Outcome
 }
 
-// StatefulSystem splits the monolithic System.Run lifecycle into an
-// explicit snapshot/play pair: Snapshot computes the truthful state
-// once, Play runs one deviant overlay against it. CheckFaithfulness
-// uses this interface when available (building the snapshot once and
-// fanning plays over worker-owned contexts) and falls back to
-// System.Run otherwise — see AsStateful.
-type StatefulSystem interface {
-	System
-	// Snapshot runs the suggested specification for everyone and
-	// captures the truthful state. Equivalent to Run(-1, nil) plus
-	// whatever the system wants to retain from that run.
-	Snapshot() (TruthfulState, error)
-	// Play executes one deviant play against the snapshot. The
-	// returned Outcome may live in the context's arena: it is valid
-	// only until the next Play on the same context (see PlayContext).
-	Play(ctx *PlayContext, st TruthfulState, deviator NodeID, dev Deviation) (Outcome, error)
-}
+// StatefulSystem is System under its former name, kept only because
+// the perfbench module still spells it.
+type StatefulSystem = System
 
-// StatefulEpochedSystem is the epoch-pinned analogue for
-// EpochedSystem implementations.
-type StatefulEpochedSystem interface {
-	EpochedSystem
-	StatefulSystem
-	// PlayEpoch is Play with the deviation pinned to a single epoch,
-	// mirroring EpochedSystem.RunEpoch.
-	PlayEpoch(ctx *PlayContext, st TruthfulState, deviator NodeID, dev Deviation, epoch int) (Outcome, error)
-}
+// StatefulEpochedSystem is EpochedSystem under its former name, kept
+// only because the perfbench module still spells it.
+type StatefulEpochedSystem = EpochedSystem
 
-// AsStateful adapts any legacy System to StatefulSystem so existing
-// differential oracles keep working unchanged: Snapshot is Run(-1,
-// nil) and Play ignores the snapshot and context, re-running from
-// scratch. Systems that already implement StatefulSystem are returned
-// as-is.
-func AsStateful(sys System) StatefulSystem {
-	if ss, ok := sys.(StatefulSystem); ok {
-		return ss
-	}
-	return legacyStateful{sys}
-}
-
-type legacyStateful struct {
-	System
-}
-
-type legacySnapshot struct {
-	base Outcome
-}
-
-func (s legacySnapshot) Baseline() Outcome { return s.base }
-
-func (a legacyStateful) Snapshot() (TruthfulState, error) {
-	out, err := a.System.Run(-1, nil)
-	if err != nil {
-		return nil, err
-	}
-	return legacySnapshot{base: out}, nil
-}
-
-func (a legacyStateful) Play(_ *PlayContext, _ TruthfulState, deviator NodeID, dev Deviation) (Outcome, error) {
-	return a.System.Run(deviator, dev)
-}
+// AsStateful returns sys unchanged. It is kept only because the
+// perfbench module still calls it.
+func AsStateful(sys System) StatefulSystem { return sys }

@@ -323,8 +323,25 @@ func (s *System) Deviations(core.NodeID) []core.Deviation {
 	return electionCatalogue()
 }
 
-// Run implements core.System.
-func (s *System) Run(deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
+// electionState is the honest election's outcome.
+type electionState struct{ base core.Outcome }
+
+// Baseline implements core.TruthfulState.
+func (st electionState) Baseline() core.Outcome { return st.base }
+
+// Snapshot implements core.System: one honest election.
+func (s *System) Snapshot() (core.TruthfulState, error) {
+	base, err := s.Play(nil, nil, -1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return electionState{base}, nil
+}
+
+// Play implements core.System by re-running the election with the
+// deviator's strategy: an election is a single cheap round, so there
+// is no state worth overlaying and the snapshot is not consulted.
+func (s *System) Play(_ *core.PlayContext, _ core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	var strategies map[graph.NodeID]*Strategy
 	if dev != nil && deviator >= 0 {
 		d, ok := dev.(*deviation)

@@ -30,40 +30,12 @@ func E11CheckerAblation(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys := sc.FaithfulSystem()
-		base, err := sys.Run(-1, nil)
+		_, grid, err := detectionGrid(sc.FaithfulSystem())
 		if err != nil {
 			return nil, err
 		}
-		// Fan the (deviation, node) plays over the worker pool; the
-		// fold below only counts, so index order is irrelevant — but
-		// parallelMap returns slots in catalogue order anyway.
-		devs := sys.Deviations(0)
-		nodes := sys.Nodes()
-		type playStat struct{ caught, profitable bool }
-		stats, err := parallelMap(len(devs)*len(nodes), 0, func(i int) (playStat, error) {
-			out, err := sys.Run(nodes[i%len(nodes)], devs[i/len(nodes)])
-			if err != nil {
-				return playStat{}, err
-			}
-			node := nodes[i%len(nodes)]
-			return playStat{
-				caught:     !out.Completed || len(out.Detected) > 0 || out.Utilities[node] <= base.Utilities[node],
-				profitable: out.Utilities[node] > base.Utilities[node],
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		plays, caught, profitable := len(stats), 0, 0
-		for _, s := range stats {
-			if s.caught {
-				caught++
-			}
-			if s.profitable {
-				profitable++
-			}
-		}
+		plays := len(grid)
+		caught, profitable := tally(grid)
 		label := "all neighbors"
 		if limit > 0 {
 			label = fmt.Sprintf("at most %d", limit)
@@ -133,14 +105,15 @@ func E13DamageContainment(p Params) (*Table, error) {
 	}
 	g := sc.Graph
 	plainSys, faithSys := sc.Systems()
-	plainBase, err := plainSys.Run(-1, nil)
+	plainSt, err := plainSys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	faithBase, err := faithSys.Run(-1, nil)
+	faithSt, err := faithSys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
+	plainBase, faithBase := plainSt.Baseline(), faithSt.Baseline()
 	t := &Table{
 		ID:         "E13",
 		Title:      "Victim damage per deviation: plain vs faithful (completed runs)",
@@ -159,7 +132,7 @@ func E13DamageContainment(p Params) (*Table, error) {
 	results, err := parallelMap(len(devs)*len(nodes), 0, func(i int) (damage, error) {
 		dev, node := devs[i/len(nodes)], nodes[i%len(nodes)]
 		var d damage
-		pOut, err := plainSys.Run(node, dev)
+		pOut, err := plainSys.Play(nil, plainSt, node, dev)
 		if err != nil {
 			return d, err
 		}
@@ -171,7 +144,7 @@ func E13DamageContainment(p Params) (*Table, error) {
 				d.plainLoss = loss
 			}
 		}
-		fOut, err := faithSys.Run(node, dev)
+		fOut, err := faithSys.Play(nil, faithSt, node, dev)
 		if err != nil {
 			return d, err
 		}

@@ -153,6 +153,49 @@ func E2Example1(p Params) (*Table, error) {
 	return t, nil
 }
 
+// detection is one play's verdict in a detection grid: caught
+// (detected, blocked, or neutralized — no better than honest for the
+// deviator) and profitable (strictly better than honest).
+type detection struct{ caught, profitable bool }
+
+// detectionGrid plays every catalogued deviation at every node against
+// sys's truthful snapshot, fanned over the worker pool — the grid
+// core.CheckFaithfulnessCfg searches. Slots are deviation-major:
+// grid[d*len(nodes)+n]. The honest baseline comes back alongside.
+func detectionGrid(sys core.System) (core.Outcome, []detection, error) {
+	st, err := sys.Snapshot()
+	if err != nil {
+		return core.Outcome{}, nil, err
+	}
+	base := st.Baseline()
+	devs, nodes := sys.Deviations(0), sys.Nodes()
+	grid, err := parallelMap(len(devs)*len(nodes), 0, func(i int) (detection, error) {
+		dev, node := devs[i/len(nodes)], nodes[i%len(nodes)]
+		out, err := sys.Play(nil, st, node, dev)
+		if err != nil {
+			return detection{}, err
+		}
+		return detection{
+			caught:     !out.Completed || len(out.Detected) > 0 || out.Utilities[node] <= base.Utilities[node],
+			profitable: out.Utilities[node] > base.Utilities[node],
+		}, nil
+	})
+	return base, grid, err
+}
+
+// tally counts the caught and the profitable plays of a grid slice.
+func tally(plays []detection) (caught, profitable int) {
+	for _, p := range plays {
+		if p.caught {
+			caught++
+		}
+		if p.profitable {
+			profitable++
+		}
+	}
+	return caught, profitable
+}
+
 // E3Detection regenerates §4.3: every manipulation class injected at
 // every node; the extended specification must detect (or neutralize)
 // each one, with zero false positives on honest runs.
@@ -162,7 +205,7 @@ func E3Detection(p Params) (*Table, error) {
 		return nil, err
 	}
 	sys := sc.FaithfulSystem()
-	base, err := sys.Run(-1, nil)
+	base, grid, err := detectionGrid(sys)
 	if err != nil {
 		return nil, err
 	}
@@ -175,41 +218,11 @@ func E3Detection(p Params) (*Table, error) {
 		PaperClaim: "every drop/change/spoof/miscompute deviation is caught; no false positives",
 		Headers:    []string{"deviation", "classes", "runs", "caught or neutralized", "profitable anywhere"},
 	}
-	// Fan the (deviation, node) plays over the worker pool — the same
-	// grid core.CheckFaithfulness parallelizes — and fold the
-	// detection stats back in catalogue order.
-	devs := sys.Deviations(0)
-	nodes := sys.Nodes()
-	type playStat struct{ caught, profitable bool }
-	stats, err := parallelMap(len(devs)*len(nodes), 0, func(i int) (playStat, error) {
-		dev, node := devs[i/len(nodes)], nodes[i%len(nodes)]
-		out, err := sys.Run(node, dev)
-		if err != nil {
-			return playStat{}, err
-		}
-		// A deviation is caught (detected / blocked) or neutralized
-		// (outcome identical to honest for the deviator).
-		return playStat{
-			caught:     !out.Completed || len(out.Detected) > 0 || out.Utilities[node] <= base.Utilities[node],
-			profitable: out.Utilities[node] > base.Utilities[node],
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for d, devIface := range devs {
-		runs, caught, profitable := len(nodes), 0, 0
-		for ni := range nodes {
-			s := stats[d*len(nodes)+ni]
-			if s.caught {
-				caught++
-			}
-			if s.profitable {
-				profitable++
-			}
-		}
+	runs := len(sys.Nodes())
+	for d, dev := range sys.Deviations(0) {
+		caught, profitable := tally(grid[d*runs : (d+1)*runs])
 		t.Rows = append(t.Rows, []string{
-			devIface.Name(), fmt.Sprintf("%v", devIface.Classes()), itoa(int64(runs)),
+			dev.Name(), fmt.Sprintf("%v", dev.Classes()), itoa(int64(runs)),
 			fmt.Sprintf("%d/%d", caught, runs), fmt.Sprintf("%d/%d", profitable, runs),
 		})
 	}
@@ -342,7 +355,7 @@ func E6Faithfulness(p Params) (*Table, error) {
 			return nil, err
 		}
 		plainSys, faithSys := sc.Systems()
-		// The rational systems tolerate concurrent Run calls, so the
+		// The rational systems tolerate concurrent Play calls, so the
 		// deviation search fans over the NumCPU pool; the report is
 		// byte-identical to the sequential oracle for any worker count.
 		plainRep, err := core.CheckFaithfulnessCfg(plainSys, core.CheckConfig{Workers: -1})

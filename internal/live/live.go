@@ -19,8 +19,10 @@
 //     visible), recorded into an HDR-style log-linear histogram.
 //   - Monitor samples (node, deviation) plays against copy-on-write
 //     snapshots of the served state on a background worker pool,
-//     maintaining rolling violation/detection counters; the batch
-//     checker (core.CheckFaithfulnessCfg) is its differential oracle.
+//     maintaining rolling violation/detection counters. Its samples go
+//     through the same core.System Snapshot/Play path, and the same
+//     core.Bounder, as the batch checker (core.CheckFaithfulnessCfg),
+//     which is its differential oracle.
 //
 // Determinism caveat: unlike the event simulator, the live network
 // interleaves goroutines under the runtime scheduler. Converged tables

@@ -26,8 +26,8 @@ type MonitorConfig struct {
 	// Seed keys the sampling permutation over the (node, deviation)
 	// grid.
 	Seed uint64
-	// Prune skips plays the static profit bound proves unprofitable
-	// (core.SelfBound), mirroring the batch checker's PruneBound.
+	// Prune skips plays the system's core.Bounder proves
+	// unprofitable, mirroring core.CheckConfig.Prune.
 	Prune bool
 }
 
@@ -69,10 +69,12 @@ type samplePair struct {
 }
 
 // sampleState is one bound epoch: the system under test, its truthful
-// snapshot, and the seeded sampling order over the grid.
+// snapshot, its profit bound (nil unless pruning), and the seeded
+// sampling order over the grid.
 type sampleState struct {
-	sys    core.StatefulSystem
+	sys    core.System
 	st     core.TruthfulState
+	bound  core.Bounder
 	grid   []samplePair
 	order  []int
 	cursor atomic.Int64
@@ -127,24 +129,23 @@ func (m *Monitor) Bind(comp *scenario.Compiled, central *fpss.Central) error {
 		}
 		sys = plain
 	}
-	ss, ok := sys.(core.StatefulSystem)
-	if !ok {
-		ss = core.AsStateful(sys)
-	}
-	st, err := ss.Snapshot()
+	st, err := sys.Snapshot()
 	if err != nil {
 		return fmt.Errorf("live: monitor snapshot: %w", err)
 	}
 	var grid []samplePair
-	for _, n := range ss.Nodes() {
-		for _, d := range ss.Deviations(n) {
+	for _, n := range sys.Nodes() {
+		for _, d := range sys.Deviations(n) {
 			grid = append(grid, samplePair{node: n, dev: d})
 		}
 	}
 	if len(grid) == 0 {
 		return errors.New("live: monitor grid is empty")
 	}
-	state := &sampleState{sys: ss, st: st, grid: grid, order: permute(len(grid), m.cfg.Seed)}
+	state := &sampleState{sys: sys, st: st, grid: grid, order: permute(len(grid), m.cfg.Seed)}
+	if m.cfg.Prune {
+		state.bound, _ = sys.(core.Bounder)
+	}
 
 	m.mu.Lock()
 	m.cur = state
@@ -227,8 +228,8 @@ func (m *Monitor) sampleOne(ctx *core.PlayContext, state *sampleState) {
 	p := state.grid[idx]
 	base := state.st.Baseline().Utilities[p.node]
 
-	if m.cfg.Prune {
-		if ub, ok := core.SelfBound(state.sys, p.node, p.dev, 0); ok && ub <= base {
+	if state.bound != nil {
+		if ub, ok := state.bound.ProfitUpperBound(p.node, p.dev); ok && ub <= base {
 			m.pruned.Add(1)
 			return
 		}

@@ -46,14 +46,15 @@ func BenchmarkCheckFaithfulness(b *testing.B) {
 }
 
 // BenchmarkFaithfulRunHonest times one honest extended-protocol run on
-// Figure 1 — the baseline run every deviation search starts with, and
-// the unit the engine replays hundreds of times.
+// Figure 1 — the full protocol replay (play with no deviation and no
+// arena) that a snapshot saves and that every non-overlayable play
+// repeats.
 func BenchmarkFaithfulRunHonest(b *testing.B) {
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(-1, nil); err != nil {
+		if _, err := sys.play(-1, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

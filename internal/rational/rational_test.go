@@ -46,7 +46,7 @@ func TestCatalogueShape(t *testing.T) {
 func TestPlainFPSSAdmitsProfitableDeviations(t *testing.T) {
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPlainFPSSNaivePricingViolatesIC(t *testing.T) {
 	p := DefaultParams(g)
 	p.Scheme = fpss.SchemeDeclaredCost
 	sys := &PlainSystem{Graph: g, Params: p}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPlainFPSSVCGKeepsCostMisreportsUnprofitable(t *testing.T) {
 	// deviations do.
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFaithfulSystemIsFaithfulFigure1(t *testing.T) {
 	}
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFaithfulSystemIsFaithfulRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
-		rep, err := core.CheckFaithfulness(sys)
+		rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,11 @@ func TestDetectionSignalsSurface(t *testing.T) {
 	if attract == nil {
 		t.Fatal("catalogue missing miscompute-routing-attract")
 	}
-	out, err := sys.Run(core.NodeID(c), attract)
+	st, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sys.Play(nil, st, core.NodeID(c), attract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +196,12 @@ func TestAttractDeviationProfitsInPlain(t *testing.T) {
 			attract = d
 		}
 	}
-	base, err := plain.Run(-1, nil)
+	st, err := plain.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := plain.Run(core.NodeID(c), attract)
+	base := st.Baseline()
+	dev, err := plain.Play(nil, st, core.NodeID(c), attract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +215,14 @@ func TestAttractDeviationProfitsInPlain(t *testing.T) {
 
 func TestForeignDeviationRejected(t *testing.T) {
 	g := graph.Figure1()
-	plain := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	if _, err := plain.Run(0, core.BasicDeviation{DevName: "alien"}); err == nil {
-		t.Error("foreign deviation type should error")
-	}
-	fs := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
-	if _, err := fs.Run(0, core.BasicDeviation{DevName: "alien"}); err == nil {
-		t.Error("foreign deviation type should error (faithful)")
+	plain, faith := Systems(g, DefaultParams(g))
+	for _, sys := range []core.System{plain, faith} {
+		st, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Play(nil, st, 0, core.BasicDeviation{DevName: "alien"}); err == nil {
+			t.Errorf("%T: foreign deviation type should error", sys)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func ShardCatalogue(forFaithful bool) []*Deviation {
 // (Local = util + out − in). When every transfer commits the final
 // balances equal the utilities, so a deviant settlement's Deltas are
 // exactly the money the deviation moved. Iteration is sorted — the
-// batch must be byte-identical between the Run oracle and the
+// batch must be byte-identical between a full protocol replay and the
 // snapshot fast path.
 func settleBatch(exec *fpss.ExecResult) *settle.Batch {
 	nodes := make([]graph.NodeID, 0, len(exec.Utilities))

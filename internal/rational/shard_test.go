@@ -136,14 +136,14 @@ func TestShardDeviationOutcomes(t *testing.T) {
 
 	// Baseline mechanism: the exit scam pockets exactly what the
 	// deviator owed, the double claim pockets its local credit.
-	out, err := plain.Run(deviator, findDeviation(t, plain, "exit-scam-2pc-window"))
+	out, err := plain.Play(nil, pst, deviator, findDeviation(t, plain, "exit-scam-2pc-window"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Utilities[deviator]; got != base+owed {
 		t.Errorf("plain exit scam: utility %d, want base %d + owed %d", got, base, owed)
 	}
-	out, err = plain.Run(deviator, findDeviation(t, plain, "double-credit-two-homes"))
+	out, err = plain.Play(nil, pst, deviator, findDeviation(t, plain, "double-credit-two-homes"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestShardDeviationOutcomes(t *testing.T) {
 	if local <= 0 {
 		t.Logf("note: deviator %d has non-positive local credit %d; double claim not profitable here", deviator, local)
 	}
-	out, err = plain.Run(deviator, findDeviation(t, plain, "stall-prepare-abort"))
+	out, err = plain.Play(nil, pst, deviator, findDeviation(t, plain, "stall-prepare-abort"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestShardDeviationOutcomes(t *testing.T) {
 	}
 	fbase := fst.Baseline().Utilities[deviator]
 	for _, name := range shardDeviationNames {
-		fout, err := faith.Run(deviator, findDeviation(t, faith, name))
+		fout, err := faith.Play(nil, fst, deviator, findDeviation(t, faith, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +196,8 @@ func TestShardDeviationOutcomes(t *testing.T) {
 // gate (and the -race certification of the settlement stage): across
 // shard counts, crash plans and worker counts, the snapshot fast path
 // — cached batch, settle-only overlay, and the faithful settle prune
-// bound under VerifyPruned — must reproduce the Run-per-play oracle
-// byte for byte.
+// bound under VerifyPruned — must reproduce the replay oracle byte for
+// byte.
 func TestStatefulSettleMatchesRunOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential deviation search over the shard axis is the full lane")
@@ -205,10 +205,7 @@ func TestStatefulSettleMatchesRunOracle(t *testing.T) {
 	g := graph.Figure1()
 
 	check := func(t *testing.T, mk func() core.System, workers int) {
-		oracle, err := core.CheckFaithfulnessCfg(runOnly{mk()}, core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := oracleCheck(t, mk())
 		sys := mk()
 		got, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: workers})
 		if err != nil {
@@ -219,7 +216,7 @@ func TestStatefulSettleMatchesRunOracle(t *testing.T) {
 		}
 		pruned, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
 			Workers:      workers,
-			PruneBound:   core.SelfBound,
+			Prune:        true,
 			VerifyPruned: true,
 		})
 		if err != nil {

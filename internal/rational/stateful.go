@@ -13,12 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// This file implements core.StatefulSystem for both protocol systems:
-// the truthful run is snapshotted once per scenario (converged table
-// views, honest outcome, obligations, audit bank) and every deviant
-// play overlays it — execution-phase-only deviations skip the
-// protocol simulation entirely, and full plays draw their network,
-// bank, and result maps from the worker's play-context arena.
+// This file implements core.System's Snapshot and Play for both
+// protocol systems: the truthful run is snapshotted once per scenario
+// (converged table views, honest outcome, obligations, audit bank) and
+// every deviant play overlays it — execution-phase-only deviations
+// skip the protocol simulation entirely, and full plays draw their
+// network, bank, and result maps from the worker's play-context arena.
 
 // arenaKey keys the rational play arena in a core.PlayContext
 // (unexported type per the context.Context convention, so the churn
@@ -30,7 +30,8 @@ type arenaKey struct{}
 // cycle through the sim/faithful package pools under contention), and
 // the per-play maps that deviation searches otherwise reallocate tens
 // of thousands of times. All methods tolerate a nil receiver by
-// falling back to fresh allocation — that is the legacy Run behavior.
+// falling back to fresh allocation, which is what a nil PlayContext
+// gets.
 type playArena struct {
 	net      *sim.Network
 	bank     *bank.Bank
@@ -175,10 +176,9 @@ type plainState struct {
 // Baseline implements core.TruthfulState.
 func (st *plainState) Baseline() core.Outcome { return st.base }
 
-var _ core.StatefulSystem = (*PlainSystem)(nil)
 var _ core.Bounder = (*PlainSystem)(nil)
 
-// Snapshot implements core.StatefulSystem: one honest protocol run,
+// Snapshot implements core.System: one honest protocol run,
 // retained. Idempotent — the snapshot is computed once per system and
 // shared (it is read-only), so Bounder and repeated checks reuse it.
 func (s *PlainSystem) Snapshot() (core.TruthfulState, error) {
@@ -259,16 +259,17 @@ func (s *PlainSystem) executeOn(st *plainState, hooks map[graph.NodeID]func(fpss
 	return exec, nil
 }
 
-// Play implements core.StatefulSystem. Execution-only deviations
-// (payment misreports) overlay the snapshot without re-running the
-// protocol — the honest construction is deterministic, so the result
-// is byte-identical to a full Run. Everything else replays the
+// Play implements core.System. Execution-only deviations (payment
+// misreports) overlay the snapshot without re-running the protocol —
+// the honest construction is deterministic, so the result is
+// byte-identical to a full replay. Everything else replays the
 // protocol through the arena's network. The returned Outcome lives in
 // the context's arena (valid until the next Play on the same context).
+// A snapshot this system did not take is an error.
 func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*plainState)
 	if !ok {
-		return s.Run(deviator, dev) // foreign snapshot: stay correct
+		return core.Outcome{}, foreignSnapshot(st)
 	}
 	if deviator < 0 || dev == nil {
 		return snap.base, nil
@@ -308,7 +309,7 @@ func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviato
 // underreport can pocket at most what the deviator honestly owes its
 // transit nodes — everything else in its utility is untouched by an
 // execution-phase-only deviation. Other deviations get no bound.
-func (s *PlainSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation, _ int) (int64, bool) {
+func (s *PlainSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation) (int64, bool) {
 	d, ok := dev.(*Deviation)
 	if !ok || !d.boundedExec {
 		return 0, false
@@ -323,6 +324,11 @@ func (s *PlainSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation,
 		return 0, false
 	}
 	return base + snap.owed[graph.NodeID(deviator)], true
+}
+
+// foreignSnapshot is Play's error for a snapshot another system took.
+func foreignSnapshot(st core.TruthfulState) error {
+	return fmt.Errorf("rational: foreign snapshot %T", st)
 }
 
 // faithfulState is FaithfulSystem's truthful snapshot: the honest
@@ -340,10 +346,9 @@ type faithfulState struct {
 // Baseline implements core.TruthfulState.
 func (st *faithfulState) Baseline() core.Outcome { return st.base }
 
-var _ core.StatefulSystem = (*FaithfulSystem)(nil)
 var _ core.Bounder = (*FaithfulSystem)(nil)
 
-// Snapshot implements core.StatefulSystem (see PlainSystem.Snapshot).
+// Snapshot implements core.System (see PlainSystem.Snapshot).
 // The snapshot owns a dedicated bank so its audit view outlives the
 // run without touching the package pool.
 func (s *FaithfulSystem) Snapshot() (core.TruthfulState, error) {
@@ -355,9 +360,9 @@ func (s *FaithfulSystem) Snapshot() (core.TruthfulState, error) {
 			// the certified post-checkpoint state can be synthesized
 			// without simulating phases 1/2. The audit bank only needs
 			// its node list (the checker-assignment keys, exactly what
-			// Run registers via Reuse); the execution phase and payment
-			// audit then replay through the same execAndAudit tail Run
-			// uses, making the outcome byte-identical.
+			// faithful.Run registers via Reuse); the execution phase and
+			// payment audit then replay through the same execAndAudit
+			// tail faithful.Run uses, making the outcome byte-identical.
 			auditor := new(bank.Bank)
 			auditor.Reuse(sign.NewAuthority(), s.scen.checkers)
 			st := &faithfulState{
@@ -416,8 +421,8 @@ func (s *FaithfulSystem) Snapshot() (core.TruthfulState, error) {
 	return s.snap, nil
 }
 
-// runConfig assembles the faithful.Config shared by Run, Snapshot and
-// the arena-backed plays.
+// runConfig assembles the faithful.Config shared by Snapshot and every
+// play.
 func (s *FaithfulSystem) runConfig(strategies map[graph.NodeID]*faithful.Strategy, net *sim.Network, b *bank.Bank) faithful.Config {
 	return faithful.Config{
 		Graph:              s.Graph,
@@ -459,13 +464,13 @@ func outcomeOf(res *faithful.Result, util map[core.NodeID]int64) core.Outcome {
 	return out
 }
 
-// Play implements core.StatefulSystem (see PlainSystem.Play). The
+// Play implements core.System (see PlainSystem.Play). The
 // execution-only overlay replays accounting and the payment audit on
 // the certified snapshot through faithful.ExecPlay.
 func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*faithfulState)
 	if !ok {
-		return s.Run(deviator, dev)
+		return core.Outcome{}, foreignSnapshot(st)
 	}
 	if deviator < 0 || dev == nil {
 		return snap.base, nil
@@ -511,7 +516,7 @@ func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, devi
 // only subtracts ε. Under lossy links or a custom fault override,
 // infrastructure aborts can genuinely shift balances, so no bound is
 // claimed there; construction and checker deviations get none either.
-func (s *FaithfulSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation, _ int) (int64, bool) {
+func (s *FaithfulSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation) (int64, bool) {
 	d, ok := dev.(*Deviation)
 	if !ok {
 		return 0, false

@@ -1,6 +1,7 @@
 package rational
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,23 +12,65 @@ import (
 	"repro/internal/graph"
 )
 
-// runOnly hides a System's stateful and bounder faces, so the engine
-// falls back to the legacy Run-per-play path — the kept oracle the
-// snapshot/overlay/arena machinery must match byte for byte.
-type runOnly struct{ sys core.System }
+// replayOracle is the one reference the snapshot/overlay/arena
+// machinery must match byte for byte: its snapshot is an honest
+// protocol run, and every play — exec-only and settle-only ones
+// included — replays the whole protocol through play, with no overlay
+// and no arena. Embedding only core.System hides the Bounder, so the
+// oracle never prunes. Drive it through oracleCheck.
+type replayOracle struct {
+	core.System
+	play func(core.NodeID, *Deviation, *playArena) (core.Outcome, error)
+}
 
-func (r runOnly) Nodes() []core.NodeID                      { return r.sys.Nodes() }
-func (r runOnly) Deviations(n core.NodeID) []core.Deviation { return r.sys.Deviations(n) }
-func (r runOnly) Run(d core.NodeID, dev core.Deviation) (core.Outcome, error) {
-	return r.sys.Run(d, dev)
+// replayState is the oracle's snapshot: the honest run's outcome.
+type replayState struct{ base core.Outcome }
+
+func (st replayState) Baseline() core.Outcome { return st.base }
+
+func (o replayOracle) Snapshot() (core.TruthfulState, error) {
+	base, err := o.play(-1, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return replayState{base}, nil
+}
+
+func (o replayOracle) Play(_ *core.PlayContext, _ core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
+	d, ok := dev.(*Deviation)
+	if !ok {
+		return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
+	}
+	return o.play(deviator, d, nil)
+}
+
+// oracleCheck runs the sequential search over sys's scenario with the
+// replay oracle standing in for sys's own Snapshot and Play.
+func oracleCheck(t *testing.T, sys core.System) core.Report {
+	t.Helper()
+	o := replayOracle{System: sys}
+	switch s := sys.(type) {
+	case *PlainSystem:
+		o.play = s.play
+	case *FaithfulSystem:
+		o.play = s.play
+	default:
+		t.Fatalf("no replay oracle for %T", sys)
+	}
+	rep, err := core.CheckFaithfulnessCfg(o, core.CheckConfig{FreshContexts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // TestStatefulCheckMatchesRunOracle is the overhaul's acceptance gate:
 // over 100+ seeded scenarios the snapshot/COW/arena engine — pooled
 // contexts, exec-only overlays, and profit-bound pruning with every
-// pruned play replayed and re-verified — must reproduce the legacy
-// Run-based sequential oracle exactly. Run under -race, the shared
-// snapshots and per-worker arenas are also certified race-free.
+// pruned play replayed and re-verified — must reproduce the replay
+// oracle exactly, across worker counts 1, 2, 4 and 8. Run under -race,
+// the shared snapshots and per-worker arenas are also certified
+// race-free.
 func TestStatefulCheckMatchesRunOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential deviation search over 100 graphs is the full lane")
@@ -48,13 +91,10 @@ func TestStatefulCheckMatchesRunOracle(t *testing.T) {
 		if trial%3 == 1 {
 			params.Scheme = fpss.SchemeDeclaredCost
 		}
-		oracle, err := core.CheckFaithfulnessCfg(runOnly{&PlainSystem{Graph: g, Params: params}}, core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := oracleCheck(t, &PlainSystem{Graph: g, Params: params})
 
 		// Pooled + COW, no pruning: the whole Report must match.
-		workers := 1 + 3*(trial%2)
+		workers := []int{1, 2, 4, 8}[trial%4]
 		sys := &PlainSystem{Graph: g, Params: params}
 		got, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: workers})
 		if err != nil {
@@ -68,7 +108,7 @@ func TestStatefulCheckMatchesRunOracle(t *testing.T) {
 		// every pruned play replayed against the bound (stride 1).
 		pruned, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
 			Workers:      workers,
-			PruneBound:   core.SelfBound,
+			Prune:        true,
 			VerifyPruned: true,
 		})
 		if err != nil {
@@ -86,8 +126,9 @@ func TestStatefulCheckMatchesRunOracle(t *testing.T) {
 // TestFaithfulStatefulMatchesRunOracle is the faithful-side
 // differential: the certified snapshot's exec-only overlay (including
 // the payment re-audit) and the base-utility prune bound must agree
-// with the Run oracle. The faithful catalogue is where pruning
-// actually fires, so the accounting is asserted to be non-trivial.
+// with the replay oracle, and the extended specification must stay
+// faithful. The faithful catalogue is where pruning actually fires, so
+// the accounting is asserted to be non-trivial.
 func TestFaithfulStatefulMatchesRunOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faithful differential deviation search is the full lane")
@@ -105,9 +146,9 @@ func TestFaithfulStatefulMatchesRunOracle(t *testing.T) {
 			}
 		}
 		params := DefaultParams(g)
-		oracle, err := core.CheckFaithfulnessCfg(runOnly{&FaithfulSystem{Graph: g, Params: params}}, core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
+		oracle := oracleCheck(t, &FaithfulSystem{Graph: g, Params: params})
+		if !oracle.Faithful() {
+			t.Fatalf("trial %d: extended FPSS should stay faithful; violations %v", trial, oracle.Violations)
 		}
 		sys := &FaithfulSystem{Graph: g, Params: params}
 		got, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: 4})
@@ -119,7 +160,7 @@ func TestFaithfulStatefulMatchesRunOracle(t *testing.T) {
 		}
 		pruned, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
 			Workers:      4,
-			PruneBound:   core.SelfBound,
+			Prune:        true,
 			VerifyPruned: true,
 		})
 		if err != nil {
@@ -137,6 +178,18 @@ func TestFaithfulStatefulMatchesRunOracle(t *testing.T) {
 	}
 }
 
+// lyingBound is a deliberately wrong Bounder: it claims no play can
+// beat the deviator's baseline.
+type lyingBound struct{ *PlainSystem }
+
+func (l lyingBound) ProfitUpperBound(deviator core.NodeID, _ core.Deviation) (int64, bool) {
+	st, err := l.Snapshot()
+	if err != nil {
+		return 0, false
+	}
+	return st.Baseline().Utilities[deviator], true // "nothing ever profits"
+}
+
 // TestUnsoundPruneBoundCaught: a deliberately wrong upper bound — one
 // that claims every play is unprofitable — must be caught by the
 // VerifyPruned replay on plain FPSS, where underreports genuinely
@@ -145,15 +198,8 @@ func TestFaithfulStatefulMatchesRunOracle(t *testing.T) {
 func TestUnsoundPruneBoundCaught(t *testing.T) {
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	lying := func(s core.System, deviator core.NodeID, dev core.Deviation, epoch int) (int64, bool) {
-		st, err := sys.Snapshot()
-		if err != nil {
-			return 0, false
-		}
-		return st.Baseline().Utilities[deviator], true // "nothing ever profits"
-	}
-	_, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
-		PruneBound:   lying,
+	_, err := core.CheckFaithfulnessCfg(lyingBound{sys}, core.CheckConfig{
+		Prune:        true,
 		VerifyPruned: true,
 	})
 	if err == nil {
@@ -165,7 +211,7 @@ func TestUnsoundPruneBoundCaught(t *testing.T) {
 
 	// The system's own bound survives the same full-replay audit.
 	if _, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{
-		PruneBound:   core.SelfBound,
+		Prune:        true,
 		VerifyPruned: true,
 	}); err != nil {
 		t.Fatalf("self bound failed verification: %v", err)
@@ -187,7 +233,7 @@ func TestPrunedAccounting(t *testing.T) {
 		t.Fatalf("unpruned report miscounts: %+v", full)
 	}
 	pruned, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{
-		PruneBound: core.SelfBound,
+		Prune: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,12 +53,12 @@ func DefaultParams(g *graph.Graph) Params {
 }
 
 // scenario is the truthful per-scenario state shared read-only by
-// every (node, deviation) run on one System: the deviation catalogue,
+// every (node, deviation) play on one System: the deviation catalogue,
 // the node list, the sorted flow order, the true-cost table, and (for
 // the faithful protocol) the topology/checker views. It is computed
 // once, lazily, and must never be mutated afterwards — that is what
-// makes a System's Run safe for the concurrent plays that
-// core.CheckFaithfulness(..., core.Workers(k)) fans out.
+// makes a System's Play safe for the concurrent plays a multi-worker
+// core.CheckConfig fans out.
 type scenario struct {
 	once      sync.Once
 	cat       []core.Deviation
@@ -113,9 +113,9 @@ func Systems(g *graph.Graph, p Params) (*PlainSystem, *FaithfulSystem) {
 
 // PlainSystem plays deviations against the *original* FPSS protocol:
 // obedient network assumed by FPSS, no checkers, accounting that
-// trusts reported payments. It implements core.System; Run is safe
+// trusts reported payments. It implements core.System; Play is safe
 // for concurrent calls (scenario state is read-only once built), so
-// it composes with core.Workers.
+// it composes with a multi-worker check.
 type PlainSystem struct {
 	Graph  *graph.Graph
 	Params Params
@@ -158,23 +158,13 @@ func (s *PlainSystem) Deviations(core.NodeID) []core.Deviation {
 	return s.scen.cat
 }
 
-// Run implements core.System.
-func (s *PlainSystem) Run(deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
-	s.scen.init(s.Graph, s.Params, false)
-	var d *Deviation
-	if dev != nil && deviator >= 0 {
-		var ok bool
-		if d, ok = dev.(*Deviation); !ok {
-			return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
-		}
-	}
-	return s.play(deviator, d, nil)
-}
-
-// play is the shared body of Run and the arena-backed Play: a nil
-// arena allocates fresh (legacy Run semantics), a worker arena reuses
-// its network and per-play maps.
+// play runs the whole protocol — construction, execution and, for a
+// settle deviation, settlement — with d active at deviator (d == nil
+// runs the suggested specification). It is Play's fallback for
+// deviations the snapshot cannot overlay. A nil arena allocates fresh;
+// a worker arena reuses its network and per-play maps.
 func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (core.Outcome, error) {
+	s.scen.init(s.Graph, s.Params, false)
 	var strategies map[graph.NodeID]*fpss.Strategy
 	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
 	if d != nil && deviator >= 0 {
@@ -226,7 +216,7 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (c
 }
 
 // FaithfulSystem plays deviations against the paper's extended FPSS
-// specification. It implements core.System; like PlainSystem, Run is
+// specification. It implements core.System; like PlainSystem, Play is
 // safe for concurrent calls.
 type FaithfulSystem struct {
 	Graph  *graph.Graph
@@ -269,22 +259,10 @@ func (s *FaithfulSystem) Deviations(core.NodeID) []core.Deviation {
 	return s.scen.cat
 }
 
-// Run implements core.System.
-func (s *FaithfulSystem) Run(deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
-	s.scen.init(s.Graph, s.Params, true)
-	var d *Deviation
-	if dev != nil && deviator >= 0 {
-		var ok bool
-		if d, ok = dev.(*Deviation); !ok {
-			return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
-		}
-	}
-	return s.play(deviator, d, nil)
-}
-
-// play is the shared body of Run and the arena-backed Play (see
-// PlainSystem.play).
+// play runs the whole extended protocol with d active at deviator
+// (see PlainSystem.play).
 func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (core.Outcome, error) {
+	s.scen.init(s.Graph, s.Params, true)
 	var strategies map[graph.NodeID]*faithful.Strategy
 	if d != nil && deviator >= 0 {
 		node := graph.NodeID(deviator)

@@ -72,34 +72,76 @@ func WithFaults(m FaultModel) Option {
 // schedule on an existing network — the caller-owned-network path,
 // mirroring SetLoss. Reset clears it, so pooled networks cannot replay
 // a previous scenario's crashes.
-func (n *Network) SetFaults(m FaultModel) {
+func (n *Network) SetFaults(m FaultModel) { n.faults = NewFaultSchedule(m) }
+
+// Down reports whether addr is currently crashed.
+func (n *Network) Down(addr Addr) bool { return n.faults.Down(addr) }
+
+// FaultSchedule is a FaultModel's runtime state: per-address pending
+// crash entries (consumed in order), delivery counts since the last
+// arm point, and the set of currently-down addresses. The simulator's
+// Network and livenet's goroutine network both drive one, so crashes
+// fire at the same protocol point in either runtime. A nil schedule
+// means no faults. It takes no lock of its own: the owner serializes
+// calls (the simulator is single-threaded; livenet holds its mutex).
+type FaultSchedule struct {
+	pending map[Addr][]Crash
+	counts  map[Addr]int64
+	down    map[Addr]bool
+}
+
+// NewFaultSchedule builds the runtime schedule for m. A disabled model
+// yields nil.
+func NewFaultSchedule(m FaultModel) *FaultSchedule {
 	if !m.Enabled() {
-		n.faults = nil
-		return
+		return nil
 	}
-	fs := &faultState{pending: make(map[Addr][]Crash), counts: make(map[Addr]int64)}
+	fs := &FaultSchedule{pending: make(map[Addr][]Crash), counts: make(map[Addr]int64), down: make(map[Addr]bool)}
 	for _, c := range m.Schedule {
 		if c.AfterDeliveries < 1 {
 			c.AfterDeliveries = 1
 		}
 		fs.pending[c.Addr] = append(fs.pending[c.Addr], c)
 	}
-	n.faults = fs
+	return fs
 }
 
 // Down reports whether addr is currently crashed.
-func (n *Network) Down(addr Addr) bool {
-	return n.faults != nil && n.faults.down != nil && n.faults.down[addr]
+func (fs *FaultSchedule) Down(addr Addr) bool {
+	return fs != nil && fs.down[addr]
 }
 
-// faultState is a network's installed crash schedule plus its runtime
-// state: per-address pending entries (consumed in order), delivery
-// counts since the last arm point, and the set of currently-down
-// addresses.
-type faultState struct {
-	pending map[Addr][]Crash
-	counts  map[Addr]int64
-	down    map[Addr]bool
+// ObserveDelivery records one delivery to addr and reports whether it
+// armed a crash; if so the entry is consumed, addr goes down, and the
+// entry is returned so the caller can schedule its restart.
+func (fs *FaultSchedule) ObserveDelivery(addr Addr) (Crash, bool) {
+	if fs == nil {
+		return Crash{}, false
+	}
+	q := fs.pending[addr]
+	if len(q) == 0 {
+		return Crash{}, false
+	}
+	fs.counts[addr]++
+	if fs.counts[addr] < q[0].AfterDeliveries {
+		return Crash{}, false
+	}
+	c := q[0]
+	fs.pending[addr] = q[1:]
+	fs.counts[addr] = 0 // the next entry counts from here (or from restart)
+	fs.down[addr] = true
+	return c, true
+}
+
+// Restore brings a crashed addr back up and reports whether it was
+// down; false means a stale restart (e.g. the schedule crashed the
+// address again meanwhile, or it was never down).
+func (fs *FaultSchedule) Restore(addr Addr) bool {
+	if !fs.Down(addr) {
+		return false
+	}
+	delete(fs.down, addr)
+	return true
 }
 
 // restartMarker is the internal payload that brings a crashed address
@@ -112,35 +154,13 @@ type restartMarker struct{}
 // implements Recoverer, runs the recovery hook before any further
 // delivery. Called by the drain loop on a restartMarker.
 func (n *Network) restore(addr Addr) {
-	if n.faults == nil || n.faults.down == nil || !n.faults.down[addr] {
-		return // stale marker (e.g. the schedule crashed the addr again meanwhile)
+	if !n.faults.Restore(addr) {
+		return // stale marker
 	}
-	delete(n.faults.down, addr)
 	n.restarts++
 	if h, ctx := n.handler(addr); h != nil {
 		if r, ok := h.(Recoverer); ok {
 			r.Recover(ctx)
 		}
 	}
-}
-
-// observeDelivery records one delivery to addr and reports whether it
-// armed a crash; if so the entry is consumed and returned.
-func (fs *faultState) observeDelivery(addr Addr) (Crash, bool) {
-	q := fs.pending[addr]
-	if len(q) == 0 {
-		return Crash{}, false
-	}
-	fs.counts[addr]++
-	if fs.counts[addr] < q[0].AfterDeliveries {
-		return Crash{}, false
-	}
-	c := q[0]
-	fs.pending[addr] = q[1:]
-	fs.counts[addr] = 0 // the next entry counts from here (or from restart)
-	if fs.down == nil {
-		fs.down = make(map[Addr]bool)
-	}
-	fs.down[addr] = true
-	return c, true
 }

@@ -30,7 +30,7 @@ func TestPlainNonManipulableScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	plainSys, faithSys := c.Systems()
-	plain, err := core.CheckFaithfulness(plainSys, core.Workers(0))
+	plain, err := core.CheckFaithfulnessCfg(plainSys, core.CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPlainNonManipulableScenario(t *testing.T) {
 		t.Error("no plays checked — catalogue empty?")
 	}
 	// The extended specification is of course also clean here.
-	faith, err := core.CheckFaithfulness(faithSys, core.Workers(0))
+	faith, err := core.CheckFaithfulnessCfg(faithSys, core.CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
