@@ -198,20 +198,49 @@ func TestDroppedForwardDetected(t *testing.T) {
 	}
 }
 
+// bumpForwardedCosts is a forward hook that edits the copy in place,
+// raising every forwarded route's cost by one.
+func bumpForwardedCosts(_ graph.NodeID, fc ForwardCopy) (ForwardCopy, bool) {
+	for dest, e := range fc.U.Routing {
+		e.Cost++
+		fc.U.Routing[dest] = e
+	}
+	return fc, true
+}
+
 func TestChangedForwardDetected(t *testing.T) {
 	g := graph.Figure1()
 	d, _ := g.ByName("D")
-	res := deviatorRun(t, g, d, &Strategy{
-		ForwardToChecker: func(_ graph.NodeID, fc ForwardCopy) (ForwardCopy, bool) {
-			for dest, e := range fc.U.Routing {
-				e.Cost++
-				fc.U.Routing[dest] = e
-			}
-			return fc, true
-		},
-	})
+	res := deviatorRun(t, g, d, &Strategy{ForwardToChecker: bumpForwardedCosts})
 	if res.Completed {
 		t.Fatal("changed forwards were green-lit")
+	}
+}
+
+// TestForwardHookEditsOnlyItsCopy pins that a forward hook cannot
+// reach other nodes' state through the forwarded tables: those are
+// the sender's advertised ones, which the sender keeps as its own
+// DATA2/DATA3* and its neighbors keep as views. Whoever deviates, the
+// edited copies reach only checker mirrors, so every node ends with
+// the honest run's tables.
+func TestForwardHookEditsOnlyItsCopy(t *testing.T) {
+	g := graph.Figure1()
+	honest, err := Run(baseConfig(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.N(); i++ {
+		deviator := graph.NodeID(i)
+		res := deviatorRun(t, g, deviator, &Strategy{ForwardToChecker: bumpForwardedCosts})
+		for id, node := range res.Nodes {
+			want := honest.Nodes[id]
+			if !node.Routing().Equal(want.Routing()) {
+				t.Errorf("deviator %d: node %d routing differs from the honest run", deviator, id)
+			}
+			if !node.Pricing().Equal(want.Pricing()) {
+				t.Errorf("deviator %d: node %d pricing differs from the honest run", deviator, id)
+			}
+		}
 	}
 }
 

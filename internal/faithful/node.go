@@ -57,6 +57,9 @@ type Strategy struct {
 	Protocol fpss.Strategy
 	// ForwardToChecker intercepts an outgoing ForwardCopy; ok=false
 	// drops it (manipulations 1 and 3: drop/change forwarded updates).
+	// The hook owns fc.U: each call gets a private deep copy, so it may
+	// edit the tables in place without touching the sender's advertised
+	// tables, which this node and its neighbors keep as their state.
 	ForwardToChecker func(to graph.NodeID, fc ForwardCopy) (ForwardCopy, bool)
 	// SpoofCopies fabricates forward copies injected at phase-2 start
 	// (the "spoof" arm of manipulations 1 and 3). The principal also
@@ -89,6 +92,7 @@ func (s *Strategy) forwardToChecker(to graph.NodeID, fc ForwardCopy) (ForwardCop
 	if s == nil || s.ForwardToChecker == nil {
 		return fc, true
 	}
+	fc.U = fc.U.Clone()
 	return s.ForwardToChecker(to, fc)
 }
 
@@ -107,26 +111,31 @@ func (s *Strategy) reportState(truth bank.StateReport) bank.StateReport {
 }
 
 // mirror is a checker's clone of one principal's computation state.
+// Forwarded copies and the checker's own sends only store the view and
+// mark the mirror stale; the tables are derived when read.
 type mirror struct {
 	principal graph.NodeID
 	neighbors []graph.NodeID
 	views     map[graph.NodeID]fpss.NeighborView
+	stale     bool
 	routing   fpss.RoutingTable
 	pricing   fpss.PricingTable
 }
 
-// recompute re-derives the mirrored tables, recycling the replaced
-// ones through the owning checker's scratch: mirror tables are never
-// advertised or shared (MirrorOf clones), so the previous generation
-// is exclusively ours. Mirrors re-run on every forwarded copy, which
-// made them the dominant allocation site of a faithful deviation
-// search before recycling.
-func (m *mirror) recompute(s *fpss.ComputeScratch, costs fpss.CostTable) {
-	oldR, oldP := m.routing, m.pricing
+// refresh re-derives the mirrored tables if a view changed since they
+// were last derived. Only the checkpoint (onStateRequest) and MirrorOf
+// read a mirror, and ComputeRouting/ComputePricing are pure functions
+// of (costs, views) with DATA1 fixed once phase 1 quiesces, so deriving
+// once there yields the tables that recomputing after every view
+// change would have ended with. That holds only while stored views are
+// never edited in place, which is why forward hooks get private copies.
+func (m *mirror) refresh(s *fpss.ComputeScratch, costs fpss.CostTable) {
+	if !m.stale {
+		return
+	}
+	m.stale = false
 	m.routing = fpss.ComputeRoutingScratch(s, m.principal, m.neighbors, costs, m.views)
 	m.pricing = fpss.ComputePricingScratch(s, m.principal, m.neighbors, costs, m.routing, m.views)
-	s.RecycleRouting(oldR)
-	s.RecyclePricing(oldP)
 }
 
 // Node is a faithful-protocol participant: a principal in the core
@@ -150,8 +159,8 @@ type Node struct {
 	views   map[graph.NodeID]fpss.NeighborView
 	routing fpss.RoutingTable
 	pricing fpss.PricingTable
-	// scratch backs this node's own recomputes and those of all its
-	// mirrors (single-threaded per node; see fpss.ComputeScratch).
+	// scratch backs this node's own recomputes and its mirrors'
+	// refreshes (single-threaded per node; see fpss.ComputeScratch).
 	scratch fpss.ComputeScratch
 
 	mirrors  map[graph.NodeID]*mirror
@@ -236,6 +245,7 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 	if !ok {
 		return nil, nil, false
 	}
+	m.refresh(&n.scratch, n.costs)
 	return m.routing.Clone(), m.pricing.Clone(), true
 }
 
@@ -306,13 +316,12 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 		if !contains(n.checkersOf[p], n.id) {
 			continue
 		}
-		m := &mirror{
+		n.mirrors[p] = &mirror{
 			principal: p,
 			neighbors: n.neighborsOf[p],
 			views:     make(map[graph.NodeID]fpss.NeighborView),
+			stale:     true,
 		}
-		m.recompute(&n.scratch, n.costs)
-		n.mirrors[p] = m
 	}
 	n.recompute(ctx, true)
 	// Spoof injection (deviation): fabricate forward copies and apply
@@ -393,7 +402,7 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 		return
 	}
 	m.views[fc.From] = fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing}
-	m.recompute(&n.scratch, n.costs)
+	m.stale = true
 }
 
 // recompute re-runs the suggested computation with strategy hooks and
@@ -453,7 +462,7 @@ func (n *Node) recompute(ctx sim.Context, force bool) {
 		}
 		if m, ok := n.mirrors[v]; ok {
 			m.views[n.id] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
-			m.recompute(&n.scratch, n.costs)
+			m.stale = true
 		}
 		ctx.Send(sim.Addr(v), u)
 	}
@@ -463,8 +472,10 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// [CHECK1]/[CHECK2] at the checkpoint: what each principal last
 	// advertised to this checker must equal the faithfully mirrored
 	// computation. At quiescence every message has been delivered, so
-	// any divergence is a deviation, not a transient.
+	// any divergence is a deviation, not a transient. This is where
+	// each mirror is derived, once, from the views it has collected.
 	for p, m := range n.mirrors {
+		m.refresh(&n.scratch, n.costs)
 		v, ok := n.views[p]
 		if !ok {
 			n.flag(p, "principal never advertised")

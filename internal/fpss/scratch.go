@@ -15,9 +15,8 @@ import (
 //     arena (one allocation per ~4096 IDs instead of one per entry);
 //     handed-out slices are never reused, so surviving tables stay
 //     valid after the chunk is dropped to the GC;
-//   - tables and pricing rows discarded by an unchanged-recompute (or
-//     replaced in a checker mirror) are cleared and recycled instead
-//     of reallocated;
+//   - tables and pricing rows discarded by an unchanged-recompute are
+//     cleared and recycled instead of reallocated;
 //   - the small per-call helpers (destination set, contribution list)
 //     are kept warm across calls.
 //
@@ -120,10 +119,9 @@ func (s *ComputeScratch) row(hint int) map[graph.NodeID]PriceEntry {
 
 // RecycleRouting clears t and keeps its storage for a later
 // ComputeRoutingScratch. Callers must only recycle tables nothing else
-// can reference — a freshly computed table discarded by an unchanged
-// recompute, or a checker mirror's replaced previous table. Entry
-// paths are arena-backed and are NOT reclaimed (they may be aliased);
-// only the map buckets are reused.
+// can reference, such as a freshly computed table discarded by an
+// unchanged recompute. Entry paths are arena-backed and are NOT
+// reclaimed (they may be aliased); only the map buckets are reused.
 func (s *ComputeScratch) RecycleRouting(t RoutingTable) {
 	if s == nil || t == nil {
 		return

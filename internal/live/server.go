@@ -34,6 +34,11 @@ type Server struct {
 	spec    scenario.Spec
 	monitor *Monitor
 
+	// injectMu serializes injects from the epoch read through the
+	// swap, so concurrent Advances step one epoch each and a Reset
+	// cannot swap epoch e back in over e+1. Reads never take it.
+	injectMu sync.Mutex
+
 	mu    sync.RWMutex
 	tl    *churn.Timeline // nil for static scenarios
 	epoch int
@@ -355,6 +360,8 @@ func (s *Server) stats() Response {
 }
 
 func (s *Server) inject(req Request) Response {
+	s.injectMu.Lock()
+	defer s.injectMu.Unlock()
 	s.mu.RLock()
 	epoch := s.epoch
 	n := s.st.comp.Graph.N()

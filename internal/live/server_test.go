@@ -1,6 +1,8 @@
 package live
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fpss"
@@ -164,6 +166,52 @@ func TestServerChurnAdvance(t *testing.T) {
 	// Advancing past the end must fail cleanly.
 	if resp := srv.Dispatch(Request{Op: OpInject, Advance: true}); resp.OK {
 		t.Fatal("advance past final epoch succeeded")
+	}
+}
+
+// TestServerConcurrentAdvance races three Advances on a four-epoch
+// timeline: each must step exactly one epoch, so together they return
+// epochs 1, 2 and 3 and leave the server at epoch 3.
+func TestServerConcurrentAdvance(t *testing.T) {
+	sp := scenario.Spec{
+		Family:   scenario.Random,
+		N:        6,
+		Workload: scenario.WorkloadAllPairs,
+		Seed:     3,
+		Churn:    scenario.Churn{Epochs: 4, Joins: 1, Leaves: 1},
+	}
+	srv, err := NewServer(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.Epochs() != 4 {
+		t.Fatalf("want 4 epochs, got %d", srv.Epochs())
+	}
+	const advances = 3
+	got := make([]Response, advances)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = srv.Dispatch(Request{Op: OpInject, Advance: true})
+		}()
+	}
+	wg.Wait()
+	var epochs []int
+	for _, resp := range got {
+		if !resp.OK {
+			t.Fatalf("advance failed: %s", resp.Err)
+		}
+		epochs = append(epochs, resp.Epoch)
+	}
+	slices.Sort(epochs)
+	if !slices.Equal(epochs, []int{1, 2, 3}) {
+		t.Errorf("advances returned epochs %v, want [1 2 3]", epochs)
+	}
+	if e := srv.Dispatch(Request{Op: OpStats}).Stats.Epoch; e != advances {
+		t.Errorf("server at epoch %d after %d advances, want %d", e, advances, advances)
 	}
 }
 
