@@ -155,13 +155,10 @@ type Node struct {
 	strategy   *Strategy
 	signer     *sign.Signer
 
-	costs   fpss.CostTable
-	views   map[graph.NodeID]fpss.NeighborView
-	routing fpss.RoutingTable
-	pricing fpss.PricingTable
-	// scratch backs this node's own recomputes and its mirrors'
-	// refreshes (single-threaded per node; see fpss.ComputeScratch).
-	scratch fpss.ComputeScratch
+	costs fpss.CostTable
+	// own is this node's computation as a principal; its scratch also
+	// backs the mirrors' refreshes (single-threaded per node).
+	own fpss.Derivation
 
 	mirrors  map[graph.NodeID]*mirror
 	lastSent map[graph.NodeID]fpss.Update
@@ -205,7 +202,7 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[g
 		strategy:    strategy,
 		signer:      signer,
 		costs:       make(fpss.CostTable),
-		views:       make(map[graph.NodeID]fpss.NeighborView),
+		own:         fpss.NewDerivation(id, neighborsOf[id]),
 		mirrors:     make(map[graph.NodeID]*mirror),
 		lastSent:    make(map[graph.NodeID]fpss.Update),
 	}
@@ -215,17 +212,17 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[g
 func (n *Node) ID() graph.NodeID { return n.id }
 
 // Routing returns the node's DATA2.
-func (n *Node) Routing() fpss.RoutingTable { return n.routing.Clone() }
+func (n *Node) Routing() fpss.RoutingTable { return n.own.Routing().Clone() }
 
 // Pricing returns the node's DATA3*.
-func (n *Node) Pricing() fpss.PricingTable { return n.pricing.Clone() }
+func (n *Node) Pricing() fpss.PricingTable { return n.own.Pricing().Clone() }
 
 // RoutingView returns the node's DATA2 without cloning — read-only,
 // valid once the network is quiescent (see fpss.Node.RoutingView).
-func (n *Node) RoutingView() fpss.RoutingTable { return n.routing }
+func (n *Node) RoutingView() fpss.RoutingTable { return n.own.Routing() }
 
 // PricingView returns the node's DATA3* without cloning (read-only).
-func (n *Node) PricingView() fpss.PricingTable { return n.pricing }
+func (n *Node) PricingView() fpss.PricingTable { return n.own.Pricing() }
 
 // Costs returns the node's DATA1.
 func (n *Node) Costs() fpss.CostTable { return n.costs.Clone() }
@@ -245,7 +242,7 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 	if !ok {
 		return nil, nil, false
 	}
-	m.refresh(&n.scratch, n.costs)
+	m.refresh(n.own.Scratch(), n.costs)
 	return m.routing.Clone(), m.pricing.Clone(), true
 }
 
@@ -292,6 +289,7 @@ func (n *Node) onCostAnnounce(ctx sim.Context, a fpss.CostAnnounce) {
 		return
 	}
 	n.costs[a.Origin] = a.Cost
+	n.own.MarkAll()
 	s := n.strategy.protocol()
 	for _, v := range n.neighbors {
 		relayed, ok := a, true
@@ -329,7 +327,7 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 	if !n.spoofed {
 		n.spoofed = true
 		for _, fc := range n.strategy.spoofCopies(n.id) {
-			n.views[fc.From] = fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing}
+			n.own.SetView(fc.From, fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing})
 			for _, c := range n.checkersOf[n.id] {
 				ctx.Send(sim.Addr(c), fc)
 			}
@@ -358,7 +356,7 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 	if !n.phase2 {
 		n.phase2 = true
 	}
-	n.views[u.From] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
+	n.own.SetView(u.From, fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing})
 	// PRINC: forward a copy to all checkers except the original sender
 	// (Figure 2: C1 is on the incoming path and needs no copy).
 	fc := ForwardCopy{Principal: n.id, From: u.From, U: u}
@@ -405,40 +403,19 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 	m.stale = true
 }
 
-// recompute re-runs the suggested computation with strategy hooks and
-// advertises on change, updating the checkers' ground-truth record of
-// what was sent to each neighbor.
+// recompute re-derives the tables with strategy hooks and advertises
+// on change, updating the checkers' ground-truth record of what was
+// sent to each neighbor.
 func (n *Node) recompute(ctx sim.Context, force bool) {
 	s := n.strategy.protocol()
-	newRouting := fpss.ComputeRoutingScratch(&n.scratch, n.id, n.neighbors, n.costs, n.views)
-	if s != nil && s.PostRouting != nil {
-		newRouting = s.PostRouting(newRouting)
-	}
-	newPricing := fpss.ComputePricingScratch(&n.scratch, n.id, n.neighbors, n.costs, newRouting, n.views)
-	if s != nil && s.PostPricing != nil {
-		newPricing = s.PostPricing(newPricing)
-	}
-	changed := !newRouting.Equal(n.routing) || !newPricing.Equal(n.pricing)
-	if changed {
-		// Replaced tables may be aliased (advertisements, lastSent,
-		// neighbor views/mirrors) — left to the GC.
-		n.routing = newRouting
-		n.pricing = newPricing
-	} else if s == nil || (s.PostRouting == nil && s.PostPricing == nil) {
-		// Convergence tail: the fresh tables equal the stored ones and
-		// were never visible outside this call — recycle (hook-free
-		// nodes only; a Post hook could have retained them).
-		n.scratch.RecycleRouting(newRouting)
-		n.scratch.RecyclePricing(newPricing)
-	}
-	if !changed && !force {
+	if !n.own.Derive(n.costs, s) && !force {
 		return
 	}
 	if n.adverts >= n.advertBudget() {
 		return // oscillation damping; see advertBudget
 	}
 	n.adverts++
-	base := fpss.Update{From: n.id, Routing: n.routing, Pricing: n.pricing}
+	base := fpss.Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
 	honest := s == nil || s.SendUpdate == nil
 	for _, v := range n.neighbors {
 		u := base
@@ -475,8 +452,8 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// any divergence is a deviation, not a transient. This is where
 	// each mirror is derived, once, from the views it has collected.
 	for p, m := range n.mirrors {
-		m.refresh(&n.scratch, n.costs)
-		v, ok := n.views[p]
+		m.refresh(n.own.Scratch(), n.costs)
+		v, ok := n.own.View(p)
 		if !ok {
 			n.flag(p, "principal never advertised")
 			continue
@@ -488,8 +465,8 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	truth := bank.StateReport{
 		Node:        n.id,
 		CostsHash:   n.costs.HashCosts(),
-		RoutingHash: n.routing.HashRouting(),
-		PricingHash: n.pricing.HashPricing(),
+		RoutingHash: n.own.Routing().HashRouting(),
+		PricingHash: n.own.Pricing().HashPricing(),
 		Mirrors:     make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
 		Flags:       append([]bank.Flag(nil), n.flags...),
 	}

@@ -1,0 +1,140 @@
+package fpss
+
+import (
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// FuzzDerivation drives one principal's Derivation through a sequence
+// of neighbor-view replacements on a random biconnected graph. Each op
+// byte picks a neighbor (high bits) and a replacement (low three bits):
+// the neighbor's converged central tables, or an edit of its current
+// view that drops a destination, changes a route cost, changes only a
+// price, changes only the tags, or adds a route through the principal;
+// the last kind instead learns a missing DATA1 cost. After every step
+// the derived tables must equal ComputeRouting/ComputePricing over the
+// same views, Derive must report a change exactly when they moved, and
+// the previous step's tables must hash as they did, so nothing was
+// edited in place.
+func FuzzDerivation(f *testing.F) {
+	f.Add(int64(1), []byte{0x00, 0x08, 0x10, 0x03, 0x04, 0x05, 0x06, 0x02, 0x07, 0x0b, 0x0c, 0x0d})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(6)
+		g, err := graph.RandomBiconnected(n, rng.Intn(n), 9, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := ComputeCentral(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		self := graph.NodeID(rng.Intn(n))
+		neighbors := g.Neighbors(self)
+		// Start with some declared costs still unknown, as when updates
+		// outrun the phase-1 flood; op kind 7 learns them one by one.
+		costs := make(CostTable, n)
+		var unknown []graph.NodeID
+		for id, c := range sol.Costs {
+			if id != self && rng.Intn(4) == 0 {
+				unknown = append(unknown, id)
+				continue
+			}
+			costs[id] = c
+		}
+		slices.Sort(unknown)
+
+		d := NewDerivation(self, neighbors)
+		views := make(map[graph.NodeID]NeighborView)
+		step := func(op int) {
+			prevR, prevP := d.Routing(), d.Pricing()
+			hashR, hashP := prevR.HashRouting(), prevP.HashPricing()
+			changed := d.Derive(costs, nil)
+			wantR := ComputeRouting(self, neighbors, costs, views)
+			wantP := ComputePricing(self, neighbors, costs, wantR, views)
+			if !d.Routing().Equal(wantR) || !d.Pricing().Equal(wantP) {
+				t.Fatalf("op %d: derived tables differ from the full computation\nrouting %v\nwant    %v\npricing %v\nwant    %v",
+					op, d.Routing(), wantR, d.Pricing(), wantP)
+			}
+			if moved := !prevR.Equal(wantR) || !prevP.Equal(wantP); changed != moved {
+				t.Fatalf("op %d: Derive reported changed=%v, tables moved=%v", op, changed, moved)
+			}
+			if prevR.HashRouting() != hashR || prevP.HashPricing() != hashP {
+				t.Fatalf("op %d: the previous tables were edited in place", op)
+			}
+		}
+		step(-1)
+		for i, op := range ops {
+			v := neighbors[int(op>>3)%len(neighbors)]
+			if op&7 == 7 {
+				if len(unknown) > 0 {
+					costs[unknown[0]] = sol.Costs[unknown[0]]
+					unknown = unknown[1:]
+					d.MarkAll()
+				}
+			} else {
+				view := editView(rng, op&7, self, v, views[v], sol)
+				views[v] = view
+				d.SetView(v, view)
+			}
+			step(i)
+		}
+	})
+}
+
+// editView returns the replacement of neighbor v's view cur for one
+// fuzz op kind. Edits are copy-on-write, as the protocol's tables are:
+// cur and the central solution are never modified.
+func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView, sol *Solution) NeighborView {
+	if kind < 2 || len(cur.Routing) == 0 {
+		return NeighborView{Routing: sol.Routing[v], Pricing: sol.Pricing[v]}
+	}
+	next := NeighborView{Routing: maps.Clone(cur.Routing), Pricing: maps.Clone(cur.Pricing)}
+	if next.Pricing == nil {
+		next.Pricing = make(PricingTable)
+	}
+	pick := func(ids []graph.NodeID) graph.NodeID {
+		slices.Sort(ids)
+		return ids[rng.Intn(len(ids))]
+	}
+	j := pick(slices.Collect(maps.Keys(cur.Routing)))
+	switch kind {
+	case 2: // drop a destination
+		delete(next.Routing, j)
+		delete(next.Pricing, j)
+	case 3: // change a route cost
+		e := next.Routing[j]
+		e.Cost = graph.Cost(rng.Intn(20))
+		next.Routing[j] = e
+	case 4, 5: // change only a price, or only the tags
+		if len(cur.Pricing) == 0 {
+			break
+		}
+		j = pick(slices.Collect(maps.Keys(cur.Pricing)))
+		row := maps.Clone(cur.Pricing[j])
+		k := pick(slices.Collect(maps.Keys(row)))
+		e := row[k]
+		if kind == 4 {
+			e.Price += graph.Cost(1 + rng.Intn(5))
+		} else {
+			e.Tags = []graph.NodeID{pick(slices.Collect(maps.Keys(sol.Routing[v])))}
+		}
+		row[k] = e
+		next.Pricing[j] = row
+	case 6: // add a route through the principal
+		if j == self || j == v {
+			break
+		}
+		base := sol.Routing[self][j].Path
+		path := append(graph.Path{v}, base...)
+		next.Routing[j] = RouteEntry{Dest: j, Cost: graph.Cost(rng.Intn(20)), Path: path}
+	}
+	return next
+}

@@ -128,11 +128,8 @@ type Node struct {
 	neighbors []graph.NodeID
 	strategy  *Strategy
 
-	costs   CostTable // DATA1
-	routing RoutingTable
-	pricing PricingTable
-	views   map[graph.NodeID]NeighborView
-	scratch ComputeScratch
+	costs CostTable // DATA1
+	own   Derivation
 
 	phase2  bool
 	adverts int
@@ -167,7 +164,7 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighbors []graph.NodeID, str
 		neighbors: ns,
 		strategy:  strategy,
 		costs:     make(CostTable),
-		views:     make(map[graph.NodeID]NeighborView),
+		own:       NewDerivation(id, ns),
 	}
 }
 
@@ -185,20 +182,20 @@ func (n *Node) Neighbors() []graph.NodeID {
 func (n *Node) Costs() CostTable { return n.costs.Clone() }
 
 // Routing returns the node's DATA2.
-func (n *Node) Routing() RoutingTable { return n.routing.Clone() }
+func (n *Node) Routing() RoutingTable { return n.own.Routing().Clone() }
 
 // Pricing returns the node's DATA3*.
-func (n *Node) Pricing() PricingTable { return n.pricing.Clone() }
+func (n *Node) Pricing() PricingTable { return n.own.Pricing().Clone() }
 
 // RoutingView returns the node's DATA2 without cloning. Only valid
 // once the network is quiescent, and read-only: the deviation-search
 // hot path assembles execution-phase inputs from converged tables,
 // where a defensive clone per node per run is pure garbage.
-func (n *Node) RoutingView() RoutingTable { return n.routing }
+func (n *Node) RoutingView() RoutingTable { return n.own.Routing() }
 
 // PricingView returns the node's DATA3* without cloning (see
 // RoutingView for the contract).
-func (n *Node) PricingView() PricingTable { return n.pricing }
+func (n *Node) PricingView() PricingTable { return n.own.Pricing() }
 
 // DeclaredCost returns the cost this node announces (possibly a lie).
 func (n *Node) DeclaredCost() graph.Cost { return n.strategy.declareCost(n.trueCost) }
@@ -230,6 +227,7 @@ func (n *Node) onCostAnnounce(ctx sim.Context, a CostAnnounce) {
 		return // flood dedup
 	}
 	n.costs[a.Origin] = a.Cost
+	n.own.MarkAll()
 	for _, v := range n.neighbors {
 		if sim.Addr(v) == ctx.Self() { // impossible; defensive
 			continue
@@ -259,40 +257,23 @@ func (n *Node) onUpdate(ctx sim.Context, u Update) {
 		// Late-start robustness: an update implies phase 2 has begun.
 		n.phase2 = true
 	}
-	n.views[u.From] = NeighborView{Routing: u.Routing, Pricing: u.Pricing}
+	n.own.SetView(u.From, NeighborView{Routing: u.Routing, Pricing: u.Pricing})
 	n.recompute(ctx, false)
 }
 
-// recompute re-runs the suggested computation (with any strategy
-// post-hooks) and advertises to neighbors when something changed.
+// recompute re-derives the tables (with any strategy post-hooks) and
+// advertises to neighbors when something changed.
 func (n *Node) recompute(ctx sim.Context, force bool) {
-	s := &n.scratch
-	newRouting := n.strategy.postRouting(ComputeRoutingScratch(s, n.id, n.neighbors, n.costs, n.views))
-	newPricing := n.strategy.postPricing(ComputePricingScratch(s, n.id, n.neighbors, n.costs, newRouting, n.views))
-	changed := !newRouting.Equal(n.routing) || !newPricing.Equal(n.pricing)
-	if changed {
-		// The replaced tables may be aliased (advertised Updates,
-		// neighbor views) and are left to the GC.
-		n.routing = newRouting
-		n.pricing = newPricing
-	} else if n.strategy == nil || (n.strategy.PostRouting == nil && n.strategy.PostPricing == nil) {
-		// Convergence-tail fast path: the fresh tables equal the stored
-		// ones and nothing else has seen them — recycle their storage.
-		// (Post hooks could have retained the computed tables, so only
-		// the hook-free node recycles.)
-		s.RecycleRouting(newRouting)
-		s.RecyclePricing(newPricing)
-	}
-	if !changed && !force {
+	if !n.own.Derive(n.costs, n.strategy) && !force {
 		return
 	}
 	if n.adverts >= n.advertBudget() {
 		return // oscillation damping; see advertBudget
 	}
 	n.adverts++
-	base := Update{From: n.id, Routing: n.routing, Pricing: n.pricing}
+	base := Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
 	if n.strategy == nil || n.strategy.SendUpdate == nil {
-		// Honest path: recompute always replaces (never mutates) the
+		// Honest path: derivation always replaces (never mutates) the
 		// tables, so every neighbor can share one advertisement —
 		// deep-cloning per neighbor was most of the protocol's garbage.
 		for _, v := range n.neighbors {

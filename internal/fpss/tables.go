@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"reflect"
 	"slices"
 
 	"repro/internal/graph"
@@ -33,6 +34,11 @@ type RouteEntry struct {
 func (e RouteEntry) clone() RouteEntry {
 	e.Path = e.Path.Clone()
 	return e
+}
+
+// equal compares cost and path.
+func (e RouteEntry) equal(o RouteEntry) bool {
+	return e.Cost == o.Cost && e.Path.Equal(o.Path)
 }
 
 // RoutingTable is DATA2: dest → route.
@@ -53,8 +59,7 @@ func (t RoutingTable) Equal(o RoutingTable) bool {
 		return false
 	}
 	for k, v := range t {
-		w, ok := o[k]
-		if !ok || v.Cost != w.Cost || !v.Path.Equal(w.Path) {
+		if w, ok := o[k]; !ok || !v.equal(w) {
 			return false
 		}
 	}
@@ -121,15 +126,26 @@ func (t PricingTable) Equal(o PricingTable) bool {
 		return false
 	}
 	for d, row := range t {
-		orow, ok := o[d]
-		if !ok || len(row) != len(orow) {
+		if orow, ok := o[d]; !ok || !rowEqual(row, orow) {
 			return false
 		}
-		for k, e := range row {
-			oe, ok := orow[k]
-			if !ok || !e.equal(oe) {
-				return false
-			}
+	}
+	return true
+}
+
+// rowEqual compares two pricing rows, tags included. Copy-on-write
+// tables (see Derivation) share most rows with the tables they
+// replace, so a row shared by both sides is equal by identity.
+func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() {
+		return true
+	}
+	for k, e := range a {
+		if o, ok := b[k]; !ok || !e.equal(o) {
+			return false
 		}
 	}
 	return true

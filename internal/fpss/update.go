@@ -1,6 +1,8 @@
 package fpss
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -29,15 +31,15 @@ func (v NeighborView) Clone() NeighborView {
 // at infinity and only decrease (static network, non-negative costs).
 //
 // The function is pure — checker nodes re-run it on mirrored inputs to
-// verify a principal's computation ([CHECK1]).
+// verify a principal's computation ([CHECK1]) — and it is the
+// specification that a Derivation's per-destination updates must match.
 func ComputeRouting(self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
-	return ComputeRoutingScratch(nil, self, neighbors, costs, views)
+	return ComputeRoutingScratch(new(ComputeScratch), self, neighbors, costs, views)
 }
 
-// ComputeRoutingScratch is ComputeRouting drawing its table, entry
-// paths, and working set from s. The result is value-identical to
-// ComputeRouting; with a nil scratch it is ComputeRouting. See
-// ComputeScratch for the ownership rules.
+// ComputeRoutingScratch is ComputeRouting drawing its entry paths and
+// working set from s. The result is value-identical to ComputeRouting.
+// See ComputeScratch for the ownership rules.
 func ComputeRoutingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
 	dests := s.destSet()
 	for _, v := range neighbors {
@@ -48,41 +50,50 @@ func ComputeRoutingScratch(s *ComputeScratch, self graph.NodeID, neighbors []gra
 			}
 		}
 	}
-	out := s.routingTable(len(dests))
+	out := make(RoutingTable, len(dests))
 	for j := range dests {
-		var (
-			bestCost graph.Cost
-			bestBase graph.Path
-			found    bool
-		)
-		direct := [1]graph.NodeID{j}
-		for _, v := range neighbors {
-			var (
-				candCost graph.Cost
-				candBase graph.Path
-			)
-			if v == j {
-				candCost, candBase = 0, direct[:]
-			} else {
-				e, ok := views[v].Routing[j]
-				if !ok {
-					continue
-				}
-				vc, ok := costs[v]
-				if !ok {
-					continue // v's declared cost not yet known (phase 1 incomplete)
-				}
-				candCost, candBase = vc+e.Cost, e.Path
-			}
-			if !found || betterBase(candCost, candBase, bestCost, bestBase) {
-				bestCost, bestBase, found = candCost, candBase, true
-			}
-		}
-		if found {
-			out[j] = RouteEntry{Dest: j, Cost: bestCost, Path: s.prepend(self, bestBase)}
+		if cost, base, ok := s.routeTo(self, j, neighbors, costs, views); ok {
+			out[j] = RouteEntry{Dest: j, Cost: cost, Path: s.prepend(self, base)}
 		}
 	}
 	return out
+}
+
+// routeTo is ComputeRouting's kernel for one destination j ≠ self: the
+// best route's cost and its base path (without the self prefix; see
+// betterBase), or ok=false when no neighbor offers a route yet. The
+// base is a read-only view of a neighbor's table or of s, valid until
+// the next kernel call on s; prepend materializes it.
+func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) (graph.Cost, graph.Path, bool) {
+	var (
+		bestCost graph.Cost
+		bestBase graph.Path
+		found    bool
+	)
+	s.direct[0] = j
+	for _, v := range neighbors {
+		var (
+			candCost graph.Cost
+			candBase graph.Path
+		)
+		if v == j {
+			candCost, candBase = 0, s.direct[:]
+		} else {
+			e, ok := views[v].Routing[j]
+			if !ok {
+				continue
+			}
+			vc, ok := costs[v]
+			if !ok {
+				continue // v's declared cost not yet known (phase 1 incomplete)
+			}
+			candCost, candBase = vc+e.Cost, e.Path
+		}
+		if !found || betterBase(candCost, candBase, bestCost, bestBase) {
+			bestCost, bestBase, found = candCost, candBase, true
+		}
+	}
+	return bestCost, bestBase, found
 }
 
 // betterBase reports whether candidate (c1, base1) beats (c2, base2)
@@ -102,6 +113,11 @@ func betterBase(c1 graph.Cost, base1 graph.Path, c2 graph.Cost, base2 graph.Path
 	return base1.Less(base2)
 }
 
+// prefixedBy reports whether p is exactly self followed by base.
+func prefixedBy(p graph.Path, self graph.NodeID, base graph.Path) bool {
+	return len(p) == len(base)+1 && p[0] == self && p[1:].Equal(base)
+}
+
 // ComputePricing recomputes DATA3* for `self`: for every destination j
 // in the routing table and every transit node k on LCP(self→j), the
 // avoid-k value
@@ -119,79 +135,132 @@ func betterBase(c1 graph.Cost, base1 graph.Path, c2 graph.Cost, base2 graph.Path
 //
 // Pure, for the same reason as ComputeRouting ([CHECK2]).
 func ComputePricing(self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
-	return ComputePricingScratch(nil, self, neighbors, costs, routing, views)
+	return ComputePricingScratch(new(ComputeScratch), self, neighbors, costs, routing, views)
 }
 
-// ComputePricingScratch is ComputePricing drawing its tables, rows,
-// witness paths, and tag sets from s. The result is value-identical to
-// ComputePricing; with a nil scratch it is ComputePricing. See
-// ComputeScratch for the ownership rules.
+// ComputePricingScratch is ComputePricing drawing its witness paths,
+// tag sets and working set from s. The result is value-identical to
+// ComputePricing. See ComputeScratch for the ownership rules.
 func ComputePricingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
-	out := s.pricingTable()
-	// contribs records each neighbor's avoid-k contribution for the
-	// current (j, k) so the identity-tag pass reuses the relaxation
-	// loop's values instead of recomputing them.
-	contribs := s.contribList(len(neighbors))
-	defer func() { s.keepContribs(contribs) }()
+	out := make(PricingTable)
 	for j, route := range routing {
-		transits := route.Path.TransitNodes()
-		if len(transits) == 0 {
-			continue
-		}
-		row := s.row(len(transits))
-		for _, k := range transits {
-			kc, ok := costs[k]
-			if !ok {
-				continue
-			}
-			var (
-				bestCost graph.Cost
-				bestBase graph.Path
-				found    bool
-			)
-			direct := [1]graph.NodeID{j}
-			contribs = contribs[:0]
-			for _, v := range neighbors {
-				if v == k {
-					continue
-				}
-				var (
-					contribution graph.Cost
-					base         graph.Path
-					ok           bool
-				)
-				switch {
-				case v == j:
-					contribution, base, ok = 0, direct[:], true
-				default:
-					contribution, base, ok = neighborAvoidValue(v, j, k, costs, views)
-				}
-				if !ok {
-					continue
-				}
-				contribs = append(contribs, contrib{v: v, cost: contribution})
-				if !found || betterBase(contribution, base, bestCost, bestBase) {
-					bestCost, bestBase, found = contribution, base, true
-				}
-			}
-			if !found {
-				continue // no avoid-k information yet; a later update fills it
-			}
-			row[k] = PriceEntry{
-				Transit: k,
-				Price:   kc + bestCost - route.Cost,
-				Avoid:   s.prepend(self, bestBase),
-				Tags:    tagSet(s, bestCost, contribs),
-			}
-		}
-		if len(row) > 0 {
-			out[j] = row
-		} else if s != nil {
-			// No priceable transit yet: hand the empty row straight back.
-			s.rows = append(s.rows, row)
+		if cells := s.priceRow(self, j, route, neighbors, costs, views); len(cells) > 0 {
+			out[j] = s.materializeRow(self, cells)
 		}
 	}
 	return out
+}
+
+// priceCell is one DATA3* entry before materialization: the winning
+// avoid-k base path (a read-only view, as in routeTo) and the sorted
+// tag set, which lives in the scratch.
+type priceCell struct {
+	k     graph.NodeID
+	price graph.Cost
+	base  graph.Path
+	tags  []graph.NodeID
+}
+
+// priceRow is ComputePricing's kernel for one destination j reached by
+// route: one cell per transit node of the route that has a price yet.
+// The cells live in s until the next kernel call; an empty result
+// means j has no pricing row.
+func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) []priceCell {
+	s.cells, s.tags = s.cells[:0], s.tags[:0]
+	if len(route.Path) <= 2 {
+		return nil // no transit node
+	}
+	s.direct[0] = j
+	for _, k := range route.Path[1 : len(route.Path)-1] {
+		kc, ok := costs[k]
+		if !ok || hasCell(s.cells, k) {
+			// A deviant's looping route can repeat a transit node; its
+			// cell would repeat too, and a row holds it once.
+			continue
+		}
+		var (
+			bestCost graph.Cost
+			bestBase graph.Path
+			found    bool
+		)
+		// contribs records each neighbor's avoid-k contribution so the
+		// identity-tag pass reuses the relaxation loop's values.
+		contribs := s.contribs[:0]
+		for _, v := range neighbors {
+			if v == k {
+				continue
+			}
+			var (
+				contribution graph.Cost
+				base         graph.Path
+				ok           bool
+			)
+			if v == j {
+				contribution, base, ok = 0, s.direct[:], true
+			} else {
+				contribution, base, ok = neighborAvoidValue(v, j, k, costs, views)
+			}
+			if !ok {
+				continue
+			}
+			contribs = append(contribs, contrib{v: v, cost: contribution})
+			if !found || betterBase(contribution, base, bestCost, bestBase) {
+				bestCost, bestBase, found = contribution, base, true
+			}
+		}
+		s.contribs = contribs
+		if !found {
+			continue // no avoid-k information yet; a later update fills it
+		}
+		// Tags: the sorted union of neighbors whose contribution equals
+		// the chosen minimum. Earlier cells keep their tags even if this
+		// append moves s.tags: they alias the old backing array.
+		start := len(s.tags)
+		for _, c := range contribs {
+			if c.cost == bestCost {
+				s.tags = append(s.tags, c.v)
+			}
+		}
+		tags := s.tags[start:]
+		sortIDs(tags)
+		s.cells = append(s.cells, priceCell{k: k, price: kc + bestCost - route.Cost, base: bestBase, tags: tags})
+	}
+	return s.cells
+}
+
+// hasCell reports whether cells already holds transit k.
+func hasCell(cells []priceCell, k graph.NodeID) bool {
+	for _, c := range cells {
+		if c.k == k {
+			return true
+		}
+	}
+	return false
+}
+
+// materializeRow copies cells into a fresh pricing row whose witness
+// paths and tag sets are carved from the arena.
+func (s *ComputeScratch) materializeRow(self graph.NodeID, cells []priceCell) map[graph.NodeID]PriceEntry {
+	row := make(map[graph.NodeID]PriceEntry, len(cells))
+	for _, c := range cells {
+		row[c.k] = PriceEntry{Transit: c.k, Price: c.price, Avoid: s.prepend(self, c.base), Tags: s.copyIDs(c.tags)}
+	}
+	return row
+}
+
+// rowMatches reports whether row is exactly what materializeRow would
+// build from cells (a nil row matches no cells).
+func rowMatches(row map[graph.NodeID]PriceEntry, self graph.NodeID, cells []priceCell) bool {
+	if len(row) != len(cells) {
+		return false
+	}
+	for _, c := range cells {
+		e, ok := row[c.k]
+		if !ok || e.Transit != c.k || e.Price != c.price || !prefixedBy(e.Avoid, self, c.base) || !slices.Equal(e.Tags, c.tags) {
+			return false
+		}
+	}
+	return true
 }
 
 // neighborAvoidValue returns v's best avoid-k continuation toward j:
@@ -233,25 +302,4 @@ func neighborAvoidValue(v, j, k graph.NodeID, costs CostTable, views map[graph.N
 type contrib struct {
 	v    graph.NodeID
 	cost graph.Cost
-}
-
-// tagSet returns the sorted union of neighbors whose contribution cost
-// equals the chosen minimum b, straight from the relaxation loop's
-// recorded contributions. The set is carved from the scratch arena
-// when one is supplied.
-func tagSet(s *ComputeScratch, b graph.Cost, contribs []contrib) []graph.NodeID {
-	n := 0
-	for _, c := range contribs {
-		if c.cost == b {
-			n++
-		}
-	}
-	tags := s.allocIDs(n)
-	for _, c := range contribs {
-		if c.cost == b {
-			tags = append(tags, c.v)
-		}
-	}
-	sortIDs(tags)
-	return tags
 }
