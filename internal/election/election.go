@@ -63,9 +63,10 @@ type Config struct {
 	CostScale int64
 	// NonProgressPenalty applies when the bank refuses to certify.
 	NonProgressPenalty int64
-	// MaxSteps bounds the flood (default 1<<18).
-	MaxSteps int64
 }
+
+// maxSteps bounds the flood's deliveries.
+const maxSteps = 1 << 18
 
 // ServingCost returns node i's true cost of serving as leader.
 func (c Config) ServingCost(i int) int64 {
@@ -182,10 +183,6 @@ func Run(cfg Config, strategies map[graph.NodeID]*Strategy) (*Result, error) {
 	n := cfg.Topology.N()
 	if len(cfg.Powers) != n {
 		return nil, fmt.Errorf("election: %d powers for %d nodes", len(cfg.Powers), n)
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 18
 	}
 	net := sim.NewNetwork()
 	nodes := make([]*node, n)

@@ -96,13 +96,6 @@ func (s *Strategy) forwardToChecker(to graph.NodeID, fc ForwardCopy) (ForwardCop
 	return s.ForwardToChecker(to, fc)
 }
 
-func (s *Strategy) spoofCopies(self graph.NodeID) []ForwardCopy {
-	if s == nil || s.SpoofCopies == nil {
-		return nil
-	}
-	return s.SpoofCopies(self)
-}
-
 func (s *Strategy) reportState(truth bank.StateReport) bank.StateReport {
 	if s == nil || s.ReportState == nil {
 		return truth
@@ -138,12 +131,10 @@ func (m *mirror) refresh(s *fpss.ComputeScratch, costs fpss.CostTable) {
 	m.pricing = fpss.ComputePricingScratch(s, m.principal, m.neighbors, costs, m.routing, m.views)
 }
 
-// Node is a faithful-protocol participant: a principal in the core
-// algorithm and a checker for every one of its neighbors.
+// Node is a faithful-protocol participant: an unchanged fpss.Node
+// principal plus the checker role for every one of its neighbors.
 type Node struct {
-	id        graph.NodeID
-	trueCost  graph.Cost
-	neighbors []graph.NodeID
+	fpss.Node
 	// neighborsOf gives the (semi-private) neighbor lists of this
 	// node's neighbors — checkers must know who else checks their
 	// principal ([CHECK2] validates forward origins against it).
@@ -155,29 +146,9 @@ type Node struct {
 	strategy   *Strategy
 	signer     *sign.Signer
 
-	costs fpss.CostTable
-	// own is this node's computation as a principal; its scratch also
-	// backs the mirrors' refreshes (single-threaded per node).
-	own fpss.Derivation
-
 	mirrors  map[graph.NodeID]*mirror
 	lastSent map[graph.NodeID]fpss.Update
 	flags    []bank.Flag
-
-	phase2  bool
-	spoofed bool
-	adverts int
-}
-
-// advertBudget mirrors fpss.Node's oscillation damping: honest
-// convergence uses O(n²) advertisements; deviant strategies that
-// induce oscillation are cut off so the bank checkpoint always fires.
-func (n *Node) advertBudget() int {
-	known := len(n.costs)
-	if known < len(n.neighbors)+1 {
-		known = len(n.neighbors) + 1
-	}
-	return 8*known*known + 32
 }
 
 var _ sim.Handler = (*Node)(nil)
@@ -194,46 +165,14 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[g
 		cOf = neighborsOf
 	}
 	return &Node{
-		id:          id,
-		trueCost:    trueCost,
-		neighbors:   neighborsOf[id],
+		Node:        *fpss.NewNode(id, trueCost, neighborsOf[id], strategy.protocol()),
 		neighborsOf: neighborsOf,
 		checkersOf:  cOf,
 		strategy:    strategy,
 		signer:      signer,
-		costs:       make(fpss.CostTable),
-		own:         fpss.NewDerivation(id, neighborsOf[id]),
 		mirrors:     make(map[graph.NodeID]*mirror),
 		lastSent:    make(map[graph.NodeID]fpss.Update),
 	}
-}
-
-// ID returns the node identifier.
-func (n *Node) ID() graph.NodeID { return n.id }
-
-// Routing returns the node's DATA2.
-func (n *Node) Routing() fpss.RoutingTable { return n.own.Routing().Clone() }
-
-// Pricing returns the node's DATA3*.
-func (n *Node) Pricing() fpss.PricingTable { return n.own.Pricing().Clone() }
-
-// RoutingView returns the node's DATA2 without cloning — read-only,
-// valid once the network is quiescent (see fpss.Node.RoutingView).
-func (n *Node) RoutingView() fpss.RoutingTable { return n.own.Routing() }
-
-// PricingView returns the node's DATA3* without cloning (read-only).
-func (n *Node) PricingView() fpss.PricingTable { return n.own.Pricing() }
-
-// Costs returns the node's DATA1.
-func (n *Node) Costs() fpss.CostTable { return n.costs.Clone() }
-
-// DeclaredCost returns the (possibly untruthful) declared cost.
-func (n *Node) DeclaredCost() graph.Cost {
-	s := n.strategy.protocol()
-	if s != nil && s.DeclareCost != nil {
-		return s.DeclareCost(n.trueCost)
-	}
-	return n.trueCost
 }
 
 // MirrorOf exposes a checker's mirror tables for a principal (tests).
@@ -242,76 +181,41 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 	if !ok {
 		return nil, nil, false
 	}
-	m.refresh(n.own.Scratch(), n.costs)
+	m.refresh(n.Derivation().Scratch(), n.CostsView())
 	return m.routing.Clone(), m.pricing.Clone(), true
 }
 
-// Init floods the declared cost (first construction phase).
-func (n *Node) Init(ctx sim.Context) {
-	declared := n.DeclaredCost()
-	n.costs[n.id] = declared
-	a := fpss.CostAnnounce{Origin: n.id, Cost: declared}
-	for _, v := range n.neighbors {
-		ctx.Send(sim.Addr(v), a)
-	}
-}
-
-// Recv dispatches protocol messages.
+// Recv dispatches protocol messages. The cost flood is the principal's
+// alone; a failstopped node takes part in it and ignores everything
+// after.
 func (n *Node) Recv(ctx sim.Context, msg sim.Message) {
+	if _, ok := msg.Payload.(fpss.CostAnnounce); ok {
+		n.Node.Recv(ctx, msg)
+		return
+	}
+	if n.strategy.silentFromPhase2() {
+		return // failstop: crashed at the phase boundary, never reports
+	}
 	switch m := msg.Payload.(type) {
-	case fpss.CostAnnounce:
-		n.onCostAnnounce(ctx, m)
 	case fpss.StartPhase2:
-		if n.strategy.silentFromPhase2() {
-			return // failstop: crashes at the phase boundary
-		}
 		n.onStartPhase2(ctx)
 	case fpss.Update:
-		if n.strategy.silentFromPhase2() {
-			return
-		}
 		n.onUpdate(ctx, m)
 	case ForwardCopy:
-		if n.strategy.silentFromPhase2() {
-			return
-		}
 		n.onForwardCopy(m)
 	case StateRequest:
-		if n.strategy.silentFromPhase2() {
-			return // never reports: the bank sees a missing report
-		}
 		n.onStateRequest(ctx)
 	}
 }
 
-func (n *Node) onCostAnnounce(ctx sim.Context, a fpss.CostAnnounce) {
-	if _, known := n.costs[a.Origin]; known {
-		return
-	}
-	n.costs[a.Origin] = a.Cost
-	n.own.MarkAll()
-	s := n.strategy.protocol()
-	for _, v := range n.neighbors {
-		relayed, ok := a, true
-		if s != nil && s.RelayCost != nil {
-			relayed, ok = s.RelayCost(v, a)
-		}
-		if !ok {
-			continue
-		}
-		ctx.Send(sim.Addr(v), relayed)
-	}
-}
-
 func (n *Node) onStartPhase2(ctx sim.Context) {
-	if n.phase2 {
+	if !n.BeginPhase2() {
 		return
 	}
-	n.phase2 = true
 	// Become a checker for every neighbor that this node is assigned
 	// to check (all of them under the paper's assignment).
-	for _, p := range n.neighbors {
-		if !contains(n.checkersOf[p], n.id) {
+	for _, p := range n.neighborsOf[n.ID()] {
+		if !contains(n.checkersOf[p], n.ID()) {
 			continue
 		}
 		n.mirrors[p] = &mirror{
@@ -321,46 +225,38 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 			stale:     true,
 		}
 	}
-	n.recompute(ctx, true)
+	n.Advertise(ctx, true, n.recordSend)
 	// Spoof injection (deviation): fabricate forward copies and apply
 	// them to own state so the lie is maximally self-consistent.
-	if !n.spoofed {
-		n.spoofed = true
-		for _, fc := range n.strategy.spoofCopies(n.id) {
-			n.own.SetView(fc.From, fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing})
-			for _, c := range n.checkersOf[n.id] {
-				ctx.Send(sim.Addr(c), fc)
-			}
-		}
-		if n.strategy != nil && n.strategy.SpoofCopies != nil {
-			n.recompute(ctx, true)
+	if n.strategy == nil || n.strategy.SpoofCopies == nil {
+		return
+	}
+	for _, fc := range n.strategy.SpoofCopies(n.ID()) {
+		n.Derivation().SetView(fc.From, fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing})
+		for _, c := range n.checkersOf[n.ID()] {
+			ctx.Send(sim.Addr(c), fc)
 		}
 	}
+	n.Advertise(ctx, true, n.recordSend)
 }
 
-// onUpdate handles a neighbor principal's advertisement: storing the
-// view, forwarding copies to this node's own checkers, and
-// recomputing. The [CHECK1]-style comparison of the advertisement
+// onUpdate handles a neighbor principal's advertisement: the principal
+// stores the view, forwards copies to this node's own checkers, and
+// recomputes. The [CHECK1]-style comparison of the advertisement
 // against the mirror happens at the quiescence checkpoint (see
 // onStateRequest), where no update is still in flight — comparing
 // mid-convergence would false-flag honest transients.
 func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
-	if s := n.strategy.protocol(); s != nil && s.RecvUpdate != nil {
+	u, ok := n.Accept(u)
+	if !ok {
 		// Ack withholding: the receiver discards the update and pretends
 		// the network lost it — neither stored, forwarded nor recomputed.
-		var ok bool
-		if u, ok = s.RecvUpdate(u); !ok {
-			return
-		}
+		return
 	}
-	if !n.phase2 {
-		n.phase2 = true
-	}
-	n.own.SetView(u.From, fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing})
 	// PRINC: forward a copy to all checkers except the original sender
 	// (Figure 2: C1 is on the incoming path and needs no copy).
-	fc := ForwardCopy{Principal: n.id, From: u.From, U: u}
-	for _, c := range n.checkersOf[n.id] {
+	fc := ForwardCopy{Principal: n.ID(), From: u.From, U: u}
+	for _, c := range n.checkersOf[n.ID()] {
 		if c == u.From {
 			continue
 		}
@@ -370,7 +266,24 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 		}
 		ctx.Send(sim.Addr(c), out)
 	}
-	n.recompute(ctx, false)
+	n.Advertise(ctx, false, n.recordSend)
+}
+
+// recordSend is the principal's per-send callback: it keeps the
+// ground truth of what went to each neighbor and applies it to the
+// mirror this node keeps of that neighbor (checkers apply their own
+// sends directly; the principal cannot drop them). Honest tables are
+// immutable once advertised, so the record can share them.
+func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
+	if s := n.strategy.protocol(); s != nil && s.SendUpdate != nil {
+		n.lastSent[to] = u.Clone()
+	} else {
+		n.lastSent[to] = u
+	}
+	if m, ok := n.mirrors[to]; ok {
+		m.views[n.ID()] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
+		m.stale = true
+	}
 }
 
 // onForwardCopy handles a checker-side forwarded input ([CHECK1]/
@@ -382,7 +295,7 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 		n.flag(fc.Principal, "forward copy from non-neighbor principal")
 		return
 	}
-	if fc.From == n.id {
+	if fc.From == n.ID() {
 		// The principal claims this node sent it: verify against what
 		// was actually sent (the spoof catch — "this spoof will create
 		// an inconsistency in the identity tag information").
@@ -403,57 +316,16 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 	m.stale = true
 }
 
-// recompute re-derives the tables with strategy hooks and advertises
-// on change, updating the checkers' ground-truth record of what was
-// sent to each neighbor.
-func (n *Node) recompute(ctx sim.Context, force bool) {
-	s := n.strategy.protocol()
-	if !n.own.Derive(n.costs, s) && !force {
-		return
-	}
-	if n.adverts >= n.advertBudget() {
-		return // oscillation damping; see advertBudget
-	}
-	n.adverts++
-	base := fpss.Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
-	honest := s == nil || s.SendUpdate == nil
-	for _, v := range n.neighbors {
-		u := base
-		if !honest {
-			// Deviant path: the hook may mutate its copy per neighbor.
-			var ok bool
-			u, ok = s.SendUpdate(v, base.Clone())
-			if !ok {
-				continue
-			}
-		}
-		// Record ground truth of this channel and apply it to the
-		// mirror this node keeps of neighbor v (checkers apply their
-		// own sends directly; the principal cannot drop them). On the
-		// honest path the tables are immutable once advertised, so the
-		// record can share them.
-		if honest {
-			n.lastSent[v] = u
-		} else {
-			n.lastSent[v] = u.Clone()
-		}
-		if m, ok := n.mirrors[v]; ok {
-			m.views[n.id] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
-			m.stale = true
-		}
-		ctx.Send(sim.Addr(v), u)
-	}
-}
-
 func (n *Node) onStateRequest(ctx sim.Context) {
 	// [CHECK1]/[CHECK2] at the checkpoint: what each principal last
 	// advertised to this checker must equal the faithfully mirrored
 	// computation. At quiescence every message has been delivered, so
 	// any divergence is a deviation, not a transient. This is where
 	// each mirror is derived, once, from the views it has collected.
+	d, costs := n.Derivation(), n.CostsView()
 	for p, m := range n.mirrors {
-		m.refresh(n.own.Scratch(), n.costs)
-		v, ok := n.own.View(p)
+		m.refresh(d.Scratch(), costs)
+		v, ok := d.View(p)
 		if !ok {
 			n.flag(p, "principal never advertised")
 			continue
@@ -463,10 +335,10 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 		}
 	}
 	truth := bank.StateReport{
-		Node:        n.id,
-		CostsHash:   n.costs.HashCosts(),
-		RoutingHash: n.own.Routing().HashRouting(),
-		PricingHash: n.own.Pricing().HashPricing(),
+		Node:        n.ID(),
+		CostsHash:   costs.HashCosts(),
+		RoutingHash: d.Routing().HashRouting(),
+		PricingHash: d.Pricing().HashPricing(),
 		Mirrors:     make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
 		Flags:       append([]bank.Flag(nil), n.flags...),
 	}
@@ -485,7 +357,7 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 }
 
 func (n *Node) flag(principal graph.NodeID, reason string) {
-	n.flags = append(n.flags, bank.Flag{Reporter: n.id, Principal: principal, Reason: reason})
+	n.flags = append(n.flags, bank.Flag{Reporter: n.ID(), Principal: principal, Reason: reason})
 }
 
 func contains(ids []graph.NodeID, id graph.NodeID) bool {

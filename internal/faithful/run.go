@@ -29,6 +29,9 @@ var bankPool = sync.Pool{New: func() any { return new(bank.Bank) }}
 // counter — so deviations stay attributable to nodes.
 const MaxTolerableLoss = 0.25
 
+// maxSteps bounds each phase's event deliveries.
+const maxSteps = 1 << 20
+
 // Config parameterizes a faithful-protocol run.
 type Config struct {
 	// Graph is the true topology and true transit costs.
@@ -61,19 +64,17 @@ type Config struct {
 	NonProgressPenalty int64
 	// Epsilon is the bank's ε-above penalty margin (default 1).
 	Epsilon int64
-	// MaxSteps bounds each phase (default 1<<20).
-	MaxSteps int64
 	// CheckerLimit caps how many of each principal's neighbors act as
 	// its checkers (0 = all, the paper's assignment). Used only by the
 	// E11 ablation: smaller assignments open detection escapes.
 	CheckerLimit int
 	// Neighbors / Checkers optionally supply the per-node adjacency
-	// and checker assignment. A deviation search plays hundreds of
-	// runs on one scenario; the truthful topology views are identical
-	// for every deviator, so callers precompute them once (see
-	// Topology) and thread the same read-only maps into each run. When
-	// nil, Run derives them from Graph and CheckerLimit. Both are
-	// retained read-only by the protocol nodes.
+	// and checker assignment, both or neither. A deviation search plays
+	// hundreds of runs on one scenario; the truthful topology views are
+	// identical for every deviator, so callers precompute them once
+	// (see Topology) and thread the same read-only maps into each run.
+	// When Neighbors is nil, Run derives both from Graph and
+	// CheckerLimit. Both are retained read-only by the protocol nodes.
 	Neighbors map[graph.NodeID][]graph.NodeID
 	Checkers  map[graph.NodeID][]graph.NodeID
 	// Flows optionally fixes the execution-phase flow order
@@ -165,25 +166,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
-	}
 	n := cfg.Graph.N()
 
 	neighborsOf, checkersOf := cfg.Neighbors, cfg.Checkers
 	if neighborsOf == nil {
 		neighborsOf, checkersOf = Topology(cfg.Graph, cfg.CheckerLimit)
-	} else if checkersOf == nil {
-		// Derive the assignment from the supplied adjacency, honoring
-		// CheckerLimit exactly as Topology does.
-		checkersOf = make(map[graph.NodeID][]graph.NodeID, len(neighborsOf))
-		for id, ns := range neighborsOf {
-			if cfg.CheckerLimit > 0 && cfg.CheckerLimit < len(ns) {
-				ns = ns[:cfg.CheckerLimit]
-			}
-			checkersOf[id] = ns
-		}
 	}
 
 	authority := sign.NewAuthority()

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // Traffic is the demand matrix: (src, dst) → packets.
@@ -68,21 +67,13 @@ type ExecConfig struct {
 	// the accounting mechanism (execution-phase deviation; the
 	// original FPSS trusts the report). nil entries are truthful.
 	ReportPayment map[graph.NodeID]func(truth PaymentList) PaymentList
-	// MessageCost charges each node per protocol message it sent
-	// (set >0 to make pure message-dropping strictly profitable, the
-	// incentive strong-CC must defeat).
-	MessageCost int64
-	// MessagesSent is the per-node protocol message count (from sim
-	// counters), charged at MessageCost.
-	MessagesSent map[graph.NodeID]int64
 }
 
 // ExecResult is the outcome of the execution phase under the original
 // (trusting) FPSS accounting.
 type ExecResult struct {
 	// Utilities is each node's quasilinear utility: delivery value
-	// − payments made − true transit costs + payments received
-	// − message costs.
+	// − payments made − true transit costs + payments received.
 	Utilities map[graph.NodeID]int64
 	// Obligations is each source's truthful DATA4 (what it owes).
 	Obligations map[graph.NodeID]PaymentList
@@ -142,13 +133,12 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		}
 		// The source's obligation comes from its own tables (its
 		// believed LCP), as in FPSS DATA4.
-		obligation := obligationFor(routing[src], pricing[src], dst, packets, scheme, cfg.DeclaredCosts)
-		if res.Obligations[src] == nil {
-			res.Obligations[src] = make(PaymentList)
+		obligation := res.Obligations[src]
+		if obligation == nil {
+			obligation = make(PaymentList)
+			res.Obligations[src] = obligation
 		}
-		for k, amt := range obligation {
-			res.Obligations[src][k] += amt
-		}
+		AddObligation(obligation, routing[src], pricing[src], dst, packets, scheme, cfg.DeclaredCosts)
 	}
 
 	// Reporting and settlement: the original FPSS accounting trusts
@@ -166,15 +156,6 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		res.Utilities[id] -= reported.Total()
 		for k, amt := range reported {
 			res.Utilities[k] += amt
-		}
-	}
-
-	// Message costs.
-	if cfg.MessageCost > 0 {
-		for id, count := range cfg.MessagesSent {
-			if _, ok := res.Utilities[id]; ok {
-				res.Utilities[id] -= cfg.MessageCost * count
-			}
 		}
 	}
 	return res, nil
@@ -201,25 +182,26 @@ func forward(routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (grap
 	return path, false
 }
 
-// obligationFor computes a source's truthful payment list for one flow
-// from its own (believed) tables.
-func obligationFor(rt RoutingTable, pt PricingTable, dst graph.NodeID, packets int64, scheme PricingScheme, declared CostTable) PaymentList {
-	out := make(PaymentList)
+// AddObligation adds to list a source's truthful payments for one
+// flow of packets to dst, computed from its own (believed) DATA2 rt
+// and DATA3* pt: VCG pays the priced transit nodes, the declared-cost
+// scheme pays each transit node on the route its DATA1 declaration.
+// A source without a route to dst owes nothing.
+func AddObligation(list PaymentList, rt RoutingTable, pt PricingTable, dst graph.NodeID, packets int64, scheme PricingScheme, declared CostTable) {
 	e, ok := rt[dst]
 	if !ok {
-		return out
+		return
 	}
 	switch scheme {
 	case SchemeDeclaredCost:
 		for _, k := range e.Path.TransitNodes() {
-			out[k] += int64(declared[k]) * packets
+			list[k] += int64(declared[k]) * packets
 		}
 	default: // SchemeVCG
 		for k, pe := range pt[dst] {
-			out[k] += int64(pe.Price) * packets
+			list[k] += int64(pe.Price) * packets
 		}
 	}
-	return out
 }
 
 // AllToAllTraffic builds a uniform demand matrix: every ordered pair
@@ -234,19 +216,6 @@ func AllToAllTraffic(n int, packets int64) Traffic {
 		}
 	}
 	return t
-}
-
-// PerNodeMessages converts sim per-address counters into per-node
-// counts, ignoring non-node addresses (e.g. the bank).
-func PerNodeMessages(perOut map[sim.Addr]int64) map[graph.NodeID]int64 {
-	out := make(map[graph.NodeID]int64, len(perOut))
-	for a, c := range perOut {
-		if a == BankAddr {
-			continue
-		}
-		out[graph.NodeID(a)] = c
-	}
-	return out
 }
 
 // String implements fmt.Stringer for schemes.

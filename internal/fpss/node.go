@@ -105,13 +105,6 @@ func (s *Strategy) postPricing(t PricingTable) PricingTable {
 	return s.PostPricing(t)
 }
 
-func (s *Strategy) sendUpdate(to graph.NodeID, u Update) (Update, bool) {
-	if s == nil || s.SendUpdate == nil {
-		return u, true
-	}
-	return s.SendUpdate(to, u)
-}
-
 func (s *Strategy) recvUpdate(u Update) (Update, bool) {
 	if s == nil || s.RecvUpdate == nil {
 		return u, true
@@ -121,7 +114,9 @@ func (s *Strategy) recvUpdate(u Update) (Update, bool) {
 
 // Node is one FPSS participant attached to the simulator. It executes
 // the two construction phases; execution-phase accounting is done
-// offline from the converged tables (see Execute).
+// offline from the converged tables (see Execute). The faithful
+// extension embeds it as the principal and drives it through Accept,
+// Advertise and BeginPhase2, adding only the checker role.
 type Node struct {
 	id        graph.NodeID
 	trueCost  graph.Cost
@@ -153,30 +148,21 @@ func (n *Node) advertBudget() int {
 var _ sim.Handler = (*Node)(nil)
 
 // NewNode builds a protocol node. neighbors is the node's local
-// (semi-private) connectivity knowledge; strategy may be nil for the
-// suggested specification.
+// (semi-private) connectivity knowledge, retained read-only; strategy
+// may be nil for the suggested specification.
 func NewNode(id graph.NodeID, trueCost graph.Cost, neighbors []graph.NodeID, strategy *Strategy) *Node {
-	ns := make([]graph.NodeID, len(neighbors))
-	copy(ns, neighbors)
 	return &Node{
 		id:        id,
 		trueCost:  trueCost,
-		neighbors: ns,
+		neighbors: neighbors,
 		strategy:  strategy,
 		costs:     make(CostTable),
-		own:       NewDerivation(id, ns),
+		own:       NewDerivation(id, neighbors),
 	}
 }
 
 // ID returns the node's identifier.
 func (n *Node) ID() graph.NodeID { return n.id }
-
-// Neighbors returns a copy of the node's neighbor list.
-func (n *Node) Neighbors() []graph.NodeID {
-	out := make([]graph.NodeID, len(n.neighbors))
-	copy(out, n.neighbors)
-	return out
-}
 
 // Costs returns the node's DATA1 (declared transit costs seen so far).
 func (n *Node) Costs() CostTable { return n.costs.Clone() }
@@ -187,6 +173,10 @@ func (n *Node) Routing() RoutingTable { return n.own.Routing().Clone() }
 // Pricing returns the node's DATA3*.
 func (n *Node) Pricing() PricingTable { return n.own.Pricing().Clone() }
 
+// CostsView returns the node's DATA1 without cloning (see RoutingView
+// for the contract).
+func (n *Node) CostsView() CostTable { return n.costs }
+
 // RoutingView returns the node's DATA2 without cloning. Only valid
 // once the network is quiescent, and read-only: the deviation-search
 // hot path assembles execution-phase inputs from converged tables,
@@ -196,6 +186,11 @@ func (n *Node) RoutingView() RoutingTable { return n.own.Routing() }
 // PricingView returns the node's DATA3* without cloning (see
 // RoutingView for the contract).
 func (n *Node) PricingView() PricingTable { return n.own.Pricing() }
+
+// Derivation returns the node's computation state: its neighbor views,
+// its tables and the scratch behind them. A checker reads the views
+// and borrows the scratch for its mirrors (single-threaded per node).
+func (n *Node) Derivation() *Derivation { return &n.own }
 
 // DeclaredCost returns the cost this node announces (possibly a lie).
 func (n *Node) DeclaredCost() graph.Cost { return n.strategy.declareCost(n.trueCost) }
@@ -216,9 +211,13 @@ func (n *Node) Recv(ctx sim.Context, msg sim.Message) {
 	case CostAnnounce:
 		n.onCostAnnounce(ctx, m)
 	case StartPhase2:
-		n.onStartPhase2(ctx)
+		if n.BeginPhase2() {
+			n.Advertise(ctx, true, nil)
+		}
 	case Update:
-		n.onUpdate(ctx, m)
+		if _, ok := n.Accept(m); ok {
+			n.Advertise(ctx, false, nil)
+		}
 	}
 }
 
@@ -229,9 +228,6 @@ func (n *Node) onCostAnnounce(ctx sim.Context, a CostAnnounce) {
 	n.costs[a.Origin] = a.Cost
 	n.own.MarkAll()
 	for _, v := range n.neighbors {
-		if sim.Addr(v) == ctx.Self() { // impossible; defensive
-			continue
-		}
 		relayed, ok := n.strategy.relayCost(v, a)
 		if !ok {
 			continue
@@ -240,30 +236,36 @@ func (n *Node) onCostAnnounce(ctx sim.Context, a CostAnnounce) {
 	}
 }
 
-func (n *Node) onStartPhase2(ctx sim.Context) {
+// BeginPhase2 enters the second construction phase and reports whether
+// this call did so. A node already in it — green-lit before, or started
+// early by a neighbor's update (see Accept) — ignores the signal.
+func (n *Node) BeginPhase2() bool {
 	if n.phase2 {
-		return
+		return false
 	}
 	n.phase2 = true
-	n.recompute(ctx, true)
+	return true
 }
 
-func (n *Node) onUpdate(ctx sim.Context, u Update) {
+// Accept applies a neighbor's update to the node's views and returns
+// it as the RecvUpdate hook left it; ok=false means the hook discarded
+// it. An update implies phase 2 has begun (late-start robustness).
+// Callers follow an accepted update with Advertise.
+func (n *Node) Accept(u Update) (Update, bool) {
 	var ok bool
 	if u, ok = n.strategy.recvUpdate(u); !ok {
-		return
+		return u, false
 	}
-	if !n.phase2 {
-		// Late-start robustness: an update implies phase 2 has begun.
-		n.phase2 = true
-	}
+	n.phase2 = true
 	n.own.SetView(u.From, NeighborView{Routing: u.Routing, Pricing: u.Pricing})
-	n.recompute(ctx, false)
+	return u, true
 }
 
-// recompute re-derives the tables (with any strategy post-hooks) and
-// advertises to neighbors when something changed.
-func (n *Node) recompute(ctx sim.Context, force bool) {
+// Advertise re-derives the tables (with any strategy post-hooks) and,
+// when they changed or force is set, sends them to every neighbor
+// through the SendUpdate hook. sent, when non-nil, sees each update as
+// it goes out.
+func (n *Node) Advertise(ctx sim.Context, force bool, sent func(to graph.NodeID, u Update)) {
 	if !n.own.Derive(n.costs, n.strategy) && !force {
 		return
 	}
@@ -271,21 +273,22 @@ func (n *Node) recompute(ctx sim.Context, force bool) {
 		return // oscillation damping; see advertBudget
 	}
 	n.adverts++
+	// Derivation always replaces (never mutates) the tables, so honest
+	// sends share one advertisement; deep-cloning per neighbor was most
+	// of the protocol's garbage.
 	base := Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
-	if n.strategy == nil || n.strategy.SendUpdate == nil {
-		// Honest path: derivation always replaces (never mutates) the
-		// tables, so every neighbor can share one advertisement —
-		// deep-cloning per neighbor was most of the protocol's garbage.
-		for _, v := range n.neighbors {
-			ctx.Send(sim.Addr(v), base)
-		}
-		return
-	}
+	hooked := n.strategy != nil && n.strategy.SendUpdate != nil
 	for _, v := range n.neighbors {
-		// Deviant path: the hook may mutate its copy per neighbor.
-		u, ok := n.strategy.sendUpdate(v, base.Clone())
-		if !ok {
-			continue
+		u := base
+		if hooked {
+			// The hook may mutate its copy per neighbor.
+			var ok bool
+			if u, ok = n.strategy.SendUpdate(v, base.Clone()); !ok {
+				continue
+			}
+		}
+		if sent != nil {
+			sent(v, u)
 		}
 		ctx.Send(sim.Addr(v), u)
 	}

@@ -12,6 +12,9 @@ import (
 // coordinator (it is not a graph node).
 const BankAddr sim.Addr = 1 << 20
 
+// maxSteps bounds each phase's event deliveries.
+const maxSteps = 1 << 20
+
 // Config describes one protocol run.
 type Config struct {
 	// Graph carries the true topology and true transit costs.
@@ -19,8 +22,6 @@ type Config struct {
 	// Strategies maps nodes to deviations; missing entries (or nil)
 	// follow the suggested specification.
 	Strategies map[graph.NodeID]*Strategy
-	// MaxSteps bounds each phase's event deliveries (default 1<<20).
-	MaxSteps int64
 	// Loss installs a seeded per-link drop model with a bounded retry
 	// envelope (see sim.LossModel). The zero value is a reliable
 	// network. Permanent losses surface in the phase counters' Lost
@@ -51,10 +52,6 @@ func (r *Result) TotalMessages() int64 { return r.Phase2.Sent } // Phase2 counte
 func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("fpss: nil graph")
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
 	}
 	// A pooled network: deviation searches call Run once per
 	// (node, deviation) play, and recycling the handler tables and

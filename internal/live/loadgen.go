@@ -27,23 +27,17 @@ type LoadgenConfig struct {
 	// Seed keys the request schedule (class, src, dst draws). The same
 	// seed against the same server replays the same request sequence.
 	Seed uint64
-	// PayFraction is the share of requests that are OpPay (the rest
-	// are OpRoute). Default 0.5.
-	PayFraction float64
 }
+
+// payFraction is the share of requests that are OpPay (the rest are
+// OpRoute).
+const payFraction = 0.5
 
 func (c LoadgenConfig) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return 8
-}
-
-func (c LoadgenConfig) payFraction() float64 {
-	if c.PayFraction > 0 {
-		return c.PayFraction
-	}
-	return 0.5
 }
 
 // ClassStats counts one request class.
@@ -160,7 +154,7 @@ func RunLoadgen(d Dispatcher, n int, cfg LoadgenConfig) (*LoadgenResult, error) 
 			dst++
 		}
 		req := Request{Op: OpRoute, Src: src, Dst: dst}
-		if float64(draw()%(1<<53))/(1<<53) < cfg.payFraction() {
+		if float64(draw()%(1<<53))/(1<<53) < payFraction {
 			req.Op = OpPay
 			req.Packets = 1
 		}

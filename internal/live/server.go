@@ -31,7 +31,9 @@ const ConvergeTimeout = 60 * time.Second
 // Dispatch is safe for concurrent use: reads (Route/Pay/Stats) take a
 // shared lock against the rare rebuild writes.
 type Server struct {
-	spec    scenario.Spec
+	// tl is the spec's compiled timeline, one epoch for a static spec;
+	// each epoch caches its compile and central solution.
+	tl      *churn.Timeline
 	monitor *Monitor
 
 	// injectMu serializes injects from the epoch read through the
@@ -40,7 +42,6 @@ type Server struct {
 	injectMu sync.Mutex
 
 	mu    sync.RWMutex
-	tl    *churn.Timeline // nil for static scenarios
 	epoch int
 	st    *epochState
 }
@@ -69,14 +70,11 @@ type epochState struct {
 // and converges epoch 0 on a live network. Close releases the
 // resident goroutines.
 func NewServer(sp scenario.Spec) (*Server, error) {
-	s := &Server{spec: sp}
-	if sp.Churn.Dynamic() {
-		tl, err := churn.Build(sp)
-		if err != nil {
-			return nil, err
-		}
-		s.tl = tl
+	tl, err := churn.Build(sp)
+	if err != nil {
+		return nil, err
 	}
+	s := &Server{tl: tl}
 	st, err := s.buildEpoch(0, -1, "")
 	if err != nil {
 		return nil, err
@@ -143,48 +141,22 @@ func (s *Server) Tables() (map[graph.NodeID]fpss.RoutingTable, map[graph.NodeID]
 }
 
 // Epochs returns the timeline length (1 for static scenarios).
-func (s *Server) Epochs() int {
-	if s.tl == nil {
-		return 1
-	}
-	return len(s.tl.Epochs)
-}
-
-// compiledFor returns epoch e's compiled scenario and, when the
-// central path is authoritative, its central solution.
-func (s *Server) compiledFor(e int) (*scenario.Compiled, *fpss.Central, error) {
-	if s.tl != nil {
-		ep := s.tl.Epochs[e]
-		central, ok, err := ep.CentralState()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			central = nil
-		}
-		return ep.Compiled, central, nil
-	}
-	comp, err := s.spec.Compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	if comp.Params.Loss.Enabled() {
-		return comp, nil, nil
-	}
-	central, err := fpss.ComputeCentralState(comp.Graph)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, central, nil
-}
+func (s *Server) Epochs() int { return len(s.tl.Epochs) }
 
 // buildEpoch converges epoch e on a fresh live network, with node
 // `deviantNode` running the named catalogued deviation (deviant == ""
-// builds the honest epoch). It does not install the result.
+// builds the honest epoch). It does not install the result. The
+// epoch's compile and, when the central path is authoritative, its
+// central solution come from the timeline's cache.
 func (s *Server) buildEpoch(e int, deviantNode graph.NodeID, deviant string) (*epochState, error) {
-	comp, central, err := s.compiledFor(e)
+	ep := s.tl.Epochs[e]
+	comp := ep.Compiled
+	central, ok, err := ep.CentralState()
 	if err != nil {
 		return nil, err
+	}
+	if !ok {
+		central = nil
 	}
 	var strat *fpss.Strategy
 	if deviant != "" {
@@ -310,24 +282,11 @@ func (s *Server) pay(req Request) Response {
 	}
 	dst := graph.NodeID(req.Dst)
 	node := st.nodes[req.Src]
-	e, ok := node.RoutingView()[dst]
-	if !ok {
+	if _, ok := node.RoutingView()[dst]; !ok {
 		return fail("live: node %d has no route to %d", req.Src, req.Dst)
 	}
-	// Mirrors fpss obligation accounting: VCG pays the DATA3* prices,
-	// the declared-cost scheme pays each transit its converged DATA1
-	// declaration.
 	list := make(fpss.PaymentList)
-	switch st.comp.Params.Scheme {
-	case fpss.SchemeDeclaredCost:
-		for _, k := range e.Path.TransitNodes() {
-			list[k] += int64(st.declared[k]) * packets
-		}
-	default: // VCG
-		for k, pe := range node.PricingView()[dst] {
-			list[k] += int64(pe.Price) * packets
-		}
-	}
+	fpss.AddObligation(list, node.RoutingView(), node.PricingView(), dst, packets, st.comp.Params.Scheme, st.declared)
 	payments := make([]Payment, 0, len(list))
 	var total int64
 	for _, k := range sortedKeys(list) {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -11,66 +12,82 @@ import (
 )
 
 // TestServerRouteAndPay serves the paper's Figure-1 scenario and
-// checks Route/Pay answers against the central solution.
+// checks Route answers against the central solution and, under both
+// pricing schemes, every Pay answer against fpss.Execute's obligation
+// for a one-packet flow over the central tables.
 func TestServerRouteAndPay(t *testing.T) {
-	srv, err := NewServer(scenario.Spec{Family: scenario.Figure1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, scheme := range []fpss.PricingScheme{fpss.SchemeVCG, fpss.SchemeDeclaredCost} {
+		sp := scenario.Spec{Family: scenario.Figure1, Scheme: scheme}
+		srv, err := NewServer(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
 
-	comp, err := scenario.Spec{Family: scenario.Figure1}.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := fpss.ComputeCentral(comp.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+		comp, err := sp.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := fpss.ComputeCentral(comp.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	n := comp.Graph.N()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			resp := srv.Dispatch(Request{Op: OpRoute, Src: src, Dst: dst})
-			if !resp.OK {
-				t.Fatalf("route %d->%d: %s", src, dst, resp.Err)
-			}
-			want := sol.Routing[graph.NodeID(src)][graph.NodeID(dst)]
-			if int64(want.Cost) != resp.Cost || len(want.Path) != len(resp.Path) {
-				t.Fatalf("route %d->%d: got cost %d path %v, central %+v", src, dst, resp.Cost, resp.Path, want)
-			}
-			for i, h := range want.Path {
-				if int(h) != resp.Path[i] {
-					t.Fatalf("route %d->%d hop %d: got %v, central %v", src, dst, i, resp.Path, want.Path)
+		n := comp.Graph.N()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				resp := srv.Dispatch(Request{Op: OpRoute, Src: src, Dst: dst})
+				if !resp.OK {
+					t.Fatalf("route %d->%d: %s", src, dst, resp.Err)
+				}
+				want := sol.Routing[graph.NodeID(src)][graph.NodeID(dst)]
+				if int64(want.Cost) != resp.Cost || len(want.Path) != len(resp.Path) {
+					t.Fatalf("route %d->%d: got cost %d path %v, central %+v", src, dst, resp.Cost, resp.Path, want)
+				}
+				for i, h := range want.Path {
+					if int(h) != resp.Path[i] {
+						t.Fatalf("route %d->%d hop %d: got %v, central %v", src, dst, i, resp.Path, want.Path)
+					}
+				}
+
+				flow := [2]graph.NodeID{graph.NodeID(src), graph.NodeID(dst)}
+				exec, err := fpss.Execute(sol.Routing, sol.Pricing, fpss.ExecConfig{
+					TrueCosts:     sol.Costs,
+					DeclaredCosts: sol.Costs,
+					Traffic:       fpss.Traffic{flow: 1},
+					Scheme:        scheme,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				owed := exec.Obligations[flow[0]]
+				pay := srv.Dispatch(Request{Op: OpPay, Src: src, Dst: dst})
+				if !pay.OK {
+					t.Fatalf("%v pay %d->%d: %s", scheme, src, dst, pay.Err)
+				}
+				got := make(fpss.PaymentList, len(pay.Payments))
+				for _, p := range pay.Payments {
+					got[graph.NodeID(p.To)] = p.Amount
+				}
+				if !maps.Equal(got, owed) || pay.Total != owed.Total() {
+					t.Fatalf("%v pay %d->%d: got %v (total %d), Execute owes %v", scheme, src, dst, got, pay.Total, owed)
 				}
 			}
-
-			pay := srv.Dispatch(Request{Op: OpPay, Src: src, Dst: dst})
-			if !pay.OK {
-				t.Fatalf("pay %d->%d: %s", src, dst, pay.Err)
-			}
-			var wantTotal int64
-			for _, pe := range sol.Pricing[graph.NodeID(src)][graph.NodeID(dst)] {
-				wantTotal += int64(pe.Price)
-			}
-			if pay.Total != wantTotal {
-				t.Fatalf("pay %d->%d: got total %d, central %d", src, dst, pay.Total, wantTotal)
-			}
 		}
-	}
 
-	stats := srv.Dispatch(Request{Op: OpStats})
-	if !stats.OK || stats.Stats == nil {
-		t.Fatalf("stats: %+v", stats)
-	}
-	if stats.Stats.Divergence != 0 {
-		t.Fatalf("honest reliable epoch diverges from central: %+v", stats.Stats)
-	}
-	if stats.Stats.Net.Sent == 0 {
-		t.Fatalf("resident network reports no construction traffic: %+v", stats.Stats.Net)
+		stats := srv.Dispatch(Request{Op: OpStats})
+		if !stats.OK || stats.Stats == nil {
+			t.Fatalf("stats: %+v", stats)
+		}
+		if stats.Stats.Divergence != 0 {
+			t.Fatalf("honest reliable epoch diverges from central: %+v", stats.Stats)
+		}
+		if stats.Stats.Net.Sent == 0 {
+			t.Fatalf("resident network reports no construction traffic: %+v", stats.Stats.Net)
+		}
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *FaithfulSystem) applySettlement(out *core.Outcome, batch *settle.Batch,
 		out.Utilities[core.NodeID(a)] += delta
 	}
 	for _, f := range res.Flags {
-		out.Utilities[core.NodeID(f.Account)] -= s.Params.Settle.Penalty()
+		out.Utilities[core.NodeID(f.Account)] -= settle.Penalty
 		out.Detected = append(out.Detected, core.NodeID(f.Account))
 	}
 	return nil

@@ -90,14 +90,6 @@ type Options struct {
 	// Timeout is the coordinator's retransmission quantum in ticks
 	// (default 64). Phase timers are self-sends spaced this far apart.
 	Timeout int64
-	// Attempts bounds per-phase retransmissions (default 8), with
-	// linear backoff between them.
-	Attempts int
-	// MaxSteps bounds the settlement run (default 1<<20 deliveries).
-	MaxSteps int64
-	// Epsilon is the penalty unit levied on a flagged account by the
-	// faithful engine's consumers (default 1).
-	Epsilon int64
 	// Loss optionally composes lossy links under the 2PC.
 	Loss sim.LossModel
 	// FaultOverride, when non-nil, replaces the Plan-derived schedule —
@@ -116,31 +108,18 @@ func (o Options) timeout() int64 {
 	return o.Timeout
 }
 
-func (o Options) attempts() int {
-	if o.Attempts <= 0 {
-		return 8
-	}
-	return o.Attempts
-}
-
-func (o Options) maxSteps() int64 {
-	if o.MaxSteps <= 0 {
-		return 1 << 20
-	}
-	return o.MaxSteps
-}
-
-func (o Options) epsilon() int64 {
-	if o.Epsilon <= 0 {
-		return 1
-	}
-	return o.Epsilon
-}
+const (
+	// attempts bounds per-phase retransmissions, with linear backoff
+	// between them.
+	attempts = 8
+	// maxSteps bounds the settlement run's deliveries.
+	maxSteps = 1 << 20
+)
 
 // Penalty is the ε fine a consumer of the faithful engine levies per
-// settlement flag (Epsilon with its default applied). Exported so the
-// rational layer and the settlement engines agree on one number.
-func (o Options) Penalty() int64 { return o.epsilon() }
+// settlement flag. Exported so the rational layer and the settlement
+// engines agree on one number.
+const Penalty int64 = 1
 
 // faultSeedSalt decorrelates the crash plan's positions from the
 // routing seed (which also feeds scenario topology draws).
@@ -157,7 +136,7 @@ func (o Options) FaultModel() sim.FaultModel { return o.FaultModelFor(nil) }
 // FaultModelFor expands the named crash plan against a batch.
 // Positions are small (the crash lands inside the 2PC window of even
 // a one-transfer batch) and restart delays are seed-drawn inside the
-// coordinator's retry horizon (sum of Attempts backoffs × Timeout):
+// coordinator's retry horizon (sum of attempts backoffs × Timeout):
 // under every plan, every transaction still commits.
 func (o Options) FaultModelFor(b *Batch) sim.FaultModel {
 	if o.FaultOverride != nil {
@@ -167,7 +146,7 @@ func (o Options) FaultModelFor(b *Batch) sim.FaultModel {
 		return sim.FaultModel{}
 	}
 	r := sim.Mix64(o.Seed ^ faultSeedSalt)
-	// Restart within [T, 3T): far less than the ~Attempts²/2 × T retry
+	// Restart within [T, 3T): far less than the ~attempts²/2 × T retry
 	// horizon, so recovery always completes.
 	delay := o.timeout() + int64(sim.Mix64(r)%uint64(2*o.timeout()))
 	switch o.Plan {

@@ -314,7 +314,7 @@ func TestFaultModelPlans(t *testing.T) {
 	}
 	horizon := opts.timeout()
 	var budget int64
-	for i := 1; i <= opts.attempts(); i++ {
+	for i := 1; i <= attempts; i++ {
 		budget += int64(i)
 	}
 	horizon *= budget

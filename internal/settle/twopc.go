@@ -329,7 +329,7 @@ func (c *coordinator) Recv(ctx sim.Context, msg sim.Message) {
 }
 
 // onTick advances one transfer's retransmission clock: linear backoff
-// (wait grows with the attempt number), bounded by Attempts per phase,
+// (wait grows with the attempt number), bounded by attempts per phase,
 // with a phase-specific fallback when the budget runs out.
 func (c *coordinator) onTick(ctx sim.Context, i int) {
 	t := &c.tx[i]
@@ -341,7 +341,7 @@ func (c *coordinator) onTick(ctx sim.Context, i int) {
 		return
 	}
 	t.attempt++
-	if t.attempt > c.opts.attempts() {
+	if t.attempt > attempts {
 		switch t.phase {
 		case phCoSign:
 			// The debtor never answered a full, uninterrupted retry
@@ -572,7 +572,7 @@ func RunFaithful(opts Options, batch *Batch, strategies map[Account]*Strategy) (
 		}
 	}
 
-	counters, err := net.Run(opts.maxSteps())
+	counters, err := net.Run(maxSteps)
 	if err != nil {
 		return nil, fmt.Errorf("settle: 2PC did not quiesce: %w", err)
 	}
