@@ -9,33 +9,8 @@ import (
 // This file implements core.EpochedSystem's Snapshot, Play and
 // PlayEpoch for the timeline system: the truthful state is the
 // per-epoch snapshot vector built by init() (each epoch's converged
-// tables and honest outcome), plays route every deviant epoch through
-// the underlying rational system's overlay, and timeline-level utility
-// maps come from the worker's play context.
-
-// arenaKey keys the churn arena in a core.PlayContext (distinct from
-// the rational package's key, so both coexist on one context).
-type arenaKey struct{}
-
-type playArena struct {
-	util map[core.NodeID]int64
-}
-
-// timelineUtilities returns the identity-keyed utility map for one
-// timeline play — the context's reusable map, or a fresh one for a nil
-// context.
-func timelineUtilities(ctx *core.PlayContext, hint int) map[core.NodeID]int64 {
-	if ctx == nil {
-		return make(map[core.NodeID]int64, hint)
-	}
-	ar := ctx.Value(arenaKey{}, func() any { return &playArena{} }).(*playArena)
-	if ar.util == nil {
-		ar.util = make(map[core.NodeID]int64, hint)
-	} else {
-		clear(ar.util)
-	}
-	return ar.util
-}
+// tables and honest outcome), and plays route every deviant epoch
+// through the underlying rational system's overlay.
 
 // timelineState is the timeline's truthful snapshot: the honest
 // whole-run outcome (per-epoch honest outcomes summed per identity).
@@ -71,8 +46,7 @@ func (s *System) Snapshot() (core.TruthfulState, error) {
 
 // Play implements core.System: the deviation is active in every epoch
 // of its activity set — the dynamic analogue of a static deviant
-// playing its strategy for the whole run. The returned Outcome's map
-// belongs to the context's arena (valid until the next Play on it).
+// playing its strategy for the whole run.
 func (s *System) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	if deviator < 0 || dev == nil {
 		if ts, ok := st.(*timelineState); ok {

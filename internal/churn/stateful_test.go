@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -10,10 +11,9 @@ import (
 
 // TestStatefulChurnMatchesRunOracle runs the full churn grid — both
 // variants, whole-run and per-epoch, several worker counts — through
-// the engine's pooled play contexts (per-epoch truthful snapshots,
-// exec-only overlays for the boundary exit scams, arena-backed epoch
-// plays) and demands byte-identical reports against the sequential
-// search with a fresh context per play. The faithful side repeats with
+// the engine's worker pool (per-epoch truthful snapshots, exec-only
+// overlays for the boundary exit scams) and demands byte-identical
+// reports against the sequential search. The faithful side repeats with
 // base-utility pruning and a full pruned replay, which must fire on
 // the exec-only boundary deviations. Run under -race, this also
 // certifies the timeline caches as data-race-free.
@@ -33,7 +33,7 @@ func TestStatefulChurnMatchesRunOracle(t *testing.T) {
 		for _, variant := range []Variant{Plain, Faithful} {
 			for _, perEpoch := range []bool{false, true} {
 				oracle, err := core.CheckFaithfulnessCfg(NewSystem(tl, variant),
-					core.CheckConfig{PerEpoch: perEpoch, FreshContexts: true})
+					core.CheckConfig{PerEpoch: perEpoch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,5 +79,41 @@ func TestStatefulChurnMatchesRunOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlayOutcomeBelongsToCaller plays a deviation of one identity,
+// then one of another, on one context and requires the first outcome
+// to survive the second play: a returned Outcome is the caller's.
+func TestPlayOutcomeBelongsToCaller(t *testing.T) {
+	sys := NewSystem(mustBuild(t, dynamicSpec()), Plain)
+	st, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.NewPlayContext(0)
+	ids := sys.Nodes()
+	play := func(id core.NodeID) core.Outcome {
+		t.Helper()
+		for _, dev := range sys.Deviations(id) {
+			if dev.Name() == "underreport-payments-all" {
+				out, err := sys.Play(ctx, st, id, dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+		}
+		t.Fatalf("identity %d has no underreport-payments-all", id)
+		return core.Outcome{}
+	}
+	first := play(ids[0])
+	kept := maps.Clone(first.Utilities)
+	second := play(ids[1])
+	if maps.Equal(kept, second.Utilities) {
+		t.Fatal("both plays have the same utilities; the test cannot tell them apart")
+	}
+	if !maps.Equal(first.Utilities, kept) {
+		t.Fatalf("first outcome changed by the second play:\nwas %v\nnow %v", kept, first.Utilities)
 	}
 }

@@ -194,7 +194,7 @@ func (s *System) init() error {
 			}
 			// One truthful snapshot per epoch: its baseline doubles as
 			// the honest outcome, and every deviant epoch play overlays
-			// it through the caller's play context.
+			// it.
 			st, err := s.epochs[i].Snapshot()
 			if err != nil {
 				s.initErr = fmt.Errorf("churn: epoch %d baseline: %w", i, err)
@@ -294,7 +294,7 @@ func (s *System) EpochsOf(n core.NodeID, dev core.Deviation) []int {
 // run aggregates the timeline. pin >= 0 restricts the deviation to one
 // epoch. The honest per-epoch outcomes are cached, so a run only pays
 // for the epochs the deviation actually touches, and those route
-// through the per-epoch truthful snapshots and the context's arena.
+// through the per-epoch truthful snapshots.
 func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Deviation, pin int) (core.Outcome, error) {
 	if err := s.init(); err != nil {
 		return core.Outcome{}, err
@@ -308,7 +308,7 @@ func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Devia
 	}
 
 	out := core.Outcome{
-		Utilities: timelineUtilities(ctx, len(s.tl.Identities())),
+		Utilities: make(map[core.NodeID]int64, len(s.tl.Identities())),
 		Completed: true,
 	}
 	for _, id := range s.tl.Identities() {
@@ -326,8 +326,6 @@ func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Devia
 		}
 		epochOut := s.honest[e.Index]
 		if act != nil {
-			// The epoch outcome may live in the context's arena: it is
-			// consumed below, before the next epoch's play reuses it.
 			deviant, err := s.epochs[e.Index].Play(ctx, s.states[e.Index], core.NodeID(act.local), act.dev)
 			if err != nil {
 				return core.Outcome{}, fmt.Errorf("churn: epoch %d: %w", e.Index, err)

@@ -38,15 +38,14 @@ type engine struct {
 //
 // Determinism invariant: the Report (and any error) depends only on
 // the System and the config's semantic fields (EarlyStop, PerEpoch,
-// Prune) — never on the worker count, context pooling, or
-// scheduling. Every job writes its result into its own
-// catalogue-order slot; violations are collected in slot order and
-// errors are reported for the earliest failing slot — exactly what
-// the sequential loop would have produced. Pruning is decided at
-// enumeration time from the static bound, so every worker count
-// prunes the same plays. A parallel early-stopped search may
-// *execute* more plays than the sequential one, but it reports the
-// same ones.
+// Prune) — never on the worker count or scheduling. Every job writes
+// its result into its own catalogue-order slot; violations are
+// collected in slot order and errors are reported for the earliest
+// failing slot — exactly what the sequential loop would have
+// produced. Pruning is decided at enumeration time from the static
+// bound, so every worker count prunes the same plays. A parallel
+// early-stopped search may *execute* more plays than the sequential
+// one, but it reports the same ones.
 func check(sys System, cfg CheckConfig) (Report, error) {
 	st, err := sys.Snapshot()
 	if err != nil {
@@ -120,9 +119,6 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 	if workers <= 1 {
 		ctx := NewPlayContext(0)
 		for i := range plays {
-			if cfg.FreshContexts {
-				ctx = NewPlayContext(0)
-			}
 			results[i] = e.runPlay(ctx, plays[i])
 			if ends(results[i]) {
 				break
@@ -149,9 +145,6 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 					mu.Unlock()
 					if skip {
 						continue
-					}
-					if cfg.FreshContexts {
-						ctx = NewPlayContext(worker)
 					}
 					r := e.runPlay(ctx, plays[i])
 					results[i] = r
@@ -232,10 +225,9 @@ func (e *engine) playOutcome(ctx *PlayContext, p play) (Outcome, error) {
 }
 
 // runPlay executes one deviant play and classifies the outcome. The
-// outcome may live in the context's arena, so the deviator's utility
-// is extracted before the context is reused. The deviation's Classes
-// slice is copied only when a violation is recorded — Classes may
-// return a shared slice (see BasicDeviation.Classes).
+// deviation's Classes slice is copied only when a violation is
+// recorded — Classes may return a shared slice (see
+// BasicDeviation.Classes).
 func (e *engine) runPlay(ctx *PlayContext, p play) playResult {
 	out, err := e.playOutcome(ctx, p)
 	if err != nil {

@@ -43,12 +43,6 @@ type CheckConfig struct {
 	// debug mode that catches unsound Bounder implementations instead
 	// of silently under-reporting.
 	VerifyPruned bool
-
-	// FreshContexts gives every play a fresh PlayContext instead of
-	// reusing one per worker — a debugging aid that rules out arena
-	// state leaking between plays, at the cost of re-warming every
-	// pool on every play.
-	FreshContexts bool
 }
 
 // Bounder is implemented by Systems that can statically bound a

@@ -81,9 +81,8 @@ type System interface {
 	Snapshot() (TruthfulState, error)
 	// Play executes the mechanism with one deviating node against a
 	// snapshot this System took; deviator < 0 (or dev == nil) yields
-	// the snapshot's baseline. The returned Outcome may live in the
-	// context's arena: it is valid only until the next Play on the
-	// same context (see PlayContext).
+	// the snapshot's baseline, which is shared and read-only. Any other
+	// returned Outcome belongs to the caller.
 	Play(ctx *PlayContext, st TruthfulState, deviator NodeID, dev Deviation) (Outcome, error)
 }
 
@@ -203,11 +202,10 @@ var ErrNotEpoched = errors.New("core: PerEpoch requires an EpochedSystem")
 // quantify over profiles by invoking it across many sampled Systems
 // (the deviation search of experiment E6).
 //
-// The truthful state is snapshotted once and every play overlays it
-// through a worker-owned PlayContext. The zero CheckConfig is the
-// sequential search; the Report is byte-identical for every worker
-// count (see check.go for how the engine keeps scheduling out of the
-// output).
+// The truthful state is snapshotted once and every play overlays it.
+// The zero CheckConfig is the sequential search; the Report is
+// byte-identical for every worker count (see check.go for how the
+// engine keeps scheduling out of the output).
 func CheckFaithfulnessCfg(sys System, cfg CheckConfig) (Report, error) {
 	return check(sys, cfg)
 }

@@ -1,22 +1,14 @@
 package core
 
-// PlayContext is the arena a worker threads through consecutive plays
-// so steady-state plays can reuse graph scratch, pooled networks,
-// bank ledgers, and result maps instead of re-materializing them. The
-// engine owns one context per worker (or one per play under
-// CheckConfig.FreshContexts) and never shares a context between
-// goroutines; a System's Play may therefore mutate it freely.
-//
-// Ownership contract: anything a Play returns out of the context —
-// in particular the Outcome — is valid only until the next Play on
-// the same context. The engine honors this by extracting what it
-// needs (the deviator's utility) before reusing the context.
+// PlayContext is what the engine hands each Play: the index of the
+// worker running it. The engine owns one context per worker and never
+// shares a context between goroutines. A play keeps no state in it, so
+// an Outcome a Play returns belongs to the caller.
 type PlayContext struct {
-	worker  int
-	scratch map[any]any
+	worker int
 }
 
-// NewPlayContext returns an empty context tagged with a worker index.
+// NewPlayContext returns a context tagged with a worker index.
 // Exposed for oracles and tests that drive System.Play directly; the
 // engine builds its own.
 func NewPlayContext(worker int) *PlayContext {
@@ -29,33 +21,6 @@ func (c *PlayContext) Worker() int {
 		return 0
 	}
 	return c.worker
-}
-
-// Value returns the context's entry for key, calling mk to build it
-// on first use. Keys follow the context.Context convention: packages
-// key with unexported types of their own, so the rational and churn
-// arenas coexist in one context without colliding. A nil context
-// builds a fresh value every call — Play implementations degrade to
-// unpooled allocation rather than failing.
-func (c *PlayContext) Value(key any, mk func() any) any {
-	if c == nil {
-		if mk == nil {
-			return nil
-		}
-		return mk()
-	}
-	if v, ok := c.scratch[key]; ok {
-		return v
-	}
-	if mk == nil {
-		return nil
-	}
-	if c.scratch == nil {
-		c.scratch = make(map[any]any)
-	}
-	v := mk()
-	c.scratch[key] = v
-	return v
 }
 
 // TruthfulState is an immutable snapshot of the honest run: whatever

@@ -68,34 +68,13 @@ type Config struct {
 	// its checkers (0 = all, the paper's assignment). Used only by the
 	// E11 ablation: smaller assignments open detection escapes.
 	CheckerLimit int
-	// Neighbors / Checkers optionally supply the per-node adjacency
-	// and checker assignment, both or neither. A deviation search plays
-	// hundreds of runs on one scenario; the truthful topology views are
-	// identical for every deviator, so callers precompute them once
-	// (see Topology) and thread the same read-only maps into each run.
-	// When Neighbors is nil, Run derives both from Graph and
-	// CheckerLimit. Both are retained read-only by the protocol nodes.
-	Neighbors map[graph.NodeID][]graph.NodeID
-	Checkers  map[graph.NodeID][]graph.NodeID
-	// Flows optionally fixes the execution-phase flow order
-	// (precomputed Traffic.Flows()); nil derives it from Traffic.
-	Flows [][2]graph.NodeID
-	// Net optionally supplies a caller-owned simulator network (e.g. a
-	// worker's play-context arena), reset — not released — after the
-	// run. nil acquires from the global pool.
-	Net *sim.Network
-	// Bank optionally supplies a caller-owned bank, re-targeted with
-	// Reuse and NOT returned to the package pool — callers that want
-	// to keep the audit view alive past the run (truthful snapshots)
-	// or avoid pool contention pass one. nil uses the pool.
-	Bank *bank.Bank
 }
 
 // Topology builds the per-node adjacency and checker-assignment views
 // for a graph: every neighbor of a node checks it, truncated to
 // checkerLimit when positive (ablation E11). The maps share the
-// graph's CSR rows and are meant to be computed once per scenario and
-// passed read-only through Config.Neighbors/Config.Checkers.
+// graph's CSR rows; the protocol nodes and the bank retain them
+// read-only.
 func Topology(g *graph.Graph, checkerLimit int) (neighbors, checkers map[graph.NodeID][]graph.NodeID) {
 	n := g.N()
 	neighbors = make(map[graph.NodeID][]graph.NodeID, n)
@@ -168,25 +147,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	n := cfg.Graph.N()
 
-	neighborsOf, checkersOf := cfg.Neighbors, cfg.Checkers
-	if neighborsOf == nil {
-		neighborsOf, checkersOf = Topology(cfg.Graph, cfg.CheckerLimit)
-	}
+	neighborsOf, checkersOf := Topology(cfg.Graph, cfg.CheckerLimit)
 
 	authority := sign.NewAuthority()
-	theBank := cfg.Bank
-	if theBank == nil {
-		theBank = bankPool.Get().(*bank.Bank)
-		defer bankPool.Put(theBank)
-	}
+	theBank := bankPool.Get().(*bank.Bank)
+	defer bankPool.Put(theBank)
 	theBank.Reuse(authority, checkersOf)
-	net := cfg.Net
-	if net == nil {
-		net = sim.AcquireNetwork()
-		defer net.Release()
-	} else {
-		defer net.Reset()
-	}
+	net := sim.AcquireNetwork()
+	defer net.Release()
 	if cfg.Loss.Enabled() {
 		net.SetLoss(cfg.Loss)
 	}
@@ -351,7 +319,6 @@ func execAndAudit(st ExecState, cfg Config, reportHooks map[graph.NodeID]func(fp
 		TrueCosts:          st.TrueCosts,
 		DeclaredCosts:      st.Declared,
 		Traffic:            cfg.Traffic,
-		Flows:              cfg.Flows,
 		DeliveryValue:      cfg.DeliveryValue,
 		UndeliveredPenalty: cfg.UndeliveredPenalty,
 		Scheme:             fpss.SchemeVCG,

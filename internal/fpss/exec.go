@@ -50,12 +50,6 @@ type ExecConfig struct {
 	DeclaredCosts CostTable
 	// Traffic is the demand matrix.
 	Traffic Traffic
-	// Flows optionally fixes the flow enumeration order (the output
-	// of Traffic.Flows()). Deviation searches precompute it once per
-	// scenario — re-sorting the demand matrix on every run is pure
-	// rework. When nil, Execute derives it from Traffic. Shared
-	// read-only; Execute never mutates it.
-	Flows [][2]graph.NodeID
 	// DeliveryValue is the source's per-packet value for delivery.
 	DeliveryValue int64
 	// UndeliveredPenalty is the source's per-packet loss when a packet
@@ -108,11 +102,7 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		res.Utilities[id] = 0
 	}
 
-	flows := cfg.Flows
-	if flows == nil {
-		flows = cfg.Traffic.Flows()
-	}
-	for _, flow := range flows {
+	for _, flow := range cfg.Traffic.Flows() {
 		src, dst := flow[0], flow[1]
 		packets := cfg.Traffic[flow]
 		if packets <= 0 || src == dst {

@@ -27,12 +27,6 @@ type Config struct {
 	// network. Permanent losses surface in the phase counters' Lost
 	// field; callers that need loss-vs-deviation attribution check it.
 	Loss sim.LossModel
-	// Net optionally supplies a caller-owned simulator network — e.g.
-	// a worker's play-context arena — handed over clean and reset
-	// (not released) after the run, so concurrent deviation searches
-	// stop contending on the global network pool. nil acquires from
-	// that pool as before.
-	Net *sim.Network
 }
 
 // Result is the outcome of running both construction phases.
@@ -56,13 +50,8 @@ func Run(cfg Config) (*Result, error) {
 	// A pooled network: deviation searches call Run once per
 	// (node, deviation) play, and recycling the handler tables and
 	// event-queue storage keeps that loop off the allocator.
-	net := cfg.Net
-	if net == nil {
-		net = sim.AcquireNetwork()
-		defer net.Release()
-	} else {
-		defer net.Reset()
-	}
+	net := sim.AcquireNetwork()
+	defer net.Release()
 	if cfg.Loss.Enabled() {
 		net.SetLoss(cfg.Loss)
 	}

@@ -1,48 +1,42 @@
 package live
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 )
 
-// BenchmarkLive is the serving-path throughput/latency ladder: an
-// open-loop run at each (n, rate) rung against a resident server, with
-// the latency percentiles and achieved throughput published as custom
-// metrics (p50-ns / p99-ns / req/s) for the BENCH_live.json trajectory
-// and the benchjson metric-compare step. ns/op is the whole run's wall
-// time and is dominated by the schedule length — the percentiles are
-// the numbers that matter.
-func BenchmarkLive(b *testing.B) {
-	for _, n := range []int{8, 16} {
-		srv, err := NewServer(scenario.Spec{Family: scenario.Random, N: n, Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rate := range []float64{2000, 10000} {
-			b.Run(fmt.Sprintf("n=%d/rate=%d", n, int(rate)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := RunLoadgen(srv, n, LoadgenConfig{
-						Rate:     rate,
-						Requests: int(rate / 4), // a 250ms schedule per iteration
-						Warmup:   25 * time.Millisecond,
-						Workers:  4,
-						Seed:     uint64(i + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
+// BenchmarkDispatch is the serving path's closed-loop service cost:
+// one op sends every (src, dst) flow of one resident server through
+// Server.Dispatch in process, so no load generator, timer, socket or
+// codec sits inside the measurement. allocs/op is deterministic and
+// gates in the BENCH_live.json trajectory; ns/req is one Dispatch.
+func BenchmarkDispatch(b *testing.B) {
+	const n = 16
+	srv, err := NewServer(scenario.Spec{Family: scenario.Random, N: n, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	for _, bc := range []struct {
+		name string
+		op   Op
+	}{{"Route", OpRoute}, {"Pay", OpPay}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for src := 0; src < n; src++ {
+					for dst := 0; dst < n; dst++ {
+						if src == dst {
+							continue
+						}
+						if resp := srv.Dispatch(Request{Op: bc.op, Src: src, Dst: dst}); !resp.OK {
+							b.Fatalf("%s %d→%d: %s", bc.op, src, dst, resp.Err)
+						}
 					}
-					if res.Errors > 0 {
-						b.Fatalf("%d requests failed", res.Errors)
-					}
-					b.ReportMetric(float64(res.Hist.Quantile(0.50)), "p50-ns")
-					b.ReportMetric(float64(res.Hist.Quantile(0.99)), "p99-ns")
-					b.ReportMetric(res.Achieved, "req/s")
 				}
-			})
-		}
-		srv.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(n-1)), "ns/req")
+		})
 	}
 }

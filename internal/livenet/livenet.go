@@ -16,20 +16,12 @@
 // counter: every enqueued message holds a credit that is released only
 // after the receiving handler finishes processing it (including any
 // sends that processing performed), so the counter can reach zero only
-// at true quiescence. A pending crash-restart holds a credit too — a
-// run does not quiesce while an endpoint is scheduled to come back.
+// at true quiescence.
 //
-// The failure axes mirror the simulator's: SetLoss installs the same
-// seeded per-link drop schedules (resolved at send time through a
+// The loss axis mirrors the simulator's: SetLoss installs the same
+// seeded per-link drop schedules, resolved at send time through a
 // sim.LossScheduler, so a live run and a simulated run with the same
-// per-link send order report identical Dropped/Retried/Lost), and
-// SetFaults installs the same positional crash schedule (an address
-// crashes after delivering the same number of messages; deliveries
-// while down count CrashDropped). The one semantic gap is restart
-// timing: the simulator restarts after RestartDelay logical ticks,
-// while livenet has no logical clock and maps a tick onto RestartTick
-// of wall time — crash/restart *counts* stay comparable, interleaving
-// around a restart does not.
+// per-link send order report identical Dropped/Retried/Lost.
 package livenet
 
 import (
@@ -43,14 +35,9 @@ import (
 )
 
 // Counters is the simulator's traffic accounting, shared wholesale:
-// the live network maintains the full sim.Counters surface (loss,
-// crash and per-node fields included) so the loss/fault axes report
-// identically live and simulated.
+// the live network maintains its traffic, loss and per-node fields so
+// the loss axis reports identically live and simulated.
 type Counters = sim.Counters
-
-// RestartTick is the wall-clock length of one logical RestartDelay
-// tick for crash-restart schedules (see the package comment).
-const RestartTick = time.Millisecond
 
 // Net executes handlers concurrently, one goroutine per address.
 type Net struct {
@@ -58,20 +45,13 @@ type Net struct {
 	cond     *sync.Cond
 	handlers map[sim.Addr]sim.Handler
 	boxes    map[sim.Addr]*mailbox
-	pending  int64 // in-flight credits (messages + unstarted inits + pending restarts)
+	pending  int64 // in-flight credits (messages + unstarted inits)
 	counters Counters
 	loss     *sim.LossScheduler
-	faults   *sim.FaultSchedule // guarded by mu
 	started  bool
 	closed   bool
 	wg       sync.WaitGroup
 }
-
-// restartMarker is the mailbox payload that brings a crashed address
-// back up. It is pushed directly into the victim's own mailbox (no
-// Sent accounting, like the simulator's in-heap marker) and
-// intercepted by the worker loop before normal delivery.
-type restartMarker struct{}
 
 type mailbox struct {
 	mu     sync.Mutex
@@ -140,19 +120,6 @@ func (n *Net) SetLoss(m sim.LossModel) {
 	n.loss = sim.NewLossScheduler(m)
 }
 
-// SetFaults installs a positional crash schedule — the simulator's own
-// sim.FaultSchedule: an address crashes after delivering
-// Crash.AfterDeliveries further messages, drops deliveries while down
-// (Counters.CrashDropped), and restarts after RestartDelay×RestartTick
-// of wall time (never, when negative), running the handler's Recover
-// hook on its own worker goroutine. A disabled model removes the
-// schedule. Must be called before Start.
-func (n *Net) SetFaults(m sim.FaultModel) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = sim.NewFaultSchedule(m)
-}
-
 // liveContext implements sim.Context for a worker goroutine.
 type liveContext struct {
 	net  *Net
@@ -218,66 +185,16 @@ func (n *Net) release() {
 	n.mu.Unlock()
 }
 
-// deliverState classifies one popped message under the fault model and
-// updates the shared counters; everything but the handler calls
-// themselves happens under n.mu.
-type deliverState int
-
-const (
-	deliver  deliverState = iota // hand to Recv (then observe the fault schedule)
-	dropDown                     // destination down: counted, not delivered
-	restart                      // restart marker: bring the address back up
-)
-
-// classify records the pop in the counters and decides what the worker
-// does with it.
-func (n *Net) classify(addr sim.Addr, msg sim.Message) deliverState {
+// countDelivery records one delivery to addr in the shared counters.
+func (n *Net) countDelivery(addr sim.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.counters.Steps++
-	if _, isMarker := msg.Payload.(restartMarker); isMarker {
-		if n.faults.Restore(addr) {
-			n.counters.Restarts++
-			return restart
-		}
-		return dropDown // stale marker; the credit is still released
-	}
-	if n.faults.Down(addr) {
-		n.counters.CrashDropped++
-		return dropDown
-	}
 	n.counters.Delivered++
 	if n.counters.PerNodeIn == nil {
 		n.counters.PerNodeIn = make(map[sim.Addr]int64)
 	}
 	n.counters.PerNodeIn[addr]++
-	return deliver
-}
-
-// observeDelivery advances addr's crash schedule after a completed
-// Recv; when a crash fires it marks the address down, counts it, and
-// schedules the restart (holding a quiescence credit until the marker
-// is processed).
-func (n *Net) observeDelivery(addr sim.Addr) {
-	n.mu.Lock()
-	c, fired := n.faults.ObserveDelivery(addr)
-	if !fired {
-		n.mu.Unlock()
-		return
-	}
-	n.counters.Crashes++
-	var box *mailbox
-	if c.RestartDelay >= 0 {
-		n.pending++ // restart credit: no quiescence while one is pending
-		box = n.boxes[addr]
-	}
-	n.mu.Unlock()
-	if box != nil {
-		delay := time.Duration(c.RestartDelay) * RestartTick
-		time.AfterFunc(delay, func() {
-			box.push(sim.Message{From: addr, To: addr, Payload: restartMarker{}})
-		})
-	}
 }
 
 // Start launches one worker per handler. Each worker runs Init first
@@ -313,17 +230,8 @@ func (n *Net) Start() error {
 				if !ok {
 					return
 				}
-				switch n.classify(addr, msg) {
-				case deliver:
-					h.Recv(ctx, msg)
-					n.observeDelivery(addr)
-				case restart:
-					if r, isRec := h.(sim.Recoverer); isRec {
-						r.Recover(ctx)
-					}
-				case dropDown:
-					// dropped while down (or a stale marker): nothing runs
-				}
+				n.countDelivery(addr)
+				h.Recv(ctx, msg)
 				n.release() // message credit, after processing completes
 			}
 		}()
@@ -379,13 +287,6 @@ func (n *Net) Shutdown() {
 		b.close()
 	}
 	n.wg.Wait()
-}
-
-// Down reports whether addr is currently crashed.
-func (n *Net) Down(addr sim.Addr) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faults.Down(addr)
 }
 
 // Counters returns an isolated snapshot of traffic statistics.

@@ -39,14 +39,11 @@ func (h *chainHandler) Recv(ctx sim.Context, msg sim.Message) {
 }
 
 // runSim plays the scenario on the deterministic event simulator.
-func runSim(t *testing.T, build func() map[sim.Addr]sim.Handler, loss sim.LossModel, faults sim.FaultModel) sim.Counters {
+func runSim(t *testing.T, build func() map[sim.Addr]sim.Handler, loss sim.LossModel) sim.Counters {
 	t.Helper()
 	net := sim.NewNetwork()
 	if loss.Enabled() {
 		net.SetLoss(loss)
-	}
-	if faults.Enabled() {
-		net.SetFaults(faults)
 	}
 	for a, h := range build() {
 		if err := net.Attach(a, h); err != nil {
@@ -61,14 +58,11 @@ func runSim(t *testing.T, build func() map[sim.Addr]sim.Handler, loss sim.LossMo
 }
 
 // runLive plays the same scenario on the live goroutine network.
-func runLive(t *testing.T, build func() map[sim.Addr]sim.Handler, loss sim.LossModel, faults sim.FaultModel) sim.Counters {
+func runLive(t *testing.T, build func() map[sim.Addr]sim.Handler, loss sim.LossModel) sim.Counters {
 	t.Helper()
 	net := New(build())
 	if loss.Enabled() {
 		net.SetLoss(loss)
-	}
-	if faults.Enabled() {
-		net.SetFaults(faults)
 	}
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
@@ -139,79 +133,12 @@ func TestLossCountersParity(t *testing.T) {
 					3: &chainHandler{echo: true},
 				}
 			}
-			simC := runSim(t, build, tc.loss, sim.FaultModel{})
-			liveC := runLive(t, build, tc.loss, sim.FaultModel{})
+			simC := runSim(t, build, tc.loss)
+			liveC := runLive(t, build, tc.loss)
 			if simC.Dropped == 0 {
 				t.Fatalf("loss model dropped nothing — parity test is vacuous")
 			}
 			assertCountersEqual(t, simC, liveC)
 		})
-	}
-}
-
-// TestCrashCountersParity pins the fault-axis half: a permanent crash
-// (no restart, so no timing-dependent interleaving) after a fixed
-// delivery count reports identical Crashes/CrashDropped live and
-// simulated. Node 0 pushes 10 sequential pings at node 1; node 1
-// crashes after delivering 4, so ping 5 is crash-dropped and the
-// chain stalls (no ack ever returns) — deterministically in both
-// runtimes.
-func TestCrashCountersParity(t *testing.T) {
-	build := func() map[sim.Addr]sim.Handler {
-		return map[sim.Addr]sim.Handler{
-			0: &chainHandler{peer: 1, sends: 10},
-			1: &chainHandler{echo: true},
-		}
-	}
-	faults := sim.FaultModel{Schedule: []sim.Crash{{Addr: 1, AfterDeliveries: 4, RestartDelay: -1}}}
-	simC := runSim(t, build, sim.LossModel{}, faults)
-	liveC := runLive(t, build, sim.LossModel{}, faults)
-	if simC.Crashes != 1 || simC.CrashDropped == 0 {
-		t.Fatalf("sim crash scenario mis-shaped: %+v", simC)
-	}
-	assertCountersEqual(t, simC, liveC)
-}
-
-// recoverHandler counts Recover calls — the restart path's smoke test.
-type recoverHandler struct {
-	chainHandler
-	recovered int
-}
-
-func (h *recoverHandler) Recover(sim.Context) { h.recovered++ }
-
-// TestCrashRestartLive exercises the wall-clock restart path, which
-// has no byte-exact simulator analogue (livenet has no logical time):
-// the crash fires, the restart brings the endpoint back, Recover runs,
-// and the network still quiesces — with the crash/restart counters
-// reflecting the schedule.
-func TestCrashRestartLive(t *testing.T) {
-	echo := &recoverHandler{chainHandler: chainHandler{echo: true}}
-	handlers := map[sim.Addr]sim.Handler{
-		0: &chainHandler{peer: 1, sends: 6},
-		1: echo,
-	}
-	net := New(handlers)
-	net.SetFaults(sim.FaultModel{Schedule: []sim.Crash{{Addr: 1, AfterDeliveries: 2, RestartDelay: 5}}})
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.WaitQuiescence(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	net.Shutdown()
-	c := net.Counters()
-	if c.Crashes != 1 || c.Restarts != 1 {
-		t.Fatalf("want 1 crash + 1 restart, got %+v", c)
-	}
-	if echo.recovered != 1 {
-		t.Fatalf("Recover ran %d times, want 1", echo.recovered)
-	}
-	// The chain stalls while node 1 is down (pings crash-dropped, no
-	// acks), and no delivery can postdate Shutdown; whatever got
-	// through must balance: sent = delivered + crash-dropped + queued,
-	// and nothing was lost on a reliable network.
-	if c.Lost != 0 || c.Dropped != 0 {
-		t.Fatalf("reliable network lost/dropped traffic: %+v", c)
 	}
 }

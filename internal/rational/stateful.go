@@ -2,6 +2,7 @@ package rational
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/bank"
 	"repro/internal/core"
@@ -10,153 +11,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/settle"
 	"repro/internal/sign"
-	"repro/internal/sim"
 )
 
 // This file implements core.System's Snapshot and Play for both
 // protocol systems: the truthful run is snapshotted once per scenario
 // (converged table views, honest outcome, obligations, audit bank) and
 // every deviant play overlays it — execution-phase-only deviations
-// skip the protocol simulation entirely, and full plays draw their
-// network, bank, and result maps from the worker's play-context arena.
-
-// arenaKey keys the rational play arena in a core.PlayContext
-// (unexported type per the context.Context convention, so the churn
-// package's arena coexists without colliding).
-type arenaKey struct{}
-
-// playArena is the per-worker reusable state behind Play: a
-// caller-owned simulator network and bank (consolidating what used to
-// cycle through the sim/faithful package pools under contention), and
-// the per-play maps that deviation searches otherwise reallocate tens
-// of thousands of times. All methods tolerate a nil receiver by
-// falling back to fresh allocation, which is what a nil PlayContext
-// gets.
-type playArena struct {
-	net      *sim.Network
-	bank     *bank.Bank
-	util     map[core.NodeID]int64
-	routing  map[graph.NodeID]fpss.RoutingTable
-	pricing  map[graph.NodeID]fpss.PricingTable
-	declared fpss.CostTable
-	pstrat   map[graph.NodeID]*fpss.Strategy
-	fstrat   map[graph.NodeID]*faithful.Strategy
-	hooks    map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
-}
-
-// arenaOf returns the context's rational arena, building it on first
-// use. A nil context yields a nil arena — every helper then allocates
-// fresh, so plays still work, just unpooled.
-func arenaOf(ctx *core.PlayContext) *playArena {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Value(arenaKey{}, func() any { return &playArena{} }).(*playArena)
-}
-
-func (a *playArena) network() *sim.Network {
-	if a == nil {
-		return nil // protocol runs fall back to the package pool
-	}
-	if a.net == nil {
-		a.net = sim.NewNetwork()
-	}
-	return a.net
-}
-
-func (a *playArena) auditBank() *bank.Bank {
-	if a == nil {
-		return nil // faithful.Run falls back to its pool
-	}
-	if a.bank == nil {
-		a.bank = new(bank.Bank)
-	}
-	return a.bank
-}
-
-func (a *playArena) outcome(hint int) map[core.NodeID]int64 {
-	if a == nil {
-		return make(map[core.NodeID]int64, hint)
-	}
-	if a.util == nil {
-		a.util = make(map[core.NodeID]int64, hint)
-	} else {
-		clear(a.util)
-	}
-	return a.util
-}
-
-func (a *playArena) routingViews(hint int) map[graph.NodeID]fpss.RoutingTable {
-	if a == nil {
-		return make(map[graph.NodeID]fpss.RoutingTable, hint)
-	}
-	if a.routing == nil {
-		a.routing = make(map[graph.NodeID]fpss.RoutingTable, hint)
-	} else {
-		clear(a.routing)
-	}
-	return a.routing
-}
-
-func (a *playArena) pricingViews(hint int) map[graph.NodeID]fpss.PricingTable {
-	if a == nil {
-		return make(map[graph.NodeID]fpss.PricingTable, hint)
-	}
-	if a.pricing == nil {
-		a.pricing = make(map[graph.NodeID]fpss.PricingTable, hint)
-	} else {
-		clear(a.pricing)
-	}
-	return a.pricing
-}
-
-func (a *playArena) declaredCosts(hint int) fpss.CostTable {
-	if a == nil {
-		return make(fpss.CostTable, hint)
-	}
-	if a.declared == nil {
-		a.declared = make(fpss.CostTable, hint)
-	} else {
-		clear(a.declared)
-	}
-	return a.declared
-}
-
-func (a *playArena) plainStrategies() map[graph.NodeID]*fpss.Strategy {
-	if a == nil {
-		return make(map[graph.NodeID]*fpss.Strategy, 1)
-	}
-	if a.pstrat == nil {
-		a.pstrat = make(map[graph.NodeID]*fpss.Strategy, 1)
-	} else {
-		clear(a.pstrat)
-	}
-	return a.pstrat
-}
-
-func (a *playArena) faithfulStrategies() map[graph.NodeID]*faithful.Strategy {
-	if a == nil {
-		return make(map[graph.NodeID]*faithful.Strategy, 1)
-	}
-	if a.fstrat == nil {
-		a.fstrat = make(map[graph.NodeID]*faithful.Strategy, 1)
-	} else {
-		clear(a.fstrat)
-	}
-	return a.fstrat
-}
-
-func (a *playArena) reportHooks() map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList {
-	if a == nil {
-		return make(map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList, 1)
-	}
-	if a.hooks == nil {
-		a.hooks = make(map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList, 1)
-	} else {
-		clear(a.hooks)
-	}
-	return a.hooks
-}
+// skip the protocol simulation entirely, and every other play replays
+// the whole protocol on a network and bank from the sim and faithful
+// package pools.
 
 // plainState is PlainSystem's truthful snapshot: the honest converged
 // table views, declared costs, honest outcome, and each source's
@@ -202,30 +65,15 @@ func (s *PlainSystem) Snapshot() (core.TruthfulState, error) {
 				s.snapErr = fmt.Errorf("plain run: %w", err)
 				return
 			}
-			n := len(res.Nodes)
-			st = &plainState{
-				routing:  make(map[graph.NodeID]fpss.RoutingTable, n),
-				pricing:  make(map[graph.NodeID]fpss.PricingTable, n),
-				declared: make(fpss.CostTable, n),
-				owed:     make(map[graph.NodeID]int64, n),
-			}
-			for id, node := range res.Nodes {
-				// Quiescent-network views, retained past the nodes'
-				// lifetime: converged tables are immutable.
-				st.routing[id] = node.RoutingView()
-				st.pricing[id] = node.PricingView()
-				st.declared[id] = node.DeclaredCost()
-			}
+			st = plainViews(res)
+			st.owed = make(map[graph.NodeID]int64, len(res.Nodes))
 		}
 		exec, err := s.executeOn(st, nil)
 		if err != nil {
 			s.snapErr = err
 			return
 		}
-		st.base = core.Outcome{Utilities: make(map[core.NodeID]int64, len(exec.Utilities)), Completed: true}
-		for id, u := range exec.Utilities {
-			st.base.Utilities[core.NodeID(id)] = u
-		}
+		st.base = execOutcome(exec)
 		for id, ob := range exec.Obligations {
 			st.owed[id] = ob.Total()
 		}
@@ -240,14 +88,31 @@ func (s *PlainSystem) Snapshot() (core.TruthfulState, error) {
 	return s.snap, nil
 }
 
-// executeOn runs execution-phase accounting over the snapshot's
-// tables — the shared tail of Snapshot and the exec-only fast path.
+// plainViews captures a finished run's converged tables and declared
+// costs. The network is quiescent and execution only reads them, so
+// they are views, not clones.
+func plainViews(res *fpss.Result) *plainState {
+	n := len(res.Nodes)
+	st := &plainState{
+		routing:  make(map[graph.NodeID]fpss.RoutingTable, n),
+		pricing:  make(map[graph.NodeID]fpss.PricingTable, n),
+		declared: make(fpss.CostTable, n),
+	}
+	for id, node := range res.Nodes {
+		st.routing[id] = node.RoutingView()
+		st.pricing[id] = node.PricingView()
+		st.declared[id] = node.DeclaredCost()
+	}
+	return st
+}
+
+// executeOn runs execution-phase accounting over a run's tables — the
+// shared tail of Snapshot, the exec-only fast path and a full replay.
 func (s *PlainSystem) executeOn(st *plainState, hooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList) (*fpss.ExecResult, error) {
 	exec, err := fpss.Execute(st.routing, st.pricing, fpss.ExecConfig{
 		TrueCosts:          s.scen.trueCosts,
 		DeclaredCosts:      st.declared,
 		Traffic:            s.Params.Traffic,
-		Flows:              s.scen.flows,
 		DeliveryValue:      s.Params.DeliveryValue,
 		UndeliveredPenalty: s.Params.UndeliveredPenalty,
 		Scheme:             s.Params.Scheme,
@@ -262,11 +127,9 @@ func (s *PlainSystem) executeOn(st *plainState, hooks map[graph.NodeID]func(fpss
 // Play implements core.System. Execution-only deviations (payment
 // misreports) overlay the snapshot without re-running the protocol —
 // the honest construction is deterministic, so the result is
-// byte-identical to a full replay. Everything else replays the
-// protocol through the arena's network. The returned Outcome lives in
-// the context's arena (valid until the next Play on the same context).
-// A snapshot this system did not take is an error.
-func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
+// byte-identical to a full replay. Everything else replays the whole
+// protocol. A snapshot this system did not take is an error.
+func (s *PlainSystem) Play(_ *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*plainState)
 	if !ok {
 		return core.Outcome{}, foreignSnapshot(st)
@@ -278,31 +141,21 @@ func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviato
 	if !ok {
 		return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
 	}
-	ar := arenaOf(ctx)
 	if d.ExecOnly() {
-		hooks := ar.reportHooks()
-		hooks[graph.NodeID(deviator)] = d.reportPayment
-		exec, err := s.executeOn(snap, hooks)
+		exec, err := s.executeOn(snap, reportHook(deviator, d))
 		if err != nil {
 			return core.Outcome{}, err
 		}
-		out := core.Outcome{Utilities: ar.outcome(len(exec.Utilities)), Completed: true}
-		for id, u := range exec.Utilities {
-			out.Utilities[core.NodeID(id)] = u
-		}
-		return out, nil
+		return execOutcome(exec), nil
 	}
 	if d.SettleOnly() && snap.batch != nil {
 		// The construction and execution phases stay honest: overlay
 		// the deviant settlement on the snapshot's batch directly.
-		out := core.Outcome{Utilities: ar.outcome(len(snap.base.Utilities)), Completed: true}
-		for id, u := range snap.base.Utilities {
-			out.Utilities[id] = u
-		}
+		out := overlayBase(snap.base)
 		s.applySettlement(&out, snap.batch, deviator, d)
 		return out, nil
 	}
-	return s.play(deviator, d, ar)
+	return s.play(deviator, d)
 }
 
 // ProfitUpperBound implements core.Bounder: a catalogue-built payment
@@ -324,6 +177,29 @@ func (s *PlainSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation)
 		return 0, false
 	}
 	return base + snap.owed[graph.NodeID(deviator)], true
+}
+
+// execOutcome maps plain execution-phase accounting onto a
+// core.Outcome.
+func execOutcome(exec *fpss.ExecResult) core.Outcome {
+	out := core.Outcome{Utilities: make(map[core.NodeID]int64, len(exec.Utilities)), Completed: true}
+	for id, u := range exec.Utilities {
+		out.Utilities[core.NodeID(id)] = u
+	}
+	return out
+}
+
+// overlayBase starts a settle-only overlay from the snapshot's
+// baseline: a copy of its utilities, for the settlement to adjust, and
+// its completion flag.
+func overlayBase(base core.Outcome) core.Outcome {
+	return core.Outcome{Utilities: maps.Clone(base.Utilities), Completed: base.Completed}
+}
+
+// reportHook is the DATA4 hook map of a play in which only the
+// deviator misreports its payments.
+func reportHook(deviator core.NodeID, d *Deviation) map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList {
+	return map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList{graph.NodeID(deviator): d.reportPayment}
 }
 
 // foreignSnapshot is Play's error for a snapshot another system took.
@@ -349,66 +225,46 @@ func (st *faithfulState) Baseline() core.Outcome { return st.base }
 var _ core.Bounder = (*FaithfulSystem)(nil)
 
 // Snapshot implements core.System (see PlainSystem.Snapshot).
-// The snapshot owns a dedicated bank so its audit view outlives the
-// run without touching the package pool.
 func (s *FaithfulSystem) Snapshot() (core.TruthfulState, error) {
 	s.scen.init(s.Graph, s.Params, true)
 	s.snapOnce.Do(func() {
+		// The snapshot audits every execution-only play with a bank of
+		// its own over the scenario's checker assignment: the payment
+		// audit reads only that node list.
+		_, checkers := faithful.Topology(s.Graph, s.Params.CheckerLimit)
+		exec := faithful.ExecState{TrueCosts: s.scen.trueCosts, Bank: bank.New(sign.NewAuthority(), checkers)}
+		var res *faithful.Result
+		var err error
 		if sol := s.seed; sol != nil && !s.Params.Loss.Enabled() {
 			// Seeded: an honest construction always converges to the
 			// central solution and always passes the bank checkpoint, so
 			// the certified post-checkpoint state can be synthesized
-			// without simulating phases 1/2. The audit bank only needs
-			// its node list (the checker-assignment keys, exactly what
-			// faithful.Run registers via Reuse); the execution phase and
+			// without simulating phases 1/2. The execution phase and
 			// payment audit then replay through the same execAndAudit
 			// tail faithful.Run uses, making the outcome byte-identical.
-			auditor := new(bank.Bank)
-			auditor.Reuse(sign.NewAuthority(), s.scen.checkers)
-			st := &faithfulState{
-				exec: faithful.ExecState{
-					Routing:   sol.Routing,
-					Pricing:   sol.Pricing,
-					Declared:  sol.Costs,
-					TrueCosts: s.scen.trueCosts,
-					Bank:      auditor,
-				},
-			}
-			res, err := faithful.ExecPlay(st.exec, s.runConfig(nil, nil, nil), nil)
-			if err != nil {
+			exec.Routing, exec.Pricing, exec.Declared = sol.Routing, sol.Pricing, sol.Costs
+			if res, err = faithful.ExecPlay(exec, s.runConfig(nil), nil); err != nil {
 				s.snapErr = fmt.Errorf("faithful seeded snapshot: %w", err)
 				return
 			}
-			st.base = outcomeOf(res, nil)
-			st.ok = true
-			if s.Params.Settle.Enabled() && res.Exec != nil {
-				st.batch = settleBatch(res.Exec)
+		} else {
+			if res, err = faithful.Run(s.runConfig(nil)); err != nil {
+				s.snapErr = fmt.Errorf("faithful run: %w", err)
+				return
 			}
-			s.snap = st
-			return
-		}
-		auditor := new(bank.Bank)
-		res, err := faithful.Run(s.runConfig(nil, nil, auditor))
-		if err != nil {
-			s.snapErr = fmt.Errorf("faithful run: %w", err)
-			return
-		}
-		st := &faithfulState{base: outcomeOf(res, nil)}
-		if res.Completed && len(res.Detections) == 0 {
 			n := len(res.Nodes)
-			st.exec = faithful.ExecState{
-				Routing:   make(map[graph.NodeID]fpss.RoutingTable, n),
-				Pricing:   make(map[graph.NodeID]fpss.PricingTable, n),
-				Declared:  make(fpss.CostTable, n),
-				TrueCosts: s.scen.trueCosts,
-				Bank:      auditor,
-			}
+			exec.Routing = make(map[graph.NodeID]fpss.RoutingTable, n)
+			exec.Pricing = make(map[graph.NodeID]fpss.PricingTable, n)
+			exec.Declared = make(fpss.CostTable, n)
 			for id, node := range res.Nodes {
-				st.exec.Routing[id] = node.RoutingView()
-				st.exec.Pricing[id] = node.PricingView()
-				st.exec.Declared[id] = node.DeclaredCost()
+				exec.Routing[id] = node.RoutingView()
+				exec.Pricing[id] = node.PricingView()
+				exec.Declared[id] = node.DeclaredCost()
 			}
-			st.ok = true
+		}
+		st := &faithfulState{base: outcomeOf(res)}
+		if res.Completed && len(res.Detections) == 0 {
+			st.exec, st.ok = exec, true
 			if s.Params.Settle.Enabled() && res.Exec != nil {
 				st.batch = settleBatch(res.Exec)
 			}
@@ -423,33 +279,23 @@ func (s *FaithfulSystem) Snapshot() (core.TruthfulState, error) {
 
 // runConfig assembles the faithful.Config shared by Snapshot and every
 // play.
-func (s *FaithfulSystem) runConfig(strategies map[graph.NodeID]*faithful.Strategy, net *sim.Network, b *bank.Bank) faithful.Config {
+func (s *FaithfulSystem) runConfig(strategies map[graph.NodeID]*faithful.Strategy) faithful.Config {
 	return faithful.Config{
 		Graph:              s.Graph,
 		Strategies:         strategies,
 		Traffic:            s.Params.Traffic,
-		Flows:              s.scen.flows,
-		Neighbors:          s.scen.neighbors,
-		Checkers:           s.scen.checkers,
 		DeliveryValue:      s.Params.DeliveryValue,
 		UndeliveredPenalty: s.Params.UndeliveredPenalty,
 		NonProgressPenalty: s.Params.NonProgressPenalty,
 		Epsilon:            s.Params.Epsilon,
 		CheckerLimit:       s.Params.CheckerLimit,
 		Loss:               s.Params.Loss,
-		Net:                net,
-		Bank:               b,
 	}
 }
 
-// outcomeOf maps a faithful result onto a core.Outcome, writing
-// utilities into util when supplied (arena reuse) and allocating
-// otherwise.
-func outcomeOf(res *faithful.Result, util map[core.NodeID]int64) core.Outcome {
-	if util == nil {
-		util = make(map[core.NodeID]int64, len(res.Utilities))
-	}
-	out := core.Outcome{Utilities: util, Completed: res.Completed}
+// outcomeOf maps a faithful result onto a core.Outcome.
+func outcomeOf(res *faithful.Result) core.Outcome {
+	out := core.Outcome{Utilities: make(map[core.NodeID]int64, len(res.Utilities)), Completed: res.Completed}
 	for id, u := range res.Utilities {
 		out.Utilities[core.NodeID(id)] = u
 	}
@@ -467,7 +313,7 @@ func outcomeOf(res *faithful.Result, util map[core.NodeID]int64) core.Outcome {
 // Play implements core.System (see PlainSystem.Play). The
 // execution-only overlay replays accounting and the payment audit on
 // the certified snapshot through faithful.ExecPlay.
-func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
+func (s *FaithfulSystem) Play(_ *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*faithfulState)
 	if !ok {
 		return core.Outcome{}, foreignSnapshot(st)
@@ -479,30 +325,24 @@ func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, devi
 	if !ok {
 		return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
 	}
-	ar := arenaOf(ctx)
 	if d.ExecOnly() && snap.ok {
-		hooks := ar.reportHooks()
-		hooks[graph.NodeID(deviator)] = d.reportPayment
-		res, err := faithful.ExecPlay(snap.exec, s.runConfig(nil, nil, nil), hooks)
+		res, err := faithful.ExecPlay(snap.exec, s.runConfig(nil), reportHook(deviator, d))
 		if err != nil {
 			return core.Outcome{}, fmt.Errorf("faithful run: %w", err)
 		}
-		return outcomeOf(res, ar.outcome(len(res.Utilities))), nil
+		return outcomeOf(res), nil
 	}
 	if d.SettleOnly() && snap.ok && snap.batch != nil {
 		// Everything up to the settlement window is honest and
 		// certified: overlay the deviant 2PC settlement on the
 		// snapshot's batch directly.
-		out := core.Outcome{Utilities: ar.outcome(len(snap.base.Utilities)), Completed: snap.base.Completed}
-		for id, u := range snap.base.Utilities {
-			out.Utilities[id] = u
-		}
+		out := overlayBase(snap.base)
 		if err := s.applySettlement(&out, snap.batch, deviator, d); err != nil {
 			return core.Outcome{}, err
 		}
 		return out, nil
 	}
-	return s.play(deviator, d, ar)
+	return s.play(deviator, d)
 }
 
 // ProfitUpperBound implements core.Bounder: under the extended

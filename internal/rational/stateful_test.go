@@ -2,6 +2,7 @@ package rational
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,15 +13,15 @@ import (
 	"repro/internal/graph"
 )
 
-// replayOracle is the one reference the snapshot/overlay/arena
-// machinery must match byte for byte: its snapshot is an honest
-// protocol run, and every play — exec-only and settle-only ones
-// included — replays the whole protocol through play, with no overlay
-// and no arena. Embedding only core.System hides the Bounder, so the
-// oracle never prunes. Drive it through oracleCheck.
+// replayOracle is the one reference the snapshot/overlay machinery
+// must match byte for byte: its snapshot is an honest protocol run,
+// and every play — exec-only and settle-only ones included — replays
+// the whole protocol through play, with no overlay. Embedding only
+// core.System hides the Bounder, so the oracle never prunes. Drive it
+// through oracleCheck.
 type replayOracle struct {
 	core.System
-	play func(core.NodeID, *Deviation, *playArena) (core.Outcome, error)
+	play func(core.NodeID, *Deviation) (core.Outcome, error)
 }
 
 // replayState is the oracle's snapshot: the honest run's outcome.
@@ -29,7 +30,7 @@ type replayState struct{ base core.Outcome }
 func (st replayState) Baseline() core.Outcome { return st.base }
 
 func (o replayOracle) Snapshot() (core.TruthfulState, error) {
-	base, err := o.play(-1, nil, nil)
+	base, err := o.play(-1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +42,7 @@ func (o replayOracle) Play(_ *core.PlayContext, _ core.TruthfulState, deviator c
 	if !ok {
 		return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
 	}
-	return o.play(deviator, d, nil)
+	return o.play(deviator, d)
 }
 
 // oracleCheck runs the sequential search over sys's scenario with the
@@ -57,7 +58,7 @@ func oracleCheck(t *testing.T, sys core.System) core.Report {
 	default:
 		t.Fatalf("no replay oracle for %T", sys)
 	}
-	rep, err := core.CheckFaithfulnessCfg(o, core.CheckConfig{FreshContexts: true})
+	rep, err := core.CheckFaithfulnessCfg(o, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,11 @@ func oracleCheck(t *testing.T, sys core.System) core.Report {
 }
 
 // TestStatefulCheckMatchesRunOracle is the overhaul's acceptance gate:
-// over 100+ seeded scenarios the snapshot/COW/arena engine — pooled
-// contexts, exec-only overlays, and profit-bound pruning with every
-// pruned play replayed and re-verified — must reproduce the replay
-// oracle exactly, across worker counts 1, 2, 4 and 8. Run under -race,
-// the shared snapshots and per-worker arenas are also certified
-// race-free.
+// over 100+ seeded scenarios the snapshot/COW engine — exec-only
+// overlays, and profit-bound pruning with every pruned play replayed
+// and re-verified — must reproduce the replay oracle exactly, across
+// worker counts 1, 2, 4 and 8. Run under -race, the shared snapshots
+// are also certified race-free.
 func TestStatefulCheckMatchesRunOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential deviation search over 100 graphs is the full lane")
@@ -243,5 +243,43 @@ func TestPrunedAccounting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Violations, pruned.Violations) {
 		t.Fatalf("pruning changed the verdict: %+v vs %+v", full.Violations, pruned.Violations)
+	}
+}
+
+// TestPlayOutcomeBelongsToCaller plays two deviations on one context
+// and requires the first outcome to survive the second play: a
+// returned Outcome is the caller's, not scratch the next play reuses.
+// The first play is an execution-only overlay, the second a full
+// replay.
+func TestPlayOutcomeBelongsToCaller(t *testing.T) {
+	g := graph.Figure1()
+	plain, faithful := Systems(g, DefaultParams(g))
+	for _, tc := range []struct {
+		name string
+		sys  core.System
+	}{{"plain", plain}, {"faithful", faithful}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.sys
+			st, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := core.NewPlayContext(0)
+			first, err := sys.Play(ctx, st, 0, findDeviation(t, sys, "underreport-payments-all"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := maps.Clone(first.Utilities)
+			second, err := sys.Play(ctx, st, 2, findDeviation(t, sys, "drop-adverts"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if maps.Equal(kept, second.Utilities) {
+				t.Fatal("both plays have the same utilities; the test cannot tell them apart")
+			}
+			if !maps.Equal(first.Utilities, kept) {
+				t.Fatalf("first outcome changed by the second play:\nwas %v\nnow %v", kept, first.Utilities)
+			}
+		})
 	}
 }

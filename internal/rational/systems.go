@@ -54,19 +54,15 @@ func DefaultParams(g *graph.Graph) Params {
 
 // scenario is the truthful per-scenario state shared read-only by
 // every (node, deviation) play on one System: the deviation catalogue,
-// the node list, the sorted flow order, the true-cost table, and (for
-// the faithful protocol) the topology/checker views. It is computed
-// once, lazily, and must never be mutated afterwards — that is what
-// makes a System's Play safe for the concurrent plays a multi-worker
-// core.CheckConfig fans out.
+// the node list and the true-cost table. It is computed once, lazily,
+// and must never be mutated afterwards — that is what makes a System's
+// Play safe for the concurrent plays a multi-worker core.CheckConfig
+// fans out.
 type scenario struct {
 	once      sync.Once
 	cat       []core.Deviation
 	nodes     []core.NodeID
-	flows     [][2]graph.NodeID
 	trueCosts fpss.CostTable
-	neighbors map[graph.NodeID][]graph.NodeID // faithful only
-	checkers  map[graph.NodeID][]graph.NodeID // faithful only
 }
 
 func (s *scenario) init(g *graph.Graph, p Params, forFaithful bool) {
@@ -94,10 +90,6 @@ func (s *scenario) init(g *graph.Graph, p Params, forFaithful bool) {
 		for i := 0; i < n; i++ {
 			s.nodes[i] = core.NodeID(i)
 			s.trueCosts[graph.NodeID(i)] = g.Cost(graph.NodeID(i))
-		}
-		s.flows = p.Traffic.Flows()
-		if forFaithful {
-			s.neighbors, s.checkers = faithful.Topology(g, p.CheckerLimit)
 		}
 	})
 }
@@ -161,54 +153,29 @@ func (s *PlainSystem) Deviations(core.NodeID) []core.Deviation {
 // play runs the whole protocol — construction, execution and, for a
 // settle deviation, settlement — with d active at deviator (d == nil
 // runs the suggested specification). It is Play's fallback for
-// deviations the snapshot cannot overlay. A nil arena allocates fresh;
-// a worker arena reuses its network and per-play maps.
-func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (core.Outcome, error) {
+// deviations the snapshot cannot overlay.
+func (s *PlainSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, error) {
 	s.scen.init(s.Graph, s.Params, false)
 	var strategies map[graph.NodeID]*fpss.Strategy
 	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
 	if d != nil && deviator >= 0 {
-		node := graph.NodeID(deviator)
-		ctx := Ctx{Graph: s.Graph, Node: node}
 		if d.protocol != nil {
-			strategies = ar.plainStrategies()
-			strategies[node] = d.protocol(ctx)
+			node := graph.NodeID(deviator)
+			strategies = map[graph.NodeID]*fpss.Strategy{node: d.protocol(Ctx{Graph: s.Graph, Node: node})}
 		}
 		if d.reportPayment != nil {
-			reportHooks = ar.reportHooks()
-			reportHooks[node] = d.reportPayment
+			reportHooks = reportHook(deviator, d)
 		}
 	}
-	res, err := fpss.Run(fpss.Config{Graph: s.Graph, Strategies: strategies, Loss: s.Params.Loss, Net: ar.network()})
+	res, err := fpss.Run(fpss.Config{Graph: s.Graph, Strategies: strategies, Loss: s.Params.Loss})
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("plain run: %w", err)
 	}
-	routing := ar.routingViews(len(res.Nodes))
-	pricing := ar.pricingViews(len(res.Nodes))
-	declared := ar.declaredCosts(len(res.Nodes))
-	for id, node := range res.Nodes {
-		// Quiescent-network views: Execute treats tables as read-only.
-		routing[id] = node.RoutingView()
-		pricing[id] = node.PricingView()
-		declared[id] = node.DeclaredCost()
-	}
-	exec, err := fpss.Execute(routing, pricing, fpss.ExecConfig{
-		TrueCosts:          s.scen.trueCosts,
-		DeclaredCosts:      declared,
-		Traffic:            s.Params.Traffic,
-		Flows:              s.scen.flows,
-		DeliveryValue:      s.Params.DeliveryValue,
-		UndeliveredPenalty: s.Params.UndeliveredPenalty,
-		Scheme:             s.Params.Scheme,
-		ReportPayment:      reportHooks,
-	})
+	exec, err := s.executeOn(plainViews(res), reportHooks)
 	if err != nil {
-		return core.Outcome{}, fmt.Errorf("plain execute: %w", err)
+		return core.Outcome{}, err
 	}
-	out := core.Outcome{Utilities: ar.outcome(len(exec.Utilities)), Completed: true}
-	for id, u := range exec.Utilities {
-		out.Utilities[core.NodeID(id)] = u
-	}
+	out := execOutcome(exec)
 	if d != nil && deviator >= 0 && d.settle != nil && s.Params.Settle.Enabled() {
 		s.applySettlement(&out, settleBatch(exec), deviator, d)
 	}
@@ -261,7 +228,7 @@ func (s *FaithfulSystem) Deviations(core.NodeID) []core.Deviation {
 
 // play runs the whole extended protocol with d active at deviator
 // (see PlainSystem.play).
-func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (core.Outcome, error) {
+func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, error) {
 	s.scen.init(s.Graph, s.Params, true)
 	var strategies map[graph.NodeID]*faithful.Strategy
 	if d != nil && deviator >= 0 {
@@ -281,14 +248,13 @@ func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation, ar *playArena)
 		if d.reportPayment != nil {
 			st.ReportPayment = d.reportPayment
 		}
-		strategies = ar.faithfulStrategies()
-		strategies[node] = st
+		strategies = map[graph.NodeID]*faithful.Strategy{node: st}
 	}
-	res, err := faithful.Run(s.runConfig(strategies, ar.network(), ar.auditBank()))
+	res, err := faithful.Run(s.runConfig(strategies))
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("faithful run: %w", err)
 	}
-	out := outcomeOf(res, ar.outcome(len(res.Utilities)))
+	out := outcomeOf(res)
 	// Settlement clears only what the execution phase produced: a run
 	// the bank refused to green-light settles nothing.
 	if d != nil && deviator >= 0 && d.settle != nil && s.Params.Settle.Enabled() && res.Exec != nil {

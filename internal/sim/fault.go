@@ -69,34 +69,30 @@ func WithFaults(m FaultModel) Option {
 }
 
 // SetFaults installs (or, with a disabled model, removes) the crash
-// schedule on an existing network — the caller-owned-network path,
-// mirroring SetLoss. Reset clears it, so pooled networks cannot replay
-// a previous scenario's crashes.
-func (n *Network) SetFaults(m FaultModel) { n.faults = NewFaultSchedule(m) }
+// schedule on an existing network, mirroring SetLoss. Reset clears it,
+// so pooled networks cannot replay a previous scenario's crashes.
+func (n *Network) SetFaults(m FaultModel) { n.faults = newFaultSchedule(m) }
 
 // Down reports whether addr is currently crashed.
-func (n *Network) Down(addr Addr) bool { return n.faults.Down(addr) }
+func (n *Network) Down(addr Addr) bool { return n.faults.isDown(addr) }
 
-// FaultSchedule is a FaultModel's runtime state: per-address pending
+// faultSchedule is a FaultModel's runtime state: per-address pending
 // crash entries (consumed in order), delivery counts since the last
-// arm point, and the set of currently-down addresses. The simulator's
-// Network and livenet's goroutine network both drive one, so crashes
-// fire at the same protocol point in either runtime. A nil schedule
-// means no faults. It takes no lock of its own: the owner serializes
-// calls (the simulator is single-threaded; livenet holds its mutex).
-type FaultSchedule struct {
+// arm point, and the set of currently-down addresses. A nil schedule
+// means no faults.
+type faultSchedule struct {
 	pending map[Addr][]Crash
 	counts  map[Addr]int64
 	down    map[Addr]bool
 }
 
-// NewFaultSchedule builds the runtime schedule for m. A disabled model
+// newFaultSchedule builds the runtime schedule for m. A disabled model
 // yields nil.
-func NewFaultSchedule(m FaultModel) *FaultSchedule {
+func newFaultSchedule(m FaultModel) *faultSchedule {
 	if !m.Enabled() {
 		return nil
 	}
-	fs := &FaultSchedule{pending: make(map[Addr][]Crash), counts: make(map[Addr]int64), down: make(map[Addr]bool)}
+	fs := &faultSchedule{pending: make(map[Addr][]Crash), counts: make(map[Addr]int64), down: make(map[Addr]bool)}
 	for _, c := range m.Schedule {
 		if c.AfterDeliveries < 1 {
 			c.AfterDeliveries = 1
@@ -106,15 +102,15 @@ func NewFaultSchedule(m FaultModel) *FaultSchedule {
 	return fs
 }
 
-// Down reports whether addr is currently crashed.
-func (fs *FaultSchedule) Down(addr Addr) bool {
+// isDown reports whether addr is currently crashed.
+func (fs *faultSchedule) isDown(addr Addr) bool {
 	return fs != nil && fs.down[addr]
 }
 
-// ObserveDelivery records one delivery to addr and reports whether it
+// observeDelivery records one delivery to addr and reports whether it
 // armed a crash; if so the entry is consumed, addr goes down, and the
 // entry is returned so the caller can schedule its restart.
-func (fs *FaultSchedule) ObserveDelivery(addr Addr) (Crash, bool) {
+func (fs *faultSchedule) observeDelivery(addr Addr) (Crash, bool) {
 	if fs == nil {
 		return Crash{}, false
 	}
@@ -133,11 +129,11 @@ func (fs *FaultSchedule) ObserveDelivery(addr Addr) (Crash, bool) {
 	return c, true
 }
 
-// Restore brings a crashed addr back up and reports whether it was
+// restore brings a crashed addr back up and reports whether it was
 // down; false means a stale restart (e.g. the schedule crashed the
 // address again meanwhile, or it was never down).
-func (fs *FaultSchedule) Restore(addr Addr) bool {
-	if !fs.Down(addr) {
+func (fs *faultSchedule) restore(addr Addr) bool {
+	if !fs.isDown(addr) {
 		return false
 	}
 	delete(fs.down, addr)
@@ -154,7 +150,7 @@ type restartMarker struct{}
 // implements Recoverer, runs the recovery hook before any further
 // delivery. Called by the drain loop on a restartMarker.
 func (n *Network) restore(addr Addr) {
-	if !n.faults.Restore(addr) {
+	if !n.faults.restore(addr) {
 		return // stale marker
 	}
 	n.restarts++

@@ -92,10 +92,10 @@ func WithLoss(m LossModel) Option {
 }
 
 // SetLoss installs (or, with a disabled model, removes) the drop model
-// on an existing network — the caller-owned-network path, where the
-// pool options ran at acquisition time and the loss axis arrives with
-// the run configuration. Reset clears it, so pooled networks cannot
-// leak a previous scenario's loss schedule.
+// on an existing network — e.g. a pooled one, where the options ran at
+// acquisition time and the loss axis arrives with the run
+// configuration. Reset clears it, so pooled networks cannot leak a
+// previous scenario's loss schedule.
 func (n *Network) SetLoss(m LossModel) {
 	if !m.Enabled() {
 		n.loss = nil

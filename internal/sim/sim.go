@@ -143,7 +143,7 @@ type Network struct {
 	delay  func(from, to Addr) int64
 	tamper func(m Message) (Message, bool)
 	loss   *lossState
-	faults *FaultSchedule
+	faults *faultSchedule
 
 	sent, delivered, dropped, retried, lost, bytes, steps int64
 	crashes, restarts, crashDropped                       int64
@@ -454,7 +454,7 @@ func (n *Network) drain(maxSteps int64) (Counters, error) {
 		n.bumpIn(ev.msg.To)
 		h.Recv(ctx, ev.msg)
 		if n.faults != nil {
-			if c, fired := n.faults.ObserveDelivery(ev.msg.To); fired {
+			if c, fired := n.faults.observeDelivery(ev.msg.To); fired {
 				n.crashes++
 				if c.RestartDelay >= 0 {
 					n.seq++
