@@ -1,18 +1,12 @@
-// Command liveserve runs a scenario as a long-lived service: a
-// resident live network of protocol actors behind the internal/live
-// RPC boundary, optionally exposed on localhost TCP, driven by the
+// Command liveserve runs a scenario as a long-lived service: each
+// epoch's converged FPSS tables resident behind the internal/live RPC
+// boundary, optionally exposed on localhost TCP, driven by the
 // open-loop load generator, and watched by the online faithfulness
 // monitor.
 //
 //	liveserve -family random -n 16 -rate 5000 -duration 5s -monitor
 //	liveserve -family figure1 -scheme declared -inject 2:misreport-cost-inflate -monitor
 //	liveserve -listen 127.0.0.1:7177 -duration 60s
-//	liveserve -demo
-//
-// -demo replays the old examples/livewire walkthrough on the serving
-// stack: the Figure-1 network converged on live goroutines three
-// times, with node C lying about its transit cost, reaching the same
-// fixpoint every run.
 package main
 
 import (
@@ -25,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/fpss"
-	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/scenario"
 )
@@ -54,13 +47,9 @@ func run(args []string, out io.Writer) error {
 		monitor  = fs.Bool("monitor", false, "run the online faithfulness monitor during the load")
 		inject   = fs.String("inject", "", "deviant to install before serving, as <node>:<deviation>")
 		listen   = fs.String("listen", "", "also serve the RPC boundary on this TCP address")
-		demo     = fs.Bool("demo", false, "run the livewire demo (Figure 1, node C lying) and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *demo {
-		return runDemo(out)
 	}
 
 	sp := scenario.Spec{
@@ -88,7 +77,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 	fmt.Fprintf(out, "serving %s: n=%d epochs=%d\n", sp.Describe(), srv.N(), srv.Epochs())
 
 	if *inject != "" {
@@ -125,7 +113,7 @@ func run(args []string, out io.Writer) error {
 
 	// One load slice per epoch: the open-loop schedule runs against
 	// the resident epoch, then the server advances the churn boundary
-	// live and the next slice hits the evolved network.
+	// live and the next slice hits the evolved epoch.
 	slices := srv.Epochs()
 	perSlice := *duration / time.Duration(slices)
 	for e := 0; ; e++ {
@@ -164,47 +152,5 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  flagged: node %d via %q\n", f.Node, f.Deviation)
 		}
 	}
-	return nil
-}
-
-// runDemo is the old examples/livewire walkthrough on the serving
-// stack: Figure 1 with node C declaring ĉ=5 instead of its true cost,
-// converged on live goroutines three times. Every run reaches the
-// same fixpoint — the composite route order makes the asynchronous
-// computation delivery-order independent.
-func runDemo(out io.Writer) error {
-	g := graph.Figure1()
-	c, _ := g.ByName("C")
-	x, _ := g.ByName("X")
-	z, _ := g.ByName("Z")
-
-	for run := 1; run <= 3; run++ {
-		srv, err := live.NewServer(scenario.Spec{Family: scenario.Figure1})
-		if err != nil {
-			return err
-		}
-		// misreport-cost-inflate declares t+4; C's true cost is 1, so
-		// this is exactly the original livewire lie ĉ=5.
-		if resp := srv.Dispatch(live.Request{Op: live.OpInject, Node: int(c), Deviation: "misreport-cost-inflate"}); !resp.OK {
-			srv.Close()
-			return fmt.Errorf("demo: %s", resp.Err)
-		}
-		route := srv.Dispatch(live.Request{Op: live.OpRoute, Src: int(x), Dst: int(z)})
-		stats := srv.Dispatch(live.Request{Op: live.OpStats})
-		srv.Close()
-		if !route.OK || !stats.OK {
-			return fmt.Errorf("demo: route %q stats %q", route.Err, stats.Err)
-		}
-		fmt.Fprintf(out, "run %d (goroutines, C lies ĉ=5): %d messages, X→Z = ", run, stats.Stats.Net.Sent)
-		for i, hop := range route.Path {
-			if i > 0 {
-				fmt.Fprint(out, "-")
-			}
-			fmt.Fprint(out, g.Name(graph.NodeID(hop)))
-		}
-		fmt.Fprintf(out, " (cost %d)\n", route.Cost)
-	}
-	fmt.Fprintln(out, "\nsame fixpoint every run — the composite route order makes the")
-	fmt.Fprintln(out, "asynchronous computation delivery-order independent.")
 	return nil
 }

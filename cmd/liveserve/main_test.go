@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-// TestDemo pins the ported livewire walkthrough: three live
-// convergences of Figure 1 with C lying ĉ=5 all reach the same
-// fixpoint, and the lie prices C off the X→Z route (X-A-Z, cost 5,
-// instead of the truthful X-D-C-Z at cost 2).
-func TestDemo(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-demo"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if n := strings.Count(got, "X→Z = X-A-Z (cost 5)"); n != 3 {
-		t.Fatalf("want 3 identical X-A-Z fixpoints, got %d in:\n%s", n, got)
-	}
-}
-
 // TestLoadRunWithMonitor is the acceptance path: a short open-loop run
 // against a served scenario with the online monitor enabled, under
 // churn, printing the latency histogram and monitor counters.

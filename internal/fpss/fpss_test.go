@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func figure1IDs(t *testing.T, g *graph.Graph) (a, b, c, d, x, z graph.NodeID) {
@@ -184,6 +185,100 @@ func TestDistributedMatchesCentralRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// orderSeeds is how many delivery orders the order-independence tests
+// try per graph.
+const orderSeeds = 16
+
+// TestOrderIndependence runs the same handlers Run uses under many
+// delivery orders. Each link's delay is drawn from a seed and fixed for
+// the run, so every link stays FIFO while the interleaving across links
+// changes. The fixpoint must not depend on that order: on Figure 1 and
+// five random biconnected graphs, every run equals ComputeCentral.
+func TestOrderIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	graphs := []*graph.Graph{graph.Figure1()}
+	for len(graphs) < 6 {
+		g, err := graph.RandomBiconnected(4+rng.Intn(5), rng.Intn(6), 9, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for gi, g := range graphs {
+		sol, err := ComputeCentral(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make(map[int64]bool)
+		for seed := int64(1); seed <= orderSeeds; seed++ {
+			nodes, c := runWithLinkDelays(t, g, nil, seed)
+			sent[c.Sent] = true
+			for i, node := range nodes {
+				id := graph.NodeID(i)
+				if !node.RoutingView().Equal(sol.Routing[id]) || !node.PricingView().Equal(sol.Pricing[id]) {
+					t.Fatalf("graph %d seed %d: node %d tables differ from central", gi, seed, id)
+				}
+			}
+		}
+		// Distinct message counts show the seeds really reorder delivery.
+		if len(sent) < 2 {
+			t.Errorf("graph %d: all %d seeds sent %v messages; the delays changed no order", gi, orderSeeds, sent)
+		}
+	}
+}
+
+// TestOrderIndependenceWithDeviator runs Figure 1 with C declaring ĉ=5
+// under the same delivery orders: the lie's effect must not depend on
+// the order either, so X→Z is X-A-Z at cost 5 under every seed
+// (Example 1).
+func TestOrderIndependenceWithDeviator(t *testing.T) {
+	g := graph.Figure1()
+	a, _, c, _, x, z := figure1IDs(t, g)
+	lie := map[graph.NodeID]*Strategy{c: {DeclareCost: func(graph.Cost) graph.Cost { return 5 }}}
+	for seed := int64(1); seed <= orderSeeds; seed++ {
+		nodes, _ := runWithLinkDelays(t, g, lie, seed)
+		if e := nodes[x].RoutingView()[z]; !e.Path.Equal(graph.Path{x, a, z}) || e.Cost != 5 {
+			t.Errorf("seed %d: X→Z under ĉ=5 = %v at cost %d, want X-A-Z at cost 5", seed, e.Path, e.Cost)
+		}
+	}
+}
+
+// runWithLinkDelays converges both phases as Run does, on a network
+// where every (from, to) link, the bank's included, gets a delay in
+// [1, 8] drawn from seed on its first message.
+func runWithLinkDelays(t *testing.T, g *graph.Graph, strategies map[graph.NodeID]*Strategy, seed int64) ([]*Node, sim.Counters) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	delays := make(map[[2]sim.Addr]int64)
+	net := sim.NewNetwork(sim.WithDelay(func(from, to sim.Addr) int64 {
+		d, ok := delays[[2]sim.Addr{from, to}]
+		if !ok {
+			d = 1 + rng.Int63n(8)
+			delays[[2]sim.Addr{from, to}] = d
+		}
+		return d
+	}))
+	nodes := make([]*Node, g.N())
+	for i := range nodes {
+		id := graph.NodeID(i)
+		nodes[i] = NewNode(id, g.Cost(id), g.AdjView(id), strategies[id])
+		if err := net.Attach(sim.Addr(i), nodes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.Run(maxSteps); err != nil {
+		t.Fatal(err)
+	}
+	for i := range nodes {
+		net.Inject(BankAddr, sim.Addr(i), StartPhase2{})
+	}
+	c, err := net.Resume(maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nodes, c
 }
 
 func TestDistributedDATA1Converges(t *testing.T) {

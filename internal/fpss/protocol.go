@@ -36,9 +36,6 @@ type Result struct {
 	Phase2 sim.Counters
 }
 
-// TotalMessages returns the protocol message count across phases.
-func (r *Result) TotalMessages() int64 { return r.Phase2.Sent } // Phase2 counters are cumulative
-
 // Run executes the original FPSS distributed protocol: phase 1 (cost
 // flood → DATA1) to quiescence, then phase 2 (routing and pricing
 // iteration → DATA2/DATA3*) to quiescence. The returned counters are

@@ -87,15 +87,6 @@ func (d *Delta) NewToOld(w NodeID) NodeID {
 	return d.newToOld[w]
 }
 
-// OldToNew maps an old-graph node to its new-graph ID, or -1 for a
-// leaver.
-func (d *Delta) OldToNew(v NodeID) NodeID {
-	if v < 0 || int(v) >= len(d.oldToNew) {
-		return -1
-	}
-	return d.oldToNew[v]
-}
-
 // NewDelta builds the evolution descriptor from oldG to newG.
 // oldToNew[v] names the new ID of old node v, or -1 if v left; new IDs
 // not covered are joiners. The surviving map must be injective and

@@ -1,17 +1,17 @@
 // Package live is the serving half of the reproduction: instead of
 // replaying a scenario batch-style (compile → run → report), it keeps
-// a scenario *resident* — the FPSS construction converged once on live
-// goroutine actors (internal/livenet) and then serving route and
-// payment queries from the hot tables — behind a small RPC boundary.
+// a scenario *resident* — the FPSS construction converged once per
+// epoch by fpss.Run, the same run every other path uses, and then
+// serving route and payment queries from the converged tables —
+// behind a small RPC boundary.
 //
 // Three pieces compose:
 //
-//   - Server compiles a scenario.Spec into a resident network of
-//     fpss.Node actors, re-converging per churn epoch without a
-//     process restart. The honest per-epoch state rides the same
-//     central-solution chain the batch checker uses (fpss.Central /
-//     Evolve via churn.Epoch.CentralState), so serving and checking
-//     share one notion of "the honest tables".
+//   - Server compiles a scenario.Spec and converges each churn epoch's
+//     fpss.Node principals without a process restart. The honest
+//     per-epoch state rides the same central-solution chain the batch
+//     checker uses (fpss.Central / Evolve via churn.Epoch.CentralState),
+//     so serving and checking share one notion of "the honest tables".
 //   - Loadgen drives the server open-loop: a seed-deterministic
 //     request schedule at a target rate, with latency measured from
 //     each request's *scheduled* arrival (queueing delay included —
@@ -24,11 +24,10 @@
 //     core.Bounder, as the batch checker (core.CheckFaithfulnessCfg),
 //     which is its differential oracle.
 //
-// Determinism caveat: unlike the event simulator, the live network
-// interleaves goroutines under the runtime scheduler. Converged tables
-// and (given a fixed per-link send order) loss/fault counters are
-// delivery-order independent and therefore still deterministic;
-// wall-clock latencies are not.
+// Determinism: an epoch's converged tables, its Pay obligations and
+// its Stats.Net counters are functions of the spec, the epoch and the
+// injected deviant, the same on every run. Wall-clock latencies and
+// the monitor's progress at any instant are not.
 package live
 
 import (
@@ -46,9 +45,9 @@ const (
 	// OpPay asks for the source's payment obligation for a flow —
 	// who gets paid how much for Packets packets to Dst.
 	OpPay Op = "pay"
-	// OpStats snapshots server, network and monitor counters.
+	// OpStats snapshots server, protocol-run and monitor counters.
 	OpStats Op = "stats"
-	// OpInject mutates the resident network: install a catalogued
+	// OpInject rebuilds the resident epoch: install a catalogued
 	// deviation on a node, advance one churn epoch, or reset to the
 	// honest configuration.
 	OpInject Op = "inject"
@@ -90,11 +89,12 @@ type Stats struct {
 	// running it.
 	Deviant     string `json:"deviant,omitempty"`
 	DeviantNode int    `json:"deviantNode,omitempty"`
-	// Divergence counts nodes whose converged live tables differ from
+	// Divergence counts nodes whose converged served tables differ from
 	// the central solution (always 0 on an honest reliable epoch —
 	// pinned by test; central unavailable under loss ⇒ -1).
 	Divergence int `json:"divergence"`
-	// Net is the resident network's counter snapshot.
+	// Net is the cumulative counters of the fpss.Run that converged
+	// the current epoch, both construction phases.
 	Net sim.Counters `json:"net"`
 	// Monitor is present when an online monitor is attached.
 	Monitor *MonitorStats `json:"monitor,omitempty"`

@@ -17,7 +17,6 @@ func BenchmarkDispatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
 	for _, bc := range []struct {
 		name string
 		op   Op

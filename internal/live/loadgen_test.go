@@ -70,7 +70,6 @@ func TestLoadgenAgainstServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	cfg := LoadgenConfig{Rate: 5000, Requests: 1000, Warmup: 50 * time.Millisecond, Workers: 4, Seed: 17}
 	res, err := RunLoadgen(srv, srv.N(), cfg)
@@ -147,7 +146,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -42,7 +42,6 @@ func TestMonitorMatchesBatchChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	m := NewMonitor(MonitorConfig{Faithful: false, Workers: 4, Seed: 42})
 	if err := srv.AttachMonitor(m); err != nil {
@@ -89,7 +88,6 @@ func TestMonitorFlagsInjectedDeviant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	// Pick the injected pair from the batch report itself, restricted
 	// to deviations that have a live (protocol-part) realization — the
@@ -147,7 +145,6 @@ func TestMonitorFaithfulStaysClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	m := NewMonitor(MonitorConfig{Faithful: true, Workers: 4, Seed: 9, Prune: true})
 	if err := srv.AttachMonitor(m); err != nil {

@@ -4,29 +4,21 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/churn"
 	"repro/internal/fpss"
 	"repro/internal/graph"
-	"repro/internal/livenet"
 	"repro/internal/rational"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// ConvergeTimeout bounds each quiescence wait while (re)building an
-// epoch's resident network. Generous: a converged smoke-suite epoch
-// quiesces in milliseconds; the bound only matters when a bug (or a
-// pathological deviation) stalls the Dijkstra–Scholten counter.
-const ConvergeTimeout = 60 * time.Second
-
-// Server keeps one scenario resident: a live goroutine network of
-// fpss.Node actors, converged through both construction phases and
-// then held quiescent while Route/Pay requests read its hot tables.
-// Epoch advances and deviant injections rebuild the network in place
-// (old actors shut down, new ones converge) without restarting the
-// process — the central-solution chain stays hot across boundaries.
+// Server keeps one scenario resident: each epoch's fpss.Node
+// principals, converged through both construction phases by one
+// fpss.Run, whose tables Route and Pay requests then read. Epoch
+// advances and deviant injections rebuild the epoch in place, without
+// restarting the process, so the central-solution chain stays hot
+// across boundaries.
 //
 // Dispatch is safe for concurrent use: reads (Route/Pay/Stats) take a
 // shared lock against the rare rebuild writes.
@@ -47,18 +39,19 @@ type Server struct {
 }
 
 // epochState is one epoch resident: the compiled scenario, the
-// converged live network and its node handlers, plus read-only caches
-// derived from the quiesced tables.
+// principals of its converged fpss.Run and that run's counters, plus
+// read-only caches derived from the converged tables.
 type epochState struct {
-	comp    *scenario.Compiled
-	central *fpss.Central // nil when the central path is not authoritative
-	net     *livenet.Net
-	nodes   []*fpss.Node
-	// declared is the converged DATA1 (identical at every node after
-	// phase 1 — cached from node 0), used by SchemeDeclaredCost
-	// obligations.
+	comp     *scenario.Compiled
+	central  *fpss.Central // nil when the central path is not authoritative
+	nodes    []*fpss.Node  // indexed by NodeID
+	counters sim.Counters  // the run's cumulative counters
+	// declared is each principal's own DATA1 declaration, the amount
+	// SchemeDeclaredCost obligations pay it. A deviant that tampers
+	// with relayed costs leaves other nodes' DATA1 views disagreeing,
+	// so no single node's view will do.
 	declared fpss.CostTable
-	// divergence counts nodes whose live tables differ from the
+	// divergence counts nodes whose served tables differ from the
 	// central solution; -1 when central is nil.
 	divergence int
 	// deviant names the injected deviation ("" = honest).
@@ -67,8 +60,7 @@ type epochState struct {
 }
 
 // NewServer compiles the spec's timeline (one epoch for static specs)
-// and converges epoch 0 on a live network. Close releases the
-// resident goroutines.
+// and converges epoch 0.
 func NewServer(sp scenario.Spec) (*Server, error) {
 	tl, err := churn.Build(sp)
 	if err != nil {
@@ -107,15 +99,9 @@ func (s *Server) bindMonitorLocked() error {
 	return s.monitor.Bind(s.st.comp, s.st.central)
 }
 
-// Close shuts the resident network down. The server must not be
-// dispatched to afterwards.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st != nil {
-		s.st.net.Shutdown()
-	}
-}
+// Close does nothing: a converged epoch holds no goroutines or open
+// network. It remains only because the benchmark harness calls it.
+func (s *Server) Close() {}
 
 // N returns the current epoch's node count.
 func (s *Server) N() int {
@@ -124,10 +110,9 @@ func (s *Server) N() int {
 	return s.st.comp.Graph.N()
 }
 
-// Tables snapshots the resident nodes' converged DATA2/DATA3* — the
-// exact tables Route and Pay serve from. The differential suite pins
-// them byte-identical to the central solution and to an event-
-// simulator run of the same spec.
+// Tables snapshots the resident principals' converged DATA2/DATA3*,
+// the exact tables Route and Pay serve from. The differential suite
+// pins them byte-identical to the central solution.
 func (s *Server) Tables() (map[graph.NodeID]fpss.RoutingTable, map[graph.NodeID]fpss.PricingTable) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -143,7 +128,7 @@ func (s *Server) Tables() (map[graph.NodeID]fpss.RoutingTable, map[graph.NodeID]
 // Epochs returns the timeline length (1 for static scenarios).
 func (s *Server) Epochs() int { return len(s.tl.Epochs) }
 
-// buildEpoch converges epoch e on a fresh live network, with node
+// buildEpoch converges epoch e with one fpss.Run, with node
 // `deviantNode` running the named catalogued deviation (deviant == ""
 // builds the honest epoch). It does not install the result. The
 // epoch's compile and, when the central path is authoritative, its
@@ -158,79 +143,52 @@ func (s *Server) buildEpoch(e int, deviantNode graph.NodeID, deviant string) (*e
 	if !ok {
 		central = nil
 	}
-	var strat *fpss.Strategy
+	var strategies map[graph.NodeID]*fpss.Strategy
 	if deviant != "" {
 		d, ok := rational.FindDeviation(deviant, true)
 		if !ok {
 			return nil, fmt.Errorf("live: unknown deviation %q", deviant)
 		}
-		strat, ok = d.ProtocolStrategy(rational.Ctx{Graph: comp.Graph, Node: deviantNode})
+		strat, ok := d.ProtocolStrategy(rational.Ctx{Graph: comp.Graph, Node: deviantNode})
 		if !ok {
 			return nil, fmt.Errorf("live: deviation %q has no protocol part to run live", deviant)
 		}
+		strategies = map[graph.NodeID]*fpss.Strategy{deviantNode: strat}
+	}
+	res, err := fpss.Run(fpss.Config{Graph: comp.Graph, Strategies: strategies, Loss: comp.Params.Loss})
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 
-	g := comp.Graph
-	n := g.N()
-	nodes := make([]*fpss.Node, n)
-	handlers := make(map[sim.Addr]sim.Handler, n)
-	for i := 0; i < n; i++ {
-		id := graph.NodeID(i)
-		var si *fpss.Strategy
-		if deviant != "" && id == deviantNode {
-			si = strat
-		}
-		nodes[i] = fpss.NewNode(id, g.Cost(id), g.AdjView(id), si)
-		handlers[sim.Addr(i)] = nodes[i]
-	}
-	net := livenet.New(handlers)
-	net.SetLoss(comp.Params.Loss)
-	if err := net.Start(); err != nil {
-		return nil, err
-	}
-	if err := net.WaitQuiescence(ConvergeTimeout); err != nil {
-		net.Shutdown()
-		return nil, fmt.Errorf("live: phase 1: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		net.Inject(fpss.BankAddr, sim.Addr(i), fpss.StartPhase2{})
-	}
-	if err := net.WaitQuiescence(ConvergeTimeout); err != nil {
-		net.Shutdown()
-		return nil, fmt.Errorf("live: phase 2: %w", err)
-	}
-
+	n := comp.Graph.N()
 	st := &epochState{
 		comp:        comp,
 		central:     central,
-		net:         net,
-		nodes:       nodes,
-		declared:    nodes[0].Costs(),
+		nodes:       make([]*fpss.Node, n),
+		counters:    res.Phase2,
+		declared:    make(fpss.CostTable, n),
 		divergence:  -1,
 		deviant:     deviant,
 		deviantNode: deviantNode,
 	}
 	if central != nil {
 		st.divergence = 0
-		for i := 0; i < n; i++ {
-			id := graph.NodeID(i)
-			if !nodes[i].RoutingView().Equal(central.Sol.Routing[id]) ||
-				!nodes[i].PricingView().Equal(central.Sol.Pricing[id]) {
-				st.divergence++
-			}
+	}
+	for id, nd := range res.Nodes {
+		st.nodes[id] = nd
+		st.declared[id] = nd.DeclaredCost()
+		if central != nil && (!nd.RoutingView().Equal(central.Sol.Routing[id]) ||
+			!nd.PricingView().Equal(central.Sol.Pricing[id])) {
+			st.divergence++
 		}
 	}
 	return st, nil
 }
 
-// swap installs a freshly built epoch state, shutting the old network
-// down and rebinding the monitor.
+// swap installs a freshly built epoch state and rebinds the monitor.
 func (s *Server) swap(e int, st *epochState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.st != nil {
-		s.st.net.Shutdown()
-	}
 	s.epoch, s.st = e, st
 	return s.bindMonitorLocked()
 }
@@ -306,8 +264,10 @@ func (s *Server) stats() Response {
 		N:          st.comp.Graph.N(),
 		Deviant:    st.deviant,
 		Divergence: st.divergence,
-		Net:        st.net.Counters(),
 	}
+	// Add builds fresh per-node maps, so the reply never aliases the
+	// resident epoch's counters.
+	stats.Net.Add(st.counters)
 	if st.deviant != "" {
 		stats.DeviantNode = int(st.deviantNode)
 	}

@@ -2,13 +2,16 @@ package live
 
 import (
 	"maps"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/fpss"
 	"repro/internal/graph"
+	"repro/internal/rational"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestServerRouteAndPay serves the paper's Figure-1 scenario and
@@ -22,7 +25,6 @@ func TestServerRouteAndPay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
 
 		comp, err := sp.Compile()
 		if err != nil {
@@ -86,14 +88,13 @@ func TestServerRouteAndPay(t *testing.T) {
 			t.Fatalf("honest reliable epoch diverges from central: %+v", stats.Stats)
 		}
 		if stats.Stats.Net.Sent == 0 {
-			t.Fatalf("resident network reports no construction traffic: %+v", stats.Stats.Net)
+			t.Fatalf("the epoch's run reports no construction traffic: %+v", stats.Stats.Net)
 		}
 	}
 }
 
-// TestServerDifferentialSmokeSuite is the tentpole differential: for
-// every smoke-suite spec, the quiesced live tables are byte-identical
-// to the central solution AND to the event-simulator protocol run.
+// TestServerDifferentialSmokeSuite pins, for every smoke-suite spec,
+// the served tables byte-identical to the central solution.
 func TestServerDifferentialSmokeSuite(t *testing.T) {
 	suite, ok := scenario.LookupSuite("smoke")
 	if !ok {
@@ -107,8 +108,7 @@ func TestServerDifferentialSmokeSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			liveRouting, livePricing := srv.Tables()
+			routing, pricing := srv.Tables()
 
 			comp, err := sp.Compile()
 			if err != nil {
@@ -118,24 +118,14 @@ func TestServerDifferentialSmokeSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simRes, err := fpss.Run(fpss.Config{Graph: comp.Graph})
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			for i := 0; i < comp.Graph.N(); i++ {
 				id := graph.NodeID(i)
-				if !liveRouting[id].Equal(sol.Routing[id]) {
-					t.Fatalf("node %d: live routing != central", i)
+				if !routing[id].Equal(sol.Routing[id]) {
+					t.Fatalf("node %d: served routing != central", i)
 				}
-				if !livePricing[id].Equal(sol.Pricing[id]) {
-					t.Fatalf("node %d: live pricing != central", i)
-				}
-				if !liveRouting[id].Equal(simRes.Nodes[id].Routing()) {
-					t.Fatalf("node %d: live routing != simulator", i)
-				}
-				if !livePricing[id].Equal(simRes.Nodes[id].Pricing()) {
-					t.Fatalf("node %d: live pricing != simulator", i)
+				if !pricing[id].Equal(sol.Pricing[id]) {
+					t.Fatalf("node %d: served pricing != central", i)
 				}
 			}
 		})
@@ -143,8 +133,9 @@ func TestServerDifferentialSmokeSuite(t *testing.T) {
 }
 
 // TestServerChurnAdvance walks a churn timeline live: every epoch
-// re-converges in place (no restart) and matches the evolved central
-// solution exactly.
+// re-converges in place (no restart), matches the evolved central
+// solution exactly, and reports the counters of an fpss.Run on that
+// epoch's graph.
 func TestServerChurnAdvance(t *testing.T) {
 	sp := scenario.Spec{
 		Family:   scenario.Random,
@@ -157,7 +148,6 @@ func TestServerChurnAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	if srv.Epochs() != 3 {
 		t.Fatalf("want 3 epochs, got %d", srv.Epochs())
 	}
@@ -171,6 +161,14 @@ func TestServerChurnAdvance(t *testing.T) {
 		}
 		if stats.Stats.Divergence != 0 {
 			t.Fatalf("epoch %d: %d nodes diverge from the evolved central solution", e, stats.Stats.Divergence)
+		}
+		comp := srv.tl.Epochs[e].Compiled
+		res, err := fpss.Run(fpss.Config{Graph: comp.Graph, Loss: comp.Params.Loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stats.Stats.Net, res.Phase2) {
+			t.Fatalf("epoch %d: Stats.Net = %+v, fpss.Run counters %+v", e, stats.Stats.Net, res.Phase2)
 		}
 		if e == srv.Epochs()-1 {
 			break
@@ -201,7 +199,6 @@ func TestServerConcurrentAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	if srv.Epochs() != 4 {
 		t.Fatalf("want 4 epochs, got %d", srv.Epochs())
 	}
@@ -235,29 +232,43 @@ func TestServerConcurrentAdvance(t *testing.T) {
 // TestServerInjectDeviant installs a construction-phase deviation on a
 // resident node: the epoch re-converges with the manipulated tables
 // (divergence > 0 under the declared-cost scheme) and Reset restores
-// the honest state.
+// the honest state. The deviant is Figure 1's node C inflating its
+// cost from 1 to ĉ=5, the paper's Example 1, which moves X→Z from
+// X-D-C-Z at cost 2 to X-A-Z at cost 5.
 func TestServerInjectDeviant(t *testing.T) {
 	sp := scenario.Spec{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost}
 	srv, err := NewServer(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	g := srv.tl.Epochs[0].Compiled.Graph
+	byName := func(name string) int {
+		id, ok := g.ByName(name)
+		if !ok {
+			t.Fatalf("Figure 1 has no node %s", name)
+		}
+		return int(id)
+	}
+	a, c, x, z := byName("A"), byName("C"), byName("X"), byName("Z")
 
-	resp := srv.Dispatch(Request{Op: OpInject, Node: 2, Deviation: "misreport-cost-inflate"})
+	resp := srv.Dispatch(Request{Op: OpInject, Node: c, Deviation: "misreport-cost-inflate"})
 	if !resp.OK {
 		t.Fatal(resp.Err)
 	}
 	stats := srv.Dispatch(Request{Op: OpStats}).Stats
-	if stats.Deviant != "misreport-cost-inflate" || stats.DeviantNode != 2 {
+	if stats.Deviant != "misreport-cost-inflate" || stats.DeviantNode != c {
 		t.Fatalf("deviant not recorded: %+v", stats)
 	}
 	if stats.Divergence == 0 {
 		t.Fatal("cost inflation left the converged tables identical to the honest central solution")
 	}
+	route := srv.Dispatch(Request{Op: OpRoute, Src: x, Dst: z})
+	if !route.OK || !slices.Equal(route.Path, []int{x, a, z}) || route.Cost != 5 {
+		t.Fatalf("X→Z with C declaring ĉ=5: got %+v, want X-A-Z at cost 5", route)
+	}
 
 	// A checker-only deviation has no live realization.
-	if resp := srv.Dispatch(Request{Op: OpInject, Node: 2, Deviation: "misreport-loss-blame"}); resp.OK {
+	if resp := srv.Dispatch(Request{Op: OpInject, Node: c, Deviation: "misreport-loss-blame"}); resp.OK {
 		t.Fatal("injected a deviation with no protocol part")
 	}
 
@@ -267,5 +278,146 @@ func TestServerInjectDeviant(t *testing.T) {
 	stats = srv.Dispatch(Request{Op: OpStats}).Stats
 	if stats.Deviant != "" || stats.Divergence != 0 {
 		t.Fatalf("reset did not restore the honest epoch: %+v", stats)
+	}
+}
+
+// TestServerDeviantFixpointRepeats converges the same deviant three
+// times, with a Reset between: each epoch rebuild reaches one fixpoint.
+// Every run serves X→Z as X-A-Z at cost 5 (C declaring ĉ=5, Example
+// 1), the same tables and the same network counters.
+func TestServerDeviantFixpointRepeats(t *testing.T) {
+	sp := scenario.Spec{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost}
+	srv, err := NewServer(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := srv.tl.Epochs[0].Compiled.Graph
+	byName := func(name string) int {
+		id, ok := g.ByName(name)
+		if !ok {
+			t.Fatalf("Figure 1 has no node %s", name)
+		}
+		return int(id)
+	}
+	a, c, x, z := byName("A"), byName("C"), byName("X"), byName("Z")
+
+	var (
+		firstRouting map[graph.NodeID]fpss.RoutingTable
+		firstPricing map[graph.NodeID]fpss.PricingTable
+		firstNet     sim.Counters
+	)
+	for run := 0; run < 3; run++ {
+		if resp := srv.Dispatch(Request{Op: OpInject, Node: c, Deviation: "misreport-cost-inflate"}); !resp.OK {
+			t.Fatal(resp.Err)
+		}
+		route := srv.Dispatch(Request{Op: OpRoute, Src: x, Dst: z})
+		if !route.OK || !slices.Equal(route.Path, []int{x, a, z}) || route.Cost != 5 {
+			t.Fatalf("run %d: X→Z with C declaring ĉ=5: got %+v, want X-A-Z at cost 5", run, route)
+		}
+		routing, pricing := srv.Tables()
+		net := srv.Dispatch(Request{Op: OpStats}).Stats.Net
+		if run == 0 {
+			firstRouting, firstPricing, firstNet = routing, pricing, net
+			continue
+		}
+		if !maps.EqualFunc(routing, firstRouting, fpss.RoutingTable.Equal) ||
+			!maps.EqualFunc(pricing, firstPricing, fpss.PricingTable.Equal) {
+			t.Errorf("run %d: served tables differ from run 0", run)
+		}
+		if !reflect.DeepEqual(net, firstNet) {
+			t.Errorf("run %d: counters %+v, run 0 had %+v", run, net, firstNet)
+		}
+		if resp := srv.Dispatch(Request{Op: OpInject, Reset: true}); !resp.OK {
+			t.Fatal(resp.Err)
+		}
+	}
+}
+
+// TestServerPayDeclaredCostUnderDeviants pins Pay under the
+// declared-cost scheme to the batch path's rule while a deviant runs:
+// each transit node is paid its own DATA1 declaration. For every
+// catalogued deviation with a protocol part, injected at every node of
+// Figure 1, every Pay answer equals fpss.Execute's one-packet
+// obligation over an fpss.Run with the same strategy. A deviant that
+// tampers with relayed costs leaves the nodes' DATA1 views
+// disagreeing, so no one node's view prices every transit. A flow
+// whose packet the deviant's tables strand owes nothing in Execute,
+// while Pay still answers from the source's own tables, so only
+// delivered flows are compared.
+func TestServerPayDeclaredCostUnderDeviants(t *testing.T) {
+	sp := scenario.Spec{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost}
+	srv, err := NewServer(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := srv.tl.Epochs[0].Compiled.Graph
+	n := g.N()
+	trueCosts := make(fpss.CostTable, n)
+	for i := 0; i < n; i++ {
+		trueCosts[graph.NodeID(i)] = g.Cost(graph.NodeID(i))
+	}
+	checked := 0
+	for _, family := range [][]*rational.Deviation{
+		rational.Catalogue(true),
+		rational.LossCatalogue(true),
+		rational.ShardCatalogue(true),
+	} {
+		for _, d := range family {
+			for node := 0; node < n; node++ {
+				strat, ok := d.ProtocolStrategy(rational.Ctx{Graph: g, Node: graph.NodeID(node)})
+				if !ok {
+					break
+				}
+				if resp := srv.Dispatch(Request{Op: OpInject, Node: node, Deviation: d.Name()}); !resp.OK {
+					t.Fatalf("inject %s at %d: %s", d.Name(), node, resp.Err)
+				}
+				res, err := fpss.Run(fpss.Config{Graph: g, Strategies: map[graph.NodeID]*fpss.Strategy{graph.NodeID(node): strat}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The tables and declarations rational.PlainSystem
+				// executes over.
+				routing := make(map[graph.NodeID]fpss.RoutingTable, n)
+				pricing := make(map[graph.NodeID]fpss.PricingTable, n)
+				declared := make(fpss.CostTable, n)
+				for id, nd := range res.Nodes {
+					routing[id], pricing[id], declared[id] = nd.RoutingView(), nd.PricingView(), nd.DeclaredCost()
+				}
+				for src := 0; src < n; src++ {
+					for dst := 0; dst < n; dst++ {
+						if src == dst {
+							continue
+						}
+						flow := [2]graph.NodeID{graph.NodeID(src), graph.NodeID(dst)}
+						exec, err := fpss.Execute(routing, pricing, fpss.ExecConfig{
+							TrueCosts:     trueCosts,
+							DeclaredCosts: declared,
+							Traffic:       fpss.Traffic{flow: 1},
+							Scheme:        fpss.SchemeDeclaredCost,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if exec.Delivered == 0 {
+							continue
+						}
+						checked++
+						owed := exec.Obligations[flow[0]]
+						pay := srv.Dispatch(Request{Op: OpPay, Src: src, Dst: dst})
+						got := make(fpss.PaymentList, len(pay.Payments))
+						for _, p := range pay.Payments {
+							got[graph.NodeID(p.To)] = p.Amount
+						}
+						if !maps.Equal(got, owed) || pay.Total != owed.Total() {
+							t.Errorf("%s at %d: pay %d->%d: got %v (total %d, err %q), Execute owes %v",
+								d.Name(), node, src, dst, got, pay.Total, pay.Err, owed)
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no delivered flow to compare")
 	}
 }

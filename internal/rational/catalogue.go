@@ -499,8 +499,8 @@ func LossCatalogue(forFaithful bool) []*Deviation {
 // ProtocolStrategy builds the deviation's construction-phase strategy
 // for ctx. It reports false when the deviation has no protocol part —
 // checker-, execution-, and settlement-only deviations have no
-// realization as a live node's strategy, so a serving layer cannot
-// inject them into a resident network.
+// realization as a principal's strategy, so a serving layer cannot
+// inject them into a resident epoch.
 func (d *Deviation) ProtocolStrategy(ctx Ctx) (*fpss.Strategy, bool) {
 	if d.protocol == nil {
 		return nil, false

@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // This file is the lossy-links failure axis at the simulator level:
 // a seeded, per-link drop model with a bounded sender-side retry
 // envelope. The paper's network is reliable; §5 observes that other
@@ -9,7 +7,7 @@ import "sync"
 // construction "falsely detect and punish manipulation". The drop
 // model makes omission a declarative, deterministic property of a run
 // so the layers above (fpss, faithful, scenario) can study exactly
-// that interplay instead of reproducing it as one-off tamper hooks.
+// that interplay instead of reproducing it with one-off drop hooks.
 
 // LossModel configures seeded per-link message loss. The zero value
 // means a reliable network — byte-identical behavior to a network
@@ -179,59 +177,6 @@ func (l *linkLoss) transition(m LossModel) {
 	if l.next() < pGB {
 		l.bad = true
 	}
-}
-
-// LossScheduler is a standalone, concurrency-safe view of a
-// LossModel's per-link schedule streams for runtimes other than the
-// event simulator — livenet's goroutine mailboxes resolve each send
-// through one of these instead of the Network's embedded lossState.
-// Outcome consumes exactly the schedule positions the simulator's
-// enqueue loop would (attempt draws plus the retransmission-timeout
-// idles between failed attempts), so a live run and a simulated run
-// that put the k-th message on a link in the same order see identical
-// per-link fates and identical Dropped/Retried/Lost counters.
-type LossScheduler struct {
-	mu    sync.Mutex
-	state lossState
-}
-
-// NewLossScheduler builds a scheduler for the model. A disabled model
-// yields nil, and a nil scheduler's Outcome reports every message
-// delivered — threading an unset configuration through is safe.
-func NewLossScheduler(m LossModel) *LossScheduler {
-	if !m.Enabled() {
-		return nil
-	}
-	return &LossScheduler{state: lossState{model: m}}
-}
-
-// Outcome draws one message's worth of the (from, to) link schedule:
-// the number of failed attempts (each one a Counters.Dropped), the
-// extra attempts a successful delivery consumed (Counters.Retried),
-// and whether the envelope gave up (Counters.Lost — the message must
-// not be delivered).
-func (s *LossScheduler) Outcome(from, to Addr) (dropped, retried int64, lost bool) {
-	if s == nil {
-		return 0, 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	link := s.state.link(from, to)
-	m := s.state.model
-	attempt, max := 1, m.attempts()
-	for ; attempt <= max; attempt++ {
-		if !link.drop(m) {
-			break
-		}
-		dropped++
-		if attempt < max {
-			link.idle(m, m.retryDelay())
-		}
-	}
-	if attempt > max {
-		return dropped, 0, true
-	}
-	return dropped, int64(attempt - 1), false
 }
 
 // drop consumes one attempt from the link's schedule and reports

@@ -45,16 +45,13 @@ type Message struct {
 	Payload any
 }
 
-// Context is the API a handler uses during Init/Recv. It is an
-// interface so the same handlers run unchanged on the deterministic
-// event simulator and on the goroutine-based livenet runtime. The
-// Context passed to a handler is only valid for the duration of the
-// call; handlers must not retain it.
+// Context is the API a handler uses during Init/Recv: its own address
+// and a way to send. It carries no clock, so a handler reacts only to
+// the messages it receives. The Context passed to a handler is only
+// valid for the duration of the call; handlers must not retain it.
 type Context interface {
 	// Self returns the handler's own address.
 	Self() Addr
-	// Now returns the current (runtime-specific) logical time.
-	Now() int64
 	// Send enqueues a message to the given address.
 	Send(to Addr, payload any)
 }
@@ -80,7 +77,7 @@ type Sizer interface{ Size() int }
 type Counters struct {
 	Sent         int64 // messages submitted via Send (including lost ones)
 	Delivered    int64 // messages handed to Recv
-	Dropped      int64 // drops: Tamper-hook rejections and failed loss-model attempts
+	Dropped      int64 // failed loss-model attempts
 	Retried      int64 // extra delivery attempts consumed by the loss envelope
 	Lost         int64 // messages permanently lost (every attempt dropped)
 	Crashes      int64 // endpoint crashes fired by the fault model
@@ -141,7 +138,6 @@ type Network struct {
 	seq    int64
 	now    int64
 	delay  func(from, to Addr) int64
-	tamper func(m Message) (Message, bool)
 	loss   *lossState
 	faults *faultSchedule
 
@@ -161,13 +157,6 @@ type Option func(*Network)
 // WithDelay sets a deterministic per-link delay function (default: 1).
 func WithDelay(d func(from, to Addr) int64) Option {
 	return func(n *Network) { n.delay = d }
-}
-
-// WithTamper installs a message hook used by fault-injection tests;
-// returning ok=false drops the message. Rational deviations should be
-// modeled in handlers instead — the paper's network is obedient.
-func WithTamper(t func(m Message) (Message, bool)) Option {
-	return func(n *Network) { n.tamper = t }
 }
 
 // NewNetwork returns an empty network.
@@ -218,10 +207,10 @@ func (n *Network) Reset() {
 	clear(n.queue)
 	n.queue = n.queue[:0]
 	n.seq, n.now = 0, 0
-	// Fault hooks, loss schedules and crash schedules are per-scenario
+	// Delay hooks, loss schedules and crash schedules are per-scenario
 	// state: a pooled network re-acquired for a clean run must never
-	// replay a previous scenario's drops, tampering or crashes.
-	n.delay, n.tamper, n.loss, n.faults = nil, nil, nil, nil
+	// replay a previous scenario's delays, drops or crashes.
+	n.delay, n.loss, n.faults = nil, nil, nil
 	n.sent, n.delivered, n.dropped, n.retried, n.lost, n.bytes, n.steps = 0, 0, 0, 0, 0, 0, 0
 	n.crashes, n.restarts, n.crashDropped = 0, 0, 0
 	clear(n.denseIn)
@@ -286,7 +275,6 @@ type netContext struct {
 var _ Context = (*netContext)(nil)
 
 func (c *netContext) Self() Addr { return c.self }
-func (c *netContext) Now() int64 { return c.net.now }
 func (c *netContext) Send(to Addr, payload any) {
 	c.net.send(c.self, to, payload)
 }
@@ -299,18 +287,10 @@ func (n *Network) send(from, to Addr, payload any) {
 // fault hook) and Inject (out-of-band control traffic, exempt from the
 // loss model — see Inject).
 func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
-	m := Message{From: from, To: to, Payload: payload}
-	if n.tamper != nil {
-		var ok bool
-		if m, ok = n.tamper(m); !ok {
-			n.dropped++
-			return
-		}
-	}
 	n.sent++
 	n.bumpOut(from)
 	size := int64(1)
-	if s, ok := m.Payload.(Sizer); ok {
+	if s, ok := payload.(Sizer); ok {
 		size = int64(s.Size())
 	}
 	n.bytes += size
@@ -354,7 +334,7 @@ func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 		link.lastAt = at
 	}
 	n.seq++
-	n.queue.push(event{at: at, seq: n.seq, msg: m})
+	n.queue.push(event{at: at, seq: n.seq, msg: Message{From: from, To: to, Payload: payload}})
 }
 
 func (n *Network) bumpOut(a Addr) {
@@ -475,8 +455,8 @@ func (n *Network) drain(maxSteps int64) (Counters, error) {
 //
 // Injected messages are out-of-band control traffic — a trusted
 // coordinator's phase transitions and checkpoint requests, not
-// node-to-node links — so they are exempt from the loss model (tamper
-// and delay hooks still apply). Lossy phase-boundary control would
+// node-to-node links — so they are exempt from the loss model (the
+// delay hook still applies). Lossy phase-boundary control would
 // let a retried StartPhase2 arrive after a neighbor's first phase-2
 // message, turning an experimenter's control plane into spurious
 // protocol reordering.

@@ -174,28 +174,6 @@ func (r *recorder) Recv(_ Context, m Message) {
 	}
 }
 
-func TestTamperDrop(t *testing.T) {
-	n := NewNetwork(WithTamper(func(m Message) (Message, bool) {
-		if v, ok := m.Payload.(int); ok && v%2 == 0 {
-			return m, false
-		}
-		return m, true
-	}))
-	rec := &recorder{}
-	_ = n.Attach(9, rec)
-	_ = n.Attach(0, &burst{to: 9, count: 6})
-	c, err := n.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Dropped != 3 {
-		t.Errorf("dropped = %d, want 3", c.Dropped)
-	}
-	if len(rec.seen) != 3 {
-		t.Errorf("delivered = %v, want odd values only", rec.seen)
-	}
-}
-
 func TestInjectAndResume(t *testing.T) {
 	n := NewNetwork()
 	rec := &recorder{}
@@ -395,11 +373,16 @@ func TestSparseAddresses(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	// A Reset network behaves exactly like a fresh one: handlers,
 	// hooks, counters, queue and time are all cleared.
-	n := NewNetwork(WithTamper(func(m Message) (Message, bool) { return m, false }))
+	n := NewNetwork(
+		WithDelay(func(Addr, Addr) int64 { return 50 }),
+		WithLoss(LossModel{Rate: 0.9, Seed: 1, Attempts: 1}),
+	)
 	_ = n.Attach(0, &burst{to: 1, count: 5})
 	_ = n.Attach(1, &recorder{})
-	if _, err := n.Run(100); err != nil {
+	if c, err := n.Run(100); err != nil {
 		t.Fatal(err)
+	} else if c.Dropped == 0 {
+		t.Fatal("loss hook dropped nothing before Reset")
 	}
 	n.Reset()
 	if _, ok := n.Handler(0); ok {
@@ -413,13 +396,13 @@ func TestResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Sent != 2 || c.Dropped != 0 || c.PerNodeOut[0] != 2 {
-		t.Errorf("post-Reset counters = %+v, want a fresh run without the tamper hook", c)
+		t.Errorf("post-Reset counters = %+v, want a fresh run without the loss hook", c)
 	}
 	if len(rec.seen) != 2 {
 		t.Errorf("post-Reset delivery = %v, want 2 messages", rec.seen)
 	}
-	// Both Init-time sends deliver at t=1 (default delay): logical
-	// time restarted from zero.
+	// Both Init-time sends deliver at t=1 (default delay, not the
+	// cleared hook's 50): logical time restarted from zero.
 	if n.Now() != 1 {
 		t.Errorf("post-Reset time = %d, want 1", n.Now())
 	}

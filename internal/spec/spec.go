@@ -201,16 +201,6 @@ func (sp *Specification) Suggest(s State, action string) error {
 	return nil
 }
 
-// ActionFor returns the suggested action in state s.
-func (sp *Specification) ActionFor(s State) (Action, bool) {
-	name, ok := sp.choice[s]
-	if !ok {
-		return Action{}, false
-	}
-	a, ok := sp.machine.actions[name]
-	return a, ok
-}
-
 // Validate checks that every non-terminal state has a suggested action
 // and that the machine itself is valid. Terminal states (no outgoing
 // transitions) may omit an action.
