@@ -11,9 +11,9 @@
 package bank
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/fpss"
 	"repro/internal/graph"
@@ -37,7 +37,9 @@ type MirrorReport struct {
 // StateReport is what each node sends (signed) at a checkpoint: hashes
 // of its own DATA1/DATA2/DATA3*, its mirrors of every principal it
 // checks, and any flags it raised. "A hash of the entire table is
-// sufficient" (§4.3 [BANK1]).
+// sufficient" (§4.3 [BANK1]). The node signs the binary encoding of
+// codec.go; the struct tags define the JSON form whose length E4
+// counts as the report's size.
 type StateReport struct {
 	Node        graph.NodeID                  `json:"node"`
 	CostsHash   fpss.Hash                     `json:"costsHash"`
@@ -93,16 +95,17 @@ func (b *Bank) Nodes() []graph.NodeID {
 
 // Submit verifies a signed report envelope and stores the report.
 // Tampered or replayed envelopes are rejected — the signing layer is
-// what makes node↔bank communication compatible.
+// what makes node↔bank communication compatible — and so are payloads
+// that are not exactly one binary report (see codec.go).
 func (b *Bank) Submit(env sign.Envelope) error {
 	if _, err := b.authority.Verify(env); err != nil {
 		return fmt.Errorf("bank: reject report: %w", err)
 	}
-	var rep StateReport
-	if err := json.Unmarshal(env.Payload, &rep); err != nil {
+	rep, err := decodeReport(env.Payload)
+	if err != nil {
 		return fmt.Errorf("bank: malformed report: %w", err)
 	}
-	if fmt.Sprintf("node-%d", rep.Node) != env.Signer {
+	if SignerID(rep.Node) != env.Signer {
 		return fmt.Errorf("bank: report for node %d signed by %q", rep.Node, env.Signer)
 	}
 	b.reports[rep.Node] = rep
@@ -110,15 +113,13 @@ func (b *Bank) Submit(env sign.Envelope) error {
 }
 
 // SignerID returns the canonical signing identity for a node.
-func SignerID(id graph.NodeID) string { return fmt.Sprintf("node-%d", id) }
+func SignerID(id graph.NodeID) string { return "node-" + strconv.Itoa(int(id)) }
 
-// EncodeReport marshals and signs a report.
-func EncodeReport(s *sign.Signer, rep StateReport) (sign.Envelope, error) {
-	payload, err := json.Marshal(rep)
-	if err != nil {
-		return sign.Envelope{}, fmt.Errorf("bank: marshal report: %w", err)
-	}
-	return s.Sign(payload), nil
+// EncodeReport signs the binary encoding of a report. It also returns
+// the length the report has in its JSON form, which is what E4's
+// byte column counts.
+func EncodeReport(s *sign.Signer, rep StateReport) (env sign.Envelope, jsonBytes int) {
+	return s.Sign(appendReport(make([]byte, 0, encodedCap(rep)), rep)), jsonLen(rep)
 }
 
 // Complete reports whether every registered node has submitted.

@@ -2,8 +2,10 @@ package faithful
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bank"
 	"repro/internal/fpss"
 	"repro/internal/graph"
 )
@@ -147,6 +149,39 @@ func TestFailstopStillParticipatesInPhase1(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("expected an unattributed missing-report detection: %v", res.Detections)
+	}
+}
+
+// TestCheckpointFlagsInPrincipalOrder pins the order of the flags a
+// checker signs at the checkpoint: with A and C both failstopped, Z
+// flags each of them as never advertising, and must list those flags
+// by ascending principal in every run, so the signed report is
+// reproducible.
+func TestCheckpointFlagsInPrincipalOrder(t *testing.T) {
+	g := graph.Figure1()
+	a, _ := g.ByName("A")
+	c, _ := g.ByName("C")
+	z, _ := g.ByName("Z")
+	want := []bank.Flag{
+		{Reporter: z, Principal: a, Reason: "principal never advertised"},
+		{Reporter: z, Principal: c, Reason: "principal never advertised"},
+	}
+	for run := 0; run < 40; run++ {
+		var got []bank.Flag
+		cfg := baseConfig(g)
+		cfg.Failstop = []graph.NodeID{a, c}
+		cfg.Strategies = map[graph.NodeID]*Strategy{z: {
+			ReportState: func(truth bank.StateReport) bank.StateReport {
+				got = truth.Flags
+				return truth
+			},
+		}}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: Z's checkpoint flags = %v, want %v", run, got, want)
+		}
 	}
 }
 

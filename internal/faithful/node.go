@@ -14,6 +14,7 @@ package faithful
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bank"
 	"repro/internal/fpss"
@@ -40,13 +41,16 @@ type StateRequest struct{}
 // Size implements sim.Sizer.
 func (StateRequest) Size() int { return 1 }
 
-// StateReply carries the signed report back to the bank.
+// StateReply carries the signed report back to the bank, with the
+// length the report has in its JSON form.
 type StateReply struct {
-	Env sign.Envelope
+	Env       sign.Envelope
+	JSONBytes int
 }
 
-// Size implements sim.Sizer.
-func (r StateReply) Size() int { return 1 + len(r.Env.Payload)/16 }
+// Size implements sim.Sizer. E4 measures a report by its JSON length,
+// not by the compact payload that is signed.
+func (r StateReply) Size() int { return 1 + r.JSONBytes/16 }
 
 // Strategy is the faithful protocol's deviation surface. The zero
 // value (or nil) is the suggested specification.
@@ -322,38 +326,37 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// computation. At quiescence every message has been delivered, so
 	// any divergence is a deviation, not a transient. This is where
 	// each mirror is derived, once, from the views it has collected.
+	// Principals are walked in ascending order, so the flags, and the
+	// signed report, are the same in every run.
 	d, costs := n.Derivation(), n.CostsView()
-	for p, m := range n.mirrors {
-		m.refresh(d.Scratch(), costs)
-		v, ok := d.View(p)
-		if !ok {
-			n.flag(p, "principal never advertised")
-			continue
-		}
-		if !v.Routing.Equal(m.routing) || !v.Pricing.Equal(m.pricing) {
-			n.flag(p, "advertisement diverges from checker mirror")
-		}
+	principals := make([]graph.NodeID, 0, len(n.mirrors))
+	for p := range n.mirrors {
+		principals = append(principals, p)
 	}
+	slices.Sort(principals)
 	truth := bank.StateReport{
 		Node:        n.ID(),
 		CostsHash:   costs.HashCosts(),
 		RoutingHash: d.Routing().HashRouting(),
 		PricingHash: d.Pricing().HashPricing(),
 		Mirrors:     make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
-		Flags:       append([]bank.Flag(nil), n.flags...),
 	}
-	for p, m := range n.mirrors {
+	for _, p := range principals {
+		m := n.mirrors[p]
+		m.refresh(d.Scratch(), costs)
+		if v, ok := d.View(p); !ok {
+			n.flag(p, "principal never advertised")
+		} else if !v.Routing.Equal(m.routing) || !v.Pricing.Equal(m.pricing) {
+			n.flag(p, "advertisement diverges from checker mirror")
+		}
 		truth.Mirrors[p] = bank.MirrorReport{
 			RoutingHash: m.routing.HashRouting(),
 			PricingHash: m.pricing.HashPricing(),
 		}
 	}
-	rep := n.strategy.reportState(truth)
-	env, err := bank.EncodeReport(n.signer, rep)
-	if err != nil {
-		return // cannot sign: stay silent; the bank treats it as missing
-	}
-	ctx.Send(fpss.BankAddr, StateReply{Env: env})
+	truth.Flags = append([]bank.Flag(nil), n.flags...)
+	env, jsonBytes := bank.EncodeReport(n.signer, n.strategy.reportState(truth))
+	ctx.Send(fpss.BankAddr, StateReply{Env: env, JSONBytes: jsonBytes})
 }
 
 func (n *Node) flag(principal graph.NodeID, reason string) {

@@ -15,7 +15,6 @@ package fpss
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"reflect"
 	"slices"
 
@@ -186,34 +185,22 @@ func (p PaymentList) Total() int64 {
 
 // Hash helpers: the bank compares table hashes ("a hash of the entire
 // table is sufficient", §4.3 [BANK1]/[BANK2]). Serialization is
-// canonical (sorted keys) so equal tables hash equal.
+// canonical (sorted keys, every integer 8 bytes big-endian) so equal
+// tables hash equal. Each table is serialized into one buffer and
+// hashed with one sha256.Sum256. The key and byte buffers start on the
+// stack, so hashing the tables of a small network allocates nothing.
 
 // Hash is a SHA-256 digest of a canonical table serialization.
 type Hash [sha256.Size]byte
 
-type sha256Writer struct{ inner hash.Hash }
+func appendInt64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
 
-func newSHA() *sha256Writer { return &sha256Writer{inner: sha256.New()} }
-
-func (w *sha256Writer) writeInt64(v int64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	_, _ = w.inner.Write(b[:])
-}
-
-func (w *sha256Writer) sum() Hash {
-	var out Hash
-	copy(out[:], w.inner.Sum(nil))
-	return out
-}
-
-func writeID(h *sha256Writer, id graph.NodeID) { h.writeInt64(int64(id)) }
-func writeCost(h *sha256Writer, c graph.Cost)  { h.writeInt64(int64(c)) }
-func writePath(h *sha256Writer, p graph.Path) {
-	h.writeInt64(int64(len(p)))
+func appendPath(b []byte, p graph.Path) []byte {
+	b = appendInt64(b, int64(len(p)))
 	for _, n := range p {
-		writeID(h, n)
+		b = appendInt64(b, int64(n))
 	}
+	return b
 }
 
 // HashCosts returns the canonical hash of a DATA1 cost table; the
@@ -221,69 +208,59 @@ func writePath(h *sha256Writer, p graph.Path) {
 // construction phase ("terminates with common transit cost tables
 // [DATA1] across all nodes", §4.3).
 func (t CostTable) HashCosts() Hash {
-	w := newSHA()
-	ids := make([]graph.NodeID, 0, len(t))
-	for id := range t {
-		ids = append(ids, id)
+	var keys [64]graph.NodeID
+	var buf [1024]byte
+	b := buf[:0]
+	for _, id := range sortedKeys(keys[:], t) {
+		b = appendInt64(b, int64(id))
+		b = appendInt64(b, int64(t[id]))
 	}
-	sortIDs(ids)
-	for _, id := range ids {
-		writeID(w, id)
-		writeCost(w, t[id])
-	}
-	return w.sum()
+	return sha256.Sum256(b)
 }
 
 // HashRouting returns the canonical hash of a routing table.
 func (t RoutingTable) HashRouting() Hash {
-	w := newSHA()
-	for _, d := range sortedKeys(t) {
+	var keys [64]graph.NodeID
+	var buf [2048]byte
+	b := buf[:0]
+	for _, d := range sortedKeys(keys[:], t) {
 		e := t[d]
-		writeID(w, d)
-		writeCost(w, e.Cost)
-		writePath(w, e.Path)
+		b = appendInt64(b, int64(d))
+		b = appendInt64(b, int64(e.Cost))
+		b = appendPath(b, e.Path)
 	}
-	return w.sum()
+	return sha256.Sum256(b)
 }
 
 // HashPricing returns the canonical hash of a pricing table, tags
 // included (so [BANK2] sees tag inconsistencies as deviations).
 func (t PricingTable) HashPricing() Hash {
-	w := newSHA()
-	dests := make([]graph.NodeID, 0, len(t))
-	for d := range t {
-		dests = append(dests, d)
-	}
-	sortIDs(dests)
-	for _, d := range dests {
-		writeID(w, d)
+	var dests, transits [64]graph.NodeID
+	var buf [4096]byte
+	b := buf[:0]
+	for _, d := range sortedKeys(dests[:], t) {
+		b = appendInt64(b, int64(d))
 		row := t[d]
-		ks := make([]graph.NodeID, 0, len(row))
-		for k := range row {
-			ks = append(ks, k)
-		}
-		sortIDs(ks)
-		for _, k := range ks {
+		for _, k := range sortedKeys(transits[:], row) {
 			e := row[k]
-			writeID(w, k)
-			writeCost(w, e.Price)
-			writePath(w, e.Avoid)
-			w.writeInt64(int64(len(e.Tags)))
-			for _, tag := range e.Tags {
-				writeID(w, tag)
-			}
+			b = appendInt64(b, int64(k))
+			b = appendInt64(b, int64(e.Price))
+			b = appendPath(b, e.Avoid)
+			b = appendPath(b, e.Tags)
 		}
 	}
-	return w.sum()
+	return sha256.Sum256(b)
 }
 
-func sortedKeys(t RoutingTable) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(t))
-	for k := range t {
-		out = append(out, k)
+// sortedKeys returns m's keys in ascending order, in buf's storage
+// while they fit.
+func sortedKeys[V any](buf []graph.NodeID, m map[graph.NodeID]V) []graph.NodeID {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
 	}
-	sortIDs(out)
-	return out
+	slices.Sort(buf)
+	return buf
 }
 
 func sortIDs(ids []graph.NodeID) {
