@@ -5,8 +5,7 @@
 // Usage:
 //
 //	benchtab                 # all experiments, one worker per CPU
-//	benchtab -e e2,e6        # a subset by ID
-//	benchtab -run 'E1[0-3]'  # a subset by regexp over IDs
+//	benchtab -run 'e2|e6'    # a subset by regexp over IDs
 //	benchtab -parallel 4     # cap the worker pool
 //	benchtab -json           # machine-readable tables (BENCH artifacts)
 //	benchtab -suite smoke    # per-scenario honest-run stats for a suite
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/churn"
 	"repro/internal/experiments"
@@ -40,7 +38,6 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
-	only := fs.String("e", "", "comma-separated experiment IDs (e.g. e1,e6); empty = all")
 	pattern := fs.String("run", "", "regexp over experiment IDs (case-insensitive, whole-ID); empty = all")
 	parallel := fs.Int("parallel", 0, "worker-pool size; 0 = one per CPU")
 	asJSON := fs.Bool("json", false, "emit tables as JSON instead of aligned text")
@@ -52,7 +49,7 @@ func run(args []string, w io.Writer) error {
 	if *suite != "" {
 		return runSuite(*suite, *seed, *asJSON, w)
 	}
-	exps, err := selectExperiments(*only, *pattern)
+	exps, err := selectExperiments(*pattern)
 	if err != nil {
 		return err
 	}
@@ -176,34 +173,16 @@ func profileSpec(spec scenario.Spec) (profile, error) {
 	return p, nil
 }
 
-// selectExperiments resolves the -e ID list and the -run regexp
-// against the registry, erroring on IDs or patterns that match
-// nothing — before any experiment has spent cycles.
-func selectExperiments(only, pattern string) ([]experiments.Experiment, error) {
+// selectExperiments resolves the -run regexp against the registry,
+// erroring on a pattern that matches nothing — before any experiment
+// has spent cycles.
+func selectExperiments(pattern string) ([]experiments.Experiment, error) {
 	exps, err := experiments.Match(pattern)
 	if err != nil {
 		return nil, err
 	}
-	if only != "" {
-		want := map[string]bool{}
-		for _, id := range strings.Split(strings.ToLower(only), ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				if _, ok := experiments.Lookup(id); !ok {
-					return nil, fmt.Errorf("unknown experiment %q", id)
-				}
-				want[id] = true
-			}
-		}
-		filtered := exps[:0]
-		for _, e := range exps {
-			if want[strings.ToLower(e.ID)] {
-				filtered = append(filtered, e)
-			}
-		}
-		exps = filtered
-	}
 	if len(exps) == 0 {
-		return nil, fmt.Errorf("no experiment matched -e %q -run %q", only, pattern)
+		return nil, fmt.Errorf("no experiment matched -run %q", pattern)
 	}
 	return exps, nil
 }

@@ -11,8 +11,8 @@ import (
 
 func TestRunSubset(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-e", "e7"}, &out); err != nil {
-		t.Fatalf("run(-e e7): %v", err)
+	if err := run([]string{"-run", "e7"}, &out); err != nil {
+		t.Fatalf("run(-run e7): %v", err)
 	}
 	if !strings.Contains(out.String(), "E7") {
 		t.Errorf("output missing E7 table:\n%s", out.String())
@@ -48,7 +48,7 @@ func TestRunJSON(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-e", "e99"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"-run", "e99"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

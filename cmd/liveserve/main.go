@@ -1,11 +1,12 @@
 // Command liveserve runs a scenario as a long-lived service: each
 // epoch's converged FPSS tables resident behind the internal/live RPC
-// boundary, optionally exposed on localhost TCP, driven by the
-// open-loop load generator, and watched by the online faithfulness
-// monitor.
+// boundary, optionally exposed on localhost TCP, and driven by the
+// open-loop load generator. With -check, the plain deviation search
+// runs once over the served timeline after the load. The run fails if
+// any request errors.
 //
-//	liveserve -family random -n 16 -rate 5000 -duration 5s -monitor
-//	liveserve -family figure1 -scheme declared -inject 2:misreport-cost-inflate -monitor
+//	liveserve -family random -n 16 -rate 5000 -duration 5s -churn 4 -check
+//	liveserve -family figure1 -scheme declared -inject 2:misreport-cost-inflate
 //	liveserve -listen 127.0.0.1:7177 -duration 60s
 package main
 
@@ -18,6 +19,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/churn"
+	"repro/internal/core"
 	"repro/internal/fpss"
 	"repro/internal/live"
 	"repro/internal/scenario"
@@ -44,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		duration = fs.Duration("duration", 2*time.Second, "load-generation duration")
 		warmup   = fs.Duration("warmup", 200*time.Millisecond, "latency samples before this are discarded")
 		workers  = fs.Int("workers", 4, "load-generator completion workers")
-		monitor  = fs.Bool("monitor", false, "run the online faithfulness monitor during the load")
+		check    = fs.Bool("check", false, "after the load, run the plain per-epoch deviation search over the served timeline")
 		inject   = fs.String("inject", "", "deviant to install before serving, as <node>:<deviation>")
 		listen   = fs.String("listen", "", "also serve the RPC boundary on this TCP address")
 	)
@@ -91,16 +94,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "injected deviant: node %d running %q\n", node, dev)
 	}
 
-	var mon *live.Monitor
-	if *monitor {
-		mon = live.NewMonitor(live.MonitorConfig{Workers: 2, Seed: uint64(*seed), Prune: true})
-		if err := srv.AttachMonitor(mon); err != nil {
-			return err
-		}
-		mon.Start()
-		defer mon.Stop()
-	}
-
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
@@ -116,6 +109,7 @@ func run(args []string, out io.Writer) error {
 	// live and the next slice hits the evolved epoch.
 	slices := srv.Epochs()
 	perSlice := *duration / time.Duration(slices)
+	var errs int64
 	for e := 0; ; e++ {
 		cfg := live.LoadgenConfig{
 			Rate:     *rate,
@@ -129,6 +123,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "epoch %d: %s\n", e, res)
+		errs += res.Errors
 		if e == slices-1 {
 			break
 		}
@@ -144,12 +139,26 @@ func run(args []string, out io.Writer) error {
 	st := stats.Stats
 	fmt.Fprintf(out, "network: sent=%d delivered=%d dropped=%d lost=%d divergence=%d\n",
 		st.Net.Sent, st.Net.Delivered, st.Net.Dropped, st.Net.Lost, st.Divergence)
-	if mon != nil {
-		ms := mon.Stats()
-		fmt.Fprintf(out, "monitor: plays=%d pruned=%d violations=%d detections=%d laps=%d flagged=%d\n",
-			ms.Plays, ms.Pruned, ms.Violations, ms.Detections, ms.Laps, ms.Flagged)
-		for _, f := range mon.Flagged() {
-			fmt.Fprintf(out, "  flagged: node %d via %q\n", f.Node, f.Deviation)
+	if errs > 0 {
+		return fmt.Errorf("liveserve: %d requests failed", errs)
+	}
+
+	if *check {
+		// Every served epoch is a pure function of the spec, so the
+		// per-epoch search over the spec's timeline checks exactly the
+		// epochs the server served. It runs after the load so that its
+		// plays never compete with requests for CPU.
+		tl, err := churn.Build(sp)
+		if err != nil {
+			return err
+		}
+		rep, err := core.CheckFaithfulnessCfg(churn.NewSystem(tl, churn.Plain), core.CheckConfig{Workers: -1, PerEpoch: true})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "check: plain FPSS, %d of %d plays, %d violations\n", rep.Checked, rep.Total(), len(rep.Violations))
+		for _, v := range rep.Violations {
+			fmt.Fprintf(out, "  violation: %s\n", v)
 		}
 	}
 	return nil

@@ -5,27 +5,39 @@ import (
 	"testing"
 )
 
-// TestLoadRunWithMonitor is the acceptance path: a short open-loop run
-// against a served scenario with the online monitor enabled, under
-// churn, printing the latency histogram and monitor counters.
-func TestLoadRunWithMonitor(t *testing.T) {
+// TestLoadRunWithCheck is the acceptance path: a short open-loop run
+// against a served scenario under churn, then -check's per-epoch
+// deviation search over the served timeline. Figure 1 under the
+// declared-cost scheme is manipulable, so the report must hold C's
+// Example 1 lie (node 2 inflating its cost) in the epoch it was played.
+func TestLoadRunWithCheck(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-family", "figure1", "-scheme", "declared",
 		"-rate", "2000", "-duration", "500ms", "-warmup", "50ms",
-		"-churn", "2", "-monitor",
+		"-churn", "2", "-check",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"epoch 0:", "epoch 1:", "p50=", "p99=", "monitor: plays="} {
+	for _, want := range []string{
+		"p50=", "p99=",
+		"check: plain FPSS, 216 of 216 plays, 43 violations\n",
+		`  violation: node 2 gains 8 via "misreport-cost-inflate" in epoch 1 `,
+	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
 	}
-	if strings.Contains(got, "errors=") && !strings.Contains(got, "errors=0") {
-		t.Fatalf("load run reported errors:\n%s", got)
+	for _, epoch := range []string{"epoch 0: ", "epoch 1: "} {
+		i := strings.Index(got, epoch)
+		if i < 0 {
+			t.Fatalf("output missing %q:\n%s", epoch, got)
+		}
+		if line, _, _ := strings.Cut(got[i:], "\n"); !strings.Contains(line, " errs=0 ") {
+			t.Fatalf("load slice reported errors: %s", line)
+		}
 	}
 }
 

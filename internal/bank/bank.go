@@ -212,6 +212,12 @@ func (b *Bank) VerifyConstruction() []Detection {
 	return out
 }
 
+// Epsilon is the ε of §4.2's penalty, "a well-defined monetary unit
+// that is epsilon-above the attempted deviation". The faithful
+// protocol's payment audit and the sharded settlement's per-flag fine
+// both levy it.
+const Epsilon int64 = 1
+
 // PaymentFinding records an execution-phase audit result for one node.
 type PaymentFinding struct {
 	Node graph.NodeID

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/fpss"
 	"repro/internal/graph"
 	"repro/internal/scenario"
 )
@@ -92,43 +93,126 @@ func TestEpochOneEqualsStatic(t *testing.T) {
 // one-epoch timeline reproduces the static CheckFaithfulness report
 // play for play (modulo the boundary deviations, which cannot exist
 // without a boundary — the catalogue must collapse to the static one).
+// The lossy case pins that the loss axis brings its deviation family
+// along, as it does for the static system.
 func TestEpochOneCheckEqualsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deviation search")
 	}
-	sp := scenario.Spec{Family: scenario.Random, N: 5, Seed: 3}
-	c, err := sp.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainSys, faithSys := c.Systems()
-	sp.Churn = scenario.Churn{Epochs: 1}
-	tl := mustBuild(t, sp)
+	for _, sp := range []scenario.Spec{
+		{Family: scenario.Random, N: 5, Seed: 3},
+		{Family: scenario.Random, N: 5, Seed: 3, Loss: scenario.Loss{Rate: 0.1, Burst: 3}},
+	} {
+		c, err := sp.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainSys, faithSys := c.Systems()
+		sp.Churn = scenario.Churn{Epochs: 1}
+		tl := mustBuild(t, sp)
 
-	for _, tc := range []struct {
-		variant Variant
-		static  core.System
-	}{{Plain, plainSys}, {Faithful, faithSys}} {
-		want, err := core.CheckFaithfulnessCfg(tc.static, core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.CheckFaithfulnessCfg(NewSystem(tl, tc.variant), core.CheckConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Checked != want.Checked {
-			t.Errorf("%v: checked %d plays, static checked %d", tc.variant, got.Checked, want.Checked)
-		}
-		if len(got.Violations) != len(want.Violations) {
-			t.Fatalf("%v: %d violations vs static %d", tc.variant, len(got.Violations), len(want.Violations))
-		}
-		for i := range got.Violations {
-			g, w := got.Violations[i], want.Violations[i]
-			if g.Node != w.Node || g.Deviation != w.Deviation || g.Baseline != w.Baseline || g.Deviant != w.Deviant {
-				t.Errorf("%v: violation %d differs: %v vs %v", tc.variant, i, g, w)
+		for _, tc := range []struct {
+			variant Variant
+			static  core.System
+		}{{Plain, plainSys}, {Faithful, faithSys}} {
+			want, err := core.CheckFaithfulnessCfg(tc.static, core.CheckConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.CheckFaithfulnessCfg(NewSystem(tl, tc.variant), core.CheckConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := sp.Describe() + " " + tc.variant.String()
+			if got.Checked != want.Checked {
+				t.Errorf("%s: checked %d plays, static checked %d", name, got.Checked, want.Checked)
+			}
+			if len(got.Violations) != len(want.Violations) {
+				t.Fatalf("%s: %d violations vs static %d", name, len(got.Violations), len(want.Violations))
+			}
+			for i := range got.Violations {
+				g, w := got.Violations[i], want.Violations[i]
+				if g.Node != w.Node || g.Deviation != w.Deviation || g.Baseline != w.Baseline || g.Deviant != w.Deviant {
+					t.Errorf("%s: violation %d differs: %v vs %v", name, i, g, w)
+				}
 			}
 		}
+	}
+}
+
+// TestPerEpochCoversStaticGrids pins what a timeline's per-epoch
+// plain report covers. Each epoch's static plain system, seeded with
+// the epoch's central solution exactly as System seeds it, finds no
+// violation that the report lacks at that epoch, and each shared
+// violation has the same gain. Every other violation in the report is
+// a boundary deviation, which no static grid can play. The specs are
+// those cmd/liveserve serves for the same flags, one of them lossy.
+func TestPerEpochCoversStaticGrids(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deviation search")
+	}
+	boundary := map[string]bool{
+		"stale-catalogue-adverts":    true,
+		"leave-without-settling":     true,
+		"leave-masquerading-as-loss": true,
+		"rejoin-fresh-identity":      true,
+	}
+	served := func(epochs int) scenario.Churn { return scenario.Churn{Epochs: epochs, Joins: 2, Leaves: 1} }
+	for _, sp := range []scenario.Spec{
+		{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost, Seed: 1, Churn: served(2)},
+		{Family: scenario.Random, N: 6, Seed: 1, Churn: served(3)},
+		{Family: scenario.Random, N: 6, Seed: 2, Loss: scenario.Loss{Rate: 0.1}, Churn: served(2)},
+	} {
+		t.Run(sp.Describe(), func(t *testing.T) {
+			tl := mustBuild(t, sp)
+			rep, err := core.CheckFaithfulnessCfg(NewSystem(tl, Plain), core.CheckConfig{Workers: -1, PerEpoch: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type key struct {
+				id    core.NodeID
+				dev   string
+				epoch int
+			}
+			extra := make(map[key]int64, len(rep.Violations))
+			for _, v := range rep.Violations {
+				extra[key{v.Node, v.Deviation, v.Epoch}] = v.Gain()
+			}
+			for _, e := range tl.Epochs {
+				plain, _ := e.Compiled.Systems()
+				c, ok, err := e.CentralState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					plain.SeedHonest(c.Sol)
+				}
+				static, err := core.CheckFaithfulnessCfg(plain, core.CheckConfig{Workers: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(static.Violations) == 0 {
+					t.Fatalf("epoch %d: the static grid found no violation to cover", e.Index+1)
+				}
+				for _, v := range static.Violations {
+					k := key{core.NodeID(e.IdentityOf(graph.NodeID(v.Node))), v.Deviation, e.Index + 1}
+					gain, ok := extra[k]
+					if !ok {
+						t.Errorf("epoch %d: static violation %v (identity %d) missing from the timeline report", k.epoch, v, k.id)
+						continue
+					}
+					if gain != v.Gain() {
+						t.Errorf("epoch %d: %v gains %d in the timeline report", k.epoch, v, gain)
+					}
+					delete(extra, k)
+				}
+			}
+			for k := range extra {
+				if !boundary[k.dev] {
+					t.Errorf("report violation %+v is neither in its epoch's static grid nor a boundary deviation", k)
+				}
+			}
+		})
 	}
 }
 

@@ -357,15 +357,19 @@ func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Devia
 }
 
 // buildCatalogues assembles the per-identity deviation lists: every
-// static catalogue entry wrapped over the identity's member epochs,
-// plus the three boundary deviations where the schedule makes them
-// meaningful.
+// static catalogue entry, with the loss and shard families when those
+// axes are on, wrapped over the identity's member epochs, plus the
+// boundary deviations where the schedule makes them meaningful.
 func (s *System) buildCatalogues() {
 	base := rational.Catalogue(s.variant == Faithful)
+	// The loss and sharded-settlement axes bring their deviation
+	// families along, exactly as the static System adapters do: each
+	// epoch's play already runs over the epoch's re-salted drop
+	// schedule and settles through its re-salted shard bank.
+	if s.tl.Spec.Loss.Enabled() {
+		base = append(base, rational.LossCatalogue(s.variant == Faithful)...)
+	}
 	if s.tl.Spec.Shards.Enabled() {
-		// The sharded-settlement axis brings its deviation family along,
-		// exactly as the static System adapters do: each epoch's play
-		// already settles through the epoch's re-salted shard bank.
 		base = append(base, rational.ShardCatalogue(s.variant == Faithful)...)
 	}
 	s.cats = make(map[Identity][]*deviation, len(s.tl.Identities()))

@@ -72,7 +72,7 @@ func E12Failstop(Params) (*Table, error) {
 		// E12 charges crashes only through non-progress, never per
 		// stranded packet — keep the pre-scenario accounting.
 		cfg.UndeliveredPenalty = 0
-		cfg.Failstop = []graph.NodeID{id}
+		cfg.Strategies = map[graph.NodeID]*faithful.Strategy{id: {SilentFromPhase2: true}}
 		res, err := faithful.Run(cfg)
 		if err != nil {
 			return nil, err

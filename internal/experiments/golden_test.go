@@ -10,11 +10,11 @@ import (
 // refactor: every experiment table, generated with its registered
 // default Params, must stay byte-identical to the output captured
 // before experiment setup was routed through internal/scenario. The
-// golden files hold exactly what `benchtab -e <id>` printed at capture
+// golden files hold exactly what `benchtab -run <id>` printed at capture
 // time (Render output plus the trailing newline Fprintln adds).
 //
 // If an experiment's output changes *intentionally*, regenerate its
-// golden with `go run ./cmd/benchtab -e <id> > internal/experiments/testdata/<ID>.golden`
+// golden with `go run ./cmd/benchtab -run <id> > internal/experiments/testdata/<ID>.golden`
 // and say why in the commit message.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Experiments() {

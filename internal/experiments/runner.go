@@ -76,19 +76,6 @@ func parallelMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) 
 	return out, nil
 }
 
-// RunIDs resolves a regular expression against the registry and runs
-// the matching experiments. An empty pattern runs everything.
-func (r Runner) RunIDs(pattern string) ([]*Table, error) {
-	exps, err := Match(pattern)
-	if err != nil {
-		return nil, err
-	}
-	if len(exps) == 0 {
-		return nil, fmt.Errorf("no experiment matches %q", pattern)
-	}
-	return r.Run(exps)
-}
-
 // All runs every registered experiment with default parameters across
 // the default worker pool, in canonical order.
 func All() ([]*Table, error) {

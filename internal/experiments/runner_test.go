@@ -201,16 +201,3 @@ func TestRegistryDefaultsImmutable(t *testing.T) {
 		t.Error("mutating a looked-up Params corrupted the registry defaults")
 	}
 }
-
-func TestRunIDs(t *testing.T) {
-	tables, err := Runner{Workers: 2}.RunIDs("E7|E12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 || tables[0].ID != "E7" || tables[1].ID != "E12" {
-		t.Errorf("RunIDs tables: %+v", tables)
-	}
-	if _, err := (Runner{}).RunIDs("E99"); err == nil {
-		t.Error("no-match pattern should error")
-	}
-}

@@ -120,7 +120,7 @@ func TestFailstopBlocksProgress(t *testing.T) {
 		t.Fatal("failstop node should block the green light")
 	}
 	for id, u := range res.Utilities {
-		if u != -cfg.NonProgressPenalty {
+		if u != -NonProgressPenalty {
 			t.Errorf("node %d utility = %d, want non-progress penalty", id, u)
 		}
 	}
@@ -169,13 +169,14 @@ func TestCheckpointFlagsInPrincipalOrder(t *testing.T) {
 	for run := 0; run < 40; run++ {
 		var got []bank.Flag
 		cfg := baseConfig(g)
-		cfg.Failstop = []graph.NodeID{a, c}
-		cfg.Strategies = map[graph.NodeID]*Strategy{z: {
-			ReportState: func(truth bank.StateReport) bank.StateReport {
+		cfg.Strategies = map[graph.NodeID]*Strategy{
+			a: {SilentFromPhase2: true},
+			c: {SilentFromPhase2: true},
+			z: {ReportState: func(truth bank.StateReport) bank.StateReport {
 				got = truth.Flags
 				return truth
-			},
-		}}
+			}},
+		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}

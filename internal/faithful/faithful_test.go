@@ -20,8 +20,6 @@ func baseConfig(g *graph.Graph) Config {
 		Traffic:            fpss.AllToAllTraffic(g.N(), 1),
 		DeliveryValue:      10_000,
 		UndeliveredPenalty: 10_000,
-		NonProgressPenalty: 1_000_000,
-		Epsilon:            1,
 	}
 }
 

@@ -32,6 +32,12 @@ const MaxTolerableLoss = 0.25
 // maxSteps bounds each phase's event deliveries.
 const maxSteps = 1 << 20
 
+// NonProgressPenalty is every node's (large) loss when the bank
+// refuses to green-light the execution phase — the paper assumes "a
+// strong negative value when a construction phase does not progress"
+// (§4.3).
+const NonProgressPenalty int64 = 1_000_000
+
 // Config parameterizes a faithful-protocol run.
 type Config struct {
 	// Graph is the true topology and true transit costs.
@@ -39,13 +45,6 @@ type Config struct {
 	// Strategies assigns deviations; nil entries follow the suggested
 	// specification.
 	Strategies map[graph.NodeID]*Strategy
-	// Failstop lists nodes that crash at the phase-1/phase-2 boundary
-	// (§5's failstop discussion, ablation E12): they go silent from
-	// phase 2 on, which the checkpoint then attributes as deviation —
-	// the paper's point that the construction cannot tell failure from
-	// manipulation. Declarative sugar for a SilentFromPhase2 strategy,
-	// merged over any per-node Strategy entry.
-	Failstop []graph.NodeID
 	// Loss installs a seeded per-link drop model with a bounded retry
 	// envelope (sim.LossModel); the zero value is a reliable network.
 	// At rates ≤ MaxTolerableLoss honest runs complete cleanly; beyond
@@ -57,13 +56,6 @@ type Config struct {
 	// DeliveryValue / UndeliveredPenalty parameterize source utility.
 	DeliveryValue      int64
 	UndeliveredPenalty int64
-	// NonProgressPenalty is every node's (large) loss when the bank
-	// refuses to green-light the execution phase — the paper assumes
-	// "a strong negative value when a construction phase does not
-	// progress" (§4.3). Default 1_000_000.
-	NonProgressPenalty int64
-	// Epsilon is the bank's ε-above penalty margin (default 1).
-	Epsilon int64
 	// CheckerLimit caps how many of each principal's neighbors act as
 	// its checkers (0 = all, the paper's assignment). Used only by the
 	// E11 ablation: smaller assignments open detection escapes.
@@ -139,12 +131,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("faithful: nil graph")
 	}
-	if cfg.NonProgressPenalty == 0 {
-		cfg.NonProgressPenalty = 1_000_000
-	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1
-	}
 	n := cfg.Graph.N()
 
 	neighborsOf, checkersOf := Topology(cfg.Graph, cfg.CheckerLimit)
@@ -161,24 +147,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := net.Attach(fpss.BankAddr, &bankHandler{bank: theBank}); err != nil {
 		return nil, err
 	}
-	// Merge the declarative failstop list over the strategy map: a
-	// failstopped node runs phase 1 faithfully and then goes silent,
-	// exactly as an explicit SilentFromPhase2 strategy would.
-	strategies := cfg.Strategies
-	if len(cfg.Failstop) > 0 {
-		strategies = make(map[graph.NodeID]*Strategy, len(cfg.Strategies)+len(cfg.Failstop))
-		for id, s := range cfg.Strategies {
-			strategies[id] = s
-		}
-		for _, id := range cfg.Failstop {
-			cp := Strategy{SilentFromPhase2: true}
-			if s := strategies[id]; s != nil {
-				cp = *s
-				cp.SilentFromPhase2 = true
-			}
-			strategies[id] = &cp
-		}
-	}
 	nodes := make(map[graph.NodeID]*Node, n)
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
@@ -186,7 +154,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("register signer %d: %w", id, err)
 		}
-		node := NewNode(id, cfg.Graph.Cost(id), neighborsOf, checkersOf, strategies[id], signer)
+		node := NewNode(id, cfg.Graph.Cost(id), neighborsOf, checkersOf, cfg.Strategies[id], signer)
 		nodes[id] = node
 		if err := net.Attach(sim.Addr(id), node); err != nil {
 			return nil, fmt.Errorf("attach %d: %w", id, err)
@@ -201,7 +169,7 @@ func Run(cfg Config) (*Result, error) {
 			res.Detections = append(res.Detections, bank.Detection{Principal: -1, Reason: reason})
 		}
 		for i := 0; i < n; i++ {
-			res.Utilities[graph.NodeID(i)] = -cfg.NonProgressPenalty
+			res.Utilities[graph.NodeID(i)] = -NonProgressPenalty
 		}
 		res.Construction = net.Counters()
 		return res
@@ -268,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 		st.Pricing[id] = node.PricingView()
 		st.Declared[id] = node.DeclaredCost()
 		st.TrueCosts[id] = cfg.Graph.Cost(id)
-		if s := strategies[id]; s != nil && s.ReportPayment != nil {
+		if s := cfg.Strategies[id]; s != nil && s.ReportPayment != nil {
 			reportHooks[id] = s.ReportPayment
 		}
 	}
@@ -301,9 +269,6 @@ type ExecState struct {
 // Construction counters, which an execution-only overlay has no use
 // for. cfg supplies the economic parameters exactly as in Run.
 func ExecPlay(st ExecState, cfg Config, hooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList) (*Result, error) {
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1
-	}
 	res := &Result{Utilities: make(map[graph.NodeID]int64, len(st.TrueCosts))}
 	if err := execAndAudit(st, cfg, hooks, res); err != nil {
 		return nil, err
@@ -336,7 +301,7 @@ func execAndAudit(st ExecState, cfg Config, reportHooks map[graph.NodeID]func(fp
 	// Audit: the bank verifies DATA4 against certified pricing tables
 	// and the observed traffic; any misreport is settled to the true
 	// obligation and penalized ε above the attempted deviation.
-	res.PaymentFindings = st.Bank.AuditPayments(exec.Obligations, exec.Reported, cfg.Epsilon)
+	res.PaymentFindings = st.Bank.AuditPayments(exec.Obligations, exec.Reported, bank.Epsilon)
 	for _, f := range res.PaymentFindings {
 		obligation := exec.Obligations[f.Node]
 		reported := exec.Reported[f.Node]

@@ -5,7 +5,7 @@
 // serving route and payment queries from the converged tables —
 // behind a small RPC boundary.
 //
-// Three pieces compose:
+// Two pieces compose:
 //
 //   - Server compiles a scenario.Spec and converges each churn epoch's
 //     fpss.Node principals without a process restart. The honest
@@ -17,17 +17,11 @@
 //     each request's *scheduled* arrival (queueing delay included —
 //     the open-loop discipline that makes coordinated omission
 //     visible), recorded into an HDR-style log-linear histogram.
-//   - Monitor samples (node, deviation) plays against copy-on-write
-//     snapshots of the served state on a background worker pool,
-//     maintaining rolling violation/detection counters. Its samples go
-//     through the same core.System Snapshot/Play path, and the same
-//     core.Bounder, as the batch checker (core.CheckFaithfulnessCfg),
-//     which is its differential oracle.
 //
 // Determinism: an epoch's converged tables, its Pay obligations and
 // its Stats.Net counters are functions of the spec, the epoch and the
-// injected deviant, the same on every run. Wall-clock latencies and
-// the monitor's progress at any instant are not.
+// injected deviant, the same on every run. Wall-clock latencies are
+// not.
 package live
 
 import (
@@ -45,7 +39,7 @@ const (
 	// OpPay asks for the source's payment obligation for a flow —
 	// who gets paid how much for Packets packets to Dst.
 	OpPay Op = "pay"
-	// OpStats snapshots server, protocol-run and monitor counters.
+	// OpStats snapshots server and protocol-run counters.
 	OpStats Op = "stats"
 	// OpInject rebuilds the resident epoch: install a catalogued
 	// deviation on a node, advance one churn epoch, or reset to the
@@ -96,8 +90,6 @@ type Stats struct {
 	// Net is the cumulative counters of the fpss.Run that converged
 	// the current epoch, both construction phases.
 	Net sim.Counters `json:"net"`
-	// Monitor is present when an online monitor is attached.
-	Monitor *MonitorStats `json:"monitor,omitempty"`
 }
 
 // Response is one RPC response. Err is set (and OK false) on failure;

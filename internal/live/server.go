@@ -25,8 +25,7 @@ import (
 type Server struct {
 	// tl is the spec's compiled timeline, one epoch for a static spec;
 	// each epoch caches its compile and central solution.
-	tl      *churn.Timeline
-	monitor *Monitor
+	tl *churn.Timeline
 
 	// injectMu serializes injects from the epoch read through the
 	// swap, so concurrent Advances step one epoch each and a Reset
@@ -43,9 +42,8 @@ type Server struct {
 // read-only caches derived from the converged tables.
 type epochState struct {
 	comp     *scenario.Compiled
-	central  *fpss.Central // nil when the central path is not authoritative
-	nodes    []*fpss.Node  // indexed by NodeID
-	counters sim.Counters  // the run's cumulative counters
+	nodes    []*fpss.Node // indexed by NodeID
+	counters sim.Counters // the run's cumulative counters
 	// declared is each principal's own DATA1 declaration, the amount
 	// SchemeDeclaredCost obligations pay it. A deviant that tampers
 	// with relayed costs leaves other nodes' DATA1 views disagreeing,
@@ -72,31 +70,7 @@ func NewServer(sp scenario.Spec) (*Server, error) {
 		return nil, err
 	}
 	s.st = st
-	s.bindMonitor()
 	return s, nil
-}
-
-// AttachMonitor binds an online monitor to the server's current (and
-// every future) epoch state. Call before serving traffic; the monitor
-// is rebound on every epoch advance and deviant injection.
-func (s *Server) AttachMonitor(m *Monitor) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.monitor = m
-	return s.bindMonitorLocked()
-}
-
-func (s *Server) bindMonitor() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.bindMonitorLocked()
-}
-
-func (s *Server) bindMonitorLocked() error {
-	if s.monitor == nil || s.st == nil {
-		return nil
-	}
-	return s.monitor.Bind(s.st.comp, s.st.central)
 }
 
 // Close does nothing: a converged epoch holds no goroutines or open
@@ -163,7 +137,6 @@ func (s *Server) buildEpoch(e int, deviantNode graph.NodeID, deviant string) (*e
 	n := comp.Graph.N()
 	st := &epochState{
 		comp:        comp,
-		central:     central,
 		nodes:       make([]*fpss.Node, n),
 		counters:    res.Phase2,
 		declared:    make(fpss.CostTable, n),
@@ -185,12 +158,11 @@ func (s *Server) buildEpoch(e int, deviantNode graph.NodeID, deviant string) (*e
 	return st, nil
 }
 
-// swap installs a freshly built epoch state and rebinds the monitor.
-func (s *Server) swap(e int, st *epochState) error {
+// swap installs a freshly built epoch state.
+func (s *Server) swap(e int, st *epochState) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.epoch, s.st = e, st
-	return s.bindMonitorLocked()
+	s.mu.Unlock()
 }
 
 // Dispatch implements Dispatcher.
@@ -271,10 +243,6 @@ func (s *Server) stats() Response {
 	if st.deviant != "" {
 		stats.DeviantNode = int(st.deviantNode)
 	}
-	if s.monitor != nil {
-		ms := s.monitor.Stats()
-		stats.Monitor = &ms
-	}
 	return Response{OK: true, Epoch: s.epoch, Stats: stats}
 }
 
@@ -295,18 +263,14 @@ func (s *Server) inject(req Request) Response {
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := s.swap(epoch+1, st); err != nil {
-			return fail("%v", err)
-		}
+		s.swap(epoch+1, st)
 		return Response{OK: true, Epoch: epoch + 1}
 	case req.Reset:
 		st, err := s.buildEpoch(epoch, -1, "")
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := s.swap(epoch, st); err != nil {
-			return fail("%v", err)
-		}
+		s.swap(epoch, st)
 		return Response{OK: true, Epoch: epoch}
 	case req.Deviation != "":
 		if req.Node < 0 || req.Node >= n {
@@ -316,9 +280,7 @@ func (s *Server) inject(req Request) Response {
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := s.swap(epoch, st); err != nil {
-			return fail("%v", err)
-		}
+		s.swap(epoch, st)
 		return Response{OK: true, Epoch: epoch}
 	default:
 		return fail("live: inject requires a deviation, advance, or reset")

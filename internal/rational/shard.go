@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bank"
 	"repro/internal/core"
 	"repro/internal/fpss"
 	"repro/internal/graph"
@@ -150,7 +151,7 @@ func (s *FaithfulSystem) applySettlement(out *core.Outcome, batch *settle.Batch,
 		out.Utilities[core.NodeID(a)] += delta
 	}
 	for _, f := range res.Flags {
-		out.Utilities[core.NodeID(f.Account)] -= settle.Penalty
+		out.Utilities[core.NodeID(f.Account)] -= bank.Epsilon
 		out.Detected = append(out.Detected, core.NodeID(f.Account))
 	}
 	return nil

@@ -286,8 +286,6 @@ func (s *FaithfulSystem) runConfig(strategies map[graph.NodeID]*faithful.Strateg
 		Traffic:            s.Params.Traffic,
 		DeliveryValue:      s.Params.DeliveryValue,
 		UndeliveredPenalty: s.Params.UndeliveredPenalty,
-		NonProgressPenalty: s.Params.NonProgressPenalty,
-		Epsilon:            s.Params.Epsilon,
 		CheckerLimit:       s.Params.CheckerLimit,
 		Loss:               s.Params.Loss,
 	}

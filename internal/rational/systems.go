@@ -23,9 +23,6 @@ type Params struct {
 	UndeliveredPenalty int64
 	// Scheme selects the plain-FPSS pricing rule (VCG by default).
 	Scheme fpss.PricingScheme
-	// NonProgressPenalty / Epsilon apply to the faithful protocol.
-	NonProgressPenalty int64
-	Epsilon            int64
 	// CheckerLimit caps checkers per principal in the faithful
 	// protocol (0 = all neighbors; ablation E11).
 	CheckerLimit int
@@ -47,8 +44,6 @@ func DefaultParams(g *graph.Graph) Params {
 		DeliveryValue:      10_000,
 		UndeliveredPenalty: 10_000,
 		Scheme:             fpss.SchemeVCG,
-		NonProgressPenalty: 1_000_000,
-		Epsilon:            1,
 	}
 }
 

@@ -44,7 +44,7 @@ func TestCompileEveryFamilyWorkloadCostModel(t *testing.T) {
 					t.Fatalf("self-flow %v in workload %q", flow, sp.Workload)
 				}
 			}
-			if c.Params.DeliveryValue <= 0 || c.Params.NonProgressPenalty <= 0 {
+			if c.Params.DeliveryValue <= 0 {
 				t.Fatalf("economic defaults missing: %+v", c.Params)
 			}
 		})

@@ -673,8 +673,6 @@ func (c *Compiled) FaithfulConfig() faithful.Config {
 		Traffic:            c.Params.Traffic,
 		DeliveryValue:      c.Params.DeliveryValue,
 		UndeliveredPenalty: c.Params.UndeliveredPenalty,
-		NonProgressPenalty: c.Params.NonProgressPenalty,
-		Epsilon:            c.Params.Epsilon,
 		CheckerLimit:       c.Params.CheckerLimit,
 		Loss:               c.Params.Loss,
 	}

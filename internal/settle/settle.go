@@ -116,11 +116,6 @@ const (
 	maxSteps = 1 << 20
 )
 
-// Penalty is the ε fine a consumer of the faithful engine levies per
-// settlement flag. Exported so the rational layer and the settlement
-// engines agree on one number.
-const Penalty int64 = 1
-
 // faultSeedSalt decorrelates the crash plan's positions from the
 // routing seed (which also feeds scenario topology draws).
 const faultSeedSalt = 0x73686172642121 // "shard!!"
