@@ -118,13 +118,7 @@ func printTables(g *graph.Graph, tables func(graph.NodeID) (fpss.RoutingTable, f
 		id := graph.NodeID(i)
 		rt, pt := tables(id)
 		fmt.Printf("node %s:\n", g.Name(id))
-		dests := make([]graph.NodeID, 0, len(rt))
-		for d := range rt {
-			dests = append(dests, d)
-		}
-		sort.Slice(dests, func(a, b int) bool { return dests[a] < dests[b] })
-		for _, d := range dests {
-			e := rt[d]
+		for d, e := range rt.All() {
 			fmt.Printf("  →%s cost=%d path=", g.Name(d), e.Cost)
 			for j, hop := range e.Path {
 				if j > 0 {
@@ -132,7 +126,7 @@ func printTables(g *graph.Graph, tables func(graph.NodeID) (fpss.RoutingTable, f
 				}
 				fmt.Print(g.Name(hop))
 			}
-			if row, ok := pt[d]; ok {
+			if row := pt.Row(d); row != nil {
 				fmt.Print(" prices{")
 				ks := make([]graph.NodeID, 0, len(row))
 				for k := range row {

@@ -491,8 +491,8 @@ func (tl *Timeline) staleTables(id Identity, epoch int) (fpss.RoutingTable, fpss
 		}
 		return out, true
 	}
-	rt := make(fpss.RoutingTable, len(routing[id]))
-	for dest, entry := range routing[id] {
+	rt := make(fpss.RoutingTable, cur.N())
+	for dest, entry := range routing[id].All() {
 		d, ok := remap(dest)
 		if !ok {
 			continue
@@ -503,8 +503,8 @@ func (tl *Timeline) staleTables(id Identity, epoch int) (fpss.RoutingTable, fpss
 		}
 		rt[d] = fpss.RouteEntry{Dest: d, Cost: entry.Cost, Path: path}
 	}
-	pt := make(fpss.PricingTable, len(pricing[id]))
-	for dest, row := range pricing[id] {
+	pt := make(fpss.PricingTable, cur.N())
+	for dest, row := range pricing[id].All() {
 		d, ok := remap(dest)
 		if !ok {
 			continue

@@ -249,16 +249,16 @@ func TestSpoofedForwardDetected(t *testing.T) {
 	z, _ := g.ByName("Z")
 	// Manipulation 1/3 (spoof): fabricate an input "from X" claiming a
 	// free route to Z.
+	spoofed := make(fpss.RoutingTable, g.N())
+	spoofed[z] = fpss.RouteEntry{Dest: z, Cost: 0, Path: graph.Path{x, z}}
 	res := deviatorRun(t, g, d, &Strategy{
 		SpoofCopies: func(self graph.NodeID) []ForwardCopy {
 			return []ForwardCopy{{
 				Principal: self,
 				From:      x,
 				U: fpss.Update{
-					From: x,
-					Routing: fpss.RoutingTable{
-						z: {Dest: z, Cost: 0, Path: graph.Path{x, z}},
-					},
+					From:    x,
+					Routing: spoofed,
 					Pricing: fpss.PricingTable{},
 				},
 			}}

@@ -14,10 +14,11 @@ import (
 var ErrNotBiconnected = errors.New("fpss: graph is not biconnected")
 
 // Solution is the centralized reference: for every node, its routing
-// and pricing tables computed with full topology knowledge. The
-// distributed protocol converges to exactly this — including witness
-// paths and identity tags — because both use the same composite
-// (cost, hops, lexicographic) route order.
+// and pricing tables computed with full topology knowledge, each with
+// one slot per node. The distributed protocol converges to exactly
+// this — including witness paths, identity tags and table lengths —
+// because both use the same composite (cost, hops, lexicographic)
+// route order.
 type Solution struct {
 	Costs   CostTable
 	Routing map[graph.NodeID]RoutingTable
@@ -177,8 +178,8 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 		// One CSR-view fetch (and csrMu acquisition) per source job,
 		// not per price entry.
 		neighbors := g.AdjView(src)
-		rt := make(RoutingTable, n-1)
-		pt := make(PricingTable)
+		rt := make(RoutingTable, n)
+		pt := make(PricingTable, n)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue

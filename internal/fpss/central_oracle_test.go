@@ -50,8 +50,8 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 
 	for i := 0; i < n; i++ {
 		src := graph.NodeID(i)
-		rt := make(RoutingTable, n-1)
-		pt := make(PricingTable)
+		rt := make(RoutingTable, n)
+		pt := make(PricingTable, n)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue

@@ -1,7 +1,7 @@
 package fpss
 
 import (
-	"maps"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -18,18 +18,30 @@ import (
 // whose Post hooks rewrite its tables still runs them whole.
 //
 // Tables are copy-on-write: a derivation that changes anything builds
-// new maps that share every untouched entry and row with the old ones,
-// and never edits the old ones, which neighbors' views, in-flight
+// new tables that share every untouched entry and row with the old
+// ones, and never edits the old ones, which neighbors' views, in-flight
 // updates and checkers' records alias. Views are kept the same way, so
 // callers must never edit a table after handing it to SetView.
+//
+// Derived tables have one slot per destination the principal knows of
+// (see tableLen). Growing them to a new length is padding, not a
+// change: it is not reported, so it sends no advertisement.
 type Derivation struct {
 	self      graph.NodeID
 	neighbors []graph.NodeID
-	views     map[graph.NodeID]NeighborView
-	// dirty holds the destinations to re-derive; all stands for every
+	// views[i] is the latest view of neighbors[i], and heard[i] whether
+	// one has arrived.
+	views []NeighborView
+	heard []bool
+	// costs is the kernels' dense copy of DATA1, refreshed by the first
+	// Derive after MarkAll.
+	costs []costSlot
+	// n is the tables' length; it only grows.
+	n int
+	// dirty marks the destinations to re-derive; all stands for every
 	// destination (before the first derivation, after a DATA1 change,
 	// and always for a principal with Post hooks).
-	dirty   map[graph.NodeID]bool
+	dirty   []bool
 	all     bool
 	routing RoutingTable
 	pricing PricingTable
@@ -42,8 +54,8 @@ func NewDerivation(self graph.NodeID, neighbors []graph.NodeID) Derivation {
 	return Derivation{
 		self:      self,
 		neighbors: neighbors,
-		views:     make(map[graph.NodeID]NeighborView),
-		dirty:     make(map[graph.NodeID]bool),
+		views:     make([]NeighborView, len(neighbors)),
+		heard:     make([]bool, len(neighbors)),
 		all:       true,
 	}
 }
@@ -56,8 +68,10 @@ func (d *Derivation) Pricing() PricingTable { return d.pricing }
 
 // View returns the latest view of neighbor v.
 func (d *Derivation) View(v graph.NodeID) (NeighborView, bool) {
-	view, ok := d.views[v]
-	return view, ok
+	if i := slices.Index(d.neighbors, v); i >= 0 && d.heard[i] {
+		return d.views[i], true
+	}
+	return NeighborView{}, false
 }
 
 // Scratch returns the arena and working sets behind this derivation,
@@ -69,47 +83,40 @@ func (d *Derivation) MarkAll() { d.all = true }
 
 // SetView replaces neighbor v's view and marks each destination whose
 // route entry or pricing row differs between the old view and the new.
+// A view from a node that is not a neighbor is dropped: no kernel
+// reads it.
 func (d *Derivation) SetView(v graph.NodeID, view NeighborView) {
-	old := d.views[v]
-	d.views[v] = view
+	i := slices.Index(d.neighbors, v)
+	if i < 0 {
+		return
+	}
+	old := d.views[i]
+	d.views[i], d.heard[i] = view, true
 	if d.all {
 		return
 	}
-	// Each loop counts the old keys it meets; only a shortfall means a
-	// destination was removed and needs the reverse pass.
-	kept := 0
-	for j, e := range view.Routing {
-		o, ok := old.Routing[j]
-		if ok {
-			kept++
-		}
-		if !ok || !o.equal(e) {
+	d.grow(len(view.Routing))
+	for j := range max(len(old.Routing), len(view.Routing)) {
+		o, had := old.Routing.Get(graph.NodeID(j))
+		e, has := view.Routing.Get(graph.NodeID(j))
+		if had != has || has && !o.equal(e) {
 			d.dirty[j] = true
 		}
 	}
-	if kept < len(old.Routing) {
-		for j := range old.Routing {
-			if _, ok := view.Routing[j]; !ok {
-				d.dirty[j] = true
-			}
-		}
-	}
-	kept = 0
-	for j, row := range view.Pricing {
-		o, ok := old.Pricing[j]
-		if ok {
-			kept++
-		}
-		if !ok || !rowEqual(o, row) {
+	// A row past the tables' end belongs to a destination no neighbor
+	// routes to, so it has no row to derive yet.
+	for j := range min(max(len(old.Pricing), len(view.Pricing)), d.n) {
+		if !rowEqual(old.Pricing.Row(graph.NodeID(j)), view.Pricing.Row(graph.NodeID(j))) {
 			d.dirty[j] = true
 		}
 	}
-	if kept < len(old.Pricing) {
-		for j := range old.Pricing {
-			if _, ok := view.Pricing[j]; !ok {
-				d.dirty[j] = true
-			}
-		}
+}
+
+// grow lengthens the tables-to-be, and the dirty set, to n slots.
+func (d *Derivation) grow(n int) {
+	if n > d.n {
+		d.n = n
+		d.dirty = append(d.dirty, make([]bool, n-len(d.dirty))...)
 	}
 }
 
@@ -118,71 +125,74 @@ func (d *Derivation) SetView(v graph.NodeID, view NeighborView) {
 // re-derives only the dirty destinations; one with hooks recomputes
 // and rewrites the whole tables, pricing against its rewritten routing.
 func (d *Derivation) Derive(costs CostTable, st *Strategy) bool {
+	if d.all {
+		d.costs = denseCosts(d.costs, costs)
+	}
 	if st != nil && (st.PostRouting != nil || st.PostPricing != nil) {
 		s := &d.scratch
-		routing := st.postRouting(ComputeRoutingScratch(s, d.self, d.neighbors, costs, d.views))
-		pricing := st.postPricing(ComputePricingScratch(s, d.self, d.neighbors, costs, routing, d.views))
-		if routing.Equal(d.routing) && pricing.Equal(d.pricing) {
-			return false
-		}
-		// The replaced tables may be aliased and are left to the GC.
+		routing := st.postRouting(s.computeRouting(d.self, d.neighbors, d.costs, d.views))
+		pricing := st.postPricing(s.computePricing(d.self, d.neighbors, d.costs, routing, d.views))
+		changed := !routing.Equal(d.routing) || !pricing.Equal(d.pricing)
+		// Equal tables are installed too, so a padded length sticks. The
+		// replaced tables may be aliased and are left to the GC.
 		d.routing, d.pricing = routing, pricing
-		return true
+		return changed
 	}
-	return d.deriveDirty(costs)
+	return d.deriveDirty()
 }
 
-// deriveDirty re-derives the dirty destinations and installs
-// copy-on-write tables if any of them moved.
-func (d *Derivation) deriveDirty(costs CostTable) bool {
+// deriveDirty re-derives the dirty destinations, in ascending order,
+// and installs copy-on-write tables if any of them moved.
+func (d *Derivation) deriveDirty() bool {
 	if d.all {
-		for _, v := range d.neighbors {
-			d.dirty[v] = true
-		}
-		for _, view := range d.views {
-			for j := range view.Routing {
-				d.dirty[j] = true
-			}
-		}
-		for j := range d.routing {
+		d.grow(tableLen(d.costs, d.neighbors, d.views))
+		for j := range d.dirty {
 			d.dirty[j] = true
 		}
 		d.all = false
 	}
-	delete(d.dirty, d.self)
 	s := &d.scratch
 	var routing RoutingTable
 	var pricing PricingTable
-	for j := range d.dirty {
-		route, had := d.routing[j]
-		cost, base, ok := s.routeTo(d.self, j, d.neighbors, costs, d.views)
+	for j, dirty := range d.dirty {
+		if !dirty {
+			continue
+		}
+		d.dirty[j] = false
+		dst := graph.NodeID(j)
+		if dst == d.self {
+			continue
+		}
+		route, had := d.routing.Get(dst)
+		cost, base, ok := s.routeTo(d.self, dst, d.neighbors, d.costs, d.views)
 		if ok != had || ok && (route.Cost != cost || !prefixedBy(route.Path, d.self, base)) {
 			if routing == nil {
-				routing = cloneTable(d.routing)
+				routing = cloneTable(d.routing, d.n)
 			}
+			route = RouteEntry{}
 			if ok {
-				route = RouteEntry{Dest: j, Cost: cost, Path: s.prepend(d.self, base)}
-				routing[j] = route
-			} else {
-				route = RouteEntry{}
-				delete(routing, j)
+				route = RouteEntry{Dest: dst, Cost: cost, Path: s.prepend(d.self, base)}
 			}
+			routing[j] = route
 		}
-		cells := s.priceRow(d.self, j, route, d.neighbors, costs, d.views)
-		if !rowMatches(d.pricing[j], d.self, cells) {
+		cells := s.priceRow(d.self, dst, route, d.neighbors, d.costs, d.views)
+		if !rowMatches(d.pricing.Row(dst), d.self, cells) {
 			if pricing == nil {
-				pricing = cloneTable(d.pricing)
+				pricing = cloneTable(d.pricing, d.n)
 			}
+			pricing[j] = nil
 			if len(cells) > 0 {
 				pricing[j] = s.materializeRow(d.self, cells)
-			} else {
-				delete(pricing, j)
 			}
 		}
 	}
-	clear(d.dirty)
-	if routing == nil && pricing == nil {
-		return false
+	changed := routing != nil || pricing != nil
+	// Pad tables shorter than n; see the type's comment.
+	if routing == nil && len(d.routing) < d.n {
+		routing = cloneTable(d.routing, d.n)
+	}
+	if pricing == nil && len(d.pricing) < d.n {
+		pricing = cloneTable(d.pricing, d.n)
 	}
 	if routing != nil {
 		d.routing = routing
@@ -190,14 +200,14 @@ func (d *Derivation) deriveDirty(costs CostTable) bool {
 	if pricing != nil {
 		d.pricing = pricing
 	}
-	return true
+	return changed
 }
 
-// cloneTable returns a writable shallow copy of t: entries and rows are
-// shared, which is safe because tables are never edited in place.
-func cloneTable[M ~map[graph.NodeID]V, V any](t M) M {
-	if t == nil {
-		return make(M)
-	}
-	return maps.Clone(t)
+// cloneTable returns a writable shallow copy of t with at least n
+// slots: entries and rows are shared, which is safe because tables are
+// never edited in place.
+func cloneTable[S ~[]E, E any](t S, n int) S {
+	out := make(S, max(n, len(t)))
+	copy(out, t)
+	return out
 }

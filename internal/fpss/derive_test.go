@@ -1,6 +1,7 @@
 package fpss
 
 import (
+	"iter"
 	"maps"
 	"math/rand"
 	"slices"
@@ -93,38 +94,38 @@ func FuzzDerivation(f *testing.F) {
 // fuzz op kind. Edits are copy-on-write, as the protocol's tables are:
 // cur and the central solution are never modified.
 func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView, sol *Solution) NeighborView {
-	if kind < 2 || len(cur.Routing) == 0 {
+	if kind < 2 || cur.Routing.Len() == 0 {
 		return NeighborView{Routing: sol.Routing[v], Pricing: sol.Pricing[v]}
 	}
-	next := NeighborView{Routing: maps.Clone(cur.Routing), Pricing: maps.Clone(cur.Pricing)}
+	next := NeighborView{Routing: slices.Clone(cur.Routing), Pricing: slices.Clone(cur.Pricing)}
 	if next.Pricing == nil {
-		next.Pricing = make(PricingTable)
+		next.Pricing = make(PricingTable, len(next.Routing))
 	}
 	pick := func(ids []graph.NodeID) graph.NodeID {
 		slices.Sort(ids)
 		return ids[rng.Intn(len(ids))]
 	}
-	j := pick(slices.Collect(maps.Keys(cur.Routing)))
+	j := pick(keys(cur.Routing.All()))
 	switch kind {
 	case 2: // drop a destination
-		delete(next.Routing, j)
-		delete(next.Pricing, j)
+		next.Routing[j] = RouteEntry{}
+		next.Pricing[j] = nil
 	case 3: // change a route cost
 		e := next.Routing[j]
 		e.Cost = graph.Cost(rng.Intn(20))
 		next.Routing[j] = e
 	case 4, 5: // change only a price, or only the tags
-		if len(cur.Pricing) == 0 {
+		if cur.Pricing.Len() == 0 {
 			break
 		}
-		j = pick(slices.Collect(maps.Keys(cur.Pricing)))
+		j = pick(keys(cur.Pricing.All()))
 		row := maps.Clone(cur.Pricing[j])
 		k := pick(slices.Collect(maps.Keys(row)))
 		e := row[k]
 		if kind == 4 {
 			e.Price += graph.Cost(1 + rng.Intn(5))
 		} else {
-			e.Tags = []graph.NodeID{pick(slices.Collect(maps.Keys(sol.Routing[v])))}
+			e.Tags = []graph.NodeID{pick(keys(sol.Routing[v].All()))}
 		}
 		row[k] = e
 		next.Pricing[j] = row
@@ -137,4 +138,13 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 		next.Routing[j] = RouteEntry{Dest: j, Cost: graph.Cost(rng.Intn(20)), Path: path}
 	}
 	return next
+}
+
+// keys collects the destinations a table's All yields, ascending.
+func keys[V any](all iter.Seq2[graph.NodeID, V]) []graph.NodeID {
+	var ids []graph.NodeID
+	for j := range all {
+		ids = append(ids, j)
+	}
+	return ids
 }

@@ -161,7 +161,7 @@ func forward(routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (grap
 		if cur == dst {
 			return path, true
 		}
-		e, ok := routing[cur][dst]
+		e, ok := routing[cur].Get(dst)
 		if !ok || len(e.Path) < 2 || e.Path[0] != cur {
 			return path, false
 		}
@@ -178,7 +178,7 @@ func forward(routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (grap
 // scheme pays each transit node on the route its DATA1 declaration.
 // A source without a route to dst owes nothing.
 func AddObligation(list PaymentList, rt RoutingTable, pt PricingTable, dst graph.NodeID, packets int64, scheme PricingScheme, declared CostTable) {
-	e, ok := rt[dst]
+	e, ok := rt.Get(dst)
 	if !ok {
 		return
 	}
@@ -188,7 +188,7 @@ func AddObligation(list PaymentList, rt RoutingTable, pt PricingTable, dst graph
 			list[k] += int64(declared[k]) * packets
 		}
 	default: // SchemeVCG
-		for k, pe := range pt[dst] {
+		for k, pe := range pt.Row(dst) {
 			list[k] += int64(pe.Price) * packets
 		}
 	}

@@ -3,6 +3,7 @@ package fpss
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -79,7 +80,7 @@ func TestVCGPaymentOracleAgreesWithSolution(t *testing.T) {
 	for src, pt := range sol.Pricing {
 		for dst, row := range pt {
 			for k, e := range row {
-				want, err := VCGPayment(g, src, dst, k)
+				want, err := VCGPayment(g, src, graph.NodeID(dst), k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,18 +148,25 @@ func runProtocol(t *testing.T, g *graph.Graph, strategies map[graph.NodeID]*Stra
 }
 
 func TestDistributedMatchesCentralFigure1(t *testing.T) {
-	g := graph.Figure1()
-	sol, err := ComputeCentral(g)
+	// A clique rides along: every route in it is direct, so each table
+	// holds n absent pricing rows, and the protocol's must too.
+	clique, err := graph.Clique([]graph.Cost{3, 1, 4, 1, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runProtocol(t, g, nil)
-	for id, node := range res.Nodes {
-		if !node.Routing().Equal(sol.Routing[id]) {
-			t.Errorf("node %d routing differs from central", id)
+	for _, g := range []*graph.Graph{graph.Figure1(), clique} {
+		sol, err := ComputeCentral(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !node.Pricing().Equal(sol.Pricing[id]) {
-			t.Errorf("node %d pricing differs from central\n got: %+v\nwant: %+v", id, node.Pricing(), sol.Pricing[id])
+		res := runProtocol(t, g, nil)
+		for id, node := range res.Nodes {
+			if !reflect.DeepEqual(node.Routing(), sol.Routing[id]) {
+				t.Errorf("node %d routing differs from central", id)
+			}
+			if !reflect.DeepEqual(node.Pricing(), sol.Pricing[id]) {
+				t.Errorf("node %d pricing differs from central\n got: %+v\nwant: %+v", id, node.Pricing(), sol.Pricing[id])
+			}
 		}
 	}
 }
@@ -177,10 +185,10 @@ func TestDistributedMatchesCentralRandom(t *testing.T) {
 		}
 		res := runProtocol(t, g, nil)
 		for id, node := range res.Nodes {
-			if !node.Routing().Equal(sol.Routing[id]) {
+			if !reflect.DeepEqual(node.Routing(), sol.Routing[id]) {
 				t.Fatalf("trial %d: node %d routing differs from central", trial, id)
 			}
-			if !node.Pricing().Equal(sol.Pricing[id]) {
+			if !reflect.DeepEqual(node.Pricing(), sol.Pricing[id]) {
 				t.Fatalf("trial %d: node %d pricing differs from central", trial, id)
 			}
 		}
@@ -413,7 +421,7 @@ func TestExecuteUndeliveredOnBrokenTables(t *testing.T) {
 	}
 	_, _, _, d, x, z := figure1IDs(t, g)
 	// Break D's next hop toward Z to create a black hole.
-	delete(routing[d], z)
+	routing[d][z] = RouteEntry{}
 	exec, err := Execute(routing, pricing, ExecConfig{
 		TrueCosts:          trueCosts,
 		Traffic:            Traffic{{x, z}: 5},
@@ -460,25 +468,21 @@ func TestHashesDetectAnyTableChange(t *testing.T) {
 	rt := sol.Routing[0]
 	h0 := rt.HashRouting()
 	mut := rt.Clone()
-	for d := range mut {
-		e := mut[d]
-		e.Cost++
-		mut[d] = e
-		break
-	}
+	d := keys(mut.All())[0]
+	e := mut[d]
+	e.Cost++
+	mut[d] = e
 	if mut.HashRouting() == h0 {
 		t.Error("routing hash unchanged after cost mutation")
 	}
 	pt := sol.Pricing[4] // X has transit entries
 	hp := pt.HashPricing()
 	mutP := pt.Clone()
-	for d, row := range mutP {
-		for k := range row {
-			e := row[k]
-			e.Tags = append(e.Tags, 99) // tag tampering must be visible
-			mutP[d][k] = e
-			break
-		}
+	d = keys(mutP.All())[0]
+	for k := range mutP[d] {
+		e := mutP[d][k]
+		e.Tags = append(e.Tags, 99) // tag tampering must be visible
+		mutP[d][k] = e
 		break
 	}
 	if mutP.HashPricing() == hp {
@@ -500,11 +504,8 @@ func TestTableCloneAndEqual(t *testing.T) {
 	if !cl.Equal(rt) {
 		t.Error("clone not equal")
 	}
-	for d := range cl {
-		e := cl[d]
-		e.Path[0] = 99
-		break
-	}
+	e := cl[keys(cl.All())[0]]
+	e.Path[0] = 99
 	if !rt.Equal(sol.Routing[0]) {
 		t.Error("clone aliased path data")
 	}
@@ -525,10 +526,42 @@ func TestTableCloneAndEqual(t *testing.T) {
 	}
 }
 
+// TestAbsentSlotsInvisible pins that a table's content is its present
+// slots: junk in an absent slot, such as a hook that rewrites every
+// slot leaves behind, and extra absent slots at the end change no
+// comparison, hash, count or message size.
+func TestAbsentSlotsInvisible(t *testing.T) {
+	sol, err := ComputeCentral(graph.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, pt := sol.Routing[0], sol.Pricing[0]
+	junk := clean.Clone()
+	junk[0] = RouteEntry{Cost: 40} // node 0's own slot is absent
+	padded := append(clean.Clone(), RouteEntry{Cost: 40})
+	for name, rt := range map[string]RoutingTable{"junk": junk, "padded": padded} {
+		if _, ok := rt.Get(0); ok {
+			t.Errorf("%s: Get reports the absent slot 0 present", name)
+		}
+		if !rt.Equal(clean) || !clean.Equal(rt) {
+			t.Errorf("%s: not Equal to the clean table", name)
+		}
+		if rt.HashRouting() != clean.HashRouting() {
+			t.Errorf("%s: hash differs from the clean table's", name)
+		}
+		if rt.Len() != clean.Len() {
+			t.Errorf("%s: Len = %d, clean %d", name, rt.Len(), clean.Len())
+		}
+		if got, want := (Update{Routing: rt, Pricing: pt}).Size(), (Update{Routing: clean, Pricing: pt}).Size(); got != want {
+			t.Errorf("%s: Update.Size = %d, clean %d", name, got, want)
+		}
+	}
+}
+
 func TestUpdateSizeCountsEntries(t *testing.T) {
 	u := Update{
 		From:    0,
-		Routing: RoutingTable{1: {}, 2: {}},
+		Routing: RoutingTable{1: {Path: graph.Path{0, 1}}, 2: {Path: graph.Path{0, 2}}},
 		Pricing: PricingTable{1: {3: {}}, 2: {3: {}, 4: {}}},
 	}
 	if got := u.Size(); got != 1+2+3 {

@@ -61,7 +61,7 @@ func (r *RoutingMechanism) Transfers(reports mech.Profile, sol *Solution) ([]int
 	for _, flow := range r.Traffic.Flows() {
 		src, dst := flow[0], flow[1]
 		packets := r.Traffic[flow]
-		for k, e := range sol.Pricing[src][dst] {
+		for k, e := range sol.Pricing[src].Row(dst) {
 			out[k] += int64(e.Price) * packets
 			out[src] -= int64(e.Price) * packets
 		}
@@ -83,7 +83,7 @@ func (r *RoutingMechanism) Utility() mech.Utility[*Solution] {
 			if src == id {
 				u += r.DeliveryValue * packets
 			}
-			if e, ok := sol.Routing[src][dst]; ok && e.Path.Contains(id) && id != src && id != dst {
+			if e, ok := sol.Routing[src].Get(dst); ok && e.Path.Contains(id) && id != src && id != dst {
 				u -= trueType * packets
 			}
 		}

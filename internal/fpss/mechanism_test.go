@@ -71,7 +71,7 @@ func (n *naivePaymentMechanism) Transfers(reports mech.Profile, sol *Solution) (
 	for _, flow := range n.inner.Traffic.Flows() {
 		src, dst := flow[0], flow[1]
 		packets := n.inner.Traffic[flow]
-		e, ok := sol.Routing[src][dst]
+		e, ok := sol.Routing[src].Get(dst)
 		if !ok {
 			continue
 		}

@@ -36,9 +36,10 @@ type Update struct {
 	Pricing PricingTable
 }
 
-// Size implements sim.Sizer: entries, as an abstract byte measure.
+// Size implements sim.Sizer: present entries, as an abstract byte
+// measure.
 func (u Update) Size() int {
-	s := 1 + len(u.Routing)
+	s := 1 + u.Routing.Len()
 	for _, row := range u.Pricing {
 		s += len(row)
 	}

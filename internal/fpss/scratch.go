@@ -14,10 +14,10 @@ import (
 //     network never pays for a large one. Handed-out slices are never
 //     reused, so tables that share entries with earlier tables (see
 //     Derivation) stay valid after a chunk is dropped to the GC;
-//   - the per-call working sets (destination set, contribution list,
-//     candidate cells and their tags) are kept warm across calls, and
-//     a candidate is materialized into the arena only once it is known
-//     to enter a table.
+//   - the per-call working sets (the kernels' dense DATA1 and aligned
+//     views, contribution list, candidate cells and their tags) are
+//     kept warm across calls, and a candidate is materialized into the
+//     arena only once it is known to enter a table.
 //
 // A scratch is single-owner state: one per protocol node (inside its
 // Derivation), never shared across goroutines. The zero value is
@@ -26,7 +26,8 @@ type ComputeScratch struct {
 	ids      []graph.NodeID
 	chunk    int
 	direct   [1]graph.NodeID
-	dests    map[graph.NodeID]bool
+	costs    []costSlot
+	views    []NeighborView
 	contribs []contrib
 	cells    []priceCell
 	tags     []graph.NodeID
@@ -68,12 +69,14 @@ func (s *ComputeScratch) copyIDs(ids []graph.NodeID) []graph.NodeID {
 	return append(s.allocIDs(len(ids)), ids...)
 }
 
-// destSet returns the cleared reusable destination set.
-func (s *ComputeScratch) destSet() map[graph.NodeID]bool {
-	if s.dests == nil {
-		s.dests = make(map[graph.NodeID]bool)
-	} else {
-		clear(s.dests)
+// load converts ComputeRouting's and ComputePricing's inputs into the
+// kernels' form, in s: DATA1 indexed by NodeID, and views aligned with
+// neighbors. Both stay valid until the next load.
+func (s *ComputeScratch) load(neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) ([]costSlot, []NeighborView) {
+	s.costs = denseCosts(s.costs, costs)
+	s.views = s.views[:0]
+	for _, v := range neighbors {
+		s.views = append(s.views, views[v])
 	}
-	return s.dests
+	return s.costs, s.views
 }

@@ -15,6 +15,7 @@ package fpss
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"iter"
 	"reflect"
 	"slices"
 
@@ -40,25 +41,63 @@ func (e RouteEntry) equal(o RouteEntry) bool {
 	return e.Cost == o.Cost && e.Path.Equal(o.Path)
 }
 
-// RoutingTable is DATA2: dest → route.
-type RoutingTable map[graph.NodeID]RouteEntry
+// RoutingTable is DATA2, indexed by destination: slot j holds the
+// owner's route to j and is present iff its Path is non-nil. A table
+// has one slot per node its owner knows (see Derivation), so the
+// owner's own slot, and the slot of a destination it cannot reach yet,
+// are absent. Absent slots are invisible: Get, Len, Equal, the hash
+// and Update.Size read present slots only, so neither a table's length
+// nor whatever an absent slot holds is part of its content.
+type RoutingTable []RouteEntry
 
-// Clone returns a deep copy.
+// Get returns the route to j and whether it is present.
+func (t RoutingTable) Get(j graph.NodeID) (RouteEntry, bool) {
+	if uint(j) < uint(len(t)) && t[j].Path != nil {
+		return t[j], true
+	}
+	return RouteEntry{}, false
+}
+
+// Len returns the number of present routes.
+func (t RoutingTable) Len() int {
+	n := 0
+	for _, e := range t {
+		if e.Path != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// All yields the present routes in ascending destination order.
+func (t RoutingTable) All() iter.Seq2[graph.NodeID, RouteEntry] {
+	return func(yield func(graph.NodeID, RouteEntry) bool) {
+		for j, e := range t {
+			if e.Path != nil && !yield(graph.NodeID(j), e) {
+				return
+			}
+		}
+	}
+}
+
+// Clone returns a deep copy of the present routes, in a table of the
+// same length.
 func (t RoutingTable) Clone() RoutingTable {
 	out := make(RoutingTable, len(t))
-	for k, v := range t {
-		out[k] = v.clone()
+	for j, e := range t {
+		if e.Path != nil {
+			out[j] = e.clone()
+		}
 	}
 	return out
 }
 
-// Equal reports whether two routing tables are identical.
+// Equal reports whether two routing tables hold the same routes.
 func (t RoutingTable) Equal(o RoutingTable) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for k, v := range t {
-		if w, ok := o[k]; !ok || !v.equal(w) {
+	for j := range max(len(t), len(o)) {
+		a, aok := t.Get(graph.NodeID(j))
+		b, bok := o.Get(graph.NodeID(j))
+		if aok != bok || aok && !a.equal(b) {
 			return false
 		}
 	}
@@ -102,13 +141,51 @@ func (e PriceEntry) equal(o PriceEntry) bool {
 	return true
 }
 
-// PricingTable is DATA3*: dest → transit → entry.
-type PricingTable map[graph.NodeID]map[graph.NodeID]PriceEntry
+// PricingTable is DATA3*, indexed by destination: row j maps each
+// priced transit node on the owner's route to j to its entry, and is
+// present iff non-nil. Like a RoutingTable, a table's length and its
+// absent rows are not part of its content. The rows stay maps: a route
+// prices only its few transit nodes, and callers range a row to sum
+// its payments into a PaymentList.
+type PricingTable []map[graph.NodeID]PriceEntry
 
-// Clone returns a deep copy.
+// Row returns the pricing row of destination j, nil when absent.
+func (t PricingTable) Row(j graph.NodeID) map[graph.NodeID]PriceEntry {
+	if uint(j) < uint(len(t)) {
+		return t[j]
+	}
+	return nil
+}
+
+// Len returns the number of present rows.
+func (t PricingTable) Len() int {
+	n := 0
+	for _, row := range t {
+		if row != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// All yields the present rows in ascending destination order.
+func (t PricingTable) All() iter.Seq2[graph.NodeID, map[graph.NodeID]PriceEntry] {
+	return func(yield func(graph.NodeID, map[graph.NodeID]PriceEntry) bool) {
+		for j, row := range t {
+			if row != nil && !yield(graph.NodeID(j), row) {
+				return
+			}
+		}
+	}
+}
+
+// Clone returns a deep copy, in a table of the same length.
 func (t PricingTable) Clone() PricingTable {
 	out := make(PricingTable, len(t))
 	for d, row := range t {
+		if row == nil {
+			continue
+		}
 		r := make(map[graph.NodeID]PriceEntry, len(row))
 		for k, e := range row {
 			r[k] = e.clone()
@@ -118,14 +195,12 @@ func (t PricingTable) Clone() PricingTable {
 	return out
 }
 
-// Equal reports whether two pricing tables are identical, tags
+// Equal reports whether two pricing tables hold the same rows, tags
 // included (tag divergence is what [BANK2] detects).
 func (t PricingTable) Equal(o PricingTable) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for d, row := range t {
-		if orow, ok := o[d]; !ok || !rowEqual(row, orow) {
+	for j := range max(len(t), len(o)) {
+		a, b := t.Row(graph.NodeID(j)), o.Row(graph.NodeID(j))
+		if (a == nil) != (b == nil) || !rowEqual(a, b) {
 			return false
 		}
 	}
@@ -185,10 +260,11 @@ func (p PaymentList) Total() int64 {
 
 // Hash helpers: the bank compares table hashes ("a hash of the entire
 // table is sufficient", §4.3 [BANK1]/[BANK2]). Serialization is
-// canonical (sorted keys, every integer 8 bytes big-endian) so equal
-// tables hash equal. Each table is serialized into one buffer and
-// hashed with one sha256.Sum256. The key and byte buffers start on the
-// stack, so hashing the tables of a small network allocates nothing.
+// canonical (present entries in ascending key order, every integer 8
+// bytes big-endian) so equal tables hash equal, whatever their length.
+// Each table is serialized into one buffer and hashed with one
+// sha256.Sum256. The key and byte buffers start on the stack, so
+// hashing the tables of a small network allocates nothing.
 
 // Hash is a SHA-256 digest of a canonical table serialization.
 type Hash [sha256.Size]byte
@@ -218,13 +294,16 @@ func (t CostTable) HashCosts() Hash {
 	return sha256.Sum256(b)
 }
 
-// HashRouting returns the canonical hash of a routing table.
+// HashRouting returns the canonical hash of a routing table. Present
+// slots are serialized in index order, which is ascending destination
+// order.
 func (t RoutingTable) HashRouting() Hash {
-	var keys [64]graph.NodeID
 	var buf [2048]byte
 	b := buf[:0]
-	for _, d := range sortedKeys(keys[:], t) {
-		e := t[d]
+	for d, e := range t {
+		if e.Path == nil {
+			continue
+		}
 		b = appendInt64(b, int64(d))
 		b = appendInt64(b, int64(e.Cost))
 		b = appendPath(b, e.Path)
@@ -235,12 +314,14 @@ func (t RoutingTable) HashRouting() Hash {
 // HashPricing returns the canonical hash of a pricing table, tags
 // included (so [BANK2] sees tag inconsistencies as deviations).
 func (t PricingTable) HashPricing() Hash {
-	var dests, transits [64]graph.NodeID
+	var transits [64]graph.NodeID
 	var buf [4096]byte
 	b := buf[:0]
-	for _, d := range sortedKeys(dests[:], t) {
+	for d, row := range t {
+		if row == nil {
+			continue
+		}
 		b = appendInt64(b, int64(d))
-		row := t[d]
 		for _, k := range sortedKeys(transits[:], row) {
 			e := row[k]
 			b = appendInt64(b, int64(k))
@@ -261,8 +342,4 @@ func sortedKeys[V any](buf []graph.NodeID, m map[graph.NodeID]V) []graph.NodeID 
 	}
 	slices.Sort(buf)
 	return buf
-}
-
-func sortIDs(ids []graph.NodeID) {
-	slices.Sort(ids)
 }

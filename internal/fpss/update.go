@@ -41,22 +41,64 @@ func ComputeRouting(self graph.NodeID, neighbors []graph.NodeID, costs CostTable
 // working set from s. The result is value-identical to ComputeRouting.
 // See ComputeScratch for the ownership rules.
 func ComputeRoutingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
-	dests := s.destSet()
-	for _, v := range neighbors {
-		dests[v] = true
-		for d := range views[v].Routing {
-			if d != self {
-				dests[d] = true
-			}
+	dc, aligned := s.load(neighbors, costs, views)
+	return s.computeRouting(self, neighbors, dc, aligned)
+}
+
+// computeRouting is ComputeRouting over the kernels' inputs: DATA1
+// indexed by NodeID and views[i] the view of neighbors[i]. The table
+// has tableLen slots; every one but self's is tried.
+func (s *ComputeScratch) computeRouting(self graph.NodeID, neighbors []graph.NodeID, costs []costSlot, views []NeighborView) RoutingTable {
+	out := make(RoutingTable, tableLen(costs, neighbors, views))
+	for j := range out {
+		dst := graph.NodeID(j)
+		if dst == self {
+			continue
 		}
-	}
-	out := make(RoutingTable, len(dests))
-	for j := range dests {
-		if cost, base, ok := s.routeTo(self, j, neighbors, costs, views); ok {
-			out[j] = RouteEntry{Dest: j, Cost: cost, Path: s.prepend(self, base)}
+		if cost, base, ok := s.routeTo(self, dst, neighbors, costs, views); ok {
+			out[j] = RouteEntry{Dest: dst, Cost: cost, Path: s.prepend(self, base)}
 		}
 	}
 	return out
+}
+
+// costSlot is one DATA1 entry in the dense copy the kernels read.
+type costSlot struct {
+	cost  graph.Cost
+	known bool
+}
+
+// denseCosts copies DATA1 into buf's storage, indexed by NodeID.
+func denseCosts(buf []costSlot, costs CostTable) []costSlot {
+	n := 0
+	for id := range costs {
+		n = max(n, int(id)+1)
+	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	for id, c := range costs {
+		buf[id] = costSlot{cost: c, known: true}
+	}
+	return buf
+}
+
+// costOf returns v's declared cost and whether DATA1 knows it.
+func costOf(costs []costSlot, v graph.NodeID) (graph.Cost, bool) {
+	if uint(v) < uint(len(costs)) {
+		return costs[v].cost, costs[v].known
+	}
+	return 0, false
+}
+
+// tableLen is the length of a principal's tables: one slot for every
+// node that DATA1, the neighbor list or a neighbor's routing table
+// names. Once phase 1 has run its course, that is the node count.
+func tableLen(costs []costSlot, neighbors []graph.NodeID, views []NeighborView) int {
+	n := len(costs)
+	for i, v := range neighbors {
+		n = max(n, int(v)+1, len(views[i].Routing))
+	}
+	return n
 }
 
 // routeTo is ComputeRouting's kernel for one destination j ≠ self: the
@@ -64,14 +106,14 @@ func ComputeRoutingScratch(s *ComputeScratch, self graph.NodeID, neighbors []gra
 // betterBase), or ok=false when no neighbor offers a route yet. The
 // base is a read-only view of a neighbor's table or of s, valid until
 // the next kernel call on s; prepend materializes it.
-func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) (graph.Cost, graph.Path, bool) {
+func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID, costs []costSlot, views []NeighborView) (graph.Cost, graph.Path, bool) {
 	var (
 		bestCost graph.Cost
 		bestBase graph.Path
 		found    bool
 	)
 	s.direct[0] = j
-	for _, v := range neighbors {
+	for i, v := range neighbors {
 		var (
 			candCost graph.Cost
 			candBase graph.Path
@@ -79,11 +121,11 @@ func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID,
 		if v == j {
 			candCost, candBase = 0, s.direct[:]
 		} else {
-			e, ok := views[v].Routing[j]
+			e, ok := views[i].Routing.Get(j)
 			if !ok {
 				continue
 			}
-			vc, ok := costs[v]
+			vc, ok := costOf(costs, v)
 			if !ok {
 				continue // v's declared cost not yet known (phase 1 incomplete)
 			}
@@ -142,9 +184,19 @@ func ComputePricing(self graph.NodeID, neighbors []graph.NodeID, costs CostTable
 // tag sets and working set from s. The result is value-identical to
 // ComputePricing. See ComputeScratch for the ownership rules.
 func ComputePricingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
-	out := make(PricingTable)
+	dc, aligned := s.load(neighbors, costs, views)
+	return s.computePricing(self, neighbors, dc, routing, aligned)
+}
+
+// computePricing is ComputePricing over the kernels' inputs (see
+// computeRouting). The table is as long as routing.
+func (s *ComputeScratch) computePricing(self graph.NodeID, neighbors []graph.NodeID, costs []costSlot, routing RoutingTable, views []NeighborView) PricingTable {
+	out := make(PricingTable, len(routing))
 	for j, route := range routing {
-		if cells := s.priceRow(self, j, route, neighbors, costs, views); len(cells) > 0 {
+		if route.Path == nil {
+			continue
+		}
+		if cells := s.priceRow(self, graph.NodeID(j), route, neighbors, costs, views); len(cells) > 0 {
 			out[j] = s.materializeRow(self, cells)
 		}
 	}
@@ -165,14 +217,14 @@ type priceCell struct {
 // route: one cell per transit node of the route that has a price yet.
 // The cells live in s until the next kernel call; an empty result
 // means j has no pricing row.
-func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) []priceCell {
+func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighbors []graph.NodeID, costs []costSlot, views []NeighborView) []priceCell {
 	s.cells, s.tags = s.cells[:0], s.tags[:0]
 	if len(route.Path) <= 2 {
 		return nil // no transit node
 	}
 	s.direct[0] = j
 	for _, k := range route.Path[1 : len(route.Path)-1] {
-		kc, ok := costs[k]
+		kc, ok := costOf(costs, k)
 		if !ok || hasCell(s.cells, k) {
 			// A deviant's looping route can repeat a transit node; its
 			// cell would repeat too, and a row holds it once.
@@ -186,7 +238,7 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 		// contribs records each neighbor's avoid-k contribution so the
 		// identity-tag pass reuses the relaxation loop's values.
 		contribs := s.contribs[:0]
-		for _, v := range neighbors {
+		for i, v := range neighbors {
 			if v == k {
 				continue
 			}
@@ -198,7 +250,7 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 			if v == j {
 				contribution, base, ok = 0, s.direct[:], true
 			} else {
-				contribution, base, ok = neighborAvoidValue(v, j, k, costs, views)
+				contribution, base, ok = neighborAvoidValue(v, j, k, costs, views[i])
 			}
 			if !ok {
 				continue
@@ -222,7 +274,7 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 			}
 		}
 		tags := s.tags[start:]
-		sortIDs(tags)
+		slices.Sort(tags)
 		s.cells = append(s.cells, priceCell{k: k, price: kc + bestCost - route.Cost, base: bestBase, tags: tags})
 	}
 	return s.cells
@@ -263,20 +315,16 @@ func rowMatches(row map[graph.NodeID]PriceEntry, self graph.NodeID, cells []pric
 	return true
 }
 
-// neighborAvoidValue returns v's best avoid-k continuation toward j:
-// the contribution cost, the *base* witness path (a read-only view of
-// v's tables, without the self prefix — see betterBase/prepend) and
-// whether the value is available yet.
-func neighborAvoidValue(v, j, k graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) (graph.Cost, graph.Path, bool) {
-	view, ok := views[v]
+// neighborAvoidValue returns v's best avoid-k continuation toward j
+// from v's view: the contribution cost, the *base* witness path (a
+// read-only view of v's tables, without the self prefix — see
+// betterBase/prepend) and whether the value is available yet.
+func neighborAvoidValue(v, j, k graph.NodeID, costs []costSlot, view NeighborView) (graph.Cost, graph.Path, bool) {
+	vc, ok := costOf(costs, v)
 	if !ok {
 		return 0, nil, false
 	}
-	vc, ok := costs[v]
-	if !ok {
-		return 0, nil, false
-	}
-	e, ok := view.Routing[j]
+	e, ok := view.Routing.Get(j)
 	if !ok {
 		return 0, nil, false
 	}
@@ -284,12 +332,12 @@ func neighborAvoidValue(v, j, k graph.NodeID, costs CostTable, views map[graph.N
 		// v's own LCP avoids k: d(v→j) is an avoid-k value.
 		return vc + e.Cost, e.Path, true
 	}
-	pe, ok := view.Pricing[j][k]
+	pe, ok := view.Pricing.Row(j)[k]
 	if !ok {
 		return 0, nil, false
 	}
 	// Recover B^k(v→j) from v's price: p = ĉ_k + B − d  ⇒  B = p − ĉ_k + d.
-	kc, ok := costs[k]
+	kc, ok := costOf(costs, k)
 	if !ok {
 		return 0, nil, false
 	}

@@ -11,11 +11,11 @@ import (
 func TestComputeRoutingNoViews(t *testing.T) {
 	// With no neighbor views, only direct-neighbor routes exist.
 	rt := ComputeRouting(0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 3}, nil)
-	if len(rt) != 2 {
-		t.Fatalf("routes = %d, want 2", len(rt))
+	if rt.Len() != 2 {
+		t.Fatalf("routes = %d, want 2", rt.Len())
 	}
 	for _, v := range []graph.NodeID{1, 2} {
-		e, ok := rt[v]
+		e, ok := rt.Get(v)
 		if !ok || e.Cost != 0 || !e.Path.Equal(graph.Path{0, v}) {
 			t.Errorf("route to %d = %+v", v, e)
 		}
@@ -30,7 +30,7 @@ func TestComputeRoutingUsesNeighborInfo(t *testing.T) {
 		}},
 	}
 	rt := ComputeRouting(0, []graph.NodeID{1}, CostTable{0: 1, 1: 5, 9: 2}, views)
-	e, ok := rt[9]
+	e, ok := rt.Get(9)
 	if !ok {
 		t.Fatal("no route to 9")
 	}
@@ -49,11 +49,11 @@ func TestComputeRoutingSkipsUnknownCosts(t *testing.T) {
 		1: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}}}},
 	}
 	rt := ComputeRouting(0, []graph.NodeID{1}, CostTable{0: 1}, views)
-	if _, ok := rt[9]; ok {
+	if _, ok := rt.Get(9); ok {
 		t.Error("route built without knowing transit cost")
 	}
 	// The direct route to 1 itself needs no cost knowledge.
-	if _, ok := rt[1]; !ok {
+	if _, ok := rt.Get(1); !ok {
 		t.Error("direct route missing")
 	}
 }
@@ -117,7 +117,7 @@ func TestComputePricingWaitsForAvoidInfo(t *testing.T) {
 	costs := CostTable{0: 1, 1: 4, 9: 2}
 	routing := RoutingTable{9: {Dest: 9, Cost: 4, Path: graph.Path{0, 1, 9}}}
 	pt := ComputePricing(0, []graph.NodeID{1}, costs, routing, views)
-	if _, ok := pt[9]; ok {
+	if pt.Row(9) != nil {
 		t.Error("price entry built without avoid-k information")
 	}
 }
@@ -260,7 +260,7 @@ func TestPropertyWitnessPathsValid(t *testing.T) {
 					if e.Avoid.Contains(k) {
 						return false
 					}
-					if e.Avoid[0] != id || e.Avoid[len(e.Avoid)-1] != dst {
+					if e.Avoid[0] != id || e.Avoid[len(e.Avoid)-1] != graph.NodeID(dst) {
 						return false
 					}
 					if _, err := g.PathCost(e.Avoid); err != nil {
@@ -276,16 +276,29 @@ func TestPropertyWitnessPathsValid(t *testing.T) {
 	}
 }
 
+// BenchmarkDistributedConvergence runs both construction phases to
+// quiescence. The PrefAttach n=32 rung is the convergence every epoch
+// advance of a live server pays.
 func BenchmarkDistributedConvergence(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g, err := graph.RingWithChords(16, 8, 10, rng)
+	ring, err := graph.RingWithChords(16, 8, 10, rand.New(rand.NewSource(2)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Graph: g}); err != nil {
-			b.Fatal(err)
-		}
+	pa, err := graph.PreferentialAttachment(32, 2, graph.UniformCost(10), rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ring/n=16", ring}, {"prefattach/n=32", pa}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(Config{Graph: bc.g}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

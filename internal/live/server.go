@@ -188,7 +188,7 @@ func (s *Server) route(req Request) Response {
 	if err := st.checkFlow(req.Src, req.Dst); err != nil {
 		return fail("%v", err)
 	}
-	e, ok := st.nodes[req.Src].RoutingView()[graph.NodeID(req.Dst)]
+	e, ok := st.nodes[req.Src].RoutingView().Get(graph.NodeID(req.Dst))
 	if !ok {
 		return fail("live: node %d has no route to %d", req.Src, req.Dst)
 	}
@@ -212,7 +212,7 @@ func (s *Server) pay(req Request) Response {
 	}
 	dst := graph.NodeID(req.Dst)
 	node := st.nodes[req.Src]
-	if _, ok := node.RoutingView()[dst]; !ok {
+	if _, ok := node.RoutingView().Get(dst); !ok {
 		return fail("live: node %d has no route to %d", req.Src, req.Dst)
 	}
 	list := make(fpss.PaymentList)

@@ -156,7 +156,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			classes: []spec.ActionKind{spec.Computation},
 			protocol: func(Ctx) *fpss.Strategy {
 				return &fpss.Strategy{PostRouting: func(rt fpss.RoutingTable) fpss.RoutingTable {
-					for d, e := range rt {
+					for d, e := range rt.All() {
 						e.Cost = 0
 						rt[d] = e
 					}
@@ -171,7 +171,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			classes: []spec.ActionKind{spec.Computation},
 			protocol: func(Ctx) *fpss.Strategy {
 				return &fpss.Strategy{PostRouting: func(rt fpss.RoutingTable) fpss.RoutingTable {
-					for d, e := range rt {
+					for d, e := range rt.All() {
 						e.Cost += 40
 						rt[d] = e
 					}
@@ -202,7 +202,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			classes: []spec.ActionKind{spec.MessagePassing, spec.Computation},
 			protocol: func(Ctx) *fpss.Strategy {
 				return &fpss.Strategy{SendUpdate: func(_ graph.NodeID, u fpss.Update) (fpss.Update, bool) {
-					for d, e := range u.Routing {
+					for d, e := range u.Routing.All() {
 						e.Cost = 0
 						u.Routing[d] = e
 					}
@@ -233,7 +233,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 				victim := neighbors[0]
 				return &fpss.Strategy{SendUpdate: func(_ graph.NodeID, u fpss.Update) (fpss.Update, bool) {
 					u.From = victim
-					for d, e := range u.Routing {
+					for d, e := range u.Routing.All() {
 						e.Cost += 60
 						u.Routing[d] = e
 					}
@@ -322,7 +322,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 				return &fpss.Strategy{
 					DeclareCost: func(t graph.Cost) graph.Cost { return t + 3 },
 					PostRouting: func(rt fpss.RoutingTable) fpss.RoutingTable {
-						for d, e := range rt {
+						for d, e := range rt.All() {
 							e.Cost = 0
 							rt[d] = e
 						}
@@ -354,7 +354,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			faithfulOnly: true,
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{ForwardToChecker: func(_ graph.NodeID, fc faithful.ForwardCopy) (faithful.ForwardCopy, bool) {
-					for d, e := range fc.U.Routing {
+					for d, e := range fc.U.Routing.All() {
 						e.Cost++
 						fc.U.Routing[d] = e
 					}
@@ -373,7 +373,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 				}
 				source := neighbors[0]
 				return &faithful.Strategy{SpoofCopies: func(self graph.NodeID) []faithful.ForwardCopy {
-					rt := make(fpss.RoutingTable)
+					rt := make(fpss.RoutingTable, ctx.Graph.N())
 					for i := 0; i < ctx.Graph.N(); i++ {
 						d := graph.NodeID(i)
 						if d == source || d == self {

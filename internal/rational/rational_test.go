@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faithful"
 	"repro/internal/fpss"
 	"repro/internal/graph"
 	"repro/internal/spec"
@@ -224,5 +225,78 @@ func TestForeignDeviationRejected(t *testing.T) {
 		if _, err := sys.Play(nil, st, 0, core.BasicDeviation{DevName: "alien"}); err == nil {
 			t.Errorf("%T: foreign deviation type should error", sys)
 		}
+	}
+}
+
+// TestTableRewritesKeepAbsentSlots applies every catalogued
+// PostRouting, SendUpdate and ForwardToChecker rewrite to each
+// converged Figure 1 table. A rewrite may change present routes, but
+// the set of present destinations must stay the same, and an absent
+// slot must stay untouched.
+func TestTableRewritesKeepAbsentSlots(t *testing.T) {
+	g := graph.Figure1()
+	sol, err := fpss.ComputeCentral(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*Deviation
+	for _, list := range [][]*Deviation{Catalogue(true), LossCatalogue(true), ShardCatalogue(true)} {
+		all = append(all, list...)
+	}
+	hooks := 0
+	for i := 0; i < g.N(); i++ {
+		node := graph.NodeID(i)
+		rt, pt := sol.Routing[node], sol.Pricing[node]
+		update := func() fpss.Update { return fpss.Update{From: node, Routing: rt.Clone(), Pricing: pt.Clone()} }
+		for _, d := range all {
+			check := func(hook string, got fpss.RoutingTable) {
+				t.Helper()
+				hooks++
+				for j := range max(len(rt), len(got)) {
+					_, was := rt.Get(graph.NodeID(j))
+					_, is := got.Get(graph.NodeID(j))
+					if was != is || !was && j < len(got) && (got[j].Dest != 0 || got[j].Cost != 0) {
+						t.Errorf("%s at node %d: %s changed absent slot %d: %+v", d.Name(), node, hook, j, got[j])
+					}
+				}
+			}
+			ctx := Ctx{Graph: g, Node: node}
+			var strategies []*fpss.Strategy
+			if d.protocol != nil {
+				strategies = append(strategies, d.protocol(ctx))
+			}
+			if d.checker != nil {
+				if st := d.checker(ctx); st != nil {
+					strategies = append(strategies, &st.Protocol)
+					for _, v := range g.Neighbors(node) {
+						if st.ForwardToChecker == nil {
+							break
+						}
+						if fc, ok := st.ForwardToChecker(v, faithful.ForwardCopy{Principal: node, From: node, U: update()}); ok {
+							check("ForwardToChecker", fc.U.Routing)
+						}
+					}
+				}
+			}
+			for _, st := range strategies {
+				if st == nil {
+					continue
+				}
+				if st.PostRouting != nil {
+					check("PostRouting", st.PostRouting(rt.Clone()))
+				}
+				for _, v := range g.Neighbors(node) {
+					if st.SendUpdate == nil {
+						break
+					}
+					if u, ok := st.SendUpdate(v, update()); ok {
+						check("SendUpdate", u.Routing)
+					}
+				}
+			}
+		}
+	}
+	if hooks == 0 {
+		t.Fatal("no catalogued table rewrite was applied")
 	}
 }
