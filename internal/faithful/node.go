@@ -92,10 +92,9 @@ func (s *Strategy) protocol() *fpss.Strategy {
 	return &s.Protocol
 }
 
+// forwardToChecker runs the ForwardToChecker hook, which must be set,
+// on a private deep copy of fc.
 func (s *Strategy) forwardToChecker(to graph.NodeID, fc ForwardCopy) (ForwardCopy, bool) {
-	if s == nil || s.ForwardToChecker == nil {
-		return fc, true
-	}
 	fc.U = fc.U.Clone()
 	return s.ForwardToChecker(to, fc)
 }
@@ -258,17 +257,26 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 		return
 	}
 	// PRINC: forward a copy to all checkers except the original sender
-	// (Figure 2: C1 is on the incoming path and needs no copy).
+	// (Figure 2: C1 is on the incoming path and needs no copy). Without
+	// a ForwardToChecker hook every checker gets the same copy, boxed
+	// on the first send.
 	fc := ForwardCopy{Principal: n.ID(), From: u.From, U: u}
+	hooked := n.strategy != nil && n.strategy.ForwardToChecker != nil
+	var boxed any
 	for _, c := range n.checkersOf[n.ID()] {
 		if c == u.From {
 			continue
 		}
-		out, ok := n.strategy.forwardToChecker(c, fc)
-		if !ok {
+		if hooked {
+			if out, ok := n.strategy.forwardToChecker(c, fc); ok {
+				ctx.Send(sim.Addr(c), out)
+			}
 			continue
 		}
-		ctx.Send(sim.Addr(c), out)
+		if boxed == nil {
+			boxed = fc
+		}
+		ctx.Send(sim.Addr(c), boxed)
 	}
 	n.Advertise(ctx, false, n.recordSend)
 }

@@ -85,13 +85,6 @@ func (s *Strategy) declareCost(truth graph.Cost) graph.Cost {
 	return s.DeclareCost(truth)
 }
 
-func (s *Strategy) relayCost(to graph.NodeID, a CostAnnounce) (CostAnnounce, bool) {
-	if s == nil || s.RelayCost == nil {
-		return a, true
-	}
-	return s.RelayCost(to, a)
-}
-
 func (s *Strategy) postRouting(t RoutingTable) RoutingTable {
 	if s == nil || s.PostRouting == nil {
 		return t
@@ -200,7 +193,7 @@ func (n *Node) DeclaredCost() graph.Cost { return n.strategy.declareCost(n.trueC
 func (n *Node) Init(ctx sim.Context) {
 	declared := n.strategy.declareCost(n.trueCost)
 	n.costs[n.id] = declared
-	announce := CostAnnounce{Origin: n.id, Cost: declared}
+	var announce any = CostAnnounce{Origin: n.id, Cost: declared} // one box for every neighbor
 	for _, v := range n.neighbors {
 		ctx.Send(sim.Addr(v), announce)
 	}
@@ -210,7 +203,7 @@ func (n *Node) Init(ctx sim.Context) {
 func (n *Node) Recv(ctx sim.Context, msg sim.Message) {
 	switch m := msg.Payload.(type) {
 	case CostAnnounce:
-		n.onCostAnnounce(ctx, m)
+		n.onCostAnnounce(ctx, m, msg.Payload)
 	case StartPhase2:
 		if n.BeginPhase2() {
 			n.Advertise(ctx, true, nil)
@@ -222,18 +215,26 @@ func (n *Node) Recv(ctx sim.Context, msg sim.Message) {
 	}
 }
 
-func (n *Node) onCostAnnounce(ctx sim.Context, a CostAnnounce) {
+// onCostAnnounce records a flooded cost and relays it. payload is a as
+// delivered: a relay the RelayCost hook does not rewrite resends that
+// box, so the flood boxes each announcement once, at its origin.
+func (n *Node) onCostAnnounce(ctx sim.Context, a CostAnnounce, payload any) {
 	if _, known := n.costs[a.Origin]; known {
 		return // flood dedup
 	}
 	n.costs[a.Origin] = a.Cost
 	n.own.MarkAll()
+	hooked := n.strategy != nil && n.strategy.RelayCost != nil
 	for _, v := range n.neighbors {
-		relayed, ok := n.strategy.relayCost(v, a)
-		if !ok {
-			continue
+		out := payload
+		if hooked {
+			relayed, ok := n.strategy.RelayCost(v, a)
+			if !ok {
+				continue
+			}
+			out = relayed
 		}
-		ctx.Send(sim.Addr(v), relayed)
+		ctx.Send(sim.Addr(v), out)
 	}
 }
 
@@ -275,22 +276,27 @@ func (n *Node) Advertise(ctx sim.Context, force bool, sent func(to graph.NodeID,
 	}
 	n.adverts++
 	// Derivation always replaces (never mutates) the tables, so honest
-	// sends share one advertisement; deep-cloning per neighbor was most
-	// of the protocol's garbage.
+	// sends share one advertisement, boxed once for every neighbor;
+	// deep-cloning per neighbor was most of the protocol's garbage.
 	base := Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
 	hooked := n.strategy != nil && n.strategy.SendUpdate != nil
+	var boxed any
+	if !hooked {
+		boxed = base
+	}
 	for _, v := range n.neighbors {
-		u := base
+		u, out := base, boxed
 		if hooked {
 			// The hook may mutate its copy per neighbor.
 			var ok bool
 			if u, ok = n.strategy.SendUpdate(v, base.Clone()); !ok {
 				continue
 			}
+			out = u
 		}
 		if sent != nil {
 			sent(v, u)
 		}
-		ctx.Send(sim.Addr(v), u)
+		ctx.Send(sim.Addr(v), out)
 	}
 }

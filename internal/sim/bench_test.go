@@ -67,9 +67,21 @@ func (br *broadcaster) Init(ctx Context) {
 func (br *broadcaster) Recv(Context, Message) {}
 
 func BenchmarkAllToAllBroadcast32(b *testing.B) {
+	benchmarkAllToAll(b)
+}
+
+// BenchmarkAllToAllBroadcast32Lossy is the same broadcast over bursty
+// 10% loss, the shape of the pinned loss specs: retries spread
+// delivery times over the retry envelope, so sends no longer reach the
+// queue in delivery order.
+func BenchmarkAllToAllBroadcast32Lossy(b *testing.B) {
+	benchmarkAllToAll(b, WithLoss(LossModel{Rate: 0.1, Burst: 3, Seed: 1}))
+}
+
+func benchmarkAllToAll(b *testing.B, opts ...Option) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := NewNetwork()
+		n := NewNetwork(opts...)
 		const size = 32
 		for j := 0; j < size; j++ {
 			_ = n.Attach(Addr(j), &broadcaster{peers: size})
@@ -92,8 +104,9 @@ func (r *ringNode) Recv(ctx Context, m Message) {
 // BenchmarkEventLoopSteadyState measures the pure delivery loop: one
 // network built outside the timed region, each iteration draining
 // exactly 4096 deliveries. This is the allocs/op figure for the sim
-// event loop itself (heap push/pop, context reuse, dense counters),
-// with network construction and payload boxing excluded.
+// event loop itself (calendar push/pop at queue depth 1, context
+// reuse, dense counters), with network construction and payload
+// boxing excluded.
 func BenchmarkEventLoopSteadyState(b *testing.B) {
 	n := NewNetwork()
 	const size = 64

@@ -141,7 +141,7 @@ func (fs *faultSchedule) restore(addr Addr) bool {
 }
 
 // restartMarker is the internal payload that brings a crashed address
-// back up. It rides the ordinary event heap (so restarts interleave
+// back up. It rides the ordinary calendar queue (so restarts interleave
 // deterministically with traffic) but is intercepted by the drain loop
 // before normal delivery.
 type restartMarker struct{}

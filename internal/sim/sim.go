@@ -14,9 +14,10 @@
 //
 // The event loop is allocation-lean: handlers and per-node counters
 // are dense slices indexed by address (with a map overflow for sparse
-// addresses like the bank's), the event queue is a hand-rolled binary
-// heap over a plain slice (no container/heap boxing), and each handler
-// gets one reusable Context for the network's lifetime. A Network can
+// addresses like the bank's), the event queue is a calendar queue
+// whose time buckets link through one arena of cells (push and pop are
+// O(1) at the delays every protocol run uses), and each handler gets
+// one reusable Context for the network's lifetime. A Network can
 // also be Reset and reused across runs — deviation searches play
 // hundreds of protocol runs back to back, and rebuilding the network
 // from pooled storage keeps that loop off the allocator (see
@@ -134,8 +135,7 @@ type Network struct {
 	sparse    map[Addr]Handler
 	sparseCtx map[Addr]*netContext
 
-	queue  eventHeap
-	seq    int64
+	queue  calendar
 	now    int64
 	delay  func(from, to Addr) int64
 	loss   *lossState
@@ -155,6 +155,8 @@ type Network struct {
 type Option func(*Network)
 
 // WithDelay sets a deterministic per-link delay function (default: 1).
+// Delays are ticks and must be ≥ 0: a send with a negative delay
+// panics, because it would deliver before the current time.
 func WithDelay(d func(from, to Addr) int64) Option {
 	return func(n *Network) { n.delay = d }
 }
@@ -201,12 +203,10 @@ func (n *Network) Reset() {
 	clear(n.denseCtx)
 	clear(n.sparse)
 	clear(n.sparseCtx)
-	// Clear before truncating: a non-quiescent run (budget exhausted)
-	// leaves undelivered events whose payloads must not stay reachable
-	// through the pooled backing array.
-	clear(n.queue)
-	n.queue = n.queue[:0]
-	n.seq, n.now = 0, 0
+	// A non-quiescent run (budget exhausted) leaves undelivered events
+	// whose payloads must not stay reachable through the pooled arena.
+	n.queue.reset()
+	n.now = 0
 	// Delay hooks, loss schedules and crash schedules are per-scenario
 	// state: a pooled network re-acquired for a clean run must never
 	// replay a previous scenario's delays, drops or crashes.
@@ -296,7 +296,11 @@ func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 	n.bytes += size
 	at := n.now + 1
 	if n.delay != nil {
-		at = n.now + n.delay(from, to)
+		d := n.delay(from, to)
+		if d < 0 {
+			panic(fmt.Sprintf("sim: negative delay %d on link %d→%d", d, from, to))
+		}
+		at = n.now + d
 	}
 	// Self-sends are a handler's private timers (the settle engine's
 	// retransmission quanta), not link traffic — exempt from loss like
@@ -333,8 +337,7 @@ func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 		}
 		link.lastAt = at
 	}
-	n.seq++
-	n.queue.push(event{at: at, seq: n.seq, msg: Message{From: from, To: to, Payload: payload}})
+	n.queue.push(at, Message{From: from, To: to, Payload: payload})
 }
 
 func (n *Network) bumpOut(a Addr) {
@@ -410,39 +413,34 @@ func (n *Network) Resume(maxSteps int64) (Counters, error) {
 
 func (n *Network) drain(maxSteps int64) (Counters, error) {
 	var steps int64
-	for len(n.queue) > 0 {
+	for n.queue.n > 0 {
 		if steps >= maxSteps {
 			return n.snapshot(), fmt.Errorf("%w (%d steps)", ErrBudgetExhausted, steps)
 		}
-		ev := n.queue.pop()
-		n.now = ev.at
+		at, msg := n.queue.pop()
+		n.now = at
 		steps++
 		n.steps++
-		if _, ok := ev.msg.Payload.(restartMarker); ok {
-			n.restore(ev.msg.To)
+		if _, ok := msg.Payload.(restartMarker); ok {
+			n.restore(msg.To)
 			continue // not a delivery: the endpoint coming back up
 		}
-		if n.Down(ev.msg.To) {
+		if n.Down(msg.To) {
 			n.crashDropped++
 			continue // destination is crashed
 		}
-		h, ctx := n.handler(ev.msg.To)
+		h, ctx := n.handler(msg.To)
 		if h == nil {
 			continue // discarded: unknown destination
 		}
 		n.delivered++
-		n.bumpIn(ev.msg.To)
-		h.Recv(ctx, ev.msg)
+		n.bumpIn(msg.To)
+		h.Recv(ctx, msg)
 		if n.faults != nil {
-			if c, fired := n.faults.observeDelivery(ev.msg.To); fired {
+			if c, fired := n.faults.observeDelivery(msg.To); fired {
 				n.crashes++
 				if c.RestartDelay >= 0 {
-					n.seq++
-					n.queue.push(event{
-						at:  n.now + c.RestartDelay,
-						seq: n.seq,
-						msg: Message{From: ev.msg.To, To: ev.msg.To, Payload: restartMarker{}},
-					})
+					n.queue.push(n.now+c.RestartDelay, Message{From: msg.To, To: msg.To, Payload: restartMarker{}})
 				}
 			}
 		}
@@ -465,7 +463,7 @@ func (n *Network) Inject(from, to Addr, payload any) {
 }
 
 // Quiescent reports whether no messages are in flight.
-func (n *Network) Quiescent() bool { return len(n.queue) == 0 }
+func (n *Network) Quiescent() bool { return n.queue.n == 0 }
 
 // Counters returns a copy of the current counters.
 func (n *Network) Counters() Counters { return n.snapshot() }
@@ -531,63 +529,4 @@ func sortedAddrs(m map[Addr]Handler) []Addr {
 		}
 	}
 	return out
-}
-
-type event struct {
-	at  int64
-	seq int64
-	msg Message
-}
-
-// eventHeap is a binary min-heap over (at, seq) on a plain slice. The
-// hand-rolled push/pop avoid container/heap's interface boxing — one
-// allocation per enqueued and dequeued event in the old event loop.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = event{} // drop payload reference for the GC
-	q = q[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q) && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(q) && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
-	}
-	*h = q
-	return top
 }
