@@ -39,12 +39,14 @@ type Solution struct {
 // that suggested the same pricing entry" (§4.3 DATA3*).
 //
 // The computation is batched and parallel: one parent-pointer SSSP
-// tree per source for the base routes, then one avoid-k sweep per
-// node k that actually appears as a transit node on some LCP (nodes
-// that are never transit need no marginal economy), all fanned out
-// over a worker pool with per-worker scratch. Results are
-// deterministic — byte-identical to the sequential reference —
-// because every job writes only its own slot.
+// tree per source for the base routes, then, for every node k that
+// actually appears as a transit node on some LCP (nodes that are never
+// transit need no marginal economy), one avoid-k tree per source,
+// derived from that source's base tree by relabelling only k's subtree
+// (graph.SSSPWithout). Both stages fan out over a worker pool with
+// per-worker scratch. Results are deterministic — byte-identical to
+// the sequential reference — because every job writes only its own
+// slot.
 func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	c, err := computeCentral(g, nil, nil)
 	if err != nil {
@@ -54,10 +56,12 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 }
 
 // computeCentral is the shared core behind ComputeCentral (prev and d
-// nil) and Central.Evolve. The delta form runs the exact same
-// transit-detection and assembly code over trees that were repaired
-// instead of rebuilt — SSSPDelta's byte-identity guarantee is what
-// keeps the two forms indistinguishable in the output.
+// nil) and Central.Evolve. The two differ only in how the base trees
+// are built: from scratch, or repaired from prev's through d with
+// SSSPDelta. The avoid-k trees always derive from the new base trees,
+// so transit detection, the avoid sweep and assembly are the same code
+// in both forms, and SSSPDelta's byte-identity guarantee keeps them
+// indistinguishable in the output.
 func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, error) {
 	if !g.IsBiconnected() {
 		return nil, ErrNotBiconnected
@@ -76,7 +80,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	// each surviving source repairs its previous tree instead (joiners
 	// and nil deltas fall through to a scratch run inside SSSPDelta).
 	base := make([]*graph.Tree, n)
-	err := parallelFor(n, func(w *centralWorker, i int) error {
+	err := parallelFor(n, func(s *graph.Scratch, i int) error {
 		var old *graph.Tree
 		if prev != nil {
 			if o := d.NewToOld(graph.NodeID(i)); o >= 0 {
@@ -84,7 +88,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 			}
 		}
 		t := &graph.Tree{}
-		if err := g.SSSPDelta(t, w.scratch, graph.NodeID(i), nil, old, d); err != nil {
+		if err := g.SSSPDelta(t, s, graph.NodeID(i), old, d); err != nil {
 			return fmt.Errorf("all pairs from %d: %w", i, err)
 		}
 		base[i] = t
@@ -118,9 +122,11 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	}
 
 	// Avoid-k trees for transit nodes only: avoidTrees[k][v] is the
-	// lowest-cost route tree from v in G−k. One parallel job per k so
-	// per-job work (n−1 sweeps) amortizes scheduling; tag computation
-	// needs rows for every source v ≠ k, so the sweep is full.
+	// lowest-cost route tree from v in G−k, derived from base[v] by
+	// relabelling k's subtree. One parallel job per k so per-job work
+	// (n−1 derivations) amortizes scheduling; tag computation needs rows
+	// for every source v ≠ k, so the sweep is full. Every job reads the
+	// shared base trees and writes only its own row.
 	avoidTrees := make([][]*graph.Tree, n)
 	if transitCount > 0 {
 		jobs := make([]int, 0, transitCount)
@@ -129,33 +135,15 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 				jobs = append(jobs, k)
 			}
 		}
-		err = parallelFor(len(jobs), func(w *centralWorker, ji int) error {
+		err = parallelFor(len(jobs), func(s *graph.Scratch, ji int) error {
 			k := jobs[ji]
-			kid := graph.NodeID(k)
-			w.avoid.Clear()
-			w.avoid.Add(kid)
-			// Carry the previous epoch's avoid-k sweep when k survived and
-			// was transit then too (prev.avoid rows exist only for former
-			// transit nodes).
-			var prevK []*graph.Tree
-			if prev != nil {
-				if ko := d.NewToOld(kid); ko >= 0 {
-					prevK = prev.avoid[ko]
-				}
-			}
 			trees := make([]*graph.Tree, n)
 			for v := 0; v < n; v++ {
 				if v == k {
 					continue
 				}
-				var old *graph.Tree
-				if prevK != nil {
-					if o := d.NewToOld(graph.NodeID(v)); o >= 0 {
-						old = prevK[o]
-					}
-				}
 				t := &graph.Tree{}
-				if err := g.SSSPDelta(t, w.scratch, graph.NodeID(v), w.avoid, old, d); err != nil {
+				if err := g.SSSPWithout(t, s, base[v], graph.NodeID(k)); err != nil {
 					return fmt.Errorf("all pairs without %d: %w", k, err)
 				}
 				trees[v] = t
@@ -172,7 +160,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	// per source (each writes only its own slot).
 	routing := make([]RoutingTable, n)
 	pricing := make([]PricingTable, n)
-	err = parallelFor(n, func(w *centralWorker, i int) error {
+	err = parallelFor(n, func(_ *graph.Scratch, i int) error {
 		src := graph.NodeID(i)
 		t := base[i]
 		// One CSR-view fetch (and csrMu acquisition) per source job,
@@ -218,13 +206,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 		sol.Routing[graph.NodeID(i)] = routing[i]
 		sol.Pricing[graph.NodeID(i)] = pricing[i]
 	}
-	return &Central{Sol: sol, g: g, base: base, avoid: avoidTrees}, nil
-}
-
-// centralWorker is one worker's private state in a parallelFor fan-out.
-type centralWorker struct {
-	scratch *graph.Scratch
-	avoid   *graph.NodeSet
+	return &Central{Sol: sol, base: base}, nil
 }
 
 // centralWorkers overrides the pricing-core pool size when positive;
@@ -232,12 +214,12 @@ type centralWorker struct {
 // path regardless of the host's core count.
 var centralWorkers int
 
-// parallelFor runs fn(worker, i) for every i in [0, n) over a worker
+// parallelFor runs fn(scratch, i) for every i in [0, n) over a worker
 // pool (the experiments/runner.go idiom). Each worker owns a scratch,
 // every job writes only index-i state, and the earliest failing
 // index's error is reported — so results and errors are independent of
 // scheduling.
-func parallelFor(n int, fn func(w *centralWorker, i int) error) error {
+func parallelFor(n int, fn func(s *graph.Scratch, i int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -250,9 +232,9 @@ func parallelFor(n int, fn func(w *centralWorker, i int) error) error {
 	}
 	errs := make([]error, n)
 	if workers <= 1 {
-		w := &centralWorker{scratch: graph.NewScratch(0), avoid: graph.NewNodeSet(0)}
+		s := graph.NewScratch(0)
 		for i := 0; i < n; i++ {
-			errs[i] = fn(w, i)
+			errs[i] = fn(s, i)
 		}
 	} else {
 		jobs := make(chan int)
@@ -261,9 +243,9 @@ func parallelFor(n int, fn func(w *centralWorker, i int) error) error {
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				state := &centralWorker{scratch: graph.NewScratch(0), avoid: graph.NewNodeSet(0)}
+				s := graph.NewScratch(0)
 				for i := range jobs {
-					errs[i] = fn(state, i)
+					errs[i] = fn(s, i)
 				}
 			}()
 		}
@@ -312,8 +294,7 @@ func centralTags(g *graph.Graph, neighbors []graph.NodeID, dst, k graph.NodeID, 
 // VCGPayment returns the centralized per-packet VCG payment owed by
 // src to transit k for traffic to dst, straight from the definition.
 // It is the oracle used by tests. Both underlying searches exit early
-// once dst settles; for repeated queries over one graph, use VCGOracle
-// to reuse the distance views instead of re-running SSSP per call.
+// once dst settles.
 func VCGPayment(g *graph.Graph, src, dst, k graph.NodeID) (graph.Cost, error) {
 	p, d, err := g.ShortestPath(src, dst)
 	if err != nil {
@@ -327,91 +308,4 @@ func VCGPayment(g *graph.Graph, src, dst, k graph.NodeID) (graph.Cost, error) {
 		return 0, err
 	}
 	return g.Cost(k) + avoidCost - d, nil
-}
-
-// VCGOracle answers repeated VCG payment queries against one fixed
-// graph from precomputed distance views: the base route tree per
-// source and the avoid-k tree per (source, k) pair, both built lazily
-// on first use and reused afterwards. Not safe for concurrent use.
-type VCGOracle struct {
-	g       *graph.Graph
-	scratch *graph.Scratch
-	avoid   *graph.NodeSet
-	base    map[graph.NodeID]*graph.Tree
-	avoided map[[2]graph.NodeID]*graph.Tree // (src, k) → tree in G−k
-}
-
-// NewVCGOracle returns an empty oracle over g. The graph's topology
-// and costs must not change for the oracle's lifetime.
-func NewVCGOracle(g *graph.Graph) *VCGOracle {
-	return &VCGOracle{
-		g:       g,
-		scratch: graph.NewScratch(g.N()),
-		avoid:   graph.NewNodeSet(g.N()),
-		base:    make(map[graph.NodeID]*graph.Tree),
-		avoided: make(map[[2]graph.NodeID]*graph.Tree),
-	}
-}
-
-// baseTree returns (building if needed) the full route tree from src.
-func (o *VCGOracle) baseTree(src graph.NodeID) (*graph.Tree, error) {
-	if t, ok := o.base[src]; ok {
-		return t, nil
-	}
-	t := &graph.Tree{}
-	if err := o.g.SSSP(t, o.scratch, src, nil); err != nil {
-		return nil, err
-	}
-	o.base[src] = t
-	return t, nil
-}
-
-// avoidTree returns (building if needed) the route tree from src in G−k.
-func (o *VCGOracle) avoidTree(src, k graph.NodeID) (*graph.Tree, error) {
-	key := [2]graph.NodeID{src, k}
-	if t, ok := o.avoided[key]; ok {
-		return t, nil
-	}
-	o.avoid.Clear()
-	o.avoid.Add(k)
-	t := &graph.Tree{}
-	if err := o.g.SSSP(t, o.scratch, src, o.avoid); err != nil {
-		return nil, err
-	}
-	o.avoided[key] = t
-	return t, nil
-}
-
-// Payment returns the per-packet VCG payment owed by src to transit k
-// for traffic to dst — the same value as VCGPayment, from cached
-// distance views.
-func (o *VCGOracle) Payment(src, dst, k graph.NodeID) (graph.Cost, error) {
-	if k == src || k == dst {
-		return 0, nil
-	}
-	t, err := o.baseTree(src)
-	if err != nil {
-		return 0, err
-	}
-	if !t.Reached(dst) {
-		return 0, graph.ErrNoPath
-	}
-	onLCP := false
-	for p := t.Parent[dst]; p != -1 && graph.NodeID(p) != src; p = t.Parent[p] {
-		if graph.NodeID(p) == k {
-			onLCP = true
-			break
-		}
-	}
-	if !onLCP {
-		return 0, nil
-	}
-	noK, err := o.avoidTree(src, k)
-	if err != nil {
-		return 0, err
-	}
-	if !noK.Reached(dst) {
-		return 0, graph.ErrNoPath
-	}
-	return o.g.Cost(k) + noK.Dist[dst] - t.Dist[dst], nil
 }

@@ -6,26 +6,23 @@ import (
 	"repro/internal/graph"
 )
 
-// Central is ComputeCentral's solution together with the parent-pointer
+// Central is ComputeCentral's solution together with the base route
 // trees behind it, retained so the next epoch's solution can be
 // *repaired* from this one instead of rebuilt. The churn layer chains
 // one Central per epoch: epoch e evolves from epoch e−1 through the
 // membership/cost delta, and every play of epoch e shares the resulting
 // immutable Solution.
 //
-// A Central keeps n base trees plus one n-tree sweep per transit node —
-// O(n²·transit) int64/int32 labels. Chains hold every epoch alive (each
-// epoch is the next one's repair source), so very long timelines at
-// very large n should fall back to the scratch path if memory matters
-// more than boundary latency.
+// A Central keeps n base trees — O(n²) int64/int32 labels. The avoid-k
+// trees behind the prices are derived from the base trees inside each
+// computation and dropped with it, so a chain that holds every epoch
+// alive pays only the base trees per epoch.
 type Central struct {
 	// Sol is the centralized routing/pricing solution — identical to
 	// what ComputeCentral returns for the same graph.
 	Sol *Solution
 
-	g     *graph.Graph
-	base  []*graph.Tree   // base[src]: full route tree from src
-	avoid [][]*graph.Tree // avoid[k][src]: tree in G−k; nil when k not transit
+	base []*graph.Tree // base[src]: full route tree from src
 }
 
 // ComputeCentralState is ComputeCentral, additionally retaining the
@@ -35,7 +32,9 @@ func ComputeCentralState(g *graph.Graph) (*Central, error) {
 }
 
 // Evolve computes the central solution for g — the post-delta graph —
-// by repairing this state's trees through d. The result is
+// by repairing this state's base trees through d. The avoid-k trees
+// derive from the repaired base trees exactly as in ComputeCentral, so
+// nothing of the previous epoch's avoid sweep is needed. The result is
 // byte-identical to ComputeCentral(g): transit detection, pricing and
 // identity tags run on repaired trees that SSSPDelta guarantees match
 // scratch ones label-for-label. A nil delta degrades to a full scratch

@@ -147,9 +147,26 @@ func solutionsIdentical(t *testing.T, seed int, want, got *Solution) {
 
 // TestDifferentialComputeCentral checks the batched, parallel pricing
 // core against the sequential pre-optimization oracle on 200+ random
-// seeded graphs: routes, costs, witness paths, identity tags, and the
-// canonical table hashes the bank compares must all be byte-identical.
+// seeded graphs up to n=12, six PrefAttach, TwoTier and Waxman graphs
+// at n=32–48, and Figure 1: routes, costs, witness paths, identity
+// tags, and the canonical table hashes the bank compares must all be
+// byte-identical.
 func TestDifferentialComputeCentral(t *testing.T) {
+	check := func(seed int, g *graph.Graph, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, err := computeCentralOracle(g)
+		if err != nil {
+			t.Fatalf("seed %d: oracle: %v", seed, err)
+		}
+		got, err := ComputeCentral(g)
+		if err != nil {
+			t.Fatalf("seed %d: new: %v", seed, err)
+		}
+		solutionsIdentical(t, seed, want, got)
+	}
 	const cases = 200
 	for seed := 0; seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -167,30 +184,30 @@ func TestDifferentialComputeCentral(t *testing.T) {
 		default:
 			g, err = graph.RandomBiconnected(n, 2*n, 20, rng)
 		}
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		check(seed, g, err)
+	}
+	// Larger Internet-like families, where k's subtree in another
+	// source's tree runs several levels deep and the avoid-k
+	// derivation relabels more than a leaf.
+	for seed := 1000; seed < 1006; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := 32 + rng.Intn(17) // 32..48
+		var (
+			g   *graph.Graph
+			err error
+		)
+		switch seed % 3 {
+		case 0:
+			g, err = graph.PreferentialAttachment(n, 2, graph.UniformCost(5), rng)
+		case 1:
+			g, err = graph.TwoTier(4+seed%3, n/(4+seed%3), graph.UniformCost(4), rng)
+		default:
+			g, err = graph.Waxman(n, 0.4, 0.2, graph.UniformCost(8), rng)
 		}
-		want, err := computeCentralOracle(g)
-		if err != nil {
-			t.Fatalf("seed %d: oracle: %v", seed, err)
-		}
-		got, err := ComputeCentral(g)
-		if err != nil {
-			t.Fatalf("seed %d: new: %v", seed, err)
-		}
-		solutionsIdentical(t, seed, want, got)
+		check(seed, g, err)
 	}
 	// The paper's own Figure-1 topology, for good measure.
-	g := graph.Figure1()
-	want, err := computeCentralOracle(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ComputeCentral(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solutionsIdentical(t, -1, want, got)
+	check(-1, graph.Figure1(), nil)
 }
 
 // TestComputeCentralParallelDeterministic pins the worker pool wide
@@ -216,40 +233,5 @@ func TestComputeCentralParallelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		solutionsIdentical(t, seed, want, got)
-	}
-}
-
-// TestVCGOracleMatchesVCGPayment checks the cached-distance-view
-// oracle against the from-scratch definition for every (src, dst, k).
-func TestVCGOracleMatchesVCGPayment(t *testing.T) {
-	for seed := 0; seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		g, err := graph.RandomBiconnected(8+seed, 8, 6, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := NewVCGOracle(g)
-		n := g.N()
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				for k := 0; k < n; k++ {
-					want, err := VCGPayment(g, graph.NodeID(src), graph.NodeID(dst), graph.NodeID(k))
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := oracle.Payment(graph.NodeID(src), graph.NodeID(dst), graph.NodeID(k))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want != got {
-						t.Fatalf("seed %d (%d→%d via %d): VCGPayment %d != oracle %d",
-							seed, src, dst, k, want, got)
-					}
-				}
-			}
-		}
 	}
 }

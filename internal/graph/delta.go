@@ -178,25 +178,23 @@ const (
 	taintDirty   = uint8(2)
 )
 
-// SSSPDelta computes into t the same tree g.SSSP(t, s, src, avoid)
-// would — byte-identical labels — by repairing old, the tree of the
-// same (source, avoid) query on the pre-delta graph (with source and
-// avoid taken through the remap). t must not alias old. When src is a
+// SSSPDelta computes into t the same full tree g.SSSP(t, s, src, nil)
+// would — byte-identical labels — by repairing old, the full tree of
+// the same source on the pre-delta graph (taken through the remap).
+// It takes no avoid set: an avoid-k tree derives from the repaired
+// full tree with SSSPWithout. t must not alias old. When src is a
 // joiner, or old's source does not map to src, the repair silently
 // falls back to a full scratch run; a shape mismatch between old and
 // the delta is an error.
-func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *Tree, d *Delta) error {
+func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, old *Tree, d *Delta) error {
 	if d == nil || old == nil {
-		return g.SSSP(t, s, src, avoid)
+		return g.SSSP(t, s, src, nil)
 	}
 	if t == old {
 		return fmt.Errorf("graph: SSSPDelta target aliases the old tree")
 	}
 	if err := g.check(src); err != nil {
 		return err
-	}
-	if avoid.Has(src) {
-		return ErrSourceAvoided
 	}
 	n := len(g.costs)
 	nOld := d.NOld()
@@ -208,7 +206,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *
 	}
 	oldSrc := d.newToOld[src]
 	if oldSrc < 0 || old.Src != oldSrc {
-		return g.SSSP(t, s, src, avoid) // joiner source or foreign tree
+		return g.SSSP(t, s, src, nil) // joiner source or foreign tree
 	}
 
 	off, adj := g.ensureCSR()
@@ -283,16 +281,15 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *
 
 	// Phase 3 — seed the heap: carried nodes that can emit relaxations
 	// the old tree never saw (cost changes, added edges) plus the clean
-	// frontier bordering the rebuilt region. The avoided node never
-	// relaxes anything, so it neither seeds nor counts as frontier.
+	// frontier bordering the rebuilt region.
 	for w := 0; w < n; w++ {
-		if s.carPar[w] == notCarried || avoid.Has(NodeID(w)) {
+		if s.carPar[w] == notCarried {
 			continue
 		}
 		push := d.seed.Has(NodeID(w))
 		if !push {
 			for _, x := range adj[off[w]:off[w+1]] {
-				if s.carPar[x] == notCarried && !avoid.Has(x) {
+				if s.carPar[x] == notCarried {
 					push = true
 					break
 				}
@@ -315,7 +312,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *
 		}
 		s.done[u] = true
 		if u != src {
-			s.reselectParent(g, t, u, src, avoid, off, adj)
+			s.reselectParent(g, t, u, src, off, adj)
 		}
 		// A node's chain changed when it was rebuilt, its parent differs
 		// from the carried one, or its (possibly re-chosen) parent's own
@@ -337,7 +334,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *
 		nd := t.Dist[u] + transit
 		nh := t.Hops[u] + 1
 		for _, v := range adj[off[u]:off[u+1]] {
-			if s.done[v] || avoid.Has(v) {
+			if s.done[v] {
 				continue
 			}
 			switch {
@@ -365,12 +362,13 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, old *
 // to u's key. Every such candidate has a strictly smaller (dist, hops)
 // key than u, so — heap pops being key-monotone — its label is final
 // here, and the candidate set equals the one scratch SSSP resolved
-// ties over.
-func (s *Scratch) reselectParent(g *Graph, t *Tree, u, src NodeID, avoid *NodeSet, off []int32, adj []NodeID) {
+// ties over. Unreached neighbors — SSSPWithout's removed node among
+// them — are never candidates.
+func (s *Scratch) reselectParent(g *Graph, t *Tree, u, src NodeID, off []int32, adj []NodeID) {
 	du, hu := t.Dist[u], t.Hops[u]
 	best := NodeID(-1)
 	for _, c := range adj[off[u]:off[u+1]] {
-		if avoid.Has(c) || t.Dist[c] >= Infinity {
+		if t.Dist[c] >= Infinity {
 			continue
 		}
 		var ct Cost

@@ -10,9 +10,10 @@ import (
 // under the (cost, hops, lex) order. These tests drive randomized
 // churn-like evolutions — leaves, tail joins, carried edges, repair
 // edges, cost redraws — and compare every repaired tree label-for-label
-// against a from-scratch run, including avoid-k variants and chained
-// (epoch e from e-1 from e-2 ...) repairs. Tiny cost ranges (0, 1)
-// force heavy lexicographic tie-breaking, the hardest part to carry.
+// against a from-scratch run, including the avoid-k trees SSSPWithout
+// derives from each repaired tree and chained (epoch e from e-1 from
+// e-2 ...) repairs. Tiny cost ranges (0, 1) force heavy lexicographic
+// tie-breaking, the hardest part to carry.
 
 type evolution struct {
 	oldG, newG *Graph
@@ -121,9 +122,10 @@ func requireTreesEqual(t *testing.T, label string, got, want *Tree) {
 	}
 }
 
-// checkEvolution repairs every (source, avoid) tree across ev and
-// compares against scratch. Returns the repaired base trees (indexed by
-// new source) so chained tests can feed them to the next step.
+// checkEvolution repairs every base tree across ev, derives every
+// avoid-k tree from the repaired ones, and compares all against
+// scratch. Returns the repaired base trees (indexed by new source) so
+// chained tests can feed them to the next step.
 func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) []*Tree {
 	t.Helper()
 	d, err := NewDelta(ev.oldG, ev.newG, ev.oldToNew)
@@ -149,7 +151,7 @@ func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) [
 			old = oldBase[o]
 		}
 		base[src] = &Tree{}
-		if err := ev.newG.SSSPDelta(base[src], scr, NodeID(src), nil, old, d); err != nil {
+		if err := ev.newG.SSSPDelta(base[src], scr, NodeID(src), old, d); err != nil {
 			t.Fatalf("%s: SSSPDelta(%d): %v", label, src, err)
 		}
 		if err := ev.newG.SSSP(want, scrWant, NodeID(src), nil); err != nil {
@@ -157,33 +159,20 @@ func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) [
 		}
 		requireTreesEqual(t, fmt.Sprintf("%s src=%d", label, src), base[src], want)
 	}
-	// Avoid-k variants: repair an old avoid-k tree for surviving (src, k)
-	// pairs against a scratch avoid run.
+	// Avoid-k variants: derive every (src, k) avoid tree from the
+	// repaired base tree, the path Central.Evolve runs, and compare it
+	// against a scratch avoid run.
 	avoid := NewNodeSet(n)
-	oldAvoid := NewNodeSet(nOld)
-	oldT, got := &Tree{}, &Tree{}
-	for k := 0; k < n; k += 1 + n/5 {
-		ok := d.NewToOld(NodeID(k))
-		if ok < 0 {
-			continue
-		}
+	got := &Tree{}
+	for k := 0; k < n; k++ {
 		avoid.Clear()
 		avoid.Add(NodeID(k))
-		oldAvoid.Clear()
-		oldAvoid.Add(ok)
-		for src := 0; src < n; src += 2 {
+		for src := 0; src < n; src++ {
 			if src == k {
 				continue
 			}
-			var old *Tree
-			if o := d.NewToOld(NodeID(src)); o >= 0 {
-				if err := ev.oldG.SSSP(oldT, oldScr, o, oldAvoid); err != nil {
-					t.Fatalf("%s: old avoid SSSP: %v", label, err)
-				}
-				old = oldT
-			}
-			if err := ev.newG.SSSPDelta(got, scr, NodeID(src), avoid, old, d); err != nil {
-				t.Fatalf("%s: avoid SSSPDelta(%d,%d): %v", label, src, k, err)
+			if err := ev.newG.SSSPWithout(got, scr, base[src], NodeID(k)); err != nil {
+				t.Fatalf("%s: SSSPWithout(%d,%d): %v", label, src, k, err)
 			}
 			if err := ev.newG.SSSP(want, scrWant, NodeID(src), avoid); err != nil {
 				t.Fatalf("%s: avoid SSSP(%d,%d): %v", label, src, k, err)
@@ -311,7 +300,7 @@ func TestSSSPDeltaIdentity(t *testing.T) {
 		if err := g.SSSP(old, scr, NodeID(src), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.SSSPDelta(got, scr, NodeID(src), nil, old, d); err != nil {
+		if err := g.SSSPDelta(got, scr, NodeID(src), old, d); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.SSSP(want, scr, NodeID(src), nil); err != nil {
@@ -353,7 +342,7 @@ func TestSSSPDeltaFallbacks(t *testing.T) {
 	n := ev.newG.N()
 	scr := NewScratch(n)
 	got, want := &Tree{}, &Tree{}
-	if err := ev.newG.SSSPDelta(got, scr, 0, nil, nil, d); err != nil {
+	if err := ev.newG.SSSPDelta(got, scr, 0, nil, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := ev.newG.SSSP(want, scr, 0, nil); err != nil {
@@ -371,7 +360,7 @@ func TestSSSPDeltaFallbacks(t *testing.T) {
 		if d.NewToOld(NodeID(src)) == 0 {
 			continue
 		}
-		if err := ev.newG.SSSPDelta(got, scr, NodeID(src), nil, oldT, d); err != nil {
+		if err := ev.newG.SSSPDelta(got, scr, NodeID(src), oldT, d); err != nil {
 			t.Fatal(err)
 		}
 		if err := ev.newG.SSSP(want, scr, NodeID(src), nil); err != nil {
@@ -380,7 +369,7 @@ func TestSSSPDeltaFallbacks(t *testing.T) {
 		requireTreesEqual(t, fmt.Sprintf("foreign tree src=%d", src), got, want)
 		break
 	}
-	if err := ev.newG.SSSPDelta(oldT, scr, 0, nil, oldT, d); err == nil {
+	if err := ev.newG.SSSPDelta(oldT, scr, 0, oldT, d); err == nil {
 		t.Fatal("aliased target accepted")
 	}
 }

@@ -31,7 +31,8 @@ import (
 // into scratch buffers and comparing from the source end — O(hops),
 // and only on genuine double ties.
 
-// ErrSourceAvoided is returned when the SSSP source is in the avoid set.
+// ErrSourceAvoided is returned when the SSSP source is in the avoid
+// set, or is the node SSSPWithout removes.
 var ErrSourceAvoided = errors.New("graph: source is in avoid set")
 
 const (
@@ -106,8 +107,9 @@ type Tree struct {
 	Parent []int32
 }
 
-// reset sizes the tree for n nodes and clears every label.
-func (t *Tree) reset(n int, src NodeID) {
+// resize sizes the label arrays for n nodes, reusing them when they
+// are large enough. Labels are left as they were.
+func (t *Tree) resize(n int) {
 	if cap(t.Dist) < n {
 		t.Dist = make([]Cost, n)
 		t.Hops = make([]int32, n)
@@ -116,6 +118,11 @@ func (t *Tree) reset(n int, src NodeID) {
 	t.Dist = t.Dist[:n]
 	t.Hops = t.Hops[:n]
 	t.Parent = t.Parent[:n]
+}
+
+// reset sizes the tree for n nodes and clears every label.
+func (t *Tree) reset(n int, src NodeID) {
+	t.resize(n)
 	for i := 0; i < n; i++ {
 		t.Dist[i] = Infinity
 		t.Hops[i] = unreachedHops
@@ -193,6 +200,10 @@ type Scratch struct {
 	tstack  []int32 // parent-chain walk stack for the taint memo
 	carPar  []int32 // carried parent per new node, -2 when not carried
 	changed []bool  // popped node's chain differs from the carried one
+
+	// sub lists the removed node's subtree during SSSPWithout (see
+	// without.go); unused by other runs.
+	sub []int32
 }
 
 // NewScratch returns a Scratch pre-sized for n nodes.

@@ -236,10 +236,8 @@ func (s *Server) stats() Response {
 		N:          st.comp.Graph.N(),
 		Deviant:    st.deviant,
 		Divergence: st.divergence,
+		Net:        st.counters,
 	}
-	// Add builds fresh per-node maps, so the reply never aliases the
-	// resident epoch's counters.
-	stats.Net.Add(st.counters)
 	if st.deviant != "" {
 		stats.DeviantNode = int(st.deviantNode)
 	}

@@ -12,12 +12,12 @@
 // Deviating (rational) behavior lives in the node handlers, not in the
 // network: the network itself is obedient, as assumed by the paper.
 //
-// The event loop is allocation-lean: handlers and per-node counters
-// are dense slices indexed by address (with a map overflow for sparse
-// addresses like the bank's), the event queue is a calendar queue
-// whose time buckets link through one arena of cells (push and pop are
-// O(1) at the delays every protocol run uses), and each handler gets
-// one reusable Context for the network's lifetime. A Network can
+// The event loop is allocation-lean: handlers are a dense slice
+// indexed by address (with a map overflow for sparse addresses like
+// the bank's), the event queue is a calendar queue whose time buckets
+// link through one arena of cells (push and pop are O(1) at the delays
+// every protocol run uses), and each handler gets one reusable Context
+// for the network's lifetime. A Network can
 // also be Reset and reused across runs — deviation searches play
 // hundreds of protocol runs back to back, and rebuilding the network
 // from pooled storage keeps that loop off the allocator (see
@@ -34,9 +34,9 @@ import (
 type Addr int
 
 // maxDenseAddr bounds the dense (slice-indexed) address range.
-// Addresses in [0, maxDenseAddr) get O(1) indexed handlers and
-// counters; anything else (negative, or sparse high addresses like the
-// fpss bank at 1<<20) falls back to a small map.
+// Addresses in [0, maxDenseAddr) get O(1) indexed handlers; anything
+// else (negative, or sparse high addresses like the fpss bank at
+// 1<<20) falls back to a small map.
 const maxDenseAddr = 1 << 12
 
 // Message is a payload in flight between two endpoints.
@@ -72,9 +72,9 @@ type Handler interface {
 // traffic accounting. Payloads that do not implement Sizer count as 1.
 type Sizer interface{ Size() int }
 
-// Counters aggregates traffic statistics for a run. Values returned by
-// Run/Resume/Counters are snapshots: the maps are freshly built and
-// never alias the network's internal state.
+// Counters aggregates traffic statistics for a run. It is a plain
+// value: what Run, Resume and Counters return is a copy that later
+// traffic does not change.
 type Counters struct {
 	Sent         int64 // messages submitted via Send (including lost ones)
 	Delivered    int64 // messages handed to Recv
@@ -86,16 +86,11 @@ type Counters struct {
 	CrashDropped int64 // deliveries dropped because the destination was down
 	Bytes        int64 // total abstract payload size sent
 	Steps        int64 // delivery steps executed
-	PerNodeIn    map[Addr]int64
-	PerNodeOut   map[Addr]int64
 }
 
 // Add accumulates another snapshot into c — benchtab's suite profile
 // sums one snapshot per epoch of a churn timeline into the
-// whole-timeline message-overhead figure. Per-node maps are allocated
-// on first need; note that epoch-local addresses may denote different
-// identities across epochs, so dynamic callers aggregating per-node
-// traffic should remap before adding.
+// whole-timeline message-overhead figure.
 func (c *Counters) Add(o Counters) {
 	c.Sent += o.Sent
 	c.Delivered += o.Delivered
@@ -107,22 +102,6 @@ func (c *Counters) Add(o Counters) {
 	c.CrashDropped += o.CrashDropped
 	c.Bytes += o.Bytes
 	c.Steps += o.Steps
-	if len(o.PerNodeIn) > 0 {
-		if c.PerNodeIn == nil {
-			c.PerNodeIn = make(map[Addr]int64, len(o.PerNodeIn))
-		}
-		for a, v := range o.PerNodeIn {
-			c.PerNodeIn[a] += v
-		}
-	}
-	if len(o.PerNodeOut) > 0 {
-		if c.PerNodeOut == nil {
-			c.PerNodeOut = make(map[Addr]int64, len(o.PerNodeOut))
-		}
-		for a, v := range o.PerNodeOut {
-			c.PerNodeOut[a] += v
-		}
-	}
 }
 
 // Network is a deterministic event-driven message network.
@@ -143,10 +122,6 @@ type Network struct {
 
 	sent, delivered, dropped, retried, lost, bytes, steps int64
 	crashes, restarts, crashDropped                       int64
-	// Per-node counters: dense slices grown on demand, map overflow
-	// for out-of-range addresses.
-	denseIn, denseOut   []int64
-	sparseIn, sparseOut map[Addr]int64
 
 	running bool
 }
@@ -170,8 +145,8 @@ func NewNetwork(opts ...Option) *Network {
 	return n
 }
 
-// netPool recycles Networks (and their handler tables, counter arrays
-// and event-queue backing) across runs; see AcquireNetwork.
+// netPool recycles Networks (and their handler tables and event-queue
+// backing) across runs; see AcquireNetwork.
 var netPool = sync.Pool{New: func() any { return &Network{} }}
 
 // AcquireNetwork returns an empty network from the package pool,
@@ -187,9 +162,7 @@ func AcquireNetwork(opts ...Option) *Network {
 }
 
 // Release resets n and returns it to the package pool. The caller must
-// not use n (or any Context it handed out) afterwards. Counters
-// snapshots returned earlier remain valid — they never alias network
-// state.
+// not use n (or any Context it handed out) afterwards.
 func (n *Network) Release() {
 	n.Reset()
 	netPool.Put(n)
@@ -213,10 +186,6 @@ func (n *Network) Reset() {
 	n.delay, n.loss, n.faults = nil, nil, nil
 	n.sent, n.delivered, n.dropped, n.retried, n.lost, n.bytes, n.steps = 0, 0, 0, 0, 0, 0, 0
 	n.crashes, n.restarts, n.crashDropped = 0, 0, 0
-	clear(n.denseIn)
-	clear(n.denseOut)
-	clear(n.sparseIn)
-	clear(n.sparseOut)
 	n.running = false
 }
 
@@ -288,7 +257,6 @@ func (n *Network) send(from, to Addr, payload any) {
 // loss model — see Inject).
 func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 	n.sent++
-	n.bumpOut(from)
 	size := int64(1)
 	if s, ok := payload.(Sizer); ok {
 		size = int64(s.Size())
@@ -338,34 +306,6 @@ func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 		link.lastAt = at
 	}
 	n.queue.push(at, Message{From: from, To: to, Payload: payload})
-}
-
-func (n *Network) bumpOut(a Addr) {
-	if a >= 0 && a < maxDenseAddr {
-		for int(a) >= len(n.denseOut) {
-			n.denseOut = append(n.denseOut, 0)
-		}
-		n.denseOut[a]++
-		return
-	}
-	if n.sparseOut == nil {
-		n.sparseOut = make(map[Addr]int64)
-	}
-	n.sparseOut[a]++
-}
-
-func (n *Network) bumpIn(a Addr) {
-	if a >= 0 && a < maxDenseAddr {
-		for int(a) >= len(n.denseIn) {
-			n.denseIn = append(n.denseIn, 0)
-		}
-		n.denseIn[a]++
-		return
-	}
-	if n.sparseIn == nil {
-		n.sparseIn = make(map[Addr]int64)
-	}
-	n.sparseIn[a]++
 }
 
 // ErrBudgetExhausted is returned by Run when maxSteps deliveries
@@ -434,7 +374,6 @@ func (n *Network) drain(maxSteps int64) (Counters, error) {
 			continue // discarded: unknown destination
 		}
 		n.delivered++
-		n.bumpIn(msg.To)
 		h.Recv(ctx, msg)
 		if n.faults != nil {
 			if c, fired := n.faults.observeDelivery(msg.To); fired {
@@ -477,10 +416,9 @@ func (n *Network) Handler(addr Addr) (Handler, bool) {
 // Now returns the current simulated time.
 func (n *Network) Now() int64 { return n.now }
 
-// snapshot materializes the internal dense/sparse counters into an
-// isolated Counters value.
+// snapshot copies the internal counters into a Counters value.
 func (n *Network) snapshot() Counters {
-	out := Counters{
+	return Counters{
 		Sent:         n.sent,
 		Delivered:    n.delivered,
 		Dropped:      n.dropped,
@@ -491,26 +429,7 @@ func (n *Network) snapshot() Counters {
 		CrashDropped: n.crashDropped,
 		Bytes:        n.bytes,
 		Steps:        n.steps,
-		PerNodeIn:    make(map[Addr]int64),
-		PerNodeOut:   make(map[Addr]int64),
 	}
-	for a, v := range n.denseIn {
-		if v != 0 {
-			out.PerNodeIn[Addr(a)] = v
-		}
-	}
-	for a, v := range n.denseOut {
-		if v != 0 {
-			out.PerNodeOut[Addr(a)] = v
-		}
-	}
-	for a, v := range n.sparseIn {
-		out.PerNodeIn[a] = v
-	}
-	for a, v := range n.sparseOut {
-		out.PerNodeOut[a] = v
-	}
-	return out
 }
 
 // sortedAddrs returns m's keys ascending (insertion sort: the sparse

@@ -213,33 +213,6 @@ func TestWithDelayOrdersAcrossLinks(t *testing.T) {
 	}
 }
 
-func TestPerNodeCounters(t *testing.T) {
-	n := NewNetwork()
-	_ = n.Attach(0, &burst{to: 1, count: 3})
-	_ = n.Attach(1, &recorder{})
-	c, err := n.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.PerNodeOut[0] != 3 || c.PerNodeIn[1] != 3 {
-		t.Errorf("per-node counters = out %v in %v", c.PerNodeOut, c.PerNodeIn)
-	}
-}
-
-func TestCountersSnapshotIsolated(t *testing.T) {
-	n := NewNetwork()
-	_ = n.Attach(0, &burst{to: 1, count: 1})
-	_ = n.Attach(1, &recorder{})
-	if _, err := n.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	c := n.Counters()
-	c.PerNodeOut[0] = 999
-	if n.Counters().PerNodeOut[0] == 999 {
-		t.Error("Counters() returned aliased maps")
-	}
-}
-
 func TestRunReentryRejected(t *testing.T) {
 	n := NewNetwork()
 	r := &reentrant{net: n}
@@ -255,37 +228,14 @@ func TestRunReentryRejected(t *testing.T) {
 type reentrant struct {
 	net    *Network
 	sawErr bool
-	inner  Counters
 }
 
 func (r *reentrant) Init(ctx Context) {
-	if c, err := r.net.Run(1); err != nil {
+	if _, err := r.net.Run(1); err != nil {
 		r.sawErr = true
-		r.inner = c
 	}
 }
 func (r *reentrant) Recv(Context, Message) {}
-
-func TestRunReentryCountersIsolated(t *testing.T) {
-	// The counters returned on the re-entry error path must be a
-	// snapshot, not an alias of the network's internal maps.
-	n := NewNetwork()
-	r := &reentrant{net: n}
-	_ = n.Attach(0, r)
-	_ = n.Attach(1, &burst{to: 0, count: 2})
-	if _, err := n.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if !r.sawErr {
-		t.Fatal("nested Run should have errored")
-	}
-	r.inner.PerNodeIn[0] = 999
-	r.inner.PerNodeOut[1] = 999
-	after := n.Counters()
-	if after.PerNodeIn[0] == 999 || after.PerNodeOut[1] == 999 {
-		t.Error("re-entry error path returned aliased counter maps")
-	}
-}
 
 func TestResumeBudgetIsPerCall(t *testing.T) {
 	// Each Run/Resume call gets its own step budget: an exhausted
@@ -335,14 +285,14 @@ func TestInjectThenResumeRespectsBudget(t *testing.T) {
 	if len(rec.seen) != 4 || !n.Quiescent() {
 		t.Errorf("seen = %v quiescent = %v, want all 4 delivered", rec.seen, n.Quiescent())
 	}
-	if c.Delivered != 4 || c.PerNodeOut[100] != 4 {
-		t.Errorf("delivered = %d, out[100] = %d, want 4/4", c.Delivered, c.PerNodeOut[100])
+	if c.Delivered != 4 {
+		t.Errorf("delivered = %d, want 4", c.Delivered)
 	}
 }
 
 func TestSparseAddresses(t *testing.T) {
 	// Addresses outside the dense range (the bank lives at 1<<20) and
-	// negative addresses take the map path: same delivery, counter and
+	// negative addresses take the map path: same delivery and
 	// duplicate-detection semantics.
 	const bank Addr = 1 << 20
 	n := NewNetwork()
@@ -359,8 +309,8 @@ func TestSparseAddresses(t *testing.T) {
 	if len(rec.seen) != 3 {
 		t.Errorf("sparse handler saw %v, want 3 messages", rec.seen)
 	}
-	if c.PerNodeIn[bank] != 3 || c.PerNodeOut[0] != 3 {
-		t.Errorf("counters in[bank]=%d out[0]=%d, want 3/3", c.PerNodeIn[bank], c.PerNodeOut[0])
+	if c.Sent != 3 || c.Delivered != 3 {
+		t.Errorf("counters sent=%d delivered=%d, want 3/3", c.Sent, c.Delivered)
 	}
 	if h, ok := n.Handler(bank); !ok || h != Handler(rec) {
 		t.Error("Handler(bank) lookup failed")
@@ -395,7 +345,7 @@ func TestResetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Sent != 2 || c.Dropped != 0 || c.PerNodeOut[0] != 2 {
+	if c.Sent != 2 || c.Dropped != 0 {
 		t.Errorf("post-Reset counters = %+v, want a fresh run without the loss hook", c)
 	}
 	if len(rec.seen) != 2 {
@@ -426,27 +376,10 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 }
 
 func TestCountersAdd(t *testing.T) {
-	a := Counters{Sent: 3, Delivered: 2, Dropped: 1, Bytes: 40, Steps: 5,
-		PerNodeIn: map[Addr]int64{1: 2}, PerNodeOut: map[Addr]int64{0: 3}}
-	b := Counters{Sent: 10, Delivered: 9, Bytes: 100, Steps: 7,
-		PerNodeIn: map[Addr]int64{1: 1, 2: 4}, PerNodeOut: map[Addr]int64{0: 1}}
+	a := Counters{Sent: 3, Delivered: 2, Dropped: 1, Bytes: 40, Steps: 5}
+	b := Counters{Sent: 10, Delivered: 9, Bytes: 100, Steps: 7}
 	a.Add(b)
 	if a.Sent != 13 || a.Delivered != 11 || a.Dropped != 1 || a.Bytes != 140 || a.Steps != 12 {
 		t.Errorf("scalar sums wrong: %+v", a)
-	}
-	if a.PerNodeIn[1] != 3 || a.PerNodeIn[2] != 4 || a.PerNodeOut[0] != 4 {
-		t.Errorf("per-node sums wrong: in=%v out=%v", a.PerNodeIn, a.PerNodeOut)
-	}
-	// Adding into a zero value allocates the maps on demand.
-	var z Counters
-	z.Add(b)
-	if z.Sent != 10 || z.PerNodeIn[2] != 4 {
-		t.Errorf("zero-value Add wrong: %+v", z)
-	}
-	// Adding an empty snapshot must not allocate maps.
-	var z2 Counters
-	z2.Add(Counters{Sent: 1})
-	if z2.PerNodeIn != nil || z2.PerNodeOut != nil {
-		t.Error("empty per-node maps should stay nil")
 	}
 }
