@@ -38,15 +38,18 @@ type Solution struct {
 // avoid-k continuation attains the minimum — the "union of the nodes
 // that suggested the same pricing entry" (§4.3 DATA3*).
 //
-// The computation is batched and parallel: one parent-pointer SSSP
-// tree per source for the base routes, then, for every node k that
-// actually appears as a transit node on some LCP (nodes that are never
-// transit need no marginal economy), one avoid-k tree per source,
-// derived from that source's base tree by relabelling only k's subtree
-// (graph.SSSPWithout). Both stages fan out over a worker pool with
-// per-worker scratch. Results are deterministic — byte-identical to
-// the sequential reference — because every job writes only its own
-// slot.
+// The computation is batched and parallel. It builds one
+// parent-pointer SSSP tree per source for the base routes. Then, for
+// each node k that actually appears as a transit node on some LCP
+// (nodes that are never transit need no marginal economy), one job
+// derives every source's avoid-k tree from that source's base tree by
+// relabelling only k's subtree (graph.SSSPWithout), into trees its
+// worker owns and reuses from job to job, and fills every price entry
+// that names k: each (source, destination, k) has a slot of its own.
+// A last job per source assembles its tables from its slots. Route
+// paths, witness paths and tag sets are carved from each worker's
+// NodeID arena. Results are deterministic — byte-identical to the
+// sequential reference — because every job writes only its own slots.
 func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	c, err := computeCentral(g, nil, nil)
 	if err != nil {
@@ -61,7 +64,8 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 // SSSPDelta. The avoid-k trees always derive from the new base trees,
 // so transit detection, the avoid sweep and assembly are the same code
 // in both forms, and SSSPDelta's byte-identity guarantee keeps them
-// indistinguishable in the output.
+// indistinguishable in the output. The avoid-k trees live in worker
+// scratch and die with the call; only the base trees are kept.
 func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, error) {
 	if !g.IsBiconnected() {
 		return nil, ErrNotBiconnected
@@ -75,12 +79,13 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	for i := 0; i < n; i++ {
 		sol.Costs[graph.NodeID(i)] = g.Cost(graph.NodeID(i))
 	}
+	pool := newCentralPool(n)
 
 	// Base trees: one full SSSP per source, in parallel. With a delta,
 	// each surviving source repairs its previous tree instead (joiners
 	// and nil deltas fall through to a scratch run inside SSSPDelta).
 	base := make([]*graph.Tree, n)
-	err := parallelFor(n, func(s *graph.Scratch, i int) error {
+	err := pool.run(n, func(w *centralWorker, i int) error {
 		var old *graph.Tree
 		if prev != nil {
 			if o := d.NewToOld(graph.NodeID(i)); o >= 0 {
@@ -88,7 +93,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 			}
 		}
 		t := &graph.Tree{}
-		if err := g.SSSPDelta(t, s, graph.NodeID(i), old, d); err != nil {
+		if err := g.SSSPDelta(t, &w.s, graph.NodeID(i), old, d); err != nil {
 			return fmt.Errorf("all pairs from %d: %w", i, err)
 		}
 		base[i] = t
@@ -103,8 +108,15 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	// immediate parent of the next node on that LCP — which, by prefix
 	// optimality, is itself a tree destination — so marking each
 	// destination's parent covers the whole set in O(n²) total.
+	//
+	// The same pass lays out the price slots: source i's entries for
+	// its route to j are slots[at[i·n+j]:][:Hops_i[j]−1], one per
+	// transit node in route order. Transit k sits at depth Hops_i[k]
+	// on every route through it, so its entry for (i, j) is slot
+	// at[i·n+j] + Hops_i[k] − 1.
 	isTransit := make([]bool, n)
-	transitCount := 0
+	at := make([]int32, n*n)
+	slotCount := 0
 	for i := 0; i < n; i++ {
 		t := base[i]
 		for j := 0; j < n; j++ {
@@ -114,58 +126,78 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 			if !t.Reached(graph.NodeID(j)) {
 				return nil, fmt.Errorf("fpss: no path %d→%d despite biconnectivity", i, j)
 			}
-			if p := t.Parent[j]; p != -1 && graph.NodeID(p) != t.Src && !isTransit[p] {
+			at[i*n+j] = int32(slotCount)
+			slotCount += int(t.Hops[j]) - 1
+			if p := t.Parent[j]; p != -1 && graph.NodeID(p) != t.Src {
 				isTransit[p] = true
-				transitCount++
 			}
 		}
 	}
+	slots := make([]PriceEntry, slotCount)
 
-	// Avoid-k trees for transit nodes only: avoidTrees[k][v] is the
-	// lowest-cost route tree from v in G−k, derived from base[v] by
-	// relabelling k's subtree. One parallel job per k so per-job work
-	// (n−1 derivations) amortizes scheduling; tag computation needs rows
-	// for every source v ≠ k, so the sweep is full. Every job reads the
-	// shared base trees and writes only its own row.
-	avoidTrees := make([][]*graph.Tree, n)
-	if transitCount > 0 {
-		jobs := make([]int, 0, transitCount)
-		for k := 0; k < n; k++ {
-			if isTransit[k] {
-				jobs = append(jobs, k)
-			}
+	// Avoid sweep, one parallel job per node k; a node that is never
+	// transit has nothing to price. The job derives every source's
+	// avoid-k tree into its worker's trees (tag computation needs the
+	// tree of every neighbor of the owner, so the sweep is full),
+	// keeping the destinations below k that each derivation lists. Then
+	// it fills slot (i, j, k) for each source i and each such
+	// destination j.
+	//
+	// One CSR-view fetch (and csrMu acquisition) per source, not per
+	// price entry.
+	neighbors := make([][]graph.NodeID, n)
+	for i := range neighbors {
+		neighbors[i] = g.AdjView(graph.NodeID(i))
+	}
+	err = pool.run(n, func(w *centralWorker, kj int) error {
+		if !isTransit[kj] {
+			return nil
 		}
-		err = parallelFor(len(jobs), func(s *graph.Scratch, ji int) error {
-			k := jobs[ji]
-			trees := make([]*graph.Tree, n)
-			for v := 0; v < n; v++ {
-				if v == k {
-					continue
-				}
-				t := &graph.Tree{}
-				if err := g.SSSPWithout(t, s, base[v], graph.NodeID(k)); err != nil {
+		k := graph.NodeID(kj)
+		trees := w.avoidTrees(n)
+		below, end := w.below[:0], w.belowEnd
+		for v := 0; v < n; v++ {
+			if v != kj {
+				if err := g.SSSPWithout(&trees[v], &w.s, base[v], k); err != nil {
 					return fmt.Errorf("all pairs without %d: %w", k, err)
 				}
-				trees[v] = t
+				for _, j := range w.s.Below() {
+					below = append(below, graph.NodeID(j))
+				}
 			}
-			avoidTrees[k] = trees
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			end[v+1] = int32(len(below))
 		}
+		w.below = below
+		ck := g.Cost(k)
+		for i := 0; i < n; i++ {
+			t, noK := base[i], &trees[i]
+			depth := int(t.Hops[k]) - 1
+			for _, dst := range below[end[i]:end[i+1]] {
+				if !noK.Reached(dst) {
+					return fmt.Errorf("fpss: no avoid-%d path %d→%d", k, i, dst)
+				}
+				b := noK.Dist[dst]
+				w.tags = centralTags(w.tags[:0], g, neighbors[i], dst, k, b, trees)
+				slots[int(at[i*n+int(dst)])+depth] = PriceEntry{
+					Transit: k,
+					Price:   ck + b - t.Dist[dst],
+					Avoid:   noK.AppendPathTo(w.ids.allocIDs(int(noK.Hops[dst])+1), dst),
+					Tags:    w.ids.copyIDs(w.tags),
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Assemble per-source routing and pricing tables, one parallel job
 	// per source (each writes only its own slot).
 	routing := make([]RoutingTable, n)
 	pricing := make([]PricingTable, n)
-	err = parallelFor(n, func(_ *graph.Scratch, i int) error {
-		src := graph.NodeID(i)
+	err = pool.run(n, func(w *centralWorker, i int) error {
 		t := base[i]
-		// One CSR-view fetch (and csrMu acquisition) per source job,
-		// not per price entry.
-		neighbors := g.AdjView(src)
 		rt := make(RoutingTable, n)
 		pt := make(PricingTable, n)
 		for j := 0; j < n; j++ {
@@ -173,25 +205,14 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 				continue
 			}
 			dst := graph.NodeID(j)
-			p := t.PathTo(dst)
-			rt[dst] = RouteEntry{Dest: dst, Cost: t.Dist[j], Path: p}
-			transits := p.TransitNodes()
-			if len(transits) == 0 {
-				continue
+			hops := int(t.Hops[j])
+			rt[dst] = RouteEntry{Dest: dst, Cost: t.Dist[j], Path: t.AppendPathTo(w.ids.allocIDs(hops+1), dst)}
+			if hops < 2 {
+				continue // a neighbor: no transit node to price
 			}
-			row := make(map[graph.NodeID]PriceEntry, len(transits))
-			for _, k := range transits {
-				noK := avoidTrees[k][i]
-				if noK == nil || !noK.Reached(dst) {
-					return fmt.Errorf("fpss: no avoid-%d path %d→%d", k, i, j)
-				}
-				b := noK.Dist[dst]
-				row[k] = PriceEntry{
-					Transit: k,
-					Price:   g.Cost(k) + b - t.Dist[j],
-					Avoid:   noK.PathTo(dst),
-					Tags:    centralTags(g, neighbors, dst, k, b, avoidTrees[k]),
-				}
+			row := make(map[graph.NodeID]PriceEntry, hops-1)
+			for _, e := range slots[at[i*n+j]:][:hops-1] {
+				row[e.Transit] = e
 			}
 			pt[dst] = row
 		}
@@ -210,44 +231,92 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 }
 
 // centralWorkers overrides the pricing-core pool size when positive;
-// zero means runtime.NumCPU(). Tests pin it to exercise the parallel
-// path regardless of the host's core count.
+// zero means one worker per sourcesPerWorker nodes, at most
+// runtime.GOMAXPROCS(0). Tests pin it to exercise the parallel path
+// regardless of the host's core count.
 var centralWorkers int
 
-// parallelFor runs fn(scratch, i) for every i in [0, n) over a worker
-// pool (the experiments/runner.go idiom). Each worker owns a scratch,
-// every job writes only index-i state, and the earliest failing
-// index's error is reported — so results and errors are independent of
+// sourcesPerWorker is the pool's grain. A worker has a fixed cost —
+// its n trees, scratch, first arena chunks and goroutines — that a
+// small solve does not earn back: on a 2-CPU machine
+// BenchmarkComputeCentral/n=16 runs faster on one worker than on two,
+// which also allocate 8% more, and n=32 runs faster on two.
+const sourcesPerWorker = 16
+
+// centralWorker is one pool worker's state for the length of one
+// computeCentral call: its SSSP scratch, the avoid-k trees of the job
+// it runs, and the NodeID arena the solution's route paths, witness
+// paths and tag sets are carved from. It is never pooled across calls:
+// every entry carved from an arena chunk keeps the whole chunk alive,
+// so a chunk shared by two epochs' solutions would keep the older one
+// alive too.
+type centralWorker struct {
+	s   graph.Scratch
+	ids ComputeScratch
+	// trees[v] is v's avoid-k tree for the current job k.
+	trees []graph.Tree
+	// below[belowEnd[i]:belowEnd[i+1]] lists the destinations whose
+	// route from i passes through k.
+	below    []graph.NodeID
+	belowEnd []int32
+	tags     []graph.NodeID // tag-set staging before the arena copy
+}
+
+// avoidTrees returns the worker's n reusable trees. On first use it
+// carves their labels from three n² blocks and sizes belowEnd.
+func (w *centralWorker) avoidTrees(n int) []graph.Tree {
+	if w.trees == nil {
+		dist := make([]graph.Cost, n*n)
+		hops := make([]int32, n*n)
+		parent := make([]int32, n*n)
+		w.trees = make([]graph.Tree, n)
+		for v := range w.trees {
+			lo, hi := v*n, (v+1)*n
+			w.trees[v] = graph.Tree{Dist: dist[lo:hi:hi], Hops: hops[lo:hi:hi], Parent: parent[lo:hi:hi]}
+		}
+		w.belowEnd = make([]int32, n+1)
+	}
+	return w.trees
+}
+
+// centralPool is one computeCentral call's workers; their state
+// carries over from one stage of the call to the next.
+type centralPool []centralWorker
+
+func newCentralPool(n int) centralPool {
+	workers := centralWorkers
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), max(1, n/sourcesPerWorker))
+	}
+	return make(centralPool, workers)
+}
+
+// run calls fn(w, i) for every i in [0, n) over the pool (the
+// experiments/runner.go idiom). Each goroutine owns one worker, every
+// job writes only index-i state, and the earliest failing index's
+// error is reported — so results and errors are independent of
 // scheduling.
-func parallelFor(n int, fn func(s *graph.Scratch, i int) error) error {
+func (p centralPool) run(n int, fn func(w *centralWorker, i int) error) error {
 	if n == 0 {
 		return nil
 	}
-	workers := centralWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(len(p), n)
 	errs := make([]error, n)
 	if workers <= 1 {
-		s := graph.NewScratch(0)
 		for i := 0; i < n; i++ {
-			errs[i] = fn(s, i)
+			errs[i] = fn(&p[0], i)
 		}
 	} else {
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			go func() {
+			go func(w *centralWorker) {
 				defer wg.Done()
-				s := graph.NewScratch(0)
 				for i := range jobs {
-					errs[i] = fn(s, i)
+					errs[i] = fn(w, i)
 				}
-			}()
+			}(&p[w])
 		}
 		for i := 0; i < n; i++ {
 			jobs <- i
@@ -263,12 +332,12 @@ func parallelFor(n int, fn func(s *graph.Scratch, i int) error) error {
 	return nil
 }
 
-// centralTags returns the sorted set of the owner's neighbors v ≠ k
-// whose avoid-k continuation cost equals the minimum b:
-// contribution(v) = 0 if v == dst, else ĉ_v + dist_{G−k}(v, dst).
-// neighbors is the owner's ascending adjacency view.
-func centralTags(g *graph.Graph, neighbors []graph.NodeID, dst, k graph.NodeID, b graph.Cost, treesNoK []*graph.Tree) []graph.NodeID {
-	tags := make([]graph.NodeID, 0, len(neighbors))
+// centralTags appends to tags, and returns, the sorted set of the
+// owner's neighbors v ≠ k whose avoid-k continuation cost equals the
+// minimum b: contribution(v) = 0 if v == dst, else ĉ_v +
+// dist_{G−k}(v, dst). neighbors is the owner's ascending adjacency
+// view; treesNoK[v] is v's avoid-k tree.
+func centralTags(tags []graph.NodeID, g *graph.Graph, neighbors []graph.NodeID, dst, k graph.NodeID, b graph.Cost, treesNoK []graph.Tree) []graph.NodeID {
 	for _, v := range neighbors {
 		if v == k {
 			continue

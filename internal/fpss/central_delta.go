@@ -14,9 +14,10 @@ import (
 // immutable Solution.
 //
 // A Central keeps n base trees — O(n²) int64/int32 labels. The avoid-k
-// trees behind the prices are derived from the base trees inside each
-// computation and dropped with it, so a chain that holds every epoch
-// alive pays only the base trees per epoch.
+// trees behind the prices are derived from the base trees into worker
+// scratch inside each computation and dropped with it, so a chain that
+// holds every epoch alive pays only the base trees and the solution
+// per epoch.
 type Central struct {
 	// Sol is the centralized routing/pricing solution — identical to
 	// what ComputeCentral returns for the same graph.

@@ -64,7 +64,8 @@ type ExecConfig struct {
 }
 
 // ExecResult is the outcome of the execution phase under the original
-// (trusting) FPSS accounting.
+// (trusting) FPSS accounting. Every figure is an int64 sum over the
+// flows, so it does not depend on the order the flows are taken in.
 type ExecResult struct {
 	// Utilities is each node's quasilinear utility: delivery value
 	// − payments made − true transit costs + payments received.
@@ -75,15 +76,14 @@ type ExecResult struct {
 	Reported map[graph.NodeID]PaymentList
 	// Delivered / Undelivered count packets.
 	Delivered, Undelivered int64
-	// Routes records the realized hop-by-hop path per flow (nil when
-	// undeliverable).
-	Routes map[[2]graph.NodeID]graph.Path
 }
 
 // Execute performs execution-phase accounting over converged (possibly
 // manipulated) tables. Packets are forwarded hop-by-hop using each
 // hop's own routing table, so inconsistent tables can strand packets —
-// the efficiency damage Example 1 describes.
+// the efficiency damage Example 1 describes. Flows are summed straight
+// from the Traffic map: the accounting is an order-free sum, and the
+// realized path of each flow lives only until the next one is routed.
 func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]PricingTable, cfg ExecConfig) (*ExecResult, error) {
 	if cfg.TrueCosts == nil {
 		return nil, errors.New("fpss: ExecConfig.TrueCosts required")
@@ -96,20 +96,19 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		Utilities:   make(map[graph.NodeID]int64, len(routing)),
 		Obligations: make(map[graph.NodeID]PaymentList),
 		Reported:    make(map[graph.NodeID]PaymentList),
-		Routes:      make(map[[2]graph.NodeID]graph.Path),
 	}
 	for id := range cfg.TrueCosts {
 		res.Utilities[id] = 0
 	}
 
-	for _, flow := range cfg.Traffic.Flows() {
+	var route graph.Path // reused from flow to flow
+	for flow, packets := range cfg.Traffic {
 		src, dst := flow[0], flow[1]
-		packets := cfg.Traffic[flow]
 		if packets <= 0 || src == dst {
 			continue
 		}
-		route, ok := forward(routing, src, dst)
-		res.Routes[flow] = route
+		var ok bool
+		route, ok = forward(route[:0], routing, src, dst)
 		if !ok {
 			res.Undelivered += packets
 			res.Utilities[src] -= cfg.UndeliveredPenalty * packets
@@ -117,8 +116,9 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		}
 		res.Delivered += packets
 		res.Utilities[src] += cfg.DeliveryValue * packets
-		// Real transit costs accrue on the realized route.
-		for _, k := range route.TransitNodes() {
+		// Real transit costs accrue on the realized route, src and dst
+		// excluded.
+		for _, k := range route[1 : len(route)-1] {
 			res.Utilities[k] -= int64(cfg.TrueCosts[k]) * packets
 		}
 		// The source's obligation comes from its own tables (its
@@ -151,10 +151,11 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 	return res, nil
 }
 
-// forward routes hop-by-hop using each hop's routing table; returns
-// the realized path and whether dst was reached within a TTL.
-func forward(routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (graph.Path, bool) {
-	path := graph.Path{src}
+// forward routes hop-by-hop using each hop's routing table. It appends
+// the realized path to path, returning it and whether dst was reached
+// within a TTL.
+func forward(path graph.Path, routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (graph.Path, bool) {
+	path = append(path, src)
 	cur := src
 	ttl := len(routing) + 2
 	for hops := 0; hops < ttl; hops++ {

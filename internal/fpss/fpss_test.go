@@ -352,8 +352,8 @@ func TestExecuteFaithfulFigure1(t *testing.T) {
 		t.Fatalf("delivered/undelivered = %d/%d", exec.Delivered, exec.Undelivered)
 	}
 	// Route follows the LCP X-D-C-Z.
-	if !exec.Routes[[2]graph.NodeID{x, z}].Equal(graph.Path{x, d, c, z}) {
-		t.Errorf("route = %v", exec.Routes[[2]graph.NodeID{x, z}])
+	if route, ok := forward(nil, routing, x, z); !ok || !route.Equal(graph.Path{x, d, c, z}) {
+		t.Errorf("route = %v (delivered %v)", route, ok)
 	}
 	// X pays p^C + p^D = 4+4 per packet → utility 100·10 − 80 = 920.
 	if got := exec.Utilities[x]; got != 920 {

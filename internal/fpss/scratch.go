@@ -19,8 +19,10 @@ import (
 //     kept warm across calls, and a candidate is materialized into the
 //     arena only once it is known to enter a table.
 //
-// A scratch is single-owner state: one per protocol node (inside its
-// Derivation), never shared across goroutines. The zero value is
+// A scratch is single-owner state, never shared across goroutines: one
+// per protocol node (inside its Derivation), and one per worker of a
+// central solve (see centralWorker), which uses only the arena, to
+// carve its route paths, witness paths and tag sets. The zero value is
 // ready to use.
 type ComputeScratch struct {
 	ids      []graph.NodeID

@@ -8,7 +8,7 @@ func (g *Graph) IsConnected() bool {
 		return true
 	}
 	seen := make([]bool, n)
-	stack := []NodeID{0}
+	stack := make([]NodeID, 1, n) // a node is pushed once, so it never grows
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {

@@ -131,3 +131,15 @@ func (g *Graph) SSSPWithout(t *Tree, s *Scratch, base *Tree, k NodeID) error {
 	}
 	return nil
 }
+
+// Below returns the nodes strictly below k in base's tree, as listed by
+// the last successful SSSPWithout call on s, in breadth-first order:
+// exactly the destinations whose route from base.Src passes through k.
+// The slice is s's own: read it only, and only until the next call
+// that uses s.
+func (s *Scratch) Below() []int32 {
+	if len(s.sub) == 0 {
+		return nil
+	}
+	return s.sub[1:]
+}

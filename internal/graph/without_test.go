@@ -35,6 +35,7 @@ func requireWithoutMatches(t *testing.T, label string, g *Graph, got *Tree, s *S
 			if err := g.SSSPWithout(got, s, base, NodeID(k)); err != nil {
 				t.Fatalf("%s: SSSPWithout(%d, %d): %v", label, src, k, err)
 			}
+			requireBelow(t, fmt.Sprintf("%s src=%d k=%d", label, src, k), base, int32(k), s.Below())
 			avoid.Clear()
 			avoid.Add(NodeID(k))
 			if err := g.SSSP(want, s, NodeID(src), avoid); err != nil {
@@ -47,6 +48,28 @@ func requireWithoutMatches(t *testing.T, label string, g *Graph, got *Tree, s *S
 		}
 		if !reflect.DeepEqual(*base, snapshot) {
 			t.Fatalf("%s src=%d: SSSPWithout wrote the base tree", label, src)
+		}
+	}
+}
+
+// requireBelow checks that below lists, once each, exactly the nodes
+// whose parent chain in base passes through k.
+func requireBelow(t *testing.T, label string, base *Tree, k int32, below []int32) {
+	t.Helper()
+	listed := make(map[int32]bool, len(below))
+	for _, x := range below {
+		if listed[x] {
+			t.Fatalf("%s: Below lists %d twice", label, x)
+		}
+		listed[x] = true
+	}
+	for j := range base.Parent {
+		through := false
+		for v := base.Parent[j]; v != noParent && !through; v = base.Parent[v] {
+			through = v == k
+		}
+		if through != listed[int32(j)] {
+			t.Fatalf("%s: Below has %d = %v, want %v", label, j, listed[int32(j)], through)
 		}
 	}
 }
