@@ -254,17 +254,15 @@ func (b *Bank) AuditPayments(obligations, reported map[graph.NodeID]fpss.Payment
 // diffMagnitude sums |owed[k] − reported[k]| over all transit nodes.
 func diffMagnitude(owed, rep fpss.PaymentList) int64 {
 	var total int64
-	seen := make(map[graph.NodeID]bool, len(owed)+len(rep))
 	for k, v := range owed {
 		d := v - rep[k]
 		if d < 0 {
 			d = -d
 		}
 		total += d
-		seen[k] = true
 	}
 	for k, v := range rep {
-		if !seen[k] {
+		if _, ok := owed[k]; !ok {
 			if v < 0 {
 				total += -v
 			} else {

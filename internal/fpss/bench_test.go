@@ -39,27 +39,28 @@ func BenchmarkComputeCentral(b *testing.B) {
 }
 
 // BenchmarkExecute is execution-phase accounting over all-pairs traffic
-// on the n=64 bench graph, with its own central tables.
+// on each bench graph, with that graph's own central tables.
 func BenchmarkExecute(b *testing.B) {
-	const n = 64
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		sol, err := ComputeCentral(benchCentralGraph(b, n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := ExecConfig{
-			TrueCosts:          sol.Costs,
-			DeclaredCosts:      sol.Costs,
-			Traffic:            AllToAllTraffic(n, 1),
-			DeliveryValue:      100,
-			UndeliveredPenalty: 100,
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Execute(sol.Routing, sol.Pricing, cfg); err != nil {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sol, err := ComputeCentral(benchCentralGraph(b, n))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			cfg := ExecConfig{
+				TrueCosts:          sol.Costs,
+				DeclaredCosts:      sol.Costs,
+				Traffic:            AllToAllTraffic(n, 1),
+				DeliveryValue:      100,
+				UndeliveredPenalty: 100,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Execute(sol.Routing, sol.Pricing, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -70,9 +70,14 @@ type ExecResult struct {
 	// Utilities is each node's quasilinear utility: delivery value
 	// − payments made − true transit costs + payments received.
 	Utilities map[graph.NodeID]int64
-	// Obligations is each source's truthful DATA4 (what it owes).
+	// Obligations is each source's truthful DATA4 (what it owes), for
+	// every source with a delivered flow.
 	Obligations map[graph.NodeID]PaymentList
-	// Reported is each source's reported DATA4 (possibly a lie).
+	// Reported is each payer's reported DATA4 (possibly a lie). The
+	// payers are the nodes in Utilities before settlement: those in
+	// TrueCosts, the sources of counted flows and the transit nodes.
+	// A payee that only a report names is credited in Utilities but
+	// is no payer, so it has no entry here.
 	Reported map[graph.NodeID]PaymentList
 	// Delivered / Undelivered count packets.
 	Delivered, Undelivered int64
@@ -81,9 +86,22 @@ type ExecResult struct {
 // Execute performs execution-phase accounting over converged (possibly
 // manipulated) tables. Packets are forwarded hop-by-hop using each
 // hop's own routing table, so inconsistent tables can strand packets —
-// the efficiency damage Example 1 describes. Flows are summed straight
-// from the Traffic map: the accounting is an order-free sum, and the
-// realized path of each flow lives only until the next one is routed.
+// the efficiency damage Example 1 describes.
+//
+// The accounting runs over dense state built once per call. Routing
+// tables are indexed by NodeID, so every key of routing must lie in
+// [0, len(routing)); any other key is an error. Any other ID outside
+// that range behaves as a node without a table: a flow from it, or
+// through it as a next hop, strands, and a payment to it is summed in
+// the maps. Flows are bucketed by source with a counting pass, and each
+// source's flows are taken together: its tables and utility are read
+// once, and its DATA4 is summed in a dense accumulator and built once,
+// at its exact size. Every figure is an int64 sum, so that order is
+// free.
+//
+// Settlement then charges each payer its reported DATA4 and credits
+// the payees, where the payers are fixed before it starts (see
+// ExecResult.Reported).
 func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]PricingTable, cfg ExecConfig) (*ExecResult, error) {
 	if cfg.TrueCosts == nil {
 		return nil, errors.New("fpss: ExecConfig.TrueCosts required")
@@ -92,57 +110,120 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 	if scheme == 0 {
 		scheme = SchemeVCG
 	}
-	res := &ExecResult{
-		Utilities:   make(map[graph.NodeID]int64, len(routing)),
-		Obligations: make(map[graph.NodeID]PaymentList),
-		Reported:    make(map[graph.NodeID]PaymentList),
+	n := len(routing)
+	x := &execState{nodes: make([]execNode, n)}
+	for id, rt := range routing {
+		if uint(id) >= uint(n) {
+			return nil, fmt.Errorf("fpss: routing table key %d outside [0, %d)", id, n)
+		}
+		x.nodes[id].rt = rt
 	}
+	res := &ExecResult{Utilities: make(map[graph.NodeID]int64, n)}
 	for id := range cfg.TrueCosts {
 		res.Utilities[id] = 0
 	}
 
-	var route graph.Path // reused from flow to flow
+	// Bucket the counted flows by source: count each source's flows,
+	// turn the counts into bucket ends, then place every flow. A
+	// source without a table strands its flows at once.
+	counted := 0
 	for flow, packets := range cfg.Traffic {
 		src, dst := flow[0], flow[1]
 		if packets <= 0 || src == dst {
 			continue
 		}
-		var ok bool
-		route, ok = forward(route[:0], routing, src, dst)
-		if !ok {
+		if uint(src) >= uint(n) {
 			res.Undelivered += packets
 			res.Utilities[src] -= cfg.UndeliveredPenalty * packets
 			continue
 		}
-		res.Delivered += packets
-		res.Utilities[src] += cfg.DeliveryValue * packets
-		// Real transit costs accrue on the realized route, src and dst
-		// excluded.
-		for _, k := range route[1 : len(route)-1] {
-			res.Utilities[k] -= int64(cfg.TrueCosts[k]) * packets
+		x.nodes[src].end++
+		counted++
+	}
+	sources, at := 0, 0
+	for i := range x.nodes {
+		c := x.nodes[i].end
+		x.nodes[i].end = at
+		at += c
+		if c > 0 {
+			sources++
 		}
-		// The source's obligation comes from its own tables (its
-		// believed LCP), as in FPSS DATA4.
-		obligation := res.Obligations[src]
-		if obligation == nil {
-			obligation = make(PaymentList)
-			res.Obligations[src] = obligation
+	}
+	flows := make([]execFlow, counted)
+	for flow, packets := range cfg.Traffic {
+		src := flow[0]
+		if packets <= 0 || src == flow[1] || uint(src) >= uint(n) {
+			continue
 		}
-		AddObligation(obligation, routing[src], pricing[src], dst, packets, scheme, cfg.DeclaredCosts)
+		flows[x.nodes[src].end] = execFlow{dst: flow[1], packets: packets}
+		x.nodes[src].end++
+	}
+
+	// Account each source's bucket: forward its flows, charge the
+	// transit nodes, and sum its obligations from its own (believed)
+	// DATA2 and DATA3*, as in FPSS DATA4.
+	res.Obligations = make(map[graph.NodeID]PaymentList, sources)
+	owe := x.add
+	var buf [32]graph.NodeID
+	path := buf[:0] // reused from flow to flow
+	begin := 0
+	for i := range x.nodes {
+		bucket := flows[begin:x.nodes[i].end]
+		begin = x.nodes[i].end
+		if len(bucket) == 0 {
+			continue
+		}
+		src := graph.NodeID(i)
+		rt, pt := x.nodes[i].rt, pricing[src]
+		u := res.Utilities[src]
+		delivered := false
+		for _, f := range bucket {
+			var ok bool
+			path, ok = x.forward(path[:0], src, f.dst)
+			if !ok {
+				res.Undelivered += f.packets
+				u -= cfg.UndeliveredPenalty * f.packets
+				continue
+			}
+			delivered = true
+			res.Delivered += f.packets
+			u += cfg.DeliveryValue * f.packets
+			// Real transit costs accrue on the realized route, src and
+			// dst excluded. Every transit node had a table to forward
+			// by, so it lies in range.
+			for _, k := range path[1 : len(path)-1] {
+				t := &x.nodes[k]
+				t.carried += f.packets
+				t.transit = true
+			}
+			obligation(rt, pt, f.dst, f.packets, scheme, cfg.DeclaredCosts, owe)
+		}
+		res.Utilities[src] = u
+		if delivered {
+			res.Obligations[src] = x.data4()
+		}
+	}
+	// Each transit node pays its true cost once per packet carried.
+	for i := range x.nodes {
+		if t := &x.nodes[i]; t.transit {
+			k := graph.NodeID(i)
+			res.Utilities[k] -= int64(cfg.TrueCosts[k]) * t.carried
+		}
 	}
 
 	// Reporting and settlement: the original FPSS accounting trusts
-	// each source's reported DATA4.
+	// each source's reported DATA4. Every report is taken before any
+	// is settled, so the payers are the nodes in Utilities now, and a
+	// payee a report invents is credited but pays nothing.
+	res.Reported = make(map[graph.NodeID]PaymentList, len(res.Utilities))
 	for id := range res.Utilities {
-		truth := res.Obligations[id]
-		if truth == nil {
-			truth = make(PaymentList)
-		}
-		reported := truth.Clone()
+		reported := res.Obligations[id].Clone()
 		if hook := cfg.ReportPayment[id]; hook != nil {
-			reported = hook(truth.Clone())
+			reported = hook(reported)
 		}
 		res.Reported[id] = reported
+	}
+	for id, reported := range res.Reported {
 		res.Utilities[id] -= reported.Total()
 		for k, amt := range reported {
 			res.Utilities[k] += amt
@@ -151,46 +232,133 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 	return res, nil
 }
 
+// execState is Execute's dense state: one slot per node in
+// [0, len(routing)), and the DATA4 accumulator of the source being
+// accounted.
+type execState struct {
+	nodes []execNode
+	// payees counts the nodes the current source owes; their IDs are
+	// nodes[:payees].payee, in first-owed order.
+	payees int
+	// beyond holds what the current source owes nodes outside the
+	// range; nil until one is owed.
+	beyond PaymentList
+}
+
+// execNode is the dense state of one node.
+type execNode struct {
+	rt RoutingTable // the node's DATA2, nil when it has none
+	// end is the end of the node's bucket of flows as a source; the
+	// bucket starts at the previous node's end.
+	end int
+	// carried is the packets the node carried in transit, over every
+	// delivered flow; transit marks that it carried any.
+	carried int64
+	transit bool
+	// owed is what the current source owes the node; owes marks that
+	// it owes anything, a zero price included.
+	owes bool
+	owed int64
+	// payee is the slot's share of the payee list (see execState).
+	payee graph.NodeID
+}
+
+// execFlow is one counted flow in its source's bucket.
+type execFlow struct {
+	dst     graph.NodeID
+	packets int64
+}
+
 // forward routes hop-by-hop using each hop's routing table. It appends
 // the realized path to path, returning it and whether dst was reached
-// within a TTL.
-func forward(path graph.Path, routing map[graph.NodeID]RoutingTable, src, dst graph.NodeID) (graph.Path, bool) {
+// within a TTL. A hop outside the dense range has no table.
+func (x *execState) forward(path graph.Path, src, dst graph.NodeID) (graph.Path, bool) {
 	path = append(path, src)
 	cur := src
-	ttl := len(routing) + 2
+	ttl := len(x.nodes) + 2
 	for hops := 0; hops < ttl; hops++ {
 		if cur == dst {
 			return path, true
 		}
-		e, ok := routing[cur].Get(dst)
+		if uint(cur) >= uint(len(x.nodes)) {
+			return path, false
+		}
+		e, ok := x.nodes[cur].rt.Get(dst)
 		if !ok || len(e.Path) < 2 || e.Path[0] != cur {
 			return path, false
 		}
-		next := e.Path[1]
-		cur = next
-		path = append(path, next)
+		cur = e.Path[1]
+		path = append(path, cur)
 	}
 	return path, false
 }
 
+// add adds amount to what the current source owes k.
+func (x *execState) add(k graph.NodeID, amount int64) {
+	if uint(k) >= uint(len(x.nodes)) {
+		if x.beyond == nil {
+			x.beyond = make(PaymentList)
+		}
+		x.beyond[k] += amount
+		return
+	}
+	p := &x.nodes[k]
+	if !p.owes {
+		p.owes = true
+		x.nodes[x.payees].payee = k
+		x.payees++
+	}
+	p.owed += amount
+}
+
+// data4 returns the current source's DATA4, built at its exact size,
+// and clears the accumulator for the next source.
+func (x *execState) data4() PaymentList {
+	list := make(PaymentList, x.payees+len(x.beyond))
+	for i := range x.payees {
+		k := x.nodes[i].payee
+		p := &x.nodes[k]
+		list[k] = p.owed
+		p.owes, p.owed = false, 0
+	}
+	x.payees = 0
+	for k, amt := range x.beyond {
+		list[k] = amt
+	}
+	clear(x.beyond)
+	return list
+}
+
 // AddObligation adds to list a source's truthful payments for one
 // flow of packets to dst, computed from its own (believed) DATA2 rt
-// and DATA3* pt: VCG pays the priced transit nodes, the declared-cost
-// scheme pays each transit node on the route its DATA1 declaration.
-// A source without a route to dst owes nothing.
+// and DATA3* pt (see obligation). The live server's Pay sums one
+// answer with it.
 func AddObligation(list PaymentList, rt RoutingTable, pt PricingTable, dst graph.NodeID, packets int64, scheme PricingScheme, declared CostTable) {
+	obligation(rt, pt, dst, packets, scheme, declared, func(k graph.NodeID, amount int64) { list[k] += amount })
+}
+
+// obligation is the one obligation rule: it passes to add a source's
+// truthful payments for one flow of packets to dst, computed from its
+// own (believed) DATA2 rt and DATA3* pt, one transit node at a time.
+// VCG pays the priced transit nodes, the declared-cost scheme pays
+// each transit node on the route its DATA1 declaration. A source
+// without a route to dst owes nothing. Execute sums it into each
+// source's DATA4, and AddObligation into a PaymentList.
+func obligation(rt RoutingTable, pt PricingTable, dst graph.NodeID, packets int64, scheme PricingScheme, declared CostTable, add func(k graph.NodeID, amount int64)) {
 	e, ok := rt.Get(dst)
 	if !ok {
 		return
 	}
 	switch scheme {
 	case SchemeDeclaredCost:
-		for _, k := range e.Path.TransitNodes() {
-			list[k] += int64(declared[k]) * packets
+		if len(e.Path) > 2 {
+			for _, k := range e.Path[1 : len(e.Path)-1] {
+				add(k, int64(declared[k])*packets)
+			}
 		}
 	default: // SchemeVCG
 		for k, pe := range pt.Row(dst) {
-			list[k] += int64(pe.Price) * packets
+			add(k, int64(pe.Price)*packets)
 		}
 	}
 }
