@@ -18,11 +18,21 @@ import (
 	"repro/internal/scenario"
 )
 
+// lookupExperiment selects the registered experiment with the given ID.
+func lookupExperiment(id string) (experiments.Experiment, bool) {
+	for _, e := range experiments.Experiments() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return experiments.Experiment{}, false
+}
+
 // mustTable fetches an experiment from the registry and generates its
 // table, optionally mutating the registered default Params.
 func mustTable(b *testing.B, id string, mutate func(*experiments.Params)) *experiments.Table {
 	b.Helper()
-	exp, ok := experiments.Lookup(id)
+	exp, ok := lookupExperiment(id)
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}
@@ -67,7 +77,7 @@ func BenchmarkAll(b *testing.B) {
 	}
 	tables := 0
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.All()
+		out, err := experiments.Runner{}.Run(experiments.Experiments())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -132,12 +132,6 @@ func (b *Bank) Complete() bool {
 	return true
 }
 
-// Reset clears collected reports (after a restart) in place. It used
-// to reallocate the reports map, which made every pooled replay pay a
-// fresh allocation; clearing keeps the map's buckets warm for the next
-// round (see Reuse and the bank pool in internal/faithful).
-func (b *Bank) Reset() { clear(b.reports) }
-
 // Reuse re-targets a pooled Bank at a new run: fresh authority and
 // neighborhood, reports cleared in place. Equivalent to New but
 // recycles the report map storage — the deviation search constructs a

@@ -192,24 +192,6 @@ func TestSubmitRejectsWrongSigner(t *testing.T) {
 	}
 }
 
-func TestResetClearsReports(t *testing.T) {
-	b, signers := setup(t)
-	for id, rep := range consistentReports() {
-		submit(t, b, signers[id], rep)
-	}
-	b.Reset()
-	if b.Complete() {
-		t.Error("Reset did not clear reports")
-	}
-	// The cleared bank accepts a fresh round (the pooled-replay path).
-	for id, rep := range consistentReports() {
-		submit(t, b, signers[id], rep)
-	}
-	if !b.Complete() {
-		t.Error("cleared bank rejected a fresh round of reports")
-	}
-}
-
 func TestReusePooledBank(t *testing.T) {
 	b, signers := setup(t)
 	for id, rep := range consistentReports() {

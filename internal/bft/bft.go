@@ -53,9 +53,6 @@ func (h *HashChain) Apply(op []byte) {
 // Digest implements StateMachine.
 func (h *HashChain) Digest() Digest { return h.state }
 
-// Count returns the number of applied operations.
-func (h *HashChain) Count() int { return h.count }
-
 // Message types (normal-case PBFT).
 
 // Request is a client operation submission (client → primary).
@@ -383,13 +380,4 @@ func Run(f int, silentSet map[int]bool, ops [][]byte, maxSteps int64) (*Result, 
 		res.StateDigests = append(res.StateDigests, r.StateDigest())
 	}
 	return res, nil
-}
-
-// MessagesPerOpLowerBound returns the textbook normal-case message
-// count per operation for n = 3f+1 replicas: n−1 pre-prepares +
-// n(n−1) prepares + n(n−1) commits (replies to the client excluded).
-// The simulation should be within a small factor of this.
-func MessagesPerOpLowerBound(f int) int64 {
-	n := int64(3*f + 1)
-	return (n - 1) + 2*n*(n-1)
 }

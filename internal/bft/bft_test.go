@@ -151,3 +151,15 @@ func TestOrderAgreementUnderReordering(t *testing.T) {
 		}
 	}
 }
+
+// Count returns the number of applied operations.
+func (h *HashChain) Count() int { return h.count }
+
+// MessagesPerOpLowerBound returns the textbook normal-case message
+// count per operation for n = 3f+1 replicas: n−1 pre-prepares +
+// n(n−1) prepares + n(n−1) commits (replies to the client excluded).
+// The simulation should be within a small factor of this.
+func MessagesPerOpLowerBound(f int) int64 {
+	n := int64(3*f + 1)
+	return (n - 1) + 2*n*(n-1)
+}

@@ -70,7 +70,7 @@ type Epoch struct {
 	delta *graph.Delta
 	// scratchOnly forces the protocol-simulation path everywhere —
 	// the permanent oracle the delta engine is differentially tested
-	// against. See Timeline.DisableDelta.
+	// against. Only the tests set it (DisableDelta).
 	scratchOnly bool
 
 	// central is the epoch's immutable fpss.Central — honest converged
@@ -363,23 +363,11 @@ func evolve(sp scenario.Spec, prev *Epoch, index int, nextID *Identity, costFn g
 	return next, nil
 }
 
-// DisableDelta switches every epoch of the timeline onto the scratch
-// oracle path: honest tables and snapshots come from full protocol
-// simulations per epoch, exactly as before the delta engine existed.
-// This is the permanent differential-testing oracle (and the fallback
-// when the incremental path's preconditions don't hold). Call it before
-// the timeline is first played.
-func (tl *Timeline) DisableDelta() {
-	for _, e := range tl.Epochs {
-		e.scratchOnly = true
-	}
-}
-
 // useCentral reports whether the epoch may serve honest state from the
 // shared central solution. Under an enabled loss model the protocol
 // simulation stays authoritative — convergence bookkeeping, retry
 // counters and loss attribution are the sim's semantics, not the
-// central solver's — and DisableDelta pins the oracle path explicitly.
+// central solver's — and scratchOnly pins the oracle path explicitly.
 func (e *Epoch) useCentral() bool {
 	return !e.scratchOnly && !e.Compiled.Params.Loss.Enabled()
 }
@@ -410,7 +398,7 @@ func (e *Epoch) centralState() (*fpss.Central, error) {
 // live server seeds each epoch's hot state from it so churn boundaries
 // ride the same Evolve chain the batch checker uses. It reports ok ==
 // false when the central path is not authoritative for this epoch
-// (enabled loss, or DisableDelta pinning the scratch oracle); callers
+// (enabled loss, or scratchOnly pinning the scratch oracle); callers
 // must then fall back to the protocol simulation.
 func (e *Epoch) CentralState() (c *fpss.Central, ok bool, err error) {
 	if !e.useCentral() {

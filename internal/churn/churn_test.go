@@ -27,9 +27,15 @@ func mustBuild(t *testing.T, sp scenario.Spec) *Timeline {
 
 // graphEqual compares topology and costs.
 func graphEqual(a, b *graph.Graph) bool {
-	return a.N() == b.N() &&
-		reflect.DeepEqual(a.Edges(), b.Edges()) &&
-		reflect.DeepEqual(a.Costs(), b.Costs())
+	if a.N() != b.N() || !reflect.DeepEqual(a.Edges(), b.Edges()) {
+		return false
+	}
+	for v := graph.NodeID(0); int(v) < a.N(); v++ {
+		if a.Cost(v) != b.Cost(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBuildDeterministic: the timeline is a pure function of the Spec.

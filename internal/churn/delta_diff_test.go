@@ -225,3 +225,15 @@ func TestDeltaReportMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// DisableDelta switches every epoch of the timeline onto the scratch
+// oracle path: honest tables and snapshots come from full protocol
+// simulations per epoch, exactly as before the delta engine existed.
+// This is the permanent differential-testing oracle (and the fallback
+// when the incremental path's preconditions don't hold). Call it before
+// the timeline is first played.
+func (tl *Timeline) DisableDelta() {
+	for _, e := range tl.Epochs {
+		e.scratchOnly = true
+	}
+}

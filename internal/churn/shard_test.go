@@ -76,12 +76,12 @@ func TestShardCatalogueUnderChurn(t *testing.T) {
 	sharded := NewSystem(mustBuild(t, shardedDynamicSpec()), Faithful)
 	singleton := NewSystem(mustBuild(t, dynamicSpec()), Faithful)
 	for _, want := range []string{"exit-scam-2pc-window", "double-credit-two-homes", "stall-prepare-abort"} {
-		for _, id := range sharded.Timeline().Identities() {
+		for _, id := range sharded.tl.Identities() {
 			if !names(sharded, id)[want] {
 				t.Errorf("identity %d: %s missing under the shard axis", id, want)
 			}
 		}
-		for _, id := range singleton.Timeline().Identities() {
+		for _, id := range singleton.tl.Identities() {
 			if names(singleton, id)[want] {
 				t.Errorf("identity %d: %s present without the shard axis", id, want)
 			}
@@ -110,7 +110,7 @@ func TestLeaveMasqueradingAsLoss(t *testing.T) {
 	}
 
 	found := false
-	for _, id := range sys.Timeline().Identities() {
+	for _, id := range sys.tl.Identities() {
 		var dev core.Deviation
 		for _, d := range sys.Deviations(core.NodeID(id)) {
 			if d.Name() == name {
@@ -125,7 +125,7 @@ func TestLeaveMasqueradingAsLoss(t *testing.T) {
 		if len(epochs) != 1 {
 			t.Fatalf("identity %d: %s active in %v, want exactly the last member epoch", id, name, epochs)
 		}
-		boundary, leaves := sys.Timeline().DepartureOf(id)
+		boundary, leaves := sys.tl.DepartureOf(id)
 		if !leaves || epochs[0] != boundary-1 {
 			t.Fatalf("identity %d: %s active in %d, departure boundary %d (leaves=%v)",
 				id, name, epochs[0], boundary, leaves)
@@ -153,7 +153,7 @@ func TestLeaveMasqueradingAsLoss(t *testing.T) {
 
 	// Both axes gate it: churn alone (no loss) must not offer it.
 	reliable := NewSystem(mustBuild(t, dynamicSpec()), Faithful)
-	for _, id := range reliable.Timeline().Identities() {
+	for _, id := range reliable.tl.Identities() {
 		for _, d := range reliable.Deviations(core.NodeID(id)) {
 			if d.Name() == name {
 				t.Fatalf("identity %d: %s present without the loss axis", id, name)

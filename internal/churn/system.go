@@ -148,9 +148,6 @@ func NewSystem(tl *Timeline, v Variant) *System {
 	return &System{tl: tl, variant: v}
 }
 
-// Timeline returns the wrapped timeline.
-func (s *System) Timeline() *Timeline { return s.tl }
-
 // NumEpochs implements core.EpochedSystem.
 func (s *System) NumEpochs() int { return len(s.tl.Epochs) }
 

@@ -9,8 +9,7 @@
 // new experiment calls Register (usually from an init function) with
 // an ID, default Params and a Gen func, and every consumer — the
 // parallel Runner, cmd/benchtab's -run/-e filters, the root
-// benchmarks — picks it up from there. Do not extend All(); it simply
-// runs whatever is registered.
+// benchmarks — picks it up from there through Experiments or Match.
 package experiments
 
 import (

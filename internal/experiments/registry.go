@@ -105,15 +105,6 @@ func Register(e Experiment) {
 	registry[key] = e
 }
 
-// Lookup finds an experiment by ID (case-insensitive).
-func Lookup(id string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[strings.ToLower(id)]
-	e.Params = e.Params.clone()
-	return e, ok
-}
-
 // Experiments returns every registered experiment in canonical order
 // (numeric suffix ascending, then lexical).
 func Experiments() []Experiment {

@@ -75,9 +75,3 @@ func parallelMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) 
 	}
 	return out, nil
 }
-
-// All runs every registered experiment with default parameters across
-// the default worker pool, in canonical order.
-func All() ([]*Table, error) {
-	return Runner{}.Run(Experiments())
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -200,4 +201,13 @@ func TestRegistryDefaultsImmutable(t *testing.T) {
 	if again.Params.Sizes[0] == 9999 {
 		t.Error("mutating a looked-up Params corrupted the registry defaults")
 	}
+}
+
+// Lookup finds an experiment by ID (case-insensitive).
+func Lookup(id string) (Experiment, bool) {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	e, ok := registry[strings.ToLower(id)]
+	e.Params = e.Params.clone()
+	return e, ok
 }

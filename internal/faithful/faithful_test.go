@@ -403,3 +403,13 @@ func TestRunValidation(t *testing.T) {
 		t.Error("nil graph should error")
 	}
 }
+
+// MirrorOf exposes a checker's mirror tables for a principal (tests).
+func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, bool) {
+	m, ok := n.mirrors[p]
+	if !ok {
+		return nil, nil, false
+	}
+	m.refresh(n.Derivation().Scratch(), n.CostsView())
+	return m.routing.Clone(), m.pricing.Clone(), true
+}

@@ -119,19 +119,20 @@ type mirror struct {
 }
 
 // refresh re-derives the mirrored tables if a view changed since they
-// were last derived. Only the checkpoint (onStateRequest) and MirrorOf
-// read a mirror, and ComputeRouting/ComputePricing are pure functions
-// of (costs, views) with DATA1 fixed once phase 1 quiesces, so deriving
-// once there yields the tables that recomputing after every view
-// change would have ended with. That holds only while stored views are
-// never edited in place, which is why forward hooks get private copies.
+// were last derived. Only the checkpoint (onStateRequest) reads a
+// mirror (and the tests' MirrorOf), and ComputeRouting/ComputePricing
+// are pure functions of (costs, views) with DATA1 fixed once phase 1
+// quiesces, so deriving once there yields the tables that recomputing
+// after every view change would have ended with. That holds only while
+// stored views are never edited in place, which is why forward hooks
+// get private copies.
 func (m *mirror) refresh(s *fpss.ComputeScratch, costs fpss.CostTable) {
 	if !m.stale {
 		return
 	}
 	m.stale = false
-	m.routing = fpss.ComputeRoutingScratch(s, m.principal, m.neighbors, costs, m.views)
-	m.pricing = fpss.ComputePricingScratch(s, m.principal, m.neighbors, costs, m.routing, m.views)
+	m.routing = fpss.ComputeRouting(s, m.principal, m.neighbors, costs, m.views)
+	m.pricing = fpss.ComputePricing(s, m.principal, m.neighbors, costs, m.routing, m.views)
 }
 
 // Node is a faithful-protocol participant: an unchanged fpss.Node
@@ -176,16 +177,6 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[g
 		mirrors:     make(map[graph.NodeID]*mirror),
 		lastSent:    make(map[graph.NodeID]fpss.Update),
 	}
-}
-
-// MirrorOf exposes a checker's mirror tables for a principal (tests).
-func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, bool) {
-	m, ok := n.mirrors[p]
-	if !ok {
-		return nil, nil, false
-	}
-	m.refresh(n.Derivation().Scratch(), n.CostsView())
-	return m.routing.Clone(), m.pricing.Clone(), true
 }
 
 // Recv dispatches protocol messages. The cost flood is the principal's

@@ -8,9 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// benchSizes is the size ladder reported in BENCH_graph.json; keep in
-// sync with the graph package's AllPairs ladder so the two artifacts
-// line up.
+// benchSizes is the size ladder reported in BENCH_graph.json, shared by
+// the ComputeCentral and Execute rows so the two line up.
 var benchSizes = []int{16, 32, 64, 128}
 
 func benchCentralGraph(b *testing.B, n int) *graph.Graph {

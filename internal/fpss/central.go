@@ -359,22 +359,3 @@ func centralTags(tags []graph.NodeID, g *graph.Graph, neighbors []graph.NodeID, 
 	// AdjView is ascending, so tags are already sorted.
 	return tags
 }
-
-// VCGPayment returns the centralized per-packet VCG payment owed by
-// src to transit k for traffic to dst, straight from the definition.
-// It is the oracle used by tests. Both underlying searches exit early
-// once dst settles.
-func VCGPayment(g *graph.Graph, src, dst, k graph.NodeID) (graph.Cost, error) {
-	p, d, err := g.ShortestPath(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	if !p.Contains(k) || k == src || k == dst {
-		return 0, nil // not a transit node on the LCP: no payment
-	}
-	_, avoidCost, err := g.ShortestPathAvoiding(src, dst, k)
-	if err != nil {
-		return 0, err
-	}
-	return g.Cost(k) + avoidCost - d, nil
-}

@@ -12,8 +12,8 @@ import (
 )
 
 // computeCentralOracle is the pre-optimization ComputeCentral, kept
-// verbatim as a differential oracle: sequential, one WithoutNode clone
-// plus a full path-materializing AllPairs per node, map-based avoid
+// verbatim as a differential oracle: sequential, one G−k copy plus a
+// full path-materializing all-pairs sweep per node, map-based avoid
 // sets, sort.Slice tag sorts. TestDifferentialComputeCentral proves
 // the batched parallel core produces byte-identical tables.
 func computeCentralOracle(g *graph.Graph) (*Solution, error) {
@@ -29,7 +29,7 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 	for i := 0; i < n; i++ {
 		sol.Costs[graph.NodeID(i)] = g.Cost(graph.NodeID(i))
 	}
-	dist, paths, err := g.AllPairs()
+	dist, paths, err := allPairs(g)
 	if err != nil {
 		return nil, fmt.Errorf("all pairs: %w", err)
 	}
@@ -38,11 +38,7 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 	avoidPath := make(map[graph.NodeID][][]graph.Path, n)
 	for k := 0; k < n; k++ {
 		kid := graph.NodeID(k)
-		gk, err := g.WithoutNode(kid)
-		if err != nil {
-			return nil, err
-		}
-		d, p, err := gk.AllPairs()
+		d, p, err := allPairs(withoutNode(g, kid))
 		if err != nil {
 			return nil, fmt.Errorf("all pairs without %d: %w", k, err)
 		}
@@ -88,6 +84,75 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 		sol.Pricing[src] = pt
 	}
 	return sol, nil
+}
+
+// withoutNode returns G−k: a copy of g's costs and edges in which node
+// k keeps its ID but has no edges, so its routes avoid k.
+func withoutNode(g *graph.Graph, k graph.NodeID) *graph.Graph {
+	gk := graph.New(g.N())
+	for v := 0; v < g.N(); v++ {
+		_ = gk.SetCost(graph.NodeID(v), g.Cost(graph.NodeID(v)))
+	}
+	for _, e := range g.Edges() {
+		if e[0] != k && e[1] != k {
+			_ = gk.AddEdge(e[0], e[1])
+		}
+	}
+	return gk
+}
+
+// allPairs returns g's lowest-cost distance and route matrices, one
+// SSSP per source. paths[i][j] is nil on the diagonal and for
+// unreachable pairs.
+func allPairs(g *graph.Graph) (dist [][]graph.Cost, paths [][]graph.Path, err error) {
+	var (
+		t graph.Tree
+		s graph.Scratch
+	)
+	n := g.N()
+	dist = make([][]graph.Cost, n)
+	paths = make([][]graph.Path, n)
+	for i := 0; i < n; i++ {
+		if err := g.SSSP(&t, &s, graph.NodeID(i)); err != nil {
+			return nil, nil, err
+		}
+		dist[i] = append([]graph.Cost(nil), t.Dist...)
+		paths[i] = make([]graph.Path, n)
+		for j := range paths[i] {
+			if j != i {
+				paths[i][j] = t.AppendPathTo(nil, graph.NodeID(j))
+			}
+		}
+	}
+	return dist, paths, nil
+}
+
+// VCGPayment returns the centralized per-packet VCG payment owed by
+// src to transit k for traffic to dst, straight from the definition:
+// ĉ_k + cost(LCP(src, dst) in G−k) − cost(LCP(src, dst)), and zero
+// when k is not a transit node of the LCP.
+func VCGPayment(g *graph.Graph, src, dst, k graph.NodeID) (graph.Cost, error) {
+	var (
+		t graph.Tree
+		s graph.Scratch
+	)
+	if err := g.SSSP(&t, &s, src); err != nil {
+		return 0, err
+	}
+	if !t.Reached(dst) {
+		return 0, fmt.Errorf("fpss: no path %d→%d", src, dst)
+	}
+	if !t.AppendPathTo(nil, dst).Contains(k) || k == src || k == dst {
+		return 0, nil // not a transit node on the LCP: no payment
+	}
+	d := t.Dist[dst]
+	if err := withoutNode(g, k).SSSP(&t, &s, src); err != nil {
+		return 0, err
+	}
+	if !t.Reached(dst) {
+		return 0, fmt.Errorf("fpss: no avoid-%d path %d→%d", k, src, dst)
+	}
+	return g.Cost(k) + t.Dist[dst] - d, nil
 }
 
 // oracleTags is the pre-optimization centralTags (Neighbors copy,

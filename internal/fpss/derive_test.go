@@ -58,8 +58,8 @@ func FuzzDerivation(f *testing.F) {
 			prevR, prevP := d.Routing(), d.Pricing()
 			hashR, hashP := prevR.HashRouting(), prevP.HashPricing()
 			changed := d.Derive(costs, nil)
-			wantR := ComputeRouting(self, neighbors, costs, views)
-			wantP := ComputePricing(self, neighbors, costs, wantR, views)
+			wantR := ComputeRouting(new(ComputeScratch), self, neighbors, costs, views)
+			wantP := ComputePricing(new(ComputeScratch), self, neighbors, costs, wantR, views)
 			if !d.Routing().Equal(wantR) || !d.Pricing().Equal(wantP) {
 				t.Fatalf("op %d: derived tables differ from the full computation\nrouting %v\nwant    %v\npricing %v\nwant    %v",
 					op, d.Routing(), wantR, d.Pricing(), wantP)
@@ -115,7 +115,7 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 		e.Cost = graph.Cost(rng.Intn(20))
 		next.Routing[j] = e
 	case 4, 5: // change only a price, or only the tags
-		if cur.Pricing.Len() == 0 {
+		if len(keys(cur.Pricing.All())) == 0 {
 			break
 		}
 		j = pick(keys(cur.Pricing.All()))

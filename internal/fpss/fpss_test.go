@@ -293,7 +293,7 @@ func TestDistributedDATA1Converges(t *testing.T) {
 	g := graph.Figure1()
 	res := runProtocol(t, g, nil)
 	for id, node := range res.Nodes {
-		costs := node.Costs()
+		costs := node.CostsView()
 		if len(costs) != g.N() {
 			t.Fatalf("node %d DATA1 has %d entries, want %d", id, len(costs), g.N())
 		}

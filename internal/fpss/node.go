@@ -158,9 +158,6 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighbors []graph.NodeID, str
 // ID returns the node's identifier.
 func (n *Node) ID() graph.NodeID { return n.id }
 
-// Costs returns the node's DATA1 (declared transit costs seen so far).
-func (n *Node) Costs() CostTable { return n.costs.Clone() }
-
 // Routing returns the node's DATA2.
 func (n *Node) Routing() RoutingTable { return n.own.Routing().Clone() }
 

@@ -157,17 +157,6 @@ func (t PricingTable) Row(j graph.NodeID) map[graph.NodeID]PriceEntry {
 	return nil
 }
 
-// Len returns the number of present rows.
-func (t PricingTable) Len() int {
-	n := 0
-	for _, row := range t {
-		if row != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // All yields the present rows in ascending destination order.
 func (t PricingTable) All() iter.Seq2[graph.NodeID, map[graph.NodeID]PriceEntry] {
 	return func(yield func(graph.NodeID, map[graph.NodeID]PriceEntry) bool) {
@@ -227,15 +216,6 @@ func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
 
 // CostTable is DATA1: declared per-packet transit cost per node.
 type CostTable map[graph.NodeID]graph.Cost
-
-// Clone returns a copy.
-func (t CostTable) Clone() CostTable {
-	out := make(CostTable, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
 
 // PaymentList is DATA4: total owed per transit node by one origin.
 type PaymentList map[graph.NodeID]int64

@@ -15,11 +15,6 @@ type NeighborView struct {
 	Pricing PricingTable
 }
 
-// Clone returns a deep copy.
-func (v NeighborView) Clone() NeighborView {
-	return NeighborView{Routing: v.Routing.Clone(), Pricing: v.Pricing.Clone()}
-}
-
 // ComputeRouting recomputes DATA2 for `self` from DATA1 (declared
 // costs) and the latest neighbor views, by one Bellman relaxation over
 // all destinations:
@@ -33,14 +28,9 @@ func (v NeighborView) Clone() NeighborView {
 // The function is pure — checker nodes re-run it on mirrored inputs to
 // verify a principal's computation ([CHECK1]) — and it is the
 // specification that a Derivation's per-destination updates must match.
-func ComputeRouting(self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
-	return ComputeRoutingScratch(new(ComputeScratch), self, neighbors, costs, views)
-}
-
-// ComputeRoutingScratch is ComputeRouting drawing its entry paths and
-// working set from s. The result is value-identical to ComputeRouting.
-// See ComputeScratch for the ownership rules.
-func ComputeRoutingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
+// It draws its entry paths and working set from s; see ComputeScratch
+// for the ownership rules.
+func ComputeRouting(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
 	dc, aligned := s.load(neighbors, costs, views)
 	return s.computeRouting(self, neighbors, dc, aligned)
 }
@@ -142,9 +132,9 @@ func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID,
 // under the composite route order, where each full path is the shared
 // prefix `self` plus the base path. Because both candidates carry the
 // same one-node prefix, comparing (cost, len(base), base-lex) is
-// exactly graph.Better on the materialized paths — which lets the
-// relaxation loops compare every candidate without allocating and
-// materialize only the winner (see prepend).
+// exactly the (cost, hops, lex) order on the materialized paths — which
+// lets the relaxation loops compare every candidate without allocating
+// and materialize only the winner (see prepend).
 func betterBase(c1 graph.Cost, base1 graph.Path, c2 graph.Cost, base2 graph.Path) bool {
 	if c1 != c2 {
 		return c1 < c2
@@ -175,15 +165,9 @@ func prefixedBy(p graph.Path, self graph.NodeID, base graph.Path) bool {
 // field of DATA3* ("the node that triggered the most recent pricing
 // table update", union on ties) that [BANK2] compares.
 //
-// Pure, for the same reason as ComputeRouting ([CHECK2]).
-func ComputePricing(self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
-	return ComputePricingScratch(new(ComputeScratch), self, neighbors, costs, routing, views)
-}
-
-// ComputePricingScratch is ComputePricing drawing its witness paths,
-// tag sets and working set from s. The result is value-identical to
-// ComputePricing. See ComputeScratch for the ownership rules.
-func ComputePricingScratch(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
+// Pure, for the same reason as ComputeRouting ([CHECK2]). It draws its
+// witness paths, tag sets and working set from s.
+func ComputePricing(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
 	dc, aligned := s.load(neighbors, costs, views)
 	return s.computePricing(self, neighbors, dc, routing, aligned)
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -16,49 +15,19 @@ func benchGraph(b *testing.B, n, extra int) *Graph {
 	return g
 }
 
-func BenchmarkShortestPaths32(b *testing.B) {
-	g := benchGraph(b, 32, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := g.ShortestPaths(0, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSSSP is the allocation-free core on its own: reused Tree
 // and Scratch, no path materialization. The steady state is 0
 // allocs/op.
 func BenchmarkSSSP32(b *testing.B) {
 	g := benchGraph(b, 32, 32)
-	t := &Tree{}
-	s := NewScratch(g.N())
+	t, s := &Tree{}, &Scratch{}
 	g.ensureCSR()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.SSSP(t, s, 0, nil); err != nil {
+		if err := g.SSSP(t, s, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAllPairs is the size ladder reported in BENCH_graph.json;
-// keep in sync with the fpss ComputeCentral ladder so the two
-// artifacts line up.
-func BenchmarkAllPairs(b *testing.B) {
-	for _, n := range []int{16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchGraph(b, n, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := g.AllPairs(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

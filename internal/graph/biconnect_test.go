@@ -180,11 +180,16 @@ func TestGeneratorErrors(t *testing.T) {
 	}
 }
 
+// TestRandomCostsInRange pins the generators' cost draw: uniform over
+// [1, maxCost].
 func TestRandomCostsInRange(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		cs := RandomCosts(30, 9, r)
-		for _, c := range cs {
+		g, err := RandomBiconnected(30, 0, 9, r)
+		if err != nil {
+			return false
+		}
+		for _, c := range g.costs {
 			if c < 1 || c > 9 {
 				return false
 			}

@@ -49,12 +49,12 @@ type Delta struct {
 	newToOld []NodeID // -1 for nodes that joined
 	// costChanged marks survivors (new numbering) whose transit cost
 	// differs between the graphs.
-	costChanged NodeSet
+	costChanged []bool
 	// seed marks survivors (new numbering) whose carried label can emit
 	// relaxations scratch SSSP would have emitted and the old tree never
 	// saw: cost-changed survivors and survivor endpoints of added
 	// survivor–survivor edges.
-	seed NodeSet
+	seed []bool
 	// extDirtyOld marks old nodes whose path *extension* changed:
 	// removed nodes and cost-changed survivors (old numbering). Children
 	// of such nodes in an old tree cannot be carried.
@@ -104,6 +104,8 @@ func NewDelta(oldG, newG *Graph, oldToNew []NodeID) (*Delta, error) {
 	d := &Delta{
 		oldToNew:    append([]NodeID(nil), oldToNew...),
 		newToOld:    make([]NodeID, nNew),
+		costChanged: make([]bool, nNew),
+		seed:        make([]bool, nNew),
 		extDirtyOld: make([]bool, nOld),
 	}
 	for w := range d.newToOld {
@@ -128,8 +130,8 @@ func NewDelta(oldG, newG *Graph, oldToNew []NodeID) (*Delta, error) {
 		d.newToOld[w] = NodeID(v)
 		if oldG.Cost(NodeID(v)) != newG.Cost(w) {
 			d.extDirtyOld[v] = true
-			d.costChanged.Add(w)
-			d.seed.Add(w)
+			d.costChanged[w] = true
+			d.seed[w] = true
 		}
 	}
 	// Survivor–survivor edges present only in the new graph seed both
@@ -150,8 +152,8 @@ func NewDelta(oldG, newG *Graph, oldToNew []NodeID) (*Delta, error) {
 			if ov < 0 || oldG.HasEdge(ou, ov) {
 				continue
 			}
-			d.seed.Add(NodeID(u))
-			d.seed.Add(v)
+			d.seed[u] = true
+			d.seed[v] = true
 			if d.addedEdges == nil {
 				d.addedEdges = make(map[uint64]struct{})
 			}
@@ -178,17 +180,16 @@ const (
 	taintDirty   = uint8(2)
 )
 
-// SSSPDelta computes into t the same full tree g.SSSP(t, s, src, nil)
+// SSSPDelta computes into t the same full tree g.SSSP(t, s, src)
 // would — byte-identical labels — by repairing old, the full tree of
 // the same source on the pre-delta graph (taken through the remap).
-// It takes no avoid set: an avoid-k tree derives from the repaired
-// full tree with SSSPWithout. t must not alias old. When src is a
-// joiner, or old's source does not map to src, the repair silently
-// falls back to a full scratch run; a shape mismatch between old and
-// the delta is an error.
+// An avoid-k tree derives from the repaired full tree with
+// SSSPWithout. t must not alias old. When src is a joiner, or old's
+// source does not map to src, the repair silently falls back to a full
+// scratch run; a shape mismatch between old and the delta is an error.
 func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, old *Tree, d *Delta) error {
 	if d == nil || old == nil {
-		return g.SSSP(t, s, src, nil)
+		return g.SSSP(t, s, src)
 	}
 	if t == old {
 		return fmt.Errorf("graph: SSSPDelta target aliases the old tree")
@@ -206,7 +207,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, old *Tree, d *Delta) 
 	}
 	oldSrc := d.newToOld[src]
 	if oldSrc < 0 || old.Src != oldSrc {
-		return g.SSSP(t, s, src, nil) // joiner source or foreign tree
+		return g.SSSP(t, s, src) // joiner source or foreign tree
 	}
 
 	off, adj := g.ensureCSR()
@@ -286,7 +287,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, old *Tree, d *Delta) 
 		if s.carPar[w] == notCarried {
 			continue
 		}
-		push := d.seed.Has(NodeID(w))
+		push := d.seed[w]
 		if !push {
 			for _, x := range adj[off[w]:off[w+1]] {
 				if s.carPar[x] == notCarried {
@@ -326,7 +327,7 @@ func (g *Graph) SSSPDelta(t *Tree, s *Scratch, src NodeID, old *Tree, d *Delta) 
 			}
 		}
 		s.changed[u] = ch
-		tieCh := ch || d.costChanged.Has(u)
+		tieCh := ch || d.costChanged[u]
 		var transit Cost
 		if u != src {
 			transit = g.costs[u]

@@ -133,12 +133,12 @@ func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) [
 		t.Fatalf("%s: NewDelta: %v", label, err)
 	}
 	n, nOld := ev.newG.N(), ev.oldG.N()
-	oldScr, scr, scrWant := NewScratch(nOld), NewScratch(n), NewScratch(n)
+	oldScr, scr, scrWant := &Scratch{}, &Scratch{}, &Scratch{}
 	if oldBase == nil {
 		oldBase = make([]*Tree, nOld)
 		for v := 0; v < nOld; v++ {
 			oldBase[v] = &Tree{}
-			if err := ev.oldG.SSSP(oldBase[v], oldScr, NodeID(v), nil); err != nil {
+			if err := ev.oldG.SSSP(oldBase[v], oldScr, NodeID(v)); err != nil {
 				t.Fatalf("%s: old SSSP(%d): %v", label, v, err)
 			}
 		}
@@ -154,19 +154,20 @@ func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) [
 		if err := ev.newG.SSSPDelta(base[src], scr, NodeID(src), old, d); err != nil {
 			t.Fatalf("%s: SSSPDelta(%d): %v", label, src, err)
 		}
-		if err := ev.newG.SSSP(want, scrWant, NodeID(src), nil); err != nil {
+		if err := ev.newG.SSSP(want, scrWant, NodeID(src)); err != nil {
 			t.Fatalf("%s: SSSP(%d): %v", label, src, err)
 		}
 		requireTreesEqual(t, fmt.Sprintf("%s src=%d", label, src), base[src], want)
 	}
 	// Avoid-k variants: derive every (src, k) avoid tree from the
 	// repaired base tree, the path Central.Evolve runs, and compare it
-	// against a scratch avoid run.
-	avoid := NewNodeSet(n)
+	// against a scratch run over G−k.
 	got := &Tree{}
 	for k := 0; k < n; k++ {
-		avoid.Clear()
-		avoid.Add(NodeID(k))
+		gk, err := ev.newG.WithoutNode(NodeID(k))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for src := 0; src < n; src++ {
 			if src == k {
 				continue
@@ -174,8 +175,8 @@ func checkEvolution(t *testing.T, label string, ev evolution, oldBase []*Tree) [
 			if err := ev.newG.SSSPWithout(got, scr, base[src], NodeID(k)); err != nil {
 				t.Fatalf("%s: SSSPWithout(%d,%d): %v", label, src, k, err)
 			}
-			if err := ev.newG.SSSP(want, scrWant, NodeID(src), avoid); err != nil {
-				t.Fatalf("%s: avoid SSSP(%d,%d): %v", label, src, k, err)
+			if err := gk.SSSP(want, scrWant, NodeID(src)); err != nil {
+				t.Fatalf("%s: SSSP(%d) over G−%d: %v", label, src, k, err)
 			}
 			requireTreesEqual(t, fmt.Sprintf("%s src=%d avoid=%d", label, src, k), got, want)
 		}
@@ -294,16 +295,16 @@ func TestSSSPDeltaIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr := NewScratch(g.N())
+	scr := &Scratch{}
 	old, got, want := &Tree{}, &Tree{}, &Tree{}
 	for src := 0; src < g.N(); src++ {
-		if err := g.SSSP(old, scr, NodeID(src), nil); err != nil {
+		if err := g.SSSP(old, scr, NodeID(src)); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.SSSPDelta(got, scr, NodeID(src), old, d); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.SSSP(want, scr, NodeID(src), nil); err != nil {
+		if err := g.SSSP(want, scr, NodeID(src)); err != nil {
 			t.Fatal(err)
 		}
 		requireTreesEqual(t, fmt.Sprintf("identity src=%d", src), got, want)
@@ -340,20 +341,20 @@ func TestSSSPDeltaFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := ev.newG.N()
-	scr := NewScratch(n)
+	scr := &Scratch{}
 	got, want := &Tree{}, &Tree{}
 	if err := ev.newG.SSSPDelta(got, scr, 0, nil, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := ev.newG.SSSP(want, scr, 0, nil); err != nil {
+	if err := ev.newG.SSSP(want, scr, 0); err != nil {
 		t.Fatal(err)
 	}
 	requireTreesEqual(t, "nil old tree", got, want)
 
 	// A tree whose source does not map to src must be ignored, not used.
 	oldT := &Tree{}
-	oldScr := NewScratch(ev.oldG.N())
-	if err := ev.oldG.SSSP(oldT, oldScr, 0, nil); err != nil {
+	oldScr := &Scratch{}
+	if err := ev.oldG.SSSP(oldT, oldScr, 0); err != nil {
 		t.Fatal(err)
 	}
 	for src := 1; src < n; src++ {
@@ -363,7 +364,7 @@ func TestSSSPDeltaFallbacks(t *testing.T) {
 		if err := ev.newG.SSSPDelta(got, scr, NodeID(src), oldT, d); err != nil {
 			t.Fatal(err)
 		}
-		if err := ev.newG.SSSP(want, scr, NodeID(src), nil); err != nil {
+		if err := ev.newG.SSSP(want, scr, NodeID(src)); err != nil {
 			t.Fatal(err)
 		}
 		requireTreesEqual(t, fmt.Sprintf("foreign tree src=%d", src), got, want)

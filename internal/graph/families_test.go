@@ -74,7 +74,7 @@ func TestFamiliesDeterministicPerSeed(t *testing.T) {
 				if !reflect.DeepEqual(a.Edges(), b.Edges()) {
 					t.Fatalf("seed %d: edge sets differ between two builds", seed)
 				}
-				if !reflect.DeepEqual(a.Costs(), b.Costs()) {
+				if !reflect.DeepEqual(a.costs, b.costs) {
 					t.Fatalf("seed %d: cost vectors differ between two builds", seed)
 				}
 			}

@@ -118,12 +118,3 @@ func RandomBiconnected(n, extraEdges int, maxCost Cost, rng *rand.Rand) (*Graph,
 	}
 	return g, nil
 }
-
-// RandomCosts returns n costs drawn uniformly from [1, maxCost].
-func RandomCosts(n int, maxCost Cost, rng *rand.Rand) []Cost {
-	out := make([]Cost, n)
-	for i := range out {
-		out[i] = 1 + Cost(rng.Int63n(int64(maxCost)))
-	}
-	return out
-}

@@ -75,18 +75,6 @@ func (g *Graph) M() int {
 	return total / 2
 }
 
-// AddNode appends a node with the given transit cost and returns its ID.
-func (g *Graph) AddNode(c Cost) (NodeID, error) {
-	if c < 0 {
-		return 0, ErrNegativeCost
-	}
-	g.costs = append(g.costs, c)
-	g.adj = append(g.adj, make(map[NodeID]struct{}))
-	g.names = append(g.names, "")
-	g.invalidateCSR()
-	return NodeID(len(g.costs) - 1), nil
-}
-
 // invalidateCSR drops the flat adjacency after a topology mutation; the
 // next query rebuilds it.
 func (g *Graph) invalidateCSR() {
@@ -188,13 +176,6 @@ func (g *Graph) SetCost(id NodeID, c Cost) error {
 	return nil
 }
 
-// Costs returns a copy of the transit-cost vector indexed by NodeID.
-func (g *Graph) Costs() []Cost {
-	out := make([]Cost, len(g.costs))
-	copy(out, g.costs)
-	return out
-}
-
 // SetName attaches a human-readable name to a node (used by the
 // Figure-1 topology: A, B, C, D, X, Z).
 func (g *Graph) SetName(id NodeID, name string) error {
@@ -234,14 +215,6 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return slices.Clone(g.AdjView(id))
 }
 
-// Degree returns the number of neighbors of id.
-func (g *Graph) Degree(id NodeID) int {
-	if g.check(id) != nil {
-		return 0
-	}
-	return len(g.adj[id])
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.N())
@@ -253,22 +226,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// WithoutNode returns a copy of the graph in which node k keeps its
-// ID but loses every incident edge (isolating it). Used to compute
-// VCG marginal values: lowest-cost paths that avoid k.
-func (g *Graph) WithoutNode(k NodeID) (*Graph, error) {
-	if err := g.check(k); err != nil {
-		return nil, err
-	}
-	c := g.Clone()
-	for v := range c.adj[k] {
-		delete(c.adj[v], k)
-	}
-	c.adj[k] = make(map[NodeID]struct{})
-	c.invalidateCSR()
-	return c, nil
 }
 
 // WithCosts returns a copy of the graph whose transit-cost vector is

@@ -5,23 +5,15 @@ import (
 	"testing"
 )
 
-func TestNewAndAddNode(t *testing.T) {
+func TestNew(t *testing.T) {
 	g := New(2)
-	if g.N() != 2 {
-		t.Fatalf("N() = %d, want 2", g.N())
+	if g.N() != 2 || g.M() != 0 {
+		t.Fatalf("N(), M() = %d, %d, want 2, 0", g.N(), g.M())
 	}
-	id, err := g.AddNode(7)
-	if err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
-	if id != 2 {
-		t.Errorf("AddNode id = %d, want 2", id)
-	}
-	if g.Cost(id) != 7 {
-		t.Errorf("Cost(%d) = %d, want 7", id, g.Cost(id))
-	}
-	if _, err := g.AddNode(-1); !errors.Is(err, ErrNegativeCost) {
-		t.Errorf("AddNode(-1) err = %v, want ErrNegativeCost", err)
+	for id := NodeID(0); id < 2; id++ {
+		if g.Cost(id) != 0 || len(g.Neighbors(id)) != 0 {
+			t.Errorf("node %d: cost %d, neighbors %v, want 0 and none", id, g.Cost(id), g.Neighbors(id))
+		}
 	}
 }
 
@@ -119,9 +111,6 @@ func TestNeighborsSorted(t *testing.T) {
 			t.Fatalf("Neighbors = %v, want %v", got, want)
 		}
 	}
-	if g.Degree(0) != 3 {
-		t.Errorf("Degree(0) = %d, want 3", g.Degree(0))
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -181,12 +170,16 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
+// TestCostsCopy pins that WithCosts copies the cost vector it is
+// given: editing the vector afterwards leaves the graph alone.
 func TestCostsCopy(t *testing.T) {
-	g := New(2)
-	_ = g.SetCost(0, 1)
-	cs := g.Costs()
+	cs := []Cost{1, 2}
+	g, err := New(2).WithCosts(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs[0] = 99
 	if g.Cost(0) != 1 {
-		t.Error("Costs() returned aliased slice")
+		t.Error("WithCosts aliased the cost vector")
 	}
 }

@@ -1,19 +1,9 @@
 package graph
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Infinity is the cost reported for unreachable destinations.
 const Infinity = Cost(math.MaxInt64 / 4)
-
-// ErrNoPath is returned when no path exists between the endpoints.
-var ErrNoPath = errors.New("graph: no path")
-
-// ErrAvoidEndpoint is returned when the avoided node is an endpoint of
-// the query.
-var ErrAvoidEndpoint = errors.New("graph: avoid node is an endpoint")
 
 // Path is a node sequence from source to destination, inclusive.
 type Path []NodeID
@@ -57,21 +47,6 @@ func (p Path) Less(q Path) bool {
 	return len(p) < len(q)
 }
 
-// Better reports whether route (c1, p1) is preferred over (c2, p2)
-// under the composite (cost, hop count, lexicographic) order. The hop
-// tie-break excludes zero-cost cycles, so asynchronous Bellman–Ford
-// relaxation (the distributed FPSS computation) and centralized
-// Dijkstra converge to the same unique route for every pair.
-func Better(c1 Cost, p1 Path, c2 Cost, p2 Path) bool {
-	if c1 != c2 {
-		return c1 < c2
-	}
-	if len(p1) != len(p2) {
-		return len(p1) < len(p2)
-	}
-	return p1.Less(p2)
-}
-
 // Equal reports element-wise equality.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
@@ -85,136 +60,24 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// PathCost returns the transit cost of the path under the graph's cost
-// vector: the sum of intermediate node costs. It validates adjacency.
-func (g *Graph) PathCost(p Path) (Cost, error) {
-	if len(p) == 0 {
-		return 0, ErrNoPath
-	}
-	if err := g.check(p...); err != nil {
-		return 0, err
-	}
-	var total Cost
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			return 0, ErrNoPath
-		}
-		if i > 0 {
-			total += g.costs[p[i]]
-		}
-	}
-	return total, nil
-}
-
-// ShortestPaths computes lowest-cost paths from src to every node,
-// skipping nodes in avoid (which must not include src). Ties are broken
-// by the composite (cost, hops, lexicographic) order so results are
-// globally unique. Unreachable nodes get cost Infinity and a nil path.
-//
-// This is the materializing convenience wrapper over SSSP; hot paths
-// that issue many queries should drive SSSP/SSSPTo directly with a
-// reused Tree and Scratch.
-func (g *Graph) ShortestPaths(src NodeID, avoid map[NodeID]bool) ([]Cost, []Path, error) {
-	st := ssspPool.Get().(*ssspState)
-	defer ssspPool.Put(st)
-	if err := g.SSSP(&st.t, &st.s, src, st.s.avoidSet(g.N(), avoid)); err != nil {
-		return nil, nil, err
-	}
-	n := g.N()
-	dist := make([]Cost, n)
-	copy(dist, st.t.Dist)
-	paths := make([]Path, n)
-	for i := range paths {
-		paths[i] = st.t.PathTo(NodeID(i))
-	}
-	return dist, paths, nil
-}
-
-// ShortestPath returns the unique (tie-broken) lowest-cost path and its
-// cost from src to dst. The search exits as soon as dst is settled
-// instead of computing all n destinations.
-func (g *Graph) ShortestPath(src, dst NodeID) (Path, Cost, error) {
-	if err := g.check(src, dst); err != nil {
-		return nil, 0, err
-	}
-	st := ssspPool.Get().(*ssspState)
-	defer ssspPool.Put(st)
-	if err := g.SSSPTo(&st.t, &st.s, src, dst, nil); err != nil {
-		return nil, 0, err
-	}
-	if !st.t.Reached(dst) {
-		return nil, Infinity, ErrNoPath
-	}
-	return st.t.PathTo(dst), st.t.Dist[dst], nil
-}
-
-// ShortestPathAvoiding returns the lowest-cost src→dst path that does
-// not transit node k. Used for VCG payments: the marginal value of k.
-// Like ShortestPath it settles only as much of the graph as needed to
-// reach dst.
-func (g *Graph) ShortestPathAvoiding(src, dst, k NodeID) (Path, Cost, error) {
-	if err := g.check(src, dst, k); err != nil {
-		return nil, 0, err
-	}
-	if k == src || k == dst {
-		return nil, 0, ErrAvoidEndpoint
-	}
-	st := ssspPool.Get().(*ssspState)
-	defer ssspPool.Put(st)
-	st.s.avoid.grow(g.N())
-	st.s.avoid.Clear()
-	st.s.avoid.Add(k)
-	if err := g.SSSPTo(&st.t, &st.s, src, dst, &st.s.avoid); err != nil {
-		return nil, 0, err
-	}
-	if !st.t.Reached(dst) {
-		return nil, Infinity, ErrNoPath
-	}
-	return st.t.PathTo(dst), st.t.Dist[dst], nil
-}
-
-// AllPairs computes the lowest-cost path matrix. paths[i][j] is nil on
-// the diagonal and for unreachable pairs.
-func (g *Graph) AllPairs() (dist [][]Cost, paths [][]Path, err error) {
-	st := ssspPool.Get().(*ssspState)
-	defer ssspPool.Put(st)
-	n := g.N()
-	dist = make([][]Cost, n)
-	paths = make([][]Path, n)
-	for i := 0; i < n; i++ {
-		if err := g.SSSP(&st.t, &st.s, NodeID(i), nil); err != nil {
-			return nil, nil, err
-		}
-		d := make([]Cost, n)
-		copy(d, st.t.Dist)
-		p := make([]Path, n)
-		for j := range p {
-			if j != i {
-				p[j] = st.t.PathTo(NodeID(j))
-			}
-		}
-		dist[i] = d
-		paths[i] = p
-	}
-	return dist, paths, nil
-}
-
 // Diameter returns the maximum hop count over all lowest-cost paths,
 // or 0 for graphs with fewer than two nodes. Unreachable pairs do not
 // count toward the diameter.
 func (g *Graph) Diameter() (int, error) {
-	st := ssspPool.Get().(*ssspState)
-	defer ssspPool.Put(st)
+	var (
+		t Tree
+		s Scratch
+	)
 	maxHops := 0
 	for i := 0; i < g.N(); i++ {
-		if err := g.SSSP(&st.t, &st.s, NodeID(i), nil); err != nil {
+		if err := g.SSSP(&t, &s, NodeID(i)); err != nil {
 			return 0, err
 		}
-		for j := range st.t.Hops {
-			if j == i || !st.t.Reached(NodeID(j)) {
+		for j := range t.Hops {
+			if j == i || !t.Reached(NodeID(j)) {
 				continue
 			}
-			if h := int(st.t.Hops[j]); h > maxHops {
+			if h := int(t.Hops[j]); h > maxHops {
 				maxHops = h
 			}
 		}

@@ -4,7 +4,10 @@ package graph
 // oracle: it materializes a full path per heap label and compares
 // whole paths inside the heap, which makes its route order trivially
 // auditable against Better. TestDifferentialSSSPOracle proves the
-// parent-pointer core in sssp.go reproduces it byte for byte.
+// parent-pointer core in sssp.go reproduces it byte for byte. Better,
+// WithoutNode and PathTo are the tests' support: the route order
+// spelled out on materialized paths, G−k as a graph of its own, and a
+// tree's route at exact size.
 
 import (
 	"container/heap"
@@ -13,6 +16,56 @@ import (
 	"math/rand"
 	"testing"
 )
+
+// Better reports whether route (c1, p1) is preferred over (c2, p2)
+// under the composite (cost, hop count, lexicographic) order. The hop
+// tie-break excludes zero-cost cycles, so asynchronous Bellman–Ford
+// relaxation (the distributed FPSS computation) and centralized
+// Dijkstra converge to the same unique route for every pair.
+func Better(c1 Cost, p1 Path, c2 Cost, p2 Path) bool {
+	if c1 != c2 {
+		return c1 < c2
+	}
+	if len(p1) != len(p2) {
+		return len(p1) < len(p2)
+	}
+	return p1.Less(p2)
+}
+
+// WithoutNode returns a copy of the graph in which node k keeps its
+// ID but loses every incident edge (isolating it): G−k, whose routes
+// are the lowest-cost paths that avoid k.
+func (g *Graph) WithoutNode(k NodeID) (*Graph, error) {
+	if err := g.check(k); err != nil {
+		return nil, err
+	}
+	c := g.Clone()
+	for v := range c.adj[k] {
+		delete(c.adj[v], k)
+	}
+	c.adj[k] = make(map[NodeID]struct{})
+	c.invalidateCSR()
+	return c, nil
+}
+
+// PathTo reconstructs the unique best Src→dst path, or nil when dst is
+// unreached. The returned path is freshly allocated at exact size.
+func (t *Tree) PathTo(dst NodeID) Path {
+	if !t.Reached(dst) {
+		return nil
+	}
+	return t.AppendPathTo(make(Path, 0, int(t.Hops[dst])+1), dst)
+}
+
+// treePaths reads every destination's distance and route out of a
+// tree, in the oracle's shape.
+func treePaths(t *Tree) ([]Cost, []Path) {
+	paths := make([]Path, len(t.Dist))
+	for j := range paths {
+		paths[j] = t.AppendPathTo(nil, NodeID(j))
+	}
+	return t.Dist, paths
+}
 
 // oracleLabel is a Dijkstra priority-queue entry of the reference
 // implementation.
@@ -119,74 +172,46 @@ func diffGraph(t *testing.T, seed int) *Graph {
 
 // TestDifferentialSSSPOracle checks the parent-pointer core against
 // the reference Dijkstra on 200+ random seeded graphs: every source,
-// every destination, full sweeps and single-avoid sweeps, distances
-// and routes byte-identical.
+// every destination, full sweeps and sweeps over G−k, distances and
+// routes byte-identical.
 func TestDifferentialSSSPOracle(t *testing.T) {
 	const cases = 220
+	tr, s := &Tree{}, &Scratch{}
+	// check requires SSSP from src over h to match the oracle's run
+	// from src over g, avoiding avoid.
+	check := func(label string, g, h *Graph, src NodeID, avoid map[NodeID]bool) {
+		t.Helper()
+		wantD, wantP, err := g.oracleShortestPaths(src, avoid)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", label, err)
+		}
+		if err := h.SSSP(tr, s, src); err != nil {
+			t.Fatalf("%s: SSSP: %v", label, err)
+		}
+		gotD, gotP := treePaths(tr)
+		for j := range wantD {
+			if wantD[j] != gotD[j] || !wantP[j].Equal(gotP[j]) {
+				t.Fatalf("%s dst %d: oracle (%d, %v) != SSSP (%d, %v)",
+					label, j, wantD[j], wantP[j], gotD[j], gotP[j])
+			}
+		}
+	}
 	for seed := 0; seed < cases; seed++ {
 		g := diffGraph(t, seed)
 		n := g.N()
 		for src := 0; src < n; src++ {
-			wantD, wantP, err := g.oracleShortestPaths(NodeID(src), nil)
-			if err != nil {
-				t.Fatalf("seed %d: oracle: %v", seed, err)
-			}
-			gotD, gotP, err := g.ShortestPaths(NodeID(src), nil)
-			if err != nil {
-				t.Fatalf("seed %d: new: %v", seed, err)
-			}
-			for j := 0; j < n; j++ {
-				if wantD[j] != gotD[j] || !wantP[j].Equal(gotP[j]) {
-					t.Fatalf("seed %d src %d dst %d: oracle (%d, %v) != new (%d, %v)",
-						seed, src, j, wantD[j], wantP[j], gotD[j], gotP[j])
-				}
-			}
+			check(fmt.Sprintf("seed %d src %d", seed, src), g, g, NodeID(src), nil)
 		}
-		// Avoid-k sweeps from a couple of sources per graph.
-		for src := 0; src < n && src < 3; src++ {
-			for k := 0; k < n; k++ {
-				if k == src {
-					continue
-				}
-				avoid := map[NodeID]bool{NodeID(k): true}
-				wantD, wantP, err := g.oracleShortestPaths(NodeID(src), avoid)
-				if err != nil {
-					t.Fatalf("seed %d: oracle avoid %d: %v", seed, k, err)
-				}
-				gotD, gotP, err := g.ShortestPaths(NodeID(src), avoid)
-				if err != nil {
-					t.Fatalf("seed %d: new avoid %d: %v", seed, k, err)
-				}
-				for j := 0; j < n; j++ {
-					if wantD[j] != gotD[j] || !wantP[j].Equal(gotP[j]) {
-						t.Fatalf("seed %d src %d avoid %d dst %d: oracle (%d, %v) != new (%d, %v)",
-							seed, src, k, j, wantD[j], wantP[j], gotD[j], gotP[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSSSPToMatchesFullSweep checks the early-exit single-target path
-// against the full sweep (and hence, transitively, the oracle).
-func TestSSSPToMatchesFullSweep(t *testing.T) {
-	for seed := 0; seed < 40; seed++ {
-		g := diffGraph(t, seed)
-		n := g.N()
-		for src := 0; src < n; src++ {
-			wantD, wantP, err := g.ShortestPaths(NodeID(src), nil)
+		// Sweeps over G−k from a couple of sources per graph.
+		for k := 0; k < n; k++ {
+			gk, err := g.WithoutNode(NodeID(k))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for dst := 0; dst < n; dst++ {
-				p, c, err := g.ShortestPath(NodeID(src), NodeID(dst))
-				if err != nil {
-					t.Fatalf("seed %d %d→%d: %v", seed, src, dst, err)
-				}
-				if c != wantD[dst] || !p.Equal(wantP[dst]) {
-					t.Fatalf("seed %d %d→%d: early-exit (%d, %v) != sweep (%d, %v)",
-						seed, src, dst, c, p, wantD[dst], wantP[dst])
+			for src := 0; src < n && src < 3; src++ {
+				if src != k {
+					label := fmt.Sprintf("seed %d src %d avoid %d", seed, src, k)
+					check(label, g, gk, NodeID(src), map[NodeID]bool{NodeID(k): true})
 				}
 			}
 		}
@@ -196,10 +221,9 @@ func TestSSSPToMatchesFullSweep(t *testing.T) {
 func TestTreePathReconstruction(t *testing.T) {
 	g := Figure1()
 	tr := &Tree{}
-	sc := NewScratch(g.N())
 	x, _ := g.ByName("X")
 	z, _ := g.ByName("Z")
-	if err := g.SSSP(tr, sc, x, nil); err != nil {
+	if err := g.SSSP(tr, &Scratch{}, x); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(Path{x, 3, 2, z}) // X-D-C-Z, the paper's quoted LCP
@@ -219,49 +243,16 @@ func TestTreePathReconstruction(t *testing.T) {
 	if &out[0] != &buf[:1][0] {
 		t.Fatal("AppendPathTo reallocated despite sufficient capacity")
 	}
-}
-
-// TestShortestPathsIgnoresOutOfRangeAvoid pins the map-form contract:
-// avoid entries that name no node are ignored, as the original
-// map-lookup implementation did.
-func TestShortestPathsIgnoresOutOfRangeAvoid(t *testing.T) {
-	g := Figure1()
-	avoid := map[NodeID]bool{NodeID(-1): true, NodeID(99): true}
-	wantD, wantP, err := g.ShortestPaths(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotD, gotP, err := g.ShortestPaths(0, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range wantD {
-		if wantD[j] != gotD[j] || !wantP[j].Equal(gotP[j]) {
-			t.Fatalf("dst %d: bogus avoid entries changed the result", j)
+	// An ID outside the tree is unreached, on either side.
+	for _, dst := range []NodeID{-1, NodeID(g.N())} {
+		if tr.Reached(dst) {
+			t.Errorf("Reached(%d) = true", dst)
 		}
-	}
-}
-
-func TestNodeSet(t *testing.T) {
-	s := NewNodeSet(10)
-	if s.Has(3) {
-		t.Fatal("empty set has 3")
-	}
-	s.Add(3)
-	s.Add(70) // forces growth
-	if !s.Has(3) || !s.Has(70) || s.Has(4) {
-		t.Fatal("membership wrong after Add")
-	}
-	s.Remove(3)
-	if s.Has(3) || !s.Has(70) {
-		t.Fatal("membership wrong after Remove")
-	}
-	s.Clear()
-	if s.Has(70) {
-		t.Fatal("membership wrong after Clear")
-	}
-	var nilSet *NodeSet
-	if nilSet.Has(0) {
-		t.Fatal("nil set claims membership")
+		if p := tr.PathTo(dst); p != nil {
+			t.Errorf("PathTo(%d) = %v, want nil", dst, p)
+		}
+		if p := tr.AppendPathTo(buf[:1], dst); len(p) != 1 {
+			t.Errorf("AppendPathTo(p, %d) = %v, want p unchanged", dst, p)
+		}
 	}
 }

@@ -41,24 +41,56 @@ func bruteForce(g *Graph, src, dst NodeID, avoid map[NodeID]bool) (Path, Cost) {
 	return bestPath, bestCost
 }
 
+// distances returns the lowest-cost distance matrix of g, one SSSP per
+// source.
+func distances(g *Graph) ([][]Cost, error) {
+	var (
+		t Tree
+		s Scratch
+	)
+	dist := make([][]Cost, g.N())
+	for i := range dist {
+		if err := g.SSSP(&t, &s, NodeID(i)); err != nil {
+			return nil, err
+		}
+		dist[i] = append([]Cost(nil), t.Dist...)
+	}
+	return dist, nil
+}
+
+// TestPathCost pins what a tree's labels mean: Dist is the transit cost
+// of the route PathTo reconstructs, the sum of its intermediate nodes'
+// costs (endpoints transit free), Hops its edge count, and every step
+// an edge of the graph.
 func TestPathCost(t *testing.T) {
-	g := Figure1()
-	x, _ := g.ByName("X")
-	d, _ := g.ByName("D")
-	c, _ := g.ByName("C")
-	z, _ := g.ByName("Z")
-	got, err := g.PathCost(Path{x, d, c, z})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("PathCost(X-D-C-Z) = %d, want 2", got)
-	}
-	if _, err := g.PathCost(Path{x, z}); !errors.Is(err, ErrNoPath) {
-		t.Errorf("PathCost(non-edge) = %v, want ErrNoPath", err)
-	}
-	if _, err := g.PathCost(nil); !errors.Is(err, ErrNoPath) {
-		t.Errorf("PathCost(nil) = %v, want ErrNoPath", err)
+	rng := rand.New(rand.NewSource(5))
+	tr, s := &Tree{}, &Scratch{}
+	for trial := 0; trial < 20; trial++ {
+		g, err := RandomBiconnected(4+rng.Intn(10), rng.Intn(12), 9, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < g.N(); src++ {
+			if err := g.SSSP(tr, s, NodeID(src)); err != nil {
+				t.Fatal(err)
+			}
+			for dst := 0; dst < g.N(); dst++ {
+				p := tr.PathTo(NodeID(dst))
+				var cost Cost
+				for i := 1; i < len(p); i++ {
+					if !g.HasEdge(p[i-1], p[i]) {
+						t.Fatalf("trial %d: route %d→%d = %v steps off the graph", trial, src, dst, p)
+					}
+					if i < len(p)-1 {
+						cost += g.Cost(p[i])
+					}
+				}
+				if p[0] != NodeID(src) || cost != tr.Dist[dst] || len(p)-1 != int(tr.Hops[dst]) {
+					t.Fatalf("trial %d: route %d→%d = %v costs %d in %d hops, labels say %d in %d",
+						trial, src, dst, p, cost, len(p)-1, tr.Dist[dst], tr.Hops[dst])
+				}
+			}
+		}
 	}
 }
 
@@ -72,11 +104,16 @@ func TestFigure1QuotedFacts(t *testing.T) {
 		return id
 	}
 	x, z, d, b := byName("X"), byName("Z"), byName("D"), byName("B")
-
-	p, cost, err := g.ShortestPath(x, z)
-	if err != nil {
-		t.Fatal(err)
+	tr, s := &Tree{}, &Scratch{}
+	route := func(src, dst NodeID) (Path, Cost) {
+		t.Helper()
+		if err := g.SSSP(tr, s, src); err != nil {
+			t.Fatal(err)
+		}
+		return tr.PathTo(dst), tr.Dist[dst]
 	}
+
+	p, cost := route(x, z)
 	if cost != 2 {
 		t.Errorf("cost(X→Z) = %d, want 2 (paper §4.1)", cost)
 	}
@@ -84,20 +121,10 @@ func TestFigure1QuotedFacts(t *testing.T) {
 	if !p.Equal(want) {
 		t.Errorf("LCP(X→Z) = %v, want X-D-C-Z", p)
 	}
-
-	_, cost, err = g.ShortestPath(z, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 1 {
+	if _, cost := route(z, d); cost != 1 {
 		t.Errorf("cost(Z→D) = %d, want 1 (paper §4.1)", cost)
 	}
-
-	_, cost, err = g.ShortestPath(b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 0 {
+	if _, cost := route(b, d); cost != 0 {
 		t.Errorf("cost(B→D) = %d, want 0 (paper §4.1)", cost)
 	}
 }
@@ -114,26 +141,31 @@ func TestShortestPathAvoiding(t *testing.T) {
 	z, _ := g.ByName("Z")
 	c, _ := g.ByName("C")
 	a, _ := g.ByName("A")
-	p, cost, err := g.ShortestPathAvoiding(x, z, c)
-	if err != nil {
+	base, noC, s := &Tree{}, &Tree{}, &Scratch{}
+	if err := g.SSSP(base, s, x); err != nil {
 		t.Fatal(err)
 	}
-	if cost != 5 {
+	if err := g.SSSPWithout(noC, s, base, c); err != nil {
+		t.Fatal(err)
+	}
+	if cost := noC.Dist[z]; cost != 5 {
 		t.Errorf("cost(X→Z avoiding C) = %d, want 5 (via A)", cost)
 	}
+	p := noC.PathTo(z)
 	if !p.Contains(a) {
 		t.Errorf("path avoiding C should go via A, got %v", p)
 	}
 	if p.Contains(c) {
 		t.Errorf("path contains avoided node: %v", p)
 	}
-	if _, _, err := g.ShortestPathAvoiding(x, z, x); err == nil {
-		t.Error("avoiding an endpoint should error")
+	if err := g.SSSPWithout(noC, s, base, x); !errors.Is(err, ErrSourceAvoided) {
+		t.Errorf("avoiding the source: err = %v, want ErrSourceAvoided", err)
 	}
 }
 
 func TestDijkstraAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	tr, s := &Tree{}, &Scratch{}
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(5)
 		g, err := RandomBiconnected(n, rng.Intn(2*n), 20, rng)
@@ -141,8 +173,7 @@ func TestDijkstraAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for src := 0; src < n; src++ {
-			dist, paths, err := g.ShortestPaths(NodeID(src), nil)
-			if err != nil {
+			if err := g.SSSP(tr, s, NodeID(src)); err != nil {
 				t.Fatal(err)
 			}
 			for dst := 0; dst < n; dst++ {
@@ -150,12 +181,12 @@ func TestDijkstraAgainstBruteForce(t *testing.T) {
 					continue
 				}
 				wantPath, wantCost := bruteForce(g, NodeID(src), NodeID(dst), nil)
-				if dist[dst] != wantCost {
-					t.Fatalf("trial %d: dist(%d,%d) = %d, brute force %d", trial, src, dst, dist[dst], wantCost)
+				if tr.Dist[dst] != wantCost {
+					t.Fatalf("trial %d: dist(%d,%d) = %d, brute force %d", trial, src, dst, tr.Dist[dst], wantCost)
 				}
-				if !paths[dst].Equal(wantPath) {
+				if p := tr.PathTo(NodeID(dst)); !p.Equal(wantPath) {
 					t.Fatalf("trial %d: path(%d,%d) = %v, brute force %v (tie-break mismatch)",
-						trial, src, dst, paths[dst], wantPath)
+						trial, src, dst, p, wantPath)
 				}
 			}
 		}
@@ -164,6 +195,7 @@ func TestDijkstraAgainstBruteForce(t *testing.T) {
 
 func TestDijkstraAvoidingAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	base, noK, s := &Tree{}, &Tree{}, &Scratch{}
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + rng.Intn(4)
 		g, err := RandomBiconnected(n, rng.Intn(n), 15, rng)
@@ -171,24 +203,29 @@ func TestDijkstraAvoidingAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				for k := 0; k < n; k++ {
-					if src == dst || k == src || k == dst {
+			if err := g.SSSP(base, s, NodeID(src)); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				if k == src {
+					continue
+				}
+				if err := g.SSSPWithout(noK, s, base, NodeID(k)); err != nil {
+					t.Fatal(err)
+				}
+				for dst := 0; dst < n; dst++ {
+					if dst == src || dst == k {
 						continue
 					}
-					_, gotCost, err := g.ShortestPathAvoiding(NodeID(src), NodeID(dst), NodeID(k))
 					wantPath, wantCost := bruteForce(g, NodeID(src), NodeID(dst), map[NodeID]bool{NodeID(k): true})
 					if wantPath == nil {
-						if !errors.Is(err, ErrNoPath) {
-							t.Fatalf("expected ErrNoPath, got %v", err)
+						if noK.Reached(NodeID(dst)) {
+							t.Fatalf("avoid (%d,%d;-%d) reached, brute force finds no path", src, dst, k)
 						}
 						continue
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotCost != wantCost {
-						t.Fatalf("avoid dist(%d,%d;-%d) = %d, want %d", src, dst, k, gotCost, wantCost)
+					if got := noK.Dist[dst]; got != wantCost {
+						t.Fatalf("avoid dist(%d,%d;-%d) = %d, want %d", src, dst, k, got, wantCost)
 					}
 				}
 			}
@@ -199,41 +236,12 @@ func TestDijkstraAvoidingAgainstBruteForce(t *testing.T) {
 func TestUnreachable(t *testing.T) {
 	g := New(3)
 	_ = g.AddEdge(0, 1)
-	if _, _, err := g.ShortestPath(0, 2); !errors.Is(err, ErrNoPath) {
-		t.Errorf("ShortestPath to isolated node = %v, want ErrNoPath", err)
-	}
-	dist, paths, err := g.ShortestPaths(0, nil)
-	if err != nil {
+	tr := &Tree{}
+	if err := g.SSSP(tr, &Scratch{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if dist[2] != Infinity || paths[2] != nil {
-		t.Error("unreachable node should have Infinity cost and nil path")
-	}
-}
-
-func TestAllPairsMatchesSingleSource(t *testing.T) {
-	g := Figure1()
-	dist, paths, err := g.AllPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.N()
-	for i := 0; i < n; i++ {
-		d, p, err := g.ShortestPaths(NodeID(i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				if paths[i][j] != nil {
-					t.Error("diagonal path should be nil")
-				}
-				continue
-			}
-			if dist[i][j] != d[j] || !paths[i][j].Equal(p[j]) {
-				t.Errorf("AllPairs(%d,%d) disagrees with single-source", i, j)
-			}
-		}
+	if tr.Reached(2) || tr.Dist[2] != Infinity || tr.PathTo(2) != nil {
+		t.Error("unreachable node should be unreached, with Infinity cost and nil path")
 	}
 }
 
@@ -312,7 +320,7 @@ func TestWithoutNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Degree(c) != 0 {
+	if len(h.Neighbors(c)) != 0 {
 		t.Error("removed node should be isolated")
 	}
 	for _, v := range h.Neighbors(z) {
@@ -321,20 +329,22 @@ func TestWithoutNode(t *testing.T) {
 		}
 	}
 	// Original untouched.
-	if g.Degree(c) == 0 {
+	if len(g.Neighbors(c)) == 0 {
 		t.Error("WithoutNode mutated original")
 	}
-	// Distances in G−C match ShortestPathAvoiding in G.
-	_, wantCost, err := g.ShortestPathAvoiding(x, z, c)
-	if err != nil {
+	// Distances in G−C match SSSPWithout in G.
+	base, noC, want, s := &Tree{}, &Tree{}, &Tree{}, &Scratch{}
+	if err := g.SSSP(base, s, x); err != nil {
 		t.Fatal(err)
 	}
-	_, gotCost, err := h.ShortestPath(x, z)
-	if err != nil {
+	if err := g.SSSPWithout(noC, s, base, c); err != nil {
 		t.Fatal(err)
 	}
-	if gotCost != wantCost {
-		t.Errorf("G−C dist = %d, avoid dist = %d", gotCost, wantCost)
+	if err := h.SSSP(want, s, x); err != nil {
+		t.Fatal(err)
+	}
+	if noC.Dist[z] != want.Dist[z] {
+		t.Errorf("G−C dist = %d, SSSPWithout dist = %d", want.Dist[z], noC.Dist[z])
 	}
 	if _, err := g.WithoutNode(99); err == nil {
 		t.Error("out of range should error")
@@ -355,7 +365,7 @@ func TestPropertySymmetricCosts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dist, _, err := g.AllPairs()
+		dist, err := distances(g)
 		if err != nil {
 			return false
 		}
@@ -383,7 +393,7 @@ func TestPropertyEdgeMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		before, _, err := g.AllPairs()
+		before, err := distances(g)
 		if err != nil {
 			return false
 		}
@@ -397,7 +407,7 @@ func TestPropertyEdgeMonotonicity(t *testing.T) {
 				added = true
 			}
 		}
-		after, _, err := g.AllPairs()
+		after, err := distances(g)
 		if err != nil {
 			return false
 		}

@@ -3,15 +3,15 @@ package graph
 import (
 	"errors"
 	"math"
-	"sync"
 )
 
 // This file is the allocation-free single-source core behind every
 // path query in the package. Instead of materializing an O(n) path
 // slice per heap label (and cloning it on every relaxation), the core
 // labels each node with (dist, hops, parent) and reconstructs paths on
-// demand from the parent pointers. The composite (cost, hops,
-// lexicographic) route order of Better is preserved exactly:
+// demand from the parent pointers. The composite route order (lower
+// cost, then fewer hops, then the lexicographically smaller node
+// sequence) is preserved exactly:
 //
 //   - (cost, hops) strictly increases along any edge (costs are
 //     non-negative and hops always grow by one), so a node popped with
@@ -31,64 +31,16 @@ import (
 // into scratch buffers and comparing from the source end — O(hops),
 // and only on genuine double ties.
 
-// ErrSourceAvoided is returned when the SSSP source is in the avoid
-// set, or is the node SSSPWithout removes.
-var ErrSourceAvoided = errors.New("graph: source is in avoid set")
+// ErrSourceAvoided is returned when SSSPWithout is asked to remove the
+// source itself.
+var ErrSourceAvoided = errors.New("graph: cannot remove the source")
 
 const (
 	noParent = int32(-1)
-	noTarget = NodeID(-1)
 	// unreachedHops marks nodes with no settled label yet; any real hop
 	// count compares below it.
 	unreachedHops = int32(math.MaxInt32)
 )
-
-// NodeSet is a bitset over node IDs — the allocation-free avoid set
-// for SSSP queries. A nil *NodeSet is an empty set.
-type NodeSet struct {
-	words []uint64
-}
-
-// NewNodeSet returns an empty set sized for node IDs below n.
-func NewNodeSet(n int) *NodeSet {
-	return &NodeSet{words: make([]uint64, (n+63)/64)}
-}
-
-// grow ensures capacity for IDs below n, preserving members.
-func (s *NodeSet) grow(n int) {
-	if w := (n + 63) / 64; w > len(s.words) {
-		s.words = append(s.words, make([]uint64, w-len(s.words))...)
-	}
-}
-
-// Add inserts id, growing the set if needed.
-func (s *NodeSet) Add(id NodeID) {
-	s.grow(int(id) + 1)
-	s.words[id>>6] |= 1 << (uint(id) & 63)
-}
-
-// Remove deletes id.
-func (s *NodeSet) Remove(id NodeID) {
-	if int(id>>6) < len(s.words) {
-		s.words[id>>6] &^= 1 << (uint(id) & 63)
-	}
-}
-
-// Has reports membership. Safe on a nil set.
-func (s *NodeSet) Has(id NodeID) bool {
-	if s == nil {
-		return false
-	}
-	w := int(id >> 6)
-	return w < len(s.words) && s.words[w]&(1<<(uint(id)&63)) != 0
-}
-
-// Clear empties the set, keeping capacity.
-func (s *NodeSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
 
 // Tree is a single-source lowest-cost route tree under the composite
 // (cost, hops, lexicographic) order: flat distance, hop-count and
@@ -131,19 +83,10 @@ func (t *Tree) reset(n int, src NodeID) {
 	t.Src = src
 }
 
-// Reached reports whether dst has a settled route from Src. After an
-// early-exit SSSPTo run only the target's label is guaranteed final.
+// Reached reports whether dst has a settled route from Src. An ID
+// outside the tree is unreached.
 func (t *Tree) Reached(dst NodeID) bool {
-	return int(dst) < len(t.Dist) && t.Dist[dst] < Infinity
-}
-
-// PathTo reconstructs the unique best Src→dst path, or nil when dst is
-// unreached. The returned path is freshly allocated at exact size.
-func (t *Tree) PathTo(dst NodeID) Path {
-	if !t.Reached(dst) {
-		return nil
-	}
-	return t.AppendPathTo(make(Path, 0, int(t.Hops[dst])+1), dst)
+	return uint(dst) < uint(len(t.Dist)) && t.Dist[dst] < Infinity
 }
 
 // AppendPathTo appends the Src→dst node sequence to p and returns the
@@ -186,14 +129,14 @@ func (a heapNode) less(b heapNode) bool {
 }
 
 // Scratch is the reusable working set of one SSSP run: the binary
-// heap, settled flags and lexicographic tie-break buffers. A Scratch
-// grows on demand and serves any number of sequential runs; use one
-// per goroutine (it is not safe for concurrent use).
+// heap, settled flags and lexicographic tie-break buffers. The zero
+// value is ready to use: a Scratch grows on demand and serves any
+// number of sequential runs; use one per goroutine (it is not safe for
+// concurrent use).
 type Scratch struct {
 	heap   []heapNode
 	done   []bool
 	pa, pb []NodeID // equal-length root chains during lex tie-breaks
-	avoid  NodeSet  // staging area for map- and single-node avoid sets
 
 	// Delta-repair working set (see delta.go); unused by plain runs.
 	taint   []uint8 // old-tree chain cleanliness memo, old numbering
@@ -204,16 +147,6 @@ type Scratch struct {
 	// sub lists the removed node's subtree during SSSPWithout (see
 	// without.go); unused by other runs.
 	sub []int32
-}
-
-// NewScratch returns a Scratch pre-sized for n nodes.
-func NewScratch(n int) *Scratch {
-	return &Scratch{
-		heap: make([]heapNode, 0, n),
-		done: make([]bool, n),
-		pa:   make([]NodeID, 0, n),
-		pb:   make([]NodeID, 0, n),
-	}
 }
 
 func (s *Scratch) reset(n int) {
@@ -292,31 +225,13 @@ func (s *Scratch) lexBefore(t *Tree, u, w NodeID) bool {
 	return false
 }
 
-// SSSP computes the full lowest-cost route tree from src into t,
-// skipping nodes in avoid (nil means none; src must not be a member).
-// The result is byte-identical to the path-materializing reference:
-// the same unique (cost, hops, lex)-optimal route for every pair.
-func (g *Graph) SSSP(t *Tree, s *Scratch, src NodeID, avoid *NodeSet) error {
-	return g.sssp(t, s, src, avoid, noTarget)
-}
-
-// SSSPTo is SSSP with an early exit: the run stops as soon as dst is
-// settled (its label is final at that point), leaving the rest of the
-// tree partial. Only t's labels for dst — and the parent chain behind
-// them — are meaningful afterwards.
-func (g *Graph) SSSPTo(t *Tree, s *Scratch, src, dst NodeID, avoid *NodeSet) error {
-	if err := g.check(dst); err != nil {
-		return err
-	}
-	return g.sssp(t, s, src, avoid, dst)
-}
-
-func (g *Graph) sssp(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, until NodeID) error {
+// SSSP computes the full lowest-cost route tree from src into t. The
+// result is byte-identical to the path-materializing reference: the
+// same unique (cost, hops, lex)-optimal route for every pair. A route
+// that must avoid a node k comes from SSSPWithout.
+func (g *Graph) SSSP(t *Tree, s *Scratch, src NodeID) error {
 	if err := g.check(src); err != nil {
 		return err
-	}
-	if avoid.Has(src) {
-		return ErrSourceAvoided
 	}
 	off, adj := g.ensureCSR()
 	n := len(g.costs)
@@ -332,9 +247,6 @@ func (g *Graph) sssp(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, until Node
 			continue // stale entry superseded by a better label
 		}
 		s.done[u] = true
-		if u == until {
-			return nil
-		}
 		// Extending beyond u makes u a transit node (unless u is src).
 		var transit Cost
 		if u != src {
@@ -343,7 +255,7 @@ func (g *Graph) sssp(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, until Node
 		nd := t.Dist[u] + transit
 		nh := t.Hops[u] + 1
 		for _, v := range adj[off[u]:off[u+1]] {
-			if s.done[v] || avoid.Has(v) {
+			if s.done[v] {
 				continue
 			}
 			switch {
@@ -363,30 +275,4 @@ func (g *Graph) sssp(t *Tree, s *Scratch, src NodeID, avoid *NodeSet, until Node
 		}
 	}
 	return nil
-}
-
-// ssspState bundles a Tree and Scratch for the pooled convenience
-// wrappers in paths.go.
-type ssspState struct {
-	t Tree
-	s Scratch
-}
-
-var ssspPool = sync.Pool{New: func() any { return new(ssspState) }}
-
-// avoidSet stages a map-form avoid set into the scratch bitset,
-// returning nil for an empty set. Out-of-range IDs are dropped — they
-// can never match a node, which is how the map form treated them.
-func (s *Scratch) avoidSet(n int, avoid map[NodeID]bool) *NodeSet {
-	if len(avoid) == 0 {
-		return nil
-	}
-	s.avoid.grow(n)
-	s.avoid.Clear()
-	for id, in := range avoid {
-		if in && id >= 0 && int(id) < n {
-			s.avoid.Add(id)
-		}
-	}
-	return &s.avoid
 }

@@ -9,7 +9,8 @@ import "fmt"
 // the base tree — so SSSPWithout copies every other label verbatim and
 // runs a Dijkstra over that subtree alone.
 //
-// The result is byte-identical to g.SSSP with k avoided:
+// The result is byte-identical to g.SSSP over g with every edge of k
+// removed:
 //
 //   - A label whose chain avoids k is the canonical (cost, hops, lex)
 //     minimum over every path in G, and that chain is still a path in
@@ -24,9 +25,9 @@ import "fmt"
 //     candidate set is the one scratch SSSP resolved ties over.
 
 // SSSPWithout computes into t the route tree from base.Src in g with
-// node k removed, byte-identical to g.SSSP(t, s, base.Src, {k}). base
-// must be the full tree of the same source on g with nothing avoided.
-// base is only read, so concurrent calls with their own t and s may
+// node k removed, byte-identical to SSSP from base.Src over a copy of
+// g in which k has no edges (k stays unreached). base must be the full
+// tree of the same source on g. base is only read, so concurrent calls with their own t and s may
 // share it; t must not alias it. Nodes that only reached the source
 // through k stay unreached.
 func (g *Graph) SSSPWithout(t *Tree, s *Scratch, base *Tree, k NodeID) error {

@@ -9,44 +9,52 @@ import (
 )
 
 // requireWithoutMatches derives the avoid-k tree of every (src, k) pair
-// of g from src's full tree and requires it to deep-equal a scratch
-// SSSP avoiding k. It also checks that no derivation wrote the base
-// tree. got and s are reused across pairs and graphs, so stale labels
-// from an earlier call would show.
+// of g from src's full tree and requires it to deep-equal scratch SSSP
+// from src over G−k, the graph with k's edges removed. It also checks
+// that no derivation wrote a base tree. got and s are reused across
+// pairs and graphs, so stale labels from an earlier call would show.
 func requireWithoutMatches(t *testing.T, label string, g *Graph, got *Tree, s *Scratch) {
 	t.Helper()
 	n := g.N()
-	base, want := &Tree{}, &Tree{}
-	avoid := NewNodeSet(n)
-	for src := 0; src < n; src++ {
-		if err := g.SSSP(base, s, NodeID(src), nil); err != nil {
+	base := make([]*Tree, n)
+	snapshot := make([]Tree, n)
+	for src := range base {
+		base[src] = &Tree{}
+		if err := g.SSSP(base[src], s, NodeID(src)); err != nil {
 			t.Fatalf("%s: SSSP(%d): %v", label, src, err)
 		}
-		snapshot := Tree{
-			Src:    base.Src,
-			Dist:   append([]Cost(nil), base.Dist...),
-			Hops:   append([]int32(nil), base.Hops...),
-			Parent: append([]int32(nil), base.Parent...),
+		snapshot[src] = Tree{
+			Src:    base[src].Src,
+			Dist:   append([]Cost(nil), base[src].Dist...),
+			Hops:   append([]int32(nil), base[src].Hops...),
+			Parent: append([]int32(nil), base[src].Parent...),
 		}
-		for k := 0; k < n; k++ {
+	}
+	want := &Tree{}
+	for k := 0; k < n; k++ {
+		gk, err := g.WithoutNode(NodeID(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < n; src++ {
 			if k == src {
 				continue
 			}
-			if err := g.SSSPWithout(got, s, base, NodeID(k)); err != nil {
+			if err := g.SSSPWithout(got, s, base[src], NodeID(k)); err != nil {
 				t.Fatalf("%s: SSSPWithout(%d, %d): %v", label, src, k, err)
 			}
-			requireBelow(t, fmt.Sprintf("%s src=%d k=%d", label, src, k), base, int32(k), s.Below())
-			avoid.Clear()
-			avoid.Add(NodeID(k))
-			if err := g.SSSP(want, s, NodeID(src), avoid); err != nil {
-				t.Fatalf("%s: SSSP(%d) avoiding %d: %v", label, src, k, err)
+			requireBelow(t, fmt.Sprintf("%s src=%d k=%d", label, src, k), base[src], int32(k), s.Below())
+			if err := gk.SSSP(want, s, NodeID(src)); err != nil {
+				t.Fatalf("%s: SSSP(%d) over G−%d: %v", label, src, k, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				requireTreesEqual(t, fmt.Sprintf("%s src=%d k=%d", label, src, k), got, want)
 				t.Fatalf("%s src=%d k=%d: trees differ", label, src, k)
 			}
 		}
-		if !reflect.DeepEqual(*base, snapshot) {
+	}
+	for src := range base {
+		if !reflect.DeepEqual(*base[src], snapshot[src]) {
 			t.Fatalf("%s src=%d: SSSPWithout wrote the base tree", label, src)
 		}
 	}
@@ -93,13 +101,13 @@ func forestGraph(n int, maxCost Cost, rng *rand.Rand) *Graph {
 	return g
 }
 
-// TestSSSPWithoutMatchesScratch pins SSSPWithout to scratch SSSP with
-// one node avoided, for every (src, k) pair: on the biconnected
+// TestSSSPWithoutMatchesScratch pins SSSPWithout to scratch SSSP over
+// G−k, for every (src, k) pair: on the biconnected
 // families the pricing core sees, with zero and tiny cost ranges that
 // force lexicographic ties, and on forest-like graphs where removing k
 // leaves nodes unreached.
 func TestSSSPWithoutMatchesScratch(t *testing.T) {
-	got, s := &Tree{}, NewScratch(0)
+	got, s := &Tree{}, &Scratch{}
 	families := []struct {
 		name string
 		make func(n int, rng *rand.Rand) (*Graph, error)
@@ -147,9 +155,9 @@ func TestSSSPWithoutMatchesScratch(t *testing.T) {
 func TestSSSPWithoutContract(t *testing.T) {
 	g := Figure1()
 	n := g.N()
-	s := NewScratch(n)
+	s := &Scratch{}
 	base := &Tree{}
-	if err := g.SSSP(base, s, 1, nil); err != nil {
+	if err := g.SSSP(base, s, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := &Tree{}
@@ -166,7 +174,7 @@ func TestSSSPWithoutContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := &Tree{}
-	if err := ring.SSSP(small, s, 0, nil); err != nil {
+	if err := ring.SSSP(small, s, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.SSSPWithout(got, s, small, 2); err == nil {
@@ -179,8 +187,8 @@ func TestSSSPWithoutContract(t *testing.T) {
 
 // FuzzSSSPWithout turns bytes into a graph — the first byte picks n ≤
 // 40, the next n bytes the costs 0–3, and every following pair an edge
-// — and checks SSSPWithout against scratch SSSP for every (src, k)
-// pair. The graphs need not be connected or biconnected.
+// — and checks SSSPWithout against scratch SSSP over G−k for every
+// (src, k) pair. The graphs need not be connected or biconnected.
 func FuzzSSSPWithout(f *testing.F) {
 	f.Add([]byte{5, 1, 1, 1, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -203,6 +211,6 @@ func FuzzSSSPWithout(f *testing.F) {
 				_ = g.AddEdge(u, v)
 			}
 		}
-		requireWithoutMatches(t, "fuzz", g, &Tree{}, NewScratch(n))
+		requireWithoutMatches(t, "fuzz", g, &Tree{}, &Scratch{})
 	})
 }

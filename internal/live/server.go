@@ -84,21 +84,6 @@ func (s *Server) N() int {
 	return s.st.comp.Graph.N()
 }
 
-// Tables snapshots the resident principals' converged DATA2/DATA3*,
-// the exact tables Route and Pay serve from. The differential suite
-// pins them byte-identical to the central solution.
-func (s *Server) Tables() (map[graph.NodeID]fpss.RoutingTable, map[graph.NodeID]fpss.PricingTable) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	routing := make(map[graph.NodeID]fpss.RoutingTable, len(s.st.nodes))
-	pricing := make(map[graph.NodeID]fpss.PricingTable, len(s.st.nodes))
-	for i, nd := range s.st.nodes {
-		routing[graph.NodeID(i)] = nd.Routing()
-		pricing[graph.NodeID(i)] = nd.Pricing()
-	}
-	return routing, pricing
-}
-
 // Epochs returns the timeline length (1 for static scenarios).
 func (s *Server) Epochs() int { return len(s.tl.Epochs) }
 

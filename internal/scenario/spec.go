@@ -652,12 +652,6 @@ func (c *Compiled) Systems() (*rational.PlainSystem, *rational.FaithfulSystem) {
 	return rational.Systems(c.Graph, c.Params)
 }
 
-// PlainSystem returns the original-FPSS side alone.
-func (c *Compiled) PlainSystem() *rational.PlainSystem {
-	p, _ := rational.Systems(c.Graph, c.Params)
-	return p
-}
-
 // FaithfulSystem returns the extended-specification side alone.
 func (c *Compiled) FaithfulSystem() *rational.FaithfulSystem {
 	_, f := rational.Systems(c.Graph, c.Params)

@@ -46,9 +46,6 @@ func NewDecisionLog() *DecisionLog { return &DecisionLog{} }
 // Append writes one record.
 func (l *DecisionLog) Append(e Entry) { l.entries = append(l.entries, e) }
 
-// Len returns the record count.
-func (l *DecisionLog) Len() int { return len(l.entries) }
-
 // Replay calls fn over every record in append order — the recovery
 // path's only input.
 func (l *DecisionLog) Replay(fn func(Entry)) {

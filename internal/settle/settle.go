@@ -120,19 +120,15 @@ const (
 // routing seed (which also feeds scenario topology draws).
 const faultSeedSalt = 0x73686172642121 // "shard!!"
 
-// FaultModel expands the named crash plan into a positional schedule
-// with no workload knowledge (the shard victim is drawn over all
-// shards). RunFaithful uses FaultModelFor, which narrows the draw to
-// shards that actually participate in the batch — a crash plan that
-// picks an idle shard would never fire, because crashes are armed by
-// delivery counts.
-func (o Options) FaultModel() sim.FaultModel { return o.FaultModelFor(nil) }
-
 // FaultModelFor expands the named crash plan against a batch.
-// Positions are small (the crash lands inside the 2PC window of even
-// a one-transfer batch) and restart delays are seed-drawn inside the
-// coordinator's retry horizon (sum of attempts backoffs × Timeout):
-// under every plan, every transaction still commits.
+// RunFaithful passes its batch, which narrows the shard victim's draw
+// to shards that actually participate in it — a crash plan that picks
+// an idle shard would never fire, because crashes are armed by
+// delivery counts; a nil batch draws over all shards. Positions are
+// small (the crash lands inside the 2PC window of even a one-transfer
+// batch) and restart delays are seed-drawn inside the coordinator's
+// retry horizon (sum of attempts backoffs × Timeout): under every
+// plan, every transaction still commits.
 func (o Options) FaultModelFor(b *Batch) sim.FaultModel {
 	if o.FaultOverride != nil {
 		return *o.FaultOverride
@@ -289,16 +285,6 @@ type Result struct {
 	Counters sim.Counters
 }
 
-// Flagged reports whether a was flagged.
-func (r *Result) Flagged(a Account) bool {
-	for _, f := range r.Flags {
-		if f.Account == a {
-			return true
-		}
-	}
-	return false
-}
-
 func (r *Result) sortFlags() {
 	sort.Slice(r.Flags, func(i, j int) bool {
 		if r.Flags[i].Account != r.Flags[j].Account {
@@ -338,21 +324,6 @@ func (sb *ShardedBank) Home(a Account) ShardID { return sb.opts.Home(a) }
 
 // Shard returns shard i.
 func (sb *ShardedBank) Shard(i ShardID) *Shard { return sb.shards[i] }
-
-// Open opens an account on its home shard.
-func (sb *ShardedBank) Open(a Account) error {
-	return sb.shards[sb.Home(a)].Ledger.Open(a)
-}
-
-// Credit credits an account on its home shard.
-func (sb *ShardedBank) Credit(a Account, delta int64) error {
-	return sb.shards[sb.Home(a)].Ledger.Credit(a, delta)
-}
-
-// Balance reads an account's home-shard balance.
-func (sb *ShardedBank) Balance(a Account) int64 {
-	return sb.shards[sb.Home(a)].Ledger.Balance(a)
-}
 
 // Balances merges every shard's book.
 func (sb *ShardedBank) Balances() map[Account]int64 {

@@ -161,8 +161,8 @@ func TestDecisionLogView(t *testing.T) {
 	if v.Prepared[1] && v.Applied[1] {
 		t.Fatal("tx 1 should be in doubt")
 	}
-	if l.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", l.Len())
+	if len(l.entries) != 5 {
+		t.Fatalf("len(entries) = %d, want 5", len(l.entries))
 	}
 }
 
@@ -309,7 +309,7 @@ func TestStallFlagRetractedUnderLoss(t *testing.T) {
 // positional, restart delays inside the retry horizon.
 func TestFaultModelPlans(t *testing.T) {
 	opts := honestOpts(4, PlanNone)
-	if m := opts.FaultModel(); m.Enabled() {
+	if m := opts.FaultModelFor(nil); m.Enabled() {
 		t.Fatalf("PlanNone expanded to %+v", m)
 	}
 	horizon := opts.timeout()
@@ -320,7 +320,7 @@ func TestFaultModelPlans(t *testing.T) {
 	horizon *= budget
 	for _, plan := range []string{PlanCoordinator, PlanParticipant, PlanRecovery} {
 		opts.Plan = plan
-		m := opts.FaultModel()
+		m := opts.FaultModelFor(nil)
 		if !m.Enabled() {
 			t.Fatalf("plan %q expanded to nothing", plan)
 		}
@@ -329,7 +329,7 @@ func TestFaultModelPlans(t *testing.T) {
 				t.Fatalf("plan %q restart delay %d outside retry horizon %d", plan, c.RestartDelay, horizon)
 			}
 		}
-		m2 := opts.FaultModel()
+		m2 := opts.FaultModelFor(nil)
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("plan %q not deterministic", plan)
 		}
@@ -361,4 +361,14 @@ func TestHomeRoutingCoversShards(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("re-seeding moved no account homes")
 	}
+}
+
+// Flagged reports whether a was flagged.
+func (r *Result) Flagged(a Account) bool {
+	for _, f := range r.Flags {
+		if f.Account == a {
+			return true
+		}
+	}
+	return false
 }

@@ -102,22 +102,6 @@ func (a *Authority) Verify(env Envelope) (Ack, error) {
 	return Ack{Signer: env.Signer, Seq: env.Seq}, nil
 }
 
-// Peek verifies the MAC only, without consuming the sequence number.
-// Useful for idempotent re-checks in tests.
-func (a *Authority) Peek(env Envelope) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	key, ok := a.keys[env.Signer]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSigner, env.Signer)
-	}
-	want := mac(key, env.Signer, env.Seq, env.Payload)
-	if !hmac.Equal(want[:], env.MAC[:]) {
-		return ErrBadSignature
-	}
-	return nil
-}
-
 // Signer signs payloads on behalf of one identity. It is safe for
 // concurrent use.
 type Signer struct {
@@ -126,9 +110,6 @@ type Signer struct {
 	key []byte
 	seq uint64
 }
-
-// ID returns the signer's identity string.
-func (s *Signer) ID() string { return s.id }
 
 // Sign wraps payload in a fresh authenticated envelope.
 func (s *Signer) Sign(payload []byte) Envelope {

@@ -1,7 +1,9 @@
 package sign
 
 import (
+	"crypto/hmac"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -143,4 +145,20 @@ func TestPropertyBitFlipDetected(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Peek verifies the MAC only, without consuming the sequence number.
+// Useful for idempotent re-checks in tests.
+func (a *Authority) Peek(env Envelope) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	key, ok := a.keys[env.Signer]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownSigner, env.Signer)
+	}
+	want := mac(key, env.Signer, env.Seq, env.Payload)
+	if !hmac.Equal(want[:], env.MAC[:]) {
+		return ErrBadSignature
+	}
+	return nil
 }

@@ -401,20 +401,8 @@ func (n *Network) Inject(from, to Addr, payload any) {
 	n.enqueue(from, to, payload, true)
 }
 
-// Quiescent reports whether no messages are in flight.
-func (n *Network) Quiescent() bool { return n.queue.n == 0 }
-
 // Counters returns a copy of the current counters.
 func (n *Network) Counters() Counters { return n.snapshot() }
-
-// Handler returns the handler attached at addr, if any.
-func (n *Network) Handler(addr Addr) (Handler, bool) {
-	h, _ := n.handler(addr)
-	return h, h != nil
-}
-
-// Now returns the current simulated time.
-func (n *Network) Now() int64 { return n.now }
 
 // snapshot copies the internal counters into a Counters value.
 func (n *Network) snapshot() Counters {

@@ -383,3 +383,15 @@ func TestCountersAdd(t *testing.T) {
 		t.Errorf("scalar sums wrong: %+v", a)
 	}
 }
+
+// Quiescent reports whether no messages are in flight.
+func (n *Network) Quiescent() bool { return n.queue.n == 0 }
+
+// Handler returns the handler attached at addr, if any.
+func (n *Network) Handler(addr Addr) (Handler, bool) {
+	h, _ := n.handler(addr)
+	return h, h != nil
+}
+
+// Now returns the current simulated time.
+func (n *Network) Now() int64 { return n.now }
