@@ -15,11 +15,11 @@
 //	benchjson -gate-allocs 10 -gate-match 'plain/w=1' -compare old.json new.json
 //
 // Two more report modes read a single JSON file. -speedup pairs every
-// row whose name contains "scratch" (restricted by the given regexp)
-// with its "delta" counterpart and prints the time and allocation
-// ratios — the CI summary line for the delta-vs-scratch boundary
-// ladder. -wladder groups rows carrying a /w=<k> suffix and prints the
-// worker-scaling table (speedup and efficiency vs the w=1 row):
+// row ending in "/sim" (restricted by the given regexp) with its
+// "/central" counterpart and prints the time and allocation ratios —
+// the CI summary line for the central-vs-sim boundary ladder. -wladder
+// groups rows carrying a /w=<k> suffix and prints the worker-scaling
+// table (speedup and efficiency vs the w=1 row):
 //
 //	benchjson -speedup 'ChurnScale/boundary' BENCH_churn.json
 //	benchjson -wladder BENCH_faithful.json
@@ -75,7 +75,7 @@ func main() {
 	compare := flag.String("compare", "", "old.json to diff against; requires new.json as the positional arg")
 	gateAllocs := flag.Float64("gate-allocs", 0, "with -compare: fail when allocs/op regresses more than this percent (0 = report only)")
 	gateMatch := flag.String("gate-match", "", "with -gate-allocs: regexp restricting which benchmarks are gated")
-	speedup := flag.String("speedup", "", "print scratch-vs-delta ratios for rows matching this regexp in the positional bench.json")
+	speedup := flag.String("speedup", "", "print sim-vs-central ratios for rows matching this regexp in the positional bench.json")
 	wladder := flag.Bool("wladder", false, "print the worker-scaling ladder for /w=<k> rows in the positional bench.json")
 	flag.Parse()
 	g := gate{allocsPct: *gateAllocs}
@@ -197,7 +197,7 @@ func load(path string) (map[string]Result, []string, error) {
 	return m, order, nil
 }
 
-// runSpeedup pairs every "scratch" row matching re with its "delta"
+// runSpeedup pairs every "/sim" row matching re with its "/central"
 // counterpart and prints the improvement ratios. No matching pair is
 // an error: a summary line silently reporting nothing would hide a
 // renamed benchmark from the CI lane that publishes it.
@@ -208,10 +208,11 @@ func runSpeedup(path string, re *regexp.Regexp, out io.Writer) error {
 	}
 	pairs := 0
 	for _, name := range order {
-		if !re.MatchString(name) || !strings.Contains(name, "scratch") {
+		base, ok := strings.CutSuffix(name, "/sim")
+		if !ok || !re.MatchString(name) {
 			continue
 		}
-		counterpart := strings.Replace(name, "scratch", "delta", 1)
+		counterpart := base + "/central"
 		d, ok := m[counterpart]
 		if !ok {
 			continue
@@ -220,8 +221,8 @@ func runSpeedup(path string, re *regexp.Regexp, out io.Writer) error {
 		if d.NsPerOp <= 0 {
 			return fmt.Errorf("%s: non-positive ns/op", counterpart)
 		}
-		line := fmt.Sprintf("%s: delta %.1fx faster (%.0f -> %.0f ns/op)",
-			strings.Replace(name, "/scratch", "", 1), s.NsPerOp/d.NsPerOp, s.NsPerOp, d.NsPerOp)
+		line := fmt.Sprintf("%s: central %.1fx faster (%.0f -> %.0f ns/op)",
+			base, s.NsPerOp/d.NsPerOp, s.NsPerOp, d.NsPerOp)
 		if s.AllocsOp > 0 && d.AllocsOp > 0 {
 			line += fmt.Sprintf(", %.1fx fewer allocs (%d -> %d allocs/op)",
 				float64(s.AllocsOp)/float64(d.AllocsOp), s.AllocsOp, d.AllocsOp)
@@ -230,7 +231,7 @@ func runSpeedup(path string, re *regexp.Regexp, out io.Writer) error {
 		pairs++
 	}
 	if pairs == 0 {
-		return fmt.Errorf("no scratch/delta pairs match %q in %s", re, path)
+		return fmt.Errorf("no sim/central pairs match %q in %s", re, path)
 	}
 	return nil
 }

@@ -92,13 +92,13 @@ func TestCompareArgValidation(t *testing.T) {
 	}
 }
 
-// TestSpeedup: -speedup pairs scratch rows with their delta
+// TestSpeedup: -speedup pairs sim rows with their central
 // counterparts and prints both ratios; an unmatched pattern errors.
 func TestSpeedup(t *testing.T) {
 	dir := t.TempDir()
 	benchJSON := `[
-	  {"name":"BenchmarkChurnScale/boundary/n=32/scratch","iters":1,"ns_per_op":9000000,"allocs_per_op":3000000},
-	  {"name":"BenchmarkChurnScale/boundary/n=32/delta","iters":1,"ns_per_op":50000,"allocs_per_op":60000},
+	  {"name":"BenchmarkChurnScale/boundary/n=32/sim","iters":1,"ns_per_op":9000000,"allocs_per_op":3000000},
+	  {"name":"BenchmarkChurnScale/boundary/n=32/central","iters":1,"ns_per_op":50000,"allocs_per_op":60000},
 	  {"name":"BenchmarkOther","iters":1,"ns_per_op":5}]`
 	path := filepath.Join(dir, "bench.json")
 	if err := os.WriteFile(path, []byte(benchJSON), 0o644); err != nil {
@@ -109,14 +109,14 @@ func TestSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"n=32", "180.0x faster", "50.0x fewer allocs"} {
+	for _, want := range []string{"boundary/n=32: central 180.0x faster", "50.0x fewer allocs"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("speedup output missing %q:\n%s", want, got)
 		}
 	}
 	// A pattern matching no pair must fail loudly, not print nothing.
 	if err := run("", gate{}, "NoSuchLadder", false, []string{path}, nil, &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error for a pattern with no scratch/delta pairs")
+		t.Fatal("expected error for a pattern with no sim/central pairs")
 	}
 }
 

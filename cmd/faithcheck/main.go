@@ -30,9 +30,9 @@
 // worker pool.
 //
 // -stats breaks a churn run's cost into the per-epoch boundary rebuild
-// (and which path built it: delta repair, scratch central, or protocol
-// sims) versus the deviation sweep — the incremental engine's win is
-// visible here without running benchmarks. Suites with ProfileSizes
+// (and which path built it: one central solve, or protocol sims)
+// versus the deviation sweep — what the central path saves is visible
+// here without running benchmarks. Suites with ProfileSizes
 // (internet: n∈{48,100}) additionally run honest-profiling rungs after
 // the deviation sweep: truthful construction and execution only, timed,
 // raising the size ceiling beyond what the full grid can afford.
@@ -146,9 +146,6 @@ func run(args []string) error {
 	}
 	if lossFlags["burst"] && !lossFlags["loss"] {
 		return fmt.Errorf("-burst takes effect only with -loss")
-	}
-	if lossFlags["loss"] && (*lossRate < 0 || *lossRate >= 1) {
-		return fmt.Errorf("-loss is a drop rate in [0, 1), got %g", *lossRate)
 	}
 	if lossFlags["burst"] && *burst < 1 {
 		return fmt.Errorf("-burst is a mean burst length >= 1, got %g", *burst)

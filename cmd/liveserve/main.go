@@ -72,9 +72,7 @@ func run(args []string, out io.Writer) error {
 	if *epochs > 1 {
 		sp.Churn = scenario.Churn{Epochs: *epochs, Joins: 2, Leaves: 1}
 	}
-	if *lossRate > 0 {
-		sp.Loss = scenario.Loss{Rate: *lossRate}
-	}
+	sp.Loss = scenario.Loss{Rate: *lossRate}
 
 	srv, err := live.NewServer(sp)
 	if err != nil {

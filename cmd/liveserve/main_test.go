@@ -71,4 +71,7 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-inject", "garbage"}, &out); err == nil {
 		t.Fatal("malformed -inject accepted")
 	}
+	if err := run([]string{"-loss", "1.5"}, &out); err == nil {
+		t.Fatal("-loss 1.5 accepted")
+	}
 }

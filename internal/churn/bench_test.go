@@ -70,17 +70,16 @@ func BenchmarkChurn(b *testing.B) {
 
 // BenchmarkChurnScale is the big-n end of the ladder, in two tiers.
 //
-// The boundary/* rows are the published delta-vs-scratch ladder: they
+// The boundary/* rows are the published central-vs-sim ladder: they
 // measure the epoch-boundary rebuild alone — Build, then forcing the
-// honest state of every epoch via init — with the incremental engine
-// live ("delta") and pinned off ("scratch", DisableDelta's protocol
-// simulations). No deviation search runs, so the rows are cheap enough
-// for the per-push bench smoke, and their ratio is the headline number
-// for the delta engine: the n=32 boundary cost must improve >= 3x in
-// both time and allocs/op.
+// honest state of every epoch via init — with each epoch seeded from
+// one central solve ("central") and pinned to the protocol
+// simulations ("sim", simulateOnly). No deviation search runs, so the
+// rows are cheap enough for the per-push bench smoke, and their ratio
+// is what the central path saves at a boundary.
 func BenchmarkChurnScale(b *testing.B) {
 	for _, n := range []int{16, 32} {
-		for _, mode := range []string{"scratch", "delta"} {
+		for _, mode := range []string{"sim", "central"} {
 			n, mode := n, mode
 			b.Run(fmt.Sprintf("boundary/n=%d/%s", n, mode), func(b *testing.B) {
 				sp := scenario.Spec{Family: scenario.Random, N: n, Seed: 1,
@@ -91,8 +90,8 @@ func BenchmarkChurnScale(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if mode == "scratch" {
-						tl.DisableDelta()
+					if mode == "sim" {
+						tl.simulateOnly()
 					}
 					sys := NewSystem(tl, Faithful)
 					if _, err := sys.Ledger(); err != nil {

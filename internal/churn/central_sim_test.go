@@ -6,22 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fpss"
 	"repro/internal/scenario"
 )
 
-// The differential property suite for the delta-driven epoch engine:
-// every timeline here is built twice — once on the incremental path
-// (epoch e repaired from e-1 via graph.Delta) and once with
-// DisableDelta pinning the scratch protocol-simulation oracle — and
-// the two must agree byte-for-byte on the honest construction tables
-// of every epoch. The scratch path is permanent: it is the oracle
-// these tests (and any future repair optimisation) are judged against.
+// The differential property suite for the central epoch path: every
+// timeline here is built twice — once seeding each epoch from one
+// fpss.ComputeCentral of its graph, and once with simulateOnly pinning
+// the protocol-simulation oracle — and the two must agree
+// byte-for-byte on the honest construction tables of every epoch. The
+// simulation path is permanent: it is the oracle these tests (and any
+// future central optimisation) are judged against.
 //
 // The grid deliberately spans every topology family, several churn
 // mixes (join-heavy, leave-heavy, redraw-heavy, long) and the loss and
 // shards failure axes. Loss-enabled specs exercise the gating side of
-// the contract — the incremental path must stand down and defer to the
+// the contract — the central path must stand down and defer to the
 // simulation — while shards-enabled specs confirm the settlement axis
 // is orthogonal to how the tables were derived.
 
@@ -91,8 +90,8 @@ func diffSpecs() []diffSpec {
 }
 
 // buildPair materializes the same spec on both paths: tl serves honest
-// state incrementally where it may, oracle is pinned to the scratch
-// protocol simulation.
+// state from the central solution where it may, oracle is pinned to
+// the protocol simulation.
 func buildPair(t *testing.T, sp scenario.Spec) (tl, oracle *Timeline) {
 	t.Helper()
 	tl, err := Build(sp)
@@ -103,16 +102,17 @@ func buildPair(t *testing.T, sp scenario.Spec) (tl, oracle *Timeline) {
 	if err != nil {
 		t.Fatalf("Build (oracle): %v", err)
 	}
-	oracle.DisableDelta()
+	oracle.simulateOnly()
 	return tl, oracle
 }
 
 // TestDeltaTimelineMatchesScratch is the core differential property:
-// across the whole grid, the delta-evolved honest tables of every
-// epoch are byte-identical to the scratch oracle's, and — on epochs
-// the incremental path actually serves — the repaired central solution
-// deep-equals a from-scratch fpss.ComputeCentral of that epoch's
-// graph, witness trees and identity tags included.
+// across the whole grid, the central-seeded honest tables of every
+// epoch, witness paths and identity tags included, are byte-identical
+// to the simulation oracle's. This name and
+// TestDeltaReportMatchesScratch's date from the retired delta engine.
+// They stay because every timeline is a subtest, and a rename would
+// change each subtest's ID.
 func TestDeltaTimelineMatchesScratch(t *testing.T) {
 	specs := diffSpecs()
 	if len(specs) < 100 {
@@ -132,31 +132,17 @@ func TestDeltaTimelineMatchesScratch(t *testing.T) {
 			for i, e := range tl.Epochs {
 				routing, pricing, err := e.honestTables()
 				if err != nil {
-					t.Fatalf("epoch %d: honestTables (delta): %v", i, err)
+					t.Fatalf("epoch %d: honestTables (central): %v", i, err)
 				}
 				wantR, wantP, err := oracle.Epochs[i].honestTables()
 				if err != nil {
 					t.Fatalf("epoch %d: honestTables (oracle): %v", i, err)
 				}
 				if !reflect.DeepEqual(routing, wantR) {
-					t.Fatalf("epoch %d: routing tables diverge from scratch oracle", i)
+					t.Fatalf("epoch %d: routing tables diverge from the simulation oracle", i)
 				}
 				if !reflect.DeepEqual(pricing, wantP) {
-					t.Fatalf("epoch %d: pricing tables diverge from scratch oracle", i)
-				}
-				if !e.useCentral() {
-					continue
-				}
-				c, err := e.centralState()
-				if err != nil {
-					t.Fatalf("epoch %d: centralState: %v", i, err)
-				}
-				want, err := fpss.ComputeCentral(e.Compiled.Graph)
-				if err != nil {
-					t.Fatalf("epoch %d: ComputeCentral: %v", i, err)
-				}
-				if !reflect.DeepEqual(c.Sol, want) {
-					t.Fatalf("epoch %d: evolved central solution differs from scratch", i)
+					t.Fatalf("epoch %d: pricing tables diverge from the simulation oracle", i)
 				}
 			}
 		})
@@ -212,28 +198,27 @@ func TestDeltaReportMatchesScratch(t *testing.T) {
 				cfg := core.CheckConfig{PerEpoch: true, Workers: 0}
 				got, err := core.CheckFaithfulnessCfg(NewSystem(tl, variant), cfg)
 				if err != nil {
-					t.Fatalf("check (delta): %v", err)
+					t.Fatalf("check (central): %v", err)
 				}
 				want, err := core.CheckFaithfulnessCfg(NewSystem(oracle, variant), cfg)
 				if err != nil {
 					t.Fatalf("check (oracle): %v", err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("reports diverge:\n delta:  %+v\n oracle: %+v", got, want)
+					t.Fatalf("reports diverge:\n central: %+v\n oracle:  %+v", got, want)
 				}
 			})
 		}
 	}
 }
 
-// DisableDelta switches every epoch of the timeline onto the scratch
-// oracle path: honest tables and snapshots come from full protocol
-// simulations per epoch, exactly as before the delta engine existed.
-// This is the permanent differential-testing oracle (and the fallback
-// when the incremental path's preconditions don't hold). Call it before
-// the timeline is first played.
-func (tl *Timeline) DisableDelta() {
+// simulateOnly switches every epoch of the timeline onto the oracle
+// path: honest tables and snapshots come from full protocol
+// simulations per epoch, the path a lossy epoch always takes. This is
+// the permanent differential-testing oracle. Call it before the
+// timeline is first played.
+func (tl *Timeline) simulateOnly() {
 	for _, e := range tl.Epochs {
-		e.scratchOnly = true
+		e.simOnly = true
 	}
 }

@@ -62,21 +62,15 @@ type Epoch struct {
 
 	local map[Identity]graph.NodeID
 
-	// prev/delta chain this epoch to its predecessor: delta describes
-	// how prev's graph evolved into this one (nil for epoch 0). The
-	// chain is what lets the central solution of epoch e be repaired
-	// from epoch e−1 instead of rebuilt.
-	prev  *Epoch
-	delta *graph.Delta
-	// scratchOnly forces the protocol-simulation path everywhere —
-	// the permanent oracle the delta engine is differentially tested
-	// against. Only the tests set it (DisableDelta).
-	scratchOnly bool
+	// simOnly forces the protocol-simulation path everywhere — the
+	// permanent oracle the central path is differentially tested
+	// against. Only the tests set it (simulateOnly).
+	simOnly bool
 
-	// central is the epoch's immutable fpss.Central — honest converged
-	// tables plus the route trees behind them — shared read-only by
-	// honestTables, both system variants' snapshots, and the next
-	// epoch's Evolve. Built lazily once per epoch.
+	// central is the epoch's immutable fpss.Central — the honest
+	// converged tables of one fpss.ComputeCentral of the epoch's graph
+	// — shared read-only by honestTables and both system variants'
+	// snapshots. Built lazily once per epoch.
 	centralOnce sync.Once
 	central     *fpss.Central
 	centralErr  error
@@ -323,26 +317,6 @@ func evolve(sp scenario.Spec, prev *Epoch, index int, nextID *Identity, costFn g
 		}
 	}
 
-	// Record the boundary as a graph delta so downstream layers repair
-	// epoch e's trees from epoch e−1's. The survivor remap is strictly
-	// increasing by construction: members sort ascending by identity and
-	// joiners always draw identities above every existing one, so
-	// survivors keep their relative order (NewDelta enforces this).
-	oldToNew := make([]graph.NodeID, len(prev.Members))
-	for i, id := range prev.Members {
-		if leaving[id] {
-			oldToNew[i] = -1
-		} else {
-			oldToNew[i] = next.local[id]
-		}
-	}
-	delta, err := graph.NewDelta(prev.Compiled.Graph, g, oldToNew)
-	if err != nil {
-		return nil, fmt.Errorf("boundary delta: %w", err)
-	}
-	next.prev = prev
-	next.delta = delta
-
 	traffic, err := sp.TrafficFor(len(members), rng)
 	if err != nil {
 		return nil, err
@@ -367,38 +341,31 @@ func evolve(sp scenario.Spec, prev *Epoch, index int, nextID *Identity, costFn g
 // shared central solution. Under an enabled loss model the protocol
 // simulation stays authoritative — convergence bookkeeping, retry
 // counters and loss attribution are the sim's semantics, not the
-// central solver's — and scratchOnly pins the oracle path explicitly.
+// central solver's — and simOnly pins the oracle path explicitly.
 func (e *Epoch) useCentral() bool {
-	return !e.scratchOnly && !e.Compiled.Params.Loss.Enabled()
+	return !e.simOnly && !e.Compiled.Params.Loss.Enabled()
 }
 
-// centralState returns the epoch's fpss.Central, repairing it from the
-// previous epoch's through the boundary delta when the chain exists,
-// and computing it from scratch at epoch 0 (or after a broken chain).
-// The recursion materializes at most one Central per epoch; each is
-// immutable once built.
+// centralState returns the epoch's fpss.Central: one
+// fpss.ComputeCentral of the epoch's graph, computed once and
+// immutable after.
 func (e *Epoch) centralState() (*fpss.Central, error) {
 	e.centralOnce.Do(func() {
-		if e.prev == nil || e.delta == nil {
-			e.central, e.centralErr = fpss.ComputeCentralState(e.Compiled.Graph)
-			return
-		}
-		pc, err := e.prev.centralState()
+		sol, err := fpss.ComputeCentral(e.Compiled.Graph)
 		if err != nil {
 			e.centralErr = err
 			return
 		}
-		e.central, e.centralErr = pc.Evolve(e.Compiled.Graph, e.delta)
+		e.central = &fpss.Central{Sol: sol}
 	})
 	return e.central, e.centralErr
 }
 
-// CentralState exposes the epoch's centrally-computed solution chain
-// to layers that keep epochs resident instead of replaying them — the
-// live server seeds each epoch's hot state from it so churn boundaries
-// ride the same Evolve chain the batch checker uses. It reports ok ==
+// CentralState exposes the epoch's central solution to layers that
+// keep epochs resident instead of replaying them, so serving and
+// checking share one notion of the honest tables. It reports ok ==
 // false when the central path is not authoritative for this epoch
-// (enabled loss, or scratchOnly pinning the scratch oracle); callers
+// (enabled loss, or simOnly pinning the simulation oracle); callers
 // must then fall back to the protocol simulation.
 func (e *Epoch) CentralState() (c *fpss.Central, ok bool, err error) {
 	if !e.useCentral() {
@@ -415,7 +382,7 @@ func (e *Epoch) CentralState() (c *fpss.Central, ok bool, err error) {
 // (checkers mirror without altering the computation), so one cache
 // serves both.
 //
-// On the incremental path the tables come straight from the epoch's
+// On the central path the tables come straight from the epoch's
 // central solution — pinned byte-identical to the converged protocol
 // tables by the fpss and faithful test suites — with no cloning: the
 // solution is freshly built, immutable, and every consumer (the

@@ -19,7 +19,10 @@ func lossyDynamicSpec() scenario.Spec {
 // TestLossComposesWithChurn: every epoch of a lossy timeline carries a
 // live drop model, epoch 0 replays the static schedule, and later
 // epochs are re-salted — fresh drop schedules per epoch, exactly like
-// traffic and membership, while rate and burst stay the axis's.
+// traffic and membership, while rate and burst stay the axis's. Every
+// lossy epoch builds its honest state by protocol simulation, and
+// every reliable one from its central solve unless pinned to the
+// simulation oracle.
 func TestLossComposesWithChurn(t *testing.T) {
 	sp := lossyDynamicSpec()
 	tl := mustBuild(t, sp)
@@ -55,6 +58,31 @@ func TestLossComposesWithChurn(t *testing.T) {
 	for i, e := range reliable.Epochs {
 		if e.Compiled.Params.Loss.Enabled() {
 			t.Fatalf("reliable epoch %d grew a drop model", i)
+		}
+	}
+	requireModes(t, "lossy", tl, "sim")
+	requireModes(t, "reliable", reliable, "central")
+	pinned := mustBuild(t, dynamicSpec())
+	pinned.simulateOnly()
+	requireModes(t, "simulateOnly", pinned, "sim")
+}
+
+// requireModes builds every epoch of tl's plain system and requires
+// each epoch's BuildStat to name mode.
+func requireModes(t *testing.T, label string, tl *Timeline, mode string) {
+	t.Helper()
+	sys := NewSystem(tl, Plain)
+	sys.EnableBuildStats()
+	stats, err := sys.BuildStats()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(stats) != len(tl.Epochs) {
+		t.Fatalf("%s: %d build stats for %d epochs", label, len(stats), len(tl.Epochs))
+	}
+	for _, bs := range stats {
+		if bs.Mode != mode {
+			t.Fatalf("%s: epoch %d built by %q, want %q", label, bs.Epoch, bs.Mode, mode)
 		}
 	}
 }

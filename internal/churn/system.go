@@ -114,14 +114,13 @@ type System struct {
 type BuildStat struct {
 	Epoch int
 	// Rebuild is the wall time of the epoch's snapshot build (central
-	// evolve/compute or protocol sims, plus the execution tail).
+	// solve or protocol sims, plus the execution tail).
 	Rebuild time.Duration
 	// Allocs is the heap allocation count (runtime.MemStats.Mallocs
 	// delta) over the same window.
 	Allocs uint64
-	// Mode names the path: "delta" (central state repaired from the
-	// previous epoch), "central" (central state computed from scratch —
-	// epoch 0 of the incremental path), or "sim" (full protocol
+	// Mode names the path: "central" (one fpss.ComputeCentral of the
+	// epoch's graph seeds both variants) or "sim" (full protocol
 	// simulations — the oracle path, or an enabled loss model).
 	Mode string
 }
@@ -166,11 +165,10 @@ func (s *System) init() error {
 			mode := "sim"
 			plain, faith := e.Compiled.Systems()
 			if e.useCentral() {
-				// Incremental path: one immutable central solution per
-				// epoch — repaired from the previous epoch's through the
-				// boundary delta — seeds both variants' snapshots, so the
-				// boundary cost is the repair plus the execution tail, not
-				// three protocol simulations.
+				// Central path: one immutable central solution per epoch
+				// seeds both variants' snapshots, so the boundary cost is
+				// one central solve plus the execution tail, not three
+				// protocol simulations.
 				c, err := e.centralState()
 				if err != nil {
 					s.initErr = fmt.Errorf("churn: epoch %d central: %w", i, err)
@@ -178,11 +176,7 @@ func (s *System) init() error {
 				}
 				plain.SeedHonest(c.Sol)
 				faith.SeedHonest(c.Sol)
-				if e.prev != nil && e.delta != nil {
-					mode = "delta"
-				} else {
-					mode = "central"
-				}
+				mode = "central"
 			}
 			if s.variant == Plain {
 				s.epochs[i] = plain

@@ -25,6 +25,13 @@ type Solution struct {
 	Pricing map[graph.NodeID]PricingTable
 }
 
+// Central is one epoch's central solution as the churn layer hands it
+// out (churn.Epoch.CentralState). It only wraps Sol: the benchmark
+// harness in perfbench reads c.Sol through it.
+type Central struct {
+	Sol *Solution
+}
+
 // ComputeCentral solves routing (DATA2) and VCG pricing (DATA3*) for
 // every node from a global view of the declared-cost graph.
 //
@@ -50,23 +57,8 @@ type Solution struct {
 // paths, witness paths and tag sets are carved from each worker's
 // NodeID arena. Results are deterministic — byte-identical to the
 // sequential reference — because every job writes only its own slots.
+// No route tree outlives the call.
 func ComputeCentral(g *graph.Graph) (*Solution, error) {
-	c, err := computeCentral(g, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.Sol, nil
-}
-
-// computeCentral is the shared core behind ComputeCentral (prev and d
-// nil) and Central.Evolve. The two differ only in how the base trees
-// are built: from scratch, or repaired from prev's through d with
-// SSSPDelta. The avoid-k trees always derive from the new base trees,
-// so transit detection, the avoid sweep and assembly are the same code
-// in both forms, and SSSPDelta's byte-identity guarantee keeps them
-// indistinguishable in the output. The avoid-k trees live in worker
-// scratch and die with the call; only the base trees are kept.
-func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, error) {
 	if !g.IsBiconnected() {
 		return nil, ErrNotBiconnected
 	}
@@ -81,19 +73,11 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 	}
 	pool := newCentralPool(n)
 
-	// Base trees: one full SSSP per source, in parallel. With a delta,
-	// each surviving source repairs its previous tree instead (joiners
-	// and nil deltas fall through to a scratch run inside SSSPDelta).
+	// Base trees: one full SSSP per source, in parallel.
 	base := make([]*graph.Tree, n)
 	err := pool.run(n, func(w *centralWorker, i int) error {
-		var old *graph.Tree
-		if prev != nil {
-			if o := d.NewToOld(graph.NodeID(i)); o >= 0 {
-				old = prev.base[o]
-			}
-		}
 		t := &graph.Tree{}
-		if err := g.SSSPDelta(t, &w.s, graph.NodeID(i), old, d); err != nil {
+		if err := g.SSSP(t, &w.s, graph.NodeID(i)); err != nil {
 			return fmt.Errorf("all pairs from %d: %w", i, err)
 		}
 		base[i] = t
@@ -227,7 +211,7 @@ func computeCentral(g *graph.Graph, prev *Central, d *graph.Delta) (*Central, er
 		sol.Routing[graph.NodeID(i)] = routing[i]
 		sol.Pricing[graph.NodeID(i)] = pricing[i]
 	}
-	return &Central{Sol: sol, base: base}, nil
+	return sol, nil
 }
 
 // centralWorkers overrides the pricing-core pool size when positive;
@@ -244,7 +228,7 @@ var centralWorkers int
 const sourcesPerWorker = 16
 
 // centralWorker is one pool worker's state for the length of one
-// computeCentral call: its SSSP scratch, the avoid-k trees of the job
+// ComputeCentral call: its SSSP scratch, the avoid-k trees of the job
 // it runs, and the NodeID arena the solution's route paths, witness
 // paths and tag sets are carved from. It is never pooled across calls:
 // every entry carved from an arena chunk keeps the whole chunk alive,
@@ -279,7 +263,7 @@ func (w *centralWorker) avoidTrees(n int) []graph.Tree {
 	return w.trees
 }
 
-// centralPool is one computeCentral call's workers; their state
+// centralPool is one ComputeCentral call's workers; their state
 // carries over from one stage of the call to the next.
 type centralPool []centralWorker
 

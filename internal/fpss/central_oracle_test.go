@@ -2,9 +2,7 @@ package fpss
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -304,16 +302,24 @@ func TestComputeCentralParallelDeterministic(t *testing.T) {
 }
 
 // TestCentralSlicesCapped checks that every route path, witness path
-// and tag set of a ComputeCentral or Evolve solution is capped at its
-// length. They are carved side by side from one arena, so an append
-// to an uncapped one would overwrite its neighbour.
+// and tag set of a ComputeCentral solution is capped at its length.
+// They are carved side by side from one arena, so an append to an
+// uncapped one would overwrite its neighbour.
 func TestCentralSlicesCapped(t *testing.T) {
-	requireCapped := func(label string, sol *Solution) {
-		t.Helper()
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := graph.PreferentialAttachment(24+int(seed), 2, graph.UniformCost(3), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := ComputeCentral(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for src, rt := range sol.Routing {
 			for dst, e := range rt.All() {
 				if cap(e.Path) != len(e.Path) {
-					t.Fatalf("%s: route %d→%d has cap %d, len %d", label, src, dst, cap(e.Path), len(e.Path))
+					t.Fatalf("seed %d: route %d→%d has cap %d, len %d", seed, src, dst, cap(e.Path), len(e.Path))
 				}
 			}
 		}
@@ -321,35 +327,11 @@ func TestCentralSlicesCapped(t *testing.T) {
 			for dst, row := range pt.All() {
 				for k, e := range row {
 					if cap(e.Avoid) != len(e.Avoid) || cap(e.Tags) != len(e.Tags) {
-						t.Fatalf("%s: entry (%d, %d, %d) has witness cap/len %d/%d, tags %d/%d",
-							label, src, dst, k, cap(e.Avoid), len(e.Avoid), cap(e.Tags), len(e.Tags))
+						t.Fatalf("seed %d: entry (%d, %d, %d) has witness cap/len %d/%d, tags %d/%d",
+							seed, src, dst, k, cap(e.Avoid), len(e.Avoid), cap(e.Tags), len(e.Tags))
 					}
 				}
 			}
-		}
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := graph.PreferentialAttachment(24+int(seed), 2, graph.UniformCost(3), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ComputeCentralState(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireCapped(fmt.Sprintf("seed %d central", seed), c.Sol)
-		for step := 0; step < 2; step++ {
-			ng, oldToNew := evolveGraph(t, rng, g, 3)
-			d, err := graph.NewDelta(g, ng, oldToNew)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c, err = c.Evolve(ng, d); err != nil {
-				t.Fatal(err)
-			}
-			requireCapped(fmt.Sprintf("seed %d step %d evolved", seed, step), c.Sol)
-			g = ng
 		}
 	}
 }
@@ -357,18 +339,13 @@ func TestCentralSlicesCapped(t *testing.T) {
 // FuzzCentral turns bytes into a graph — the first byte picks 3 ≤ n ≤
 // 14, the next n bytes the costs 0–3, and every following pair an edge
 // — and skips it unless it is biconnected. It checks ComputeCentral on
-// one worker and on three against the sequential oracle, then evolves
-// the graph one churn step, seeded from the bytes, and checks Evolve
-// against ComputeCentral on the evolved graph.
+// one worker and on three against the sequential oracle.
 func FuzzCentral(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 2, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		h := fnv.New64a()
-		h.Write(data)
-		seed := int64(h.Sum64() >> 1)
 		n := 3 + int(data[0])%12
 		data = data[1:]
 		g := graph.New(n)
@@ -400,29 +377,6 @@ func FuzzCentral(f *testing.F) {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			solutionsIdentical(t, workers, want, got)
-		}
-		centralWorkers = 0
-
-		c, err := ComputeCentralState(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ng, oldToNew := evolveGraph(t, rand.New(rand.NewSource(seed)), g, 3)
-		d, err := graph.NewDelta(g, ng, oldToNew)
-		if err != nil {
-			t.Fatalf("NewDelta: %v", err)
-		}
-		evolved, err := c.Evolve(ng, d)
-		if err != nil {
-			t.Fatalf("Evolve: %v", err)
-		}
-		scratch, err := ComputeCentral(ng)
-		if err != nil {
-			t.Fatalf("ComputeCentral on the evolved graph: %v", err)
-		}
-		if !reflect.DeepEqual(evolved.Sol, scratch) {
-			solutionsIdentical(t, -1, scratch, evolved.Sol)
-			t.Fatal("evolved solution differs from scratch")
 		}
 	})
 }

@@ -77,7 +77,9 @@ type ExecResult struct {
 	// payers are the nodes in Utilities before settlement: those in
 	// TrueCosts, the sources of counted flows and the transit nodes.
 	// A payee that only a report names is credited in Utilities but
-	// is no payer, so it has no entry here.
+	// is no payer, so it has no entry here. A truthful entry is the
+	// payer's Obligations map itself, and payers that owe nothing share
+	// one empty map, so every entry is read-only.
 	Reported map[graph.NodeID]PaymentList
 	// Delivered / Undelivered count packets.
 	Delivered, Undelivered int64
@@ -214,12 +216,17 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 	// Reporting and settlement: the original FPSS accounting trusts
 	// each source's reported DATA4. Every report is taken before any
 	// is settled, so the payers are the nodes in Utilities now, and a
-	// payee a report invents is credited but pays nothing.
+	// payee a report invents is credited but pays nothing. A truthful
+	// report is the obligation map itself; only a hook gets a copy of
+	// its own to edit.
 	res.Reported = make(map[graph.NodeID]PaymentList, len(res.Utilities))
+	none := PaymentList{}
 	for id := range res.Utilities {
-		reported := res.Obligations[id].Clone()
+		reported, ok := res.Obligations[id]
 		if hook := cfg.ReportPayment[id]; hook != nil {
-			reported = hook(reported)
+			reported = hook(reported.Clone())
+		} else if !ok {
+			reported = none
 		}
 		res.Reported[id] = reported
 	}

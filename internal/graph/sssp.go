@@ -138,12 +138,6 @@ type Scratch struct {
 	done   []bool
 	pa, pb []NodeID // equal-length root chains during lex tie-breaks
 
-	// Delta-repair working set (see delta.go); unused by plain runs.
-	taint   []uint8 // old-tree chain cleanliness memo, old numbering
-	tstack  []int32 // parent-chain walk stack for the taint memo
-	carPar  []int32 // carried parent per new node, -2 when not carried
-	changed []bool  // popped node's chain differs from the carried one
-
 	// sub lists the removed node's subtree during SSSPWithout (see
 	// without.go); unused by other runs.
 	sub []int32

@@ -19,10 +19,10 @@ import "fmt"
 //   - A relabelled node's key can only grow, so no relabelled node can
 //     improve a carried one. The Dijkstra relaxes relabelled nodes only.
 //   - Each relabelled node re-selects its parent at pop time among the
-//     neighbors whose final label extends exactly to its key — the
-//     reselectParent rule SSSPDelta uses. Every such candidate has a
-//     strictly smaller key, so it is carried or already popped, and the
-//     candidate set is the one scratch SSSP resolved ties over.
+//     neighbors whose final label extends exactly to its key
+//     (reselectParent). Every such candidate has a strictly smaller
+//     key, so it is carried or already popped, and the candidate set
+//     is the one scratch SSSP resolved ties over.
 
 // SSSPWithout computes into t the route tree from base.Src in g with
 // node k removed, byte-identical to SSSP from base.Src over a copy of
@@ -131,6 +131,36 @@ func (g *Graph) SSSPWithout(t *Tree, s *Scratch, base *Tree, k NodeID) error {
 		}
 	}
 	return nil
+}
+
+// reselectParent recomputes u's parent as the lexicographically
+// smallest chain among all neighbors whose final label extends exactly
+// to u's key. Every such candidate has a strictly smaller (dist, hops)
+// key than u, so — heap pops being key-monotone — its label is final
+// here, and the candidate set equals the one scratch SSSP resolved
+// ties over. Unreached neighbors — the removed node among them — are
+// never candidates.
+func (s *Scratch) reselectParent(g *Graph, t *Tree, u, src NodeID, off []int32, adj []NodeID) {
+	du, hu := t.Dist[u], t.Hops[u]
+	best := NodeID(-1)
+	for _, c := range adj[off[u]:off[u+1]] {
+		if t.Dist[c] >= Infinity {
+			continue
+		}
+		var ct Cost
+		if c != src {
+			ct = g.costs[c]
+		}
+		if t.Dist[c]+ct != du || t.Hops[c]+1 != hu {
+			continue
+		}
+		if best < 0 || s.lexBefore(t, c, best) {
+			best = c
+		}
+	}
+	if best >= 0 {
+		t.Parent[u] = int32(best)
+	}
 }
 
 // Below returns the nodes strictly below k in base's tree, as listed by

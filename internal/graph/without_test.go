@@ -60,6 +60,25 @@ func requireWithoutMatches(t *testing.T, label string, g *Graph, got *Tree, s *S
 	}
 }
 
+// requireTreesEqual fails at the first node whose label differs, and
+// names it.
+func requireTreesEqual(t *testing.T, label string, got, want *Tree) {
+	t.Helper()
+	if got.Src != want.Src || len(got.Dist) != len(want.Dist) {
+		t.Fatalf("%s: shape mismatch: src %d/%d n %d/%d",
+			label, got.Src, want.Src, len(got.Dist), len(want.Dist))
+	}
+	for v := range want.Dist {
+		if got.Dist[v] != want.Dist[v] || got.Hops[v] != want.Hops[v] ||
+			got.Parent[v] != want.Parent[v] {
+			t.Fatalf("%s: node %d: got (%d,%d,%d) want (%d,%d,%d)",
+				label, v,
+				got.Dist[v], got.Hops[v], got.Parent[v],
+				want.Dist[v], want.Hops[v], want.Parent[v])
+		}
+	}
+}
+
 // requireBelow checks that below lists, once each, exactly the nodes
 // whose parent chain in base passes through k.
 func requireBelow(t *testing.T, label string, base *Tree, k int32, below []int32) {

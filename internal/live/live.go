@@ -8,10 +8,11 @@
 // Two pieces compose:
 //
 //   - Server compiles a scenario.Spec and converges each churn epoch's
-//     fpss.Node principals without a process restart. The honest
-//     per-epoch state rides the same central-solution chain the batch
-//     checker uses (fpss.Central / Evolve via churn.Epoch.CentralState),
-//     so serving and checking share one notion of "the honest tables".
+//     fpss.Node principals without a process restart. Each epoch's
+//     converged tables are checked against the central solution the
+//     batch checker seeds that epoch from (churn.Epoch.CentralState,
+//     one fpss.ComputeCentral of the epoch's graph), so serving and
+//     checking share one notion of "the honest tables".
 //   - Loadgen drives the server open-loop: a seed-deterministic
 //     request schedule at a target rate, with latency measured from
 //     each request's *scheduled* arrival (queueing delay included —

@@ -17,8 +17,8 @@ import (
 // principals, converged through both construction phases by one
 // fpss.Run, whose tables Route and Pay requests then read. Epoch
 // advances and deviant injections rebuild the epoch in place, without
-// restarting the process, so the central-solution chain stays hot
-// across boundaries.
+// restarting the process; each epoch's central solution is computed
+// once and cached on the timeline.
 //
 // Dispatch is safe for concurrent use: reads (Route/Pay/Stats) take a
 // shared lock against the rare rebuild writes.

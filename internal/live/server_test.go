@@ -133,7 +133,7 @@ func TestServerDifferentialSmokeSuite(t *testing.T) {
 }
 
 // TestServerChurnAdvance walks a churn timeline live: every epoch
-// re-converges in place (no restart), matches the evolved central
+// re-converges in place (no restart), matches the epoch's central
 // solution exactly, and reports the counters of an fpss.Run on that
 // epoch's graph.
 func TestServerChurnAdvance(t *testing.T) {
@@ -160,7 +160,7 @@ func TestServerChurnAdvance(t *testing.T) {
 			t.Fatalf("want epoch %d, got %d", e, stats.Stats.Epoch)
 		}
 		if stats.Stats.Divergence != 0 {
-			t.Fatalf("epoch %d: %d nodes diverge from the evolved central solution", e, stats.Stats.Divergence)
+			t.Fatalf("epoch %d: %d nodes diverge from the epoch's central solution", e, stats.Stats.Divergence)
 		}
 		comp := srv.tl.Epochs[e].Compiled
 		res, err := fpss.Run(fpss.Config{Graph: comp.Graph, Loss: comp.Params.Loss})

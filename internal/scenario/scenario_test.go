@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -87,9 +88,16 @@ func TestCompileRejectsInvalidSpecs(t *testing.T) {
 		{Family: Torus, N: 7},    // prime: no rows×cols factoring
 		{Family: TwoTier, N: 5},  // no clusters·size factoring
 		{Family: Figure1, N: 9},  // figure1 is fixed-size
-		{Family: Figure1, CostModel: CostBimodal},   // figure1 costs are fixed
-		{Family: Random, N: 8, Workload: "flood"},   // unknown workload
-		{Family: Random, N: 8, CostModel: "normal"}, // unknown cost model
+		{Family: Figure1, CostModel: CostBimodal},                        // figure1 costs are fixed
+		{Family: Random, N: 8, Workload: "flood"},                        // unknown workload
+		{Family: Random, N: 8, CostModel: "normal"},                      // unknown cost model
+		{Family: Random, N: 8, Loss: Loss{Rate: 1}},                      // certain loss
+		{Family: Random, N: 8, Loss: Loss{Rate: 1.5}},                    // not a probability
+		{Family: Random, N: 8, Loss: Loss{Rate: -0.1}},                   // negative rate
+		{Family: Random, N: 8, Loss: Loss{Rate: math.NaN()}},             // NaN rate
+		{Family: Random, N: 8, Loss: Loss{Rate: 0.1, Burst: -1}},         // negative burst
+		{Family: Random, N: 8, Loss: Loss{Rate: 0.1, Burst: math.NaN()}}, // NaN burst
+		{Family: Random, N: 8, Loss: Loss{Burst: 3}},                     // burst without a rate
 	}
 	for _, sp := range bad {
 		if c, err := sp.Compile(); err == nil {

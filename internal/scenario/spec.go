@@ -166,6 +166,22 @@ type Loss struct {
 // Enabled reports whether the axis actually drops anything.
 func (l Loss) Enabled() bool { return l.Rate > 0 }
 
+// validate rejects a drop rate outside [0, 1) and a burst length that
+// is negative or set without a rate. The negated comparisons reject
+// NaN too.
+func (l Loss) validate() error {
+	if !(l.Rate >= 0 && l.Rate < 1) {
+		return fmt.Errorf("loss: rate is a drop probability in [0, 1), got %g", l.Rate)
+	}
+	if !(l.Burst >= 0) {
+		return fmt.Errorf("loss: burst is a mean burst length >= 0, got %g", l.Burst)
+	}
+	if l.Burst != 0 && !l.Enabled() {
+		return fmt.Errorf("loss: burst %g needs a rate > 0", l.Burst)
+	}
+	return nil
+}
+
 // lossSeedSalt decorrelates the drop-schedule stream from the Spec's
 // structural stream ("loss!" in ASCII), exactly as the churn engine
 // salts its schedule stream.
@@ -285,6 +301,9 @@ func (s Spec) Compile() (*Compiled, error) {
 // what the classic constructors performed, so pre-scenario tables stay
 // byte-identical.
 func (s Spec) BuildWith(rng *rand.Rand) (*Compiled, error) {
+	if err := s.Loss.validate(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.describeTopology(), err)
+	}
 	if err := s.Shards.validate(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.describeTopology(), err)
 	}

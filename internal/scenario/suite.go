@@ -221,9 +221,9 @@ func init() {
 	// internet: the headline sweep — every Internet-like family under
 	// every cost model and the asymmetric workloads. The deviation
 	// search sweeps n∈{12,24}; above that the honest-profiling rungs
-	// (n∈{48,100}) build and time the truthful profile only — the
-	// delta-driven epoch engine made construction cheap enough that the
-	// ceiling is now the search grid, not the build.
+	// (n∈{48,100}) build and time the truthful profile only — central
+	// construction is cheap enough that the ceiling is the search grid,
+	// not the build.
 	RegisterSuite(Suite{
 		Name:         "internet",
 		Description:  "Internet-like families × all cost models × asymmetric workloads",
