@@ -234,8 +234,23 @@ func checkScenario(c *scenario.Compiled, cfg core.CheckConfig) error {
 	return nil
 }
 
-// variantStats is one protocol variant's -stats record: the per-epoch
-// boundary rebuild breakdown plus the deviation sweep's cost window.
+// churnStats is one churn scenario's -stats record: each epoch's
+// central solve, which both variants share, then per variant (plain,
+// faithful) the per-epoch boundary rebuild breakdown plus the
+// deviation sweep's cost window.
+type churnStats struct {
+	solves   []solveStat
+	variants [2]variantStats
+}
+
+// solveStat is the cost of one epoch's central solve.
+type solveStat struct {
+	epoch  int
+	took   time.Duration
+	allocs uint64
+}
+
+// variantStats is one variant's part of a churnStats.
 type variantStats struct {
 	build       []churn.BuildStat
 	sweep       time.Duration
@@ -246,17 +261,36 @@ type variantStats struct {
 // per-epoch deviation search against both protocol variants — the one
 // sequence the single-scenario and suite paths share. The faithful
 // System is returned alive so callers can read its honest ledger. A
-// non-nil stats slice (length 2: plain, faithful) turns on the
-// boundary-vs-sweep cost breakdown.
-func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats []variantStats) (*churn.Timeline, core.Report, core.Report, *churn.System, error) {
+// non-nil stats turns on the solve, boundary and sweep cost breakdown.
+func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *churnStats) (*churn.Timeline, core.Report, core.Report, *churn.System, error) {
 	tl, err := churn.Build(sp)
 	if err != nil {
 		return nil, core.Report{}, core.Report{}, nil, err
+	}
+	if stats != nil {
+		// Each epoch's central solve is cached on the timeline and
+		// shared by both variants, so it is forced and accounted here,
+		// before either variant's boundary rebuilds.
+		for _, e := range tl.Epochs {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			start := time.Now()
+			_, ok, err := e.CentralState()
+			took := time.Since(start)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				return nil, core.Report{}, core.Report{}, nil, fmt.Errorf("%s: epoch %d central: %w", sp.Describe(), e.Index+1, err)
+			}
+			if ok {
+				stats.solves = append(stats.solves, solveStat{epoch: e.Index, took: took, allocs: m1.Mallocs - m0.Mallocs})
+			}
+		}
 	}
 	cfg.PerEpoch = true
 	check := func(i int, v churn.Variant) (core.Report, *churn.System, error) {
 		sys := churn.NewSystem(tl, v)
 		if stats != nil {
+			vs := &stats.variants[i]
 			// BuildStats forces init, so the boundary rebuilds are done —
 			// and separately accounted — before the sweep window opens.
 			sys.EnableBuildStats()
@@ -264,14 +298,14 @@ func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats []variantStats) 
 			if err != nil {
 				return core.Report{}, nil, err
 			}
-			stats[i].build = bs
+			vs.build = bs
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			start := time.Now()
 			rep, err := core.CheckFaithfulnessCfg(sys, cfg)
-			stats[i].sweep = time.Since(start)
+			vs.sweep = time.Since(start)
 			runtime.ReadMemStats(&m1)
-			stats[i].sweepAllocs = m1.Mallocs - m0.Mallocs
+			vs.sweepAllocs = m1.Mallocs - m0.Mallocs
 			return rep, sys, err
 		}
 		rep, err := core.CheckFaithfulnessCfg(sys, cfg)
@@ -291,9 +325,9 @@ func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats []variantStats) 
 // checkChurnScenario is the verbose single-scenario churn path: the
 // membership timeline, both reports, and the honest ledger.
 func checkChurnScenario(sp scenario.Spec, cfg core.CheckConfig, withStats bool) error {
-	var stats []variantStats
+	var stats *churnStats
 	if withStats {
-		stats = make([]variantStats, 2)
+		stats = &churnStats{}
 	}
 	tl, plainRep, faithRep, faithSys, err := churnReports(sp, cfg, stats)
 	if err != nil {
@@ -309,18 +343,24 @@ func checkChurnScenario(sp scenario.Spec, cfg core.CheckConfig, withStats bool) 
 	report("plain FPSS", plainRep)
 	report("extended (faithful) FPSS", faithRep)
 	if withStats {
+		if len(stats.solves) > 0 {
+			fmt.Println("\ncentral solves (shared by both variants):")
+			for _, cs := range stats.solves {
+				fmt.Printf("  epoch %d solve:    took=%-12v allocs=%d\n", cs.epoch+1, cs.took, cs.allocs)
+			}
+		}
 		for i, name := range []string{"plain FPSS", "extended (faithful) FPSS"} {
 			fmt.Printf("\n%s cost breakdown:\n", name)
 			var total time.Duration
 			var totalAllocs uint64
-			for _, bs := range stats[i].build {
+			for _, bs := range stats.variants[i].build {
 				fmt.Printf("  epoch %d boundary: mode=%-7s rebuild=%-12v allocs=%d\n",
 					bs.Epoch+1, bs.Mode, bs.Rebuild, bs.Allocs)
 				total += bs.Rebuild
 				totalAllocs += bs.Allocs
 			}
 			fmt.Printf("  boundary total:   %v (%d allocs)\n", total, totalAllocs)
-			fmt.Printf("  deviation sweep:  %v (%d allocs)\n", stats[i].sweep, stats[i].sweepAllocs)
+			fmt.Printf("  deviation sweep:  %v (%d allocs)\n", stats.variants[i].sweep, stats.variants[i].sweepAllocs)
 		}
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -146,6 +147,28 @@ func TestRunChurnStats(t *testing.T) {
 	}
 	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-stats"}); err != nil {
 		t.Fatalf("faithcheck -stats: %v", err)
+	}
+	// Each epoch's central solve is shared by both variants, so it is
+	// charged to neither: a boundary that allocates as much as the
+	// solve has paid for it.
+	sp := scenario.Spec{Family: scenario.Random, N: 6, Seed: 1, Churn: scenario.Churn{Epochs: 3, Joins: 1, Leaves: 1, RedrawFraction: 0.25}}
+	var stats churnStats
+	if _, _, _, _, err := churnReports(sp, core.CheckConfig{Workers: 1}, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.solves) != sp.Churn.Epochs {
+		t.Fatalf("%d central solves recorded, want one per epoch (%d)", len(stats.solves), sp.Churn.Epochs)
+	}
+	for v, name := range []string{"plain", "faithful"} {
+		build := stats.variants[v].build
+		if len(build) != len(stats.solves) {
+			t.Fatalf("%s: %d boundary records for %d epochs", name, len(build), len(stats.solves))
+		}
+		for i, bs := range build {
+			if solve := stats.solves[i]; bs.Mode != "central" || bs.Allocs >= solve.allocs {
+				t.Errorf("%s epoch %d: boundary (mode %s) allocates %d, its central solve %d", name, i+1, bs.Mode, bs.Allocs, solve.allocs)
+			}
+		}
 	}
 }
 

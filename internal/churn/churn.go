@@ -382,11 +382,12 @@ func (e *Epoch) CentralState() (c *fpss.Central, ok bool, err error) {
 // (checkers mirror without altering the computation), so one cache
 // serves both.
 //
-// On the central path the tables come straight from the epoch's
-// central solution — pinned byte-identical to the converged protocol
-// tables by the fpss and faithful test suites — with no cloning: the
-// solution is freshly built, immutable, and every consumer (the
-// stale-catalogue remap included) copies before mutating.
+// Neither path clones. On the central path the tables come straight
+// from the epoch's central solution, pinned byte-identical to the
+// converged protocol tables by the fpss and faithful test suites; on
+// the simulated path they are the converged run's own. Both are
+// immutable once built: the stale-catalogue remap builds new tables,
+// and the deviator's Post hooks publish those as they are.
 func (e *Epoch) honestTables() (map[Identity]fpss.RoutingTable, map[Identity]fpss.PricingTable, error) {
 	e.tablesOnce.Do(func() {
 		if e.useCentral() {
@@ -412,10 +413,11 @@ func (e *Epoch) honestTables() (map[Identity]fpss.RoutingTable, map[Identity]fps
 		e.pricing = make(map[Identity]fpss.PricingTable, len(e.Members))
 		for local, node := range res.Nodes {
 			id := e.IdentityOf(local)
-			// Clone: the run's network is quiescent, but the cache
-			// outlives it and is shared across concurrent plays.
-			e.routing[id] = node.RoutingView().Clone()
-			e.pricing[id] = node.PricingView().Clone()
+			// The run is over, and its converged tables are published
+			// ones that nothing writes to, so the cache shares them
+			// across concurrent plays as it does the central solution.
+			e.routing[id] = node.RoutingView()
+			e.pricing[id] = node.PricingView()
 		}
 	})
 	return e.routing, e.pricing, e.tablesErr

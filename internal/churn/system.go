@@ -432,8 +432,10 @@ func (s *System) staleCatalogue(id Identity, member []int) *deviation {
 				[]spec.ActionKind{spec.MessagePassing, spec.Computation},
 				rational.Parts{Protocol: func(rational.Ctx) *fpss.Strategy {
 					return &fpss.Strategy{
-						PostRouting: func(fpss.RoutingTable) fpss.RoutingTable { return rt.Clone() },
-						PostPricing: func(fpss.PricingTable) fpss.PricingTable { return pt.Clone() },
+						// The stale tables are published as they are: no
+						// hook or derivation writes to a table it is handed.
+						PostRouting: func(fpss.RoutingTable) fpss.RoutingTable { return rt },
+						PostPricing: func(fpss.PricingTable) fpss.PricingTable { return pt },
 					}
 				}})
 			return &epochAction{local: local, dev: rd}, nil

@@ -69,6 +69,7 @@ func TestCheckerLimitOpensEscape(t *testing.T) {
 				// Tamper toward the highest-ID neighbor only (likely
 				// outside a truncated prefix checker set).
 				if to == 4 { // X
+					u.Routing = slices.Clone(u.Routing) // copy on write: u is published
 					for dest, e := range u.Routing {
 						e.Cost += 3
 						u.Routing[dest] = e

@@ -2,6 +2,7 @@ package faithful
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,6 +170,7 @@ func TestTamperedAdvertisementDetected(t *testing.T) {
 	res := deviatorRun(t, g, d, &Strategy{
 		Protocol: fpss.Strategy{
 			SendUpdate: func(to graph.NodeID, u fpss.Update) (fpss.Update, bool) {
+				u.Routing = slices.Clone(u.Routing) // copy on write: u is published
 				for dest, e := range u.Routing {
 					e.Cost += 7
 					u.Routing[dest] = e
@@ -196,9 +198,10 @@ func TestDroppedForwardDetected(t *testing.T) {
 	}
 }
 
-// bumpForwardedCosts is a forward hook that edits the copy in place,
-// raising every forwarded route's cost by one.
+// bumpForwardedCosts is a forward hook that raises every forwarded
+// route's cost by one, in a copy of the published routing table.
 func bumpForwardedCosts(_ graph.NodeID, fc ForwardCopy) (ForwardCopy, bool) {
+	fc.U.Routing = slices.Clone(fc.U.Routing)
 	for dest, e := range fc.U.Routing {
 		e.Cost++
 		fc.U.Routing[dest] = e
@@ -215,12 +218,12 @@ func TestChangedForwardDetected(t *testing.T) {
 	}
 }
 
-// TestForwardHookEditsOnlyItsCopy pins that a forward hook cannot
-// reach other nodes' state through the forwarded tables: those are
-// the sender's advertised ones, which the sender keeps as its own
-// DATA2/DATA3* and its neighbors keep as views. Whoever deviates, the
-// edited copies reach only checker mirrors, so every node ends with
-// the honest run's tables.
+// TestForwardHookEditsOnlyItsCopy pins that a forward hook that copies
+// on write cannot reach other nodes' state through the forwarded
+// tables: those are the sender's published ones, which the sender
+// keeps as its own DATA2/DATA3* and its neighbors keep as views.
+// Whoever deviates, the edited copies reach only checker mirrors, so
+// every node ends with the honest run's tables.
 func TestForwardHookEditsOnlyItsCopy(t *testing.T) {
 	g := graph.Figure1()
 	honest, err := Run(baseConfig(g))

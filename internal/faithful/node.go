@@ -61,9 +61,11 @@ type Strategy struct {
 	Protocol fpss.Strategy
 	// ForwardToChecker intercepts an outgoing ForwardCopy; ok=false
 	// drops it (manipulations 1 and 3: drop/change forwarded updates).
-	// The hook owns fc.U: each call gets a private deep copy, so it may
-	// edit the tables in place without touching the sender's advertised
-	// tables, which this node and its neighbors keep as their state.
+	// Every checker's call gets the same copy, whose fc.U holds the
+	// sender's published tables: this node and the sender's other
+	// neighbors keep them as their state. The hook must not write to
+	// them; to change one it returns a new table, copied on write as
+	// fpss.Strategy describes.
 	ForwardToChecker func(to graph.NodeID, fc ForwardCopy) (ForwardCopy, bool)
 	// SpoofCopies fabricates forward copies injected at phase-2 start
 	// (the "spoof" arm of manipulations 1 and 3). The principal also
@@ -92,13 +94,6 @@ func (s *Strategy) protocol() *fpss.Strategy {
 	return &s.Protocol
 }
 
-// forwardToChecker runs the ForwardToChecker hook, which must be set,
-// on a private deep copy of fc.
-func (s *Strategy) forwardToChecker(to graph.NodeID, fc ForwardCopy) (ForwardCopy, bool) {
-	fc.U = fc.U.Clone()
-	return s.ForwardToChecker(to, fc)
-}
-
 func (s *Strategy) reportState(truth bank.StateReport) bank.StateReport {
 	if s == nil || s.ReportState == nil {
 		return truth
@@ -124,8 +119,8 @@ type mirror struct {
 // are pure functions of (costs, views) with DATA1 fixed once phase 1
 // quiesces, so deriving once there yields the tables that recomputing
 // after every view change would have ended with. That holds only while
-// stored views are never edited in place, which is why forward hooks
-// get private copies.
+// stored views are never edited in place, which is why every hook that
+// handles a published table copies on write (see fpss.Strategy).
 func (m *mirror) refresh(s *fpss.ComputeScratch, costs fpss.CostTable) {
 	if !m.stale {
 		return
@@ -259,7 +254,7 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 			continue
 		}
 		if hooked {
-			if out, ok := n.strategy.forwardToChecker(c, fc); ok {
+			if out, ok := n.strategy.ForwardToChecker(c, fc); ok {
 				ctx.Send(sim.Addr(c), out)
 			}
 			continue
@@ -275,14 +270,11 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 // recordSend is the principal's per-send callback: it keeps the
 // ground truth of what went to each neighbor and applies it to the
 // mirror this node keeps of that neighbor (checkers apply their own
-// sends directly; the principal cannot drop them). Honest tables are
-// immutable once advertised, so the record can share them.
+// sends directly; the principal cannot drop them). Sent tables are
+// immutable once published, hooked ones included, so the record shares
+// them.
 func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
-	if s := n.strategy.protocol(); s != nil && s.SendUpdate != nil {
-		n.lastSent[to] = u.Clone()
-	} else {
-		n.lastSent[to] = u
-	}
+	n.lastSent[to] = u
 	if m, ok := n.mirrors[to]; ok {
 		m.views[n.ID()] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
 		m.stale = true

@@ -46,15 +46,19 @@ func (u Update) Size() int {
 	return s
 }
 
-// Clone deep-copies the update.
-func (u Update) Clone() Update {
-	return Update{From: u.From, Routing: u.Routing.Clone(), Pricing: u.Pricing.Clone()}
-}
-
 // Strategy is a node's deviation surface: nil fields mean the faithful
 // (suggested) behavior. The rational package populates fields to build
 // the deviation catalogue of §4.3; the faithful package's checkers
 // exist to make every such deviation unprofitable.
+//
+// The send and receive hooks are handed published tables: the ones the
+// sender keeps as its own DATA2/DATA3*, its neighbors keep as views and
+// checkers keep as records. A hook must never write to them. To change
+// one it returns a new table that shares whatever it leaves unchanged:
+// a slices.Clone of a routing table (entries are values, and paths are
+// never edited), or a slices.Clone of a pricing table with a new map
+// for each row it edits. The Post hooks are exempt: they are handed
+// freshly computed tables, which nothing else holds yet.
 type Strategy struct {
 	// DeclareCost maps the true transit cost to the declared one
 	// (information revelation; Example 1 / E2).
@@ -70,11 +74,14 @@ type Strategy struct {
 	PostPricing func(faithful PricingTable) PricingTable
 	// SendUpdate intercepts an outgoing Update to a neighbor;
 	// returning ok=false drops it (message passing; manipulations 1,3).
+	// Every neighbor's call gets the same published tables, which the
+	// hook copies on write (see the type's comment).
 	SendUpdate func(to graph.NodeID, u Update) (Update, bool)
 	// RecvUpdate intercepts an incoming Update before it is applied;
 	// returning ok=false discards it — the receiver pretends the
 	// network lost it (message passing; ack withholding under a lossy
-	// failure model).
+	// failure model). The update holds the sender's published tables,
+	// which the hook copies on write (see the type's comment).
 	RecvUpdate func(u Update) (Update, bool)
 }
 
@@ -272,9 +279,9 @@ func (n *Node) Advertise(ctx sim.Context, force bool, sent func(to graph.NodeID,
 		return // oscillation damping; see advertBudget
 	}
 	n.adverts++
-	// Derivation always replaces (never mutates) the tables, so honest
-	// sends share one advertisement, boxed once for every neighbor;
-	// deep-cloning per neighbor was most of the protocol's garbage.
+	// Derivation always replaces (never mutates) the tables, so every
+	// send shares one advertisement: honest ones box it once for every
+	// neighbor, and a SendUpdate hook gets it as is and copies on write.
 	base := Update{From: n.id, Routing: n.own.Routing(), Pricing: n.own.Pricing()}
 	hooked := n.strategy != nil && n.strategy.SendUpdate != nil
 	var boxed any
@@ -284,9 +291,8 @@ func (n *Node) Advertise(ctx sim.Context, force bool, sent func(to graph.NodeID,
 	for _, v := range n.neighbors {
 		u, out := base, boxed
 		if hooked {
-			// The hook may mutate its copy per neighbor.
 			var ok bool
-			if u, ok = n.strategy.SendUpdate(v, base.Clone()); !ok {
+			if u, ok = n.strategy.SendUpdate(v, base); !ok {
 				continue
 			}
 			out = u

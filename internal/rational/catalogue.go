@@ -11,6 +11,8 @@
 package rational
 
 import (
+	"slices"
+
 	"repro/internal/faithful"
 	"repro/internal/fpss"
 	"repro/internal/graph"
@@ -202,6 +204,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			classes: []spec.ActionKind{spec.MessagePassing, spec.Computation},
 			protocol: func(Ctx) *fpss.Strategy {
 				return &fpss.Strategy{SendUpdate: func(_ graph.NodeID, u fpss.Update) (fpss.Update, bool) {
+					u.Routing = slices.Clone(u.Routing) // copy on write: u is published
 					for d, e := range u.Routing.All() {
 						e.Cost = 0
 						u.Routing[d] = e
@@ -233,6 +236,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 				victim := neighbors[0]
 				return &fpss.Strategy{SendUpdate: func(_ graph.NodeID, u fpss.Update) (fpss.Update, bool) {
 					u.From = victim
+					u.Routing = slices.Clone(u.Routing) // copy on write: u is published
 					for d, e := range u.Routing.All() {
 						e.Cost += 60
 						u.Routing[d] = e
@@ -285,11 +289,16 @@ func Catalogue(forFaithful bool) []*Deviation {
 			classes: []spec.ActionKind{spec.MessagePassing, spec.Computation},
 			protocol: func(Ctx) *fpss.Strategy {
 				return &fpss.Strategy{SendUpdate: func(_ graph.NodeID, u fpss.Update) (fpss.Update, bool) {
-					for _, row := range u.Pricing {
+					// Copy on write: u is published, so every row edited
+					// is a new map in a new table.
+					u.Pricing = slices.Clone(u.Pricing)
+					for d, row := range u.Pricing.All() {
+						halved := make(map[graph.NodeID]fpss.PriceEntry, len(row))
 						for k, e := range row {
 							e.Price /= 2
-							row[k] = e
+							halved[k] = e
 						}
+						u.Pricing[d] = halved
 					}
 					return u, true
 				}}
@@ -354,6 +363,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 			faithfulOnly: true,
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{ForwardToChecker: func(_ graph.NodeID, fc faithful.ForwardCopy) (faithful.ForwardCopy, bool) {
+					fc.U.Routing = slices.Clone(fc.U.Routing) // copy on write: fc.U is published
 					for d, e := range fc.U.Routing.All() {
 						e.Cost++
 						fc.U.Routing[d] = e
