@@ -19,8 +19,9 @@
 //	faithcheck -suite loss -seed 1              # the lossy-links suite
 //	faithcheck -n 6 -shards 2 -crash participant # sharded settlement with crash-restarts
 //	faithcheck -suite settle -seed 1            # the sharded-settlement suite
+//	faithcheck -stats                           # honest runs, tables, utilities, sweep costs
 //	faithcheck -n 8 -epochs 4 -stats            # per-epoch boundary rebuild vs sweep cost
-//	faithcheck -suite internet -timings         # per-scenario elapsed + profile rungs
+//	faithcheck -suite internet -stats           # per-scenario elapsed wall time
 //
 // With -epochs > 1 (or a suite whose specs carry a churn axis) the
 // scenario becomes a timeline: nodes join and leave between
@@ -29,36 +30,44 @@
 // identity whitewashing) — is replayed per epoch through the same
 // worker pool.
 //
-// -stats breaks a churn run's cost into the per-epoch boundary rebuild
-// (and which path built it: one central solve, or protocol sims)
-// versus the deviation sweep — what the central path saves is visible
-// here without running benchmarks. Suites with ProfileSizes
-// (internet: n∈{48,100}) additionally run honest-profiling rungs after
-// the deviation sweep: truthful construction and execution only, timed,
-// raising the size ceiling beyond what the full grid can afford.
+// -stats is the one cost report. On a static scenario it prints each
+// variant's deviation-sweep time and allocations, then one honest run
+// of each protocol on the compiled scenario: size and diameter, both
+// construction counters and, for a green-lit run, every node's
+// converged DATA2/DATA3* and the honest utilities. On a churn scenario
+// it breaks the run's cost into each epoch's central solve, the
+// per-epoch boundary rebuild (and which path built it: one central
+// solve, or protocol sims) and the deviation sweep. With -suite it
+// appends each scenario's elapsed wall time to its summary line.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/churn"
 	"repro/internal/core"
+	"repro/internal/faithful"
 	"repro/internal/fpss"
+	"repro/internal/graph"
 	"repro/internal/scenario"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "faithcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("faithcheck", flag.ContinueOnError)
 	topology := fs.String("topology", "", "topology family (figure1, clique, ring, ring-chords, random, prefattach, waxman, torus, twotier); empty = figure1, or random when -n is set")
 	n := fs.Int("n", 0, "scenario size (0 = Figure 1)")
@@ -78,8 +87,7 @@ func run(args []string) error {
 	burst := fs.Float64("burst", 0, "lossy links: mean loss-burst length in messages (requires -loss; <= 1 = independent drops)")
 	shards := fs.Int("shards", 0, "sharded settlement: shard count (0 = singleton bank)")
 	crash := fs.String("crash", "", "sharded settlement: crash-fault plan (coordinator, participant, recovery); requires -shards")
-	stats := fs.Bool("stats", false, "churn: print the per-epoch boundary-rebuild vs deviation-sweep timing/allocation breakdown (requires -epochs > 1)")
-	timings := fs.Bool("timings", false, "suite: append per-scenario elapsed wall time to every summary line (requires -suite)")
+	withStats := fs.Bool("stats", false, "print the cost report: sweep costs and honest runs (static), the per-epoch breakdown (churn), or per-scenario elapsed wall time (-suite)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -117,18 +125,7 @@ func run(args []string) error {
 		if len(shardFlags) > 0 {
 			return fmt.Errorf("shard flags (-shards/-crash) apply to single scenarios; suites define their own settlement axis (try -suite settle)")
 		}
-		if *stats {
-			return fmt.Errorf("-stats applies to a single churn scenario (-epochs > 1); for suites use -timings")
-		}
-		return runSuite(*suite, *seed, cfg, *timings)
-	}
-	if *timings {
-		return fmt.Errorf("-timings applies to suite sweeps (-suite); for a single churn scenario use -stats")
-	}
-	if *stats && *epochs <= 1 {
-		// A static scenario has no epoch boundaries: there is nothing
-		// for the breakdown to time.
-		return fmt.Errorf("-stats has nothing to time without a churn timeline; add -epochs > 1")
+		return runSuite(out, *suite, *seed, cfg, *withStats)
 	}
 	if churnFlags["epochs"] && *epochs < 1 {
 		return fmt.Errorf("-epochs must be >= 1, got %d", *epochs)
@@ -169,17 +166,21 @@ func run(args []string) error {
 		// at compile time, with the known plans in the message.
 		spec.Shards = scenario.Shards{K: *shards, Crash: *crash}
 	}
+	var stats *costStats
+	if *withStats {
+		stats = &costStats{}
+	}
 	if *epochs > 1 {
 		spec.Churn = scenario.Churn{Epochs: *epochs, Joins: *joins, Leaves: *leaves, RedrawFraction: *redraw}
-		fmt.Println("scenario:", spec.Describe())
-		return checkChurnScenario(spec, cfg, *stats)
+		fmt.Fprintln(out, "scenario:", spec.Describe())
+		return checkChurnScenario(out, spec, cfg, stats)
 	}
 	c, err := spec.Compile()
 	if err != nil {
 		return err
 	}
-	fmt.Println("scenario:", spec.Describe())
-	return checkScenario(c, cfg)
+	fmt.Fprintln(out, "scenario:", spec.Describe())
+	return checkScenario(out, c, cfg, stats)
 }
 
 // specFromFlags maps the single-scenario flags onto a scenario.Spec,
@@ -216,31 +217,25 @@ func specFromFlags(topology string, n int, workload, costs string, seed int64) (
 	return spec, nil
 }
 
-// checkScenario runs the deviation search against both protocol
-// variants of one compiled scenario.
-func checkScenario(c *scenario.Compiled, cfg core.CheckConfig) error {
-	plainSys, faithSys := c.Systems()
-	plain, err := core.CheckFaithfulnessCfg(plainSys, cfg)
-	if err != nil {
-		return err
-	}
-	report("plain FPSS", plain)
+// variantNames labels the two protocol variants, in the order every
+// report and costStats slot uses: plain, then faithful.
+var variantNames = [2]string{"plain FPSS", "extended (faithful) FPSS"}
 
-	faithfulRep, err := core.CheckFaithfulnessCfg(faithSys, cfg)
-	if err != nil {
-		return err
-	}
-	report("extended (faithful) FPSS", faithfulRep)
-	return nil
-}
-
-// churnStats is one churn scenario's -stats record: each epoch's
-// central solve, which both variants share, then per variant (plain,
-// faithful) the per-epoch boundary rebuild breakdown plus the
-// deviation sweep's cost window.
-type churnStats struct {
+// costStats is one scenario's -stats record: per variant (plain,
+// faithful) the deviation sweep's cost window. A churn scenario adds
+// each epoch's central solve, which both variants share, and each
+// variant's per-epoch boundary rebuilds.
+type costStats struct {
 	solves   []solveStat
 	variants [2]variantStats
+}
+
+// variant is slot i of a record, or nil when there is no record.
+func (s *costStats) variant(i int) *variantStats {
+	if s == nil {
+		return nil
+	}
+	return &s.variants[i]
 }
 
 // solveStat is the cost of one epoch's central solve.
@@ -250,11 +245,44 @@ type solveStat struct {
 	allocs uint64
 }
 
-// variantStats is one variant's part of a churnStats.
+// variantStats is one variant's part of a costStats.
 type variantStats struct {
 	build       []churn.BuildStat
 	sweep       time.Duration
 	sweepAllocs uint64
+}
+
+// sweep runs the deviation search against sys. A non-nil vs records
+// the search's wall time and allocations.
+func sweep(sys core.System, cfg core.CheckConfig, vs *variantStats) (core.Report, error) {
+	if vs == nil {
+		return core.CheckFaithfulnessCfg(sys, cfg)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	rep, err := core.CheckFaithfulnessCfg(sys, cfg)
+	vs.sweep = time.Since(start)
+	runtime.ReadMemStats(&m1)
+	vs.sweepAllocs = m1.Mallocs - m0.Mallocs
+	return rep, err
+}
+
+// staticReports runs the deviation search against both protocol
+// variants of one compiled scenario — the static sequence the
+// single-scenario and suite paths share. A non-nil stats records each
+// variant's sweep cost.
+func staticReports(c *scenario.Compiled, cfg core.CheckConfig, stats *costStats) (core.Report, core.Report, error) {
+	plainSys, faithSys := c.Systems()
+	plainRep, err := sweep(plainSys, cfg, stats.variant(0))
+	if err != nil {
+		return core.Report{}, core.Report{}, fmt.Errorf("%s: plain: %w", c.Spec.Describe(), err)
+	}
+	faithRep, err := sweep(faithSys, cfg, stats.variant(1))
+	if err != nil {
+		return core.Report{}, core.Report{}, fmt.Errorf("%s: faithful: %w", c.Spec.Describe(), err)
+	}
+	return plainRep, faithRep, nil
 }
 
 // churnReports builds the timeline for a dynamic spec and runs the
@@ -262,7 +290,7 @@ type variantStats struct {
 // sequence the single-scenario and suite paths share. The faithful
 // System is returned alive so callers can read its honest ledger. A
 // non-nil stats turns on the solve, boundary and sweep cost breakdown.
-func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *churnStats) (*churn.Timeline, core.Report, core.Report, *churn.System, error) {
+func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *costStats) (*churn.Timeline, core.Report, core.Report, *churn.System, error) {
 	tl, err := churn.Build(sp)
 	if err != nil {
 		return nil, core.Report{}, core.Report{}, nil, err
@@ -289,8 +317,8 @@ func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *churnStats) (*c
 	cfg.PerEpoch = true
 	check := func(i int, v churn.Variant) (core.Report, *churn.System, error) {
 		sys := churn.NewSystem(tl, v)
-		if stats != nil {
-			vs := &stats.variants[i]
+		vs := stats.variant(i)
+		if vs != nil {
 			// BuildStats forces init, so the boundary rebuilds are done —
 			// and separately accounted — before the sweep window opens.
 			sys.EnableBuildStats()
@@ -299,16 +327,8 @@ func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *churnStats) (*c
 				return core.Report{}, nil, err
 			}
 			vs.build = bs
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			rep, err := core.CheckFaithfulnessCfg(sys, cfg)
-			vs.sweep = time.Since(start)
-			runtime.ReadMemStats(&m1)
-			vs.sweepAllocs = m1.Mallocs - m0.Mallocs
-			return rep, sys, err
 		}
-		rep, err := core.CheckFaithfulnessCfg(sys, cfg)
+		rep, err := sweep(sys, cfg, vs)
 		return rep, sys, err
 	}
 	plainRep, _, err := check(0, churn.Plain)
@@ -322,59 +342,135 @@ func churnReports(sp scenario.Spec, cfg core.CheckConfig, stats *churnStats) (*c
 	return tl, plainRep, faithRep, faithSys, nil
 }
 
+// checkScenario is the verbose single-scenario static path: both
+// reports and, with a stats record, each variant's sweep cost and the
+// honest runs.
+func checkScenario(out io.Writer, c *scenario.Compiled, cfg core.CheckConfig, stats *costStats) error {
+	plainRep, faithRep, err := staticReports(c, cfg, stats)
+	if err != nil {
+		return err
+	}
+	report(out, variantNames[0], plainRep)
+	report(out, variantNames[1], faithRep)
+	if stats == nil {
+		return nil
+	}
+	printCosts(out, stats)
+	return honestRuns(out, c)
+}
+
 // checkChurnScenario is the verbose single-scenario churn path: the
 // membership timeline, both reports, and the honest ledger.
-func checkChurnScenario(sp scenario.Spec, cfg core.CheckConfig, withStats bool) error {
-	var stats *churnStats
-	if withStats {
-		stats = &churnStats{}
-	}
+func checkChurnScenario(out io.Writer, sp scenario.Spec, cfg core.CheckConfig, stats *costStats) error {
 	tl, plainRep, faithRep, faithSys, err := churnReports(sp, cfg, stats)
 	if err != nil {
 		return err
 	}
 	for _, e := range tl.Epochs {
 		if e.Index == 0 {
-			fmt.Printf("epoch 1: n=%d\n", e.N())
+			fmt.Fprintf(out, "epoch 1: n=%d\n", e.N())
 			continue
 		}
-		fmt.Printf("epoch %d: n=%d joined=%v left=%v\n", e.Index+1, e.N(), e.Joined, e.Left)
+		fmt.Fprintf(out, "epoch %d: n=%d joined=%v left=%v\n", e.Index+1, e.N(), e.Joined, e.Left)
 	}
-	report("plain FPSS", plainRep)
-	report("extended (faithful) FPSS", faithRep)
-	if withStats {
-		if len(stats.solves) > 0 {
-			fmt.Println("\ncentral solves (shared by both variants):")
-			for _, cs := range stats.solves {
-				fmt.Printf("  epoch %d solve:    took=%-12v allocs=%d\n", cs.epoch+1, cs.took, cs.allocs)
-			}
-		}
-		for i, name := range []string{"plain FPSS", "extended (faithful) FPSS"} {
-			fmt.Printf("\n%s cost breakdown:\n", name)
-			var total time.Duration
-			var totalAllocs uint64
-			for _, bs := range stats.variants[i].build {
-				fmt.Printf("  epoch %d boundary: mode=%-7s rebuild=%-12v allocs=%d\n",
-					bs.Epoch+1, bs.Mode, bs.Rebuild, bs.Allocs)
-				total += bs.Rebuild
-				totalAllocs += bs.Allocs
-			}
-			fmt.Printf("  boundary total:   %v (%d allocs)\n", total, totalAllocs)
-			fmt.Printf("  deviation sweep:  %v (%d allocs)\n", stats.variants[i].sweep, stats.variants[i].sweepAllocs)
-		}
+	report(out, variantNames[0], plainRep)
+	report(out, variantNames[1], faithRep)
+	if stats != nil {
+		printCosts(out, stats)
 	}
 
 	ledger, err := faithSys.Ledger()
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nhonest carry-forward ledger (extended spec):")
+	fmt.Fprintln(out, "\nhonest carry-forward ledger (extended spec):")
 	for _, acct := range ledger.Accounts() {
 		status := "open"
 		if ledger.Settled(acct) {
 			status = "settled"
 		}
-		fmt.Printf("  identity %d: balance=%d (%s)\n", acct, ledger.Balance(acct), status)
+		fmt.Fprintf(out, "  identity %d: balance=%d (%s)\n", acct, ledger.Balance(acct), status)
+	}
+	return nil
+}
+
+// printCosts prints a -stats record: the central solves, then per
+// variant its boundary rebuilds (a churn scenario only) and its sweep.
+func printCosts(out io.Writer, stats *costStats) {
+	if len(stats.solves) > 0 {
+		fmt.Fprintln(out, "\ncentral solves (shared by both variants):")
+		for _, cs := range stats.solves {
+			fmt.Fprintf(out, "  epoch %d solve:    took=%-12v allocs=%d\n", cs.epoch+1, cs.took, cs.allocs)
+		}
+	}
+	for i, vs := range stats.variants {
+		fmt.Fprintf(out, "\n%s cost breakdown:\n", variantNames[i])
+		if len(vs.build) > 0 {
+			var total time.Duration
+			var totalAllocs uint64
+			for _, bs := range vs.build {
+				fmt.Fprintf(out, "  epoch %d boundary: mode=%-7s rebuild=%-12v allocs=%d\n",
+					bs.Epoch+1, bs.Mode, bs.Rebuild, bs.Allocs)
+				total += bs.Rebuild
+				totalAllocs += bs.Allocs
+			}
+			fmt.Fprintf(out, "  boundary total:   %v (%d allocs)\n", total, totalAllocs)
+		}
+		fmt.Fprintf(out, "  deviation sweep:  %v (%d allocs)\n", vs.sweep, vs.sweepAllocs)
+	}
+}
+
+// honestRuns prints one honest run of each protocol on the compiled
+// scenario: its size and diameter, both construction counters and, when
+// the faithful run is green-lit, every node's converged DATA2 (cost and
+// path per destination) with its DATA3* row, and the honest utilities.
+func honestRuns(out io.Writer, c *scenario.Compiled) error {
+	g := c.Graph
+	diameter, err := g.Diameter()
+	if err != nil {
+		return fmt.Errorf("diameter: %w", err)
+	}
+	fmt.Fprintf(out, "\nhonest runs: n=%d, edges=%d, diameter=%d\n", g.N(), g.M(), diameter)
+	plain, err := fpss.Run(fpss.Config{Graph: g, Loss: c.Params.Loss})
+	if err != nil {
+		return fmt.Errorf("honest plain run: %w", err)
+	}
+	fmt.Fprintf(out, "%s: phase 1: %d msgs; phase 2 (cumulative): %d msgs, %d bytes\n",
+		variantNames[0], plain.Phase1.Sent, plain.Phase2.Sent, plain.Phase2.Bytes)
+	res, err := faithful.Run(c.FaithfulConfig())
+	if err != nil {
+		return fmt.Errorf("honest faithful run: %w", err)
+	}
+	fmt.Fprintf(out, "%s: construction: %d msgs, %d bytes; green-lit: %v\n",
+		variantNames[1], res.Construction.Sent, res.Construction.Bytes, res.Completed)
+	for _, d := range res.Detections {
+		fmt.Fprintln(out, "detection:", d)
+	}
+	if !res.Completed {
+		return nil
+	}
+	for id := range graph.NodeID(g.N()) {
+		node := res.Nodes[id]
+		fmt.Fprintf(out, "node %s:\n", g.Name(id))
+		for d, e := range node.Routing().All() {
+			path := make([]string, len(e.Path))
+			for j, hop := range e.Path {
+				path[j] = g.Name(hop)
+			}
+			fmt.Fprintf(out, "  →%s cost=%d path=%s", g.Name(d), e.Cost, strings.Join(path, "-"))
+			if row := node.Pricing().Row(d); row != nil {
+				var prices []string
+				for _, k := range slices.Sorted(maps.Keys(row)) {
+					prices = append(prices, fmt.Sprintf("%s:%d", g.Name(k), row[k].Price))
+				}
+				fmt.Fprintf(out, " prices{%s}", strings.Join(prices, " "))
+			}
+			fmt.Fprintln(out)
+		}
+	}
+	fmt.Fprintln(out, "utilities:")
+	for _, id := range slices.Sorted(maps.Keys(res.Utilities)) {
+		fmt.Fprintf(out, "  %s: %d\n", g.Name(id), res.Utilities[id])
 	}
 	return nil
 }
@@ -382,15 +478,14 @@ func checkChurnScenario(sp scenario.Spec, cfg core.CheckConfig, withStats bool) 
 // runSuite streams every scenario of a named suite through the
 // worker-pool checker, one summary line per scenario, then a verdict
 // over the whole sweep. Output is deterministic per (suite, seed);
-// timings appends per-scenario wall time (which is not). Scenarios at
+// withStats appends per-scenario wall time (which is not). Scenarios at
 // n >= 16 get the profit-bound pruned checker automatically unless the
 // caller configured a bound already — at that size the unpruned grid
-// is what holds suites below internet scale. After the sweep, suites
-// with a profiling tier run their honest rungs (see runProfileTier).
-func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error {
+// is what holds suites below internet scale.
+func runSuite(out io.Writer, name string, seed int64, cfg core.CheckConfig, withStats bool) error {
 	if name == "list" {
 		for _, s := range scenario.Suites() {
-			fmt.Printf("%-12s %3d scenarios  %s\n", s.Name, len(s.Specs(seed)), s.Description)
+			fmt.Fprintf(out, "%-12s %3d scenarios  %s\n", s.Name, len(s.Specs(seed)), s.Description)
 		}
 		return nil
 	}
@@ -399,7 +494,7 @@ func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error
 		return fmt.Errorf("unknown suite %q (available: %v)", name, scenario.SuiteNames())
 	}
 	specs := s.Specs(seed)
-	fmt.Printf("suite %s seed=%d: %d scenarios\n", s.Name, seed, len(specs))
+	fmt.Fprintf(out, "suite %s seed=%d: %d scenarios\n", s.Name, seed, len(specs))
 	plainManipulable, faithfulClean := 0, 0
 	for i, spec := range specs {
 		start := time.Now()
@@ -411,24 +506,18 @@ func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error
 			specCfg.Prune = true
 		}
 		var plainRep, faithRep core.Report
+		var err error
 		if spec.Churn.Dynamic() {
 			// Dynamic scenario: per-epoch grid through the churn engine.
-			var err error
-			if _, plainRep, faithRep, _, err = churnReports(spec, specCfg, nil); err != nil {
-				return err
-			}
+			_, plainRep, faithRep, _, err = churnReports(spec, specCfg, nil)
 		} else {
-			c, err := spec.Compile()
-			if err != nil {
-				return err
+			var c *scenario.Compiled
+			if c, err = spec.Compile(); err == nil {
+				plainRep, faithRep, err = staticReports(c, specCfg, nil)
 			}
-			plainSys, faithSys := c.Systems()
-			if plainRep, err = core.CheckFaithfulnessCfg(plainSys, specCfg); err != nil {
-				return fmt.Errorf("%s: plain: %w", spec.Describe(), err)
-			}
-			if faithRep, err = core.CheckFaithfulnessCfg(faithSys, specCfg); err != nil {
-				return fmt.Errorf("%s: faithful: %w", spec.Describe(), err)
-			}
+		}
+		if err != nil {
+			return err
 		}
 		if len(plainRep.Violations) > 0 {
 			plainManipulable++
@@ -445,17 +534,17 @@ func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error
 			tag = " [plain non-manipulable]"
 		}
 		elapsed := ""
-		if timings {
+		if withStats {
 			elapsed = fmt.Sprintf(" [%v]", time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Printf("[%d/%d] %s: plain violations=%d%s, faithful=%v (checked %d/%d plays, pruned %d)%s\n",
+		fmt.Fprintf(out, "[%d/%d] %s: plain violations=%d%s, faithful=%v (checked %d/%d plays, pruned %d)%s\n",
 			i+1, len(specs), spec.Describe(), len(plainRep.Violations), tag, faithRep.Faithful(),
 			faithRep.Checked, faithRep.Total(), faithRep.Pruned, elapsed)
 		for _, v := range faithRep.Violations {
-			fmt.Printf("        faithful violation: %s\n", v)
+			fmt.Fprintf(out, "        faithful violation: %s\n", v)
 		}
 	}
-	fmt.Printf("suite %s: plain FPSS manipulable in %d/%d scenarios; extended spec faithful in %d/%d\n",
+	fmt.Fprintf(out, "suite %s: plain FPSS manipulable in %d/%d scenarios; extended spec faithful in %d/%d\n",
 		s.Name, plainManipulable, len(specs), faithfulClean, len(specs))
 	// A faithfulness violation is the sweep's failure mode: exit
 	// non-zero so a CI lane running `faithcheck -suite` actually gates
@@ -464,56 +553,13 @@ func runSuite(name string, seed int64, cfg core.CheckConfig, timings bool) error
 	if faithfulClean < len(specs) {
 		return fmt.Errorf("extended specification violated in %d/%d scenarios", len(specs)-faithfulClean, len(specs))
 	}
-	return runProfileTier(s, seed, timings)
-}
-
-// runProfileTier runs a suite's honest-profiling rungs: sizes above
-// the deviation-search ceiling at which only the truthful profile is
-// built — central construction, both variants seeded from the one
-// solution, and both honest snapshots executed (the faithful one
-// audited) — so construction scales are exercised and timed where the
-// full grid is not yet affordable.
-func runProfileTier(s scenario.Suite, seed int64, timings bool) error {
-	profiles := s.ProfileSpecs(seed)
-	if len(profiles) == 0 {
-		return nil
-	}
-	fmt.Printf("\nprofile tier (honest construction + execution, no deviation grid): %d rungs\n", len(profiles))
-	for i, sp := range profiles {
-		start := time.Now()
-		c, err := sp.Compile()
-		if err != nil {
-			return fmt.Errorf("profile %s: %w", sp.Describe(), err)
-		}
-		centralStart := time.Now()
-		sol, err := fpss.ComputeCentral(c.Graph)
-		if err != nil {
-			return fmt.Errorf("profile %s: central: %w", sp.Describe(), err)
-		}
-		central := time.Since(centralStart)
-		plainSys, faithSys := c.Systems()
-		plainSys.SeedHonest(sol)
-		faithSys.SeedHonest(sol)
-		if _, err := plainSys.Snapshot(); err != nil {
-			return fmt.Errorf("profile %s: plain snapshot: %w", sp.Describe(), err)
-		}
-		if _, err := faithSys.Snapshot(); err != nil {
-			return fmt.Errorf("profile %s: faithful snapshot: %w", sp.Describe(), err)
-		}
-		elapsed := ""
-		if timings {
-			elapsed = fmt.Sprintf(" [total %v, central %v]",
-				time.Since(start).Round(time.Millisecond), central.Round(time.Millisecond))
-		}
-		fmt.Printf("[profile %d/%d] %s: honest profile ok%s\n", i+1, len(profiles), sp.Describe(), elapsed)
-	}
 	return nil
 }
 
-func report(name string, r core.Report) {
-	fmt.Printf("\n%s: checked %d of %d deviation plays (%d pruned)\n", name, r.Checked, r.Total(), r.Pruned)
-	fmt.Printf("  IC=%v CC=%v AC=%v faithful=%v\n", r.IC(), r.CC(), r.AC(), r.Faithful())
+func report(out io.Writer, name string, r core.Report) {
+	fmt.Fprintf(out, "\n%s: checked %d of %d deviation plays (%d pruned)\n", name, r.Checked, r.Total(), r.Pruned)
+	fmt.Fprintf(out, "  IC=%v CC=%v AC=%v faithful=%v\n", r.IC(), r.CC(), r.AC(), r.Faithful())
 	for _, v := range r.Violations {
-		fmt.Printf("  violation: %s\n", v)
+		fmt.Fprintf(out, "  violation: %s\n", v)
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +14,7 @@ func TestRunRandomScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deviation search")
 	}
-	if err := run([]string{"-n", "4", "-seed", "2"}); err != nil {
+	if err := run([]string{"-n", "4", "-seed", "2"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck: %v", err)
 	}
 }
@@ -20,7 +23,7 @@ func TestRunScenarioFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deviation search")
 	}
-	if err := run([]string{"-topology", "twotier", "-n", "6", "-workload", "hotspot", "-costs", "uniform", "-seed", "3"}); err != nil {
+	if err := run([]string{"-topology", "twotier", "-n", "6", "-workload", "hotspot", "-costs", "uniform", "-seed", "3"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck: %v", err)
 	}
 }
@@ -29,7 +32,7 @@ func TestRunChurnScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full per-epoch deviation search")
 	}
-	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-joins", "1", "-leaves", "1"}); err != nil {
+	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-joins", "1", "-leaves", "1"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -epochs: %v", err)
 	}
 }
@@ -38,7 +41,7 @@ func TestRunLossScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deviation search")
 	}
-	if err := run([]string{"-n", "4", "-seed", "2", "-loss", "0.1", "-burst", "3"}); err != nil {
+	if err := run([]string{"-n", "4", "-seed", "2", "-loss", "0.1", "-burst", "3"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -loss: %v", err)
 	}
 }
@@ -47,7 +50,7 @@ func TestRunLossChurnScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full per-epoch deviation search")
 	}
-	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-loss", "0.1"}); err != nil {
+	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-loss", "0.1"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -epochs -loss: %v", err)
 	}
 }
@@ -56,7 +59,7 @@ func TestRunShardScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deviation search")
 	}
-	if err := run([]string{"-n", "4", "-seed", "2", "-shards", "2", "-crash", "participant"}); err != nil {
+	if err := run([]string{"-n", "4", "-seed", "2", "-shards", "2", "-crash", "participant"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -shards: %v", err)
 	}
 }
@@ -65,19 +68,19 @@ func TestRunShardChurnScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full per-epoch deviation search")
 	}
-	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-shards", "2"}); err != nil {
+	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-shards", "2"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -epochs -shards: %v", err)
 	}
 }
 
 func TestRunSuiteList(t *testing.T) {
-	if err := run([]string{"-suite", "list"}); err != nil {
+	if err := run([]string{"-suite", "list"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -suite list: %v", err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Error("bad flag should error")
 	}
 }
@@ -124,18 +127,9 @@ func TestRunBadScenario(t *testing.T) {
 		{"-n", "5", "-shards", "0"},
 		{"-n", "5", "-shards", "-2"},
 		{"-n", "5", "-shards", "2", "-crash", "meteor"},
-		// -stats times epoch boundaries; without a churn timeline there
-		// is nothing to time, and for suites the per-scenario knob is
-		// -timings.
-		{"-stats"},
-		{"-n", "5", "-stats"},
-		{"-suite", "smoke", "-stats"},
-		// -timings is the suite-mode knob.
-		{"-timings"},
-		{"-n", "5", "-epochs", "2", "-timings"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v should error", args)
 		}
 	}
@@ -145,14 +139,14 @@ func TestRunChurnStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full per-epoch deviation search")
 	}
-	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-stats"}); err != nil {
+	if err := run([]string{"-n", "5", "-seed", "2", "-epochs", "2", "-stats"}, io.Discard); err != nil {
 		t.Fatalf("faithcheck -stats: %v", err)
 	}
 	// Each epoch's central solve is shared by both variants, so it is
 	// charged to neither: a boundary that allocates as much as the
 	// solve has paid for it.
 	sp := scenario.Spec{Family: scenario.Random, N: 6, Seed: 1, Churn: scenario.Churn{Epochs: 3, Joins: 1, Leaves: 1, RedrawFraction: 0.25}}
-	var stats churnStats
+	var stats costStats
 	if _, _, _, _, err := churnReports(sp, core.CheckConfig{Workers: 1}, &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -172,24 +166,70 @@ func TestRunChurnStats(t *testing.T) {
 	}
 }
 
-// TestRunProfileTier drives the honest-profiling rungs directly with a
-// small ad-hoc suite (the registered internet tier's n∈{48,100} rungs
-// belong to the nightly lane, not the unit tests).
-func TestRunProfileTier(t *testing.T) {
-	s := scenario.Suite{
-		Name:         "profile-test",
-		Families:     []scenario.Family{scenario.PrefAttach, scenario.Waxman},
-		Sizes:        []int{6},
-		Workloads:    []scenario.Workload{scenario.WorkloadAllPairs},
-		CostModels:   []scenario.CostModel{scenario.CostUniform},
-		ProfileSizes: []int{12, 16},
+// figure1Honest is what -stats prints for Figure 1's honest runs:
+// both protocols' construction counters, every node's converged
+// DATA2/DATA3* and the honest utilities.
+const figure1Honest = `
+honest runs: n=6, edges=7, diameter=3
+plain FPSS: phase 1: 84 msgs; phase 2 (cumulative): 176 msgs, 737 bytes
+extended (faithful) FPSS: construction: 306 msgs, 2024 bytes; green-lit: true
+node A:
+  →B cost=7 path=A-X-D-B prices{D:94 X:99}
+  →C cost=7 path=A-X-D-C prices{D:94 X:99}
+  →D cost=6 path=A-X-D prices{X:101}
+  →X cost=0 path=A-X
+  →Z cost=0 path=A-Z
+node B:
+  →A cost=7 path=B-D-X-A prices{D:94 X:99}
+  →C cost=1 path=B-D-C prices{D:100}
+  →D cost=0 path=B-D
+  →X cost=1 path=B-D-X prices{D:105}
+  →Z cost=0 path=B-Z
+node C:
+  →A cost=7 path=C-D-X-A prices{D:94 X:99}
+  →B cost=1 path=C-D-B prices{D:100}
+  →D cost=0 path=C-D
+  →X cost=1 path=C-D-X prices{D:105}
+  →Z cost=0 path=C-Z
+node D:
+  →A cost=6 path=D-X-A prices{X:101}
+  →B cost=0 path=D-B
+  →C cost=0 path=D-C
+  →X cost=0 path=D-X
+  →Z cost=1 path=D-C-Z prices{C:11}
+node X:
+  →A cost=0 path=X-A
+  →B cost=1 path=X-D-B prices{D:105}
+  →C cost=1 path=X-D-C prices{D:105}
+  →D cost=0 path=X-D
+  →Z cost=2 path=X-D-C-Z prices{C:4 D:4}
+node Z:
+  →A cost=0 path=Z-A
+  →B cost=0 path=Z-B
+  →C cost=0 path=Z-C
+  →D cost=1 path=Z-C-D prices{C:11}
+  →X cost=2 path=Z-C-D-X prices{C:4 D:4}
+utilities:
+  A: 49513
+  B: 49602
+  C: 49628
+  D: 50880
+  X: 50344
+  Z: 49981
+`
+
+// TestRunStatsFigure1 pins the static -stats report on Figure 1: one
+// sweep-cost line per variant, then the honest runs verbatim.
+func TestRunStatsFigure1(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-stats", "-workers", "1"}, &out); err != nil {
+		t.Fatalf("faithcheck -stats: %v", err)
 	}
-	if err := runProfileTier(s, 1, true); err != nil {
-		t.Fatalf("runProfileTier: %v", err)
+	got := out.String()
+	if n := strings.Count(got, "  deviation sweep:  "); n != 2 {
+		t.Errorf("%d deviation-sweep lines, want one per variant:\n%s", n, got)
 	}
-	// No profiling tier: a silent no-op.
-	s.ProfileSizes = nil
-	if err := runProfileTier(s, 1, false); err != nil {
-		t.Fatalf("runProfileTier (empty): %v", err)
+	if !strings.HasSuffix(got, figure1Honest) {
+		t.Errorf("honest runs differ; got:\n%s\nwant suffix:%s", got, figure1Honest)
 	}
 }

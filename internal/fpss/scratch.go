@@ -38,9 +38,13 @@ type ComputeScratch struct {
 // The arena's first chunk holds minChunk IDs; each later chunk doubles
 // up to maxChunk. Small enough that a node of a small network uses most
 // of what it takes, big enough that chunk turnover is noise at scale.
+// maxChunk is one ID short of 4096 so that a capped chunk, 32,760 bytes,
+// stays a small-object allocation: the runtime sends any request above
+// 32 KiB minus its 8-byte malloc header to the large-object allocator,
+// which gives each chunk its own span, even for pointer-free memory.
 const (
 	minChunk = 256
-	maxChunk = 4096
+	maxChunk = 4095
 )
 
 // allocIDs reserves a zero-length slice with capacity n in the arena.

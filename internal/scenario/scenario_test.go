@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ func validSpecs() []Spec {
 		{Family: Ring, N: 7, Workload: WorkloadHotspot, Seed: 3},
 		{Family: RingChords, N: 9, ExtraEdges: 3, CostModel: CostBimodal, Seed: 4},
 		{Family: Random, N: 8, Workload: WorkloadSparse, CostModel: CostUniform, Seed: 5},
-		{Family: PrefAttach, N: 16, Degree: 2, Workload: WorkloadGossip, CostModel: CostHeavyTailed, Seed: 6},
+		{Family: PrefAttach, N: 16, Workload: WorkloadGossip, CostModel: CostHeavyTailed, Seed: 6},
 		{Family: Waxman, N: 14, Workload: WorkloadHotspot, CostModel: CostBimodal, Seed: 7},
 		{Family: Torus, N: 12, Workload: WorkloadGossip, Seed: 8},
 		{Family: TwoTier, N: 12, Workload: WorkloadSparse, CostModel: CostHeavyTailed, Seed: 9},
@@ -75,6 +76,62 @@ func TestCompileDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Params.Traffic, b.Params.Traffic) {
 			t.Errorf("%s: traffic differs across compilations", sp.Describe())
+		}
+	}
+}
+
+// TestDescribeNamesEveryCompiledField perturbs one Compile input at a
+// time and fails when the compiled graph, costs or parameters change
+// while the label does not: Describe is the suite identity, so specs
+// that compile differently must never share a label.
+func TestDescribeNamesEveryCompiledField(t *testing.T) {
+	bases := []Spec{
+		{Family: Random, N: 8, Seed: 3},
+		{Family: RingChords, N: 9, Seed: 4},
+		{Family: PrefAttach, N: 10, Workload: WorkloadGossip, Seed: 5},
+		{Family: Figure1, Seed: 1},
+	}
+	perturbations := []struct {
+		field string
+		edit  func(*Spec)
+	}{
+		{"none", func(*Spec) {}},
+		{"N", func(s *Spec) { s.N += 2 }},
+		{"ExtraEdges", func(s *Spec) { s.ExtraEdges = 7 }},
+		{"NoExtraEdges", func(s *Spec) { s.ExtraEdges = NoExtraEdges }},
+		{"MaxCost", func(s *Spec) { s.MaxCost = 50 }},
+		{"CostModel", func(s *Spec) { s.CostModel = CostHeavyTailed }},
+		{"Workload", func(s *Spec) { s.Workload = WorkloadHotspot }},
+		{"Packets", func(s *Spec) { s.Packets = 3 }},
+		{"CheckerLimit", func(s *Spec) { s.CheckerLimit = 1 }},
+		{"Scheme", func(s *Spec) { s.Scheme = fpss.SchemeDeclaredCost }},
+		{"Loss.Rate", func(s *Spec) { s.Loss.Rate = 0.1 }},
+		{"Loss.Burst", func(s *Spec) { s.Loss = Loss{Rate: 0.1, Burst: 3} }},
+		{"Loss.SeedSalt", func(s *Spec) { s.Loss = Loss{Rate: 0.1, SeedSalt: 9} }},
+		{"Shards.K", func(s *Spec) { s.Shards.K = 2 }},
+		{"Shards.Crash", func(s *Spec) { s.Shards = Shards{K: 2, Crash: "participant"} }},
+		{"Shards.SeedSalt", func(s *Spec) { s.Shards = Shards{K: 2, SeedSalt: 9} }},
+		{"Seed", func(s *Spec) { s.Seed++ }},
+	}
+	for _, base := range bases {
+		first := map[string]string{} // label → the first perturbation with it
+		built := map[string]string{} // label → what that perturbation compiled
+		for _, p := range perturbations {
+			sp := base
+			p.edit(&sp)
+			c, err := sp.Compile()
+			if err != nil {
+				continue // an input the family rejects, such as Figure 1's size
+			}
+			// fmt prints maps in key order, so equal compilations print equal.
+			got := fmt.Sprint(c.Graph.Edges(), c.ExecConfig().TrueCosts, c.Params)
+			label := sp.Describe()
+			if prev, ok := built[label]; !ok {
+				first[label], built[label] = p.field, got
+			} else if prev != got {
+				t.Errorf("%s: perturbing %s compiles differently from %s under one label %q",
+					base.Describe(), p.field, first[label], label)
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ const (
 	// (graph.RandomBiconnected).
 	Random Family = "random"
 	// PrefAttach is a Barabási–Albert-style scale-free graph with
-	// attachment degree Degree, biconnected-repaired.
+	// attachment degree 2, biconnected-repaired.
 	PrefAttach Family = "prefattach"
 	// Waxman is the geometric random graph (nodes in the unit square,
 	// distance-decaying edge probability), biconnected-repaired.
@@ -108,8 +108,8 @@ const (
 	WorkloadHotspot Workload = "hotspot"
 	// WorkloadSparse samples ~2·N distinct random ordered pairs.
 	WorkloadSparse Workload = "sparse"
-	// WorkloadGossip has every node send to Degree (default 3) random
-	// distinct peers.
+	// WorkloadGossip has every node send to 3 random distinct peers
+	// (all of them when there are fewer).
 	WorkloadGossip Workload = "gossip"
 )
 
@@ -249,9 +249,6 @@ type Spec struct {
 	// family default N/2 and NoExtraEdges means exactly zero chords
 	// (see Chords).
 	ExtraEdges int
-	// Degree is the attachment degree for PrefAttach (default 2) and
-	// the per-node fan-out for WorkloadGossip (default 3).
-	Degree int
 	// MaxCost scales the cost model (default 10).
 	MaxCost graph.Cost
 	// CostModel selects the transit-cost distribution.
@@ -501,11 +498,7 @@ func (s Spec) buildGraph(rng *rand.Rand) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := s.Degree
-		if m == 0 {
-			m = 2
-		}
-		return graph.PreferentialAttachment(s.N, m, cost, rng)
+		return graph.PreferentialAttachment(s.N, 2, cost, rng)
 	case Waxman:
 		cost, err := s.costFn()
 		if err != nil {
@@ -635,13 +628,7 @@ func (s Spec) buildTraffic(n int, rng *rand.Rand) (fpss.Traffic, error) {
 		}
 		return t, nil
 	case WorkloadGossip:
-		fanout := s.Degree
-		if fanout == 0 {
-			fanout = 3
-		}
-		if fanout > n-1 {
-			fanout = n - 1
-		}
+		fanout := min(3, n-1)
 		t := make(fpss.Traffic, n*fanout)
 		for i := 0; i < n; i++ {
 			src := graph.NodeID(i)
@@ -723,14 +710,27 @@ func (s Spec) describeTopology() string {
 }
 
 // Describe renders the Spec as a stable one-line label, e.g.
-// "prefattach n=24 costs=heavy-tailed workload=hotspot seed=7".
+// "prefattach n=24 costs=heavy-tailed workload=hotspot seed=7". It is
+// the scenario's identity for suite seed derivation and dedup, so every
+// field that changes what Compile builds renders here whenever it is
+// not at its default; an omitted field would let distinct specs
+// collide.
 func (s Spec) Describe() string {
 	parts := []string{s.describeTopology()}
+	if (s.Family == RingChords || s.Family == Random) && s.ExtraEdges != 0 {
+		parts = append(parts, fmt.Sprintf("chords=%d", max(s.ExtraEdges, 0)))
+	}
+	if s.Family != Figure1 && s.MaxCost > 0 {
+		parts = append(parts, fmt.Sprintf("maxcost=%d", s.MaxCost))
+	}
 	if s.CostModel != CostDefault {
 		parts = append(parts, "costs="+string(s.CostModel))
 	}
 	if s.Workload != WorkloadDefault {
 		parts = append(parts, "workload="+string(s.Workload))
+	}
+	if s.Packets > 1 {
+		parts = append(parts, fmt.Sprintf("packets=%d", s.Packets))
 	}
 	if s.CheckerLimit > 0 {
 		parts = append(parts, fmt.Sprintf("checkers=%d", s.CheckerLimit))
@@ -739,10 +739,8 @@ func (s Spec) Describe() string {
 		parts = append(parts, "scheme=declared-cost")
 	}
 	if s.Churn.Dynamic() {
-		// Every Churn field that changes the timeline must render here:
-		// Describe is the scenario's identity for suite seed derivation
-		// and dedup, so an omitted field would let behaviorally distinct
-		// specs collide. %g keeps the full RedrawFraction precision.
+		// Every Churn field that changes the timeline renders, by the
+		// same identity rule. %g keeps the full RedrawFraction precision.
 		churn := fmt.Sprintf("epochs=%d join=%d leave=%d", s.Churn.Epochs, s.Churn.Joins, s.Churn.Leaves)
 		if s.Churn.RedrawFraction > 0 {
 			churn += fmt.Sprintf(" redraw=%g", s.Churn.RedrawFraction)

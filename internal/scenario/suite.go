@@ -30,9 +30,6 @@ type Suite struct {
 	Sizes      []int
 	Workloads  []Workload
 	CostModels []CostModel
-	// Packets / CheckerLimit are applied uniformly to every Spec.
-	Packets      int64
-	CheckerLimit int
 	// Churn applies epoch dynamics uniformly to every Spec (zero value
 	// = static). Dynamic suites are swept through the churn engine by
 	// faithcheck instead of the single-epoch checker.
@@ -44,13 +41,14 @@ type Suite struct {
 	// every Spec (zero value = singleton bank).
 	Shards Shards
 	// ProfileSizes are the honest-profiling rungs above the suite's
-	// deviation-search ceiling: sizes at which faithcheck builds and
-	// executes only the truthful profile (central construction + both
-	// protocol variants' honest snapshots) instead of sweeping the
-	// deviation grid. They raise the suite's size ceiling to where the
-	// full search is not yet affordable — n=100+ for internet — while
-	// still exercising (and timing) every construction path at that
-	// scale. Empty means the suite has no profiling tier.
+	// deviation-search ceiling: sizes at which only the truthful
+	// profile is built (central construction + both protocol variants'
+	// honest snapshots) instead of sweeping the deviation grid. They
+	// raise the suite's size ceiling to where the full search is not yet
+	// affordable — n=100+ for internet — while still exercising every
+	// construction path at that scale. perfbench's build workload reads
+	// the internet suite's rungs through ProfileSpecs and times them.
+	// Empty means the suite has no profiling tier.
 	ProfileSizes []int
 }
 
@@ -67,15 +65,13 @@ func (s Suite) Specs(seed int64) []Spec {
 			for _, w := range s.Workloads {
 				for _, cm := range s.CostModels {
 					sp := Spec{
-						Family:       fam,
-						N:            n,
-						Workload:     w,
-						CostModel:    cm,
-						Packets:      s.Packets,
-						CheckerLimit: s.CheckerLimit,
-						Churn:        s.Churn,
-						Loss:         s.Loss,
-						Shards:       s.Shards,
+						Family:    fam,
+						N:         n,
+						Workload:  w,
+						CostModel: cm,
+						Churn:     s.Churn,
+						Loss:      s.Loss,
+						Shards:    s.Shards,
 					}
 					if fam == Figure1 {
 						// Figure1 is fixed-size with fixed costs; the
@@ -99,7 +95,8 @@ func (s Suite) Specs(seed int64) []Spec {
 // every ProfileSizes rung, under the suite's first workload and cost
 // model (the profile times construction, not the demand-matrix axis).
 // Seeds derive exactly like Specs', so a profile scenario is
-// reproducible from the same base seed.
+// reproducible from the same base seed. perfbench's build workload
+// compiles, solves, seeds and snapshots these specs.
 func (s Suite) ProfileSpecs(seed int64) []Spec {
 	if len(s.ProfileSizes) == 0 {
 		return nil
@@ -119,12 +116,10 @@ func (s Suite) ProfileSpecs(seed int64) []Spec {
 		}
 		for _, n := range s.ProfileSizes {
 			sp := Spec{
-				Family:       fam,
-				N:            n,
-				Workload:     w,
-				CostModel:    cm,
-				Packets:      s.Packets,
-				CheckerLimit: s.CheckerLimit,
+				Family:    fam,
+				N:         n,
+				Workload:  w,
+				CostModel: cm,
 			}
 			sp.Seed = deriveSeed(seed, sp)
 			specs = append(specs, sp)
@@ -221,9 +216,9 @@ func init() {
 	// internet: the headline sweep — every Internet-like family under
 	// every cost model and the asymmetric workloads. The deviation
 	// search sweeps n∈{12,24}; above that the honest-profiling rungs
-	// (n∈{48,100}) build and time the truthful profile only — central
-	// construction is cheap enough that the ceiling is the search grid,
-	// not the build.
+	// (n∈{48,100}) build the truthful profile only, in perfbench's
+	// build workload — central construction is cheap enough that the
+	// ceiling is the search grid, not the build.
 	RegisterSuite(Suite{
 		Name:         "internet",
 		Description:  "Internet-like families × all cost models × asymmetric workloads",
