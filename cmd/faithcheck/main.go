@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 	costs := fs.String("costs", "", "cost model (uniform, heavy-tailed, bimodal); empty = family default")
 	suite := fs.String("suite", "", "sweep a named scenario suite instead of a single scenario ('list' prints the available suites)")
 	seed := fs.Int64("seed", 1, "rng seed (single scenario) or suite base seed")
-	workers := fs.Int("workers", 0, "deviation-search pool size (0 = NumCPU, 1 = sequential oracle)")
+	workers := fs.Int("workers", 0, "deviation-search pool size (0 = GOMAXPROCS, 1 = sequential oracle)")
 	first := fs.Bool("first-violation", false, "stop at the first profitable deviation in catalogue order")
 	prune := fs.Bool("prune", false, "skip plays the system's static profit bound proves unprofitable (reported separately from checked)")
 	verifyPruned := fs.Bool("verify-pruned", false, "debug: replay every pruned play and fail if the bound was unsound (implies -prune)")
@@ -109,7 +109,7 @@ func run(args []string, out io.Writer) error {
 	})
 	cfg := core.CheckConfig{Workers: *workers, EarlyStop: *first}
 	if *workers == 0 {
-		cfg.Workers = -1 // flag default: NumCPU
+		cfg.Workers = -1 // flag default: GOMAXPROCS
 	}
 	cfg.Prune = *prune || *verifyPruned
 	cfg.VerifyPruned = *verifyPruned

@@ -51,16 +51,28 @@ func run(args []string, out io.Writer) error {
 		inject   = fs.String("inject", "", "deviant to install before serving, as <node>:<deviation>")
 		listen   = fs.String("listen", "", "also serve the RPC boundary on this TCP address")
 	)
-	if err := fs.Parse(args); err != nil {
+	err := fs.Parse(args)
+	if err != nil {
 		return err
 	}
 
-	sp := scenario.Spec{
-		Family:    scenario.Family(*family),
-		N:         *n,
-		Workload:  scenario.Workload(*workload),
-		CostModel: scenario.CostModel(*costs),
-		Seed:      *seed,
+	// Parse only a non-empty name, as faithcheck does: ParseWorkload
+	// reads "" as all-pairs, which would change the served label.
+	sp := scenario.Spec{N: *n, Seed: *seed}
+	if *family != "" {
+		if sp.Family, err = scenario.ParseFamily(*family); err != nil {
+			return err
+		}
+	}
+	if *workload != "" {
+		if sp.Workload, err = scenario.ParseWorkload(*workload); err != nil {
+			return err
+		}
+	}
+	if *costs != "" {
+		if sp.CostModel, err = scenario.ParseCostModel(*costs); err != nil {
+			return err
+		}
 	}
 	switch *scheme {
 	case "", "vcg":

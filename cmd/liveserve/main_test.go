@@ -63,6 +63,22 @@ func TestInjectFlagAndListen(t *testing.T) {
 	}
 }
 
+// TestScenarioNamesParsed: -family, -workload and -costs take the
+// names faithcheck takes, in any case and with spaces around them.
+func TestScenarioNamesParsed(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-family", "PrefAttach", "-n", "8", "-workload", " Hotspot", "-costs", "UNIFORM",
+		"-rate", "1000", "-duration", "100ms", "-warmup", "0s",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "serving prefattach n=8 costs=uniform workload=hotspot "; !strings.Contains(out.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, out.String())
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-scheme", "nonsense"}, &out); err == nil {

@@ -105,7 +105,7 @@ func BenchmarkChurnScale(b *testing.B) {
 }
 
 // benchChurnScaleSweep is the opt-in tier: n={16,32} per-epoch
-// deviation searches with profit-bound pruning, run with a NumCPU
+// deviation searches with profit-bound pruning, run with a GOMAXPROCS
 // pool — the configuration a real sweep at that size would use. One
 // n=16 search alone takes ~30 minutes sequential (658 plays, ~550GB
 // allocated), so these rows stay opt-in (BENCH_CHURN_SCALE=1) and

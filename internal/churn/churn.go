@@ -137,6 +137,10 @@ func (tl *Timeline) DepartureOf(id Identity) (boundary int, ok bool) {
 	return 0, false
 }
 
+// minMembers floors an epoch's population: leaves are capped so that
+// biconnectivity repair always has material to work with.
+const minMembers = 4
+
 // scheduleSeedSalt decorrelates the churn schedule stream from the
 // spec's own compile stream (which starts at rand.NewSource(Seed));
 // scenario.Mix64 finalizes the mix.
@@ -167,15 +171,11 @@ func Build(sp scenario.Spec) (*Timeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		minN := sp.Churn.MinN
-		if minN < 4 {
-			minN = 4
-		}
 		rng := rand.New(rand.NewSource(int64(scenario.Mix64(uint64(sp.Seed) ^ scheduleSeedSalt))))
 		nextID := Identity(n0)
 		for e := 1; e < epochs; e++ {
 			prev := tl.Epochs[e-1]
-			next, err := evolve(sp, prev, e, &nextID, costFn, minN, rng)
+			next, err := evolve(sp, prev, e, &nextID, costFn, rng)
 			if err != nil {
 				return nil, fmt.Errorf("churn: epoch %d: %w", e, err)
 			}
@@ -207,10 +207,10 @@ func (e *Epoch) buildLocal() {
 // the population floor), fresh joiner identities with model-drawn
 // costs, carry surviving edges, attach joiners, repair biconnectivity,
 // apply cost re-draws, and rebuild the epoch's workload.
-func evolve(sp scenario.Spec, prev *Epoch, index int, nextID *Identity, costFn graph.CostFn, minN int, rng *rand.Rand) (*Epoch, error) {
+func evolve(sp scenario.Spec, prev *Epoch, index int, nextID *Identity, costFn graph.CostFn, rng *rand.Rand) (*Epoch, error) {
 	// Leaves: distinct previous members, floor-capped.
 	leaves := sp.Churn.Leaves
-	if room := len(prev.Members) - minN; leaves > room {
+	if room := len(prev.Members) - minMembers; leaves > room {
 		leaves = room
 	}
 	if leaves < 0 {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/spec"
@@ -133,9 +135,12 @@ func TestParallelRunErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkersNegativeMeansNumCPU: a negative Workers must run (and
-// stay deterministic) with the NumCPU pool.
-func TestWorkersNegativeMeansNumCPU(t *testing.T) {
+// TestWorkersNegativeMeansGOMAXPROCS: a negative Workers must run (and
+// stay deterministic) with a GOMAXPROCS-sized pool, so under
+// GOMAXPROCS(1) every play runs on worker 0 however many CPUs the
+// machine has. The test sets GOMAXPROCS for the whole process, so it
+// must not call t.Parallel.
+func TestWorkersNegativeMeansGOMAXPROCS(t *testing.T) {
 	f := randomFake(42)
 	want, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
@@ -148,6 +153,31 @@ func TestWorkersNegativeMeansNumCPU(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("Workers -1 report %+v != sequential %+v", got, want)
 	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	probe := &workerProbe{fakeSystem: f, seen: map[int]bool{}}
+	if _, err := CheckFaithfulnessCfg(probe, CheckConfig{Workers: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.seen) != 1 || !probe.seen[0] {
+		t.Errorf("under GOMAXPROCS(1) plays ran on workers %v, want worker 0 only", probe.seen)
+	}
+}
+
+// workerProbe records which workers play. Each play yields the
+// processor, so a spare worker, if the pool has one, gets to run.
+type workerProbe struct {
+	*fakeSystem
+	mu   sync.Mutex
+	seen map[int]bool
+}
+
+func (p *workerProbe) Play(ctx *PlayContext, s TruthfulState, deviator NodeID, dev Deviation) (Outcome, error) {
+	p.mu.Lock()
+	p.seen[ctx.Worker()] = true
+	p.mu.Unlock()
+	runtime.Gosched()
+	return p.fakeSystem.Play(ctx, s, deviator, dev)
 }
 
 // TestEarlyStopSavesWork: sequential early stop must not run plays

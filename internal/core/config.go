@@ -8,8 +8,8 @@ import "runtime"
 type CheckConfig struct {
 	// Workers is the worker-pool size for the deviation search.
 	// 0 means 1 (the sequential oracle); negative means
-	// runtime.NumCPU(). With more than one worker the System's Play
-	// must be safe for concurrent calls — the rational and churn
+	// runtime.GOMAXPROCS(0). With more than one worker the System's
+	// Play must be safe for concurrent calls — the rational and churn
 	// systems are.
 	Workers int
 
@@ -65,7 +65,7 @@ func (c CheckConfig) workerCount() int {
 	case c.Workers == 0:
 		return 1
 	case c.Workers < 0:
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return c.Workers
 }

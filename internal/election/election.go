@@ -293,7 +293,8 @@ func sortedIDs(m map[graph.NodeID]int64) []graph.NodeID {
 }
 
 // System adapts an election scenario to core.System for the deviation
-// search (experiment E8).
+// search. Its tests run the search over it; experiment E8 calls Run
+// directly.
 type System struct {
 	Cfg Config
 }

@@ -8,12 +8,6 @@ import (
 	"repro/internal/scenario"
 )
 
-func init() {
-	Register(Experiment{ID: "E11", Title: "Checker-assignment ablation", Slow: true, Gen: E11CheckerAblation})
-	Register(Experiment{ID: "E12", Title: "Failstop interplay (§5)", Gen: E12Failstop})
-	Register(Experiment{ID: "E13", Title: "Victim damage containment", Slow: true, Gen: E13DamageContainment})
-}
-
 // E11CheckerAblation ablates the checker assignment: §4.2 insists
 // "every neighbor of a node is assigned as a checker for that node."
 // Restricting the assignment to k < degree neighbors opens escapes —

@@ -5,11 +5,11 @@
 // worked examples and quantified claims. Each generator returns a
 // Table consumed by bench_test.go, cmd/benchtab and EXPERIMENTS.md.
 //
-// Generators live in a registry rather than a hardcoded dispatch: a
-// new experiment calls Register (usually from an init function) with
-// an ID, default Params and a Gen func, and every consumer — the
-// parallel Runner, cmd/benchtab's -run/-e filters, the root
-// benchmarks — picks it up from there through Experiments or Match.
+// Generators are listed in one fixed table (registry.go), E1 to E13
+// in order, each with an ID, default Params and a Gen func. Every
+// consumer — the parallel Runner, cmd/benchtab's -run filter, the root
+// benchmarks — reads it through Experiments or Match, so a new
+// experiment is one more entry there.
 package experiments
 
 import (
@@ -38,24 +38,6 @@ type Table struct {
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
-
-func init() {
-	Register(Experiment{ID: "E1", Title: "Figure 1 LCPs and quoted costs", Gen: E1Figure1})
-	Register(Experiment{ID: "E2", Title: "Example 1 manipulation sweep", Gen: E2Example1})
-	Register(Experiment{ID: "E3", Title: "Manipulation detection matrix", Slow: true, Gen: E3Detection})
-	Register(Experiment{ID: "E4", Title: "Checker-scheme overhead sweep",
-		Params: Params{Sizes: []int{6, 12, 18, 24}, Seed: 11}, Gen: E4Overhead})
-	Register(Experiment{ID: "E5", Title: "BFT replication baseline",
-		Params: Params{Sizes: []int{4, 7, 10, 13}, Seed: 12}, Gen: E5BFTBaseline})
-	Register(Experiment{ID: "E6", Title: "Deviation search (Theorem 1)", Slow: true,
-		Params: Params{Trials: 3, Seed: 13}, Gen: E6Faithfulness})
-	Register(Experiment{ID: "E7", Title: "Phase decomposition savings", Gen: E7PhaseDecomposition})
-	Register(Experiment{ID: "E8", Title: "Leader election naive vs faithful",
-		Params: Params{Trials: 40, Seed: 14}, Gen: E8Election})
-	Register(Experiment{ID: "E9", Title: "Construction convergence sweep",
-		Params: Params{Sizes: []int{6, 12, 18, 24, 30}, Seed: 15}, Gen: E9Convergence})
-	Register(Experiment{ID: "E10", Title: "Execution-phase enforcement", Gen: E10Execution})
-}
 
 // E1Figure1 regenerates Figure 1 and the §4.1 quoted path costs.
 func E1Figure1(p Params) (*Table, error) {
@@ -355,7 +337,7 @@ func E6Faithfulness(p Params) (*Table, error) {
 		}
 		plainSys, faithSys := sc.Systems()
 		// The rational systems tolerate concurrent Play calls, so the
-		// deviation search fans over the NumCPU pool; the report is
+		// deviation search fans over the GOMAXPROCS pool; the report is
 		// byte-identical to the sequential oracle for any worker count.
 		plainRep, err := core.CheckFaithfulnessCfg(plainSys, core.CheckConfig{Workers: -1})
 		if err != nil {

@@ -3,21 +3,18 @@ package experiments
 import (
 	"fmt"
 	"regexp"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+	"slices"
 
 	"repro/internal/fpss"
 )
 
-// Params parameterizes a registered experiment. When passed to
+// Params parameterizes an experiment. When passed to
 // Experiment.Generate, the zero value of any field means "use the
-// experiment's registered default" — the defaults reproduce the paper
-// tables exactly, and the registration is their single source of
-// truth. Sweeping these fields opens scenario variants (bigger
-// topologies, more sampled profiles, alternate pricing) without new
-// top-level generators.
+// experiment's default" — the defaults reproduce the paper tables
+// exactly, and the registry table is their single source of truth.
+// Sweeping these fields opens scenario variants (bigger topologies,
+// more sampled profiles, alternate pricing) without new top-level
+// generators.
 type Params struct {
 	// Sizes are the topology sizes for sweep experiments (E4, E5, E9).
 	Sizes []int
@@ -33,7 +30,7 @@ type Params struct {
 	Scheme fpss.PricingScheme
 }
 
-// Experiment is one registered table generator.
+// Experiment is one table generator of the registry.
 type Experiment struct {
 	// ID is the stable experiment name ("E1".."E13").
 	ID string
@@ -66,7 +63,7 @@ func (p Params) withDefaults(d Params) Params {
 }
 
 // clone deep-copies the slice field so a returned Params can be
-// mutated freely without writing through to the registry.
+// mutated freely without writing through to the registry table.
 func (p Params) clone() Params {
 	p.Sizes = append([]int(nil), p.Sizes...)
 	return p
@@ -83,63 +80,39 @@ func (e Experiment) Generate(p Params) (*Table, error) {
 // Run generates the experiment's table with its default parameters.
 func (e Experiment) Run() (*Table, error) { return e.Generate(Params{}) }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
-)
-
-// Register adds an experiment to the package registry. New experiments
-// register here instead of being threaded through a hardcoded All()
-// dispatch; ID collisions and missing generators are programmer errors
-// and panic at init time.
-func Register(e Experiment) {
-	if e.ID == "" || e.Gen == nil {
-		panic("experiments: Register needs an ID and a Gen func")
-	}
-	key := strings.ToLower(e.ID)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("experiments: duplicate registration of %s", e.ID))
-	}
-	registry[key] = e
+// registry lists every experiment in canonical order, E1 to E13. It
+// is the one source of every consumer's experiment set: the Runner,
+// cmd/benchtab's -run filter and the root benchmarks read it through
+// Experiments or Match. A new experiment is one more entry here.
+var registry = []Experiment{
+	{ID: "E1", Title: "Figure 1 LCPs and quoted costs", Gen: E1Figure1},
+	{ID: "E2", Title: "Example 1 manipulation sweep", Gen: E2Example1},
+	{ID: "E3", Title: "Manipulation detection matrix", Slow: true, Gen: E3Detection},
+	{ID: "E4", Title: "Checker-scheme overhead sweep",
+		Params: Params{Sizes: []int{6, 12, 18, 24}, Seed: 11}, Gen: E4Overhead},
+	{ID: "E5", Title: "BFT replication baseline",
+		Params: Params{Sizes: []int{4, 7, 10, 13}, Seed: 12}, Gen: E5BFTBaseline},
+	{ID: "E6", Title: "Deviation search (Theorem 1)", Slow: true,
+		Params: Params{Trials: 3, Seed: 13}, Gen: E6Faithfulness},
+	{ID: "E7", Title: "Phase decomposition savings", Gen: E7PhaseDecomposition},
+	{ID: "E8", Title: "Leader election naive vs faithful",
+		Params: Params{Trials: 40, Seed: 14}, Gen: E8Election},
+	{ID: "E9", Title: "Construction convergence sweep",
+		Params: Params{Sizes: []int{6, 12, 18, 24, 30}, Seed: 15}, Gen: E9Convergence},
+	{ID: "E10", Title: "Execution-phase enforcement", Gen: E10Execution},
+	{ID: "E11", Title: "Checker-assignment ablation", Slow: true, Gen: E11CheckerAblation},
+	{ID: "E12", Title: "Failstop interplay (§5)", Gen: E12Failstop},
+	{ID: "E13", Title: "Victim damage containment", Slow: true, Gen: E13DamageContainment},
 }
 
-// Experiments returns every registered experiment in canonical order
-// (numeric suffix ascending, then lexical).
+// Experiments returns every experiment in canonical order (E1 to
+// E13). Each Params is a copy, so callers may edit it freely.
 func Experiments() []Experiment {
-	regMu.RLock()
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		e.Params = e.Params.clone()
-		out = append(out, e)
+	out := slices.Clone(registry)
+	for i := range out {
+		out[i].Params = out[i].Params.clone()
 	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		ni, iok := idNum(out[i].ID)
-		nj, jok := idNum(out[j].ID)
-		if iok && jok && ni != nj {
-			return ni < nj
-		}
-		if iok != jok {
-			return iok
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
-}
-
-// idNum extracts the trailing number of an "E<n>"-style ID.
-func idNum(id string) (int, bool) {
-	i := len(id)
-	for i > 0 && id[i-1] >= '0' && id[i-1] <= '9' {
-		i--
-	}
-	if i == len(id) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(id[i:])
-	return n, err == nil
 }
 
 // Match returns the experiments whose ID matches the regular

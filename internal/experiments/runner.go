@@ -12,7 +12,7 @@ import (
 // of worker count or completion order: results are returned in input
 // order and seeds never depend on scheduling.
 type Runner struct {
-	// Workers is the pool size; <= 0 means runtime.NumCPU().
+	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -31,8 +31,8 @@ func (r Runner) Run(exps []Experiment) ([]*Table, error) {
 }
 
 // parallelMap runs fn(i) for every i in [0, n) over a worker pool
-// (workers <= 0 means runtime.NumCPU()) and returns the results in
-// index order. Every job writes only its own slot and the earliest
+// (workers <= 0 means runtime.GOMAXPROCS(0)) and returns the results
+// in index order. Every job writes only its own slot and the earliest
 // failing index's error is reported, so output is independent of
 // scheduling. It is the one worker-pool implementation behind both
 // Runner.Run and the deviation-sweep experiments (E3/E11/E13), which
@@ -41,7 +41,7 @@ func parallelMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) 
 	out := make([]T, n)
 	errs := make([]error, n)
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

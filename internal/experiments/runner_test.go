@@ -205,9 +205,10 @@ func TestRegistryDefaultsImmutable(t *testing.T) {
 
 // Lookup finds an experiment by ID (case-insensitive).
 func Lookup(id string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[strings.ToLower(id)]
-	e.Params = e.Params.clone()
-	return e, ok
+	for _, e := range Experiments() {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

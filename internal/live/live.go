@@ -43,8 +43,7 @@ const (
 	// OpStats snapshots server and protocol-run counters.
 	OpStats Op = "stats"
 	// OpInject rebuilds the resident epoch: install a catalogued
-	// deviation on a node, advance one churn epoch, or reset to the
-	// honest configuration.
+	// deviation on a node, or advance one churn epoch (honest).
 	OpInject Op = "inject"
 )
 
@@ -62,8 +61,6 @@ type Request struct {
 	Deviation string `json:"deviation,omitempty"`
 	// Advance moves the server one churn epoch forward (OpInject).
 	Advance bool `json:"advance,omitempty"`
-	// Reset rebuilds the current epoch honest (OpInject).
-	Reset bool `json:"reset,omitempty"`
 }
 
 // Payment is one entry of a payment obligation.

@@ -28,8 +28,9 @@ type Server struct {
 	tl *churn.Timeline
 
 	// injectMu serializes injects from the epoch read through the
-	// swap, so concurrent Advances step one epoch each and a Reset
-	// cannot swap epoch e back in over e+1. Reads never take it.
+	// swap, so concurrent Advances step one epoch each and a deviant
+	// injection cannot swap epoch e back in over e+1. Reads never take
+	// it.
 	injectMu sync.Mutex
 
 	mu    sync.RWMutex
@@ -248,13 +249,6 @@ func (s *Server) inject(req Request) Response {
 		}
 		s.swap(epoch+1, st)
 		return Response{OK: true, Epoch: epoch + 1}
-	case req.Reset:
-		st, err := s.buildEpoch(epoch, -1, "")
-		if err != nil {
-			return fail("%v", err)
-		}
-		s.swap(epoch, st)
-		return Response{OK: true, Epoch: epoch}
 	case req.Deviation != "":
 		if req.Node < 0 || req.Node >= n {
 			return fail("live: deviant node %d out of range [0,%d)", req.Node, n)
@@ -266,7 +260,7 @@ func (s *Server) inject(req Request) Response {
 		s.swap(epoch, st)
 		return Response{OK: true, Epoch: epoch}
 	default:
-		return fail("live: inject requires a deviation, advance, or reset")
+		return fail("live: inject requires a deviation or advance")
 	}
 }
 

@@ -231,10 +231,10 @@ func TestServerConcurrentAdvance(t *testing.T) {
 
 // TestServerInjectDeviant installs a construction-phase deviation on a
 // resident node: the epoch re-converges with the manipulated tables
-// (divergence > 0 under the declared-cost scheme) and Reset restores
-// the honest state. The deviant is Figure 1's node C inflating its
-// cost from 1 to ĉ=5, the paper's Example 1, which moves X→Z from
-// X-D-C-Z at cost 2 to X-A-Z at cost 5.
+// (divergence > 0 under the declared-cost scheme). The deviant is
+// Figure 1's node C inflating its cost from 1 to ĉ=5, the paper's
+// Example 1, which moves X→Z from X-D-C-Z at cost 2 to X-A-Z at
+// cost 5.
 func TestServerInjectDeviant(t *testing.T) {
 	sp := scenario.Spec{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost}
 	srv, err := NewServer(sp)
@@ -271,20 +271,12 @@ func TestServerInjectDeviant(t *testing.T) {
 	if resp := srv.Dispatch(Request{Op: OpInject, Node: c, Deviation: "misreport-loss-blame"}); resp.OK {
 		t.Fatal("injected a deviation with no protocol part")
 	}
-
-	if resp := srv.Dispatch(Request{Op: OpInject, Reset: true}); !resp.OK {
-		t.Fatal(resp.Err)
-	}
-	stats = srv.Dispatch(Request{Op: OpStats}).Stats
-	if stats.Deviant != "" || stats.Divergence != 0 {
-		t.Fatalf("reset did not restore the honest epoch: %+v", stats)
-	}
 }
 
-// TestServerDeviantFixpointRepeats converges the same deviant three
-// times, with a Reset between: each epoch rebuild reaches one fixpoint.
-// Every run serves X→Z as X-A-Z at cost 5 (C declaring ĉ=5, Example
-// 1), the same tables and the same network counters.
+// TestServerDeviantFixpointRepeats injects the same deviant three
+// times; each inject rebuilds the epoch from scratch and reaches one
+// fixpoint. Every run serves X→Z as X-A-Z at cost 5 (C declaring ĉ=5,
+// Example 1), the same tables and the same network counters.
 func TestServerDeviantFixpointRepeats(t *testing.T) {
 	sp := scenario.Spec{Family: scenario.Figure1, Scheme: fpss.SchemeDeclaredCost}
 	srv, err := NewServer(sp)
@@ -326,9 +318,6 @@ func TestServerDeviantFixpointRepeats(t *testing.T) {
 		}
 		if !reflect.DeepEqual(net, firstNet) {
 			t.Errorf("run %d: counters %+v, run 0 had %+v", run, net, firstNet)
-		}
-		if resp := srv.Dispatch(Request{Op: OpInject, Reset: true}); !resp.OK {
-			t.Fatal(resp.Err)
 		}
 	}
 }

@@ -71,19 +71,15 @@ func (d *Deviation) SettleOnly() bool {
 	return d.protocol == nil && d.checker == nil && d.reportPayment == nil && d.settle != nil
 }
 
-// Parts are the realizations of a custom deviation, mirroring the
-// unexported fields of Deviation: construction-phase strategy,
-// execution-phase payment misreport, and the faithful protocol's
-// checker-layer hooks. Any subset may be set.
+// Parts are the realizations of a custom deviation, mirroring two of
+// the unexported fields of Deviation: the construction-phase strategy
+// and the execution-phase payment misreport. Either or both may be
+// set.
 type Parts struct {
 	// Protocol builds the construction-phase deviation.
 	Protocol func(Ctx) *fpss.Strategy
 	// ReportPayment misreports DATA4 in the execution phase.
 	ReportPayment func(truth fpss.PaymentList) fpss.PaymentList
-	// Checker builds checker-layer deviations (faithful protocol only).
-	Checker func(Ctx) *faithful.Strategy
-	// Settle builds the settlement-window deviation (shard axis only).
-	Settle func(Ctx) *settle.Strategy
 }
 
 // NewDeviation assembles a custom catalogued deviation from its parts.
@@ -96,8 +92,6 @@ func NewDeviation(name string, classes []spec.ActionKind, p Parts) *Deviation {
 		classes:       classes,
 		protocol:      p.Protocol,
 		reportPayment: p.ReportPayment,
-		checker:       p.Checker,
-		settle:        p.Settle,
 	}
 }
 

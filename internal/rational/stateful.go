@@ -348,12 +348,15 @@ func (s *FaithfulSystem) Play(_ *core.PlayContext, st core.TruthfulState, deviat
 // obligation and fines ε above the attempted deviation, so an
 // execution-phase-only deviation can never beat the honest baseline —
 // whatever its hook reports. The same ceiling holds for settle-only
-// deviations on a reliable network with a plan-derived fault schedule:
-// the crash-tolerant 2PC still commits every transfer (the settle
-// sweeps pin this), so the deviator's balance delta is zero and a flag
-// only subtracts ε. Under lossy links or a custom fault override,
-// infrastructure aborts can genuinely shift balances, so no bound is
-// claimed there; construction and checker deviations get none either.
+// deviations under a plan-derived fault schedule: the crash-tolerant
+// 2PC still commits every transfer (the settle sweeps pin this), so the
+// deviator's balance delta is zero and a flag only subtracts ε. A
+// custom fault override could abort transfers and shift balances, so
+// no bound is claimed under one. None is claimed on lossy protocol
+// links (Params.Loss) either, but that guard is only conservative:
+// scenario.SettleOptions never sets settle.Options.Loss, so every
+// scenario settles over a reliable network. Construction and checker
+// deviations get no bound.
 func (s *FaithfulSystem) ProfitUpperBound(deviator core.NodeID, dev core.Deviation) (int64, bool) {
 	d, ok := dev.(*Deviation)
 	if !ok {

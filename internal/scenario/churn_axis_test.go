@@ -111,8 +111,7 @@ func TestDescribeChurn(t *testing.T) {
 	// Every timeline-shaping field renders at full precision — distinct
 	// dynamics must never share an identity (they key suite seeds).
 	sp.Churn.RedrawFraction = 0.251
-	sp.Churn.MinN = 5
-	if got, want := sp.Describe(), "random n=6 epochs=3 join=1 leave=2 redraw=0.251 min=5 seed=2"; got != want {
+	if got, want := sp.Describe(), "random n=6 epochs=3 join=1 leave=2 redraw=0.251 seed=2"; got != want {
 		t.Errorf("Describe = %q, want %q", got, want)
 	}
 	// Static specs keep the exact pre-churn label — the derived seeds

@@ -17,10 +17,6 @@ func TestDescribeLoss(t *testing.T) {
 	if got, want := sp.Describe(), "random n=6 loss=0.1 burst=3 seed=2"; got != want {
 		t.Errorf("Describe = %q, want %q", got, want)
 	}
-	sp.Loss.SeedSalt = 0xbeef
-	if got, want := sp.Describe(), "random n=6 loss=0.1 burst=3 losssalt=0xbeef seed=2"; got != want {
-		t.Errorf("Describe = %q, want %q", got, want)
-	}
 	// A lossy spec composes with churn in one label.
 	sp = Spec{Family: Random, N: 6, Seed: 2, Churn: Churn{Epochs: 3, Joins: 1}, Loss: Loss{Rate: 0.2}}
 	if got, want := sp.Describe(), "random n=6 epochs=3 join=1 leave=0 loss=0.2 seed=2"; got != want {
@@ -57,9 +53,9 @@ func TestLossZeroValueByteCompatible(t *testing.T) {
 	}
 }
 
-// TestLossModelDerivation: the schedule seed mixes Spec seed, package
-// salt and the user's SeedSalt; epoch re-salting changes the schedule
-// but epoch 0 equals the static model.
+// TestLossModelDerivation: the schedule seed mixes the Spec seed with
+// the package salt; epoch re-salting changes the schedule but epoch 0
+// equals the static model.
 func TestLossModelDerivation(t *testing.T) {
 	sp := Spec{Family: Random, N: 6, Seed: 4, Loss: Loss{Rate: 0.1, Burst: 2}}
 	m := sp.LossModel()
@@ -68,12 +64,6 @@ func TestLossModelDerivation(t *testing.T) {
 	}
 	if m.Seed != sim.Mix64(uint64(4)^lossSeedSalt) {
 		t.Errorf("schedule seed %#x not derived from spec seed + salt", m.Seed)
-	}
-	// SeedSalt perturbs the schedule without touching the spec seed.
-	salted := sp
-	salted.Loss.SeedSalt = 99
-	if salted.LossModel().Seed == m.Seed {
-		t.Error("SeedSalt did not change the schedule seed")
 	}
 	// Same Spec ⇒ same model, always (the determinism contract).
 	if sp.LossModel() != m {

@@ -107,10 +107,8 @@ func TestDescribeNamesEveryCompiledField(t *testing.T) {
 		{"Scheme", func(s *Spec) { s.Scheme = fpss.SchemeDeclaredCost }},
 		{"Loss.Rate", func(s *Spec) { s.Loss.Rate = 0.1 }},
 		{"Loss.Burst", func(s *Spec) { s.Loss = Loss{Rate: 0.1, Burst: 3} }},
-		{"Loss.SeedSalt", func(s *Spec) { s.Loss = Loss{Rate: 0.1, SeedSalt: 9} }},
 		{"Shards.K", func(s *Spec) { s.Shards.K = 2 }},
 		{"Shards.Crash", func(s *Spec) { s.Shards = Shards{K: 2, Crash: "participant"} }},
-		{"Shards.SeedSalt", func(s *Spec) { s.Shards = Shards{K: 2, SeedSalt: 9} }},
 		{"Seed", func(s *Spec) { s.Seed++ }},
 	}
 	for _, base := range bases {
@@ -187,8 +185,8 @@ func TestWorkloadShapes(t *testing.T) {
 
 // TestCompiledArtifacts checks the compiled views agree with each
 // other: Systems share the scenario's graph and params, FaithfulConfig
-// drives an honest run to completion, and ExecConfig carries the true
-// costs.
+// drives an honest run to completion (here and on every smoke spec at
+// seed 1), and ExecConfig carries the true costs.
 func TestCompiledArtifacts(t *testing.T) {
 	c, err := Spec{Family: TwoTier, N: 9, Workload: WorkloadHotspot, Seed: 3}.Compile()
 	if err != nil {
@@ -201,12 +199,22 @@ func TestCompiledArtifacts(t *testing.T) {
 	if len(plain.Nodes()) != c.Graph.N() || len(faith.Nodes()) != c.Graph.N() {
 		t.Fatal("systems node count mismatch")
 	}
-	res, err := faithful.Run(c.FaithfulConfig())
-	if err != nil {
-		t.Fatal(err)
+	smoke, ok := LookupSuite("smoke")
+	if !ok {
+		t.Fatal("smoke suite missing")
 	}
-	if !res.Completed || len(res.Detections) != 0 {
-		t.Fatalf("honest faithful run flagged: completed=%v detections=%v", res.Completed, res.Detections)
+	for _, sp := range append([]Spec{c.Spec}, smoke.Specs(1)...) {
+		hc, err := sp.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := faithful.Run(hc.FaithfulConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Describe(), err)
+		}
+		if !res.Completed || len(res.Detections) != 0 {
+			t.Fatalf("%s: honest faithful run flagged: completed=%v detections=%v", sp.Describe(), res.Completed, res.Detections)
+		}
 	}
 	ec := c.ExecConfig()
 	if len(ec.TrueCosts) != c.Graph.N() {

@@ -19,10 +19,6 @@ func TestDescribeShards(t *testing.T) {
 	if got, want := sp.Describe(), "random n=6 shards=2 crash=participant seed=2"; got != want {
 		t.Errorf("Describe = %q, want %q", got, want)
 	}
-	sp.Shards.SeedSalt = 0xbeef
-	if got, want := sp.Describe(), "random n=6 shards=2 crash=participant shardsalt=0xbeef seed=2"; got != want {
-		t.Errorf("Describe = %q, want %q", got, want)
-	}
 	// The failure axes compose in one label: loss before shards.
 	sp = Spec{Family: Random, N: 6, Seed: 2, Loss: Loss{Rate: 0.1}, Shards: Shards{K: 4}}
 	if got, want := sp.Describe(), "random n=6 loss=0.1 shards=4 seed=2"; got != want {
@@ -55,9 +51,9 @@ func TestShardsZeroValueByteCompatible(t *testing.T) {
 	}
 }
 
-// TestSettleOptionsDerivation: the settlement seed mixes Spec seed,
-// package salt and the user's SeedSalt; epoch re-salting changes the
-// routing/crash stream but epoch 0 equals the static options.
+// TestSettleOptionsDerivation: the settlement seed mixes the Spec seed
+// with the package salt; epoch re-salting changes the routing/crash
+// stream but epoch 0 equals the static options.
 func TestSettleOptionsDerivation(t *testing.T) {
 	sp := Spec{Family: Random, N: 6, Seed: 4, Shards: Shards{K: 2, Crash: settle.PlanCoordinator}}
 	o := sp.SettleOptions()
@@ -66,12 +62,6 @@ func TestSettleOptionsDerivation(t *testing.T) {
 	}
 	if o.Seed != sim.Mix64(uint64(4)^shardSeedSalt) {
 		t.Errorf("settlement seed %#x not derived from spec seed + salt", o.Seed)
-	}
-	// SeedSalt perturbs the settlement without touching the spec seed.
-	salted := sp
-	salted.Shards.SeedSalt = 99
-	if salted.SettleOptions().Seed == o.Seed {
-		t.Error("SeedSalt did not change the settlement seed")
 	}
 	// Same Spec ⇒ same options, always (the determinism contract).
 	if sp.SettleOptions() != o {

@@ -5,7 +5,7 @@
 // graph.Graph, the rational.Params, the plain/faithful core.System
 // pair, a faithful.Config for honest protocol runs, and an
 // fpss.ExecConfig template for execution-phase accounting. Experiments,
-// benchmarks and the faithcheck/benchtab commands all route their
+// benchmarks and the faithcheck and liveserve commands all route their
 // setup through here instead of hand-rolling graphs and parameters.
 //
 // Determinism contract: a Spec is a pure function of its fields. Two
@@ -131,15 +131,12 @@ type Churn struct {
 	Epochs int
 	// Joins / Leaves are the node arrivals/departures drawn at each
 	// epoch boundary. Leaves are capped so the population never falls
-	// below MinN.
+	// below 4 nodes, which biconnectivity repair needs to work with.
 	Joins, Leaves int
 	// RedrawFraction is the probability that a surviving node's
 	// transit cost re-draws from the Spec's cost model at a boundary
 	// (type dynamics on top of membership dynamics).
 	RedrawFraction float64
-	// MinN floors the population (default 4) so biconnectivity repair
-	// always has material to work with.
-	MinN int
 }
 
 // Dynamic reports whether the configuration actually spans epochs.
@@ -157,10 +154,6 @@ type Loss struct {
 	// Burst is the mean loss-burst length (Gilbert–Elliott); <= 1
 	// means independent drops. The stationary rate stays Rate.
 	Burst float64
-	// SeedSalt perturbs the drop-schedule seed without changing the
-	// scenario's topology/workload draws — sweeping it replays the same
-	// scenario under fresh loss schedules.
-	SeedSalt uint64
 }
 
 // Enabled reports whether the axis actually drops anything.
@@ -201,11 +194,6 @@ type Shards struct {
 	// run: "" (no faults), "coordinator", "participant" or "recovery"
 	// (settle.Plans).
 	Crash string
-	// SeedSalt perturbs the routing/crash-schedule seed without
-	// changing the scenario's topology/workload draws — sweeping it
-	// replays the same scenario under fresh shard routing and crash
-	// timings.
-	SeedSalt uint64
 }
 
 // Enabled reports whether the settlement is actually sharded.
@@ -347,10 +335,10 @@ func (s Spec) Materialize(g *graph.Graph, traffic fpss.Traffic) *Compiled {
 }
 
 // LossModel renders the Spec's loss axis into the simulator model. The
-// schedule seed mixes the Spec seed with the loss salt (and the user's
-// SeedSalt), so two specs differing only in Seed see different drop
-// schedules while the same Spec always replays the same one. A
-// disabled axis yields the zero model.
+// schedule seed mixes the Spec seed with the loss salt, so two specs
+// differing only in Seed see different drop schedules while the same
+// Spec always replays the same one. A disabled axis yields the zero
+// model.
 func (s Spec) LossModel() sim.LossModel {
 	if !s.Loss.Enabled() {
 		return sim.LossModel{}
@@ -358,7 +346,7 @@ func (s Spec) LossModel() sim.LossModel {
 	return sim.LossModel{
 		Rate:  s.Loss.Rate,
 		Burst: s.Loss.Burst,
-		Seed:  sim.Mix64(uint64(s.Seed) ^ lossSeedSalt ^ s.Loss.SeedSalt),
+		Seed:  sim.Mix64(uint64(s.Seed) ^ lossSeedSalt),
 	}
 }
 
@@ -375,10 +363,9 @@ func (s Spec) LossModelForEpoch(epoch int) sim.LossModel {
 }
 
 // SettleOptions renders the Spec's shard axis into the settlement
-// engine's options. The seed mixes the Spec seed with the shard salt
-// (and the user's SeedSalt), so two specs differing only in Seed
-// route accounts and time crashes differently while the same Spec
-// always replays the same settlement. A disabled axis yields the zero
+// engine's options. The seed mixes the Spec seed with the shard salt,
+// so two specs differing only in Seed route accounts and time crashes
+// differently while the same Spec always replays the same settlement. A disabled axis yields the zero
 // options — the singleton bank.
 func (s Spec) SettleOptions() settle.Options {
 	if !s.Shards.Enabled() {
@@ -387,7 +374,7 @@ func (s Spec) SettleOptions() settle.Options {
 	return settle.Options{
 		Shards: s.Shards.K,
 		Plan:   s.Shards.Crash,
-		Seed:   sim.Mix64(uint64(s.Seed) ^ shardSeedSalt ^ s.Shards.SeedSalt),
+		Seed:   sim.Mix64(uint64(s.Seed) ^ shardSeedSalt),
 	}
 }
 
@@ -745,9 +732,6 @@ func (s Spec) Describe() string {
 		if s.Churn.RedrawFraction > 0 {
 			churn += fmt.Sprintf(" redraw=%g", s.Churn.RedrawFraction)
 		}
-		if s.Churn.MinN > 0 {
-			churn += fmt.Sprintf(" min=%d", s.Churn.MinN)
-		}
 		parts = append(parts, churn)
 	}
 	if s.Loss.Enabled() {
@@ -756,9 +740,6 @@ func (s Spec) Describe() string {
 		loss := fmt.Sprintf("loss=%g", s.Loss.Rate)
 		if s.Loss.Burst > 1 {
 			loss += fmt.Sprintf(" burst=%g", s.Loss.Burst)
-		}
-		if s.Loss.SeedSalt != 0 {
-			loss += fmt.Sprintf(" losssalt=%#x", s.Loss.SeedSalt)
 		}
 		parts = append(parts, loss)
 	}
@@ -769,16 +750,14 @@ func (s Spec) Describe() string {
 		if s.Shards.Crash != settle.PlanNone {
 			sh += " crash=" + s.Shards.Crash
 		}
-		if s.Shards.SeedSalt != 0 {
-			sh += fmt.Sprintf(" shardsalt=%#x", s.Shards.SeedSalt)
-		}
 		parts = append(parts, sh)
 	}
 	parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
 	return strings.Join(parts, " ")
 }
 
-// ParseFamily resolves a user-supplied family name (faithcheck flags).
+// ParseFamily resolves a user-supplied family name (the faithcheck and
+// liveserve flags).
 func ParseFamily(name string) (Family, error) {
 	f := Family(strings.ToLower(strings.TrimSpace(name)))
 	for _, known := range Families() {

@@ -1,11 +1,9 @@
 package scenario
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -149,98 +147,9 @@ func deriveSeed(base int64, sp Spec) int64 {
 // leaf package every seed consumer can import.
 func Mix64(x uint64) uint64 { return sim.Mix64(x) }
 
-var (
-	suiteMu sync.RWMutex
-	suites  = map[string]Suite{}
-)
-
-// RegisterSuite adds a named suite; duplicate names and empty axes are
-// programmer errors and panic at init time (mirrors the experiments
-// registry).
-func RegisterSuite(s Suite) {
-	if s.Name == "" || len(s.Families) == 0 || len(s.Sizes) == 0 ||
-		len(s.Workloads) == 0 || len(s.CostModels) == 0 {
-		panic("scenario: RegisterSuite needs a name and non-empty axes")
-	}
-	key := strings.ToLower(s.Name)
-	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	if _, dup := suites[key]; dup {
-		panic(fmt.Sprintf("scenario: duplicate suite %s", s.Name))
-	}
-	suites[key] = s
-}
-
-// LookupSuite finds a suite by name (case-insensitive).
-func LookupSuite(name string) (Suite, bool) {
-	suiteMu.RLock()
-	defer suiteMu.RUnlock()
-	s, ok := suites[strings.ToLower(name)]
-	return s, ok
-}
-
-// SuiteNames lists the registered suite names sorted — for
-// unknown-suite error messages and listings.
-func SuiteNames() []string {
-	all := Suites()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// Suites lists every registered suite sorted by name.
-func Suites() []Suite {
-	suiteMu.RLock()
-	out := make([]Suite, 0, len(suites))
-	for _, s := range suites {
-		out = append(out, s)
-	}
-	suiteMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func init() {
-	// smoke: the CI lane — small sizes, one cost model, finishes in
-	// tens of seconds with the parallel checker.
-	RegisterSuite(Suite{
-		Name:        "smoke",
-		Description: "CI smoke: 3 families × n∈{6,8} × 2 workloads, uniform costs",
-		Families:    []Family{Random, PrefAttach, TwoTier},
-		Sizes:       []int{6, 8},
-		Workloads:   []Workload{WorkloadAllPairs, WorkloadHotspot},
-		CostModels:  []CostModel{CostUniform},
-	})
-	// internet: the headline sweep — every Internet-like family under
-	// every cost model and the asymmetric workloads. The deviation
-	// search sweeps n∈{12,24}; above that the honest-profiling rungs
-	// (n∈{48,100}) build the truthful profile only, in perfbench's
-	// build workload — central construction is cheap enough that the
-	// ceiling is the search grid, not the build.
-	RegisterSuite(Suite{
-		Name:         "internet",
-		Description:  "Internet-like families × all cost models × asymmetric workloads",
-		Families:     []Family{PrefAttach, Waxman, TwoTier},
-		Sizes:        []int{12, 24},
-		Workloads:    []Workload{WorkloadAllPairs, WorkloadHotspot, WorkloadSparse},
-		CostModels:   []CostModel{CostUniform, CostHeavyTailed, CostBimodal},
-		ProfileSizes: []int{48, 100},
-	})
-	// grid: the constant-degree, high-diameter counterpoint. Sizes
-	// stay ≤ 12: an all-pairs torus deviation search is ~10 s at n=9
-	// and ~85 s at n=12 on one core, and n=16 would push a sweep past
-	// the hour — larger grids wait on further search parallelization
-	// (see ROADMAP open items).
-	RegisterSuite(Suite{
-		Name:        "grid",
-		Description: "Torus grids under gossip and all-pairs demand",
-		Families:    []Family{Torus},
-		Sizes:       []int{9, 12},
-		Workloads:   []Workload{WorkloadAllPairs, WorkloadGossip},
-		CostModels:  []CostModel{CostUniform, CostBimodal},
-	})
+// suites lists every built-in suite sorted by name. Each has a name
+// and four non-empty axes (TestSuiteRegistry pins both and the order).
+var suites = []Suite{
 	// churn: the dynamics sweep — every scenario spans three epochs
 	// with a join, a leave and occasional cost re-draws at each
 	// boundary, and faithcheck replays the deviation grid per epoch
@@ -249,7 +158,7 @@ func init() {
 	// ~60 ms, so a size-8 axis would push the blocking lane past ten
 	// minutes on a 1-core runner — larger sizes ride the nightly lane
 	// alongside the internet suite).
-	RegisterSuite(Suite{
+	{
 		Name:        "churn",
 		Description: "Epoch dynamics: joins/leaves/cost re-draws across 3 epochs",
 		Families:    []Family{Random, PrefAttach, TwoTier},
@@ -257,14 +166,42 @@ func init() {
 		Workloads:   []Workload{WorkloadAllPairs, WorkloadHotspot},
 		CostModels:  []CostModel{CostUniform},
 		Churn:       Churn{Epochs: 3, Joins: 1, Leaves: 1, RedrawFraction: 0.25},
-	})
+	},
+	// grid: the constant-degree, high-diameter counterpoint. Sizes
+	// stay ≤ 12: an all-pairs torus deviation search is ~10 s at n=9
+	// and ~85 s at n=12 on one core, and n=16 would push a sweep past
+	// the hour — larger grids wait on further search parallelization
+	// (see ROADMAP open items).
+	{
+		Name:        "grid",
+		Description: "Torus grids under gossip and all-pairs demand",
+		Families:    []Family{Torus},
+		Sizes:       []int{9, 12},
+		Workloads:   []Workload{WorkloadAllPairs, WorkloadGossip},
+		CostModels:  []CostModel{CostUniform, CostBimodal},
+	},
+	// internet: the headline sweep — every Internet-like family under
+	// every cost model and the asymmetric workloads. The deviation
+	// search sweeps n∈{12,24}; above that the honest-profiling rungs
+	// (n∈{48,100}) build the truthful profile only, in perfbench's
+	// build workload — central construction is cheap enough that the
+	// ceiling is the search grid, not the build.
+	{
+		Name:         "internet",
+		Description:  "Internet-like families × all cost models × asymmetric workloads",
+		Families:     []Family{PrefAttach, Waxman, TwoTier},
+		Sizes:        []int{12, 24},
+		Workloads:    []Workload{WorkloadAllPairs, WorkloadHotspot, WorkloadSparse},
+		CostModels:   []CostModel{CostUniform, CostHeavyTailed, CostBimodal},
+		ProfileSizes: []int{48, 100},
+	},
 	// loss: the failure-model sweep — every scenario plays under a 10%
 	// bursty per-link drop rate, well under faithful.MaxTolerableLoss,
 	// so honest runs must stay clean while the loss-exploiting
 	// deviation family joins the search grid. Sizes stay at 6: the
 	// retry envelope multiplies message latency, and the blocking lane
 	// shares the churn lane's one-core budget.
-	RegisterSuite(Suite{
+	{
 		Name:        "loss",
 		Description: "Lossy links: 10% bursty drops, retry envelope, loss-exploiting deviations",
 		Families:    []Family{Random, PrefAttach, TwoTier},
@@ -272,13 +209,13 @@ func init() {
 		Workloads:   []Workload{WorkloadAllPairs},
 		CostModels:  []CostModel{CostUniform},
 		Loss:        Loss{Rate: 0.1, Burst: 3},
-	})
+	},
 	// settle: the sharded-settlement sweep — every scenario clears its
 	// execution phase through a 2-shard crash-tolerant 2PC with a
 	// participant crash-restart injected per settlement, and the
 	// shard-window deviation family joins the search grid. Sizes stay
 	// at 6 for the same one-core-lane budget as churn and loss.
-	RegisterSuite(Suite{
+	{
 		Name:        "settle",
 		Description: "Sharded settlement: 2 shards, participant crash-restarts, shard-window deviations",
 		Families:    []Family{Random, TwoTier},
@@ -286,15 +223,48 @@ func init() {
 		Workloads:   []Workload{WorkloadAllPairs},
 		CostModels:  []CostModel{CostUniform},
 		Shards:      Shards{K: 2, Crash: "participant"},
-	})
+	},
+	// smoke: the CI lane — small sizes, one cost model, finishes in
+	// tens of seconds with the parallel checker.
+	{
+		Name:        "smoke",
+		Description: "CI smoke: 3 families × n∈{6,8} × 2 workloads, uniform costs",
+		Families:    []Family{Random, PrefAttach, TwoTier},
+		Sizes:       []int{6, 8},
+		Workloads:   []Workload{WorkloadAllPairs, WorkloadHotspot},
+		CostModels:  []CostModel{CostUniform},
+	},
 	// workloads: one topology, every workload × cost model — isolates
 	// the demand-matrix axis.
-	RegisterSuite(Suite{
+	{
 		Name:        "workloads",
 		Description: "Fixed random topology, every workload × cost model",
 		Families:    []Family{Random},
 		Sizes:       []int{8},
 		Workloads:   []Workload{WorkloadAllPairs, WorkloadHotspot, WorkloadSparse, WorkloadGossip},
 		CostModels:  []CostModel{CostUniform, CostHeavyTailed, CostBimodal},
-	})
+	},
 }
+
+// LookupSuite finds a suite by name (case-insensitive).
+func LookupSuite(name string) (Suite, bool) {
+	for _, s := range suites {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return Suite{}, false
+}
+
+// SuiteNames lists the suite names sorted — for unknown-suite error
+// messages and listings.
+func SuiteNames() []string {
+	names := make([]string, len(suites))
+	for i, s := range suites {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// Suites lists every suite sorted by name.
+func Suites() []Suite { return slices.Clone(suites) }

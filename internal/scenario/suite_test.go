@@ -12,7 +12,13 @@ func TestSuiteRegistry(t *testing.T) {
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {
-			t.Fatalf("suites not sorted: %q before %q", all[i-1].Name, all[i].Name)
+			t.Fatalf("suites not strictly sorted: %q before %q", all[i-1].Name, all[i].Name)
+		}
+	}
+	for _, s := range all {
+		if s.Name == "" || len(s.Families) == 0 || len(s.Sizes) == 0 ||
+			len(s.Workloads) == 0 || len(s.CostModels) == 0 {
+			t.Errorf("suite %q needs a name and four non-empty axes: %+v", s.Name, s)
 		}
 	}
 	if _, ok := LookupSuite("SMOKE"); !ok {

@@ -220,11 +220,3 @@ func TestFaultPooledReuse(t *testing.T) {
 	}
 	net2.Release()
 }
-
-func TestFaultCountersAdd(t *testing.T) {
-	a := Counters{Crashes: 1, Restarts: 1, CrashDropped: 3}
-	a.Add(Counters{Crashes: 2, Restarts: 1, CrashDropped: 4})
-	if a.Crashes != 3 || a.Restarts != 2 || a.CrashDropped != 7 {
-		t.Fatalf("Add dropped crash counters: %+v", a)
-	}
-}

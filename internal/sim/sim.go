@@ -88,22 +88,6 @@ type Counters struct {
 	Steps        int64 // delivery steps executed
 }
 
-// Add accumulates another snapshot into c — benchtab's suite profile
-// sums one snapshot per epoch of a churn timeline into the
-// whole-timeline message-overhead figure.
-func (c *Counters) Add(o Counters) {
-	c.Sent += o.Sent
-	c.Delivered += o.Delivered
-	c.Dropped += o.Dropped
-	c.Retried += o.Retried
-	c.Lost += o.Lost
-	c.Crashes += o.Crashes
-	c.Restarts += o.Restarts
-	c.CrashDropped += o.CrashDropped
-	c.Bytes += o.Bytes
-	c.Steps += o.Steps
-}
-
 // Network is a deterministic event-driven message network.
 type Network struct {
 	// Dense handler table for addresses in [0, maxDenseAddr): handlers

@@ -375,15 +375,6 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCountersAdd(t *testing.T) {
-	a := Counters{Sent: 3, Delivered: 2, Dropped: 1, Bytes: 40, Steps: 5}
-	b := Counters{Sent: 10, Delivered: 9, Bytes: 100, Steps: 7}
-	a.Add(b)
-	if a.Sent != 13 || a.Delivered != 11 || a.Dropped != 1 || a.Bytes != 140 || a.Steps != 12 {
-		t.Errorf("scalar sums wrong: %+v", a)
-	}
-}
-
 // Quiescent reports whether no messages are in flight.
 func (n *Network) Quiescent() bool { return n.queue.n == 0 }
 

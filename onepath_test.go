@@ -18,11 +18,17 @@ import (
 // This file gates the rule that each behaviour has one production path
 // and at most one small oracle. It type-checks every non-test file of
 // the module, the perfbench harness and examples/ included (they are
-// production callers too), and flags each exported package-level
-// identifier or method that no production file references: a test-only
-// export, which belongs in its package's _test.go files unless the
-// allow-list below says why it stays. The same load pins which
-// production packages may import the two leaf subsystems.
+// production callers too), and flags two kinds of test-only surface
+// unless the allow-list below says why it stays:
+//   - an exported package-level identifier or method that no
+//     production file references. A method's receiver and a blank
+//     assertion (var _ I = (*T)(nil)) do not count as references, so
+//     a type is not kept alive by its own methods;
+//   - an exported field of an exported struct type that no production
+//     file sets, a knob with no production caller.
+//
+// The same load pins which production packages may import the two
+// leaf subsystems.
 
 // modulePath is the import path of the module rooted at this directory;
 // perfbench is a module of its own that resolves repro to it.
@@ -31,30 +37,47 @@ const modulePath = "repro"
 // The §3 models are reproduced by their tests; experiments read only
 // the parts the tables print.
 const (
-	specModel = "§3.1–§3.9 specification model: its tests reproduce the paper's construction; E7 reads only the phase calculator"
-	mechModel = "§3.2 mechanism substrate: its tests reproduce Definition 5 and Proposition 2(i) over the FPSS adapter"
+	specModel     = "§3.1–§3.9 specification model: its tests reproduce the paper's construction; E7 reads only the phase calculator"
+	mechModel     = "§3.2 mechanism substrate: its tests reproduce Definition 5 and Proposition 2(i) over the FPSS adapter"
+	electionModel = "§3 leader-election model: its tests run the deviation search over it; E8 calls election.Run directly"
 )
 
-// testOnlyAllowed lists the exported identifiers that only tests
-// reference, each with the reason it stays in production code. Keys
-// are "<package dir>.<Name>" or "<package dir>.<Type>.<Method>".
+// testOnlyAllowed lists the test-only identifiers and fields, each with
+// the reason it stays in production code. Keys are "<package
+// dir>.<Name>", "<package dir>.<Type>.<Method>" or "<package
+// dir>.<Type>.<Field>".
 var testOnlyAllowed = map[string]string{
-	"internal/faithful.MaxTolerableLoss":        "contract constant: the loss threshold other packages' docs cite",
-	"internal/fpss.RoutingMechanism.Outcome":    mechModel,
-	"internal/fpss.RoutingMechanism.Transfers":  mechModel,
-	"internal/fpss.RoutingMechanism.Utility":    mechModel,
-	"internal/mech.CheckStrategyproof":          mechModel,
-	"internal/mech.VCG.Outcome":                 mechModel,
-	"internal/mech.VCG.Transfers":               mechModel,
-	"internal/mech.VCG.TruthfulValue":           mechModel,
-	"internal/spec.ActionKind.External":         specModel,
-	"internal/spec.BuildExtendedFPSS":           specModel,
-	"internal/spec.ExtendedFPSSPhases":          specModel,
-	"internal/spec.Machine.Action":              specModel,
-	"internal/spec.Machine.Actions":             specModel,
-	"internal/spec.Machine.States":              specModel,
-	"internal/spec.Specification.SubStrategies": specModel,
-	"internal/spec.Specification.Trace":         specModel,
+	"internal/core.StatefulEpochedSystem":          "perfbench spells it (ROADMAP item 1)",
+	"internal/election.System":                     electionModel,
+	"internal/election.System.Cfg":                 electionModel,
+	"internal/faithful.MaxTolerableLoss":           "contract constant: the loss threshold other packages' docs cite",
+	"internal/fpss.RoutingMechanism":               mechModel,
+	"internal/fpss.RoutingMechanism.DeliveryValue": mechModel,
+	"internal/fpss.RoutingMechanism.Outcome":       mechModel,
+	"internal/fpss.RoutingMechanism.Topology":      mechModel,
+	"internal/fpss.RoutingMechanism.Traffic":       mechModel,
+	"internal/fpss.RoutingMechanism.Transfers":     mechModel,
+	"internal/fpss.RoutingMechanism.Utility":       mechModel,
+	"internal/mech.CheckStrategyproof":             mechModel,
+	"internal/mech.VCG":                            mechModel,
+	"internal/mech.VCG.NumOutcomes":                mechModel,
+	"internal/mech.VCG.Outcome":                    mechModel,
+	"internal/mech.VCG.Transfers":                  mechModel,
+	"internal/mech.VCG.TruthfulValue":              mechModel,
+	"internal/mech.VCG.Value":                      mechModel,
+	"internal/settle.Options.FaultOverride":        "fault-injection seam: TestShardCrashNeverBlamesPrincipals hands it a schedule; ROADMAP item 4 fuzzes through it",
+	"internal/settle.Options.Loss":                 "fault-injection seam: drives the gated BenchmarkSettle/k=4/plan=none/n=32/loss=0.1 row",
+	"internal/settle.Options.Timeout":              "fault-injection seam: settlement and shard tests shorten the retransmission quantum",
+	"internal/sim.LossModel.Attempts":              "fault-injection seam: loss tests force one attempt or widen the retry envelope",
+	"internal/sim.LossModel.RetryDelay":            "fault-injection seam: loss tests stretch the retry backoff",
+	"internal/spec.ActionKind.External":            specModel,
+	"internal/spec.BuildExtendedFPSS":              specModel,
+	"internal/spec.ExtendedFPSSPhases":             specModel,
+	"internal/spec.Machine.Action":                 specModel,
+	"internal/spec.Machine.Actions":                specModel,
+	"internal/spec.Machine.States":                 specModel,
+	"internal/spec.Specification.SubStrategies":    specModel,
+	"internal/spec.Specification.Trace":            specModel,
 }
 
 // importersAllowed pins, for each leaf package, the only production
@@ -74,6 +97,7 @@ type prodPackage struct {
 type production struct {
 	pkgs map[string]*prodPackage // by dir relative to the module root
 	uses map[types.Object]bool   // objects some production file names
+	sets map[*types.Var]bool     // fields some production file sets
 	std  []*types.Package        // the standard packages it imports
 }
 
@@ -86,9 +110,14 @@ func loadProduction() (*production, error) {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	r := &production{pkgs: map[string]*prodPackage{}, uses: map[types.Object]bool{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	r := &production{pkgs: map[string]*prodPackage{}, uses: map[types.Object]bool{}, sets: map[*types.Var]bool{}}
 	stdSeen := map[*types.Package]bool{}
+	var all []*ast.File
 
 	var check func(dir string) (*prodPackage, error)
 	check = func(dir string) (*prodPackage, error) {
@@ -115,6 +144,7 @@ func loadProduction() (*production, error) {
 			}
 			files = append(files, f)
 		}
+		all = append(all, files...)
 		p := &prodPackage{}
 		conf := types.Config{Importer: importerFunc(func(path, srcDir string) (*types.Package, error) {
 			if rel, ok := strings.CutPrefix(path, modulePath+"/"); ok {
@@ -152,10 +182,94 @@ func loadProduction() (*production, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, obj := range info.Uses {
-		r.uses[origin(obj)] = true
+	notUses := map[*ast.Ident]bool{}
+	for _, f := range all {
+		r.scan(f, info, notUses)
+	}
+	for id, obj := range info.Uses {
+		if !notUses[id] {
+			r.uses[origin(obj)] = true
+		}
 	}
 	return r, nil
+}
+
+// scan records in r.sets every field that f sets, and in notUses the
+// identifiers of f that name something without using it: those of a
+// method's receiver and those of a blank assertion (var _ I = (*T)(nil)).
+// A field is set by a key or a position in a struct literal, or by an
+// assignment, ++, -- or & through a selector chain, which sets every
+// field along the chain.
+func (r *production) scan(f *ast.File, info *types.Info, notUses map[*ast.Ident]bool) {
+	skip := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				notUses[id] = true
+			}
+			return true
+		})
+	}
+	setChain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					r.sets[origin(sel.Obj()).(*types.Var)] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				skip(n.Recv)
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == 1 && n.Names[0].Name == "_" {
+				skip(n)
+				return false
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						r.sets[origin(v).(*types.Var)] = true
+					}
+				} else {
+					r.sets[origin(st.Field(i)).(*types.Var)] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				setChain(lhs)
+			}
+		case *ast.IncDecStmt:
+			setChain(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				setChain(n.X)
+			}
+		}
+		return true
+	})
 }
 
 type importerFunc func(path, srcDir string) (*types.Package, error)
@@ -257,30 +371,71 @@ func (r *production) testOnlyExports() []string {
 	return out
 }
 
-// TestOnePathOneOracle fails on any test-only export missing from the
-// allow-list, on any allow-list entry that production now uses or that
-// is gone, and on any production import of a pinned leaf package from
-// outside its allowed importers.
+// testOnlyFields returns, sorted, the key of every exported,
+// non-embedded field of an exported struct type of a library package
+// that no production file sets.
+func (r *production) testOnlyFields() []string {
+	var out []string
+	for dir, p := range r.pkgs {
+		if p == nil || p.pkg.Name() == "main" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() && !r.sets[f] {
+					out = append(out, dir+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestOnePathOneOracle fails on any test-only export or field missing
+// from the allow-list, on any allow-list entry that neither is (because
+// production now uses or sets it, or it is gone), and on any production
+// import of a pinned leaf package from outside its allowed importers.
 func TestOnePathOneOracle(t *testing.T) {
 	r, err := loadProduction()
 	if err != nil {
 		t.Fatal(err)
 	}
+	exports, fields := r.testOnlyExports(), r.testOnlyFields()
+	requireAllowed := func(t *testing.T, keys []string, fix string) {
+		for _, key := range keys {
+			if _, ok := testOnlyAllowed[key]; !ok {
+				t.Errorf("%s %s, or allow-list it with a reason", key, fix)
+			}
+		}
+	}
 
 	t.Run("exports", func(t *testing.T) {
-		flagged := map[string]bool{}
-		for _, key := range r.testOnlyExports() {
-			flagged[key] = true
-			if _, ok := testOnlyAllowed[key]; !ok {
-				t.Errorf("%s is exported but only tests reference it: move it into a _test.go file, delete it, or allow-list it with a reason", key)
-			}
-		}
-		for key := range testOnlyAllowed {
-			if !flagged[key] {
-				t.Errorf("allow-list entry %s is stale: production code references it, or it is gone", key)
-			}
-		}
+		requireAllowed(t, exports, "is exported but only tests reference it: move it into a _test.go file, delete it")
 	})
+
+	t.Run("fields", func(t *testing.T) {
+		requireAllowed(t, fields, "is a field that no production file sets: delete it")
+	})
+
+	flagged := map[string]bool{}
+	for _, key := range append(exports, fields...) {
+		flagged[key] = true
+	}
+	for key := range testOnlyAllowed {
+		if !flagged[key] {
+			t.Errorf("allow-list entry %s is stale: production code references or sets it, or it is gone", key)
+		}
+	}
 
 	t.Run("imports", func(t *testing.T) {
 		for dir, p := range r.pkgs {
