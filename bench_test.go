@@ -29,7 +29,7 @@ func lookupExperiment(id string) (experiments.Experiment, bool) {
 }
 
 // mustTable fetches an experiment from the registry and generates its
-// table, optionally mutating the registered default Params.
+// table, optionally mutating a copy of its registered Params.
 func mustTable(b *testing.B, id string, mutate func(*experiments.Params)) *experiments.Table {
 	b.Helper()
 	exp, ok := lookupExperiment(id)
@@ -43,7 +43,7 @@ func mustTable(b *testing.B, id string, mutate func(*experiments.Params)) *exper
 	if mutate != nil {
 		mutate(&p)
 	}
-	t, err := exp.Generate(p)
+	t, err := exp.Gen(p)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -452,13 +452,13 @@ func honestRuns(out io.Writer, c *scenario.Compiled) error {
 	for id := range graph.NodeID(g.N()) {
 		node := res.Nodes[id]
 		fmt.Fprintf(out, "node %s:\n", g.Name(id))
-		for d, e := range node.Routing().All() {
+		for d, e := range node.RoutingView().All() {
 			path := make([]string, len(e.Path))
 			for j, hop := range e.Path {
 				path[j] = g.Name(hop)
 			}
 			fmt.Fprintf(out, "  →%s cost=%d path=%s", g.Name(d), e.Cost, strings.Join(path, "-"))
-			if row := node.Pricing().Row(d); row != nil {
+			if row := node.PricingView().Row(d); row != nil {
 				var prices []string
 				for _, k := range slices.Sorted(maps.Keys(row)) {
 					prices = append(prices, fmt.Sprintf("%s:%d", g.Name(k), row[k].Price))

@@ -91,3 +91,16 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("-loss 1.5 accepted")
 	}
 }
+
+// TestWarmupOverSliceReportsNoQuantile: the default 200-ms warm-up
+// discards every sample of a 200-ms slice, so the latency summary
+// holds a count of zero and no quantile.
+func TestWarmupOverSliceReportsNoQuantile(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-family", "PrefAttach", "-n", "8", "-duration", "200ms"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.Contains(got, "lat{n=0}") || strings.Contains(got, "p50=") {
+		t.Fatalf("want lat{n=0} and no quantile:\n%s", got)
+	}
+}

@@ -35,8 +35,8 @@ func main() {
 		declaredCosts := make(fpss.CostTable)
 		trueCosts := make(fpss.CostTable)
 		for id, node := range res.Nodes {
-			routing[id] = node.Routing()
-			pricing[id] = node.Pricing()
+			routing[id] = node.RoutingView()
+			pricing[id] = node.PricingView()
 			declaredCosts[id] = node.DeclaredCost()
 			trueCosts[id] = g.Cost(id)
 		}

@@ -36,13 +36,13 @@ func main() {
 	// mechanism would compute. Show X's view.
 	x, _ := g.ByName("X")
 	z, _ := g.ByName("Z")
-	route := res.Nodes[x].Routing()[z]
+	route := res.Nodes[x].RoutingView()[z]
 	fmt.Printf("X's lowest-cost path to Z: cost=%d via", route.Cost)
 	for _, hop := range route.Path {
 		fmt.Printf(" %s", g.Name(hop))
 	}
 	fmt.Println()
-	for k, e := range res.Nodes[x].Pricing()[z] {
+	for k, e := range res.Nodes[x].PricingView()[z] {
 		fmt.Printf("X pays %s a VCG premium of %d per packet\n", g.Name(k), e.Price)
 	}
 

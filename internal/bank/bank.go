@@ -8,6 +8,7 @@
 //
 // All node↔bank communication is signed with acknowledgments (package
 // sign), giving communication compatibility on this one channel.
+// In-process, the nil error of Verify in Submit is the acknowledgment.
 package bank
 
 import (
@@ -98,7 +99,7 @@ func (b *Bank) Nodes() []graph.NodeID {
 // what makes node↔bank communication compatible — and so are payloads
 // that are not exactly one binary report (see codec.go).
 func (b *Bank) Submit(env sign.Envelope) error {
-	if _, err := b.authority.Verify(env); err != nil {
+	if err := b.authority.Verify(env); err != nil {
 		return fmt.Errorf("bank: reject report: %w", err)
 	}
 	rep, err := decodeReport(env.Payload)
@@ -215,8 +216,6 @@ const Epsilon int64 = 1
 // PaymentFinding records an execution-phase audit result for one node.
 type PaymentFinding struct {
 	Node graph.NodeID
-	// Shortfall = owed − reported (positive when underreporting).
-	Shortfall int64
 	// Penalty is the ε-above charge levied on any misreport.
 	Penalty int64
 }
@@ -235,11 +234,7 @@ func (b *Bank) AuditPayments(obligations, reported map[graph.NodeID]fpss.Payment
 		if diff == 0 {
 			continue
 		}
-		out = append(out, PaymentFinding{
-			Node:      id,
-			Shortfall: owed.Total() - rep.Total(),
-			Penalty:   diff + epsilon,
-		})
+		out = append(out, PaymentFinding{Node: id, Penalty: diff + epsilon})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out

@@ -239,8 +239,8 @@ func TestAuditPaymentsUnderreport(t *testing.T) {
 		t.Fatalf("findings = %v", findings)
 	}
 	f := findings[0]
-	if f.Node != 0 || f.Shortfall != 11 {
-		t.Errorf("finding = %+v, want node 0 shortfall 11", f)
+	if f.Node != 0 {
+		t.Errorf("finding = %+v, want node 0", f)
 	}
 	// Penalty is ε above the deviation magnitude: |10-4| + |5-0| + 2 = 13.
 	if f.Penalty != 13 {
@@ -255,8 +255,5 @@ func TestAuditPaymentsOverreportAlsoPenalized(t *testing.T) {
 	findings := b.AuditPayments(obl, rep, 1)
 	if len(findings) != 1 || findings[0].Penalty != 8 {
 		t.Errorf("findings = %v, want penalty 8", findings)
-	}
-	if findings[0].Shortfall != -7 {
-		t.Errorf("shortfall = %d, want -7", findings[0].Shortfall)
 	}
 }

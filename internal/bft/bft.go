@@ -8,9 +8,10 @@
 //
 // Scope (documented simplification): normal-case operation only — a
 // fixed primary, pre-prepare/prepare/commit with 2f+1 quorums, silent
-// (crash-faulty) replicas tolerated up to f, no view change. That is
-// the cheapest possible PBFT, which only makes the paper's overhead
-// comparison conservative.
+// (crash-faulty) replicas tolerated up to f, no view change. No replica
+// equivocates, so prepares and commits carry no digest and every vote
+// counts. That is the cheapest possible PBFT, which only makes the
+// paper's overhead comparison conservative.
 package bft
 
 import (
@@ -74,11 +75,11 @@ type PrePrepare struct {
 // Size implements sim.Sizer.
 func (p PrePrepare) Size() int { return 3 + len(p.Data)/8 }
 
-// Prepare is a backup's agreement on (view, seq, digest).
+// Prepare is a replica's vote for the operation pre-prepared at
+// (view, seq).
 type Prepare struct {
 	View    int
 	Seq     int
-	Digest  Digest
 	Replica int
 }
 
@@ -89,7 +90,6 @@ func (Prepare) Size() int { return 4 }
 type Commit struct {
 	View    int
 	Seq     int
-	Digest  Digest
 	Replica int
 }
 
@@ -110,10 +110,8 @@ func (Reply) Size() int { return 3 }
 type slot struct {
 	prePrepared bool
 	data        []byte
-	digest      Digest
 	prepares    map[int]bool
 	commits     map[int]bool
-	committed   bool
 	executed    bool
 }
 
@@ -184,14 +182,13 @@ func (r *Replica) onRequest(ctx sim.Context, req Request) {
 	s := r.slotFor(r.seq)
 	s.prePrepared = true
 	s.data = req.Data
-	s.digest = pp.Digest
 	for i := 0; i < r.n; i++ {
 		if i != r.id {
 			ctx.Send(sim.Addr(i), pp)
 		}
 	}
 	// The primary's own prepare is implicit in the pre-prepare.
-	r.broadcastPrepare(ctx, pp.View, pp.Seq, pp.Digest)
+	r.broadcastPrepare(ctx, pp.View, pp.Seq)
 }
 
 func (r *Replica) onPrePrepare(ctx sim.Context, pp PrePrepare) {
@@ -204,14 +201,13 @@ func (r *Replica) onPrePrepare(ctx sim.Context, pp PrePrepare) {
 	}
 	s.prePrepared = true
 	s.data = pp.Data
-	s.digest = pp.Digest
 	s.prepares[r.primary()] = true // pre-prepare counts as the primary's prepare
-	r.broadcastPrepare(ctx, pp.View, pp.Seq, pp.Digest)
+	r.broadcastPrepare(ctx, pp.View, pp.Seq)
 	r.maybeCommit(ctx, pp.Seq)
 }
 
-func (r *Replica) broadcastPrepare(ctx sim.Context, view, seq int, d Digest) {
-	p := Prepare{View: view, Seq: seq, Digest: d, Replica: r.id}
+func (r *Replica) broadcastPrepare(ctx sim.Context, view, seq int) {
+	p := Prepare{View: view, Seq: seq, Replica: r.id}
 	s := r.slotFor(seq)
 	s.prepares[r.id] = true
 	for i := 0; i < r.n; i++ {
@@ -231,14 +227,16 @@ func (r *Replica) onPrepare(ctx sim.Context, p Prepare) {
 	r.maybeCommit(ctx, p.Seq)
 }
 
-// maybeCommit broadcasts COMMIT once prepared: pre-prepare + 2f
-// prepares matching the digest.
+// maybeCommit broadcasts COMMIT once the slot is prepared: its
+// pre-prepare and 2f+1 prepare votes, the primary's implicit one and
+// this replica's own included. Every vote for the slot counts, since
+// only silent replicas are modelled (see the package doc).
 func (r *Replica) maybeCommit(ctx sim.Context, seq int) {
 	s := r.slotFor(seq)
 	if !s.prePrepared || s.commits[r.id] || len(s.prepares) < 2*r.f+1 {
 		return
 	}
-	c := Commit{View: r.view, Seq: seq, Digest: s.digest, Replica: r.id}
+	c := Commit{View: r.view, Seq: seq, Replica: r.id}
 	s.commits[r.id] = true
 	for i := 0; i < r.n; i++ {
 		if i != r.id {
@@ -265,7 +263,6 @@ func (r *Replica) maybeExecute(ctx sim.Context) {
 			return
 		}
 		s.executed = true
-		s.committed = true
 		r.sm.Apply(s.data)
 		r.executed++
 		ctx.Send(r.client, Reply{Seq: r.executed, Replica: r.id, State: r.sm.Digest()})

@@ -458,7 +458,7 @@ func (tl *Timeline) staleTables(id Identity, epoch int) (fpss.RoutingTable, fpss
 		if !ok {
 			continue
 		}
-		rt[d] = fpss.RouteEntry{Dest: d, Cost: entry.Cost, Path: path}
+		rt[d] = fpss.RouteEntry{Cost: entry.Cost, Path: path}
 	}
 	pt := make(fpss.PricingTable, cur.N())
 	for dest, row := range pricing[id].All() {

@@ -12,7 +12,7 @@ import (
 // "every neighbor of a node is assigned as a checker for that node."
 // Restricting the assignment to k < degree neighbors opens escapes —
 // a principal can cheat toward the unchecked side.
-func E11CheckerAblation(p Params) (*Table, error) {
+func E11CheckerAblation(Params) (*Table, error) {
 	t := &Table{
 		ID:         "E11",
 		Title:      "Ablation: checker assignment size vs deviation containment",
@@ -20,7 +20,7 @@ func E11CheckerAblation(p Params) (*Table, error) {
 		Headers:    []string{"checkers per principal", "plays", "caught or neutralized", "profitable"},
 	}
 	for _, limit := range []int{0, 2, 1} {
-		sc, err := figure1Scenario(p, limit)
+		sc, err := figure1Scenario(limit)
 		if err != nil {
 			return nil, err
 		}
@@ -92,8 +92,8 @@ func E12Failstop(Params) (*Table, error) {
 // the faithful protocol self-interested deviations are contained, but
 // a node willing to eat the non-progress penalty can grief everyone —
 // faithfulness targets rational nodes, not malicious ones.
-func E13DamageContainment(p Params) (*Table, error) {
-	sc, err := figure1Scenario(p, 0)
+func E13DamageContainment(Params) (*Table, error) {
+	sc, err := figure1Scenario(0)
 	if err != nil {
 		return nil, err
 	}

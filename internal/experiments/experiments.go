@@ -40,8 +40,8 @@ type Table struct {
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
 // E1Figure1 regenerates Figure 1 and the §4.1 quoted path costs.
-func E1Figure1(p Params) (*Table, error) {
-	sc, err := figure1Scenario(p, 0)
+func E1Figure1(Params) (*Table, error) {
+	sc, err := figure1Scenario(0)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func E1Figure1(p Params) (*Table, error) {
 			}
 			names += g.Name(id)
 		}
-		agrees := res.Nodes[src].Routing()[dst].Path.Equal(e.Path)
+		agrees := res.Nodes[src].RoutingView()[dst].Path.Equal(e.Path)
 		t.Rows = append(t.Rows, []string{
 			p[0] + "→" + p[1], itoa(int64(e.Cost)), names, fmt.Sprintf("%v", agrees),
 		})
@@ -83,8 +83,8 @@ func E1Figure1(p Params) (*Table, error) {
 // E2Example1 regenerates Example 1: node C's declared cost swept over
 // 1..10, utility under naive declared-cost pricing (manipulable)
 // versus FPSS VCG pricing (strategyproof).
-func E2Example1(p Params) (*Table, error) {
-	sc, err := figure1Scenario(p, 0)
+func E2Example1(Params) (*Table, error) {
+	sc, err := figure1Scenario(0)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +109,8 @@ func E2Example1(p Params) (*Table, error) {
 		pricing := make(map[graph.NodeID]fpss.PricingTable)
 		declaredCosts := make(fpss.CostTable)
 		for id, node := range res.Nodes {
-			routing[id] = node.Routing()
-			pricing[id] = node.Pricing()
+			routing[id] = node.RoutingView()
+			pricing[id] = node.PricingView()
 			declaredCosts[id] = node.DeclaredCost()
 		}
 		var util [2]int64
@@ -180,8 +180,8 @@ func tally(plays []detection) (caught, profitable int) {
 // E3Detection regenerates §4.3: every manipulation class injected at
 // every node; the extended specification must detect (or neutralize)
 // each one, with zero false positives on honest runs.
-func E3Detection(p Params) (*Table, error) {
-	sc, err := figure1Scenario(p, 0)
+func E3Detection(Params) (*Table, error) {
+	sc, err := figure1Scenario(0)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +321,7 @@ func E6Faithfulness(p Params) (*Table, error) {
 		var sc *scenario.Compiled
 		var err error
 		if trial == 0 {
-			sc, err = figure1Scenario(p, 0)
+			sc, err = figure1Scenario(0)
 		} else {
 			// Sizes and chord counts are drawn from the shared trial
 			// stream, exactly as the pre-scenario code did, so the
@@ -329,7 +329,7 @@ func E6Faithfulness(p Params) (*Table, error) {
 			n := 4 + rng.Intn(3)
 			chords := scenario.Chords(rng.Intn(4))
 			sc, err = scenario.Spec{
-				Family: scenario.Random, N: n, ExtraEdges: chords, MaxCost: 8, Scheme: p.Scheme,
+				Family: scenario.Random, N: n, ExtraEdges: chords, MaxCost: 8,
 			}.BuildWith(rng)
 		}
 		if err != nil {
@@ -356,17 +356,13 @@ func E6Faithfulness(p Params) (*Table, error) {
 	return t, nil
 }
 
-// figure1Scenario compiles the paper's Figure-1 scenario, honoring a
-// Params-level pricing-scheme override and an optional checker limit.
-// Every Figure-1 experiment gets its graph and deviation-search
-// parameters from here — scenario construction lives in
-// internal/scenario, not in individual generators.
-func figure1Scenario(p Params, checkerLimit int) (*scenario.Compiled, error) {
-	return scenario.Spec{
-		Family:       scenario.Figure1,
-		Scheme:       p.Scheme,
-		CheckerLimit: checkerLimit,
-	}.Compile()
+// figure1Scenario compiles the paper's Figure-1 scenario under VCG
+// pricing, with an optional checker limit. Every Figure-1 experiment
+// gets its graph and deviation-search parameters from here — scenario
+// construction lives in internal/scenario, not in individual
+// generators.
+func figure1Scenario(checkerLimit int) (*scenario.Compiled, error) {
+	return scenario.Spec{Family: scenario.Figure1, CheckerLimit: checkerLimit}.Compile()
 }
 
 func flags(r core.Report) string {
@@ -389,11 +385,10 @@ func E7PhaseDecomposition(Params) (*Table, error) {
 		Headers:    []string{"deviation points/phase", "phases", "monolithic combos", "phased combos", "reduction factor"},
 	}
 	for _, points := range []int{2, 4, 6, 8} {
-		phases := []spec.Phase{
-			{Name: "construction-1", DeviationPoints: points, Alternatives: 3},
-			{Name: "construction-2", DeviationPoints: points, Alternatives: 3},
-			{Name: "execution", DeviationPoints: points, Alternatives: 3},
-		}
+		// Two construction phases and execution, each with the same
+		// deviation surface.
+		phase := spec.Phase{DeviationPoints: points, Alternatives: 3}
+		phases := []spec.Phase{phase, phase, phase}
 		mono, phased := spec.DecompositionSavings(phases)
 		ratio := "inf"
 		if phased.Sign() > 0 {

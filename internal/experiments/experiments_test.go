@@ -7,8 +7,8 @@ import (
 )
 
 // genTable fetches an experiment from the registry and generates its
-// table, optionally mutating the default Params first — tests never
-// call generator functions by name.
+// table, optionally mutating a copy of its registered Params first —
+// tests never call generator functions by name.
 func genTable(t *testing.T, id string, mutate func(*Params)) *Table {
 	t.Helper()
 	exp, ok := Lookup(id)
@@ -19,7 +19,7 @@ func genTable(t *testing.T, id string, mutate func(*Params)) *Table {
 	if mutate != nil {
 		mutate(&p)
 	}
-	tbl, err := exp.Generate(p)
+	tbl, err := exp.Gen(p)
 	if err != nil {
 		t.Fatal(err)
 	}

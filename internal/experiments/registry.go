@@ -4,17 +4,11 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
-
-	"repro/internal/fpss"
 )
 
-// Params parameterizes an experiment. When passed to
-// Experiment.Generate, the zero value of any field means "use the
-// experiment's default" — the defaults reproduce the paper tables
-// exactly, and the registry table is their single source of truth.
-// Sweeping these fields opens scenario variants (bigger topologies,
-// more sampled profiles, alternate pricing) without new top-level
-// generators.
+// Params parameterizes an experiment. Each registry entry's Params
+// reproduce the paper table; tests pass other values to Gen to shrink
+// or re-seed an experiment.
 type Params struct {
 	// Sizes are the topology sizes for sweep experiments (E4, E5, E9).
 	Sizes []int
@@ -25,17 +19,12 @@ type Params struct {
 	// randomness from this value, so a Params value fully determines
 	// the output table — the property the parallel runner relies on.
 	Seed int64
-	// Scheme overrides the pricing rule where one applies (E6, E11,
-	// E13). Zero keeps the experiment's default (VCG).
-	Scheme fpss.PricingScheme
 }
 
 // Experiment is one table generator of the registry.
 type Experiment struct {
 	// ID is the stable experiment name ("E1".."E13").
 	ID string
-	// Title is a one-line description for listings.
-	Title string
 	// Params are the defaults that reproduce the paper table.
 	Params Params
 	// Slow marks experiments dominated by deviation searches; callers
@@ -45,23 +34,6 @@ type Experiment struct {
 	Gen func(Params) (*Table, error)
 }
 
-// withDefaults fills zero fields from d.
-func (p Params) withDefaults(d Params) Params {
-	if len(p.Sizes) == 0 {
-		p.Sizes = d.Sizes
-	}
-	if p.Trials == 0 {
-		p.Trials = d.Trials
-	}
-	if p.Seed == 0 {
-		p.Seed = d.Seed
-	}
-	if p.Scheme == 0 {
-		p.Scheme = d.Scheme
-	}
-	return p
-}
-
 // clone deep-copies the slice field so a returned Params can be
 // mutated freely without writing through to the registry table.
 func (p Params) clone() Params {
@@ -69,40 +41,27 @@ func (p Params) clone() Params {
 	return p
 }
 
-// Generate runs the generator with p, filling any zero field from the
-// experiment's registered defaults — the one place the
-// zero-means-default contract is implemented. Prefer this over
-// calling Gen directly.
-func (e Experiment) Generate(p Params) (*Table, error) {
-	return e.Gen(p.withDefaults(e.Params).clone())
-}
-
-// Run generates the experiment's table with its default parameters.
-func (e Experiment) Run() (*Table, error) { return e.Generate(Params{}) }
+// Run generates the experiment's table with its registered Params.
+func (e Experiment) Run() (*Table, error) { return e.Gen(e.Params.clone()) }
 
 // registry lists every experiment in canonical order, E1 to E13. It
 // is the one source of every consumer's experiment set: the Runner,
 // cmd/benchtab's -run filter and the root benchmarks read it through
 // Experiments or Match. A new experiment is one more entry here.
 var registry = []Experiment{
-	{ID: "E1", Title: "Figure 1 LCPs and quoted costs", Gen: E1Figure1},
-	{ID: "E2", Title: "Example 1 manipulation sweep", Gen: E2Example1},
-	{ID: "E3", Title: "Manipulation detection matrix", Slow: true, Gen: E3Detection},
-	{ID: "E4", Title: "Checker-scheme overhead sweep",
-		Params: Params{Sizes: []int{6, 12, 18, 24}, Seed: 11}, Gen: E4Overhead},
-	{ID: "E5", Title: "BFT replication baseline",
-		Params: Params{Sizes: []int{4, 7, 10, 13}, Seed: 12}, Gen: E5BFTBaseline},
-	{ID: "E6", Title: "Deviation search (Theorem 1)", Slow: true,
-		Params: Params{Trials: 3, Seed: 13}, Gen: E6Faithfulness},
-	{ID: "E7", Title: "Phase decomposition savings", Gen: E7PhaseDecomposition},
-	{ID: "E8", Title: "Leader election naive vs faithful",
-		Params: Params{Trials: 40, Seed: 14}, Gen: E8Election},
-	{ID: "E9", Title: "Construction convergence sweep",
-		Params: Params{Sizes: []int{6, 12, 18, 24, 30}, Seed: 15}, Gen: E9Convergence},
-	{ID: "E10", Title: "Execution-phase enforcement", Gen: E10Execution},
-	{ID: "E11", Title: "Checker-assignment ablation", Slow: true, Gen: E11CheckerAblation},
-	{ID: "E12", Title: "Failstop interplay (§5)", Gen: E12Failstop},
-	{ID: "E13", Title: "Victim damage containment", Slow: true, Gen: E13DamageContainment},
+	{ID: "E1", Gen: E1Figure1},
+	{ID: "E2", Gen: E2Example1},
+	{ID: "E3", Slow: true, Gen: E3Detection},
+	{ID: "E4", Params: Params{Sizes: []int{6, 12, 18, 24}, Seed: 11}, Gen: E4Overhead},
+	{ID: "E5", Params: Params{Sizes: []int{4, 7, 10, 13}, Seed: 12}, Gen: E5BFTBaseline},
+	{ID: "E6", Slow: true, Params: Params{Trials: 3, Seed: 13}, Gen: E6Faithfulness},
+	{ID: "E7", Gen: E7PhaseDecomposition},
+	{ID: "E8", Params: Params{Trials: 40, Seed: 14}, Gen: E8Election},
+	{ID: "E9", Params: Params{Sizes: []int{6, 12, 18, 24, 30}, Seed: 15}, Gen: E9Convergence},
+	{ID: "E10", Gen: E10Execution},
+	{ID: "E11", Slow: true, Gen: E11CheckerAblation},
+	{ID: "E12", Gen: E12Failstop},
+	{ID: "E13", Slow: true, Gen: E13DamageContainment},
 }
 
 // Experiments returns every experiment in canonical order (E1 to

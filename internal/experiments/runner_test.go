@@ -170,27 +170,6 @@ func TestRunnerWorkerCountsAllAgree(t *testing.T) {
 	}
 }
 
-func TestGenerateFillsDefaultsForZeroFields(t *testing.T) {
-	exp, ok := Lookup("E8")
-	if !ok {
-		t.Fatal("E8 not registered")
-	}
-	// Zero Trials must fall back to the registered default (40), not
-	// run an empty sweep that divides by zero.
-	tbl, err := exp.Generate(Params{Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Rows[0][1]; got != "40" {
-		t.Errorf("trials cell = %q, want registered default 40", got)
-	}
-	for _, row := range tbl.Rows {
-		if row[3] == "NaN" {
-			t.Errorf("zero-trials division leaked: %v", row)
-		}
-	}
-}
-
 func TestRegistryDefaultsImmutable(t *testing.T) {
 	exp, _ := Lookup("E4")
 	if len(exp.Params.Sizes) == 0 {

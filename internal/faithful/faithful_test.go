@@ -55,10 +55,10 @@ func TestHonestTablesMatchCentral(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, node := range res.Nodes {
-		if !node.Routing().Equal(sol.Routing[id]) {
+		if !node.RoutingView().Equal(sol.Routing[id]) {
 			t.Errorf("node %d routing differs from central", id)
 		}
-		if !node.Pricing().Equal(sol.Pricing[id]) {
+		if !node.PricingView().Equal(sol.Pricing[id]) {
 			t.Errorf("node %d pricing differs from central", id)
 		}
 	}
@@ -77,10 +77,10 @@ func TestHonestMirrorsMatchPrincipals(t *testing.T) {
 				t.Fatalf("node %d has no mirror of neighbor %d", id, p)
 			}
 			principal := res.Nodes[p]
-			if !mr.Equal(principal.Routing()) {
+			if !mr.Equal(principal.RoutingView()) {
 				t.Errorf("node %d mirror routing of %d diverges", id, p)
 			}
-			if !mp.Equal(principal.Pricing()) {
+			if !mp.Equal(principal.PricingView()) {
 				t.Errorf("node %d mirror pricing of %d diverges", id, p)
 			}
 		}
@@ -235,10 +235,10 @@ func TestForwardHookEditsOnlyItsCopy(t *testing.T) {
 		res := deviatorRun(t, g, deviator, &Strategy{ForwardToChecker: bumpForwardedCosts})
 		for id, node := range res.Nodes {
 			want := honest.Nodes[id]
-			if !node.Routing().Equal(want.Routing()) {
+			if !node.RoutingView().Equal(want.RoutingView()) {
 				t.Errorf("deviator %d: node %d routing differs from the honest run", deviator, id)
 			}
-			if !node.Pricing().Equal(want.Pricing()) {
+			if !node.PricingView().Equal(want.PricingView()) {
 				t.Errorf("deviator %d: node %d pricing differs from the honest run", deviator, id)
 			}
 		}
@@ -253,7 +253,7 @@ func TestSpoofedForwardDetected(t *testing.T) {
 	// Manipulation 1/3 (spoof): fabricate an input "from X" claiming a
 	// free route to Z.
 	spoofed := make(fpss.RoutingTable, g.N())
-	spoofed[z] = fpss.RouteEntry{Dest: z, Cost: 0, Path: graph.Path{x, z}}
+	spoofed[z] = fpss.RouteEntry{Cost: 0, Path: graph.Path{x, z}}
 	res := deviatorRun(t, g, d, &Strategy{
 		SpoofCopies: func(self graph.NodeID) []ForwardCopy {
 			return []ForwardCopy{{
@@ -370,7 +370,7 @@ func TestRelayTamperDetectedWhenEffective(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id, node := range res.Nodes {
-			if !node.Routing().Equal(sol.Routing[id]) {
+			if !node.RoutingView().Equal(sol.Routing[id]) {
 				t.Errorf("green-lit run has corrupted routing at node %d", id)
 			}
 		}
@@ -414,5 +414,5 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 		return nil, nil, false
 	}
 	m.refresh(n.Derivation().Scratch(), n.CostsView())
-	return m.routing.Clone(), m.pricing.Clone(), true
+	return m.routing, m.pricing, true
 }

@@ -190,7 +190,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 			}
 			dst := graph.NodeID(j)
 			hops := int(t.Hops[j])
-			rt[dst] = RouteEntry{Dest: dst, Cost: t.Dist[j], Path: t.AppendPathTo(w.ids.allocIDs(hops+1), dst)}
+			rt[dst] = RouteEntry{Cost: t.Dist[j], Path: t.AppendPathTo(w.ids.allocIDs(hops+1), dst)}
 			if hops < 2 {
 				continue // a neighbor: no transit node to price
 			}

@@ -3,6 +3,7 @@ package fpss
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -57,7 +58,7 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 			if p == nil {
 				return nil, fmt.Errorf("fpss: no path %d→%d despite biconnectivity", i, j)
 			}
-			rt[dst] = RouteEntry{Dest: dst, Cost: dist[i][j], Path: p.Clone()}
+			rt[dst] = RouteEntry{Cost: dist[i][j], Path: slices.Clone(p)}
 			transits := p.TransitNodes()
 			if len(transits) == 0 {
 				continue
@@ -72,7 +73,7 @@ func computeCentralOracle(g *graph.Graph) (*Solution, error) {
 				row[k] = PriceEntry{
 					Transit: k,
 					Price:   g.Cost(k) + b - dist[i][j],
-					Avoid:   witness.Clone(),
+					Avoid:   slices.Clone(witness),
 					Tags:    oracleTags(g, src, dst, k, b, avoidDist[k]),
 				}
 			}

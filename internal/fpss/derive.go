@@ -171,7 +171,7 @@ func (d *Derivation) deriveDirty() bool {
 			}
 			route = RouteEntry{}
 			if ok {
-				route = RouteEntry{Dest: dst, Cost: cost, Path: s.prepend(d.self, base)}
+				route = RouteEntry{Cost: cost, Path: s.prepend(d.self, base)}
 			}
 			routing[j] = route
 		}

@@ -135,7 +135,7 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 		}
 		base := sol.Routing[self][j].Path
 		path := append(graph.Path{v}, base...)
-		next.Routing[j] = RouteEntry{Dest: j, Cost: graph.Cost(rng.Intn(20)), Path: path}
+		next.Routing[j] = RouteEntry{Cost: graph.Cost(rng.Intn(20)), Path: path}
 	}
 	return next
 }

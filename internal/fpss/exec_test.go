@@ -117,7 +117,7 @@ func TestExecuteFlowOrderFree(t *testing.T) {
 		pricing := make(map[graph.NodeID]PricingTable, n)
 		for i := 0; i < n; i++ {
 			id := graph.NodeID(i)
-			rt, pt := sol.Routing[id].Clone(), sol.Pricing[id].Clone()
+			rt, pt := slices.Clone(sol.Routing[id]), clonePricing(sol.Pricing[id])
 			for j := range rt {
 				switch r := rng.Intn(14); {
 				case j == int(id) || r >= 6:
@@ -309,13 +309,13 @@ func FuzzExecute(f *testing.F) {
 				switch next(6) {
 				case 0: // absent
 				case 1:
-					rt[j] = RouteEntry{Dest: dst, Path: graph.Path{owner, dst}}
+					rt[j] = RouteEntry{Path: graph.Path{owner, dst}}
 				case 2, 3:
-					rt[j] = RouteEntry{Dest: dst, Path: graph.Path{owner, id(-2, n+2), dst}}
+					rt[j] = RouteEntry{Path: graph.Path{owner, id(-2, n+2), dst}}
 				case 4:
-					rt[j] = RouteEntry{Dest: dst, Path: graph.Path{owner, id(-2, n+2), id(-2, n+2), dst}}
+					rt[j] = RouteEntry{Path: graph.Path{owner, id(-2, n+2), id(-2, n+2), dst}}
 				default: // not the owner's path
-					rt[j] = RouteEntry{Dest: dst, Path: graph.Path{id(-2, n+2), dst}}
+					rt[j] = RouteEntry{Path: graph.Path{id(-2, n+2), dst}}
 				}
 			}
 			pt := make(PricingTable, n)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -161,11 +162,11 @@ func TestDistributedMatchesCentralFigure1(t *testing.T) {
 		}
 		res := runProtocol(t, g, nil)
 		for id, node := range res.Nodes {
-			if !reflect.DeepEqual(node.Routing(), sol.Routing[id]) {
+			if !reflect.DeepEqual(node.RoutingView(), sol.Routing[id]) {
 				t.Errorf("node %d routing differs from central", id)
 			}
-			if !reflect.DeepEqual(node.Pricing(), sol.Pricing[id]) {
-				t.Errorf("node %d pricing differs from central\n got: %+v\nwant: %+v", id, node.Pricing(), sol.Pricing[id])
+			if !reflect.DeepEqual(node.PricingView(), sol.Pricing[id]) {
+				t.Errorf("node %d pricing differs from central\n got: %+v\nwant: %+v", id, node.PricingView(), sol.Pricing[id])
 			}
 		}
 	}
@@ -185,10 +186,10 @@ func TestDistributedMatchesCentralRandom(t *testing.T) {
 		}
 		res := runProtocol(t, g, nil)
 		for id, node := range res.Nodes {
-			if !reflect.DeepEqual(node.Routing(), sol.Routing[id]) {
+			if !reflect.DeepEqual(node.RoutingView(), sol.Routing[id]) {
 				t.Fatalf("trial %d: node %d routing differs from central", trial, id)
 			}
-			if !reflect.DeepEqual(node.Pricing(), sol.Pricing[id]) {
+			if !reflect.DeepEqual(node.PricingView(), sol.Pricing[id]) {
 				t.Fatalf("trial %d: node %d pricing differs from central", trial, id)
 			}
 		}
@@ -313,7 +314,7 @@ func TestDeclaredCostLiePropagates(t *testing.T) {
 	}
 	res := runProtocol(t, g, strategies)
 	// Example 1: with ĉ_C = 5, X's LCP to Z flips to X-A-Z.
-	e := res.Nodes[x].Routing()[z]
+	e := res.Nodes[x].RoutingView()[z]
 	a, _ := g.ByName("A")
 	want := graph.Path{x, a, z}
 	if !e.Path.Equal(want) {
@@ -332,8 +333,8 @@ func TestExecuteFaithfulFigure1(t *testing.T) {
 	declared := make(CostTable)
 	trueCosts := make(CostTable)
 	for id, node := range res.Nodes {
-		routing[id] = node.Routing()
-		pricing[id] = node.Pricing()
+		routing[id] = node.RoutingView()
+		pricing[id] = node.PricingView()
 		declared[id] = node.DeclaredCost()
 		trueCosts[id] = g.Cost(id)
 	}
@@ -379,8 +380,8 @@ func TestExecutePaymentUnderreportProfitsInPlainFPSS(t *testing.T) {
 	pricing := make(map[graph.NodeID]PricingTable)
 	trueCosts := make(CostTable)
 	for id, node := range res.Nodes {
-		routing[id] = node.Routing()
-		pricing[id] = node.Pricing()
+		routing[id] = node.RoutingView()
+		pricing[id] = node.PricingView()
 		trueCosts[id] = g.Cost(id)
 	}
 	_, _, _, _, x, z := figure1IDs(t, g)
@@ -415,8 +416,8 @@ func TestExecuteUndeliveredOnBrokenTables(t *testing.T) {
 	pricing := make(map[graph.NodeID]PricingTable)
 	trueCosts := make(CostTable)
 	for id, node := range res.Nodes {
-		routing[id] = node.Routing()
-		pricing[id] = node.Pricing()
+		routing[id] = node.RoutingView()
+		pricing[id] = node.PricingView()
 		trueCosts[id] = g.Cost(id)
 	}
 	_, _, _, d, x, z := figure1IDs(t, g)
@@ -442,8 +443,8 @@ func TestExecuteUndeliveredOnBrokenTables(t *testing.T) {
 func TestExecuteLoopDetection(t *testing.T) {
 	// Two nodes pointing at each other for an unreachable dest.
 	routing := map[graph.NodeID]RoutingTable{
-		0: {2: RouteEntry{Dest: 2, Cost: 0, Path: graph.Path{0, 1, 2}}},
-		1: {2: RouteEntry{Dest: 2, Cost: 0, Path: graph.Path{1, 0, 2}}},
+		0: {2: RouteEntry{Cost: 0, Path: graph.Path{0, 1, 2}}},
+		1: {2: RouteEntry{Cost: 0, Path: graph.Path{1, 0, 2}}},
 	}
 	exec, err := Execute(routing, map[graph.NodeID]PricingTable{}, ExecConfig{
 		TrueCosts:          CostTable{0: 1, 1: 1, 2: 1},
@@ -459,6 +460,21 @@ func TestExecuteLoopDetection(t *testing.T) {
 	}
 }
 
+// clonePricing returns a deep copy of t's present rows, in a table of
+// the same length, for a test that edits a copy: published tables are
+// never edited.
+func clonePricing(t PricingTable) PricingTable {
+	out := make(PricingTable, len(t))
+	for j, row := range t.All() {
+		out[j] = make(map[graph.NodeID]PriceEntry, len(row))
+		for k, e := range row {
+			e.Avoid, e.Tags = slices.Clone(e.Avoid), slices.Clone(e.Tags)
+			out[j][k] = e
+		}
+	}
+	return out
+}
+
 func TestHashesDetectAnyTableChange(t *testing.T) {
 	g := graph.Figure1()
 	sol, err := ComputeCentral(g)
@@ -467,7 +483,7 @@ func TestHashesDetectAnyTableChange(t *testing.T) {
 	}
 	rt := sol.Routing[0]
 	h0 := rt.HashRouting()
-	mut := rt.Clone()
+	mut := slices.Clone(rt)
 	d := keys(mut.All())[0]
 	e := mut[d]
 	e.Cost++
@@ -477,7 +493,7 @@ func TestHashesDetectAnyTableChange(t *testing.T) {
 	}
 	pt := sol.Pricing[4] // X has transit entries
 	hp := pt.HashPricing()
-	mutP := pt.Clone()
+	mutP := clonePricing(pt)
 	d = keys(mutP.All())[0]
 	for k := range mutP[d] {
 		e := mutP[d][k]
@@ -499,20 +515,15 @@ func TestTableCloneAndEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := sol.Routing[0]
-	cl := rt.Clone()
-	if !cl.Equal(rt) {
-		t.Error("clone not equal")
+	again, err := ComputeCentral(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := cl[keys(cl.All())[0]]
-	e.Path[0] = 99
-	if !rt.Equal(sol.Routing[0]) {
-		t.Error("clone aliased path data")
+	if !again.Routing[0].Equal(sol.Routing[0]) || again.Routing[1].Equal(sol.Routing[0]) {
+		t.Error("routing Equal disagrees with a second solve")
 	}
-	pt := sol.Pricing[4]
-	pc := pt.Clone()
-	if !pc.Equal(pt) {
-		t.Error("pricing clone not equal")
+	if !again.Pricing[4].Equal(sol.Pricing[4]) || again.Pricing[0].Equal(sol.Pricing[4]) {
+		t.Error("pricing Equal disagrees with a second solve")
 	}
 	// PaymentList helpers.
 	pl := PaymentList{1: 5, 2: 7}
@@ -536,9 +547,9 @@ func TestAbsentSlotsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean, pt := sol.Routing[0], sol.Pricing[0]
-	junk := clean.Clone()
+	junk := slices.Clone(clean)
 	junk[0] = RouteEntry{Cost: 40} // node 0's own slot is absent
-	padded := append(clean.Clone(), RouteEntry{Cost: 40})
+	padded := append(slices.Clone(clean), RouteEntry{Cost: 40})
 	for name, rt := range map[string]RoutingTable{"junk": junk, "padded": padded} {
 		if _, ok := rt.Get(0); ok {
 			t.Errorf("%s: Get reports the absent slot 0 present", name)

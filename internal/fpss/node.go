@@ -165,24 +165,19 @@ func NewNode(id graph.NodeID, trueCost graph.Cost, neighbors []graph.NodeID, str
 // ID returns the node's identifier.
 func (n *Node) ID() graph.NodeID { return n.id }
 
-// Routing returns the node's DATA2.
-func (n *Node) Routing() RoutingTable { return n.own.Routing().Clone() }
-
-// Pricing returns the node's DATA3*.
-func (n *Node) Pricing() PricingTable { return n.own.Pricing().Clone() }
-
-// CostsView returns the node's DATA1 without cloning (see RoutingView
-// for the contract).
+// CostsView returns the node's DATA1. The node fills it in place while
+// phase 1 floods, so read it once the network is quiescent, and never
+// edit it.
 func (n *Node) CostsView() CostTable { return n.costs }
 
-// RoutingView returns the node's DATA2 without cloning. Only valid
-// once the network is quiescent, and read-only: the deviation-search
-// hot path assembles execution-phase inputs from converged tables,
-// where a defensive clone per node per run is pure garbage.
+// RoutingView returns the node's DATA2, the table it last published.
+// Published tables are never edited (see Derivation), so the view is
+// read-only and needs no copy; it is the converged table once the
+// network is quiescent.
 func (n *Node) RoutingView() RoutingTable { return n.own.Routing() }
 
-// PricingView returns the node's DATA3* without cloning (see
-// RoutingView for the contract).
+// PricingView returns the node's DATA3* (see RoutingView for the
+// contract).
 func (n *Node) PricingView() PricingTable { return n.own.Pricing() }
 
 // Derivation returns the node's computation state: its neighbor views,

@@ -23,17 +23,11 @@ import (
 )
 
 // RouteEntry is one row of DATA2: the lowest-cost path from the owner
-// to Dest, with its aggregate transit cost.
+// to the destination its slot indexes, with its aggregate transit
+// cost.
 type RouteEntry struct {
-	Dest graph.NodeID
 	Cost graph.Cost
-	Path graph.Path // full path, owner first, Dest last
-}
-
-// clone returns a deep copy.
-func (e RouteEntry) clone() RouteEntry {
-	e.Path = e.Path.Clone()
-	return e
+	Path graph.Path // full path, owner first, destination last
 }
 
 // equal compares cost and path.
@@ -80,18 +74,6 @@ func (t RoutingTable) All() iter.Seq2[graph.NodeID, RouteEntry] {
 	}
 }
 
-// Clone returns a deep copy of the present routes, in a table of the
-// same length.
-func (t RoutingTable) Clone() RoutingTable {
-	out := make(RoutingTable, len(t))
-	for j, e := range t {
-		if e.Path != nil {
-			out[j] = e.clone()
-		}
-	}
-	return out
-}
-
 // Equal reports whether two routing tables hold the same routes.
 func (t RoutingTable) Equal(o RoutingTable) bool {
 	for j := range max(len(t), len(o)) {
@@ -115,14 +97,6 @@ type PriceEntry struct {
 	Price   graph.Cost
 	Avoid   graph.Path     // witness: owner→dest path avoiding Transit
 	Tags    []graph.NodeID // sorted trigger set
-}
-
-func (e PriceEntry) clone() PriceEntry {
-	e.Avoid = e.Avoid.Clone()
-	tags := make([]graph.NodeID, len(e.Tags))
-	copy(tags, e.Tags)
-	e.Tags = tags
-	return e
 }
 
 // equal compares price, witness and tags.
@@ -166,22 +140,6 @@ func (t PricingTable) All() iter.Seq2[graph.NodeID, map[graph.NodeID]PriceEntry]
 			}
 		}
 	}
-}
-
-// Clone returns a deep copy, in a table of the same length.
-func (t PricingTable) Clone() PricingTable {
-	out := make(PricingTable, len(t))
-	for d, row := range t {
-		if row == nil {
-			continue
-		}
-		r := make(map[graph.NodeID]PriceEntry, len(row))
-		for k, e := range row {
-			r[k] = e.clone()
-		}
-		out[d] = r
-	}
-	return out
 }
 
 // Equal reports whether two pricing tables hold the same rows, tags

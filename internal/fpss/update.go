@@ -46,7 +46,7 @@ func (s *ComputeScratch) computeRouting(self graph.NodeID, neighbors []graph.Nod
 			continue
 		}
 		if cost, base, ok := s.routeTo(self, dst, neighbors, costs, views); ok {
-			out[j] = RouteEntry{Dest: dst, Cost: cost, Path: s.prepend(self, base)}
+			out[j] = RouteEntry{Cost: cost, Path: s.prepend(self, base)}
 		}
 	}
 	return out

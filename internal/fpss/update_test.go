@@ -26,7 +26,7 @@ func TestComputeRoutingUsesNeighborInfo(t *testing.T) {
 	// 0—1—9: node 0 learns the 9 route through 1's view.
 	views := map[graph.NodeID]NeighborView{
 		1: {Routing: RoutingTable{
-			9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}},
+			9: {Cost: 0, Path: graph.Path{1, 9}},
 		}},
 	}
 	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1, 1: 5, 9: 2}, views)
@@ -46,7 +46,7 @@ func TestComputeRoutingSkipsUnknownCosts(t *testing.T) {
 	// Neighbor cost missing from DATA1 ⇒ its advertised routes are
 	// unusable until phase 1 completes.
 	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}}}},
+		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
 	}
 	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1}, views)
 	if _, ok := rt.Get(9); ok {
@@ -62,15 +62,15 @@ func TestComputeRoutingPrefersCheaperThenShorterThenLex(t *testing.T) {
 	// Two neighbors both reach 9; neighbor 1 has transit cost 1,
 	// neighbor 2 transit cost 3.
 	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}}}},
-		2: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{2, 9}}}},
+		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
+		2: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 9}}}},
 	}
 	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 1, 2: 3}, views)
 	if rt[9].Cost != 1 || !rt[9].Path.Equal(graph.Path{0, 1, 9}) {
 		t.Errorf("route = %+v, want via 1", rt[9])
 	}
 	// Equal transit costs: shorter path wins.
-	views[2] = NeighborView{Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{2, 5, 9}}}}
+	views[2] = NeighborView{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 5, 9}}}}
 	rt = ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 2, 5: 0}, views)
 	if !rt[9].Path.Equal(graph.Path{0, 1, 9}) {
 		t.Errorf("hop tie-break failed: %v", rt[9].Path)
@@ -81,14 +81,14 @@ func TestComputePricingDirectNeighborContribution(t *testing.T) {
 	// Triangle 0-1-9 plus edge 0-9: for dest 9 via transit 1, the
 	// direct 0-9 edge is the avoid path (contribution 0).
 	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}}}},
+		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
 		9: {Routing: RoutingTable{}},
 	}
 	costs := CostTable{0: 1, 1: 4, 9: 2}
 	routing := RoutingTable{
 		// Force a route through 1 to make 1 a transit node (as if the
 		// direct edge were costly — synthetic input to the pure fn).
-		9: {Dest: 9, Cost: 4, Path: graph.Path{0, 1, 9}},
+		9: {Cost: 4, Path: graph.Path{0, 1, 9}},
 	}
 	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1, 9}, costs, routing, views)
 	e, ok := pt[9][1]
@@ -112,10 +112,10 @@ func TestComputePricingWaitsForAvoidInfo(t *testing.T) {
 	// the transit under scrutiny), and 1 has no pricing entry yet: no
 	// price entry can be built.
 	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Dest: 9, Cost: 0, Path: graph.Path{1, 9}}}},
+		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
 	}
 	costs := CostTable{0: 1, 1: 4, 9: 2}
-	routing := RoutingTable{9: {Dest: 9, Cost: 4, Path: graph.Path{0, 1, 9}}}
+	routing := RoutingTable{9: {Cost: 4, Path: graph.Path{0, 1, 9}}}
 	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1}, costs, routing, views)
 	if pt.Row(9) != nil {
 		t.Error("price entry built without avoid-k information")
@@ -128,7 +128,7 @@ func TestComputePricingRecoverBFromNeighborPrice(t *testing.T) {
 	costs := CostTable{0: 1, 1: 2, 2: 3, 9: 1}
 	views := map[graph.NodeID]NeighborView{
 		1: {
-			Routing: RoutingTable{9: {Dest: 9, Cost: 3, Path: graph.Path{1, 2, 9}}},
+			Routing: RoutingTable{9: {Cost: 3, Path: graph.Path{1, 2, 9}}},
 			Pricing: PricingTable{9: {2: PriceEntry{
 				Transit: 2,
 				Price:   3 + 10 - 3, // ĉ_2 + B_1 − d_1 with B_1 = 10
@@ -137,7 +137,7 @@ func TestComputePricingRecoverBFromNeighborPrice(t *testing.T) {
 			}}},
 		},
 	}
-	routing := RoutingTable{9: {Dest: 9, Cost: 5, Path: graph.Path{0, 1, 2, 9}}}
+	routing := RoutingTable{9: {Cost: 5, Path: graph.Path{0, 1, 2, 9}}}
 	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1}, costs, routing, views)
 	e, ok := pt[9][2]
 	if !ok {
@@ -225,7 +225,7 @@ func TestPropertyDistributedPricesIR(t *testing.T) {
 			return false
 		}
 		for _, node := range res.Nodes {
-			for _, row := range node.Pricing() {
+			for _, row := range node.PricingView() {
 				for k, e := range row {
 					if e.Price < g.Cost(k) {
 						return false
@@ -255,7 +255,7 @@ func TestPropertyWitnessPathsValid(t *testing.T) {
 			return false
 		}
 		for id, node := range res.Nodes {
-			for dst, row := range node.Pricing() {
+			for dst, row := range node.PricingView() {
 				for k, e := range row {
 					if e.Avoid.Contains(k) {
 						return false

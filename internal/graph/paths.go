@@ -28,13 +28,6 @@ func (p Path) Contains(id NodeID) bool {
 	return false
 }
 
-// Clone returns a copy of the path.
-func (p Path) Clone() Path {
-	out := make(Path, len(p))
-	copy(out, p)
-	return out
-}
-
 // Less orders paths lexicographically; used as a deterministic,
 // globally consistent tie-break so every node in a distributed
 // computation agrees on one lowest-cost path per pair.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -127,7 +128,7 @@ func (g *Graph) oracleShortestPaths(src NodeID, avoid map[NodeID]bool) ([]Cost, 
 				continue
 			}
 			nd := cur.dist + transit
-			np := append(cur.path.Clone(), v)
+			np := append(slices.Clone(cur.path), v)
 			if best[v] == nil || Better(nd, np, dist[v], best[v]) {
 				dist[v] = nd
 				best[v] = np

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -19,7 +20,7 @@ func bruteForce(g *Graph, src, dst NodeID, avoid map[NodeID]bool) (Path, Cost) {
 		if u == dst {
 			if bestPath == nil || Better(cost, path, bestCost, bestPath) {
 				bestCost = cost
-				bestPath = path.Clone()
+				bestPath = slices.Clone(path)
 			}
 			return
 		}
@@ -274,11 +275,6 @@ func TestPathHelpers(t *testing.T) {
 	}
 	if !p.Contains(3) || p.Contains(9) {
 		t.Error("Contains wrong")
-	}
-	q := p.Clone()
-	q[0] = 9
-	if p[0] != 1 {
-		t.Error("Clone aliased")
 	}
 	if !(Path{1, 2}).Less(Path{1, 3}) || (Path{2}).Less(Path{1, 5}) {
 		t.Error("Less ordering wrong")

@@ -82,8 +82,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(bucketValue(histBuckets - 1))
 }
 
-// Summary renders the standard percentile line.
+// Summary renders the standard percentile line, or only n=0 when
+// there are no samples: a quantile of nothing is not a measurement.
 func (h *Histogram) Summary() string {
+	n := h.Count()
+	if n == 0 {
+		return "n=0"
+	}
 	return fmt.Sprintf("n=%d p50=%v p90=%v p99=%v p999=%v",
-		h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999))
+		n, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999))
 }

@@ -13,7 +13,8 @@ import (
 // the exact sorted samples. Quantile(q) must be the lower bound of the
 // bucket that holds the sample of rank int64(q·n+0.5), clamped to
 // [1, n]; it must lie within 1/32 below that sample (a negative sample
-// reads 0); and it must not decrease as q grows. Count must be n.
+// reads 0); and it must not decrease as q grows. Count must be n, and
+// an empty histogram's Summary names no quantile.
 func FuzzHistogram(f *testing.F) {
 	sample := func(shift byte, v int64) []byte {
 		return binary.LittleEndian.AppendUint64([]byte{shift}, uint64(v))
@@ -43,6 +44,9 @@ func FuzzHistogram(f *testing.F) {
 		if n == 0 {
 			if got := h.Quantile(0.5); got != 0 {
 				t.Fatalf("empty histogram: Quantile(0.5) = %v", got)
+			}
+			if got := h.Summary(); got != "n=0" {
+				t.Fatalf("empty histogram: Summary() = %q, want n=0 and no quantile", got)
 			}
 			return
 		}

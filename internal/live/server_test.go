@@ -420,8 +420,8 @@ func (s *Server) Tables() (map[graph.NodeID]fpss.RoutingTable, map[graph.NodeID]
 	routing := make(map[graph.NodeID]fpss.RoutingTable, len(s.st.nodes))
 	pricing := make(map[graph.NodeID]fpss.PricingTable, len(s.st.nodes))
 	for i, nd := range s.st.nodes {
-		routing[graph.NodeID(i)] = nd.Routing()
-		pricing[graph.NodeID(i)] = nd.Pricing()
+		routing[graph.NodeID(i)] = nd.RoutingView()
+		pricing[graph.NodeID(i)] = nd.PricingView()
 	}
 	return routing, pricing
 }

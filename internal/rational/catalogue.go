@@ -383,7 +383,7 @@ func Catalogue(forFaithful bool) []*Deviation {
 						if d == source || d == self {
 							continue
 						}
-						rt[d] = fpss.RouteEntry{Dest: d, Cost: 0, Path: graph.Path{source, d}}
+						rt[d] = fpss.RouteEntry{Cost: 0, Path: graph.Path{source, d}}
 					}
 					return []faithful.ForwardCopy{{
 						Principal: self,

@@ -84,7 +84,6 @@ func settleBatch(exec *fpss.ExecResult) *settle.Batch {
 	}
 	in := make(map[graph.NodeID]int64, len(nodes))
 	out := make(map[graph.NodeID]int64, len(nodes))
-	id := 0
 	for _, from := range nodes {
 		ob := exec.Obligations[from]
 		tos := make([]graph.NodeID, 0, len(ob))
@@ -100,9 +99,8 @@ func settleBatch(exec *fpss.ExecResult) *settle.Batch {
 			out[from] += amt
 			in[to] += amt
 			b.Transfers = append(b.Transfers, settle.Transfer{
-				ID: id, From: settle.Account(from), To: settle.Account(to), Amount: amt,
+				From: settle.Account(from), To: settle.Account(to), Amount: amt,
 			})
-			id++
 		}
 	}
 	for _, n := range nodes {

@@ -23,9 +23,7 @@ func benchBatch(n int) *Batch {
 		if from == to {
 			to = Account((uint64(to) + 1) % uint64(n))
 		}
-		b.Transfers = append(b.Transfers, Transfer{
-			ID: i, From: from, To: to, Amount: int64(1 + r%50),
-		})
+		b.Transfers = append(b.Transfers, Transfer{From: from, To: to, Amount: int64(1 + r%50)})
 	}
 	return b
 }

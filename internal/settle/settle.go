@@ -197,9 +197,9 @@ func (o Options) Home(a Account) ShardID {
 }
 
 // Transfer is one cross-account flow inside a settlement batch:
-// Amount moves from From's home shard to To's home shard.
+// Amount moves from From's home shard to To's home shard. The 2PC
+// addresses a transfer by its index in the batch.
 type Transfer struct {
-	ID     int
 	From   Account
 	To     Account
 	Amount int64

@@ -19,11 +19,11 @@ func testBatch() *Batch {
 			0: 40, 1: -10, 2: 25, 3: 0, 4: 60, 5: -5,
 		},
 		Transfers: []Transfer{
-			{ID: 0, From: 0, To: 1, Amount: 15},
-			{ID: 1, From: 4, To: 2, Amount: 20},
-			{ID: 2, From: 2, To: 5, Amount: 5},
-			{ID: 3, From: 4, To: 0, Amount: 10},
-			{ID: 4, From: 0, To: 3, Amount: 5},
+			{From: 0, To: 1, Amount: 15},
+			{From: 4, To: 2, Amount: 20},
+			{From: 2, To: 5, Amount: 5},
+			{From: 4, To: 0, Amount: 10},
+			{From: 0, To: 3, Amount: 5},
 		},
 	}
 }

@@ -2,7 +2,9 @@
 // extended FPSS specification needs: authenticated, acknowledged
 // envelopes between nodes and the bank ("All communication between the
 // bank and a node is signed with acknowledgments to ensure
-// communication compatibility of these messages", §4.2).
+// communication compatibility of these messages", §4.2). In-process,
+// Verify's nil error is the acknowledgment: the receiver has
+// authenticated the envelope and recorded its sequence number.
 //
 // The paper deliberately minimizes cryptography; a shared-key
 // HMAC-SHA256 MAC is sufficient for unforgeability inside a closed
@@ -30,20 +32,13 @@ var (
 )
 
 // Envelope is an authenticated message: the payload plus the signer's
-// identity, a per-signer sequence number (replay protection / acks) and
-// an HMAC-SHA256 tag over all of it.
+// identity, a per-signer sequence number (replay protection) and an
+// HMAC-SHA256 tag over all of it.
 type Envelope struct {
 	Signer  string
 	Seq     uint64
 	Payload []byte
 	MAC     [sha256.Size]byte
-}
-
-// Ack acknowledges receipt of (Signer, Seq); it is itself signed by
-// the receiver in practice, but in-process we only track delivery.
-type Ack struct {
-	Signer string
-	Seq    uint64
 }
 
 // Authority issues keys and verifies envelopes. One Authority plays
@@ -83,23 +78,24 @@ func (a *Authority) Register(id string) (*Signer, error) {
 }
 
 // Verify checks the envelope's MAC and replay freshness. On success it
-// records the sequence number and returns an Ack.
-func (a *Authority) Verify(env Envelope) (Ack, error) {
+// records the sequence number and returns nil, which acknowledges the
+// envelope.
+func (a *Authority) Verify(env Envelope) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	key, ok := a.keys[env.Signer]
 	if !ok {
-		return Ack{}, fmt.Errorf("%w: %q", ErrUnknownSigner, env.Signer)
+		return fmt.Errorf("%w: %q", ErrUnknownSigner, env.Signer)
 	}
 	want := mac(key, env.Signer, env.Seq, env.Payload)
 	if !hmac.Equal(want[:], env.MAC[:]) {
-		return Ack{}, ErrBadSignature
+		return ErrBadSignature
 	}
 	if env.Seq <= a.seqs[env.Signer] {
-		return Ack{}, fmt.Errorf("%w: %d (last %d)", ErrReplay, env.Seq, a.seqs[env.Signer])
+		return fmt.Errorf("%w: %d (last %d)", ErrReplay, env.Seq, a.seqs[env.Signer])
 	}
 	a.seqs[env.Signer] = env.Seq
-	return Ack{Signer: env.Signer, Seq: env.Seq}, nil
+	return nil
 }
 
 // Signer signs payloads on behalf of one identity. It is safe for

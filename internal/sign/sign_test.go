@@ -15,12 +15,11 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := s.Sign([]byte("hello bank"))
-	ack, err := a.Verify(env)
-	if err != nil {
+	if err := a.Verify(env); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if ack.Signer != "node-1" || ack.Seq != env.Seq {
-		t.Errorf("ack = %+v, want signer node-1 seq %d", ack, env.Seq)
+	if env.Signer != "node-1" || env.Seq != 1 || string(env.Payload) != "hello bank" {
+		t.Errorf("envelope = %+v, want signer node-1 seq 1", env)
 	}
 }
 
@@ -29,7 +28,7 @@ func TestTamperedPayloadRejected(t *testing.T) {
 	s, _ := a.Register("n")
 	env := s.Sign([]byte("pay 10"))
 	env.Payload = []byte("pay 99")
-	if _, err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
+	if err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered payload = %v, want ErrBadSignature", err)
 	}
 }
@@ -39,7 +38,7 @@ func TestTamperedSeqRejected(t *testing.T) {
 	s, _ := a.Register("n")
 	env := s.Sign([]byte("x"))
 	env.Seq++
-	if _, err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
+	if err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered seq = %v, want ErrBadSignature", err)
 	}
 }
@@ -52,7 +51,7 @@ func TestSignerIdentityBinding(t *testing.T) {
 	}
 	env := s1.Sign([]byte("msg"))
 	env.Signer = "bob" // bob's key does not validate alice's MAC
-	if _, err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
+	if err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("reattributed envelope = %v, want ErrBadSignature", err)
 	}
 }
@@ -61,7 +60,7 @@ func TestUnknownSigner(t *testing.T) {
 	a := NewAuthority()
 	b := NewAuthority()
 	s, _ := b.Register("stranger")
-	if _, err := a.Verify(s.Sign([]byte("x"))); !errors.Is(err, ErrUnknownSigner) {
+	if err := a.Verify(s.Sign([]byte("x"))); !errors.Is(err, ErrUnknownSigner) {
 		t.Errorf("unknown signer = %v, want ErrUnknownSigner", err)
 	}
 }
@@ -70,10 +69,10 @@ func TestReplayRejected(t *testing.T) {
 	a := NewAuthority()
 	s, _ := a.Register("n")
 	env := s.Sign([]byte("once"))
-	if _, err := a.Verify(env); err != nil {
+	if err := a.Verify(env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Verify(env); !errors.Is(err, ErrReplay) {
+	if err := a.Verify(env); !errors.Is(err, ErrReplay) {
 		t.Errorf("replay = %v, want ErrReplay", err)
 	}
 }
@@ -88,7 +87,7 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	if err := a.Peek(env); err != nil {
 		t.Fatal("second Peek should still pass")
 	}
-	if _, err := a.Verify(env); err != nil {
+	if err := a.Verify(env); err != nil {
 		t.Fatal("Verify after Peek should pass once")
 	}
 }
@@ -98,10 +97,10 @@ func TestOutOfOrderOldSeqRejected(t *testing.T) {
 	s, _ := a.Register("n")
 	e1 := s.Sign([]byte("1"))
 	e2 := s.Sign([]byte("2"))
-	if _, err := a.Verify(e2); err != nil {
+	if err := a.Verify(e2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Verify(e1); !errors.Is(err, ErrReplay) {
+	if err := a.Verify(e1); !errors.Is(err, ErrReplay) {
 		t.Errorf("old seq after newer = %v, want ErrReplay", err)
 	}
 }
@@ -112,7 +111,7 @@ func TestSignCopiesPayload(t *testing.T) {
 	buf := []byte("original")
 	env := s.Sign(buf)
 	buf[0] = 'X'
-	if _, err := a.Verify(env); err != nil {
+	if err := a.Verify(env); err != nil {
 		t.Errorf("mutating caller buffer broke envelope: %v", err)
 	}
 }
@@ -124,7 +123,7 @@ func TestKeyRotationInvalidatesOldEnvelopes(t *testing.T) {
 	if _, err := a.Register("n"); err != nil { // rotate
 		t.Fatal(err)
 	}
-	if _, err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
+	if err := a.Verify(env); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("post-rotation verify = %v, want ErrBadSignature", err)
 	}
 }

@@ -4,12 +4,12 @@ import "testing"
 
 // chainNode forwards a token down a line of nodes.
 type chainNode struct {
-	next Addr
-	last bool
+	self, next Addr
+	last       bool
 }
 
 func (c *chainNode) Init(ctx Context) {
-	if ctx.Self() == 0 {
+	if c.self == 0 {
 		ctx.Send(c.next, "token")
 	}
 }
@@ -26,7 +26,7 @@ func BenchmarkTokenChain64(b *testing.B) {
 		n := NewNetwork()
 		const size = 64
 		for j := 0; j < size; j++ {
-			_ = n.Attach(Addr(j), &chainNode{next: Addr(j + 1), last: j == size-1})
+			_ = n.Attach(Addr(j), &chainNode{self: Addr(j), next: Addr(j + 1), last: j == size-1})
 		}
 		if _, err := n.Run(1 << 12); err != nil {
 			b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkTokenChain64Pooled(b *testing.B) {
 		n := AcquireNetwork()
 		const size = 64
 		for j := 0; j < size; j++ {
-			_ = n.Attach(Addr(j), &chainNode{next: Addr(j + 1), last: j == size-1})
+			_ = n.Attach(Addr(j), &chainNode{self: Addr(j), next: Addr(j + 1), last: j == size-1})
 		}
 		if _, err := n.Run(1 << 12); err != nil {
 			b.Fatal(err)
@@ -53,13 +53,14 @@ func BenchmarkTokenChain64Pooled(b *testing.B) {
 }
 
 type broadcaster struct {
+	self  Addr
 	peers int
 }
 
 func (br *broadcaster) Init(ctx Context) {
 	for j := 0; j < br.peers; j++ {
-		if Addr(j) != ctx.Self() {
-			ctx.Send(Addr(j), int(ctx.Self()))
+		if Addr(j) != br.self {
+			ctx.Send(Addr(j), int(br.self))
 		}
 	}
 }
@@ -84,7 +85,7 @@ func benchmarkAllToAll(b *testing.B, opts ...Option) {
 		n := NewNetwork(opts...)
 		const size = 32
 		for j := 0; j < size; j++ {
-			_ = n.Attach(Addr(j), &broadcaster{peers: size})
+			_ = n.Attach(Addr(j), &broadcaster{self: Addr(j), peers: size})
 		}
 		if _, err := n.Run(1 << 12); err != nil {
 			b.Fatal(err)

@@ -139,12 +139,12 @@ func TestResetDropsQueuedPayloads(t *testing.T) {
 
 // farNode passes a counter back and forth with its peer up to 200.
 type farNode struct {
-	peer Addr
-	got  []int
+	self, peer Addr
+	got        []int
 }
 
 func (f *farNode) Init(ctx Context) {
-	if ctx.Self() == 0 {
+	if f.self == 0 {
 		ctx.Send(f.peer, 0)
 	}
 }
@@ -166,7 +166,7 @@ func TestHugeDelayDeliversInOrder(t *testing.T) {
 		return 1
 	})
 	n := NewNetwork()
-	a, b := &farNode{peer: 1}, &farNode{peer: 0}
+	a, b := &farNode{self: 0, peer: 1}, &farNode{self: 1, peer: 0}
 	run := func() {
 		n.Reset()
 		delay(n)

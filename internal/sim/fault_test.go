@@ -88,8 +88,8 @@ func TestFaultRestartCallsRecoverBeforeDelivery(t *testing.T) {
 // trickle sends one message per received tick, so deliveries to the
 // peer are spread over time and a restarted endpoint sees new traffic.
 type trickle struct {
-	to   Addr
-	left int
+	self, to Addr
+	left     int
 }
 
 func (s *trickle) Init(ctx Context) {
@@ -97,7 +97,7 @@ func (s *trickle) Init(ctx Context) {
 		s.left--
 		ctx.Send(s.to, s.left)
 	}
-	ctx.Send(ctx.Self(), tick{})
+	ctx.Send(s.self, tick{})
 }
 func (s *trickle) Recv(ctx Context, m Message) {
 	if _, ok := m.Payload.(tick); !ok {
@@ -106,7 +106,7 @@ func (s *trickle) Recv(ctx Context, m Message) {
 	if s.left > 0 {
 		s.left--
 		ctx.Send(s.to, s.left)
-		ctx.Send(ctx.Self(), tick{})
+		ctx.Send(s.self, tick{})
 	}
 }
 
@@ -123,7 +123,7 @@ func TestFaultCrashDuringRecovery(t *testing.T) {
 		{Addr: 1, AfterDeliveries: 2, RestartDelay: 3},
 	}}))
 	rx := &recSink{}
-	if err := net.Attach(0, &trickle{to: 1, left: 12}); err != nil {
+	if err := net.Attach(0, &trickle{self: 0, to: 1, left: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Attach(1, rx); err != nil {
@@ -156,7 +156,7 @@ func TestSelfSendsExemptFromLoss(t *testing.T) {
 	// tick chain keeps running to completion.
 	net := NewNetwork(WithLoss(LossModel{Rate: 1, Seed: 7, Attempts: 1}))
 	rx := &recSink{}
-	if err := net.Attach(0, &trickle{to: 1, left: 5}); err != nil {
+	if err := net.Attach(0, &trickle{self: 0, to: 1, left: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Attach(1, rx); err != nil {

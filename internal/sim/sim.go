@@ -39,20 +39,20 @@ type Addr int
 // 1<<20) falls back to a small map.
 const maxDenseAddr = 1 << 12
 
-// Message is a payload in flight between two endpoints.
+// Message is a payload in flight to an endpoint. It does not name the
+// sender: a handler reads the sender its payload claims, which a
+// deviating node may forge.
 type Message struct {
-	From    Addr
 	To      Addr
 	Payload any
 }
 
-// Context is the API a handler uses during Init/Recv: its own address
-// and a way to send. It carries no clock, so a handler reacts only to
-// the messages it receives. The Context passed to a handler is only
-// valid for the duration of the call; handlers must not retain it.
+// Context is the API a handler uses during Init/Recv: a way to send.
+// It carries no clock and no address, so a handler reacts only to the
+// messages it receives and knows its own address from its
+// construction. The Context passed to a handler is only valid for the
+// duration of the call; handlers must not retain it.
 type Context interface {
-	// Self returns the handler's own address.
-	Self() Addr
 	// Send enqueues a message to the given address.
 	Send(to Addr, payload any)
 }
@@ -227,7 +227,6 @@ type netContext struct {
 
 var _ Context = (*netContext)(nil)
 
-func (c *netContext) Self() Addr { return c.self }
 func (c *netContext) Send(to Addr, payload any) {
 	c.net.send(c.self, to, payload)
 }
@@ -289,7 +288,7 @@ func (n *Network) enqueue(from, to Addr, payload any, reliable bool) {
 		}
 		link.lastAt = at
 	}
-	n.queue.push(at, Message{From: from, To: to, Payload: payload})
+	n.queue.push(at, Message{To: to, Payload: payload})
 }
 
 // ErrBudgetExhausted is returned by Run when maxSteps deliveries
@@ -363,7 +362,7 @@ func (n *Network) drain(maxSteps int64) (Counters, error) {
 			if c, fired := n.faults.observeDelivery(msg.To); fired {
 				n.crashes++
 				if c.RestartDelay >= 0 {
-					n.queue.push(n.now+c.RestartDelay, Message{From: msg.To, To: msg.To, Payload: restartMarker{}})
+					n.queue.push(n.now+c.RestartDelay, Message{To: msg.To, Payload: restartMarker{}})
 				}
 			}
 		}

@@ -29,7 +29,7 @@ func (e *echoNode) Recv(ctx Context, m Message) {
 	}
 	e.got = append(e.got, p.hops)
 	if p.hops > 0 {
-		ctx.Send(m.From, pingMsg{hops: p.hops - 1})
+		ctx.Send(e.peer, pingMsg{hops: p.hops - 1})
 	}
 }
 
@@ -75,8 +75,8 @@ func TestDuplicateAttach(t *testing.T) {
 type flooder struct{ peer Addr }
 
 func (f *flooder) Init(ctx Context) { ctx.Send(f.peer, pingMsg{}) }
-func (f *flooder) Recv(ctx Context, m Message) {
-	ctx.Send(m.From, pingMsg{}) // never terminates
+func (f *flooder) Recv(ctx Context, _ Message) {
+	ctx.Send(f.peer, pingMsg{}) // never terminates
 }
 
 func TestBudgetExhausted(t *testing.T) {

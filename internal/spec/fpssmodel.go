@@ -105,11 +105,13 @@ func ExtendedFPSSPhases(nodes int) []Phase {
 		nodes = 1
 	}
 	return []Phase{
-		// Phase 1: one declaration plus up to n−1 relays per node.
-		{Name: "construction-1", DeviationPoints: nodes, Alternatives: 3},
-		// Phase 2: forwards, recomputations and advertisements.
-		{Name: "construction-2", DeviationPoints: 3 * nodes, Alternatives: 3},
+		// Construction phase 1: one declaration plus up to n−1 relays
+		// per node.
+		{DeviationPoints: nodes, Alternatives: 3},
+		// Construction phase 2: forwards, recomputations and
+		// advertisements.
+		{DeviationPoints: 3 * nodes, Alternatives: 3},
 		// Execution: payment reporting and packet forwarding.
-		{Name: "execution", DeviationPoints: 2 * nodes, Alternatives: 3},
+		{DeviationPoints: 2 * nodes, Alternatives: 3},
 	}
 }

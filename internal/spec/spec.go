@@ -275,10 +275,9 @@ func sortStates(ss []State) {
 	sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
 }
 
-// Phase is a named set of deviation points (external actions a node
-// could manipulate) certified together at a checkpoint (§3.9).
+// Phase is a set of deviation points (external actions a node could
+// manipulate) certified together at a checkpoint (§3.9).
 type Phase struct {
-	Name string
 	// DeviationPoints is the number of externally visible actions in
 	// this phase at which a node can deviate.
 	DeviationPoints int

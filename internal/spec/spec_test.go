@@ -230,23 +230,20 @@ func TestSubStrategies(t *testing.T) {
 }
 
 func TestPhaseJointDeviations(t *testing.T) {
-	p := Phase{Name: "x", DeviationPoints: 3, Alternatives: 3}
+	p := Phase{DeviationPoints: 3, Alternatives: 3}
 	// (3+1)^3 - 1 = 63
 	if got := p.JointDeviations(); got.Cmp(big.NewInt(63)) != 0 {
 		t.Errorf("JointDeviations = %v, want 63", got)
 	}
-	zero := Phase{Name: "empty"}
+	zero := Phase{}
 	if got := zero.JointDeviations(); got.Sign() != 0 {
 		t.Errorf("empty phase deviations = %v, want 0", got)
 	}
 }
 
 func TestDecompositionSavingsExponentialGap(t *testing.T) {
-	phases := []Phase{
-		{Name: "construction-1", DeviationPoints: 4, Alternatives: 3},
-		{Name: "construction-2", DeviationPoints: 4, Alternatives: 3},
-		{Name: "execution", DeviationPoints: 4, Alternatives: 3},
-	}
+	phase := Phase{DeviationPoints: 4, Alternatives: 3}
+	phases := []Phase{phase, phase, phase} // construction 1 and 2, execution
 	mono, phased := DecompositionSavings(phases)
 	// monolithic = 256^3 - 1; phased = 3 * 255.
 	wantMono := new(big.Int).Sub(new(big.Int).Exp(big.NewInt(256), big.NewInt(3), nil), big.NewInt(1))
