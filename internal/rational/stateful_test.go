@@ -2,6 +2,9 @@ package rational
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
+	"iter"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fpss"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // replayOracle is the one reference the snapshot/overlay machinery
@@ -63,6 +67,100 @@ func oracleCheck(t *testing.T, sys core.System) core.Report {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// pinnedReplayDigest is replayDigest's value. TestPinnedPlayOutcomes
+// pins what a play returns; this pins what a replay does on the way:
+// message counts, verdicts and every converged table. A change that
+// claims to leave replays alone must leave it as it is.
+const pinnedReplayDigest uint64 = 0x490b9fadd23c59f3
+
+// replayDigest hashes every full replay that play runs over every node
+// × catalogue deviation, and the honest run, of both systems on Figure
+// 1 and eight seeded n=6 random biconnected graphs, each over reliable
+// links and at loss 0.1 with bursts of 3. Per run it hashes the
+// construction counters, the completion flag, the detections with
+// their reasons and every node's routing and pricing hashes.
+func replayDigest(t *testing.T) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	rng := rand.New(rand.NewSource(32))
+	for trial := range 9 {
+		g := graph.Figure1()
+		if trial > 0 {
+			var err error
+			if g, err = graph.RandomBiconnected(6, rng.Intn(4), 8, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, loss := range []sim.LossModel{{}, {Rate: 0.1, Burst: 3, Seed: uint64(trial)}} {
+			p := DefaultParams(g)
+			p.Loss = loss
+			plain, faithful := Systems(g, p)
+			for deviator, d := range replays(plain) {
+				res, err := plain.replay(deviator, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%d %v plain %d %s %+v %+v\n", trial, loss, deviator, replayName(d), res.Phase1, res.Phase2)
+				for id := range g.N() {
+					node := res.Nodes[graph.NodeID(id)]
+					hashTables(h, node.RoutingView(), node.PricingView())
+				}
+			}
+			for deviator, d := range replays(faithful) {
+				res, err := faithful.replay(deviator, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%d %v faithful %d %s %+v %v %+v\n", trial, loss, deviator, replayName(d), res.Construction, res.Completed, res.Detections)
+				for id := range g.N() {
+					node := res.Nodes[graph.NodeID(id)]
+					hashTables(h, node.RoutingView(), node.PricingView())
+				}
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// replays yields the honest run, as deviator -1 and a nil deviation,
+// then every node × catalogue deviation of sys.
+func replays(sys core.System) iter.Seq2[core.NodeID, *Deviation] {
+	return func(yield func(core.NodeID, *Deviation) bool) {
+		if !yield(-1, nil) {
+			return
+		}
+		for _, node := range sys.Nodes() {
+			for _, dev := range sys.Deviations(node) {
+				if !yield(node, dev.(*Deviation)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// replayName names a replay's deviation; nil is the honest run.
+func replayName(d *Deviation) string {
+	if d == nil {
+		return "honest"
+	}
+	return d.Name()
+}
+
+// hashTables writes a node's table hashes to h.
+func hashTables(h io.Writer, r fpss.RoutingTable, p fpss.PricingTable) {
+	rh, ph := r.HashRouting(), p.HashPricing()
+	h.Write(rh[:])
+	h.Write(ph[:])
+}
+
+// TestReplaysPinned pins replayDigest.
+func TestReplaysPinned(t *testing.T) {
+	if got := replayDigest(t); got != pinnedReplayDigest {
+		t.Fatalf("replay digest = %#016x, pinned %#016x", got, pinnedReplayDigest)
+	}
 }
 
 // TestStatefulCheckMatchesRunOracle is the overhaul's acceptance gate:

@@ -151,20 +151,13 @@ func (s *PlainSystem) Deviations(core.NodeID) []core.Deviation {
 // deviations the snapshot cannot overlay.
 func (s *PlainSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, error) {
 	s.scen.init(s.Graph, s.Params, false)
-	var strategies map[graph.NodeID]*fpss.Strategy
-	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
-	if d != nil && deviator >= 0 {
-		if d.protocol != nil {
-			node := graph.NodeID(deviator)
-			strategies = map[graph.NodeID]*fpss.Strategy{node: d.protocol(Ctx{Graph: s.Graph, Node: node})}
-		}
-		if d.reportPayment != nil {
-			reportHooks = reportHook(deviator, d)
-		}
-	}
-	res, err := fpss.Run(fpss.Config{Graph: s.Graph, Strategies: strategies, Loss: s.Params.Loss})
+	res, err := s.replay(deviator, d)
 	if err != nil {
-		return core.Outcome{}, fmt.Errorf("plain run: %w", err)
+		return core.Outcome{}, err
+	}
+	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
+	if d != nil && deviator >= 0 && d.reportPayment != nil {
+		reportHooks = reportHook(deviator, d)
 	}
 	exec, err := s.executeOn(plainViews(res), reportHooks)
 	if err != nil {
@@ -175,6 +168,21 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, er
 		s.applySettlement(&out, settleBatch(exec), deviator, d)
 	}
 	return out, nil
+}
+
+// replay runs both construction phases with d's protocol hooks active
+// at deviator (d == nil runs the suggested specification).
+func (s *PlainSystem) replay(deviator core.NodeID, d *Deviation) (*fpss.Result, error) {
+	var strategies map[graph.NodeID]*fpss.Strategy
+	if d != nil && deviator >= 0 && d.protocol != nil {
+		node := graph.NodeID(deviator)
+		strategies = map[graph.NodeID]*fpss.Strategy{node: d.protocol(Ctx{Graph: s.Graph, Node: node})}
+	}
+	res, err := fpss.Run(fpss.Config{Graph: s.Graph, Strategies: strategies, Loss: s.Params.Loss})
+	if err != nil {
+		return nil, fmt.Errorf("plain run: %w", err)
+	}
+	return res, nil
 }
 
 // FaithfulSystem plays deviations against the paper's extended FPSS
@@ -225,6 +233,24 @@ func (s *FaithfulSystem) Deviations(core.NodeID) []core.Deviation {
 // (see PlainSystem.play).
 func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, error) {
 	s.scen.init(s.Graph, s.Params, true)
+	res, err := s.replay(deviator, d)
+	if err != nil {
+		return core.Outcome{}, err
+	}
+	out := outcomeOf(res)
+	// Settlement clears only what the execution phase produced: a run
+	// the bank refused to green-light settles nothing.
+	if d != nil && deviator >= 0 && d.settle != nil && s.Params.Settle.Enabled() && res.Exec != nil {
+		if err := s.applySettlement(&out, settleBatch(res.Exec), deviator, d); err != nil {
+			return core.Outcome{}, err
+		}
+	}
+	return out, nil
+}
+
+// replay runs the whole extended protocol, execution phase and payment
+// audit included, with d active at deviator (see PlainSystem.replay).
+func (s *FaithfulSystem) replay(deviator core.NodeID, d *Deviation) (*faithful.Result, error) {
 	var strategies map[graph.NodeID]*faithful.Strategy
 	if d != nil && deviator >= 0 {
 		node := graph.NodeID(deviator)
@@ -247,15 +273,7 @@ func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome,
 	}
 	res, err := faithful.Run(s.runConfig(strategies))
 	if err != nil {
-		return core.Outcome{}, fmt.Errorf("faithful run: %w", err)
+		return nil, fmt.Errorf("faithful run: %w", err)
 	}
-	out := outcomeOf(res)
-	// Settlement clears only what the execution phase produced: a run
-	// the bank refused to green-light settles nothing.
-	if d != nil && deviator >= 0 && d.settle != nil && s.Params.Settle.Enabled() && res.Exec != nil {
-		if err := s.applySettlement(&out, settleBatch(res.Exec), deviator, d); err != nil {
-			return core.Outcome{}, err
-		}
-	}
-	return out, nil
+	return res, nil
 }
