@@ -15,7 +15,8 @@ import (
 //     reused, so tables that share entries with earlier tables (see
 //     Derivation) stay valid after a chunk is dropped to the GC;
 //   - the per-call working sets (the kernels' dense DATA1 and aligned
-//     views, contribution list, candidate cells and their tags) are
+//     views, contribution list, candidate cells and their tags, and the
+//     transits a row has tried) are
 //     kept warm across calls, and a candidate is materialized into the
 //     arena only once it is known to enter a table.
 //
@@ -33,6 +34,7 @@ type ComputeScratch struct {
 	contribs []contrib
 	cells    []priceCell
 	tags     []graph.NodeID
+	seen     []uint64
 }
 
 // The arena's first chunk holds minChunk IDs; each later chunk doubles

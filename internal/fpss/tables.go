@@ -161,7 +161,7 @@ func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	if reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() {
+	if sameRow(a, b) {
 		return true
 	}
 	for k, e := range a {
@@ -170,6 +170,11 @@ func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
 		}
 	}
 	return true
+}
+
+// sameRow reports whether two pricing rows are one map (or both nil).
+func sameRow(a, b map[graph.NodeID]PriceEntry) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // CostTable is DATA1: declared per-packet transit cost per node.

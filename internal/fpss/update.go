@@ -207,13 +207,21 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 		return nil // no transit node
 	}
 	s.direct[0] = j
+	// seen marks the transits already tried. Only a transit with a
+	// known cost gets past costOf, so len(costs) bits cover them.
+	words := (len(costs) + 63) / 64
+	seen := slices.Grow(s.seen[:0], words)[:words]
+	clear(seen)
+	s.seen = seen
 	for _, k := range route.Path[1 : len(route.Path)-1] {
 		kc, ok := costOf(costs, k)
-		if !ok || hasCell(s.cells, k) {
-			// A deviant's looping route can repeat a transit node; its
-			// cell would repeat too, and a row holds it once.
+		if !ok || seen[k/64]&(1<<(k%64)) != 0 {
+			// A deviant's looping route can repeat a transit node. Its
+			// second try would give what its first gave, and a row holds
+			// a cell once.
 			continue
 		}
+		seen[k/64] |= 1 << (k % 64)
 		var (
 			bestCost graph.Cost
 			bestBase graph.Path
@@ -262,16 +270,6 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 		s.cells = append(s.cells, priceCell{k: k, price: kc + bestCost - route.Cost, base: bestBase, tags: tags})
 	}
 	return s.cells
-}
-
-// hasCell reports whether cells already holds transit k.
-func hasCell(cells []priceCell, k graph.NodeID) bool {
-	for _, c := range cells {
-		if c.k == k {
-			return true
-		}
-	}
-	return false
 }
 
 // materializeRow copies cells into a fresh pricing row whose witness

@@ -40,10 +40,14 @@ func (p Path) Less(q Path) bool {
 	return len(p) < len(q)
 }
 
-// Equal reports element-wise equality.
+// Equal reports element-wise equality. Paths that share their backing
+// array are equal without a scan.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
 		return false
+	}
+	if len(p) == 0 || &p[0] == &q[0] {
+		return true
 	}
 	for i := range p {
 		if p[i] != q[i] {
