@@ -102,6 +102,17 @@ type Result struct {
 	Nodes map[graph.NodeID]*Node
 }
 
+// Release recycles the derivation arenas of every node of the run,
+// the checker mirrors' included (see fpss.Node.Release). Only a caller
+// that reads nothing of the run afterwards may call it: Nodes' tables
+// and mirrors become storage that later runs overwrite. Utilities,
+// verdicts, counters and Exec stay valid.
+func (r *Result) Release() {
+	for _, node := range r.Nodes {
+		node.Release()
+	}
+}
+
 // bankHandler adapts the bank to the simulator: it collects signed
 // state replies. Invalid envelopes are dropped, which surfaces as a
 // missing report at the checkpoint.

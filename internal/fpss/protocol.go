@@ -36,6 +36,16 @@ type Result struct {
 	Phase2 sim.Counters
 }
 
+// Release recycles the derivation arenas of every node of the run (see
+// Node.Release). Only a caller that reads nothing of the run afterwards
+// may call it: its tables' paths and tag sets become storage that later
+// runs overwrite.
+func (r *Result) Release() {
+	for _, node := range r.Nodes {
+		node.Release()
+	}
+}
+
 // Run executes the original FPSS distributed protocol: phase 1 (cost
 // flood → DATA1) to quiescence, then phase 2 (routing and pricing
 // iteration → DATA2/DATA3*) to quiescence. The returned counters are

@@ -1,6 +1,10 @@
 package fpss
 
 import (
+	"math/bits"
+	"sync"
+	"unsafe"
+
 	"repro/internal/graph"
 )
 
@@ -12,8 +16,11 @@ import (
 //   - witness paths and tag sets are carved out of a chunked NodeID
 //     arena. Chunks start small and double, so a node of a small
 //     network never pays for a large one. Handed-out slices are never
-//     reused, so tables that share entries with earlier tables (see
-//     Derivation) stay valid after a chunk is dropped to the GC;
+//     reused while the scratch lives, so tables that share entries with
+//     earlier tables (see Derivation) stay valid. The scratch records
+//     the chunks it draws, and release hands them back to chunkPools
+//     for later arenas to draw: only Node.Release calls it, for a run
+//     whose tables nobody reads any more;
 //   - the per-call working sets (the kernels' dense DATA1 and aligned
 //     views, contribution list, candidate cells and their tags, and the
 //     transits a row has tried) are
@@ -28,6 +35,7 @@ import (
 type ComputeScratch struct {
 	ids      []graph.NodeID
 	chunk    int
+	chunks   [][]graph.NodeID
 	direct   [1]graph.NodeID
 	costs    []costSlot
 	views    []NeighborView
@@ -49,20 +57,56 @@ const (
 	maxChunk = 4095
 )
 
+// chunkPools holds released arena chunks, one pool per chunk size of
+// the doubling from minChunk to maxChunk (see chunkClass). An entry is
+// a pointer to a chunk's first ID, so putting one allocates nothing.
+var chunkPools [5]sync.Pool
+
+// chunkClass is the chunkPools index of a chunk of size c.
+func chunkClass(c int) int { return bits.Len(uint(c-1)) - bits.Len(minChunk-1) }
+
 // allocIDs reserves a zero-length slice with capacity n in the arena.
 // The returned slice is exclusively the caller's: later reservations
-// start past it (full-slice expression), and chunks are abandoned to
-// the GC — never rewound — so entries that survive into advertised
-// tables remain immutable.
+// start past it (full-slice expression), and chunks are never rewound
+// while the scratch lives, so entries that survive into advertised
+// tables remain immutable until release.
 func (s *ComputeScratch) allocIDs(n int) []graph.NodeID {
 	if cap(s.ids)-len(s.ids) < n {
 		c := max(s.chunk, minChunk)
 		s.chunk = min(2*c, maxChunk)
-		s.ids = make([]graph.NodeID, 0, max(c, n))
+		s.ids = s.newChunk(c, n)
 	}
 	off := len(s.ids)
 	s.ids = s.ids[:off+n]
 	return s.ids[off : off : off+n]
+}
+
+// newChunk draws an empty chunk of size c from its pool, or allocates
+// it, and records it. A request above c gets a chunk of its own that
+// no pool holds and release leaves to the GC.
+func (s *ComputeScratch) newChunk(c, n int) []graph.NodeID {
+	if n > c {
+		return make([]graph.NodeID, 0, n)
+	}
+	var chunk []graph.NodeID
+	if p, ok := chunkPools[chunkClass(c)].Get().(*graph.NodeID); ok {
+		chunk = unsafe.Slice(p, c)[:0]
+	} else {
+		chunk = make([]graph.NodeID, 0, c)
+	}
+	s.chunks = append(s.chunks, chunk)
+	return chunk
+}
+
+// release hands the recorded chunks back to chunkPools and empties the
+// arena. Every path and tag set carved from it becomes storage that
+// later arenas overwrite. A second release is a no-op.
+func (s *ComputeScratch) release() {
+	for _, c := range s.chunks {
+		chunkPools[chunkClass(cap(c))].Put(&c[:1][0])
+	}
+	clear(s.chunks)
+	s.chunks, s.ids, s.chunk = s.chunks[:0], nil, 0
 }
 
 // prepend materializes self + base as a path carved from the arena.

@@ -155,6 +155,9 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome, er
 	if err != nil {
 		return core.Outcome{}, err
 	}
+	// The outcome copies what it keeps, so the run's arenas go back to
+	// the pools once it is built.
+	defer res.Release()
 	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
 	if d != nil && deviator >= 0 && d.reportPayment != nil {
 		reportHooks = reportHook(deviator, d)
@@ -237,6 +240,7 @@ func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation) (core.Outcome,
 	if err != nil {
 		return core.Outcome{}, err
 	}
+	defer res.Release() // see PlainSystem.play
 	out := outcomeOf(res)
 	// Settlement clears only what the execution phase produced: a run
 	// the bank refused to green-light settles nothing.
