@@ -413,6 +413,6 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 	if !ok {
 		return nil, nil, false
 	}
-	m.refresh(n.Derivation().Scratch(), n.CostsView())
-	return m.routing, m.pricing, true
+	m.refresh(n.memo, n.Derivation().Scratch(), n.CostsView())
+	return m.derived.routing, m.derived.pricing, true
 }

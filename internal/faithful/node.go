@@ -14,6 +14,7 @@ package faithful
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/bank"
@@ -107,27 +108,86 @@ func (s *Strategy) reportState(truth bank.StateReport) bank.StateReport {
 type mirror struct {
 	principal graph.NodeID
 	neighbors []graph.NodeID
-	views     map[graph.NodeID]fpss.NeighborView
-	stale     bool
-	routing   fpss.RoutingTable
-	pricing   fpss.PricingTable
+	// views[i] is the latest view of neighbors[i]: a forwarded copy, or
+	// at self what this checker last sent the principal (sent says
+	// whether it has).
+	views   []fpss.NeighborView
+	self    int
+	sent    bool
+	stale   bool
+	derived *derivedMirror
 }
 
 // refresh re-derives the mirrored tables if a view changed since they
 // were last derived. Only the checkpoint (onStateRequest) reads a
-// mirror (and the tests' MirrorOf), and ComputeRouting/ComputePricing
-// are pure functions of (costs, views) with DATA1 fixed once phase 1
-// quiesces, so deriving once there yields the tables that recomputing
-// after every view change would have ended with. That holds only while
+// mirror (and the tests' MirrorOf), and ComputeTables is a pure
+// function of (costs, views) with DATA1 fixed once phase 1 quiesces,
+// so deriving once there yields the tables that recomputing after
+// every view change would have ended with. That holds only while
 // stored views are never edited in place, which is why every hook that
-// handles a published table copies on write (see fpss.Strategy).
-func (m *mirror) refresh(s *fpss.ComputeScratch, costs fpss.CostTable) {
+// handles a published table copies on write (see fpss.Strategy). The
+// derivation comes from memo, shared with every other checker of the
+// principal that holds the same views.
+func (m *mirror) refresh(memo *mirrorMemo, s *fpss.ComputeScratch, costs fpss.CostTable) {
 	if !m.stale {
 		return
 	}
 	m.stale = false
-	m.routing = fpss.ComputeRouting(s, m.principal, m.neighbors, costs, m.views)
-	m.pricing = fpss.ComputePricing(s, m.principal, m.neighbors, costs, m.routing, m.views)
+	m.derived = memo.derive(s, m.principal, m.neighbors, costs, m.views)
+}
+
+// derivedMirror is one derivation of a principal's tables from a set
+// of views, with the hashes a checker reports.
+type derivedMirror struct {
+	costs                    fpss.CostTable
+	views                    []fpss.NeighborView
+	routing                  fpss.RoutingTable
+	pricing                  fpss.PricingTable
+	routingHash, pricingHash fpss.Hash
+}
+
+// mirrorMemo shares mirror derivations among the checkers of one run.
+// In an honest run every checker of a principal holds the same
+// published tables as its views, so one derivation and its two hashes
+// serve them all. A derivation is keyed by the principal, the exact
+// DATA1 and the identities of the viewed tables: published tables are
+// never edited, so the same tables are the same content, and the memo
+// keeps them alive, so no other table can take their place. A memo is
+// single-threaded, like the run that owns it; its tables are carved
+// from the scratch of the checker that first derived them, and are
+// recycled with that checker's (see Result.Release).
+type mirrorMemo struct {
+	derived [][]*derivedMirror // by principal
+}
+
+func newMirrorMemo(n int) *mirrorMemo {
+	return &mirrorMemo{derived: make([][]*derivedMirror, n)}
+}
+
+// derive returns principal p's tables over costs and views, deriving
+// them with s unless a checker of p already has.
+func (mm *mirrorMemo) derive(s *fpss.ComputeScratch, p graph.NodeID, neighbors []graph.NodeID, costs fpss.CostTable, views []fpss.NeighborView) *derivedMirror {
+	for _, d := range mm.derived[p] {
+		if slices.EqualFunc(d.views, views, sameView) && maps.Equal(d.costs, costs) {
+			return d
+		}
+	}
+	d := &derivedMirror{costs: costs, views: slices.Clone(views)}
+	d.routing, d.pricing = fpss.ComputeTables(s, p, neighbors, costs, views)
+	d.routingHash, d.pricingHash = d.routing.HashRouting(), d.pricing.HashPricing()
+	mm.derived[p] = append(mm.derived[p], d)
+	return d
+}
+
+// sameView reports whether two views hold the same tables by identity.
+func sameView(a, b fpss.NeighborView) bool {
+	return sameTable(a.Routing, b.Routing) && sameTable(a.Pricing, b.Pricing)
+}
+
+// sameTable reports whether two tables are one slice: the same length
+// and, unless empty, the same backing array.
+func sameTable[S ~[]E, E any](a, b S) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Node is a faithful-protocol participant: an unchanged fpss.Node
@@ -144,33 +204,29 @@ type Node struct {
 	checkersOf map[graph.NodeID][]graph.NodeID
 	strategy   *Strategy
 	signer     *sign.Signer
+	memo       *mirrorMemo
 
-	mirrors  map[graph.NodeID]*mirror
-	lastSent map[graph.NodeID]fpss.Update
-	flags    []bank.Flag
+	mirrors map[graph.NodeID]*mirror
+	flags   []bank.Flag
 }
 
 var _ sim.Handler = (*Node)(nil)
 
-// NewNode constructs a faithful-protocol node. checkersOf may be nil,
-// meaning the full assignment (every neighbor checks). Both maps (and
-// their slices) are retained as shared read-only views — a deviation
-// search builds them once per scenario and hands the same maps to
-// every node of every run, so the node must never mutate them and the
-// caller must not change them while any node is live.
-func NewNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[graph.NodeID][]graph.NodeID, strategy *Strategy, signer *sign.Signer) *Node {
-	cOf := checkersOf
-	if cOf == nil {
-		cOf = neighborsOf
-	}
+// newNode constructs a faithful-protocol node whose mirrors share the
+// run's memo. Both maps (and their slices) are retained as shared
+// read-only views — a deviation search builds them once per scenario
+// and hands the same maps to every node of every run, so the node must
+// never mutate them and the caller must not change them while any node
+// is live.
+func newNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[graph.NodeID][]graph.NodeID, strategy *Strategy, signer *sign.Signer, memo *mirrorMemo) *Node {
 	return &Node{
 		Node:        *fpss.NewNode(id, trueCost, neighborsOf[id], strategy.protocol()),
 		neighborsOf: neighborsOf,
-		checkersOf:  cOf,
+		checkersOf:  checkersOf,
 		strategy:    strategy,
 		signer:      signer,
+		memo:        memo,
 		mirrors:     make(map[graph.NodeID]*mirror),
-		lastSent:    make(map[graph.NodeID]fpss.Update),
 	}
 }
 
@@ -204,13 +260,15 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 	// Become a checker for every neighbor that this node is assigned
 	// to check (all of them under the paper's assignment).
 	for _, p := range n.neighborsOf[n.ID()] {
-		if !contains(n.checkersOf[p], n.ID()) {
+		if !slices.Contains(n.checkersOf[p], n.ID()) {
 			continue
 		}
+		neighbors := n.neighborsOf[p]
 		n.mirrors[p] = &mirror{
 			principal: p,
-			neighbors: n.neighborsOf[p],
-			views:     make(map[graph.NodeID]fpss.NeighborView),
+			neighbors: neighbors,
+			views:     make([]fpss.NeighborView, len(neighbors)),
+			self:      slices.Index(neighbors, n.ID()),
 			stale:     true,
 		}
 	}
@@ -267,17 +325,16 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 	n.Advertise(ctx, false, n.recordSend)
 }
 
-// recordSend is the principal's per-send callback: it keeps the
-// ground truth of what went to each neighbor and applies it to the
-// mirror this node keeps of that neighbor (checkers apply their own
-// sends directly; the principal cannot drop them). Sent tables are
-// immutable once published, hooked ones included, so the record shares
-// them.
+// recordSend is the principal's per-send callback: it applies what
+// went to a neighbor to the mirror this node keeps of it (checkers
+// apply their own sends directly; the principal cannot drop them), and
+// that view is the ground truth a forward copy claiming this node as
+// its sender is checked against. Sent tables are immutable once
+// published, hooked ones included, so the mirror shares them.
 func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
-	n.lastSent[to] = u
 	if m, ok := n.mirrors[to]; ok {
-		m.views[n.ID()] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
-		m.stale = true
+		m.views[m.self] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
+		m.sent, m.stale = true, true
 	}
 }
 
@@ -294,20 +351,21 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 		// The principal claims this node sent it: verify against what
 		// was actually sent (the spoof catch — "this spoof will create
 		// an inconsistency in the identity tag information").
-		last, sent := n.lastSent[fc.Principal]
-		if !sent || !last.Routing.Equal(fc.U.Routing) || !last.Pricing.Equal(fc.U.Pricing) {
+		last := m.views[m.self]
+		if !m.sent || !last.Routing.Equal(fc.U.Routing) || !last.Pricing.Equal(fc.U.Pricing) {
 			n.flag(fc.Principal, "forward copy misattributes this checker")
 			return
 		}
 		return // own sends are already applied to the mirror
 	}
-	if !contains(m.neighbors, fc.From) {
+	i := slices.Index(m.neighbors, fc.From)
+	if i < 0 {
 		// [CHECK2]: "Ignore messages with identity tags that are not
 		// checker nodes of the principal."
 		n.flag(fc.Principal, fmt.Sprintf("forward copy from %d, not a checker of %d", fc.From, fc.Principal))
 		return
 	}
-	m.views[fc.From] = fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing}
+	m.views[i] = fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing}
 	m.stale = true
 }
 
@@ -316,9 +374,10 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// advertised to this checker must equal the faithfully mirrored
 	// computation. At quiescence every message has been delivered, so
 	// any divergence is a deviation, not a transient. This is where
-	// each mirror is derived, once, from the views it has collected.
-	// Principals are walked in ascending order, so the flags, and the
-	// signed report, are the same in every run.
+	// each mirror is derived, once, from the views it has collected,
+	// or shared from another checker of the principal with the same
+	// views (see mirrorMemo). Principals are walked in ascending order,
+	// so the flags, and the signed report, are the same in every run.
 	d, costs := n.Derivation(), n.CostsView()
 	principals := make([]graph.NodeID, 0, len(n.mirrors))
 	for p := range n.mirrors {
@@ -334,15 +393,15 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	}
 	for _, p := range principals {
 		m := n.mirrors[p]
-		m.refresh(d.Scratch(), costs)
+		m.refresh(n.memo, d.Scratch(), costs)
 		if v, ok := d.View(p); !ok {
 			n.flag(p, "principal never advertised")
-		} else if !v.Routing.Equal(m.routing) || !v.Pricing.Equal(m.pricing) {
+		} else if !v.Routing.Equal(m.derived.routing) || !v.Pricing.Equal(m.derived.pricing) {
 			n.flag(p, "advertisement diverges from checker mirror")
 		}
 		truth.Mirrors[p] = bank.MirrorReport{
-			RoutingHash: m.routing.HashRouting(),
-			PricingHash: m.pricing.HashPricing(),
+			RoutingHash: m.derived.routingHash,
+			PricingHash: m.derived.pricingHash,
 		}
 	}
 	truth.Flags = append([]bank.Flag(nil), n.flags...)
@@ -352,13 +411,4 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 
 func (n *Node) flag(principal graph.NodeID, reason string) {
 	n.flags = append(n.flags, bank.Flag{Reporter: n.ID(), Principal: principal, Reason: reason})
-}
-
-func contains(ids []graph.NodeID, id graph.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

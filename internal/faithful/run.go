@@ -159,13 +159,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	nodes := make(map[graph.NodeID]*Node, n)
+	memo := newMirrorMemo(n)
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
 		signer, err := authority.Register(bank.SignerID(id))
 		if err != nil {
 			return nil, fmt.Errorf("register signer %d: %w", id, err)
 		}
-		node := NewNode(id, cfg.Graph.Cost(id), neighborsOf, checkersOf, cfg.Strategies[id], signer)
+		node := newNode(id, cfg.Graph.Cost(id), neighborsOf, checkersOf, cfg.Strategies[id], signer, memo)
 		nodes[id] = node
 		if err := net.Attach(sim.Addr(id), node); err != nil {
 			return nil, fmt.Errorf("attach %d: %w", id, err)

@@ -12,10 +12,10 @@ import (
 //
 // Destination j's route entry and pricing row depend only on DATA1 and
 // on the neighbors' entries and rows for j, so Derive re-derives just
-// the dirty destinations with ComputeRouting's and ComputePricing's
-// per-destination kernels. The result always equals those functions
-// over the same inputs; they stay the specification, and a principal
-// whose Post hooks rewrite its tables still runs them whole.
+// the dirty destinations with ComputeTables' per-destination kernels.
+// The result always equals ComputeTables over the same inputs; it
+// stays the specification, and a principal whose Post hooks rewrite
+// its tables still runs it whole.
 //
 // Tables are copy-on-write: a derivation that changes anything builds
 // new tables that share every untouched entry and row with the old

@@ -14,13 +14,15 @@ import (
 // of neighbor-view replacements on a random biconnected graph. Each op
 // byte picks a neighbor (high bits) and a replacement (low three bits):
 // the neighbor's converged central tables, or an edit of its current
-// view that drops a destination, changes a route cost, changes only a
-// price, changes only the tags, or adds a route through the principal;
-// the last kind instead learns a missing DATA1 cost. After every step
-// the derived tables must equal ComputeRouting/ComputePricing over the
-// same views, Derive must report a change exactly when they moved, and
-// the previous step's tables must hash as they did, so nothing was
-// edited in place.
+// view that re-publishes a destination's route and pricing row as
+// equal copies, drops a destination, changes a route cost, changes only
+// a price, changes only the tags, or adds a route through the
+// principal; the last kind instead learns a missing DATA1 cost. After
+// every step the derived tables must equal ComputeTables over the same
+// views, Derive must report a change exactly when they moved, and the
+// previous step's tables must hash as they did, so nothing was edited
+// in place. SetView diffs by identity, so an equal copy must mark its
+// destination dirty and still derive no change.
 func FuzzDerivation(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x08, 0x10, 0x03, 0x04, 0x05, 0x06, 0x02, 0x07, 0x0b, 0x0c, 0x0d})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
@@ -53,13 +55,12 @@ func FuzzDerivation(f *testing.F) {
 		slices.Sort(unknown)
 
 		d := NewDerivation(self, neighbors)
-		views := make(map[graph.NodeID]NeighborView)
-		step := func(op int) {
+		views := make([]NeighborView, len(neighbors))
+		step := func(op int) bool {
 			prevR, prevP := d.Routing(), d.Pricing()
 			hashR, hashP := prevR.HashRouting(), prevP.HashPricing()
 			changed := d.Derive(costs, nil)
-			wantR := ComputeRouting(new(ComputeScratch), self, neighbors, costs, views)
-			wantP := ComputePricing(new(ComputeScratch), self, neighbors, costs, wantR, views)
+			wantR, wantP := ComputeTables(new(ComputeScratch), self, neighbors, costs, views)
 			if !d.Routing().Equal(wantR) || !d.Pricing().Equal(wantP) {
 				t.Fatalf("op %d: derived tables differ from the full computation\nrouting %v\nwant    %v\npricing %v\nwant    %v",
 					op, d.Routing(), wantR, d.Pricing(), wantP)
@@ -70,32 +71,41 @@ func FuzzDerivation(f *testing.F) {
 			if prevR.HashRouting() != hashR || prevP.HashPricing() != hashP {
 				t.Fatalf("op %d: the previous tables were edited in place", op)
 			}
+			return changed
 		}
 		step(-1)
 		for i, op := range ops {
-			v := neighbors[int(op>>3)%len(neighbors)]
+			at := int(op>>3) % len(neighbors)
+			v := neighbors[at]
 			if op&7 == 7 {
 				if len(unknown) > 0 {
 					costs[unknown[0]] = sol.Costs[unknown[0]]
 					unknown = unknown[1:]
 					d.MarkAll()
 				}
-			} else {
-				view := editView(rng, op&7, self, v, views[v], sol)
-				views[v] = view
-				d.SetView(v, view)
+				step(i)
+				continue
 			}
-			step(i)
+			view, copied := editView(rng, op&7, self, v, views[at], sol)
+			views[at] = view
+			d.SetView(v, view)
+			if copied >= 0 && !d.all && !d.dirty[copied] {
+				t.Fatalf("op %d: an equal copy of destination %d left it clean", i, copied)
+			}
+			if changed := step(i); copied >= 0 && changed {
+				t.Fatalf("op %d: an equal copy of destination %d changed the tables", i, copied)
+			}
 		}
 	})
 }
 
 // editView returns the replacement of neighbor v's view cur for one
-// fuzz op kind. Edits are copy-on-write, as the protocol's tables are:
-// cur and the central solution are never modified.
-func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView, sol *Solution) NeighborView {
-	if kind < 2 || cur.Routing.Len() == 0 {
-		return NeighborView{Routing: sol.Routing[v], Pricing: sol.Pricing[v]}
+// fuzz op kind, and the destination it re-published as an equal copy
+// (-1 for every other kind). Edits are copy-on-write, as the protocol's
+// tables are: cur and the central solution are never modified.
+func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView, sol *Solution) (NeighborView, graph.NodeID) {
+	if kind == 0 || cur.Routing.Len() == 0 {
+		return NeighborView{Routing: sol.Routing[v], Pricing: sol.Pricing[v]}, -1
 	}
 	next := NeighborView{Routing: slices.Clone(cur.Routing), Pricing: slices.Clone(cur.Pricing)}
 	if next.Pricing == nil {
@@ -107,6 +117,14 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 	}
 	j := pick(keys(cur.Routing.All()))
 	switch kind {
+	case 1: // re-publish a route and its pricing row as equal copies
+		e := next.Routing[j]
+		e.Path = slices.Clone(e.Path)
+		next.Routing[j] = e
+		if row := cur.Pricing.Row(j); row != nil {
+			next.Pricing[j] = maps.Clone(row)
+		}
+		return next, j
 	case 2: // drop a destination
 		next.Routing[j] = RouteEntry{}
 		next.Pricing[j] = nil
@@ -137,7 +155,7 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 		path := append(graph.Path{v}, base...)
 		next.Routing[j] = RouteEntry{Cost: graph.Cost(rng.Intn(20)), Path: path}
 	}
-	return next
+	return next, -1
 }
 
 // keys collects the destinations a table's All yields, ascending.

@@ -21,8 +21,8 @@ import (
 //     the chunks it draws, and release hands them back to chunkPools
 //     for later arenas to draw: only Node.Release calls it, for a run
 //     whose tables nobody reads any more;
-//   - the per-call working sets (the kernels' dense DATA1 and aligned
-//     views, contribution list, candidate cells and their tags, and the
+//   - the per-call working sets (ComputeTables' dense DATA1, the
+//     contribution list, candidate cells and their tags, and the
 //     transits a row has tried) are
 //     kept warm across calls, and a candidate is materialized into the
 //     arena only once it is known to enter a table.
@@ -38,7 +38,6 @@ type ComputeScratch struct {
 	chunks   [][]graph.NodeID
 	direct   [1]graph.NodeID
 	costs    []costSlot
-	views    []NeighborView
 	contribs []contrib
 	cells    []priceCell
 	tags     []graph.NodeID
@@ -119,16 +118,4 @@ func (s *ComputeScratch) prepend(self graph.NodeID, base graph.Path) graph.Path 
 // copyIDs materializes ids as a slice carved from the arena.
 func (s *ComputeScratch) copyIDs(ids []graph.NodeID) []graph.NodeID {
 	return append(s.allocIDs(len(ids)), ids...)
-}
-
-// load converts ComputeRouting's and ComputePricing's inputs into the
-// kernels' form, in s: DATA1 indexed by NodeID, and views aligned with
-// neighbors. Both stay valid until the next load.
-func (s *ComputeScratch) load(neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) ([]costSlot, []NeighborView) {
-	s.costs = denseCosts(s.costs, costs)
-	s.views = s.views[:0]
-	for _, v := range neighbors {
-		s.views = append(s.views, views[v])
-	}
-	return s.costs, s.views
 }

@@ -15,28 +15,32 @@ type NeighborView struct {
 	Pricing PricingTable
 }
 
-// ComputeRouting recomputes DATA2 for `self` from DATA1 (declared
-// costs) and the latest neighbor views, by one Bellman relaxation over
-// all destinations:
+// ComputeTables recomputes DATA2 and DATA3* for `self` from DATA1
+// (declared costs) and the latest neighbor views: views holds one view
+// per neighbor, views[i] being neighbors[i]'s (a zero view for one not
+// heard from). Routing is
+// one Bellman relaxation over all destinations:
 //
 //	d(self→j) = min over neighbors v:  v == j ? 0 : ĉ_v + d(v→j)
 //
 // with the composite (cost, hops, lex) tie-break. Repeated application
 // as views refresh converges to the centralized solution: values start
 // at infinity and only decrease (static network, non-negative costs).
+// Pricing follows over the routing just computed (see computePricing).
 //
 // The function is pure — checker nodes re-run it on mirrored inputs to
-// verify a principal's computation ([CHECK1]) — and it is the
+// verify a principal's computation ([CHECK1]/[CHECK2]) — and it is the
 // specification that a Derivation's per-destination updates must match.
-// It draws its entry paths and working set from s; see ComputeScratch
-// for the ownership rules.
-func ComputeRouting(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views map[graph.NodeID]NeighborView) RoutingTable {
-	dc, aligned := s.load(neighbors, costs, views)
-	return s.computeRouting(self, neighbors, dc, aligned)
+// It draws its entry paths, witness paths, tag sets and working set
+// from s; see ComputeScratch for the ownership rules.
+func ComputeTables(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views []NeighborView) (RoutingTable, PricingTable) {
+	s.costs = denseCosts(s.costs, costs)
+	routing := s.computeRouting(self, neighbors, s.costs, views)
+	return routing, s.computePricing(self, neighbors, s.costs, routing, views)
 }
 
-// computeRouting is ComputeRouting over the kernels' inputs: DATA1
-// indexed by NodeID and views[i] the view of neighbors[i]. The table
+// computeRouting is ComputeTables' routing over the kernels' inputs:
+// DATA1 indexed by NodeID and views aligned with neighbors. The table
 // has tableLen slots; every one but self's is tried.
 func (s *ComputeScratch) computeRouting(self graph.NodeID, neighbors []graph.NodeID, costs []costSlot, views []NeighborView) RoutingTable {
 	out := make(RoutingTable, tableLen(costs, neighbors, views))
@@ -91,7 +95,7 @@ func tableLen(costs []costSlot, neighbors []graph.NodeID, views []NeighborView) 
 	return n
 }
 
-// routeTo is ComputeRouting's kernel for one destination j ≠ self: the
+// routeTo is computeRouting's kernel for one destination j ≠ self: the
 // best route's cost and its base path (without the self prefix; see
 // betterBase), or ok=false when no neighbor offers a route yet. The
 // base is a read-only view of a neighbor's table or of s, valid until
@@ -150,9 +154,10 @@ func prefixedBy(p graph.Path, self graph.NodeID, base graph.Path) bool {
 	return len(p) == len(base)+1 && p[0] == self && p[1:].Equal(base)
 }
 
-// ComputePricing recomputes DATA3* for `self`: for every destination j
-// in the routing table and every transit node k on LCP(self→j), the
-// avoid-k value
+// computePricing recomputes DATA3* for `self` over routing and the
+// kernels' inputs (see computeRouting): for every destination j in the
+// routing table and every transit node k on LCP(self→j), the avoid-k
+// value
 //
 //	B^k(self→j) = min over neighbors v ≠ k of
 //	    0                          if v == j
@@ -163,17 +168,8 @@ func prefixedBy(p graph.Path, self graph.NodeID, base graph.Path) bool {
 // is carried for determinism and checker verification; Tags is the
 // union of the neighbors attaining the minimal cost — the identity-tag
 // field of DATA3* ("the node that triggered the most recent pricing
-// table update", union on ties) that [BANK2] compares.
-//
-// Pure, for the same reason as ComputeRouting ([CHECK2]). It draws its
-// witness paths, tag sets and working set from s.
-func ComputePricing(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, routing RoutingTable, views map[graph.NodeID]NeighborView) PricingTable {
-	dc, aligned := s.load(neighbors, costs, views)
-	return s.computePricing(self, neighbors, dc, routing, aligned)
-}
-
-// computePricing is ComputePricing over the kernels' inputs (see
-// computeRouting). The table is as long as routing.
+// table update", union on ties) that [BANK2] compares. The table is as
+// long as routing.
 func (s *ComputeScratch) computePricing(self graph.NodeID, neighbors []graph.NodeID, costs []costSlot, routing RoutingTable, views []NeighborView) PricingTable {
 	out := make(PricingTable, len(routing))
 	for j, route := range routing {
@@ -197,7 +193,7 @@ type priceCell struct {
 	tags  []graph.NodeID
 }
 
-// priceRow is ComputePricing's kernel for one destination j reached by
+// priceRow is computePricing's kernel for one destination j reached by
 // route: one cell per transit node of the route that has a price yet.
 // The cells live in s until the next kernel call; an empty result
 // means j has no pricing row.

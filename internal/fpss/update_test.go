@@ -10,7 +10,7 @@ import (
 
 func TestComputeRoutingNoViews(t *testing.T) {
 	// With no neighbor views, only direct-neighbor routes exist.
-	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 3}, nil)
+	rt, _ := ComputeTables(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 3}, make([]NeighborView, 2))
 	if rt.Len() != 2 {
 		t.Fatalf("routes = %d, want 2", rt.Len())
 	}
@@ -24,12 +24,12 @@ func TestComputeRoutingNoViews(t *testing.T) {
 
 func TestComputeRoutingUsesNeighborInfo(t *testing.T) {
 	// 0—1—9: node 0 learns the 9 route through 1's view.
-	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{
+	views := []NeighborView{
+		{Routing: RoutingTable{
 			9: {Cost: 0, Path: graph.Path{1, 9}},
 		}},
 	}
-	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1, 1: 5, 9: 2}, views)
+	rt, _ := ComputeTables(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1, 1: 5, 9: 2}, views)
 	e, ok := rt.Get(9)
 	if !ok {
 		t.Fatal("no route to 9")
@@ -45,10 +45,10 @@ func TestComputeRoutingUsesNeighborInfo(t *testing.T) {
 func TestComputeRoutingSkipsUnknownCosts(t *testing.T) {
 	// Neighbor cost missing from DATA1 ⇒ its advertised routes are
 	// unusable until phase 1 completes.
-	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
+	views := []NeighborView{
+		{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
 	}
-	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1}, views)
+	rt, _ := ComputeTables(new(ComputeScratch), 0, []graph.NodeID{1}, CostTable{0: 1}, views)
 	if _, ok := rt.Get(9); ok {
 		t.Error("route built without knowing transit cost")
 	}
@@ -61,17 +61,17 @@ func TestComputeRoutingSkipsUnknownCosts(t *testing.T) {
 func TestComputeRoutingPrefersCheaperThenShorterThenLex(t *testing.T) {
 	// Two neighbors both reach 9; neighbor 1 has transit cost 1,
 	// neighbor 2 transit cost 3.
-	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
-		2: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 9}}}},
+	views := []NeighborView{
+		{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
+		{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 9}}}},
 	}
-	rt := ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 1, 2: 3}, views)
+	rt, _ := ComputeTables(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 1, 2: 3}, views)
 	if rt[9].Cost != 1 || !rt[9].Path.Equal(graph.Path{0, 1, 9}) {
 		t.Errorf("route = %+v, want via 1", rt[9])
 	}
 	// Equal transit costs: shorter path wins.
-	views[2] = NeighborView{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 5, 9}}}}
-	rt = ComputeRouting(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 2, 5: 0}, views)
+	views[1] = NeighborView{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{2, 5, 9}}}}
+	rt, _ = ComputeTables(new(ComputeScratch), 0, []graph.NodeID{1, 2}, CostTable{0: 1, 1: 2, 2: 2, 5: 0}, views)
 	if !rt[9].Path.Equal(graph.Path{0, 1, 9}) {
 		t.Errorf("hop tie-break failed: %v", rt[9].Path)
 	}
@@ -80,9 +80,9 @@ func TestComputeRoutingPrefersCheaperThenShorterThenLex(t *testing.T) {
 func TestComputePricingDirectNeighborContribution(t *testing.T) {
 	// Triangle 0-1-9 plus edge 0-9: for dest 9 via transit 1, the
 	// direct 0-9 edge is the avoid path (contribution 0).
-	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
-		9: {Routing: RoutingTable{}},
+	views := []NeighborView{
+		{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
+		{Routing: RoutingTable{}},
 	}
 	costs := CostTable{0: 1, 1: 4, 9: 2}
 	routing := RoutingTable{
@@ -90,7 +90,7 @@ func TestComputePricingDirectNeighborContribution(t *testing.T) {
 		// direct edge were costly — synthetic input to the pure fn).
 		9: {Cost: 4, Path: graph.Path{0, 1, 9}},
 	}
-	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1, 9}, costs, routing, views)
+	pt := new(ComputeScratch).computePricing(0, []graph.NodeID{1, 9}, denseCosts(nil, costs), routing, views)
 	e, ok := pt[9][1]
 	if !ok {
 		t.Fatal("no price entry for transit 1")
@@ -111,12 +111,12 @@ func TestComputePricingWaitsForAvoidInfo(t *testing.T) {
 	// Only neighbor is 1 and 1's LCP to 9 goes through... itself (1 is
 	// the transit under scrutiny), and 1 has no pricing entry yet: no
 	// price entry can be built.
-	views := map[graph.NodeID]NeighborView{
-		1: {Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
+	views := []NeighborView{
+		{Routing: RoutingTable{9: {Cost: 0, Path: graph.Path{1, 9}}}},
 	}
 	costs := CostTable{0: 1, 1: 4, 9: 2}
 	routing := RoutingTable{9: {Cost: 4, Path: graph.Path{0, 1, 9}}}
-	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1}, costs, routing, views)
+	pt := new(ComputeScratch).computePricing(0, []graph.NodeID{1}, denseCosts(nil, costs), routing, views)
 	if pt.Row(9) != nil {
 		t.Error("price entry built without avoid-k information")
 	}
@@ -126,8 +126,8 @@ func TestComputePricingRecoverBFromNeighborPrice(t *testing.T) {
 	// Chain 0—1—2—9 with a detour at 1: 1 advertises an avoid-2 price
 	// for dest 9; 0 recovers B and adds its own hop.
 	costs := CostTable{0: 1, 1: 2, 2: 3, 9: 1}
-	views := map[graph.NodeID]NeighborView{
-		1: {
+	views := []NeighborView{
+		{
 			Routing: RoutingTable{9: {Cost: 3, Path: graph.Path{1, 2, 9}}},
 			Pricing: PricingTable{9: {2: PriceEntry{
 				Transit: 2,
@@ -138,7 +138,7 @@ func TestComputePricingRecoverBFromNeighborPrice(t *testing.T) {
 		},
 	}
 	routing := RoutingTable{9: {Cost: 5, Path: graph.Path{0, 1, 2, 9}}}
-	pt := ComputePricing(new(ComputeScratch), 0, []graph.NodeID{1}, costs, routing, views)
+	pt := new(ComputeScratch).computePricing(0, []graph.NodeID{1}, denseCosts(nil, costs), routing, views)
 	e, ok := pt[9][2]
 	if !ok {
 		t.Fatal("no entry for transit 2")
@@ -181,12 +181,11 @@ func TestPropertySynchronousFixpointMatchesCentral(t *testing.T) {
 			changed := false
 			for i := 0; i < n; i++ {
 				id := graph.NodeID(i)
-				views := make(map[graph.NodeID]NeighborView)
-				for _, v := range neighbors[id] {
-					views[v] = NeighborView{Routing: routing[v], Pricing: pricing[v]}
+				views := make([]NeighborView, len(neighbors[id]))
+				for k, v := range neighbors[id] {
+					views[k] = NeighborView{Routing: routing[v], Pricing: pricing[v]}
 				}
-				nr := ComputeRouting(new(ComputeScratch), id, neighbors[id], costs, views)
-				np := ComputePricing(new(ComputeScratch), id, neighbors[id], costs, nr, views)
+				nr, np := ComputeTables(new(ComputeScratch), id, neighbors[id], costs, views)
 				if !nr.Equal(routing[id]) || !np.Equal(pricing[id]) {
 					changed = true
 				}
@@ -304,3 +303,4 @@ func BenchmarkDistributedConvergence(b *testing.B) {
 		})
 	}
 }
+
