@@ -168,7 +168,7 @@ func newMirrorMemo(n int) *mirrorMemo {
 // them with s unless a checker of p already has.
 func (mm *mirrorMemo) derive(s *fpss.ComputeScratch, p graph.NodeID, neighbors []graph.NodeID, costs fpss.CostTable, views []fpss.NeighborView) *derivedMirror {
 	for _, d := range mm.derived[p] {
-		if slices.EqualFunc(d.views, views, sameView) && maps.Equal(d.costs, costs) {
+		if slices.EqualFunc(d.views, views, fpss.NeighborView.Same) && maps.Equal(d.costs, costs) {
 			return d
 		}
 	}
@@ -177,17 +177,6 @@ func (mm *mirrorMemo) derive(s *fpss.ComputeScratch, p graph.NodeID, neighbors [
 	d.routingHash, d.pricingHash = d.routing.HashRouting(), d.pricing.HashPricing()
 	mm.derived[p] = append(mm.derived[p], d)
 	return d
-}
-
-// sameView reports whether two views hold the same tables by identity.
-func sameView(a, b fpss.NeighborView) bool {
-	return sameTable(a.Routing, b.Routing) && sameTable(a.Pricing, b.Pricing)
-}
-
-// sameTable reports whether two tables are one slice: the same length
-// and, unless empty, the same backing array.
-func sameTable[S ~[]E, E any](a, b S) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Node is a faithful-protocol participant: an unchanged fpss.Node

@@ -84,10 +84,11 @@ func (d *Derivation) MarkAll() { d.all = true }
 // SetView replaces neighbor v's view and marks each destination whose
 // route entry or pricing row differs by identity between the old view
 // and the new: a route with another cost or path backing array, a row
-// that is another map. Published tables are never edited, so an
-// identical entry is an equal one; an equal entry rebuilt elsewhere is
-// marked too, and re-deriving it reports no change. A view from a node
-// that is not a neighbor is dropped: no kernel reads it.
+// that is another map. A table the new view shares with the old is
+// skipped whole. Published tables are never edited, so an identical
+// entry is an equal one; an equal entry rebuilt elsewhere is marked
+// too, and re-deriving it reports no change. A view from a node that
+// is not a neighbor is dropped: no kernel reads it.
 func (d *Derivation) SetView(v graph.NodeID, view NeighborView) {
 	i := slices.Index(d.neighbors, v)
 	if i < 0 {
@@ -99,26 +100,24 @@ func (d *Derivation) SetView(v graph.NodeID, view NeighborView) {
 		return
 	}
 	d.grow(len(view.Routing))
-	for j := range max(len(old.Routing), len(view.Routing)) {
-		o, had := old.Routing.Get(graph.NodeID(j))
-		e, has := view.Routing.Get(graph.NodeID(j))
-		if had != has || has && (o.Cost != e.Cost || !samePath(o.Path, e.Path)) {
-			d.dirty[j] = true
+	if !sameSlice(old.Routing, view.Routing) {
+		for j := range max(len(old.Routing), len(view.Routing)) {
+			o, had := old.Routing.Get(graph.NodeID(j))
+			e, has := view.Routing.Get(graph.NodeID(j))
+			if had != has || has && (o.Cost != e.Cost || !sameSlice(o.Path, e.Path)) {
+				d.dirty[j] = true
+			}
 		}
 	}
-	// A row past the tables' end belongs to a destination no neighbor
-	// routes to, so it has no row to derive yet.
-	for j := range min(max(len(old.Pricing), len(view.Pricing)), d.n) {
-		if !sameRow(old.Pricing.Row(graph.NodeID(j)), view.Pricing.Row(graph.NodeID(j))) {
-			d.dirty[j] = true
+	if !sameSlice(old.Pricing, view.Pricing) {
+		// A row past the tables' end belongs to a destination no
+		// neighbor routes to, so it has no row to derive yet.
+		for j := range min(max(len(old.Pricing), len(view.Pricing)), d.n) {
+			if !sameRow(old.Pricing.Row(graph.NodeID(j)), view.Pricing.Row(graph.NodeID(j))) {
+				d.dirty[j] = true
+			}
 		}
 	}
-}
-
-// samePath reports whether two present paths are one slice: the same
-// backing array and length.
-func samePath(a, b graph.Path) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // grow lengthens the tables-to-be, and the dirty set, to n slots.

@@ -15,6 +15,19 @@ type NeighborView struct {
 	Pricing PricingTable
 }
 
+// Same reports whether v and o hold the same tables by identity: the
+// same backing arrays and lengths. Published tables are never edited,
+// so the same tables are equal ones.
+func (v NeighborView) Same(o NeighborView) bool {
+	return sameSlice(v.Routing, o.Routing) && sameSlice(v.Pricing, o.Pricing)
+}
+
+// sameSlice reports whether a and b are one slice: the same length
+// and, unless empty, the same backing array.
+func sameSlice[S ~[]E, E any](a, b S) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // ComputeTables recomputes DATA2 and DATA3* for `self` from DATA1
 // (declared costs) and the latest neighbor views: views holds one view
 // per neighbor, views[i] being neighbors[i]'s (a zero view for one not
