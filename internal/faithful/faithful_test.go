@@ -64,6 +64,10 @@ func TestHonestTablesMatchCentral(t *testing.T) {
 	}
 }
 
+// TestHonestMirrorsMatchPrincipals checks every honest mirror against
+// its principal's tables, and that the checkers of a principal, which
+// hold the same published tables as views, share one derivation: the
+// same mirror tables by identity.
 func TestHonestMirrorsMatchPrincipals(t *testing.T) {
 	g := graph.Figure1()
 	res, err := Run(baseConfig(g))
@@ -83,6 +87,52 @@ func TestHonestMirrorsMatchPrincipals(t *testing.T) {
 			if !mp.Equal(principal.PricingView()) {
 				t.Errorf("node %d mirror pricing of %d diverges", id, p)
 			}
+		}
+	}
+	for p := range res.Nodes {
+		checkers := g.Neighbors(p)
+		mr, mp, _ := res.Nodes[checkers[0]].MirrorOf(p)
+		first := fpss.NeighborView{Routing: mr, Pricing: mp}
+		for _, c := range checkers[1:] {
+			mr, mp, _ := res.Nodes[c].MirrorOf(p)
+			if !first.Same(fpss.NeighborView{Routing: mr, Pricing: mp}) {
+				t.Errorf("checkers %d and %d of %d hold different mirror tables", checkers[0], c, p)
+			}
+		}
+	}
+}
+
+// TestMirrorsMatchTheirOwnViews pins what keys a shared derivation.
+// Under forward hooks that drop or edit the copies, the checkers of the
+// deviator hold different views, so they cannot share one derivation.
+// The spoofed copy names a node that does not check the deviator, so
+// every checker flags and drops it, and they still share one. Either
+// way each checker's mirror must be ComputeTables over its own views
+// and DATA1.
+func TestMirrorsMatchTheirOwnViews(t *testing.T) {
+	g := graph.Figure1()
+	d, _ := g.ByName("D")
+	for _, tc := range []struct {
+		name   string
+		st     *Strategy
+		shared bool
+	}{
+		{"drop", &Strategy{ForwardToChecker: dropForwards}, false},
+		{"edit", &Strategy{ForwardToChecker: bumpForwardedCosts}, false},
+		{"spoof", &Strategy{SpoofCopies: spoofFreeRoute(g)}, true},
+	} {
+		res := deviatorRun(t, g, d, tc.st)
+		for id, node := range res.Nodes {
+			for p, m := range node.mirrors {
+				mr, mp, _ := node.MirrorOf(p)
+				wr, wp := fpss.ComputeTables(new(fpss.ComputeScratch), p, m.neighbors, node.CostsView(), m.views)
+				if !mr.Equal(wr) || !mp.Equal(wp) {
+					t.Errorf("%s: node %d's mirror of %d is not ComputeTables over its own views", tc.name, id, p)
+				}
+			}
+		}
+		if n := len(res.Nodes[d].memo.derived[d]); (n == 1) != tc.shared {
+			t.Errorf("%s: the checkers of %d hold %d derivations, want shared=%v", tc.name, d, n, tc.shared)
 		}
 	}
 }
@@ -188,14 +238,15 @@ func TestDroppedForwardDetected(t *testing.T) {
 	g := graph.Figure1()
 	d, _ := g.ByName("D")
 	// Manipulation 1/3 (drop): never forward copies to checkers.
-	res := deviatorRun(t, g, d, &Strategy{
-		ForwardToChecker: func(graph.NodeID, ForwardCopy) (ForwardCopy, bool) {
-			return ForwardCopy{}, false
-		},
-	})
+	res := deviatorRun(t, g, d, &Strategy{ForwardToChecker: dropForwards})
 	if res.Completed {
 		t.Fatal("dropped forwards were green-lit")
 	}
+}
+
+// dropForwards is a forward hook that forwards no copy.
+func dropForwards(graph.NodeID, ForwardCopy) (ForwardCopy, bool) {
+	return ForwardCopy{}, false
 }
 
 // bumpForwardedCosts is a forward hook that raises every forwarded
@@ -245,28 +296,30 @@ func TestForwardHookEditsOnlyItsCopy(t *testing.T) {
 	}
 }
 
+// spoofFreeRoute is manipulation 1/3 (spoof): a SpoofCopies hook that
+// fabricates an input "from X" claiming a free route to Z.
+func spoofFreeRoute(g *graph.Graph) func(graph.NodeID) []ForwardCopy {
+	x, _ := g.ByName("X")
+	z, _ := g.ByName("Z")
+	spoofed := make(fpss.RoutingTable, g.N())
+	spoofed[z] = fpss.RouteEntry{Cost: 0, Path: graph.Path{x, z}}
+	return func(self graph.NodeID) []ForwardCopy {
+		return []ForwardCopy{{
+			Principal: self,
+			From:      x,
+			U: fpss.Update{
+				From:    x,
+				Routing: spoofed,
+				Pricing: fpss.PricingTable{},
+			},
+		}}
+	}
+}
+
 func TestSpoofedForwardDetected(t *testing.T) {
 	g := graph.Figure1()
 	d, _ := g.ByName("D")
-	x, _ := g.ByName("X")
-	z, _ := g.ByName("Z")
-	// Manipulation 1/3 (spoof): fabricate an input "from X" claiming a
-	// free route to Z.
-	spoofed := make(fpss.RoutingTable, g.N())
-	spoofed[z] = fpss.RouteEntry{Cost: 0, Path: graph.Path{x, z}}
-	res := deviatorRun(t, g, d, &Strategy{
-		SpoofCopies: func(self graph.NodeID) []ForwardCopy {
-			return []ForwardCopy{{
-				Principal: self,
-				From:      x,
-				U: fpss.Update{
-					From:    x,
-					Routing: spoofed,
-					Pricing: fpss.PricingTable{},
-				},
-			}}
-		},
-	})
+	res := deviatorRun(t, g, d, &Strategy{SpoofCopies: spoofFreeRoute(g)})
 	if res.Completed {
 		t.Fatal("spoofed forward was green-lit")
 	}

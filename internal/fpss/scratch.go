@@ -33,9 +33,16 @@ import (
 // carve its route paths, witness paths and tag sets. The zero value is
 // ready to use.
 type ComputeScratch struct {
-	ids      []graph.NodeID
-	chunk    int
-	chunks   [][]graph.NodeID
+	ids   []graph.NodeID
+	chunk int
+	// drawn[c] is the first chunk of size class c the arena drew, and
+	// capped the maxChunk chunks it drew after that class's first: the
+	// chunks release hands back. Every class below the cap is drawn at
+	// most once, so a scratch that draws no more than one chunk per
+	// class records them without allocating, and a run nobody releases
+	// pays nothing for the record.
+	drawn    [len(chunkPools)][]graph.NodeID
+	capped   [][]graph.NodeID
 	direct   [1]graph.NodeID
 	costs    []costSlot
 	contribs []contrib
@@ -87,13 +94,18 @@ func (s *ComputeScratch) newChunk(c, n int) []graph.NodeID {
 	if n > c {
 		return make([]graph.NodeID, 0, n)
 	}
+	class := chunkClass(c)
 	var chunk []graph.NodeID
-	if p, ok := chunkPools[chunkClass(c)].Get().(*graph.NodeID); ok {
+	if p, ok := chunkPools[class].Get().(*graph.NodeID); ok {
 		chunk = unsafe.Slice(p, c)[:0]
 	} else {
 		chunk = make([]graph.NodeID, 0, c)
 	}
-	s.chunks = append(s.chunks, chunk)
+	if s.drawn[class] == nil {
+		s.drawn[class] = chunk
+	} else {
+		s.capped = append(s.capped, chunk)
+	}
 	return chunk
 }
 
@@ -101,11 +113,16 @@ func (s *ComputeScratch) newChunk(c, n int) []graph.NodeID {
 // arena. Every path and tag set carved from it becomes storage that
 // later arenas overwrite. A second release is a no-op.
 func (s *ComputeScratch) release() {
-	for _, c := range s.chunks {
-		chunkPools[chunkClass(cap(c))].Put(&c[:1][0])
+	for class, c := range s.drawn {
+		if c != nil {
+			chunkPools[class].Put(&c[:1][0])
+		}
 	}
-	clear(s.chunks)
-	s.chunks, s.ids, s.chunk = s.chunks[:0], nil, 0
+	for _, c := range s.capped {
+		chunkPools[len(chunkPools)-1].Put(&c[:1][0])
+	}
+	clear(s.capped)
+	s.drawn, s.capped, s.ids, s.chunk = [len(chunkPools)][]graph.NodeID{}, s.capped[:0], nil, 0
 }
 
 // prepend materializes self + base as a path carved from the arena.

@@ -16,8 +16,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"iter"
-	"reflect"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -172,9 +172,11 @@ func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
 	return true
 }
 
-// sameRow reports whether two pricing rows are one map (or both nil).
+// sameRow reports whether two pricing rows are one map (or both nil):
+// a map value is one pointer to the runtime's map, and this compares
+// the two pointers without reflect's call per side.
 func sameRow(a, b map[graph.NodeID]PriceEntry) bool {
-	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 // CostTable is DATA1: declared per-packet transit cost per node.

@@ -303,4 +303,3 @@ func BenchmarkDistributedConvergence(b *testing.B) {
 		})
 	}
 }
-
