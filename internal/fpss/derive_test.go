@@ -14,8 +14,8 @@ import (
 // of neighbor-view replacements on a random biconnected graph. Each op
 // byte picks a neighbor (high bits) and a replacement (low three bits):
 // the neighbor's converged central tables, or an edit of its current
-// view that re-publishes a destination's route and pricing row as
-// equal copies, drops a destination, changes a route cost, changes only
+// view that re-publishes a destination's pricing row (or its route,
+// when the view has no rows) as an equal copy, drops a destination, changes a route cost, changes only
 // a price, changes only the tags, or adds a route through the
 // principal; the last kind instead learns a missing DATA1 cost. After
 // every step the derived tables must equal ComputeTables over the same
@@ -117,12 +117,14 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 	}
 	j := pick(keys(cur.Routing.All()))
 	switch kind {
-	case 1: // re-publish a route and its pricing row as equal copies
-		e := next.Routing[j]
-		e.Path = slices.Clone(e.Path)
-		next.Routing[j] = e
-		if row := cur.Pricing.Row(j); row != nil {
-			next.Pricing[j] = maps.Clone(row)
+	case 1: // re-publish a pricing row, or a route without one, as an equal copy
+		if rows := keys(cur.Pricing.All()); len(rows) > 0 {
+			j = pick(rows)
+			next.Pricing[j] = maps.Clone(cur.Pricing[j])
+		} else {
+			e := next.Routing[j]
+			e.Path = slices.Clone(e.Path)
+			next.Routing[j] = e
 		}
 		return next, j
 	case 2: // drop a destination
