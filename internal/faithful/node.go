@@ -137,7 +137,9 @@ func (m *mirror) refresh(memo *mirrorMemo, s *fpss.ComputeScratch, costs fpss.Co
 }
 
 // derivedMirror is one derivation of a principal's tables from a set
-// of views, with the hashes a checker reports.
+// of views, with the hashes a checker reports. costs is the DATA1 of
+// the checker that derived it, kept by reference: a node's DATA1 is
+// fixed once phase 1 quiesces, before any mirror is derived.
 type derivedMirror struct {
 	costs                    fpss.CostTable
 	views                    []fpss.NeighborView
@@ -158,10 +160,6 @@ type derivedMirror struct {
 // recycled with that checker's (see Result.Release).
 type mirrorMemo struct {
 	derived [][]*derivedMirror // by principal
-}
-
-func newMirrorMemo(n int) *mirrorMemo {
-	return &mirrorMemo{derived: make([][]*derivedMirror, n)}
 }
 
 // derive returns principal p's tables over costs and views, deriving

@@ -159,7 +159,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	nodes := make(map[graph.NodeID]*Node, n)
-	memo := newMirrorMemo(n)
+	memo := &mirrorMemo{derived: make([][]*derivedMirror, n)}
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
 		signer, err := authority.Register(bank.SignerID(id))

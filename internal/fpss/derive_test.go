@@ -15,14 +15,15 @@ import (
 // byte picks a neighbor (high bits) and a replacement (low three bits):
 // the neighbor's converged central tables, or an edit of its current
 // view that re-publishes a destination's pricing row (or its route,
-// when the view has no rows) as an equal copy, drops a destination, changes a route cost, changes only
-// a price, changes only the tags, or adds a route through the
-// principal; the last kind instead learns a missing DATA1 cost. After
-// every step the derived tables must equal ComputeTables over the same
-// views, Derive must report a change exactly when they moved, and the
-// previous step's tables must hash as they did, so nothing was edited
-// in place. SetView diffs by identity, so an equal copy must mark its
-// destination dirty and still derive no change.
+// when the view has no rows) as an equal copy, drops a destination,
+// changes a route cost, changes only a price, changes only the tags,
+// or adds a route through the principal; the last kind instead learns
+// a missing DATA1 cost. After every step the derived tables must equal
+// ComputeTables over the same views, Derive must report a change
+// exactly when they moved, and the previous step's tables must hash as
+// they did, so nothing was edited in place. SetView diffs by identity,
+// so an equal copy must mark its destination dirty and still derive no
+// change.
 func FuzzDerivation(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x08, 0x10, 0x03, 0x04, 0x05, 0x06, 0x02, 0x07, 0x0b, 0x0c, 0x0d})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {

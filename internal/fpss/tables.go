@@ -172,9 +172,9 @@ func rowEqual(a, b map[graph.NodeID]PriceEntry) bool {
 	return true
 }
 
-// sameRow reports whether two pricing rows are one map (or both nil):
-// a map value is one pointer to the runtime's map, and this compares
-// the two pointers without reflect's call per side.
+// sameRow reports whether two pricing rows are one map (or both nil).
+// A map value is one pointer to the runtime's map, so comparing the
+// two pointers compares identity.
 func sameRow(a, b map[graph.NodeID]PriceEntry) bool {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }

@@ -31,8 +31,7 @@ func sameSlice[S ~[]E, E any](a, b S) bool {
 // ComputeTables recomputes DATA2 and DATA3* for `self` from DATA1
 // (declared costs) and the latest neighbor views: views holds one view
 // per neighbor, views[i] being neighbors[i]'s (a zero view for one not
-// heard from). Routing is
-// one Bellman relaxation over all destinations:
+// heard from). Routing is one Bellman relaxation over all destinations:
 //
 //	d(self→j) = min over neighbors v:  v == j ? 0 : ĉ_v + d(v→j)
 //
