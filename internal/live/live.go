@@ -50,62 +50,62 @@ const (
 // Request is one RPC request. Exactly one Op is interpreted; unused
 // fields are ignored.
 type Request struct {
-	Op Op `json:"op"`
+	Op Op
 	// Src/Dst select the flow for OpRoute and OpPay.
-	Src int `json:"src,omitempty"`
-	Dst int `json:"dst,omitempty"`
+	Src int
+	Dst int
 	// Packets scales OpPay obligations (default 1).
-	Packets int64 `json:"packets,omitempty"`
+	Packets int64
 	// Node/Deviation select the deviant for OpInject.
-	Node      int    `json:"node,omitempty"`
-	Deviation string `json:"deviation,omitempty"`
+	Node      int
+	Deviation string
 	// Advance moves the server one churn epoch forward (OpInject).
-	Advance bool `json:"advance,omitempty"`
+	Advance bool
 }
 
 // Payment is one entry of a payment obligation.
 type Payment struct {
-	To     int   `json:"to"`
-	Amount int64 `json:"amount"`
+	To     int
+	Amount int64
 }
 
 // Stats is the OpStats payload.
 type Stats struct {
 	// Epoch is the current 0-based epoch; Epochs the timeline length
 	// (1 for static scenarios).
-	Epoch  int `json:"epoch"`
-	Epochs int `json:"epochs"`
+	Epoch  int
+	Epochs int
 	// N is the current epoch's node count.
-	N int `json:"n"`
+	N int
 	// Deviant names the injected deviation ("" = honest) and the node
 	// running it.
-	Deviant     string `json:"deviant,omitempty"`
-	DeviantNode int    `json:"deviantNode,omitempty"`
+	Deviant     string
+	DeviantNode int
 	// Divergence counts nodes whose converged served tables differ from
 	// the central solution (always 0 on an honest reliable epoch —
 	// pinned by test; central unavailable under loss ⇒ -1).
-	Divergence int `json:"divergence"`
+	Divergence int
 	// Net is the cumulative counters of the fpss.Run that converged
 	// the current epoch, both construction phases.
-	Net sim.Counters `json:"net"`
+	Net sim.Counters
 }
 
 // Response is one RPC response. Err is set (and OK false) on failure;
 // the payload fields are op-specific.
 type Response struct {
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	OK  bool
+	Err string
 	// OpRoute: hop-by-hop path (including endpoints) and its transit
 	// cost as believed by the serving node.
-	Path []int `json:"path,omitempty"`
-	Cost int64 `json:"cost,omitempty"`
+	Path []int
+	Cost int64
 	// OpPay: per-transit obligations and their total.
-	Payments []Payment `json:"payments,omitempty"`
-	Total    int64     `json:"total,omitempty"`
+	Payments []Payment
+	Total    int64
 	// Epoch echoes the epoch that served the request.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// OpStats payload.
-	Stats *Stats `json:"stats,omitempty"`
+	Stats *Stats
 }
 
 // Dispatcher is the in-process RPC boundary: the Server implements it
