@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/spec"
 )
@@ -125,43 +126,39 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 			}
 		}
 	} else {
-		// stop is the lowest catalogue index known to end the search.
-		// Workers skip jobs beyond it; lowering it is a best-effort
-		// cancellation, so the value never influences the Report —
-		// only how much wasted work the pool avoids. Every play below
-		// the final minimum still runs, which is all the fold reads.
-		stop := len(plays)
-		var mu sync.Mutex
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(worker int) {
-				defer wg.Done()
-				ctx := NewPlayContext(worker)
-				for i := range jobs {
-					mu.Lock()
-					skip := i > stop
-					mu.Unlock()
-					if skip {
-						continue
-					}
-					r := e.runPlay(ctx, plays[i])
-					results[i] = r
-					if ends(r) {
-						mu.Lock()
-						if i < stop {
-							stop = i
-						}
-						mu.Unlock()
+		// Each worker claims the next catalogue index from a shared
+		// counter; the calling goroutine is worker 0. stop is the
+		// lowest index known to end the search, lowered by
+		// compare-and-swap, and a worker that claims an index past it
+		// quits, as every later claim would be past it too. Lowering
+		// it is a best-effort cancellation, so the value never
+		// influences the Report — only how much wasted work the pool
+		// avoids. Every play below the final minimum still runs, which
+		// is all the fold reads.
+		var next, stop atomic.Int64
+		stop.Store(int64(len(plays)))
+		work := func(worker int) {
+			ctx := NewPlayContext(worker)
+			for {
+				i := next.Add(1) - 1
+				if i >= stop.Load() {
+					return
+				}
+				if results[i] = e.runPlay(ctx, plays[i]); ends(results[i]) {
+					for s := stop.Load(); i < s && !stop.CompareAndSwap(s, i); s = stop.Load() {
 					}
 				}
-			}(w)
+			}
 		}
-		for i := range plays {
-			jobs <- i
+		var wg sync.WaitGroup
+		wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
 		}
-		close(jobs)
+		work(0)
 		wg.Wait()
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Runner executes a set of experiments over a worker pool. Every
@@ -32,11 +33,12 @@ func (r Runner) Run(exps []Experiment) ([]*Table, error) {
 
 // parallelMap runs fn(i) for every i in [0, n) over a worker pool
 // (workers <= 0 means runtime.GOMAXPROCS(0)) and returns the results
-// in index order. Every job writes only its own slot and the earliest
-// failing index's error is reported, so output is independent of
-// scheduling. It is the one worker-pool implementation behind both
-// Runner.Run and the deviation-sweep experiments (E3/E11/E13), which
-// fan their (node, deviation) plays through it.
+// in index order. Workers claim indices in increasing order and stop
+// past the earliest failure. Every job writes only its own slot and
+// the earliest failing index's error is reported, so output is
+// independent of scheduling. It is the one worker-pool implementation
+// behind both Runner.Run and the deviation-sweep experiments
+// (E3/E11/E13), which fan their (node, deviation) plays through it.
 func parallelMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -48,24 +50,39 @@ func parallelMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) 
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			out[i], errs[i] = fn(i)
+			if out[i], errs[i] = fn(i); errs[i] != nil {
+				break
+			}
 		}
 	} else {
-		jobs := make(chan int)
+		// Each worker claims the next index from a shared counter; the
+		// calling goroutine is worker 0. stop is the lowest failing
+		// index, and a worker that claims an index past it quits:
+		// every index below it still runs, and the output past it is
+		// discarded.
+		var next, stop atomic.Int64
+		stop.Store(int64(n))
+		work := func() {
+			for {
+				i := next.Add(1) - 1
+				if i >= stop.Load() {
+					return
+				}
+				if out[i], errs[i] = fn(int(i)); errs[i] != nil {
+					for s := stop.Load(); i < s && !stop.CompareAndSwap(s, i); s = stop.Load() {
+					}
+				}
+			}
+		}
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		wg.Add(workers - 1)
+		for range workers - 1 {
 			go func() {
 				defer wg.Done()
-				for i := range jobs {
-					out[i], errs[i] = fn(i)
-				}
+				work()
 			}()
 		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
+		work()
 		wg.Wait()
 	}
 	for _, err := range errs {

@@ -3,8 +3,6 @@ package fpss
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -45,8 +43,9 @@ type Central struct {
 // avoid-k continuation attains the minimum — the "union of the nodes
 // that suggested the same pricing entry" (§4.3 DATA3*).
 //
-// The computation is batched and parallel. It builds one
-// parent-pointer SSSP tree per source for the base routes. Then, for
+// The computation is batched, and each of its three stages runs on
+// one pool (see pool.run) whose workers claim jobs by index. It builds
+// one parent-pointer SSSP tree per source for the base routes. Then, for
 // each node k that actually appears as a transit node on some LCP
 // (nodes that are never transit need no marginal economy), one job
 // derives every source's avoid-k tree from that source's base tree by
@@ -71,11 +70,11 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	for i := 0; i < n; i++ {
 		sol.Costs[graph.NodeID(i)] = g.Cost(graph.NodeID(i))
 	}
-	pool := newCentralPool(n)
+	workers := newPool[centralWorker](n)
 
 	// Base trees: one full SSSP per source, in parallel.
 	base := make([]*graph.Tree, n)
-	err := pool.run(n, func(w *centralWorker, i int) error {
+	err := workers.run(n, func(w *centralWorker, i int) error {
 		t := &graph.Tree{}
 		if err := g.SSSP(t, &w.s, graph.NodeID(i)); err != nil {
 			return fmt.Errorf("all pairs from %d: %w", i, err)
@@ -133,7 +132,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	for i := range neighbors {
 		neighbors[i] = g.AdjView(graph.NodeID(i))
 	}
-	err = pool.run(n, func(w *centralWorker, kj int) error {
+	err = workers.run(n, func(w *centralWorker, kj int) error {
 		if !isTransit[kj] {
 			return nil
 		}
@@ -180,7 +179,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	// per source (each writes only its own slot).
 	routing := make([]RoutingTable, n)
 	pricing := make([]PricingTable, n)
-	err = pool.run(n, func(w *centralWorker, i int) error {
+	err = workers.run(n, func(w *centralWorker, i int) error {
 		t := base[i]
 		rt := make(RoutingTable, n)
 		pt := make(PricingTable, n)
@@ -213,19 +212,6 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	}
 	return sol, nil
 }
-
-// centralWorkers overrides the pricing-core pool size when positive;
-// zero means one worker per sourcesPerWorker nodes, at most
-// runtime.GOMAXPROCS(0). Tests pin it to exercise the parallel path
-// regardless of the host's core count.
-var centralWorkers int
-
-// sourcesPerWorker is the pool's grain. A worker has a fixed cost —
-// its n trees, scratch, first arena chunks and goroutines — that a
-// small solve does not earn back: on a 2-CPU machine
-// BenchmarkComputeCentral/n=16 runs faster on one worker than on two,
-// which also allocate 8% more, and n=32 runs faster on two.
-const sourcesPerWorker = 16
 
 // centralWorker is one pool worker's state for the length of one
 // ComputeCentral call: its SSSP scratch, the avoid-k trees of the job
@@ -261,59 +247,6 @@ func (w *centralWorker) avoidTrees(n int) []graph.Tree {
 		w.belowEnd = make([]int32, n+1)
 	}
 	return w.trees
-}
-
-// centralPool is one ComputeCentral call's workers; their state
-// carries over from one stage of the call to the next.
-type centralPool []centralWorker
-
-func newCentralPool(n int) centralPool {
-	workers := centralWorkers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), max(1, n/sourcesPerWorker))
-	}
-	return make(centralPool, workers)
-}
-
-// run calls fn(w, i) for every i in [0, n) over the pool (the
-// experiments/runner.go idiom). Each goroutine owns one worker, every
-// job writes only index-i state, and the earliest failing index's
-// error is reported — so results and errors are independent of
-// scheduling.
-func (p centralPool) run(n int, fn func(w *centralWorker, i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := min(len(p), n)
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(&p[0], i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w *centralWorker) {
-				defer wg.Done()
-				for i := range jobs {
-					errs[i] = fn(w, i)
-				}
-			}(&p[w])
-		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // centralTags appends to tags, and returns, the sorted set of the

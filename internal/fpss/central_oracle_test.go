@@ -281,19 +281,19 @@ func TestDifferentialComputeCentral(t *testing.T) {
 // with GOMAXPROCS at 1 the default pool would otherwise never take the
 // parallel branch.
 func TestComputeCentralParallelDeterministic(t *testing.T) {
-	defer func() { centralWorkers = 0 }()
+	defer func() { poolWorkers = 0 }()
 	for seed := 0; seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(int64(100 + seed)))
 		g, err := graph.RandomBiconnected(6+seed%8, 10, 5, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		centralWorkers = 1
+		poolWorkers = 1
 		want, err := ComputeCentral(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		centralWorkers = 8
+		poolWorkers = 8
 		got, err := ComputeCentral(g)
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +340,7 @@ func TestCentralSlicesCapped(t *testing.T) {
 // FuzzCentral turns bytes into a graph — the first byte picks 3 ≤ n ≤
 // 14, the next n bytes the costs 0–3, and every following pair an edge
 // — and skips it unless it is biconnected. It checks ComputeCentral on
-// one worker and on three against the sequential oracle.
+// one, three and eight workers against the sequential oracle.
 func FuzzCentral(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 2, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -370,9 +370,9 @@ func FuzzCentral(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		defer func() { centralWorkers = 0 }()
-		for _, workers := range []int{1, 3} {
-			centralWorkers = workers
+		defer func() { poolWorkers = 0 }()
+		for _, workers := range []int{1, 3, 8} {
+			poolWorkers = workers
 			got, err := ComputeCentral(g)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

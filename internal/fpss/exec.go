@@ -96,10 +96,14 @@ type ExecResult struct {
 // that range behaves as a node without a table: a flow from it, or
 // through it as a next hop, strands, and a payment to it is summed in
 // the maps. Flows are bucketed by source with a counting pass, and each
-// source's flows are taken together: its tables and utility are read
-// once, and its DATA4 is summed in a dense accumulator and built once,
-// at its exact size. Every figure is an int64 sum, so that order is
-// free.
+// source's bucket is one job on a pool (see pool.run): its tables are
+// read once, and its DATA4 is summed in its worker's dense accumulator
+// and built once, at its exact size. A worker owns the per-node marks
+// it writes (packets carried in transit, the DATA4 accumulator); the
+// tables and buckets are shared and read-only. A merge in node order
+// then fills Utilities, Obligations and the transit charges from the
+// workers' marks. Every figure is an int64 sum, so neither the flow
+// order nor the worker count changes a result.
 //
 // Settlement then charges each payer its reported DATA4 and credits
 // the payees, where the payers are fixed before it starts (see
@@ -113,12 +117,12 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		scheme = SchemeVCG
 	}
 	n := len(routing)
-	x := &execState{nodes: make([]execNode, n)}
+	nodes := make([]execNode, n)
 	for id, rt := range routing {
 		if uint(id) >= uint(n) {
 			return nil, fmt.Errorf("fpss: routing table key %d outside [0, %d)", id, n)
 		}
-		x.nodes[id].rt = rt
+		nodes[id].rt = rt
 	}
 	res := &ExecResult{Utilities: make(map[graph.NodeID]int64, n)}
 	for id := range cfg.TrueCosts {
@@ -139,13 +143,13 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 			res.Utilities[src] -= cfg.UndeliveredPenalty * packets
 			continue
 		}
-		x.nodes[src].end++
+		nodes[src].end++
 		counted++
 	}
 	sources, at := 0, 0
-	for i := range x.nodes {
-		c := x.nodes[i].end
-		x.nodes[i].end = at
+	for i := range nodes {
+		c := nodes[i].end
+		nodes[i].end = at
 		at += c
 		if c > 0 {
 			sources++
@@ -157,75 +161,73 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 		if packets <= 0 || src == flow[1] || uint(src) >= uint(n) {
 			continue
 		}
-		flows[x.nodes[src].end] = execFlow{dst: flow[1], packets: packets}
-		x.nodes[src].end++
+		flows[nodes[src].end] = execFlow{dst: flow[1], packets: packets}
+		nodes[src].end++
 	}
 
-	// Account each source's bucket: forward its flows, charge the
-	// transit nodes, and sum its obligations from its own (believed)
-	// DATA2 and DATA3*, as in FPSS DATA4.
-	res.Obligations = make(map[graph.NodeID]PaymentList, sources)
-	owe := x.add
-	var buf [32]graph.NodeID
-	path := buf[:0] // reused from flow to flow
-	begin := 0
-	for i := range x.nodes {
-		bucket := flows[begin:x.nodes[i].end]
-		begin = x.nodes[i].end
-		if len(bucket) == 0 {
-			continue
-		}
-		src := graph.NodeID(i)
-		rt, pt := x.nodes[i].rt, pricing[src]
-		u := res.Utilities[src]
-		delivered := false
-		for _, f := range bucket {
-			var ok bool
-			path, ok = x.forward(path[:0], src, f.dst)
-			if !ok {
-				res.Undelivered += f.packets
-				u -= cfg.UndeliveredPenalty * f.packets
-				continue
-			}
-			delivered = true
-			res.Delivered += f.packets
-			u += cfg.DeliveryValue * f.packets
-			// Real transit costs accrue on the realized route, src and
-			// dst excluded. Every transit node had a table to forward
-			// by, so it lies in range.
-			for _, k := range path[1 : len(path)-1] {
-				t := &x.nodes[k]
-				t.carried += f.packets
-				t.transit = true
-			}
-			obligation(rt, pt, f.dst, f.packets, scheme, cfg.DeclaredCosts, owe)
-		}
-		res.Utilities[src] = u
-		if delivered {
-			res.Obligations[src] = x.data4()
+	// Account each source's bucket on the pool. Worker 0 marks the
+	// shared nodes and every other worker a copy of its own, so no
+	// worker writes a node that another reads.
+	workers := newPool[execWorker](sources)
+	for k := range workers {
+		w := &workers[k]
+		w.nodes, w.flows, w.pricing = nodes, flows, pricing
+		w.declared, w.scheme = cfg.DeclaredCosts, scheme
+		w.value, w.penalty = cfg.DeliveryValue, cfg.UndeliveredPenalty
+		if k > 0 {
+			w.nodes = slices.Clone(nodes)
 		}
 	}
-	// Each transit node pays its true cost once per packet carried.
-	for i := range x.nodes {
-		if t := &x.nodes[i]; t.transit {
-			k := graph.NodeID(i)
-			res.Utilities[k] -= int64(cfg.TrueCosts[k]) * t.carried
+	_ = workers.run(n, (*execWorker).account) // accounting cannot fail
+
+	// Merge in node order: each source's utility and DATA4, and each
+	// transit node's true cost once per packet carried, summed over
+	// the workers.
+	res.Obligations = make(map[graph.NodeID]PaymentList, sources)
+	begin := 0
+	for i := range nodes {
+		id := graph.NodeID(i)
+		var du, carried int64
+		transit := false
+		for k := range workers {
+			node := &workers[k].nodes[i]
+			du += node.du
+			carried += node.carried
+			transit = transit || node.transit
+			if node.data4 != nil {
+				res.Obligations[id] = node.data4
+			}
 		}
+		if nodes[i].end > begin {
+			res.Utilities[id] += du
+		}
+		begin = nodes[i].end
+		if transit {
+			res.Utilities[id] -= int64(cfg.TrueCosts[id]) * carried
+		}
+	}
+	for k := range workers {
+		res.Delivered += workers[k].delivered
+		res.Undelivered += workers[k].undelivered
 	}
 
 	// Reporting and settlement: the original FPSS accounting trusts
 	// each source's reported DATA4. Every report is taken before any
 	// is settled, so the payers are the nodes in Utilities now, and a
 	// payee a report invents is credited but pays nothing. A truthful
-	// report is the obligation map itself; only a hook gets a copy of
-	// its own to edit.
+	// report is the obligation map itself, and payers that owe nothing
+	// share one empty map, made when the first needs it; only a hook
+	// gets a copy of its own to edit.
 	res.Reported = make(map[graph.NodeID]PaymentList, len(res.Utilities))
-	none := PaymentList{}
+	var none PaymentList
 	for id := range res.Utilities {
 		reported, ok := res.Obligations[id]
 		if hook := cfg.ReportPayment[id]; hook != nil {
 			reported = hook(reported.Clone())
 		} else if !ok {
+			if none == nil {
+				none = PaymentList{}
+			}
 			reported = none
 		}
 		res.Reported[id] = reported
@@ -239,34 +241,30 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 	return res, nil
 }
 
-// execState is Execute's dense state: one slot per node in
-// [0, len(routing)), and the DATA4 accumulator of the source being
-// accounted.
-type execState struct {
-	nodes []execNode
-	// payees counts the nodes the current source owes; their IDs are
-	// nodes[:payees].payee, in first-owed order.
-	payees int
-	// beyond holds what the current source owes nodes outside the
-	// range; nil until one is owed.
-	beyond PaymentList
-}
-
-// execNode is the dense state of one node.
+// execNode is the dense state of one node. rt and end are Execute's
+// shared input; du and data4 are the node's results as a source, set
+// by the job that accounts it; the rest are one worker's marks.
 type execNode struct {
 	rt RoutingTable // the node's DATA2, nil when it has none
 	// end is the end of the node's bucket of flows as a source; the
 	// bucket starts at the previous node's end.
 	end int
-	// carried is the packets the node carried in transit, over every
-	// delivered flow; transit marks that it carried any.
+	// du is the node's utility from its own flows as a source: the
+	// delivery value of its delivered packets less the penalty for
+	// its stranded ones. data4 is its DATA4, nil unless a flow of it
+	// was delivered.
+	du    int64
+	data4 PaymentList
+	// carried is the packets the node carried in transit, over the
+	// worker's delivered flows; transit marks that it carried any.
 	carried int64
 	transit bool
-	// owed is what the current source owes the node; owes marks that
-	// it owes anything, a zero price included.
+	// owed is what the worker's current source owes the node; owes
+	// marks that it owes anything, a zero price included.
 	owes bool
 	owed int64
-	// payee is the slot's share of the payee list (see execState).
+	// payee is the slot's share of the worker's payee list (see
+	// execWorker).
 	payee graph.NodeID
 }
 
@@ -276,21 +274,92 @@ type execFlow struct {
 	packets int64
 }
 
+// execWorker is one pool worker's state for one Execute call: the
+// call's shared inputs, the per-node state it marks, and the DATA4
+// accumulator of the source it is accounting.
+type execWorker struct {
+	// nodes is the per-node state: the shared nodes for worker 0,
+	// a copy of its own for every other worker.
+	nodes    []execNode
+	flows    []execFlow
+	pricing  map[graph.NodeID]PricingTable
+	declared CostTable
+	scheme   PricingScheme
+	value    int64 // DeliveryValue
+	penalty  int64 // UndeliveredPenalty
+	// payees counts the nodes the current source owes; their IDs are
+	// nodes[:payees].payee, in first-owed order.
+	payees int
+	// beyond holds what the current source owes nodes outside the
+	// range; nil until one is owed.
+	beyond PaymentList
+	// delivered and undelivered count the packets of the worker's
+	// sources' flows.
+	delivered, undelivered int64
+}
+
+// account is the job for node i as a source. It forwards the source's
+// bucket of flows, marks the packets each transit node carried, and
+// sums the source's obligations from its own (believed) DATA2 and
+// DATA3*, as in FPSS DATA4, into nodes[i].du and nodes[i].data4.
+func (w *execWorker) account(i int) error {
+	begin := 0
+	if i > 0 {
+		begin = w.nodes[i-1].end
+	}
+	bucket := w.flows[begin:w.nodes[i].end]
+	if len(bucket) == 0 {
+		return nil
+	}
+	src := graph.NodeID(i)
+	rt, pt := w.nodes[i].rt, w.pricing[src]
+	var buf [32]graph.NodeID
+	path := buf[:0] // reused from flow to flow
+	var du int64
+	delivered := false
+	for _, f := range bucket {
+		var ok bool
+		path, ok = w.forward(path[:0], src, f.dst)
+		if !ok {
+			w.undelivered += f.packets
+			du -= w.penalty * f.packets
+			continue
+		}
+		delivered = true
+		w.delivered += f.packets
+		du += w.value * f.packets
+		// Real transit costs accrue on the realized route, src and dst
+		// excluded. Every transit node had a table to forward by, so it
+		// lies in range.
+		for _, k := range path[1 : len(path)-1] {
+			t := &w.nodes[k]
+			t.carried += f.packets
+			t.transit = true
+		}
+		obligation(rt, pt, f.dst, f.packets, w.scheme, w.declared, w.add)
+	}
+	w.nodes[i].du = du
+	if delivered {
+		w.nodes[i].data4 = w.data4()
+	}
+	return nil
+}
+
 // forward routes hop-by-hop using each hop's routing table. It appends
 // the realized path to path, returning it and whether dst was reached
 // within a TTL. A hop outside the dense range has no table.
-func (x *execState) forward(path graph.Path, src, dst graph.NodeID) (graph.Path, bool) {
+func (w *execWorker) forward(path graph.Path, src, dst graph.NodeID) (graph.Path, bool) {
 	path = append(path, src)
 	cur := src
-	ttl := len(x.nodes) + 2
+	ttl := len(w.nodes) + 2
 	for hops := 0; hops < ttl; hops++ {
 		if cur == dst {
 			return path, true
 		}
-		if uint(cur) >= uint(len(x.nodes)) {
+		if uint(cur) >= uint(len(w.nodes)) {
 			return path, false
 		}
-		e, ok := x.nodes[cur].rt.Get(dst)
+		e, ok := w.nodes[cur].rt.Get(dst)
 		if !ok || len(e.Path) < 2 || e.Path[0] != cur {
 			return path, false
 		}
@@ -301,38 +370,38 @@ func (x *execState) forward(path graph.Path, src, dst graph.NodeID) (graph.Path,
 }
 
 // add adds amount to what the current source owes k.
-func (x *execState) add(k graph.NodeID, amount int64) {
-	if uint(k) >= uint(len(x.nodes)) {
-		if x.beyond == nil {
-			x.beyond = make(PaymentList)
+func (w *execWorker) add(k graph.NodeID, amount int64) {
+	if uint(k) >= uint(len(w.nodes)) {
+		if w.beyond == nil {
+			w.beyond = make(PaymentList)
 		}
-		x.beyond[k] += amount
+		w.beyond[k] += amount
 		return
 	}
-	p := &x.nodes[k]
+	p := &w.nodes[k]
 	if !p.owes {
 		p.owes = true
-		x.nodes[x.payees].payee = k
-		x.payees++
+		w.nodes[w.payees].payee = k
+		w.payees++
 	}
 	p.owed += amount
 }
 
 // data4 returns the current source's DATA4, built at its exact size,
 // and clears the accumulator for the next source.
-func (x *execState) data4() PaymentList {
-	list := make(PaymentList, x.payees+len(x.beyond))
-	for i := range x.payees {
-		k := x.nodes[i].payee
-		p := &x.nodes[k]
+func (w *execWorker) data4() PaymentList {
+	list := make(PaymentList, w.payees+len(w.beyond))
+	for i := range w.payees {
+		k := w.nodes[i].payee
+		p := &w.nodes[k]
 		list[k] = p.owed
 		p.owes, p.owed = false, 0
 	}
-	x.payees = 0
-	for k, amt := range x.beyond {
+	w.payees = 0
+	for k, amt := range w.beyond {
 		list[k] = amt
 	}
-	clear(x.beyond)
+	clear(w.beyond)
 	return list
 }
 

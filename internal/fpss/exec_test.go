@@ -95,9 +95,11 @@ func forward(path graph.Path, routing map[graph.NodeID]RoutingTable, src, dst gr
 // entries outside the range or at zero price, zero, negative and self
 // flows, flows with an endpoint outside the range, and DATA4 misreports
 // that invent payees. Repeated runs, each in a fresh map order, must
-// all agree. One honest n=100 PrefAttach network on its central tables
-// closes the test.
+// all agree, on pools of one worker and of three. One honest n=100
+// PrefAttach network on its central tables closes the test, on one,
+// two and eight workers.
 func TestExecuteFlowOrderFree(t *testing.T) {
+	defer func() { poolWorkers = 0 }()
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(8)
@@ -176,13 +178,16 @@ func TestExecuteFlowOrderFree(t *testing.T) {
 		if want.Delivered == 0 || want.Undelivered == 0 {
 			t.Fatalf("seed %d: delivered %d, undelivered %d: want both kinds of flow", seed, want.Delivered, want.Undelivered)
 		}
-		for run := 0; run < 4; run++ {
-			got, err := Execute(routing, pricing, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d run %d: %s", seed, run, execDiff(got, want))
+		for _, workers := range []int{1, 3} {
+			poolWorkers = workers
+			for run := 0; run < 4; run++ {
+				got, err := Execute(routing, pricing, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d workers=%d run %d: %s", seed, workers, run, execDiff(got, want))
+				}
 			}
 		}
 	}
@@ -208,12 +213,15 @@ func TestExecuteFlowOrderFree(t *testing.T) {
 		if want.Delivered != 2*100*99 {
 			t.Fatalf("prefattach n=100 %v: delivered %d of %d packets", scheme, want.Delivered, 2*100*99)
 		}
-		got, err := Execute(sol.Routing, sol.Pricing, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("prefattach n=100 %v: %s", scheme, execDiff(got, want))
+		for _, workers := range []int{1, 2, 8} {
+			poolWorkers = workers
+			got, err := Execute(sol.Routing, sol.Pricing, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("prefattach n=100 %v workers=%d: %s", scheme, workers, execDiff(got, want))
+			}
 		}
 	}
 }
@@ -285,10 +293,12 @@ func TestExecuteInventedPayeeIsNoPayer(t *testing.T) {
 // rows with arbitrary transit keys and zero prices. Traffic has
 // endpoints in [−1, n+1) and packets in [−1, 6], and hooks halve
 // payments, drop them or invent payees. Both schemes run, each three
-// times, and every run must equal the reference.
+// times on one worker and three times on three, and every run must
+// equal the reference.
 func FuzzExecute(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer func() { poolWorkers = 0 }()
 		next := func(mod int) int {
 			if len(data) == 0 {
 				return 0
@@ -377,13 +387,16 @@ func FuzzExecute(f *testing.F) {
 				ReportPayment:      hooks,
 			}
 			want := executeInFlowOrder(routing, pricing, cfg)
-			for run := range 3 {
-				got, err := Execute(routing, pricing, cfg)
-				if err != nil {
-					t.Fatalf("%v run %d: %v", scheme, run, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v run %d: %s", scheme, run, execDiff(got, want))
+			for _, workers := range []int{1, 3} {
+				poolWorkers = workers
+				for run := range 3 {
+					got, err := Execute(routing, pricing, cfg)
+					if err != nil {
+						t.Fatalf("%v workers=%d run %d: %v", scheme, workers, run, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v workers=%d run %d: %s", scheme, workers, run, execDiff(got, want))
+					}
 				}
 			}
 		}
