@@ -23,7 +23,7 @@ func TestLoadRunWithCheck(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"p50=", "p99=",
-		"check: plain FPSS, 216 of 216 plays, 43 violations\n",
+		"check: plain FPSS, 216 of 216 plays, 47 violations\n",
 		`  violation: node 2 gains 8 via "misreport-cost-inflate" in epoch 1 `,
 	} {
 		if !strings.Contains(got, want) {

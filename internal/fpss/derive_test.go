@@ -1,6 +1,7 @@
 package fpss
 
 import (
+	"fmt"
 	"iter"
 	"maps"
 	"math/rand"
@@ -20,8 +21,10 @@ import (
 // or adds a route through the principal; the last kind instead learns
 // a missing DATA1 cost. After every step the derived tables must equal
 // ComputeTables over the same views, Derive must report a change
-// exactly when they moved, and the previous step's tables must hash as
-// they did, so nothing was edited in place. SetView diffs by identity,
+// exactly when they moved, the previous step's tables must hash as
+// they did, so nothing was edited in place, and no route or avoid-k
+// witness may pass through the principal (the path vector's loop
+// rule; op kind 6 offers such routes). SetView diffs by identity,
 // so an equal copy must mark its destination dirty and still derive no
 // change.
 func FuzzDerivation(f *testing.F) {
@@ -71,6 +74,9 @@ func FuzzDerivation(f *testing.F) {
 			}
 			if prevR.HashRouting() != hashR || prevP.HashPricing() != hashP {
 				t.Fatalf("op %d: the previous tables were edited in place", op)
+			}
+			if loop := revisit(self, d.Routing(), d.Pricing()); loop != "" {
+				t.Fatalf("op %d: %s", op, loop)
 			}
 			return changed
 		}
@@ -159,6 +165,24 @@ func editView(rng *rand.Rand, kind byte, self, v graph.NodeID, cur NeighborView,
 		next.Routing[j] = RouteEntry{Cost: graph.Cost(rng.Intn(20)), Path: path}
 	}
 	return next, -1
+}
+
+// revisit describes the first route or avoid-k witness in self's
+// tables that visits self past its first hop, or returns "".
+func revisit(self graph.NodeID, routing RoutingTable, pricing PricingTable) string {
+	for j, e := range routing.All() {
+		if e.Path[1:].Contains(self) {
+			return fmt.Sprintf("route to %d revisits %d: %v", j, self, e.Path)
+		}
+	}
+	for j, row := range pricing.All() {
+		for _, k := range slices.Sorted(maps.Keys(row)) {
+			if w := row[k].Avoid; w[1:].Contains(self) {
+				return fmt.Sprintf("avoid-%d witness to %d revisits %d: %v", k, j, self, w)
+			}
+		}
+	}
+	return ""
 }
 
 // keys collects the destinations a table's All yields, ascending.

@@ -325,6 +325,108 @@ func TestDeclaredCostLiePropagates(t *testing.T) {
 	}
 }
 
+// TestZeroCostLieOscillatesToBudget pins how a lie can still keep
+// loop-free FPSS from converging. On Figure 1, C's PostRouting
+// advertises every route at cost 0, which turns destination A into
+// Griffin, Shepherd and Wilfong's DISAGREE gadget: D prefers
+// D-C-Z-A (cost ĉ_C = 1) while C's route avoids D, and C prefers
+// C-D-X-A (cost 7, against 100 for C-Z-A) while D's route avoids C.
+// With equal link delays both switch in the same round, every round,
+// each rejecting the other's new route as a loop through itself, and
+// B follows D. Only the advert budget ends it: D spends all of its
+// budget, and B and C stop one advert short, because once D is silent
+// their last switch reaches nobody who would answer. No honest table
+// ever holds a loop on the way.
+func TestZeroCostLieOscillatesToBudget(t *testing.T) {
+	g := graph.Figure1()
+	a, b, c, d, x, z := figure1IDs(t, g)
+	zero := &Strategy{PostRouting: func(rt RoutingTable) RoutingTable {
+		for j, e := range rt.All() {
+			e.Cost = 0
+			rt[j] = e
+		}
+		return rt
+	}}
+	net := sim.NewNetwork()
+	watches := make([]*routeWatch, g.N())
+	for i := range watches {
+		id := graph.NodeID(i)
+		var st *Strategy
+		if id == c {
+			st = zero
+		}
+		watches[i] = &routeWatch{Node: NewNode(id, g.Cost(id), g.AdjView(id), st), dst: a}
+		if err := net.Attach(sim.Addr(i), watches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.Run(maxSteps); err != nil {
+		t.Fatal(err)
+	}
+	for i := range watches {
+		net.Inject(BankAddr, sim.Addr(i), StartPhase2{})
+	}
+	if _, err := net.Resume(maxSteps); err != nil {
+		t.Fatal(err)
+	}
+	budget := watches[d].advertBudget()
+	for _, tc := range []struct {
+		node  graph.NodeID
+		flips [2]graph.Path
+	}{
+		{c, [2]graph.Path{{c, z, a}, {c, d, x, a}}},
+		{d, [2]graph.Path{{d, x, a}, {d, c, z, a}}},
+	} {
+		paths := watches[tc.node].paths
+		if len(paths) < budget/2 {
+			t.Errorf("node %d took %d routes to A, want one per round until the budget (%d adverts)", tc.node, len(paths), budget)
+		}
+		for i, p := range paths {
+			if !p.Equal(tc.flips[i%2]) {
+				t.Fatalf("node %d's route %d to A is %v, want %v", tc.node, i, p, tc.flips[i%2])
+			}
+		}
+	}
+	if got := watches[d].adverts; got != budget {
+		t.Errorf("D sent %d adverts, want its whole budget %d", got, budget)
+	}
+	for _, id := range []graph.NodeID{b, c} {
+		if got := watches[id].adverts; got != budget-1 {
+			t.Errorf("node %d sent %d adverts, want one short of the budget %d", id, got, budget)
+		}
+	}
+	for _, id := range []graph.NodeID{a, x, z} {
+		if got := watches[id].adverts; got > 2*g.N() {
+			t.Errorf("node %d, outside the gadget, sent %d adverts, want at most %d", id, got, 2*g.N())
+		}
+	}
+	for _, w := range watches {
+		if w.ID() != c && w.loop != "" {
+			t.Errorf("honest node %d: %s", w.ID(), w.loop)
+		}
+	}
+}
+
+// routeWatch runs a node and, after each message it handles, logs its
+// route to dst when that route changed, and the first route or avoid-k
+// witness of its tables that passes through the node.
+type routeWatch struct {
+	*Node
+	dst   graph.NodeID
+	paths []graph.Path
+	loop  string
+}
+
+func (w *routeWatch) Recv(ctx sim.Context, msg sim.Message) {
+	w.Node.Recv(ctx, msg)
+	if e, ok := w.RoutingView().Get(w.dst); ok && (len(w.paths) == 0 || !e.Path.Equal(w.paths[len(w.paths)-1])) {
+		w.paths = append(w.paths, e.Path)
+	}
+	if w.loop == "" {
+		w.loop = revisit(w.ID(), w.RoutingView(), w.PricingView())
+	}
+}
+
 func TestExecuteFaithfulFigure1(t *testing.T) {
 	g := graph.Figure1()
 	res := runProtocol(t, g, nil)

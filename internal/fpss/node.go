@@ -138,6 +138,9 @@ type Node struct {
 // quiescence even when a deviating strategy induces oscillation —
 // real BGP bounds re-advertisement the same way (MRAI timers) — so the
 // bank's quiescence checkpoint always fires and catches the deviation.
+// Loop rejection (see routeTo) stops most such oscillation; a lie can
+// still build a dispute wheel that only the budget ends, as
+// TestZeroCostLieOscillatesToBudget pins on Figure 1.
 func (n *Node) advertBudget() int {
 	known := len(n.costs)
 	if known < len(n.neighbors)+1 {

@@ -35,7 +35,8 @@ func sameSlice[S ~[]E, E any](a, b S) bool {
 //
 //	d(self→j) = min over neighbors v:  v == j ? 0 : ĉ_v + d(v→j)
 //
-// with the composite (cost, hops, lex) tie-break. Repeated application
+// with the composite (cost, hops, lex) tie-break, over the neighbors
+// whose route to j does not pass through self. Repeated application
 // as views refresh converges to the centralized solution: values start
 // at infinity and only decrease (static network, non-negative costs).
 // Pricing follows over the routing just computed (see computePricing).
@@ -112,6 +113,12 @@ func tableLen(costs []costSlot, neighbors []graph.NodeID, views []NeighborView) 
 // betterBase), or ok=false when no neighbor offers a route yet. The
 // base is a read-only view of a neighbor's table or of s, valid until
 // the next kernel call on s; prepend materializes it.
+//
+// As in any path vector, a neighbor's route that already passes
+// through self is a loop and is never taken. The membership test runs
+// only for a candidate that would win, so an honest run, where no
+// winner loops, pays one scan per improvement rather than per
+// candidate.
 func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID, costs []costSlot, views []NeighborView) (graph.Cost, graph.Path, bool) {
 	var (
 		bestCost graph.Cost
@@ -137,7 +144,7 @@ func (s *ComputeScratch) routeTo(self, j graph.NodeID, neighbors []graph.NodeID,
 			}
 			candCost, candBase = vc+e.Cost, e.Path
 		}
-		if !found || betterBase(candCost, candBase, bestCost, bestBase) {
+		if (!found || betterBase(candCost, candBase, bestCost, bestBase)) && !candBase.Contains(self) {
 			bestCost, bestBase, found = candCost, candBase, true
 		}
 	}
@@ -180,8 +187,10 @@ func prefixedBy(p graph.Path, self graph.NodeID, base graph.Path) bool {
 // is carried for determinism and checker verification; Tags is the
 // union of the neighbors attaining the minimal cost — the identity-tag
 // field of DATA3* ("the node that triggered the most recent pricing
-// table update", union on ties) that [BANK2] compares. The table is as
-// long as routing.
+// table update", union on ties) that [BANK2] compares. A candidate
+// whose witness passes through self is a loop, as in routeTo: it
+// neither wins nor counts toward the tags. The table is as long as
+// routing.
 func (s *ComputeScratch) computePricing(self graph.NodeID, neighbors []graph.NodeID, costs []costSlot, routing RoutingTable, views []NeighborView) PricingTable {
 	out := make(PricingTable, len(routing))
 	for j, route := range routing {
@@ -224,9 +233,10 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 	for _, k := range route.Path[1 : len(route.Path)-1] {
 		kc, ok := costOf(costs, k)
 		if !ok || seen[k/64]&(1<<(k%64)) != 0 {
-			// A deviant's looping route can repeat a transit node. Its
-			// second try would give what its first gave, and a row holds
-			// a cell once.
+			// A route can repeat a transit node: a deviant's own, or
+			// one built on a deviant's path that repeats a node other
+			// than self. Its second try would give what its first
+			// gave, and a row holds a cell once.
 			continue
 		}
 		seen[k/64] |= 1 << (k % 64)
@@ -235,8 +245,9 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 			bestBase graph.Path
 			found    bool
 		)
-		// contribs records each neighbor's avoid-k contribution so the
-		// identity-tag pass reuses the relaxation loop's values.
+		// contribs records the contributions that could still tie the
+		// minimum, so the identity-tag pass reuses the relaxation
+		// loop's values.
 		contribs := s.contribs[:0]
 		for i, v := range neighbors {
 			if v == k {
@@ -252,8 +263,14 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 			} else {
 				contribution, base, ok = neighborAvoidValue(v, j, k, costs, views[i])
 			}
-			if !ok {
+			if !ok || found && contribution > bestCost {
+				// Unavailable, or costlier than a candidate already
+				// found, so it can neither win nor tie: skip it before
+				// the loop test.
 				continue
+			}
+			if base.Contains(self) {
+				continue // a loop through self
 			}
 			contribs = append(contribs, contrib{v: v, cost: contribution})
 			if !found || betterBase(contribution, base, bestCost, bestBase) {

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,55 +74,92 @@ func oracleCheck(t *testing.T, sys core.System) core.Report {
 // pins what a play returns; this pins what a replay does on the way:
 // message counts, verdicts and every converged table. A change that
 // claims to leave replays alone must leave it as it is.
-const pinnedReplayDigest uint64 = 0x490b9fadd23c59f3
+const pinnedReplayDigest uint64 = 0x9d53e6e72d1ce664
 
-// replayDigest hashes every full replay that play runs over every node
-// × catalogue deviation, and the honest run, of both systems on Figure
-// 1 and eight seeded n=6 random biconnected graphs, each over reliable
-// links and at loss 0.1 with bursts of 3. Per run it hashes the
-// construction counters, the completion flag, the detections with
-// their reasons and every node's routing and pricing hashes.
+// replayDigest hashes every full replay of replayGrid: per run, its
+// label and outcome line and every node's routing and pricing hashes.
 func replayDigest(t *testing.T) uint64 {
 	t.Helper()
 	h := fnv.New64a()
-	rng := rand.New(rand.NewSource(32))
-	for trial := range 9 {
-		g := graph.Figure1()
-		if trial > 0 {
-			var err error
-			if g, err = graph.RandomBiconnected(6, rng.Intn(4), 8, rng); err != nil {
-				t.Fatal(err)
-			}
+	for r := range replayGrid(t) {
+		fmt.Fprintf(h, "%s %s\n", r.label, r.outcome)
+		for id := range r.nodes {
+			hashTables(h, r.nodes[id].RoutingView(), r.nodes[id].PricingView())
 		}
-		for _, loss := range []sim.LossModel{{}, {Rate: 0.1, Burst: 3, Seed: uint64(trial)}} {
-			p := DefaultParams(g)
-			p.Loss = loss
-			plain, faithful := Systems(g, p)
-			for deviator, d := range replays(plain) {
-				res, err := plain.replay(deviator, d)
-				if err != nil {
+	}
+	return h.Sum64()
+}
+
+// gridReplay is one full replay of replayGrid.
+type gridReplay struct {
+	// label names the run: trial, link model, variant, deviator and
+	// deviation.
+	label    string
+	deviator core.NodeID
+	// outcome holds the construction counters, and in the faithful
+	// variant the completion flag and the detections with their reasons.
+	outcome string
+	// nodes holds every node's protocol state, indexed by ID.
+	nodes []*fpss.Node
+}
+
+// replayGrid yields every full replay that play runs over every node ×
+// catalogue deviation, and the honest run, of both systems on Figure 1
+// and eight seeded n=6 random biconnected graphs, each over reliable
+// links and at loss 0.1 with bursts of 3.
+func replayGrid(t *testing.T) iter.Seq[gridReplay] {
+	t.Helper()
+	return func(yield func(gridReplay) bool) {
+		rng := rand.New(rand.NewSource(32))
+		for trial := range 9 {
+			g := graph.Figure1()
+			if trial > 0 {
+				var err error
+				if g, err = graph.RandomBiconnected(6, rng.Intn(4), 8, rng); err != nil {
 					t.Fatal(err)
-				}
-				fmt.Fprintf(h, "%d %v plain %d %s %+v %+v\n", trial, loss, deviator, replayName(d), res.Phase1, res.Phase2)
-				for id := range g.N() {
-					node := res.Nodes[graph.NodeID(id)]
-					hashTables(h, node.RoutingView(), node.PricingView())
 				}
 			}
-			for deviator, d := range replays(faithful) {
-				res, err := faithful.replay(deviator, d)
-				if err != nil {
-					t.Fatal(err)
+			for _, loss := range []sim.LossModel{{}, {Rate: 0.1, Burst: 3, Seed: uint64(trial)}} {
+				p := DefaultParams(g)
+				p.Loss = loss
+				plain, faithful := Systems(g, p)
+				for deviator, d := range replays(plain) {
+					res, err := plain.replay(deviator, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := gridReplay{
+						label:    fmt.Sprintf("%d %v plain %d %s", trial, loss, deviator, replayName(d)),
+						deviator: deviator,
+						outcome:  fmt.Sprintf("%+v %+v", res.Phase1, res.Phase2),
+					}
+					for id := range g.N() {
+						r.nodes = append(r.nodes, res.Nodes[graph.NodeID(id)])
+					}
+					if !yield(r) {
+						return
+					}
 				}
-				fmt.Fprintf(h, "%d %v faithful %d %s %+v %v %+v\n", trial, loss, deviator, replayName(d), res.Construction, res.Completed, res.Detections)
-				for id := range g.N() {
-					node := res.Nodes[graph.NodeID(id)]
-					hashTables(h, node.RoutingView(), node.PricingView())
+				for deviator, d := range replays(faithful) {
+					res, err := faithful.replay(deviator, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := gridReplay{
+						label:    fmt.Sprintf("%d %v faithful %d %s", trial, loss, deviator, replayName(d)),
+						deviator: deviator,
+						outcome:  fmt.Sprintf("%+v %v %+v", res.Construction, res.Completed, res.Detections),
+					}
+					for id := range g.N() {
+						r.nodes = append(r.nodes, &res.Nodes[graph.NodeID(id)].Node)
+					}
+					if !yield(r) {
+						return
+					}
 				}
 			}
 		}
 	}
-	return h.Sum64()
 }
 
 // replays yields the honest run, as deviator -1 and a nil deviation,
@@ -161,6 +199,42 @@ func TestReplaysPinned(t *testing.T) {
 	if got := replayDigest(t); got != pinnedReplayDigest {
 		t.Fatalf("replay digest = %#016x, pinned %#016x", got, pinnedReplayDigest)
 	}
+}
+
+// TestHonestPathsLoopFree pins the path vector's loop rule over
+// replayGrid: under every catalogue deviation, in both variants and
+// over both link models, no honest node's converged route or avoid-k
+// witness visits that node twice. The deviator is exempt: its Post
+// hooks may write any table.
+func TestHonestPathsLoopFree(t *testing.T) {
+	for r := range replayGrid(t) {
+		for id, node := range r.nodes {
+			if core.NodeID(id) == r.deviator {
+				continue
+			}
+			if loop := revisit(graph.NodeID(id), node.RoutingView(), node.PricingView()); loop != "" {
+				t.Errorf("%s: %s", r.label, loop)
+			}
+		}
+	}
+}
+
+// revisit describes the first route or avoid-k witness in self's
+// tables that visits self past its first hop, or returns "".
+func revisit(self graph.NodeID, routing fpss.RoutingTable, pricing fpss.PricingTable) string {
+	for j, e := range routing.All() {
+		if e.Path[1:].Contains(self) {
+			return fmt.Sprintf("route to %d revisits %d: %v", j, self, e.Path)
+		}
+	}
+	for j, row := range pricing.All() {
+		for _, k := range slices.Sorted(maps.Keys(row)) {
+			if w := row[k].Avoid; w[1:].Contains(self) {
+				return fmt.Sprintf("avoid-%d witness to %d revisits %d: %v", k, j, self, w)
+			}
+		}
+	}
+	return ""
 }
 
 // TestStatefulCheckMatchesRunOracle is the overhaul's acceptance gate:
