@@ -6,6 +6,7 @@ import (
 	"slices"
 	"unicode/utf8"
 
+	"repro/internal/codec"
 	"repro/internal/fpss"
 	"repro/internal/graph"
 )
@@ -22,16 +23,12 @@ import (
 //	  per flag:                           varint reporter, varint principal,
 //	                                      uvarint len(reason), reason bytes
 //
-// decodeReport is strict: it rejects truncated input, trailing bytes,
-// non-minimal varints and mirror principals that do not increase, so
-// an accepted payload is the encoding of exactly one report.
+// decodeReport reads it with the strict codec.Decoder, which rejects
+// truncated input, trailing bytes and non-minimal or overflowing
+// varints, and itself rejects mirror principals that do not increase,
+// so an accepted payload is the encoding of exactly one report.
 
-var (
-	errTruncated   = errors.New("truncated")
-	errTrailing    = errors.New("trailing bytes")
-	errVarint      = errors.New("non-minimal or out-of-range varint")
-	errMirrorOrder = errors.New("mirror principals not increasing")
-)
+var errMirrorOrder = errors.New("mirror principals not increasing")
 
 const hashSize = len(fpss.Hash{})
 
@@ -41,7 +38,7 @@ func appendReport(b []byte, rep StateReport) []byte {
 	b = append(b, rep.CostsHash[:]...)
 	b = append(b, rep.RoutingHash[:]...)
 	b = append(b, rep.PricingHash[:]...)
-	b = appendMarker(b, rep.Mirrors == nil, len(rep.Mirrors))
+	b = codec.AppendMarker(b, rep.Mirrors == nil, len(rep.Mirrors))
 	ids := make([]graph.NodeID, 0, len(rep.Mirrors))
 	for p := range rep.Mirrors {
 		ids = append(ids, p)
@@ -53,21 +50,13 @@ func appendReport(b []byte, rep StateReport) []byte {
 		b = append(b, m.RoutingHash[:]...)
 		b = append(b, m.PricingHash[:]...)
 	}
-	b = appendMarker(b, rep.Flags == nil, len(rep.Flags))
+	b = codec.AppendMarker(b, rep.Flags == nil, len(rep.Flags))
 	for _, f := range rep.Flags {
 		b = binary.AppendVarint(b, int64(f.Reporter))
 		b = binary.AppendVarint(b, int64(f.Principal))
-		b = binary.AppendUvarint(b, uint64(len(f.Reason)))
-		b = append(b, f.Reason...)
+		b = codec.AppendString(b, f.Reason)
 	}
 	return b
-}
-
-func appendMarker(b []byte, isNil bool, n int) []byte {
-	if isNil {
-		return append(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
 // encodedCap bounds appendReport's output, so one allocation holds it.
@@ -79,104 +68,37 @@ func encodedCap(rep StateReport) int {
 	return n
 }
 
-// decoder reads a payload front to back and keeps the first error.
-type decoder struct {
-	b   []byte
-	err error
-}
+func readID(d *codec.Decoder) graph.NodeID { return graph.NodeID(d.Int()) }
 
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-	d.b = nil
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	switch {
-	case n <= 0:
-		d.fail(errTruncated) // n < 0 is an overflow: more bytes than a uint64 holds
-		return 0
-	case n > 1 && d.b[n-1] == 0:
-		d.fail(errVarint)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) id() graph.NodeID {
-	u := d.uvarint()
-	v := int64(u >> 1) // zigzag, as binary.Varint
-	if u&1 != 0 {
-		v = ^v
-	}
-	if int64(graph.NodeID(v)) != v {
-		d.fail(errVarint)
-	}
-	return graph.NodeID(v)
-}
-
-func (d *decoder) bytes(n uint64) []byte {
-	if uint64(len(d.b)) < n {
-		d.fail(errTruncated)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *decoder) hash() (h fpss.Hash) {
-	copy(h[:], d.bytes(uint64(hashSize)))
+func readHash(d *codec.Decoder) (h fpss.Hash) {
+	copy(h[:], d.Bytes(uint64(hashSize)))
 	return h
-}
-
-// count reads a nil-or-count marker and returns -1 for nil. A count
-// that the remaining bytes cannot hold at minSize bytes per element is
-// truncated input, which also keeps a hostile count from sizing an
-// allocation.
-func (d *decoder) count(minSize int) int {
-	switch m := d.uvarint(); {
-	case d.err != nil || m == 0:
-		return -1
-	case m-1 > uint64(len(d.b)/minSize):
-		d.fail(errTruncated)
-		return -1
-	default:
-		return int(m - 1)
-	}
 }
 
 // decodeReport is the inverse of appendReport.
 func decodeReport(b []byte) (StateReport, error) {
-	d := decoder{b: b}
-	rep := StateReport{Node: d.id(), CostsHash: d.hash(), RoutingHash: d.hash(), PricingHash: d.hash()}
-	if n := d.count(1 + 2*hashSize); n >= 0 {
+	d := codec.NewDecoder(b)
+	rep := StateReport{Node: readID(&d), CostsHash: readHash(&d), RoutingHash: readHash(&d), PricingHash: readHash(&d)}
+	if n := d.Count(1 + 2*hashSize); n >= 0 {
 		rep.Mirrors = make(map[graph.NodeID]MirrorReport, n)
 		var last graph.NodeID
-		for i := 0; i < n && d.err == nil; i++ {
-			p := d.id()
+		for i := range n {
+			p := readID(&d)
 			if i > 0 && p <= last {
-				d.fail(errMirrorOrder)
+				d.Fail(errMirrorOrder)
 			}
 			last = p
-			rep.Mirrors[p] = MirrorReport{RoutingHash: d.hash(), PricingHash: d.hash()}
+			rep.Mirrors[p] = MirrorReport{RoutingHash: readHash(&d), PricingHash: readHash(&d)}
 		}
 	}
-	if n := d.count(3); n >= 0 {
+	if n := d.Count(3); n >= 0 {
 		rep.Flags = make([]Flag, n)
-		for i := 0; i < n && d.err == nil; i++ {
+		for i := range rep.Flags {
 			f := &rep.Flags[i]
-			f.Reporter, f.Principal = d.id(), d.id()
-			f.Reason = string(d.bytes(d.uvarint()))
+			f.Reporter, f.Principal, f.Reason = readID(&d), readID(&d), d.Str()
 		}
 	}
-	if d.err == nil && len(d.b) > 0 {
-		d.fail(errTrailing)
-	}
-	return rep, d.err
+	return rep, d.End()
 }
 
 // jsonLen returns len(json.Marshal(rep)) without encoding anything.

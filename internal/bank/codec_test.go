@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fpss"
 	"repro/internal/graph"
 )
@@ -131,8 +132,13 @@ func TestDecodeRejectsNonMinimalVarint(t *testing.T) {
 	// Node 3 zigzags to the one byte 0x06; 0x86 0x00 is the same value
 	// padded to two bytes.
 	padded := append([]byte{0x86, 0x00}, enc[1:]...)
-	if _, err := decodeReport(padded); err != errVarint {
-		t.Errorf("padded varint: err = %v, want %v", err, errVarint)
+	if _, err := decodeReport(padded); err != codec.ErrVarint {
+		t.Errorf("padded varint: err = %v, want %v", err, codec.ErrVarint)
+	}
+	// Eleven 0xff bytes hold more bits than a uint64.
+	overflow := append(bytes.Repeat([]byte{0xff}, 11), enc[1:]...)
+	if _, err := decodeReport(overflow); err != codec.ErrVarint {
+		t.Errorf("overflowing varint: err = %v, want %v", err, codec.ErrVarint)
 	}
 }
 

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/spec"
 )
+
+// errSearchEnded fails the job of a play whose result ends the search.
+var errSearchEnded = errors.New("search ended")
 
 // play is one (node, deviation) pair in catalogue order — or one
 // (node, deviation, epoch) triple under PerEpoch, with epoch as the
@@ -104,63 +107,25 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 		}
 	}
 
-	workers := cfg.workerCount()
-	if workers > len(plays) {
-		workers = len(plays)
+	// Each worker owns one context, numbered from the calling
+	// goroutine's 0. A play whose result ends the search (any error —
+	// the fold returns the earliest one, discarding the report — or a
+	// violation under early stop) fails its job, so the workers stop
+	// claiming plays past it. Every play below the earliest such one
+	// still runs, which is all the fold reads.
+	ctxs := make([]PlayContext, min(cfg.workerCount(), len(plays)))
+	for w := range ctxs {
+		ctxs[w].worker = w
 	}
-
-	// ends reports whether a play's result terminates the search: any
-	// error does (the fold returns the earliest error, discarding the
-	// report), and a violation does under early stop.
-	ends := func(r playResult) bool {
-		return r.err != nil || (cfg.EarlyStop && r.violation != nil)
-	}
-
 	results := make([]playResult, len(plays))
-	if workers <= 1 {
-		ctx := NewPlayContext(0)
-		for i := range plays {
-			results[i] = e.runPlay(ctx, plays[i])
-			if ends(results[i]) {
-				break
-			}
+	_ = par.Run(ctxs, len(plays), func(ctx *PlayContext, i int) error {
+		r := e.runPlay(ctx, plays[i])
+		results[i] = r
+		if r.err != nil || (cfg.EarlyStop && r.violation != nil) {
+			return errSearchEnded
 		}
-	} else {
-		// Each worker claims the next catalogue index from a shared
-		// counter; the calling goroutine is worker 0. stop is the
-		// lowest index known to end the search, lowered by
-		// compare-and-swap, and a worker that claims an index past it
-		// quits, as every later claim would be past it too. Lowering
-		// it is a best-effort cancellation, so the value never
-		// influences the Report — only how much wasted work the pool
-		// avoids. Every play below the final minimum still runs, which
-		// is all the fold reads.
-		var next, stop atomic.Int64
-		stop.Store(int64(len(plays)))
-		work := func(worker int) {
-			ctx := NewPlayContext(worker)
-			for {
-				i := next.Add(1) - 1
-				if i >= stop.Load() {
-					return
-				}
-				if results[i] = e.runPlay(ctx, plays[i]); ends(results[i]) {
-					for s := stop.Load(); i < s && !stop.CompareAndSwap(s, i); s = stop.Load() {
-					}
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work(w)
-			}()
-		}
-		work(0)
-		wg.Wait()
-	}
+		return nil
+	})
 
 	// Fold results in catalogue order.
 	rep := Report{Pruned: len(pruned)}

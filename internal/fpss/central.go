@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // ErrNotBiconnected is returned when the topology violates the FPSS
@@ -44,7 +45,7 @@ type Central struct {
 // that suggested the same pricing entry" (§4.3 DATA3*).
 //
 // The computation is batched, and each of its three stages runs on
-// one pool (see pool.run) whose workers claim jobs by index. It builds
+// one pool (see par.Run) whose workers claim jobs by index. It builds
 // one parent-pointer SSSP tree per source for the base routes. Then, for
 // each node k that actually appears as a transit node on some LCP
 // (nodes that are never transit need no marginal economy), one job
@@ -74,7 +75,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 
 	// Base trees: one full SSSP per source, in parallel.
 	base := make([]*graph.Tree, n)
-	err := workers.run(n, func(w *centralWorker, i int) error {
+	err := par.Run(workers, n, func(w *centralWorker, i int) error {
 		t := &graph.Tree{}
 		if err := g.SSSP(t, &w.s, graph.NodeID(i)); err != nil {
 			return fmt.Errorf("all pairs from %d: %w", i, err)
@@ -132,7 +133,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	for i := range neighbors {
 		neighbors[i] = g.AdjView(graph.NodeID(i))
 	}
-	err = workers.run(n, func(w *centralWorker, kj int) error {
+	err = par.Run(workers, n, func(w *centralWorker, kj int) error {
 		if !isTransit[kj] {
 			return nil
 		}
@@ -179,7 +180,7 @@ func ComputeCentral(g *graph.Graph) (*Solution, error) {
 	// per source (each writes only its own slot).
 	routing := make([]RoutingTable, n)
 	pricing := make([]PricingTable, n)
-	err = workers.run(n, func(w *centralWorker, i int) error {
+	err = par.Run(workers, n, func(w *centralWorker, i int) error {
 		t := base[i]
 		rt := make(RoutingTable, n)
 		pt := make(PricingTable, n)

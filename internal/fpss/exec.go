@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Traffic is the demand matrix: (src, dst) → packets.
@@ -96,7 +97,7 @@ type ExecResult struct {
 // that range behaves as a node without a table: a flow from it, or
 // through it as a next hop, strands, and a payment to it is summed in
 // the maps. Flows are bucketed by source with a counting pass, and each
-// source's bucket is one job on a pool (see pool.run): its tables are
+// source's bucket is one job on a pool (see par.Run): its tables are
 // read once, and its DATA4 is summed in its worker's dense accumulator
 // and built once, at its exact size. A worker owns the per-node marks
 // it writes (packets carried in transit, the DATA4 accumulator); the
@@ -178,7 +179,7 @@ func Execute(routing map[graph.NodeID]RoutingTable, pricing map[graph.NodeID]Pri
 			w.nodes = slices.Clone(nodes)
 		}
 	}
-	_ = workers.run(n, (*execWorker).account) // accounting cannot fail
+	_ = par.Run(workers, n, (*execWorker).account) // accounting cannot fail
 
 	// Merge in node order: each source's utility and DATA4, and each
 	// transit node's true cost once per packet carried, summed over

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/codec"
 )
 
 // Serve and Dial speak length-prefixed binary frames over TCP. A frame
@@ -44,7 +46,7 @@ func (fr *frameReader) next() ([]byte, error) {
 		case err != nil:
 			return nil, err
 		case c == 0 && i > 0:
-			return nil, errVarint
+			return nil, codec.ErrVarint
 		}
 		size |= uint64(c&0x7f) << (7 * i)
 		if size > maxFrame || c >= 0x80 && i == prefixRoom-1 {

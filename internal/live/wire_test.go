@@ -15,6 +15,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/codec"
 	"repro/internal/fpss"
 	"repro/internal/scenario"
 )
@@ -175,8 +176,8 @@ func TestWireCarriesEveryField(t *testing.T) {
 func TestWireDecodingIsStrict(t *testing.T) {
 	body := appendResponse(nil, Response{OK: true, Path: []int{3, 1, 4}, Payments: []Payment{{To: 1, Amount: 5}}, Epoch: 2, Stats: &Stats{N: 6}})
 	for i := range body {
-		if _, err := decodeResponse(body[:i]); !errors.Is(err, errTruncated) {
-			t.Fatalf("prefix of %d bytes: %v, want %v", i, err, errTruncated)
+		if _, err := decodeResponse(body[:i]); !errors.Is(err, codec.ErrTruncated) {
+			t.Fatalf("prefix of %d bytes: %v, want %v", i, err, codec.ErrTruncated)
 		}
 	}
 	overflow := bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1)
@@ -185,12 +186,12 @@ func TestWireDecodingIsStrict(t *testing.T) {
 		body []byte
 		want error
 	}{
-		{"trailing byte", append(body, 0), errTrailing},
-		{"non-minimal cost", []byte{1, 0, 0, 0x80, 0x00, 0, 0, 0, 0}, errVarint},
-		{"overflowing cost", append([]byte{1, 0, 0}, overflow...), errVarint},
-		{"bool 2", []byte{2, 0, 0, 0, 0, 0, 0, 0}, errBool},
-		{"path count beyond input", []byte{1, 0, 0xff, 0x7f}, errTruncated},
-		{"payment count beyond input", []byte{1, 0, 0, 0, 3, 1, 2, 3}, errTruncated},
+		{"trailing byte", append(body, 0), codec.ErrTrailing},
+		{"non-minimal cost", []byte{1, 0, 0, 0x80, 0x00, 0, 0, 0, 0}, codec.ErrVarint},
+		{"overflowing cost", append([]byte{1, 0, 0}, overflow...), codec.ErrVarint},
+		{"bool 2", []byte{2, 0, 0, 0, 0, 0, 0, 0}, codec.ErrBool},
+		{"path count beyond input", []byte{1, 0, 0xff, 0x7f}, codec.ErrTruncated},
+		{"payment count beyond input", []byte{1, 0, 0, 0, 3, 1, 2, 3}, codec.ErrTruncated},
 	} {
 		resp, err := decodeResponse(tc.body)
 		if !errors.Is(err, tc.want) {
@@ -205,10 +206,10 @@ func TestWireDecodingIsStrict(t *testing.T) {
 		body []byte
 		want error
 	}{
-		{"op longer than input", []byte{5, 'r'}, errTruncated},
-		{"non-minimal src", []byte{0, 0x80, 0x00, 0, 0, 0, 0, 0}, errVarint},
-		{"advance 2", []byte{0, 0, 0, 0, 0, 0, 2}, errBool},
-		{"trailing byte", []byte{0, 0, 0, 0, 0, 0, 0, 0}, errTrailing},
+		{"op longer than input", []byte{5, 'r'}, codec.ErrTruncated},
+		{"non-minimal src", []byte{0, 0x80, 0x00, 0, 0, 0, 0, 0}, codec.ErrVarint},
+		{"advance 2", []byte{0, 0, 0, 0, 0, 0, 2}, codec.ErrBool},
+		{"trailing byte", []byte{0, 0, 0, 0, 0, 0, 0, 0}, codec.ErrTrailing},
 	} {
 		if _, err := decodeRequest(tc.body); !errors.Is(err, tc.want) {
 			t.Errorf("request %s: %v, want %v", tc.name, err, tc.want)

@@ -80,7 +80,6 @@ type txState struct {
 	wait        int64 // ticks until the next retransmission
 	attempt     int
 	cosignEpoch int64 // coordinator restart count when co-sign began
-	forced      bool  // settled without a co-sign (stall / exit)
 	commit      bool  // decision value once phase == phDecided
 	voted       map[ShardID]bool
 	acked       map[ShardID]bool
@@ -92,7 +91,6 @@ type txState struct {
 // bank's accusations are written ahead too); everything else is
 // volatile and reconstructed in Recover.
 type coordinator struct {
-	opts  Options
 	batch *Batch
 	sb    *ShardedBank
 	wal   *DecisionLog
@@ -188,7 +186,6 @@ func (c *coordinator) forceSettle(ctx sim.Context, i int, stall bool) {
 	if stall && t.cosignEpoch == c.restarts && !c.exits[from] {
 		c.flag(from, ReasonStallCoSign)
 	}
-	t.forced = true
 	c.startPrepare(ctx, i)
 }
 
@@ -550,7 +547,7 @@ func RunFaithful(opts Options, batch *Batch, strategies map[Account]*Strategy) (
 	)
 	defer net.Release()
 
-	coord := &coordinator{opts: opts, batch: batch, sb: sb, wal: NewDecisionLog()}
+	coord := &coordinator{batch: batch, sb: sb, wal: NewDecisionLog()}
 	if err := net.Attach(coordAddr, coord); err != nil {
 		return nil, err
 	}
