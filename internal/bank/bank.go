@@ -73,9 +73,10 @@ type Bank struct {
 
 // New creates a bank for the given neighborhood structure, verifying
 // node reports against the supplied signing authority. The neighbors
-// map is retained as a shared read-only view — deviation searches
-// build one per scenario and hand it to every run's bank — so the
-// caller must not mutate it for the bank's lifetime.
+// map is retained as a shared read-only view, not copied — faithful.Run
+// builds one per run and hands the same map to its nodes and its bank
+// (see Reuse) — so the caller must not mutate it for the bank's
+// lifetime.
 func New(authority *sign.Authority, neighbors map[graph.NodeID][]graph.NodeID) *Bank {
 	return &Bank{
 		authority: authority,
@@ -158,9 +159,10 @@ func (b *Bank) VerifyConstruction() []Detection {
 		out = append(out, Detection{Principal: -1, Reason: "missing state reports"})
 		return out
 	}
+	nodes := b.Nodes()
 	// DATA1 must be common across all nodes.
 	var first *fpss.Hash
-	for _, id := range b.Nodes() {
+	for _, id := range nodes {
 		h := b.reports[id].CostsHash
 		if first == nil {
 			first = &h
@@ -172,7 +174,7 @@ func (b *Bank) VerifyConstruction() []Detection {
 		}
 	}
 	// [BANK1]/[BANK2]: each principal against each of its checkers.
-	for _, p := range b.Nodes() {
+	for _, p := range nodes {
 		pr := b.reports[p]
 		for _, checker := range b.neighbors[p] {
 			cr, ok := b.reports[checker]
@@ -193,7 +195,7 @@ func (b *Bank) VerifyConstruction() []Detection {
 		}
 	}
 	// Direct checker observations.
-	for _, id := range b.Nodes() {
+	for _, id := range nodes {
 		for _, f := range b.reports[id].Flags {
 			out = append(out, Detection{Principal: f.Principal, Reason: fmt.Sprintf("flagged by %d: %s", f.Reporter, f.Reason)})
 		}

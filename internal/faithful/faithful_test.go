@@ -66,8 +66,8 @@ func TestHonestTablesMatchCentral(t *testing.T) {
 
 // TestHonestMirrorsMatchPrincipals checks every honest mirror against
 // its principal's tables, and that the checkers of a principal, which
-// hold the same published tables as views, share one derivation: the
-// same mirror tables by identity.
+// hold the same published tables as views and were sent the same
+// advertisement, share one check, which the advertisement passes.
 func TestHonestMirrorsMatchPrincipals(t *testing.T) {
 	g := graph.Figure1()
 	res, err := Run(baseConfig(g))
@@ -89,26 +89,21 @@ func TestHonestMirrorsMatchPrincipals(t *testing.T) {
 			}
 		}
 	}
-	for p := range res.Nodes {
-		checkers := g.Neighbors(p)
-		mr, mp, _ := res.Nodes[checkers[0]].MirrorOf(p)
-		first := fpss.NeighborView{Routing: mr, Pricing: mp}
-		for _, c := range checkers[1:] {
-			mr, mp, _ := res.Nodes[c].MirrorOf(p)
-			if !first.Same(fpss.NeighborView{Routing: mr, Pricing: mp}) {
-				t.Errorf("checkers %d and %d of %d hold different mirror tables", checkers[0], c, p)
-			}
+	for p, node := range res.Nodes {
+		if checks := node.memo.principals[p].checks; len(checks) != 1 || !checks[0].matches {
+			t.Errorf("the checkers of %d hold %d checks, want one shared check that passes", p, len(checks))
 		}
 	}
 }
 
-// TestMirrorsMatchTheirOwnViews pins what keys a shared derivation.
-// Under forward hooks that drop or edit the copies, the checkers of the
-// deviator hold different views, so they cannot share one derivation.
-// The spoofed copy names a node that does not check the deviator, so
-// every checker flags and drops it, and they still share one. Either
-// way each checker's mirror must be ComputeTables over its own views
-// and DATA1.
+// TestMirrorsMatchTheirOwnViews pins what keys a shared check. Under
+// forward hooks that drop or edit the copies, the checkers of the
+// deviator hold different views, so they cannot share one check. The
+// spoofed copy names a node that does not check the deviator, so every
+// checker flags and drops it, and they still share one. Either way
+// each checker's verdict must be that of ComputeTables over its own
+// views and DATA1, and the mirror hashes it reports those of the
+// tables ComputeTables derives.
 func TestMirrorsMatchTheirOwnViews(t *testing.T) {
 	g := graph.Figure1()
 	d, _ := g.ByName("D")
@@ -123,16 +118,20 @@ func TestMirrorsMatchTheirOwnViews(t *testing.T) {
 	} {
 		res := deviatorRun(t, g, d, tc.st)
 		for id, node := range res.Nodes {
-			for p, m := range node.mirrors {
+			for p := range node.mirrors {
 				mr, mp, _ := node.MirrorOf(p)
-				wr, wp := fpss.ComputeTables(new(fpss.ComputeScratch), p, m.neighbors, node.CostsView(), m.views)
-				if !mr.Equal(wr) || !mp.Equal(wp) {
-					t.Errorf("%s: node %d's mirror of %d is not ComputeTables over its own views", tc.name, id, p)
+				c := node.checkOf(p)
+				advert, advertised := node.Derivation().View(p)
+				if want := advertised && advert.Routing.Equal(mr) && advert.Pricing.Equal(mp); c.matches != want {
+					t.Errorf("%s: node %d's check of %d reads matches=%v, ComputeTables over its own views %v", tc.name, id, p, c.matches, want)
+				}
+				if c.routingHash != mr.HashRouting() || c.pricingHash != mp.HashPricing() {
+					t.Errorf("%s: node %d's mirror hashes of %d are not those of ComputeTables over its own views", tc.name, id, p)
 				}
 			}
 		}
-		if n := len(res.Nodes[d].memo.derived[d]); (n == 1) != tc.shared {
-			t.Errorf("%s: the checkers of %d hold %d derivations, want shared=%v", tc.name, d, n, tc.shared)
+		if n := len(res.Nodes[d].memo.principals[d].checks); (n == 1) != tc.shared {
+			t.Errorf("%s: the checkers of %d hold %d checks, want shared=%v", tc.name, d, n, tc.shared)
 		}
 	}
 }
@@ -460,12 +459,20 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// MirrorOf exposes a checker's mirror tables for a principal (tests).
+// MirrorOf derives a checker's mirror tables for a principal with
+// ComputeTables over the checker's views and DATA1 (tests).
 func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, bool) {
 	m, ok := n.mirrors[p]
 	if !ok {
 		return nil, nil, false
 	}
-	m.refresh(n.memo, n.Derivation().Scratch(), n.CostsView())
-	return m.derived.routing, m.derived.pricing, true
+	r, pt := fpss.ComputeTables(new(fpss.ComputeScratch), p, m.neighbors, n.CostsView(), m.views)
+	return r, pt, true
+}
+
+// checkOf returns the checkpoint's verdict on checker n's mirror of p,
+// as the run's memo holds it.
+func (n *Node) checkOf(p graph.NodeID) mirrorCheck {
+	advert, advertised := n.Derivation().View(p)
+	return n.memo.check(n.Derivation().Scratch(), n.mirrors[p], n.CostsView(), n.CostsView().HashCosts(), advert, advertised)
 }

@@ -14,7 +14,6 @@ package faithful
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/bank"
@@ -102,80 +101,126 @@ func (s *Strategy) reportState(truth bank.StateReport) bank.StateReport {
 	return s.ReportState(truth)
 }
 
-// mirror is a checker's clone of one principal's computation state.
-// Forwarded copies and the checker's own sends only store the view and
-// mark the mirror stale; the tables are derived when read.
+// mirror is a checker's clone of one principal's computation state:
+// the views the principal computes from. Forwarded copies and the
+// checker's own sends only store a view; the checkpoint checks the
+// principal's advertisement against them (see mirrorMemo.check).
 type mirror struct {
 	principal graph.NodeID
 	neighbors []graph.NodeID
 	// views[i] is the latest view of neighbors[i]: a forwarded copy, or
 	// at self what this checker last sent the principal (sent says
 	// whether it has).
-	views   []fpss.NeighborView
-	self    int
-	sent    bool
-	stale   bool
-	derived *derivedMirror
+	views []fpss.NeighborView
+	self  int
+	sent  bool
 }
 
-// refresh re-derives the mirrored tables if a view changed since they
-// were last derived. Only the checkpoint (onStateRequest) reads a
-// mirror (and the tests' MirrorOf), and ComputeTables is a pure
-// function of (costs, views) with DATA1 fixed once phase 1 quiesces,
-// so deriving once there yields the tables that recomputing after
-// every view change would have ended with. That holds only while
-// stored views are never edited in place, which is why every hook that
-// handles a published table copies on write (see fpss.Strategy). The
-// derivation comes from memo, shared with every other checker of the
-// principal that holds the same views.
-func (m *mirror) refresh(memo *mirrorMemo, s *fpss.ComputeScratch, costs fpss.CostTable) {
-	if !m.stale {
-		return
-	}
-	m.stale = false
-	m.derived = memo.derive(s, m.principal, m.neighbors, costs, m.views)
+// mirrorMemo is a run's checkpoint memo, kept by principal: the checks
+// of its advertisements and the hashes of its tables. In an honest run
+// every checker of a principal holds the same published tables as its
+// views and was sent the same advertisement, so one check serves them
+// all, and the mirror hashes they report are the hashes of the tables
+// the principal reports. A memo is single-threaded, like the run that
+// owns it.
+type mirrorMemo struct {
+	principals []principalMemo
 }
 
-// derivedMirror is one derivation of a principal's tables from a set
-// of views, with the hashes a checker reports. costs is the DATA1 of
-// the checker that derived it, kept by reference: a node's DATA1 is
-// fixed once phase 1 quiesces, before any mirror is derived.
-type derivedMirror struct {
-	costs                    fpss.CostTable
-	views                    []fpss.NeighborView
-	routing                  fpss.RoutingTable
-	pricing                  fpss.PricingTable
+// principalMemo is what a run's checkpoint memoizes for one principal.
+type principalMemo struct {
+	checks []mirrorCheck
+	// tables are the principal's tables this run hashed last, if hashed,
+	// and routingHash and pricingHash their hashes.
+	tables                   fpss.NeighborView
+	hashed                   bool
 	routingHash, pricingHash fpss.Hash
 }
 
-// mirrorMemo shares mirror derivations among the checkers of one run.
-// In an honest run every checker of a principal holds the same
-// published tables as its views, so one derivation and its two hashes
-// serve them all. A derivation is keyed by the principal, the exact
-// DATA1 and the identities of the viewed tables: published tables are
-// never edited, so the same tables are the same content, and the memo
-// keeps them alive, so no other table can take their place. A memo is
-// single-threaded, like the run that owns it; its tables are carved
-// from the scratch of the checker that first derived them, and are
-// recycled with that checker's (see Result.Release).
-type mirrorMemo struct {
-	derived [][]*derivedMirror // by principal
+// mirrorCheck is a checkpoint verdict on one advertisement of a
+// principal over one checker's DATA1 and views, with the mirror hashes
+// its checkers report: those of the tables ComputeTables derives from
+// the views. costsHash is the hash of that DATA1, the checker's own
+// report of it.
+type mirrorCheck struct {
+	costsHash  fpss.Hash
+	views      []fpss.NeighborView
+	advert     fpss.NeighborView
+	advertised bool
+	// matches reports whether the advertisement is Equal to the tables
+	// ComputeTables derives from the views.
+	matches                  bool
+	routingHash, pricingHash fpss.Hash
 }
 
-// derive returns principal p's tables over costs and views, deriving
-// them with s unless a checker of p already has.
-func (mm *mirrorMemo) derive(s *fpss.ComputeScratch, p graph.NodeID, neighbors []graph.NodeID, costs fpss.CostTable, views []fpss.NeighborView) *derivedMirror {
-	for _, d := range mm.derived[p] {
-		if slices.EqualFunc(d.views, views, fpss.NeighborView.Same) && maps.Equal(d.costs, costs) {
-			return d
+// check returns the verdict on m's principal's advertisement to a
+// checker with DATA1 costs, whose hash is costsHash (advertised is
+// false when the principal never sent the checker one), checking with
+// s unless a checker of the principal has already checked the same
+// advertisement over the same DATA1 and views. Checks are keyed by the
+// DATA1 hash, the bank's own test of a common DATA1, and by the
+// identities of the viewed and advertised tables: published tables
+// are never edited, so the same tables are the same content, and the
+// memo keeps them alive, so no other table can take their place.
+//
+// Only the checkpoint checks a mirror, and ComputeTables is a pure
+// function of (costs, views) with DATA1 fixed once phase 1 quiesces,
+// so checking once there gives the verdict that recomputing after
+// every view change would have ended with. That holds only while
+// stored views are never edited in place, which is why every hook that
+// handles a published table copies on write (see fpss.Strategy).
+//
+// An advertisement that fpss.VerifyTables accepts is what
+// ComputeTables would derive, so its hashes are the mirror's, and a
+// faithful principal's checkers derive no tables. Otherwise, or when
+// the principal never advertised, the mirror is derived whole to hash
+// it, once per set of views: the derived tables are carved from s and
+// recycled with its owner's (see Result.Release).
+func (mm *mirrorMemo) check(s *fpss.ComputeScratch, m *mirror, costs fpss.CostTable, costsHash fpss.Hash, advert fpss.NeighborView, advertised bool) mirrorCheck {
+	p := m.principal
+	pm := &mm.principals[p]
+	var same *mirrorCheck // a check over the same views, hashed already
+	for i := range pm.checks {
+		c := &pm.checks[i]
+		if c.costsHash != costsHash || !slices.EqualFunc(c.views, m.views, fpss.NeighborView.Same) {
+			continue
 		}
+		if c.advertised == advertised && c.advert.Same(advert) {
+			return *c
+		}
+		same = c
 	}
-	d := &derivedMirror{costs: costs, views: slices.Clone(views)}
-	d.routing, d.pricing = fpss.ComputeTables(s, p, neighbors, costs, views)
-	d.routingHash, d.pricingHash = d.routing.HashRouting(), d.pricing.HashPricing()
-	mm.derived[p] = append(mm.derived[p], d)
-	return d
+	c := mirrorCheck{costsHash: costsHash, views: slices.Clone(m.views), advert: advert, advertised: advertised}
+	c.matches = advertised && fpss.VerifyTables(s, p, m.neighbors, costs, m.views, advert.Routing, advert.Pricing)
+	switch {
+	case same != nil:
+		c.routingHash, c.pricingHash = same.routingHash, same.pricingHash
+	case c.matches:
+		c.routingHash, c.pricingHash = mm.hash(p, advert)
+	default:
+		routing, pricing := fpss.ComputeTables(s, p, m.neighbors, costs, m.views)
+		c.routingHash, c.pricingHash = routing.HashRouting(), pricing.HashPricing()
+	}
+	pm.checks = append(pm.checks, c)
+	return c
 }
+
+// hash returns the hashes of principal p's tables t, hashing them
+// unless they are the tables of p this run hashed last. A principal's
+// own report and its checkers' matching mirrors hash the same
+// published tables, so each is hashed once.
+func (mm *mirrorMemo) hash(p graph.NodeID, t fpss.NeighborView) (routing, pricing fpss.Hash) {
+	pm := &mm.principals[p]
+	if !pm.hashed || !pm.tables.Same(t) {
+		pm.tables, pm.hashed = t, true
+		pm.routingHash, pm.pricingHash = t.Routing.HashRouting(), t.Pricing.HashPricing()
+	}
+	return pm.routingHash, pm.pricingHash
+}
+
+// testHookMirrorCheck, when set, sees every mirror check of a
+// checkpoint: the checker, its mirror and the verdict it reports.
+var testHookMirrorCheck func(checker *Node, m *mirror, c mirrorCheck)
 
 // Node is a faithful-protocol participant: an unchanged fpss.Node
 // principal plus the checker role for every one of its neighbors.
@@ -201,8 +246,8 @@ var _ sim.Handler = (*Node)(nil)
 
 // newNode constructs a faithful-protocol node whose mirrors share the
 // run's memo. Both maps (and their slices) are retained as shared
-// read-only views — a deviation search builds them once per scenario
-// and hands the same maps to every node of every run, so the node must
+// read-only views — Run builds them once per run (see Topology) and
+// hands the same maps to every node and to the bank, so the node must
 // never mutate them and the caller must not change them while any node
 // is live.
 func newNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[graph.NodeID][]graph.NodeID, strategy *Strategy, signer *sign.Signer, memo *mirrorMemo) *Node {
@@ -256,7 +301,6 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 			neighbors: neighbors,
 			views:     make([]fpss.NeighborView, len(neighbors)),
 			self:      slices.Index(neighbors, n.ID()),
-			stale:     true,
 		}
 	}
 	n.Advertise(ctx, true, n.recordSend)
@@ -321,7 +365,7 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
 	if m, ok := n.mirrors[to]; ok {
 		m.views[m.self] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
-		m.sent, m.stale = true, true
+		m.sent = true
 	}
 }
 
@@ -353,7 +397,6 @@ func (n *Node) onForwardCopy(fc ForwardCopy) {
 		return
 	}
 	m.views[i] = fpss.NeighborView{Routing: fc.U.Routing, Pricing: fc.U.Pricing}
-	m.stale = true
 }
 
 func (n *Node) onStateRequest(ctx sim.Context) {
@@ -361,10 +404,11 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// advertised to this checker must equal the faithfully mirrored
 	// computation. At quiescence every message has been delivered, so
 	// any divergence is a deviation, not a transient. This is where
-	// each mirror is derived, once, from the views it has collected,
-	// or shared from another checker of the principal with the same
-	// views (see mirrorMemo). Principals are walked in ascending order,
-	// so the flags, and the signed report, are the same in every run.
+	// each mirror is checked, once, against the views it has collected,
+	// or shares the verdict of another checker of the principal with
+	// the same views and advertisement (see mirrorMemo.check).
+	// Principals are walked in ascending order, so the flags, and the
+	// signed report, are the same in every run.
 	d, costs := n.Derivation(), n.CostsView()
 	principals := make([]graph.NodeID, 0, len(n.mirrors))
 	for p := range n.mirrors {
@@ -372,23 +416,26 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	}
 	slices.Sort(principals)
 	truth := bank.StateReport{
-		Node:        n.ID(),
-		CostsHash:   costs.HashCosts(),
-		RoutingHash: d.Routing().HashRouting(),
-		PricingHash: d.Pricing().HashPricing(),
-		Mirrors:     make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
+		Node:      n.ID(),
+		CostsHash: costs.HashCosts(),
+		Mirrors:   make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
 	}
+	truth.RoutingHash, truth.PricingHash = n.memo.hash(n.ID(), fpss.NeighborView{Routing: d.Routing(), Pricing: d.Pricing()})
 	for _, p := range principals {
 		m := n.mirrors[p]
-		m.refresh(n.memo, d.Scratch(), costs)
-		if v, ok := d.View(p); !ok {
+		advert, advertised := d.View(p)
+		c := n.memo.check(d.Scratch(), m, costs, truth.CostsHash, advert, advertised)
+		if testHookMirrorCheck != nil {
+			testHookMirrorCheck(n, m, c)
+		}
+		if !advertised {
 			n.flag(p, "principal never advertised")
-		} else if !v.Routing.Equal(m.derived.routing) || !v.Pricing.Equal(m.derived.pricing) {
+		} else if !c.matches {
 			n.flag(p, "advertisement diverges from checker mirror")
 		}
 		truth.Mirrors[p] = bank.MirrorReport{
-			RoutingHash: m.derived.routingHash,
-			PricingHash: m.derived.pricingHash,
+			RoutingHash: c.routingHash,
+			PricingHash: c.pricingHash,
 		}
 	}
 	truth.Flags = append([]bank.Flag(nil), n.flags...)

@@ -102,11 +102,12 @@ type Result struct {
 	Nodes map[graph.NodeID]*Node
 }
 
-// Release recycles the derivation arenas of every node of the run,
-// the checker mirrors' included (see fpss.Node.Release). Only a caller
-// that reads nothing of the run afterwards may call it: Nodes' tables
-// and mirrors become storage that later runs overwrite. Utilities,
-// verdicts, counters and Exec stay valid.
+// Release recycles the derivation arenas and pricing rows of every
+// node of the run, those of any mirror a checker derived included (see
+// fpss.Node.Release). Only a caller that reads nothing of the run
+// afterwards may call it: Nodes' tables and the views its mirrors hold
+// become storage that later runs overwrite. Utilities, verdicts,
+// counters and Exec stay valid.
 func (r *Result) Release() {
 	for _, node := range r.Nodes {
 		node.Release()
@@ -159,7 +160,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	nodes := make(map[graph.NodeID]*Node, n)
-	memo := &mirrorMemo{derived: make([][]*derivedMirror, n)}
+	memo := &mirrorMemo{principals: make([]principalMemo, n)}
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
 		signer, err := authority.Register(bank.SignerID(id))

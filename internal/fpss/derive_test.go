@@ -21,12 +21,13 @@ import (
 // or adds a route through the principal; the last kind instead learns
 // a missing DATA1 cost. After every step the derived tables must equal
 // ComputeTables over the same views, Derive must report a change
-// exactly when they moved, the previous step's tables must hash as
-// they did, so nothing was edited in place, and no route or avoid-k
-// witness may pass through the principal (the path vector's loop
-// rule; op kind 6 offers such routes). SetView diffs by identity,
-// so an equal copy must mark its destination dirty and still derive no
-// change.
+// exactly when they moved, VerifyTables must accept the new tables and
+// accept the previous step's exactly when they did not move, the
+// previous step's tables must hash as they did, so nothing was edited
+// in place, and no route or avoid-k witness may pass through the
+// principal (the path vector's loop rule; op kind 6 offers such
+// routes). SetView diffs by identity, so an equal copy must mark its
+// destination dirty and still derive no change.
 func FuzzDerivation(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x08, 0x10, 0x03, 0x04, 0x05, 0x06, 0x02, 0x07, 0x0b, 0x0c, 0x0d})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
@@ -69,8 +70,16 @@ func FuzzDerivation(f *testing.F) {
 				t.Fatalf("op %d: derived tables differ from the full computation\nrouting %v\nwant    %v\npricing %v\nwant    %v",
 					op, d.Routing(), wantR, d.Pricing(), wantP)
 			}
-			if moved := !prevR.Equal(wantR) || !prevP.Equal(wantP); changed != moved {
+			moved := !prevR.Equal(wantR) || !prevP.Equal(wantP)
+			if changed != moved {
 				t.Fatalf("op %d: Derive reported changed=%v, tables moved=%v", op, changed, moved)
+			}
+			s := new(ComputeScratch)
+			if !VerifyTables(s, self, neighbors, costs, views, d.Routing(), d.Pricing()) {
+				t.Fatalf("op %d: VerifyTables rejects the derived tables", op)
+			}
+			if VerifyTables(s, self, neighbors, costs, views, prevR, prevP) == moved {
+				t.Fatalf("op %d: VerifyTables of the previous tables reads %v, but they moved=%v", op, !moved, moved)
 			}
 			if prevR.HashRouting() != hashR || prevP.HashPricing() != hashP {
 				t.Fatalf("op %d: the previous tables were edited in place", op)

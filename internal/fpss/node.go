@@ -188,11 +188,11 @@ func (n *Node) PricingView() PricingTable { return n.own.Pricing() }
 // and borrows the scratch for its mirrors (single-threaded per node).
 func (n *Node) Derivation() *Derivation { return &n.own }
 
-// Release recycles the arena behind the node's derivation: the paths
-// and tag sets of its tables, its neighbor views' copies of them, and
-// those of any table computed with its scratch. Only a caller that
-// reads nothing of the node's run afterwards may call it; the network
-// must be quiescent.
+// Release recycles the arena and the pricing rows behind the node's
+// derivation: the paths, tag sets and rows of its tables, its neighbor
+// views' copies of them, and those of any table computed with its
+// scratch. Only a caller that reads nothing of the node's run
+// afterwards may call it; the network must be quiescent.
 func (n *Node) Release() { n.own.scratch.release() }
 
 // DeclaredCost returns the cost this node announces (possibly a lie).

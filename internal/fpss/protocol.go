@@ -36,10 +36,10 @@ type Result struct {
 	Phase2 sim.Counters
 }
 
-// Release recycles the derivation arenas of every node of the run (see
-// Node.Release). Only a caller that reads nothing of the run afterwards
-// may call it: its tables' paths and tag sets become storage that later
-// runs overwrite.
+// Release recycles the derivation arenas and pricing rows of every
+// node of the run (see Node.Release). Only a caller that reads nothing
+// of the run afterwards may call it: its tables' paths, tag sets and
+// rows become storage that later runs overwrite.
 func (r *Result) Release() {
 	for _, node := range r.Nodes {
 		node.Release()

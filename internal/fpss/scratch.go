@@ -21,6 +21,10 @@ import (
 //     the chunks it draws, and release hands them back to chunkPools
 //     for later arenas to draw: only Node.Release calls it, for a run
 //     whose tables nobody reads any more;
+//   - pricing rows are maps, drawn from rowPool when a released run
+//     left some there. The scratch records every row it hands out, and
+//     release clears them and puts them back, so rows live exactly as
+//     long as the chunks behind their witness paths and tag sets;
 //   - the per-call working sets (ComputeTables' dense DATA1, the
 //     contribution list, candidate cells and their tags, and the
 //     transits a row has tried) are
@@ -41,8 +45,11 @@ type ComputeScratch struct {
 	// most once, so a scratch that draws no more than one chunk per
 	// class records them without allocating, and a run nobody releases
 	// pays nothing for the record.
-	drawn    [len(chunkPools)][]graph.NodeID
-	capped   [][]graph.NodeID
+	drawn  [len(chunkPools)][]graph.NodeID
+	capped [][]graph.NodeID
+	// rows records the pricing rows materializeRow handed out: the rows
+	// release clears and hands back to rowPool.
+	rows     []map[graph.NodeID]PriceEntry
 	direct   [1]graph.NodeID
 	costs    []costSlot
 	contribs []contrib
@@ -67,6 +74,10 @@ const (
 // the doubling from minChunk to maxChunk (see chunkClass). An entry is
 // a pointer to a chunk's first ID, so putting one allocates nothing.
 var chunkPools [5]sync.Pool
+
+// rowPool holds released pricing rows, cleared. A map value is a
+// pointer, so putting one allocates nothing.
+var rowPool sync.Pool
 
 // chunkClass is the chunkPools index of a chunk of size c.
 func chunkClass(c int) int { return bits.Len(uint(c-1)) - bits.Len(minChunk-1) }
@@ -110,8 +121,9 @@ func (s *ComputeScratch) newChunk(c, n int) []graph.NodeID {
 }
 
 // release hands the recorded chunks back to chunkPools and empties the
-// arena. Every path and tag set carved from it becomes storage that
-// later arenas overwrite. A second release is a no-op.
+// arena, and clears the recorded rows and hands them back to rowPool.
+// Every path and tag set carved from the arena, and every row, becomes
+// storage that later runs overwrite. A second release is a no-op.
 func (s *ComputeScratch) release() {
 	for class, c := range s.drawn {
 		if c != nil {
@@ -121,9 +133,34 @@ func (s *ComputeScratch) release() {
 	for _, c := range s.capped {
 		chunkPools[len(chunkPools)-1].Put(&c[:1][0])
 	}
+	for _, row := range s.rows {
+		clear(row)
+		rowPool.Put(row)
+	}
 	clear(s.capped)
-	s.drawn, s.capped, s.ids, s.chunk = [len(chunkPools)][]graph.NodeID{}, s.capped[:0], nil, 0
+	clear(s.rows)
+	s.drawn, s.capped, s.rows, s.ids, s.chunk = [len(chunkPools)][]graph.NodeID{}, s.capped[:0], s.rows[:0], nil, 0
 }
+
+// newRow returns an empty pricing row for n entries, drawn from
+// rowPool when it holds one, and records it for release. The record
+// starts at minRows entries, so a node of a small network grows it
+// once or twice rather than from one entry up: a run nobody releases
+// pays for it too.
+func (s *ComputeScratch) newRow(n int) map[graph.NodeID]PriceEntry {
+	row, ok := rowPool.Get().(map[graph.NodeID]PriceEntry)
+	if !ok {
+		row = make(map[graph.NodeID]PriceEntry, n)
+	}
+	if s.rows == nil {
+		s.rows = make([]map[graph.NodeID]PriceEntry, 0, minRows)
+	}
+	s.rows = append(s.rows, row)
+	return row
+}
+
+// minRows is the row record's first capacity.
+const minRows = 8
 
 // prepend materializes self + base as a path carved from the arena.
 func (s *ComputeScratch) prepend(self graph.NodeID, base graph.Path) graph.Path {

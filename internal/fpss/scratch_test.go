@@ -2,6 +2,7 @@ package fpss
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -21,15 +22,16 @@ func TestArenaChunkIsSmallObject(t *testing.T) {
 }
 
 // TestReleaseRecyclesArena pins Release's contract. A run after another
-// run's Release draws its arena from the released chunks; and the
-// released chunks are that run's alone, so a run nobody released keeps
-// its tables when the chunks are drawn and overwritten again. Reuse is
-// checked by chunk identity, not by bytes allocated: a run's byte count
-// also depends on whether it finds a pooled sim.Network, and under the
-// race detector sync.Pool drops a quarter of its Puts on purpose. Each
-// of the 12 nodes draws at least one chunk, so the chance that none
-// comes back is below 1e-7. GC is off for the test, because a
-// collection empties the pools.
+// run's Release draws its arena from the released chunks, and its
+// pricing rows from the released rows; and the released chunks and
+// rows are that run's alone, so a run nobody released keeps its tables
+// when they are drawn and overwritten again. Reuse is checked by
+// identity, not by bytes allocated: a run's byte count also depends on
+// whether it finds a pooled sim.Network, and under the race detector
+// sync.Pool drops a quarter of its Puts on purpose. Each of the 12
+// nodes draws at least one chunk and builds many rows, so the chance
+// that none comes back is below 1e-7. GC is off for the test, because
+// a collection empties the pools.
 func TestReleaseRecyclesArena(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g, err := graph.RandomBiconnected(12, 6, 9, rand.New(rand.NewSource(3)))
@@ -47,6 +49,8 @@ func TestReleaseRecyclesArena(t *testing.T) {
 		for chunkPools[i].Get() != nil {
 		}
 	}
+	for rowPool.Get() != nil {
+	}
 	kept := run()
 	want := runHashes(kept)
 	first := run()
@@ -54,9 +58,14 @@ func TestReleaseRecyclesArena(t *testing.T) {
 	for _, p := range arenaChunks(first) {
 		released[p] = true
 	}
+	releasedRows := make(map[unsafe.Pointer]bool)
+	for _, p := range pricingRows(first) {
+		releasedRows[p] = true
+	}
 	first.Release()
+	next := run()
 	reused := 0
-	for _, p := range arenaChunks(run()) {
+	for _, p := range arenaChunks(next) {
 		if released[p] {
 			reused++
 		}
@@ -64,8 +73,17 @@ func TestReleaseRecyclesArena(t *testing.T) {
 	if reused == 0 {
 		t.Errorf("a run after Release drew none of the %d chunks it released", len(released))
 	}
+	reused = 0
+	for _, p := range pricingRows(next) {
+		if releasedRows[p] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Errorf("a run after Release drew none of the %d pricing rows it released", len(releasedRows))
+	}
 	if !slices.Equal(runHashes(kept), want) {
-		t.Error("releasing one run and drawing its chunks changed the tables of a run nobody released")
+		t.Error("releasing one run and drawing its chunks and rows changed the tables of a run nobody released")
 	}
 }
 
@@ -82,6 +100,18 @@ func arenaChunks(res *Result) []*graph.NodeID {
 		}
 		for _, c := range s.capped {
 			ptrs = append(ptrs, &c[:1][0])
+		}
+	}
+	return ptrs
+}
+
+// pricingRows lists the identity of every pricing row the scratches of
+// res's nodes handed out: the maps release hands to rowPool.
+func pricingRows(res *Result) []unsafe.Pointer {
+	var ptrs []unsafe.Pointer
+	for _, node := range res.Nodes {
+		for _, row := range node.own.scratch.rows {
+			ptrs = append(ptrs, reflect.ValueOf(row).UnsafePointer())
 		}
 	}
 	return ptrs

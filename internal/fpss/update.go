@@ -41,15 +41,53 @@ func sameSlice[S ~[]E, E any](a, b S) bool {
 // at infinity and only decrease (static network, non-negative costs).
 // Pricing follows over the routing just computed (see computePricing).
 //
-// The function is pure — checker nodes re-run it on mirrored inputs to
-// verify a principal's computation ([CHECK1]/[CHECK2]) — and it is the
-// specification that a Derivation's per-destination updates must match.
+// The function is pure — checker nodes verify a principal's
+// computation against it on mirrored inputs ([CHECK1]/[CHECK2]; see
+// VerifyTables) — and it is the specification that a Derivation's
+// per-destination updates must match.
 // It draws its entry paths, witness paths, tag sets and working set
 // from s; see ComputeScratch for the ownership rules.
 func ComputeTables(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views []NeighborView) (RoutingTable, PricingTable) {
 	s.costs = denseCosts(s.costs, costs)
 	routing := s.computeRouting(self, neighbors, s.costs, views)
 	return routing, s.computePricing(self, neighbors, s.costs, routing, views)
+}
+
+// VerifyTables reports whether ComputeTables over the same inputs
+// would return tables Equal to routing and pricing, a principal's
+// advertisement. It runs ComputeTables' per-destination kernels and
+// compares each result with the advertised entry and row, as Derive
+// does, so it materializes nothing: a checker whose principal computed
+// faithfully needs no tables of its own. It stops at the first
+// difference, and uses s's working set only.
+func VerifyTables(s *ComputeScratch, self graph.NodeID, neighbors []graph.NodeID, costs CostTable, views []NeighborView, routing RoutingTable, pricing PricingTable) bool {
+	s.costs = denseCosts(s.costs, costs)
+	n := tableLen(s.costs, neighbors, views)
+	for j := range max(n, len(routing), len(pricing)) {
+		dst := graph.NodeID(j)
+		route, has := routing.Get(dst)
+		row := pricing.Row(dst)
+		if j >= n || dst == self {
+			// ComputeTables has no slot past n, and never fills self's.
+			if has || row != nil {
+				return false
+			}
+			continue
+		}
+		cost, base, ok := s.routeTo(self, dst, neighbors, s.costs, views)
+		if ok != has || ok && (route.Cost != cost || !prefixedBy(route.Path, self, base)) {
+			return false
+		}
+		// The advertised route equals the computed one, or both are
+		// absent, so it prices the row as ComputeTables' own would.
+		// rowMatches accepts an empty row for no cells; ComputeTables
+		// leaves the row nil.
+		cells := s.priceRow(self, dst, route, neighbors, s.costs, views)
+		if (row == nil) != (len(cells) == 0) || !rowMatches(row, self, cells) {
+			return false
+		}
+	}
+	return true
 }
 
 // computeRouting is ComputeTables' routing over the kernels' inputs:
@@ -297,10 +335,10 @@ func (s *ComputeScratch) priceRow(self, j graph.NodeID, route RouteEntry, neighb
 	return s.cells
 }
 
-// materializeRow copies cells into a fresh pricing row whose witness
-// paths and tag sets are carved from the arena.
+// materializeRow copies cells into a fresh pricing row (see newRow)
+// whose witness paths and tag sets are carved from the arena.
 func (s *ComputeScratch) materializeRow(self graph.NodeID, cells []priceCell) map[graph.NodeID]PriceEntry {
-	row := make(map[graph.NodeID]PriceEntry, len(cells))
+	row := s.newRow(len(cells))
 	for _, c := range cells {
 		row[c.k] = PriceEntry{Transit: c.k, Price: c.price, Avoid: s.prepend(self, c.base), Tags: s.copyIDs(c.tags)}
 	}

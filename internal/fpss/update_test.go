@@ -1,7 +1,9 @@
 package fpss
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +151,89 @@ func TestComputePricingRecoverBFromNeighborPrice(t *testing.T) {
 	}
 	if !e.Avoid.Equal(graph.Path{0, 1, 7, 9}) {
 		t.Errorf("witness = %v", e.Avoid)
+	}
+}
+
+// TestVerifyTablesRejectsEveryDifference checks VerifyTables on every
+// node of a converged Figure 1 run: each node's own tables, padded or
+// not, read as a match, and each hand-built edit that makes them differ
+// from ComputeTables' reads as a mismatch.
+func TestVerifyTablesRejectsEveryDifference(t *testing.T) {
+	res, err := Run(Config{Graph: graph.Figure1()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, node := range res.Nodes {
+		d := node.Derivation()
+		costs := node.CostsView()
+		views := make([]NeighborView, len(d.neighbors))
+		for i, v := range d.neighbors {
+			views[i], _ = d.View(v)
+		}
+		check := func(what string, views []NeighborView, routing RoutingTable, pricing PricingTable, want bool) {
+			t.Helper()
+			wantR, wantP := ComputeTables(new(ComputeScratch), id, d.neighbors, costs, views)
+			if equal := routing.Equal(wantR) && pricing.Equal(wantP); equal != want {
+				t.Fatalf("node %d, %s: Equal to ComputeTables reads %v, want %v", id, what, equal, want)
+			}
+			if got := VerifyTables(new(ComputeScratch), id, d.neighbors, costs, views, routing, pricing); got != want {
+				t.Errorf("node %d, %s: VerifyTables = %v, want %v", id, what, got, want)
+			}
+		}
+		own, ownP := node.RoutingView(), node.PricingView()
+		n := len(own)
+		check("own tables", views, own, ownP, true)
+		check("own tables padded", views, cloneTable(own, n+2), cloneTable(ownP, n+2), true)
+
+		// A route and a row past the tables' length, and a non-nil empty
+		// row where ComputeTables leaves none: a neighbor's, whose direct
+		// route has no transit.
+		routing := cloneTable(own, n+1)
+		routing[n] = RouteEntry{Path: graph.Path{id, graph.NodeID(n)}}
+		check("a route past the table", views, routing, ownP, false)
+		pricing := cloneTable(ownP, n+1)
+		pricing[n] = map[graph.NodeID]PriceEntry{}
+		check("a row past the table", views, own, pricing, false)
+		pricing = slices.Clone(ownP)
+		pricing[d.neighbors[0]] = map[graph.NodeID]PriceEntry{}
+		check("an empty row", views, own, pricing, false)
+
+		// A route to the principal itself, over a forged view in which
+		// a neighbor v offers a loop-free route "to" it: the route the
+		// kernels would derive for that slot, which ComputeTables never
+		// fills.
+		v := d.neighbors[0]
+		forged := slices.Clone(views)
+		forged[0].Routing = slices.Clone(views[0].Routing)
+		forged[0].Routing[id] = RouteEntry{Path: graph.Path{v, d.neighbors[len(d.neighbors)-1]}}
+		routing = slices.Clone(own)
+		routing[id] = RouteEntry{Cost: costs[v], Path: graph.Path{id, v, d.neighbors[len(d.neighbors)-1]}}
+		check("a route to itself", forged, routing, ownP, false)
+
+		// A row at the principal's own slot, one changed price and one
+		// changed tag set, each built from the first row with a transit.
+		j, row := graph.NodeID(-1), map[graph.NodeID]PriceEntry(nil)
+		for j, row = range ownP.All() {
+			break
+		}
+		if row == nil {
+			t.Fatalf("node %d prices no route", id)
+		}
+		pricing = slices.Clone(ownP)
+		pricing[id] = row
+		check("a row for itself", views, own, pricing, false)
+		k := slices.Min(slices.Collect(maps.Keys(row)))
+		for what, edit := range map[string]func(*PriceEntry){
+			"a changed price": func(e *PriceEntry) { e.Price++ },
+			"a changed tag":   func(e *PriceEntry) { e.Tags = append(slices.Clone(e.Tags), graph.NodeID(n)) },
+		} {
+			e := row[k]
+			edit(&e)
+			pricing = slices.Clone(ownP)
+			pricing[j] = maps.Clone(row)
+			pricing[j][k] = e
+			check(what, views, own, pricing, false)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func hasTableHooks(st *fpss.Strategy) bool {
 	return st != nil && (st.PostRouting != nil || st.PostPricing != nil || st.SendUpdate != nil || st.RecvUpdate != nil)
 }
 
-// TestHooksNeverEditPublishedTables plays every deviation of the
+// TestHooksNeverEditPublishedTables replays every deviation of the
 // classic and loss catalogues with a table hook, at every node of
 // Figure 1 and of three seeded n=6 graphs (one lossy), through plain
 // and faithful runs. A send, forward or receive hook must leave the
@@ -190,11 +190,15 @@ func TestHooksNeverEditPublishedTables(t *testing.T) {
 					if d.checker != nil {
 						w.checker = func(ctx Ctx) *faithful.Strategy { return p.checker(d.checker(ctx)) }
 					}
+					// The tables are read before the run is released, as
+					// Release's contract demands: released rows and
+					// arena chunks are cleared and drawn by later runs.
+					var res interface{ Release() }
 					var err error
 					if variant == "plain" {
-						_, err = plain.play(core.NodeID(node), &w)
+						res, err = plain.replay(core.NodeID(node), &w)
 					} else {
-						_, err = faith.play(core.NodeID(node), &w)
+						res, err = faith.replay(core.NodeID(node), &w)
 					}
 					if err != nil {
 						t.Fatalf("%s: %v", p.label, err)
@@ -203,6 +207,7 @@ func TestHooksNeverEditPublishedTables(t *testing.T) {
 						t.Errorf("%s: no hook ran", p.label)
 					}
 					p.verify()
+					res.Release()
 					plays++
 				}
 			}

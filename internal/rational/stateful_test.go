@@ -106,7 +106,10 @@ type gridReplay struct {
 // replayGrid yields every full replay that play runs over every node ×
 // catalogue deviation, and the honest run, of both systems on Figure 1
 // and eight seeded n=6 random biconnected graphs, each over reliable
-// links and at loss 0.1 with bursts of 3.
+// links and at loss 0.1 with bursts of 3. Each replay is released, as
+// play releases it, once the consumer returns from it, so later
+// replays draw the storage it recycles: a consumer reads a replay only
+// before the next one starts.
 func replayGrid(t *testing.T) iter.Seq[gridReplay] {
 	t.Helper()
 	return func(yield func(gridReplay) bool) {
@@ -136,7 +139,9 @@ func replayGrid(t *testing.T) iter.Seq[gridReplay] {
 					for id := range g.N() {
 						r.nodes = append(r.nodes, res.Nodes[graph.NodeID(id)])
 					}
-					if !yield(r) {
+					more := yield(r)
+					res.Release()
+					if !more {
 						return
 					}
 				}
@@ -153,7 +158,9 @@ func replayGrid(t *testing.T) iter.Seq[gridReplay] {
 					for id := range g.N() {
 						r.nodes = append(r.nodes, &res.Nodes[graph.NodeID(id)].Node)
 					}
-					if !yield(r) {
+					more := yield(r)
+					res.Release()
+					if !more {
 						return
 					}
 				}
