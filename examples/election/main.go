@@ -55,4 +55,24 @@ func main() {
 	for i := range powers {
 		fmt.Printf("  node %d: %d\n", i, fr.Utilities[graph.NodeID(i)])
 	}
+
+	// Message passing: node 0 inflates every report it relays. A node
+	// keeps the first copy of each report it hears, so the nodes that
+	// heard a tampered copy first hold a different report set, the
+	// bank's checkpoint certifies nothing, and the tamperer pays the
+	// non-progress penalty with everyone else.
+	const tamperer = 0
+	tr, err := election.Run(faithfulCfg, map[graph.NodeID]*election.Strategy{
+		tamperer: {Relay: func(_ graph.NodeID, r election.Report) (election.Report, bool) {
+			if r.Origin != tamperer {
+				r.Value += 1000
+			}
+			return r, true
+		}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nfaithful, node %d tampers with relays: certified = %v, node %d's utility %d (honest: %d)\n",
+		tamperer, tr.Completed, tamperer, tr.Utilities[tamperer], fr.Utilities[tamperer])
 }

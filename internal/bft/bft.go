@@ -39,7 +39,6 @@ type StateMachine interface {
 // operations (enough to witness agreement on order and content).
 type HashChain struct {
 	state Digest
-	count int
 }
 
 // Apply implements StateMachine.
@@ -48,7 +47,6 @@ func (h *HashChain) Apply(op []byte) {
 	buf = append(buf, h.state[:]...)
 	buf = append(buf, op...)
 	h.state = digestOf(buf)
-	h.count++
 }
 
 // Digest implements StateMachine.

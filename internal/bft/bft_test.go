@@ -114,9 +114,6 @@ func TestHashChainDeterminism(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Error("same ops, different digests")
 	}
-	if a.Count() != 4 {
-		t.Errorf("count = %d", a.Count())
-	}
 	c := &HashChain{}
 	c.Apply([]byte("op-0"))
 	if c.Digest() == a.Digest() {
@@ -151,9 +148,6 @@ func TestOrderAgreementUnderReordering(t *testing.T) {
 		}
 	}
 }
-
-// Count returns the number of applied operations.
-func (h *HashChain) Count() int { return h.count }
 
 // MessagesPerOpLowerBound returns the textbook normal-case message
 // count per operation for n = 3f+1 replicas: n−1 pre-prepares +

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fpss"
 	"repro/internal/graph"
 	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 func dynamicSpec() scenario.Spec {
@@ -432,6 +433,12 @@ func TestPerEpochSubsumesWholeRun(t *testing.T) {
 	}
 }
 
+// alienDeviation is a deviation from no catalogue of this package.
+type alienDeviation struct{}
+
+func (alienDeviation) Name() string               { return "alien" }
+func (alienDeviation) Classes() []spec.ActionKind { return nil }
+
 // TestForeignDeviationRejected: a deviation from another System is an
 // error, not a silent no-op.
 func TestForeignDeviationRejected(t *testing.T) {
@@ -441,7 +448,7 @@ func TestForeignDeviationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Play(nil, st, 0, core.BasicDeviation{DevName: "alien"}); err == nil {
+	if _, err := sys.Play(nil, st, 0, alienDeviation{}); err == nil {
 		t.Fatal("foreign deviation accepted")
 	}
 	if _, err := sys.PlayEpoch(nil, st, 0, sys.Deviations(0)[0], 99); err == nil {

@@ -361,7 +361,7 @@ func (s *System) buildCatalogues() {
 		base = append(base, rational.LossCatalogue(s.variant == Faithful)...)
 	}
 	if s.tl.Spec.Shards.Enabled() {
-		base = append(base, rational.ShardCatalogue(s.variant == Faithful)...)
+		base = append(base, rational.ShardCatalogue()...)
 	}
 	s.cats = make(map[Identity][]*deviation, len(s.tl.Identities()))
 	for _, id := range s.tl.Identities() {

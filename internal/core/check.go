@@ -188,8 +188,8 @@ func (e *engine) playOutcome(ctx *PlayContext, p play) (Outcome, error) {
 
 // runPlay executes one deviant play and classifies the outcome. The
 // deviation's Classes slice is copied only when a violation is
-// recorded — Classes may return a shared slice (see
-// BasicDeviation.Classes).
+// recorded — Classes may return a shared slice (rational.Deviation's
+// does).
 func (e *engine) runPlay(ctx *PlayContext, p play) playResult {
 	out, err := e.playOutcome(ctx, p)
 	if err != nil {

@@ -224,20 +224,3 @@ func sortViolations(vs []Violation) {
 		return vs[i].Epoch < vs[j].Epoch
 	})
 }
-
-// BasicDeviation is a ready-made Deviation implementation.
-type BasicDeviation struct {
-	DevName    string
-	DevClasses []spec.ActionKind
-}
-
-var _ Deviation = BasicDeviation{}
-
-// Name implements Deviation.
-func (d BasicDeviation) Name() string { return d.DevName }
-
-// Classes implements Deviation. The returned slice is shared — the
-// check loop calls Classes on every play, and a defensive copy per
-// call is pure garbage; the engine copies it only when it records a
-// Violation. Callers must treat the result as read-only.
-func (d BasicDeviation) Classes() []spec.ActionKind { return d.DevClasses }

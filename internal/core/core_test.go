@@ -9,6 +9,16 @@ import (
 	"repro/internal/spec"
 )
 
+// BasicDeviation is a Deviation with a fixed name and class list. Its
+// Classes returns the shared slice, as a catalogue's deviations do.
+type BasicDeviation struct {
+	DevName    string
+	DevClasses []spec.ActionKind
+}
+
+func (d BasicDeviation) Name() string               { return d.DevName }
+func (d BasicDeviation) Classes() []spec.ActionKind { return d.DevClasses }
+
 // fakeSystem is a tiny 2-node game with a configurable payoff table:
 // each node may play "honest" (suggested) or one catalogued deviation.
 // Snapshot and Play only read the tables, so concurrent plays are safe;

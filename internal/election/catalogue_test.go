@@ -11,10 +11,8 @@ import (
 func electionCatalogue() []core.Deviation {
 	return []core.Deviation{
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "underreport",
-				DevClasses: []spec.ActionKind{spec.InfoRevelation},
-			},
+			name:    "underreport",
+			classes: []spec.ActionKind{spec.InfoRevelation},
 			build: func(graph.NodeID) *Strategy {
 				return &Strategy{Declare: func(truth int64) int64 {
 					if truth <= 1 {
@@ -25,37 +23,29 @@ func electionCatalogue() []core.Deviation {
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "overreport",
-				DevClasses: []spec.ActionKind{spec.InfoRevelation},
-			},
+			name:    "overreport",
+			classes: []spec.ActionKind{spec.InfoRevelation},
 			build: func(graph.NodeID) *Strategy {
 				return &Strategy{Declare: func(truth int64) int64 { return truth * 4 }}
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "report-zero",
-				DevClasses: []spec.ActionKind{spec.InfoRevelation},
-			},
+			name:    "report-zero",
+			classes: []spec.ActionKind{spec.InfoRevelation},
 			build: func(graph.NodeID) *Strategy {
 				return &Strategy{Declare: func(int64) int64 { return 0 }}
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "report-huge",
-				DevClasses: []spec.ActionKind{spec.InfoRevelation},
-			},
+			name:    "report-huge",
+			classes: []spec.ActionKind{spec.InfoRevelation},
 			build: func(graph.NodeID) *Strategy {
 				return &Strategy{Declare: func(int64) int64 { return 1 << 30 }}
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "drop-relays",
-				DevClasses: []spec.ActionKind{spec.MessagePassing},
-			},
+			name:    "drop-relays",
+			classes: []spec.ActionKind{spec.MessagePassing},
 			build: func(graph.NodeID) *Strategy {
 				return &Strategy{Relay: func(graph.NodeID, Report) (Report, bool) {
 					return Report{}, false
@@ -63,10 +53,8 @@ func electionCatalogue() []core.Deviation {
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "tamper-relays",
-				DevClasses: []spec.ActionKind{spec.MessagePassing},
-			},
+			name:    "tamper-relays",
+			classes: []spec.ActionKind{spec.MessagePassing},
 			build: func(self graph.NodeID) *Strategy {
 				return &Strategy{Relay: func(_ graph.NodeID, r Report) (Report, bool) {
 					if r.Origin != self {
@@ -77,10 +65,8 @@ func electionCatalogue() []core.Deviation {
 			},
 		},
 		&deviation{
-			BasicDeviation: core.BasicDeviation{
-				DevName:    "joint-underreport-tamper",
-				DevClasses: []spec.ActionKind{spec.InfoRevelation, spec.MessagePassing},
-			},
+			name:    "joint-underreport-tamper",
+			classes: []spec.ActionKind{spec.InfoRevelation, spec.MessagePassing},
 			build: func(self graph.NodeID) *Strategy {
 				return &Strategy{
 					Declare: func(truth int64) int64 { return truth / 4 },

@@ -32,7 +32,7 @@ func TestPrincipalMatchesPlainFPSS(t *testing.T) {
 	}
 	var devs []*rational.Deviation
 	for _, list := range [][]*rational.Deviation{
-		rational.Catalogue(true), rational.LossCatalogue(true), rational.ShardCatalogue(true),
+		rational.Catalogue(true), rational.LossCatalogue(true), rational.ShardCatalogue(),
 	} {
 		devs = append(devs, list...)
 	}

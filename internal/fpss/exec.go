@@ -12,21 +12,6 @@ import (
 // Traffic is the demand matrix: (src, dst) → packets.
 type Traffic map[[2]graph.NodeID]int64
 
-// Flows returns the demands in deterministic order.
-func (t Traffic) Flows() [][2]graph.NodeID {
-	out := make([][2]graph.NodeID, 0, len(t))
-	for k := range t {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b [2]graph.NodeID) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	})
-	return out
-}
-
 // PricingScheme selects how sources compensate transit nodes.
 type PricingScheme int
 

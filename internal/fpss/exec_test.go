@@ -11,6 +11,22 @@ import (
 	"repro/internal/graph"
 )
 
+// Flows returns the demands in (src, dst) order, the order in which
+// executeInFlowOrder takes them.
+func (t Traffic) Flows() [][2]graph.NodeID {
+	out := make([][2]graph.NodeID, 0, len(t))
+	for k := range t {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, func(a, b [2]graph.NodeID) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	return out
+}
+
 // executeInFlowOrder is the reference for Execute: the same accounting,
 // with the flows taken in Traffic.Flows() order, a fresh path per flow
 // and every table looked up in the maps. The payers are the keys of

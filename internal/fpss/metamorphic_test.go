@@ -56,13 +56,16 @@ func TestCostScalingScalesPrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []graph.Cost{2, 3, 7} {
-			costs := make([]graph.Cost, g.N())
-			for v := range costs {
-				costs[v] = c * g.Cost(graph.NodeID(v))
+			sg := graph.New(g.N())
+			for _, e := range g.Edges() {
+				if err := sg.AddEdge(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			sg, err := g.WithCosts(costs)
-			if err != nil {
-				t.Fatal(err)
+			for v := range g.N() {
+				if err := sg.SetCost(graph.NodeID(v), c*g.Cost(graph.NodeID(v))); err != nil {
+					t.Fatal(err)
+				}
 			}
 			scaled, err := ComputeCentral(sg)
 			if err != nil {

@@ -215,36 +215,6 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return slices.Clone(g.AdjView(id))
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.N())
-	copy(c.costs, g.costs)
-	copy(c.names, g.names)
-	for u, nbrs := range g.adj {
-		for v := range nbrs {
-			c.adj[u][v] = struct{}{}
-		}
-	}
-	return c
-}
-
-// WithCosts returns a copy of the graph whose transit-cost vector is
-// replaced by costs. Used to evaluate declared (possibly untruthful)
-// cost profiles against a fixed topology.
-func (g *Graph) WithCosts(costs []Cost) (*Graph, error) {
-	if len(costs) != g.N() {
-		return nil, fmt.Errorf("graph: cost vector length %d != n %d", len(costs), g.N())
-	}
-	for _, c := range costs {
-		if c < 0 {
-			return nil, ErrNegativeCost
-		}
-	}
-	c := g.Clone()
-	copy(c.costs, costs)
-	return c, nil
-}
-
 // Edges returns all undirected edges with u < v, sorted.
 func (g *Graph) Edges() [][2]NodeID {
 	var out [][2]NodeID

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -111,6 +112,35 @@ func TestNeighborsSorted(t *testing.T) {
 			t.Fatalf("Neighbors = %v, want %v", got, want)
 		}
 	}
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	c := New(g.N())
+	copy(c.costs, g.costs)
+	copy(c.names, g.names)
+	for u, nbrs := range g.adj {
+		for v := range nbrs {
+			c.adj[u][v] = struct{}{}
+		}
+	}
+	return c
+}
+
+// WithCosts returns a copy of the graph whose transit-cost vector is
+// replaced by costs.
+func (g *Graph) WithCosts(costs []Cost) (*Graph, error) {
+	if len(costs) != g.N() {
+		return nil, fmt.Errorf("graph: cost vector length %d != n %d", len(costs), g.N())
+	}
+	for _, c := range costs {
+		if c < 0 {
+			return nil, ErrNegativeCost
+		}
+	}
+	c := g.Clone()
+	copy(c.costs, costs)
+	return c, nil
 }
 
 func TestCloneIsDeep(t *testing.T) {

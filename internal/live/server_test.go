@@ -349,7 +349,7 @@ func TestServerPayDeclaredCostUnderDeviants(t *testing.T) {
 	for _, family := range [][]*rational.Deviation{
 		rational.Catalogue(true),
 		rational.LossCatalogue(true),
-		rational.ShardCatalogue(true),
+		rational.ShardCatalogue(),
 	} {
 		for _, d := range family {
 			for node := 0; node < n; node++ {

@@ -1,5 +1,5 @@
-// Package mech implements the traditional (centralized) mechanism
-// design substrate of the paper's §3.2: direct-revelation mechanisms
+// Package mech is the traditional (centralized) mechanism design
+// substrate of the paper's §3.2: direct-revelation mechanisms
 // M = (f, Θ), utilities, dominant-strategy incentive compatibility
 // (strategyproofness, Definition 5), and a generic Vickrey–Clarke–
 // Groves mechanism with Clarke pivot payments.
@@ -7,8 +7,11 @@
 // Proposition 2 reduces distributed faithfulness to (i) centralized
 // strategyproofness plus (ii) strong-CC and (iii) strong-AC; this
 // package supplies the machinery for (i): both concrete strategyproof
-// mechanisms (VCG) and an exhaustive checker used in tests to certify
-// strategyproofness over finite type spaces.
+// mechanisms (VCG) and an exhaustive checker that certifies
+// strategyproofness over finite type spaces. No binary links it, so it
+// lives in test files only: its tests, and the FPSS adapter's in
+// routing_test.go, are the reproduction of Definition 5 and
+// Proposition 2(i).
 package mech
 
 import (

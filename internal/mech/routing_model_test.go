@@ -1,9 +1,10 @@
-package fpss
+package mech_test
 
 import (
 	"errors"
 	"fmt"
 
+	"repro/internal/fpss"
 	"repro/internal/graph"
 	"repro/internal/mech"
 )
@@ -23,44 +24,43 @@ type RoutingMechanism struct {
 	// report profile.
 	Topology *graph.Graph
 	// Traffic is the (common-knowledge) demand matrix.
-	Traffic Traffic
+	Traffic fpss.Traffic
 	// DeliveryValue is each source's per-packet delivery value.
 	DeliveryValue int64
 }
 
-var _ mech.Mechanism[*Solution] = (*RoutingMechanism)(nil)
+var _ mech.Mechanism[*fpss.Solution] = (*RoutingMechanism)(nil)
 
 // Outcome implements mech.Mechanism: solve routing and pricing under
 // the declared cost profile.
-func (r *RoutingMechanism) Outcome(reports mech.Profile) (*Solution, error) {
+func (r *RoutingMechanism) Outcome(reports mech.Profile) (*fpss.Solution, error) {
 	if r.Topology == nil {
-		return nil, errors.New("fpss: RoutingMechanism without topology")
+		return nil, errors.New("mech: RoutingMechanism without topology")
 	}
 	if len(reports) != r.Topology.N() {
-		return nil, fmt.Errorf("fpss: %d reports for %d nodes", len(reports), r.Topology.N())
+		return nil, fmt.Errorf("mech: %d reports for %d nodes", len(reports), r.Topology.N())
 	}
-	costs := make([]graph.Cost, len(reports))
-	for i, c := range reports {
-		if c < 0 {
-			return nil, graph.ErrNegativeCost
+	g := graph.New(len(reports))
+	for _, e := range r.Topology.Edges() {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return nil, err
 		}
-		costs[i] = graph.Cost(c)
 	}
-	g, err := r.Topology.WithCosts(costs)
-	if err != nil {
-		return nil, err
+	for i, c := range reports {
+		if err := g.SetCost(graph.NodeID(i), graph.Cost(c)); err != nil {
+			return nil, err
+		}
 	}
-	return ComputeCentral(g)
+	return fpss.ComputeCentral(g)
 }
 
 // Transfers implements mech.Mechanism: each transit node receives its
 // VCG payments; each source pays them. (Payments flow between nodes,
 // so transfers sum to zero.)
-func (r *RoutingMechanism) Transfers(reports mech.Profile, sol *Solution) ([]int64, error) {
+func (r *RoutingMechanism) Transfers(reports mech.Profile, sol *fpss.Solution) ([]int64, error) {
 	out := make([]int64, len(reports))
-	for _, flow := range r.Traffic.Flows() {
+	for flow, packets := range r.Traffic {
 		src, dst := flow[0], flow[1]
-		packets := r.Traffic[flow]
 		for k, e := range sol.Pricing[src].Row(dst) {
 			out[k] += int64(e.Price) * packets
 			out[src] -= int64(e.Price) * packets
@@ -73,13 +73,12 @@ func (r *RoutingMechanism) Transfers(reports mech.Profile, sol *Solution) ([]int
 // value delivery; transit nodes pay their *true* per-packet cost for
 // carried traffic. Quasilinear with the VCG transfers, truthful
 // declaration is dominant.
-func (r *RoutingMechanism) Utility() mech.Utility[*Solution] {
-	return func(i int, sol *Solution, trueType mech.Type) int64 {
+func (r *RoutingMechanism) Utility() mech.Utility[*fpss.Solution] {
+	return func(i int, sol *fpss.Solution, trueType mech.Type) int64 {
 		var u int64
 		id := graph.NodeID(i)
-		for _, flow := range r.Traffic.Flows() {
+		for flow, packets := range r.Traffic {
 			src, dst := flow[0], flow[1]
-			packets := r.Traffic[flow]
 			if src == id {
 				u += r.DeliveryValue * packets
 			}

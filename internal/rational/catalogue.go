@@ -45,8 +45,6 @@ type Deviation struct {
 	// sharded bank's 2PC (meaningful only when Params.Settle enables
 	// the shard axis).
 	settle func(Ctx) *settle.Strategy
-	// faithfulOnly marks deviations meaningless in plain FPSS.
-	faithfulOnly bool
 	// boundedExec marks catalogue-built execution-only deviations
 	// whose report hook never emits negative amounts, which is what
 	// makes the static plain-protocol profit bound (baseline + honest
@@ -342,9 +340,8 @@ func Catalogue(forFaithful bool) []*Deviation {
 	}
 	all = append(all,
 		&Deviation{
-			name:         "drop-checker-forwards",
-			classes:      []spec.ActionKind{spec.MessagePassing},
-			faithfulOnly: true,
+			name:    "drop-checker-forwards",
+			classes: []spec.ActionKind{spec.MessagePassing},
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{ForwardToChecker: func(graph.NodeID, faithful.ForwardCopy) (faithful.ForwardCopy, bool) {
 					return faithful.ForwardCopy{}, false
@@ -352,9 +349,8 @@ func Catalogue(forFaithful bool) []*Deviation {
 			},
 		},
 		&Deviation{
-			name:         "tamper-checker-forwards",
-			classes:      []spec.ActionKind{spec.MessagePassing},
-			faithfulOnly: true,
+			name:    "tamper-checker-forwards",
+			classes: []spec.ActionKind{spec.MessagePassing},
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{ForwardToChecker: func(_ graph.NodeID, fc faithful.ForwardCopy) (faithful.ForwardCopy, bool) {
 					fc.U.Routing = slices.Clone(fc.U.Routing) // copy on write: fc.U is published
@@ -367,9 +363,8 @@ func Catalogue(forFaithful bool) []*Deviation {
 			},
 		},
 		&Deviation{
-			name:         "spoof-checker-copies",
-			classes:      []spec.ActionKind{spec.MessagePassing, spec.Computation},
-			faithfulOnly: true,
+			name:    "spoof-checker-copies",
+			classes: []spec.ActionKind{spec.MessagePassing, spec.Computation},
 			checker: func(ctx Ctx) *faithful.Strategy {
 				neighbors := ctx.Graph.Neighbors(ctx.Node)
 				if len(neighbors) == 0 {
@@ -394,9 +389,8 @@ func Catalogue(forFaithful bool) []*Deviation {
 			},
 		},
 		&Deviation{
-			name:         "lie-state-report",
-			classes:      []spec.ActionKind{spec.Computation},
-			faithfulOnly: true,
+			name:    "lie-state-report",
+			classes: []spec.ActionKind{spec.Computation},
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{
 					Protocol: fpss.Strategy{PostPricing: func(pt fpss.PricingTable) fpss.PricingTable {
@@ -482,9 +476,8 @@ func LossCatalogue(forFaithful bool) []*Deviation {
 			// Loss-rate misreporting: drop every checker forward and
 			// scrub the resulting flags from the state report, blaming
 			// the lossy network for the missing copies.
-			name:         "misreport-loss-blame",
-			classes:      []spec.ActionKind{spec.MessagePassing, spec.Computation},
-			faithfulOnly: true,
+			name:    "misreport-loss-blame",
+			classes: []spec.ActionKind{spec.MessagePassing, spec.Computation},
 			checker: func(Ctx) *faithful.Strategy {
 				return &faithful.Strategy{
 					ForwardToChecker: func(graph.NodeID, faithful.ForwardCopy) (faithful.ForwardCopy, bool) {
@@ -520,7 +513,7 @@ func FindDeviation(name string, forFaithful bool) (*Deviation, bool) {
 	for _, list := range [][]*Deviation{
 		Catalogue(forFaithful),
 		LossCatalogue(forFaithful),
-		ShardCatalogue(forFaithful),
+		ShardCatalogue(),
 	} {
 		for _, d := range list {
 			if d.name == name {

@@ -156,8 +156,8 @@ func TestHooksNeverEditPublishedTables(t *testing.T) {
 		}
 		setups = append(setups, sc)
 	}
-	// Catalogue(true) is Catalogue(false) plus the faithful-only
-	// entries, which the plain runs skip.
+	// Catalogue(true) is Catalogue(false) plus the checker-layer
+	// entries, which the plain runs skip (TestCatalogueShape).
 	devs := append(Catalogue(true), LossCatalogue(true)...)
 	plays := 0
 	for _, sc := range setups {
@@ -179,7 +179,7 @@ func TestHooksNeverEditPublishedTables(t *testing.T) {
 					continue
 				}
 				for _, variant := range []string{"plain", "faithful"} {
-					if variant == "plain" && (d.faithfulOnly || !hasTableHooks(proto)) {
+					if variant == "plain" && (d.checker != nil || !hasTableHooks(proto)) {
 						continue
 					}
 					p := &published{t: t, label: fmt.Sprintf("%s %s: %s at %d", sc.name, variant, d.name, node)}

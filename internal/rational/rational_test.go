@@ -43,6 +43,25 @@ func TestCatalogueShape(t *testing.T) {
 			t.Errorf("catalogue misses class %v", k)
 		}
 	}
+	// Each plain list is its faithful list minus the checker-layer
+	// entries, which only the faithful protocol has.
+	for _, lists := range [][2][]*Deviation{
+		{Catalogue(false), Catalogue(true)},
+		{LossCatalogue(false), LossCatalogue(true)},
+	} {
+		var got, want []string
+		for _, d := range lists[0] {
+			got = append(got, d.name)
+		}
+		for _, d := range lists[1] {
+			if d.checker == nil {
+				want = append(want, d.name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("plain list %v, want the faithful list without its checker entries %v", got, want)
+		}
+	}
 }
 
 func TestPlainFPSSAdmitsProfitableDeviations(t *testing.T) {
@@ -215,6 +234,12 @@ func TestAttractDeviationProfitsInPlain(t *testing.T) {
 	}
 }
 
+// alienDeviation is a deviation from no catalogue of this package.
+type alienDeviation struct{}
+
+func (alienDeviation) Name() string               { return "alien" }
+func (alienDeviation) Classes() []spec.ActionKind { return nil }
+
 func TestForeignDeviationRejected(t *testing.T) {
 	g := graph.Figure1()
 	plain, faith := Systems(g, DefaultParams(g))
@@ -223,7 +248,7 @@ func TestForeignDeviationRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Play(nil, st, 0, core.BasicDeviation{DevName: "alien"}); err == nil {
+		if _, err := sys.Play(nil, st, 0, alienDeviation{}); err == nil {
 			t.Errorf("%T: foreign deviation type should error", sys)
 		}
 	}
@@ -241,7 +266,7 @@ func TestTableRewritesKeepAbsentSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all []*Deviation
-	for _, list := range [][]*Deviation{Catalogue(true), LossCatalogue(true), ShardCatalogue(true)} {
+	for _, list := range [][]*Deviation{Catalogue(true), LossCatalogue(true), ShardCatalogue()} {
 		all = append(all, list...)
 	}
 	hooks := 0

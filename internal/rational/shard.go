@@ -29,8 +29,7 @@ import (
 // classic catalogue byte-identical). Every entry exists in both
 // protocol variants: the baseline one-phase settlement is where they
 // pay, the crash-tolerant 2PC is where they are flagged and fined.
-func ShardCatalogue(forFaithful bool) []*Deviation {
-	_ = forFaithful // no entry is faithful-only: the attack surface is the bank itself
+func ShardCatalogue() []*Deviation {
 	return []*Deviation{
 		{
 			// The 2PC-window exit scam: co-sign the debit, then request

@@ -74,7 +74,7 @@ func (s *scenario) init(g *graph.Graph, p Params, forFaithful bool) {
 			// Shard-window deviations need a sharded settlement to
 			// attack; a singleton-bank scenario likewise keeps its
 			// catalogue byte-identical.
-			cat = append(cat, ShardCatalogue(forFaithful)...)
+			cat = append(cat, ShardCatalogue()...)
 		}
 		s.cat = make([]core.Deviation, 0, len(cat))
 		for _, d := range cat {

@@ -26,24 +26,15 @@ const (
 	ReasonDoubleClaim = "duplicate local-credit claim"
 )
 
-// Protocol payloads.
+// Protocol payloads. Every party holds the batch, so a message names a
+// transfer by its index Tx instead of carrying its accounts and amount.
 type (
-	coSignReq struct{ Tx int }
-	coSignMsg struct {
-		Tx      int
-		Account Account
-	}
-	exitReq  struct{ Account Account }
-	claimReq struct {
-		Account Account
-		Amount  int64
-	}
-	prepareMsg struct {
-		Tx       int
-		From, To Account
-		Amount   int64
-	}
-	voteMsg struct {
+	coSignReq  struct{ Tx int }
+	coSignMsg  struct{ Tx int }
+	exitReq    struct{ Account Account }
+	claimReq   struct{ Account Account }
+	prepareMsg struct{ Tx int }
+	voteMsg    struct {
 		Tx    int
 		Shard ShardID
 		OK    bool
@@ -199,10 +190,9 @@ func (c *coordinator) startPrepare(ctx sim.Context, i int) {
 }
 
 func (c *coordinator) sendPrepare(ctx sim.Context, i int) {
-	tr := c.batch.Transfers[i]
-	for _, s := range c.parts(tr) {
+	for _, s := range c.parts(c.batch.Transfers[i]) {
 		if !c.tx[i].voted[s] {
-			ctx.Send(shardAddr(s), prepareMsg{Tx: i, From: tr.From, To: tr.To, Amount: tr.Amount})
+			ctx.Send(shardAddr(s), prepareMsg{Tx: i})
 		}
 	}
 }
@@ -482,7 +472,6 @@ func (s *shardNode) flag(a Account, reason string) {
 // about. The strategies are the shard-axis deviation surface.
 type agentNode struct {
 	acct   Account
-	local  int64
 	opts   Options
 	strat  Strategy
 	exited bool
@@ -495,8 +484,8 @@ func (a *agentNode) Init(ctx sim.Context) {
 		// home"; here it is simply the next shard over.
 		home := a.opts.Home(a.acct)
 		other := ShardID((int(home) + 1) % a.opts.Shards)
-		ctx.Send(shardAddr(home), claimReq{Account: a.acct, Amount: a.local})
-		ctx.Send(shardAddr(other), claimReq{Account: a.acct, Amount: a.local})
+		ctx.Send(shardAddr(home), claimReq{Account: a.acct})
+		ctx.Send(shardAddr(other), claimReq{Account: a.acct})
 	}
 }
 
@@ -510,14 +499,14 @@ func (a *agentNode) Recv(ctx sim.Context, msg sim.Message) {
 		return // silence: try to time the coordinator out
 	case a.strat.VanishAfterPrepare:
 		if !a.exited {
-			ctx.Send(coordAddr, coSignMsg{Tx: m.Tx, Account: a.acct})
+			ctx.Send(coordAddr, coSignMsg{Tx: m.Tx})
 			a.exited = true
 		}
 		// Keep asking to leave until the coordinator hears it — the
 		// scam needs the exit on record before the commit lands.
 		ctx.Send(coordAddr, exitReq{Account: a.acct})
 	default:
-		ctx.Send(coordAddr, coSignMsg{Tx: m.Tx, Account: a.acct})
+		ctx.Send(coordAddr, coSignMsg{Tx: m.Tx})
 	}
 }
 
@@ -563,7 +552,7 @@ func RunFaithful(opts Options, batch *Batch, strategies map[Account]*Strategy) (
 		if s := strategies[a]; s != nil {
 			strat = *s
 		}
-		ag := &agentNode{acct: a, local: batch.Local[a], opts: opts, strat: strat}
+		ag := &agentNode{acct: a, opts: opts, strat: strat}
 		if err := net.Attach(agentAddr(a), ag); err != nil {
 			return nil, err
 		}

@@ -6,8 +6,7 @@ import "fmt"
 // as a state machine, as §4.1 suggests ("This specification could be
 // formalized with a state machine"). The machine is a per-node view of
 // one pass through the protocol; actions carry their §3.4
-// classification, which is what the decomposition analysis (E7) and
-// the sub-strategy split (r, p, c) consume.
+// classification, which the sub-strategy split (r, p, c) consumes.
 func BuildExtendedFPSS() (*Machine, *Specification, error) {
 	m := NewMachine()
 

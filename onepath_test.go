@@ -19,23 +19,32 @@ import (
 // This file gates the rule that each behaviour has one production path
 // and at most one small oracle. It type-checks every non-test file of
 // the module, the perfbench harness and examples/ included (they are
-// production callers too), and flags three kinds of test-only surface
+// production callers too), follows what production code reaches from
+// its roots, and flags three kinds of surface that no binary needs
 // unless the allow-list below says why it stays:
-//   - exports: an exported package-level identifier, method or
-//     interface method that no production file references. A method's
-//     receiver and a blank assertion (var _ I = (*T)(nil)) do not count
-//     as references, so a type is not kept alive by its own methods,
-//     and an interface method counts only when production calls it
-//     through the interface;
-//   - fields: an exported field of an exported struct type that no
-//     production file sets, a knob with no production caller. Copying
-//     the field from another value (x.F = y.F, T{F: y.F}) does not set
-//     it;
-//   - reads: such a field that production sets and never reads. The
-//     left side of an assignment and the operand of ++ or -- are not
-//     reads. A struct with a json-tagged field crosses a codec that
-//     reads every field, and so does each struct its fields carry, so
-//     these wire types are exempt.
+//   - reach: a package-level declaration or method, exported or not,
+//     that no root reaches. The roots are every main, every init and
+//     every package-level initialiser of a package some main links,
+//     except a blank assertion (var _ I = T{}), which keeps nothing
+//     alive. A declaration is live when live code names it. A method is
+//     live when its receiver type is live and live code calls it
+//     directly, calls its name through an interface the type
+//     implements, or it satisfies a standard-library interface (the RTA
+//     approximation). An interface method is live when live code calls
+//     it through the interface. The methods of a dead type are not
+//     listed apart from it;
+//   - fields: an exported field of an exported, live struct type of a
+//     library package that no live code sets, a knob with no production
+//     caller. Copying the field from another value (x.F = y.F,
+//     T{F: y.F}) does not set it;
+//   - reads: a field, exported or not, of a live struct type of a
+//     library package that live code sets and never reads. The left
+//     side of an assignment and the operand of ++ or -- are not reads.
+//     Every field of a struct that is a map key or an operand of == or
+//     != is read, since comparing the struct reads them. A struct with
+//     a json-tagged field crosses a codec that reads every field, and
+//     so does each struct its fields carry, so these wire types are
+//     exempt.
 //
 // The same load pins which production packages may import the two
 // leaf subsystems. TestOnePathFixture pins every rule on the small
@@ -44,14 +53,6 @@ import (
 // modulePath is the import path of the module rooted at this directory;
 // perfbench is a module of its own that resolves repro to it.
 const modulePath = "repro"
-
-// The §3 models are reproduced by their tests; experiments read only
-// the parts the tables print.
-const (
-	specModel     = "§3.1–§3.9 specification model: its tests reproduce the paper's construction; E7 reads only the phase calculator"
-	mechModel     = "§3.2 mechanism substrate: its tests reproduce Definition 5 and Proposition 2(i) over the FPSS adapter"
-	electionModel = "§3 leader-election model: its tests run the deviation search over it; E8 calls election.Run directly"
-)
 
 // Fields that production writes and only tests read.
 const (
@@ -65,47 +66,23 @@ const (
 // dir>.<Name>", "<package dir>.<Type>.<Method>" or "<package
 // dir>.<Type>.<Field>".
 var testOnlyAllowed = map[string]string{
-	"internal/core.StatefulEpochedSystem":          "perfbench spells it (ROADMAP item 1)",
-	"internal/election.System":                     electionModel,
-	"internal/election.System.Cfg":                 electionModel,
-	"internal/experiments.Experiment.Slow":         shortSkip,
-	"internal/faithful.MaxTolerableLoss":           "contract constant: the loss threshold other packages' docs cite",
-	"internal/fpss.ExecResult.Delivered":           outcomeCount,
-	"internal/fpss.ExecResult.Undelivered":         outcomeCount,
-	"internal/fpss.RoutingMechanism":               mechModel,
-	"internal/fpss.RoutingMechanism.DeliveryValue": mechModel,
-	"internal/fpss.RoutingMechanism.Outcome":       mechModel,
-	"internal/fpss.RoutingMechanism.Topology":      mechModel,
-	"internal/fpss.RoutingMechanism.Traffic":       mechModel,
-	"internal/fpss.RoutingMechanism.Transfers":     mechModel,
-	"internal/fpss.RoutingMechanism.Utility":       mechModel,
-	"internal/mech.CheckStrategyproof":             mechModel,
-	"internal/mech.VCG":                            mechModel,
-	"internal/mech.VCG.NumOutcomes":                mechModel,
-	"internal/mech.VCG.Outcome":                    mechModel,
-	"internal/mech.VCG.Transfers":                  mechModel,
-	"internal/mech.VCG.TruthfulValue":              mechModel,
-	"internal/mech.VCG.Value":                      mechModel,
-	"internal/settle.Entry.Account":                walRecord,
-	"internal/settle.Entry.Amount":                 walRecord,
-	"internal/settle.Options.FaultOverride":        "fault-injection seam: TestShardCrashNeverBlamesPrincipals hands it a schedule; ROADMAP item 4 fuzzes through it",
-	"internal/settle.Options.Loss":                 "fault-injection seam: drives the gated BenchmarkSettle/k=4/plan=none/n=32/loss=0.1 row",
-	"internal/settle.Options.Timeout":              "fault-injection seam: settlement and shard tests shorten the retransmission quantum",
-	"internal/settle.Result.Aborted":               outcomeCount,
-	"internal/settle.Result.Committed":             outcomeCount,
-	"internal/settle.Result.Counters":              outcomeCount,
-	"internal/settle.Result.InDoubt":               outcomeCount,
-	"internal/settle.Result.InfraAborts":           outcomeCount,
-	"internal/sim.LossModel.Attempts":              "fault-injection seam: loss tests force one attempt or widen the retry envelope",
-	"internal/sim.LossModel.RetryDelay":            "fault-injection seam: loss tests stretch the retry backoff",
-	"internal/spec.ActionKind.External":            specModel,
-	"internal/spec.BuildExtendedFPSS":              specModel,
-	"internal/spec.ExtendedFPSSPhases":             specModel,
-	"internal/spec.Machine.Action":                 specModel,
-	"internal/spec.Machine.Actions":                specModel,
-	"internal/spec.Machine.States":                 specModel,
-	"internal/spec.Specification.SubStrategies":    specModel,
-	"internal/spec.Specification.Trace":            specModel,
+	"internal/core.StatefulEpochedSystem":   "perfbench spells it (ROADMAP item 1)",
+	"internal/experiments.Experiment.Slow":  shortSkip,
+	"internal/faithful.MaxTolerableLoss":    "contract constant: the loss threshold other packages' docs cite",
+	"internal/fpss.ExecResult.Delivered":    outcomeCount,
+	"internal/fpss.ExecResult.Undelivered":  outcomeCount,
+	"internal/settle.Entry.Account":         walRecord,
+	"internal/settle.Entry.Amount":          walRecord,
+	"internal/settle.Options.FaultOverride": "fault-injection seam: TestShardCrashNeverBlamesPrincipals hands it a schedule; ROADMAP item 4 fuzzes through it",
+	"internal/settle.Options.Loss":          "fault-injection seam: drives the gated BenchmarkSettle/k=4/plan=none/n=32/loss=0.1 row",
+	"internal/settle.Options.Timeout":       "fault-injection seam: settlement and shard tests shorten the retransmission quantum",
+	"internal/settle.Result.Aborted":        outcomeCount,
+	"internal/settle.Result.Committed":      outcomeCount,
+	"internal/settle.Result.Counters":       outcomeCount,
+	"internal/settle.Result.InDoubt":        outcomeCount,
+	"internal/settle.Result.InfraAborts":    outcomeCount,
+	"internal/sim.LossModel.Attempts":       "fault-injection seam: loss tests force one attempt or widen the retry envelope",
+	"internal/sim.LossModel.RetryDelay":     "fault-injection seam: loss tests stretch the retry backoff",
 }
 
 // importersAllowed pins, for each leaf package, the only production
@@ -118,37 +95,52 @@ var importersAllowed = map[string][]string{
 // prodPackage is one type-checked production package.
 type prodPackage struct {
 	pkg     *types.Package
+	files   []*ast.File
 	imports []string // dirs of the module packages it imports
 }
 
-// production is the module type-checked from its non-test files.
+// production is the module type-checked from its non-test files, with
+// what its roots reach.
 type production struct {
-	pkgs  map[string]*prodPackage // by dir relative to the module root
-	uses  map[types.Object]bool   // objects some production file names
-	sets  map[*types.Var]bool     // fields some production file sets
-	reads map[*types.Var]bool     // fields some production file reads
-	std   []*types.Package        // the standard packages it imports
+	pkgs  map[string]*prodPackage       // by dir relative to the module root
+	info  *types.Info                   // of every package
+	decls map[types.Object]ast.Node     // package-level declarations and methods
+	live  map[types.Object]bool         // objects live code names, and live methods
+	calls map[ifaceCall]bool            // interface methods live code calls
+	std   map[string][]*types.Interface // standard interfaces by method name
+	sets  map[*types.Var]bool           // fields live code sets
+	reads map[*types.Var]bool           // fields live code reads
+}
+
+// ifaceCall is a call of method name through interface it.
+type ifaceCall struct {
+	it   *types.Interface
+	name string
 }
 
 // loadProduction type-checks every package directory under root, the
-// root of the module modPath. Module imports resolve to the packages
-// checked here, so uses land on the same objects; standard ones go to
-// the source importer.
+// root of the module modPath, and marks what its roots reach. Module
+// imports resolve to the packages checked here, so uses land on the
+// same objects; standard ones go to the source importer.
 func loadProduction(root, modPath string) (*production, error) {
 	// The pure-Go files of cgo packages such as net declare the same
 	// API, and reading them needs no C toolchain.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	info := &types.Info{
-		Uses:       map[*ast.Ident]types.Object{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	r := &production{
+		pkgs: map[string]*prodPackage{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		decls: map[types.Object]ast.Node{}, live: map[types.Object]bool{},
+		calls: map[ifaceCall]bool{}, std: map[string][]*types.Interface{},
+		sets: map[*types.Var]bool{}, reads: map[*types.Var]bool{},
 	}
-	r := &production{pkgs: map[string]*prodPackage{}, uses: map[types.Object]bool{},
-		sets: map[*types.Var]bool{}, reads: map[*types.Var]bool{}}
-	stdSeen := map[*types.Package]bool{}
-	var all []*ast.File
+	var stdPkgs []*types.Package
 
 	var check func(dir string) (*prodPackage, error)
 	check = func(dir string) (*prodPackage, error) {
@@ -163,7 +155,7 @@ func loadProduction(root, modPath string) (*production, error) {
 		if err != nil {
 			return nil, err
 		}
-		var files []*ast.File
+		p := &prodPackage{}
 		for _, name := range bp.GoFiles {
 			abs, err := filepath.Abs(filepath.Join(bp.Dir, name))
 			if err != nil {
@@ -173,10 +165,8 @@ func loadProduction(root, modPath string) (*production, error) {
 			if err != nil {
 				return nil, err
 			}
-			files = append(files, f)
+			p.files = append(p.files, f)
 		}
-		all = append(all, files...)
-		p := &prodPackage{}
 		conf := types.Config{Importer: importerFunc(func(path, srcDir string) (*types.Package, error) {
 			if rel, ok := strings.CutPrefix(path, modPath+"/"); ok {
 				q, err := check(rel)
@@ -187,13 +177,12 @@ func loadProduction(root, modPath string) (*production, error) {
 				return q.pkg, nil
 			}
 			q, err := std.ImportFrom(path, srcDir, 0)
-			if err == nil && !stdSeen[q] {
-				stdSeen[q] = true
-				r.std = append(r.std, q)
+			if err == nil {
+				stdPkgs = append(stdPkgs, q)
 			}
 			return q, err
 		})}
-		if p.pkg, err = conf.Check(modPath+"/"+dir, fset, files, info); err != nil {
+		if p.pkg, err = conf.Check(modPath+"/"+dir, fset, p.files, r.info); err != nil {
 			return nil, err
 		}
 		r.pkgs[dir] = p
@@ -217,36 +206,268 @@ func loadProduction(root, modPath string) (*production, error) {
 	if err != nil {
 		return nil, err
 	}
-	notUses := map[*ast.Ident]bool{}
-	for _, f := range all {
-		r.scan(f, info, notUses)
-	}
-	for id, obj := range info.Uses {
-		if !notUses[id] {
-			r.uses[origin(obj)] = true
-		}
-	}
+	r.indexStd(stdPkgs)
+	r.reach()
 	return r, nil
 }
 
-// scan records in r.sets every field that f sets, in r.reads every
-// field that f reads, and in notUses the identifiers of f that name
-// something without using it: those of a method's receiver and those
-// of a blank assertion (var _ I = (*T)(nil)). A field is set by a key
-// or a position in a struct literal, or by an assignment, ++, -- or &
-// through a selector chain, which sets every field along the chain;
-// copying it from another value of its type does not set it. Every
-// selector of a field reads it except the whole left side of an
-// assignment and the operand of ++ or --.
-func (r *production) scan(f *ast.File, info *types.Info, notUses map[*ast.Ident]bool) {
-	skip := func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				notUses[id] = true
+type importerFunc func(path, srcDir string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path, "") }
+func (f importerFunc) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
+	return f(path, srcDir)
+}
+
+// origin maps an object of an instantiated generic to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// indexStd records, by method name, every interface of the universe and
+// of the standard packages pkgs import, transitively, that a module type
+// can implement.
+func (r *production) indexStd(pkgs []*types.Package) {
+	add := func(scope *types.Scope) {
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
 			}
-			return true
+			it, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok || it.NumMethods() == 0 {
+				continue
+			}
+			exported := true
+			for i := 0; i < it.NumMethods(); i++ {
+				exported = exported && it.Method(i).Exported()
+			}
+			for i := 0; exported && i < it.NumMethods(); i++ {
+				m := it.Method(i).Name()
+				r.std[m] = append(r.std[m], it)
+			}
+		}
+	}
+	add(types.Universe)
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if !seen[p] {
+			seen[p] = true
+			add(p.Scope())
+			for _, q := range p.Imports() {
+				walk(q)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		walk(p)
+	}
+}
+
+// forDecls calls fn for each package-level declaration of p: a function
+// or method with its FuncDecl, a type with its TypeSpec, and a variable
+// or constant with its ValueSpec.
+func (r *production) forDecls(p *prodPackage, fn func(obj types.Object, node ast.Node)) {
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if obj := r.info.Defs[d.Name]; obj != nil {
+					fn(obj, d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						fn(r.info.Defs[s.Name], s)
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							if obj := r.info.Defs[name]; obj != nil {
+								fn(obj, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// blankAssertion reports whether s is var _ I = v, which only asserts
+// that v implements I.
+func blankAssertion(s *ast.ValueSpec) bool {
+	for _, name := range s.Names {
+		if name.Name != "_" {
+			return false
+		}
+	}
+	return s.Type != nil
+}
+
+// recvType returns the named type whose method m is.
+func recvType(m *types.Func) *types.TypeName {
+	return namedOf(m.Type().(*types.Signature).Recv().Type())
+}
+
+// namedOf returns the type name of t, or of what t points to.
+func namedOf(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// reach marks in r.live what the roots reach: every main, every init
+// and every package-level initialiser but a blank assertion, in the
+// packages some main links. It walks each live declaration for the
+// objects it names, the interface methods it calls and the fields it
+// sets and reads, then marks the methods that a live type's interface
+// satisfaction makes callable, until nothing changes.
+func (r *production) reach() {
+	var queue []ast.Node
+	var mark func(obj types.Object)
+	mark = func(obj types.Object) {
+		if obj = origin(obj); obj == nil || r.live[obj] {
+			return
+		}
+		r.live[obj] = true
+		node, ok := r.decls[obj]
+		if !ok {
+			return
+		}
+		queue = append(queue, node)
+		// A live method's receiver type, and a live variable's or
+		// constant's type, has values even where no live code spells it.
+		var t types.Type
+		switch o := obj.(type) {
+		case *types.Func:
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				t = recv.Type()
+			}
+		case *types.Var, *types.Const:
+			t = o.Type()
+		}
+		if tn := namedOf(t); tn != nil {
+			mark(tn)
+		}
+	}
+
+	linked := map[string]bool{}
+	var link func(dir string)
+	link = func(dir string) {
+		if p := r.pkgs[dir]; p != nil && !linked[dir] {
+			linked[dir] = true
+			for _, imp := range p.imports {
+				link(imp)
+			}
+		}
+	}
+	for dir, p := range r.pkgs {
+		if p != nil && p.pkg.Name() == "main" {
+			link(dir)
+		}
+	}
+	for dir, p := range r.pkgs {
+		if p == nil {
+			continue
+		}
+		isMain := p.pkg.Name() == "main"
+		r.forDecls(p, func(obj types.Object, node ast.Node) {
+			if obj.Name() != "_" {
+				r.decls[obj] = node
+			}
+			if !linked[dir] {
+				return
+			}
+			switch n := node.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil && (n.Name.Name == "init" || isMain && n.Name.Name == "main") {
+					queue = append(queue, n)
+				}
+			case *ast.ValueSpec:
+				if !blankAssertion(n) && obj == r.info.Defs[n.Names[0]] {
+					for _, v := range n.Values {
+						queue = append(queue, v)
+					}
+				}
+			}
 		})
 	}
+
+	stdDone := map[*types.TypeName]bool{}
+	for {
+		for len(queue) > 0 {
+			node := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			r.walk(node, mark)
+		}
+		var liveTypes []*types.TypeName
+		for obj := range r.live {
+			if tn, ok := obj.(*types.TypeName); ok && r.decls[tn] != nil {
+				liveTypes = append(liveTypes, tn)
+			}
+		}
+		for _, tn := range liveTypes {
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			implements := func(it *types.Interface) bool {
+				return types.Implements(named, it) || types.Implements(ptr, it)
+			}
+			callable := func(name string) {
+				if m, _, _ := types.LookupFieldOrMethod(ptr, false, tn.Pkg(), name); m != nil {
+					if _, isFunc := m.(*types.Func); isFunc {
+						mark(m)
+					}
+				}
+			}
+			for c := range r.calls {
+				if implements(c.it) {
+					callable(c.name)
+				}
+			}
+			if stdDone[tn] {
+				continue
+			}
+			stdDone[tn] = true
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				for _, it := range r.std[ms.At(i).Obj().Name()] {
+					if implements(it) {
+						for j := 0; j < it.NumMethods(); j++ {
+							callable(it.Method(j).Name())
+						}
+					}
+				}
+			}
+		}
+		if len(queue) == 0 {
+			return
+		}
+	}
+}
+
+// walk marks every object node names, records every interface method it
+// calls, and records in r.sets and r.reads the fields it sets and reads.
+// A field is set by a key or a position in a struct literal, or by an
+// assignment, ++, -- or & through a selector chain, which sets every
+// field along the chain; copying it from another value of its type does
+// not set it. Every selector of a field reads it except the whole left
+// side of an assignment and the operand of ++ or --, and comparing a
+// struct, or keying a map by it, reads all its fields.
+func (r *production) walk(node ast.Node, mark func(types.Object)) {
+	info := r.info
 	field := func(e ast.Expr) *types.Var {
 		if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
@@ -275,16 +496,11 @@ func (r *production) scan(f *ast.File, info *types.Info, notUses map[*ast.Ident]
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				skip(n.Recv)
-			}
-		case *ast.ValueSpec:
-			if len(n.Names) == 1 && n.Names[0].Name == "_" {
-				skip(n)
-				return false
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil {
+				mark(obj)
 			}
 		case *ast.CompositeLit:
 			t := info.TypeOf(n)
@@ -321,126 +537,103 @@ func (r *production) scan(f *ast.File, info *types.Info, notUses map[*ast.Ident]
 				setChain(n.X)
 			}
 		case *ast.SelectorExpr:
-			if v := field(n); v != nil && !written[n] {
-				r.reads[v] = true
+			sel := info.Selections[n]
+			switch {
+			case sel == nil:
+			case sel.Kind() == types.FieldVal:
+				if !written[n] {
+					r.reads[origin(sel.Obj()).(*types.Var)] = true
+				}
+			default:
+				recv := sel.Recv()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				if it, ok := recv.Underlying().(*types.Interface); ok {
+					r.calls[ifaceCall{it, n.Sel.Name}] = true
+				}
 			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				r.readAll(info.TypeOf(n.X), map[types.Type]bool{})
+			}
+		case *ast.MapType:
+			r.readAll(info.TypeOf(n.Key), map[types.Type]bool{})
 		}
 		return true
 	})
 }
 
-type importerFunc func(path, srcDir string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path, "") }
-func (f importerFunc) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
-	return f(path, srcDir)
+// readAll records as read every field of t, a struct or array compared
+// as a whole, and of the structs and arrays it holds by value.
+func (r *production) readAll(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		r.readAll(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			r.reads[u.Field(i)] = true
+			r.readAll(u.Field(i).Type(), seen)
+		}
+	}
 }
 
-// origin maps an object of an instantiated generic to its declaration.
-func origin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
-}
-
-// testOnlyExports returns, sorted, the key of every exported
-// package-level identifier and method of a library package that no
-// production file names. A method also counts as used when its type
-// satisfies a module or standard interface that names it, since a call
-// through the interface names only the interface's method; so an
-// exported interface's own method counts only when production names it
-// through the interface.
-func (r *production) testOnlyExports() []string {
-	ifaces := map[string][]*types.Interface{} // by method name
-	addIfaces := func(scope *types.Scope) {
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					m := it.Method(i).Name()
-					ifaces[m] = append(ifaces[m], it)
-				}
-			}
-		}
-	}
-	addIfaces(types.Universe)
-	seen := map[*types.Package]bool{}
-	var addStd func(p *types.Package)
-	addStd = func(p *types.Package) {
-		if !seen[p] {
-			seen[p] = true
-			addIfaces(p.Scope())
-			for _, q := range p.Imports() {
-				addStd(q)
-			}
-		}
-	}
-	for _, p := range r.std {
-		addStd(p)
-	}
-	for _, p := range r.pkgs {
-		if p != nil {
-			addIfaces(p.pkg.Scope())
-		}
-	}
-	satisfies := func(t types.Type, method string) bool {
-		for _, it := range ifaces[method] {
-			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
-				return true
-			}
-		}
-		return false
-	}
-
+// unreachable returns, sorted, the key of every package-level
+// declaration that no root reaches, of every method of a live type that
+// is not live, and of every method of a live interface that live code
+// never calls through it.
+func (r *production) unreachable() []string {
 	var out []string
 	for dir, p := range r.pkgs {
-		if p == nil || p.pkg.Name() == "main" {
+		if p == nil {
 			continue
 		}
-		scope := p.pkg.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() && !r.uses[obj] {
-				out = append(out, dir+"."+name)
+		isMain := p.pkg.Name() == "main"
+		r.forDecls(p, func(obj types.Object, node ast.Node) {
+			name := obj.Name()
+			if name == "_" {
+				return
 			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !r.uses[m] && !satisfies(named, m.Name()) {
-					out = append(out, dir+"."+name+"."+m.Name())
+			if r.live[obj] {
+				tn, ok := obj.(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					return
 				}
-			}
-			if it, ok := named.Underlying().(*types.Interface); ok && tn.Exported() {
-				for i := 0; i < it.NumExplicitMethods(); i++ {
-					if m := it.ExplicitMethod(i); m.Exported() && !r.uses[m] {
-						out = append(out, dir+"."+name+"."+m.Name())
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumExplicitMethods(); i++ {
+						if m := it.ExplicitMethod(i); !r.live[m] {
+							out = append(out, dir+"."+name+"."+m.Name())
+						}
 					}
 				}
+				return
 			}
-		}
+			if fd, ok := node.(*ast.FuncDecl); ok {
+				if fd.Recv != nil {
+					tn := recvType(obj.(*types.Func))
+					if tn == nil || !r.live[tn] {
+						return // the dead type's own key covers it
+					}
+					name = tn.Name() + "." + name
+				} else if name == "init" || isMain && name == "main" {
+					return
+				}
+			}
+			out = append(out, dir+"."+name)
+		})
 	}
 	sort.Strings(out)
 	return out
 }
 
-// flagFields returns, sorted, the key of every exported, non-embedded
-// field of an exported struct type of a library package that flag
-// reports.
-func (r *production) flagFields(flag func(st *types.Struct, f *types.Var) bool) []string {
+// flagFields returns, sorted, the key of every non-embedded field of a
+// live named struct type of a library package that flag reports;
+// exportedOnly limits it to the exported fields of exported types.
+func (r *production) flagFields(exportedOnly bool, flag func(st *types.Struct, f *types.Var) bool) []string {
 	var out []string
 	for dir, p := range r.pkgs {
 		if p == nil || p.pkg.Name() == "main" {
@@ -449,7 +642,7 @@ func (r *production) flagFields(flag func(st *types.Struct, f *types.Var) bool) 
 		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() {
+			if !ok || !r.live[tn] || tn.IsAlias() || exportedOnly && !tn.Exported() {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -457,7 +650,7 @@ func (r *production) flagFields(flag func(st *types.Struct, f *types.Var) bool) 
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() && !f.Embedded() && flag(st, f) {
+				if f := st.Field(i); !f.Embedded() && (f.Exported() || !exportedOnly) && flag(st, f) {
 					out = append(out, dir+"."+name+"."+f.Name())
 				}
 			}
@@ -467,16 +660,16 @@ func (r *production) flagFields(flag func(st *types.Struct, f *types.Var) bool) 
 	return out
 }
 
-// testOnlyFields returns the fields that no production file sets.
+// testOnlyFields returns the exported fields that no live code sets.
 func (r *production) testOnlyFields() []string {
-	return r.flagFields(func(_ *types.Struct, f *types.Var) bool { return !r.sets[f] })
+	return r.flagFields(true, func(_ *types.Struct, f *types.Var) bool { return !r.sets[f] })
 }
 
-// writeOnlyFields returns the fields that production sets and never
+// writeOnlyFields returns the fields that live code sets and never
 // reads, except those of a wire type: a codec reads all its fields.
 func (r *production) writeOnlyFields() []string {
 	wire := r.wireTypes()
-	return r.flagFields(func(st *types.Struct, f *types.Var) bool {
+	return r.flagFields(false, func(st *types.Struct, f *types.Var) bool {
 		return !wire[st] && r.sets[f] && !r.reads[f]
 	})
 }
@@ -529,9 +722,9 @@ var gateRules = []struct {
 	name, fix string
 	flag      func(*production) []string
 }{
-	{"exports", "is exported but only tests reference it: move it into a _test.go file, delete it", (*production).testOnlyExports},
-	{"fields", "is a field that no production file sets: delete it", (*production).testOnlyFields},
-	{"reads", "is a field that production sets and never reads: give it a reader, delete it", (*production).writeOnlyFields},
+	{"reach", "is reached from no main, init or initialiser: move it into a _test.go file, delete it", (*production).unreachable},
+	{"fields", "is a field that no live code sets: delete it", (*production).testOnlyFields},
+	{"reads", "is a field that live code sets and never reads: give it a reader, delete it", (*production).writeOnlyFields},
 }
 
 // unallowed returns, by rule name, the keys each rule flags that
@@ -558,7 +751,7 @@ func unallowed(r *production, allowed map[string]string) (missing map[string][]s
 
 // TestOnePathOneOracle fails on any key a rule flags that is missing
 // from the allow-list, on any allow-list entry that no rule flags
-// (because production now uses, sets or reads it, or it is gone), and
+// (because live code now reaches, sets or reads it, or it is gone), and
 // on any production import of a pinned leaf package from outside its
 // allowed importers.
 func TestOnePathOneOracle(t *testing.T) {
@@ -575,7 +768,7 @@ func TestOnePathOneOracle(t *testing.T) {
 		})
 	}
 	for _, key := range stale {
-		t.Errorf("allow-list entry %s is stale: production code references, sets or reads it, or it is gone", key)
+		t.Errorf("allow-list entry %s is stale: live code reaches, sets or reads it, or it is gone", key)
 	}
 
 	t.Run("imports", func(t *testing.T) {
@@ -604,9 +797,10 @@ func TestOnePathFixture(t *testing.T) {
 		"lib.Gone":     "a stale entry",
 	})
 	want := map[string][]string{
-		"exports": {"lib.Asserted", "lib.Receiver", "lib.Shape.Name"},
-		"fields":  {"lib.Config.Mode", "lib.Config.Verbose"},
-		"reads":   {"lib.Stats.Misses"},
+		"reach": {"lib.Asserted", "lib.Receiver", "lib.Shape.Name",
+			"lib.onlyFromDead", "lib.square.Name", "lib.unused"},
+		"fields": {"lib.Config.Mode", "lib.Config.Verbose"},
+		"reads":  {"lib.Stats.Misses", "lib.Stats.last"},
 	}
 	if !reflect.DeepEqual(missing, want) {
 		t.Errorf("flagged %v, want %v", missing, want)

@@ -11,5 +11,5 @@ import (
 func main() {
 	c := lib.Merge(lib.Config{Size: 2}, lib.Config{})
 	b, _ := json.Marshal(lib.NewReply())
-	fmt.Println(lib.Scale(lib.NewShape(c.Size), 2), lib.Count([]int{1, -1}).Hits, c.Verbosity(), string(b))
+	fmt.Println(lib.Scale(lib.NewShape(c.Size), 2), lib.Count([]int{1, -1}).Hits, c.Verbosity(), string(b), lib.NewLabel("x"))
 }
