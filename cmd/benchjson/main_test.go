@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,7 @@ func TestParse(t *testing.T) {
 
 func TestRunJSONRoundTrip(t *testing.T) {
 	var out bytes.Buffer
-	if err := run("", gate{}, "", false, nil, strings.NewReader(sample), &out); err != nil {
+	if err := run("", "", false, nil, strings.NewReader(sample), &out); err != nil {
 		t.Fatal(err)
 	}
 	var list []Result
@@ -75,7 +76,7 @@ func TestCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(oldPath, gate{}, "", false, []string{newPath}, nil, &out); err != nil {
+	if err := run(oldPath, "", false, []string{newPath}, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -87,25 +88,39 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareArgValidation(t *testing.T) {
-	if err := run("old.json", gate{}, "", false, nil, nil, &bytes.Buffer{}); err == nil {
+	if err := run("old.json", "", false, nil, nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("expected error without positional new.json")
+	}
+	// An unknown ladder fails before any go test runs.
+	err := run("", "nosuch", false, nil, nil, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "want all or one of graph, faithful") {
+		t.Fatalf("unknown ladder: %v", err)
 	}
 }
 
-// TestSpeedup: -speedup pairs sim rows with their central
+// writeJSON writes a bench JSON file under the test's temp dir.
+func writeJSON(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSpeedup: the speedup summary pairs sim rows with their central
 // counterparts and prints both ratios; an unmatched pattern errors.
 func TestSpeedup(t *testing.T) {
-	dir := t.TempDir()
-	benchJSON := `[
+	path := writeJSON(t, `[
 	  {"name":"BenchmarkChurnScale/boundary/n=32/sim","iters":1,"ns_per_op":9000000,"allocs_per_op":3000000},
 	  {"name":"BenchmarkChurnScale/boundary/n=32/central","iters":1,"ns_per_op":50000,"allocs_per_op":60000},
-	  {"name":"BenchmarkOther","iters":1,"ns_per_op":5}]`
-	path := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(path, []byte(benchJSON), 0o644); err != nil {
+	  {"name":"BenchmarkOther","iters":1,"ns_per_op":5}]`)
+	m, order, err := load(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run("", gate{}, "ChurnScale/boundary", false, []string{path}, nil, &out); err != nil {
+	if err := speedup(&out, m, order, regexp.MustCompile("ChurnScale/boundary")); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -115,7 +130,7 @@ func TestSpeedup(t *testing.T) {
 		}
 	}
 	// A pattern matching no pair must fail loudly, not print nothing.
-	if err := run("", gate{}, "NoSuchLadder", false, []string{path}, nil, &bytes.Buffer{}); err == nil {
+	if err := speedup(&bytes.Buffer{}, m, order, regexp.MustCompile("NoSuchLadder")); err == nil {
 		t.Fatal("expected error for a pattern with no sim/central pairs")
 	}
 }
@@ -134,7 +149,7 @@ func TestWLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run("", gate{}, "", true, []string{path}, nil, &out); err != nil {
+	if err := run("", "", true, []string{path}, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -148,49 +163,123 @@ func TestWLadder(t *testing.T) {
 	if err := os.WriteFile(empty, []byte(`[{"name":"BenchmarkX","iters":1,"ns_per_op":5}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", gate{}, "", true, []string{empty}, nil, &bytes.Buffer{}); err == nil {
+	if err := run("", "", true, []string{empty}, nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("expected error for a file with no worker ladder")
 	}
 	// Modes are mutually exclusive.
-	if err := run("old.json", gate{}, "x", false, []string{path}, nil, &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error combining -compare and -speedup")
+	if err := run("old.json", "", true, []string{path}, nil, &bytes.Buffer{}); err == nil {
+		t.Fatal("expected error combining -compare and -wladder")
 	}
 }
 
-// TestGateAllocs: the compare gate fails on an allocs/op regression
-// past the threshold, honours -gate-match, and stays quiet within it.
-func TestGateAllocs(t *testing.T) {
-	dir := t.TempDir()
-	oldJSON := `[{"name":"BenchmarkCheck/plain/w=1","iters":1,"ns_per_op":100,"allocs_per_op":1000},
-	             {"name":"BenchmarkCheck/faithful/w=1","iters":1,"ns_per_op":100,"allocs_per_op":1000}]`
-	// plain stays within 10%; faithful regresses 50%.
-	newJSON := `[{"name":"BenchmarkCheck/plain/w=1","iters":1,"ns_per_op":100,"allocs_per_op":1050},
-	             {"name":"BenchmarkCheck/faithful/w=1","iters":1,"ns_per_op":100,"allocs_per_op":1500}]`
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldJSON), 0o644); err != nil {
-		t.Fatal(err)
+// TestGate pins each rule of the ladder gate on small baselines and
+// runs: the allocs gate on gated rows only, exact counts on every row
+// except timing units, and rows present on both sides.
+func TestGate(t *testing.T) {
+	l := ladder{name: "t", gate: "Gated", timing: []string{"ns/req"}}
+	for _, tc := range []struct {
+		name      string
+		base, run string
+		want      string // the one failure; "" passes
+	}{
+		{"gated allocs +10.0%",
+			`{"name":"BenchmarkGated","allocs_per_op":1000}`, `{"name":"BenchmarkGated","allocs_per_op":1100}`, ""},
+		{"gated allocs +10.1%",
+			`{"name":"BenchmarkGated","allocs_per_op":1000}`, `{"name":"BenchmarkGated","allocs_per_op":1101}`,
+			"t: BenchmarkGated: allocs/op 1000 -> 1101 (+10.1%): a gated row may rise at most 10%"},
+		{"ungated allocs +10.1%",
+			`{"name":"BenchmarkFree","allocs_per_op":1000}`, `{"name":"BenchmarkFree","allocs_per_op":1101}`, ""},
+		{"plays changed on an ungated row",
+			`{"name":"BenchmarkFree","metrics":{"plays":96}}`, `{"name":"BenchmarkFree","metrics":{"plays":95}}`,
+			"t: BenchmarkFree: plays 96 -> 95: a count must not change"},
+		{"count gone",
+			`{"name":"BenchmarkFree","metrics":{"plays":96}}`, `{"name":"BenchmarkFree"}`,
+			"t: BenchmarkFree: plays 96 -> none: a count must not change"},
+		{"timing unit changed",
+			`{"name":"BenchmarkGated","metrics":{"ns/req":187.3}}`, `{"name":"BenchmarkGated","metrics":{"ns/req":655.3}}`, ""},
+		{"gated row missing from the run",
+			`{"name":"BenchmarkGated"},{"name":"BenchmarkFree"}`, `{"name":"BenchmarkFree"}`,
+			"t: BenchmarkGated: in the baseline, missing from the run"},
+		{"run row with no baseline",
+			`{"name":"BenchmarkFree"}`, `{"name":"BenchmarkFree"},{"name":"BenchmarkNew"}`,
+			"t: BenchmarkNew: in the run, with no baseline"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := writeJSON(t, "["+tc.base+"]")
+			run := writeJSON(t, "["+tc.run+"]")
+			failures := l.check(base, run, &bytes.Buffer{})
+			switch {
+			case tc.want == "" && len(failures) != 0:
+				t.Fatalf("want a pass, got %q", failures)
+			case tc.want != "" && (len(failures) != 1 || failures[0] != tc.want):
+				t.Fatalf("want the one failure %q, got %q", tc.want, failures)
+			}
+		})
 	}
-	if err := os.WriteFile(newPath, []byte(newJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// No gate: regressions are reported, not enforced.
-	if err := runCompare(oldPath, newPath, gate{}, &bytes.Buffer{}); err != nil {
-		t.Fatalf("ungated compare failed: %v", err)
+// TestLaddersMatchBaselines pins the ladders table against the
+// committed baselines: one ladder per BENCH_*.baseline.json, every
+// baseline row run by its ladder's bench regexp, each alternative of
+// each gate regexp selecting some row, and the allocs gate covering
+// exactly the rows the compare steps gated before the table.
+func TestLaddersMatchBaselines(t *testing.T) {
+	// Each ladder's -gate-match before the table; "" where its compare
+	// gated every row.
+	gatedBefore := map[string]string{
+		"graph":    `BenchmarkComputeCentral/|BenchmarkExecute/`,
+		"faithful": `BenchmarkCheckFaithfulness/|BenchmarkFaithfulRunHonest|BenchmarkDistributedConvergence/`,
+		"scenario": ``,
+		"churn":    `BenchmarkChurn/|BenchmarkChurnScale/boundary/.*/central`,
+		"loss":     ``,
+		"settle":   ``,
+		"live":     ``,
 	}
-	// Gate restricted to the plain ladder: within threshold, passes.
-	plainOnly := gate{allocsPct: 10, match: regexp.MustCompile(`plain/`)}
-	if err := runCompare(oldPath, newPath, plainOnly, &bytes.Buffer{}); err != nil {
-		t.Fatalf("plain ladder within 10%% should pass: %v", err)
+	committed, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.baseline.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Gate everything: the faithful regression trips it, by name.
-	err := runCompare(oldPath, newPath, gate{allocsPct: 10}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "allocation regression") {
-		t.Fatalf("want allocation-regression failure, got %v", err)
+	var names []string
+	for _, path := range committed {
+		names = append(names, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".baseline.json"))
 	}
-	if !strings.Contains(err.Error(), "faithful") {
-		t.Fatalf("failure should name the regressing benchmark: %v", err)
+	var table []string
+	for _, l := range ladders {
+		table = append(table, l.name)
+	}
+	slices.Sort(table)
+	if !slices.Equal(names, table) {
+		t.Fatalf("committed baselines %v, ladders %v", names, table)
+	}
+	for _, l := range ladders {
+		before, ok := gatedBefore[l.name]
+		if !ok {
+			t.Errorf("%s: no gate from before the table", l.name)
+		}
+		rows, order, err := load(filepath.Join("..", "..", "BENCH_"+l.name+".baseline.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bench, gate, old := regexp.MustCompile(l.bench), regexp.MustCompile(l.gate), regexp.MustCompile(before)
+		for _, row := range order {
+			if !bench.MatchString(row) {
+				t.Errorf("%s: baseline row %s does not match -bench %q", l.name, row, l.bench)
+			}
+			if gate.MatchString(row) != old.MatchString(row) {
+				t.Errorf("%s: %s gated=%v by %q, %v before", l.name, row, gate.MatchString(row), l.gate, old.MatchString(row))
+			}
+		}
+		for _, alt := range strings.Split(l.gate, "|") {
+			re := regexp.MustCompile(alt)
+			if !slices.ContainsFunc(order, re.MatchString) {
+				t.Errorf("%s: gate alternative %q selects no baseline row", l.name, alt)
+			}
+		}
+		if l.speedup != "" {
+			if err := speedup(&bytes.Buffer{}, rows, order, regexp.MustCompile(l.speedup)); err != nil {
+				t.Errorf("%s: %v", l.name, err)
+			}
+		}
 	}
 }
 
@@ -231,7 +320,7 @@ func TestCompareMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(oldPath, gate{}, "", false, []string{newPath}, nil, &out); err != nil {
+	if err := run(oldPath, "", false, []string{newPath}, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()

@@ -363,8 +363,8 @@ func TestPropertyWitnessPathsValid(t *testing.T) {
 }
 
 // BenchmarkDistributedConvergence runs both construction phases to
-// quiescence. The PrefAttach n=32 rung is the convergence every epoch
-// advance of a live server pays.
+// quiescence and reports the messages they sent. The PrefAttach n=32
+// rung is the convergence every epoch advance of a live server pays.
 func BenchmarkDistributedConvergence(b *testing.B) {
 	ring, err := graph.RingWithChords(16, 8, 10, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -380,11 +380,14 @@ func BenchmarkDistributedConvergence(b *testing.B) {
 	}{{"ring/n=16", ring}, {"prefattach/n=32", pa}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(Config{Graph: bc.g}); err != nil {
+				var err error
+				if res, err = Run(Config{Graph: bc.g}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.Phase2.Sent), "construction-msgs")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -201,13 +202,24 @@ func (s *Server) pay(req Request) Response {
 	if _, ok := node.RoutingView().Get(dst); !ok {
 		return fail("live: node %d has no route to %d", req.Src, req.Dst)
 	}
+	// One packet's prices, scaled here: any client can ask for
+	// math.MaxInt64 packets, and a payment or a total past int64
+	// answers an error instead of a wrapped obligation.
 	list := make(fpss.PaymentList)
-	fpss.AddObligation(list, node.RoutingView(), node.PricingView(), dst, packets, st.comp.Params.Scheme, st.declared)
+	fpss.AddObligation(list, node.RoutingView(), node.PricingView(), dst, 1, st.comp.Params.Scheme, st.declared)
 	payments := make([]Payment, 0, len(list))
 	var total int64
 	for _, k := range sortedKeys(list) {
-		payments = append(payments, Payment{To: int(k), Amount: list[k]})
-		total += list[k]
+		price := list[k]
+		if price > math.MaxInt64/packets || price < math.MinInt64/packets {
+			return fail("live: the payment to %d for %d packets overflows int64", k, packets)
+		}
+		amount := price * packets
+		if amount > 0 && total > math.MaxInt64-amount || amount < 0 && total < math.MinInt64-amount {
+			return fail("live: the total for %d packets overflows int64", packets)
+		}
+		payments = append(payments, Payment{To: int(k), Amount: amount})
+		total += amount
 	}
 	return Response{OK: true, Payments: payments, Total: total, Epoch: s.epoch}
 }

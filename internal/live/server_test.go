@@ -2,8 +2,11 @@ package live
 
 import (
 	"maps"
+	"math"
+	"math/big"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -89,6 +92,62 @@ func TestServerRouteAndPay(t *testing.T) {
 		}
 		if stats.Stats.Net.Sent == 0 {
 			t.Fatalf("the epoch's run reports no construction traffic: %+v", stats.Stats.Net)
+		}
+	}
+}
+
+// TestServerPayOverflowFails asks Figure 1, under both pricing schemes,
+// for every flow's payments at math.MaxInt64/2 and math.MaxInt64
+// packets. Where a payment or the total does not fit in int64 the
+// answer must be an error, and elsewhere the one-packet answer scaled
+// exactly. Over the wire the answers must be the same.
+func TestServerPayOverflowFails(t *testing.T) {
+	for _, scheme := range []fpss.PricingScheme{fpss.SchemeVCG, fpss.SchemeDeclaredCost} {
+		srv, err := NewServer(scenario.Spec{Family: scenario.Figure1, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := dialLoopback(t, serveLoopback(t, srv))
+		overflows := 0
+		n := srv.N()
+		for _, packets := range []int64{math.MaxInt64 / 2, math.MaxInt64} {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if src == dst {
+						continue
+					}
+					one := srv.Dispatch(Request{Op: OpPay, Src: src, Dst: dst})
+					req := Request{Op: OpPay, Src: src, Dst: dst, Packets: packets}
+					got := srv.Dispatch(req)
+					if wired := cli.Dispatch(req); !reflect.DeepEqual(wired, got) {
+						t.Fatalf("%v %+v over the wire:\n got %+v\nwant %+v", scheme, req, wired, got)
+					}
+					want := Response{OK: true, Payments: []Payment{}, Epoch: one.Epoch}
+					total := new(big.Int)
+					for _, p := range one.Payments {
+						amount := new(big.Int).Mul(big.NewInt(p.Amount), big.NewInt(packets))
+						if !amount.IsInt64() {
+							want.OK = false
+						}
+						total.Add(total, amount)
+						want.Payments = append(want.Payments, Payment{To: p.To, Amount: amount.Int64()})
+					}
+					want.Total = total.Int64()
+					if !want.OK || !total.IsInt64() {
+						overflows++
+						if got.OK || !strings.Contains(got.Err, "overflows int64") {
+							t.Fatalf("%v %+v: got %+v, want an overflow error", scheme, req, got)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v %+v:\n got %+v\nwant %+v", scheme, req, got, want)
+					}
+				}
+			}
+		}
+		if overflows == 0 {
+			t.Fatalf("%v: no flow overflowed", scheme)
 		}
 	}
 }

@@ -29,9 +29,10 @@ func benchBatch(n int) *Batch {
 }
 
 // BenchmarkSettle is the sharded-settlement perf ladder: the 2PC
-// engine across shard counts, crash plans and a lossy rung. Published
-// as BENCH_settle.json and compared against the committed baseline in
-// CI.
+// engine across shard counts, crash plans and a lossy rung. Each row
+// reports its run's committed, aborted and infra-aborted transfers and
+// the settlement messages sent, counts the BENCH_settle ladder gates
+// exactly.
 func BenchmarkSettle(b *testing.B) {
 	type rung struct {
 		name string
@@ -64,15 +65,20 @@ func BenchmarkSettle(b *testing.B) {
 		batch := benchBatch(r.n)
 		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				res, err := RunFaithful(r.opts, batch, nil)
-				if err != nil {
+				var err error
+				if res, err = RunFaithful(r.opts, batch, nil); err != nil {
 					b.Fatal(err)
 				}
 				if res.InDoubt != 0 || len(res.Flags) != 0 {
 					b.Fatalf("honest bench run: inDoubt=%d flags=%v", res.InDoubt, res.Flags)
 				}
 			}
+			b.ReportMetric(float64(res.Committed), "committed")
+			b.ReportMetric(float64(res.Aborted), "aborted")
+			b.ReportMetric(float64(res.InfraAborts), "infra-aborts")
+			b.ReportMetric(float64(res.Counters.Sent), "settle-msgs")
 		})
 	}
 }

@@ -56,7 +56,7 @@ const modulePath = "repro"
 
 // Fields that production writes and only tests read.
 const (
-	outcomeCount = "outcome count the tests assert: ROADMAP items 7 (explain, events) and 9 (gated counts) are its planned production readers"
+	outcomeCount = "outcome count the tests assert: ROADMAP item 7 (explain, events) is its planned production reader"
 	walRecord    = "WAL record: ROADMAP item 4's conservation check will replay the log"
 	shortSkip    = "tests skip the four deviation searches under -short: one field is simpler than a four-ID list copied into two test packages"
 )
