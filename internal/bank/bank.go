@@ -12,9 +12,11 @@
 package bank
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/fpss"
 	"repro/internal/graph"
@@ -31,23 +33,26 @@ type Flag struct {
 
 // MirrorReport carries a checker's view of one principal's tables.
 type MirrorReport struct {
-	RoutingHash fpss.Hash `json:"routingHash"`
-	PricingHash fpss.Hash `json:"pricingHash"`
+	Principal   graph.NodeID `json:"-"` // the key of the JSON form
+	RoutingHash fpss.Hash    `json:"routingHash"`
+	PricingHash fpss.Hash    `json:"pricingHash"`
 }
 
 // StateReport is what each node sends (signed) at a checkpoint: hashes
 // of its own DATA1/DATA2/DATA3*, its mirrors of every principal it
-// checks, and any flags it raised. "A hash of the entire table is
-// sufficient" (§4.3 [BANK1]). The node signs the binary encoding of
-// codec.go; the struct tags define the JSON form whose length E4
-// counts as the report's size.
+// checks, in ascending principal order, and any flags it raised. "A
+// hash of the entire table is sufficient" (§4.3 [BANK1]). The node
+// signs the binary encoding of codec.go, which the bank rejects as
+// malformed unless the mirrors' principals increase. E4 counts a
+// report's size as the length of its JSON form: the struct tags, with
+// Mirrors written as an object keyed by principal (see jsonLen).
 type StateReport struct {
-	Node        graph.NodeID                  `json:"node"`
-	CostsHash   fpss.Hash                     `json:"costsHash"`
-	RoutingHash fpss.Hash                     `json:"routingHash"`
-	PricingHash fpss.Hash                     `json:"pricingHash"`
-	Mirrors     map[graph.NodeID]MirrorReport `json:"mirrors"`
-	Flags       []Flag                        `json:"flags"`
+	Node        graph.NodeID   `json:"node"`
+	CostsHash   fpss.Hash      `json:"costsHash"`
+	RoutingHash fpss.Hash      `json:"routingHash"`
+	PricingHash fpss.Hash      `json:"pricingHash"`
+	Mirrors     []MirrorReport `json:"-"`
+	Flags       []Flag         `json:"flags"`
 }
 
 // Detection is the bank's verdict that some principal's cluster is
@@ -91,7 +96,7 @@ func (b *Bank) Nodes() []graph.NodeID {
 	for id := range b.neighbors {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -117,11 +122,19 @@ func (b *Bank) Submit(env sign.Envelope) error {
 // SignerID returns the canonical signing identity for a node.
 func SignerID(id graph.NodeID) string { return "node-" + strconv.Itoa(int(id)) }
 
-// EncodeReport signs the binary encoding of a report. It also returns
-// the length the report has in its JSON form, which is what E4's
-// byte column counts.
+// reportBufSize is the size of EncodeReport's stack buffer. Like
+// sign's MAC buffer, it holds a report without flags of up to 28
+// mirrors; a longer encoding grows onto the heap.
+const reportBufSize = 2048
+
+// EncodeReport signs the binary encoding of a report. It encodes into
+// a stack buffer, so the envelope's copy of the payload is the one
+// buffer it allocates for a report that fits. It also returns the
+// length the report has in its JSON form, which is what E4's byte
+// column counts.
 func EncodeReport(s *sign.Signer, rep StateReport) (env sign.Envelope, jsonBytes int) {
-	return s.Sign(appendReport(make([]byte, 0, encodedCap(rep)), rep)), jsonLen(rep)
+	var buf [reportBufSize]byte
+	return s.Sign(appendReport(buf[:0], rep)), jsonLen(rep)
 }
 
 // Complete reports whether every registered node has submitted.
@@ -161,14 +174,8 @@ func (b *Bank) VerifyConstruction() []Detection {
 	}
 	nodes := b.Nodes()
 	// DATA1 must be common across all nodes.
-	var first *fpss.Hash
-	for _, id := range nodes {
-		h := b.reports[id].CostsHash
-		if first == nil {
-			first = &h
-			continue
-		}
-		if h != *first {
+	for i, id := range nodes {
+		if i > 0 && b.reports[id].CostsHash != b.reports[nodes[0]].CostsHash {
 			out = append(out, Detection{Principal: -1, Reason: "divergent DATA1 transit-cost tables"})
 			break
 		}
@@ -181,11 +188,13 @@ func (b *Bank) VerifyConstruction() []Detection {
 			if !ok {
 				continue
 			}
-			m, ok := cr.Mirrors[p]
+			// A decoded report's mirrors ascend by principal.
+			i, ok := slices.BinarySearchFunc(cr.Mirrors, p, func(m MirrorReport, p graph.NodeID) int { return cmp.Compare(m.Principal, p) })
 			if !ok {
 				out = append(out, Detection{Principal: p, Reason: fmt.Sprintf("checker %d has no mirror", checker)})
 				continue
 			}
+			m := cr.Mirrors[i]
 			if m.RoutingHash != pr.RoutingHash {
 				out = append(out, Detection{Principal: p, Reason: fmt.Sprintf("[BANK1] routing mismatch vs checker %d", checker)})
 			}
@@ -200,11 +209,8 @@ func (b *Bank) VerifyConstruction() []Detection {
 			out = append(out, Detection{Principal: f.Principal, Reason: fmt.Sprintf("flagged by %d: %s", f.Reporter, f.Reason)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Principal != out[j].Principal {
-			return out[i].Principal < out[j].Principal
-		}
-		return out[i].Reason < out[j].Reason
+	slices.SortFunc(out, func(a, b Detection) int {
+		return cmp.Or(cmp.Compare(a.Principal, b.Principal), strings.Compare(a.Reason, b.Reason))
 	})
 	return out
 }
@@ -238,8 +244,7 @@ func (b *Bank) AuditPayments(obligations, reported map[graph.NodeID]fpss.Payment
 		}
 		out = append(out, PaymentFinding{Node: id, Penalty: diff + epsilon})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	return out // in node order, as Nodes lists them
 }
 
 // diffMagnitude sums |owed[k] − reported[k]| over all transit nodes.

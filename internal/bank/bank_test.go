@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,9 +56,11 @@ func consistentReports() map[graph.NodeID]StateReport {
 	out := make(map[graph.NodeID]StateReport)
 	topo := testTopology()
 	for id := range topo {
-		mirrors := make(map[graph.NodeID]MirrorReport)
+		var mirrors []MirrorReport // topo lists principals in ascending order
 		for _, p := range topo[id] {
-			mirrors[p] = own[p]
+			m := own[p]
+			m.Principal = p
+			mirrors = append(mirrors, m)
 		}
 		out[id] = StateReport{
 			Node:        id,
@@ -143,11 +146,9 @@ func TestRoutingMismatchAttributedToPrincipal(t *testing.T) {
 func TestPricingMismatchBANK2(t *testing.T) {
 	b, signers := setup(t)
 	reps := consistentReports()
-	r := reps[0]
-	m := r.Mirrors[2]
-	m.PricingHash = fpss.Hash{0xBB} // checker 0's mirror of principal 2 diverges
-	r.Mirrors[2] = m
-	reps[0] = r
+	// Checker 0's mirror of principal 2 diverges.
+	mirrors := reps[0].Mirrors
+	mirrors[slices.IndexFunc(mirrors, func(m MirrorReport) bool { return m.Principal == 2 })].PricingHash = fpss.Hash{0xBB}
 	for id, rep := range reps {
 		submit(t, b, signers[id], rep)
 	}
@@ -213,6 +214,23 @@ func TestReusePooledBank(t *testing.T) {
 		}
 		if det := reused.VerifyConstruction(); len(det) != 0 {
 			t.Fatalf("reused bank detections: %v", det)
+		}
+	}
+}
+
+// TestEncodeReportAllocatesOneBuffer pins EncodeReport's allocations
+// for reports without flags, up to the 28 mirrors that its stack
+// buffer and sign's MAC buffer hold: the envelope's copy of the
+// payload, and nothing else.
+func TestEncodeReportAllocatesOneBuffer(t *testing.T) {
+	_, signers := setup(t)
+	for _, k := range []int{0, 2, 28} {
+		rep := StateReport{Node: 2, Mirrors: make([]MirrorReport, k)}
+		for i := range rep.Mirrors {
+			rep.Mirrors[i] = MirrorReport{Principal: graph.NodeID(1000 + i), RoutingHash: fpss.Hash{byte(i)}, PricingHash: fpss.Hash{^byte(i)}}
+		}
+		if n := testing.AllocsPerRun(100, func() { EncodeReport(signers[2], rep) }); n != 1 {
+			t.Errorf("EncodeReport of %d mirrors allocates %v times, want 1", k, n)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package bank
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
 	"unicode/utf8"
 
 	"repro/internal/codec"
@@ -39,14 +38,8 @@ func appendReport(b []byte, rep StateReport) []byte {
 	b = append(b, rep.RoutingHash[:]...)
 	b = append(b, rep.PricingHash[:]...)
 	b = codec.AppendMarker(b, rep.Mirrors == nil, len(rep.Mirrors))
-	ids := make([]graph.NodeID, 0, len(rep.Mirrors))
-	for p := range rep.Mirrors {
-		ids = append(ids, p)
-	}
-	slices.Sort(ids)
-	for _, p := range ids {
-		m := rep.Mirrors[p]
-		b = binary.AppendVarint(b, int64(p))
+	for _, m := range rep.Mirrors {
+		b = binary.AppendVarint(b, int64(m.Principal))
 		b = append(b, m.RoutingHash[:]...)
 		b = append(b, m.PricingHash[:]...)
 	}
@@ -57,15 +50,6 @@ func appendReport(b []byte, rep StateReport) []byte {
 		b = codec.AppendString(b, f.Reason)
 	}
 	return b
-}
-
-// encodedCap bounds appendReport's output, so one allocation holds it.
-func encodedCap(rep StateReport) int {
-	n := 3*binary.MaxVarintLen64 + 3*hashSize + len(rep.Mirrors)*(binary.MaxVarintLen64+2*hashSize)
-	for _, f := range rep.Flags {
-		n += 3*binary.MaxVarintLen64 + len(f.Reason)
-	}
-	return n
 }
 
 func readID(d *codec.Decoder) graph.NodeID { return graph.NodeID(d.Int()) }
@@ -80,15 +64,13 @@ func decodeReport(b []byte) (StateReport, error) {
 	d := codec.NewDecoder(b)
 	rep := StateReport{Node: readID(&d), CostsHash: readHash(&d), RoutingHash: readHash(&d), PricingHash: readHash(&d)}
 	if n := d.Count(1 + 2*hashSize); n >= 0 {
-		rep.Mirrors = make(map[graph.NodeID]MirrorReport, n)
-		var last graph.NodeID
-		for i := range n {
-			p := readID(&d)
-			if i > 0 && p <= last {
+		rep.Mirrors = make([]MirrorReport, n)
+		for i := range rep.Mirrors {
+			m := &rep.Mirrors[i]
+			if m.Principal = readID(&d); i > 0 && m.Principal <= rep.Mirrors[i-1].Principal {
 				d.Fail(errMirrorOrder)
 			}
-			last = p
-			rep.Mirrors[p] = MirrorReport{RoutingHash: readHash(&d), PricingHash: readHash(&d)}
+			m.RoutingHash, m.PricingHash = readHash(&d), readHash(&d)
 		}
 	}
 	if n := d.Count(3); n >= 0 {
@@ -101,9 +83,11 @@ func decodeReport(b []byte) (StateReport, error) {
 	return rep, d.End()
 }
 
-// jsonLen returns len(json.Marshal(rep)) without encoding anything.
-// E4 counts a report's bytes in the JSON form its struct tags define,
-// which writes every hash as an array of 32 decimal numbers.
+// jsonLen returns the length of rep's JSON form without encoding
+// anything. E4 counts a report's bytes in that form (see StateReport):
+// what encoding/json writes for the struct tags, with the mirrors as
+// an object keyed by principal and every hash as an array of 32
+// decimal numbers.
 func jsonLen(rep StateReport) int {
 	n := len(`{"node":`) + intLen(int64(rep.Node)) +
 		len(`,"costsHash":`) + hashJSONLen(rep.CostsHash) +
@@ -114,8 +98,8 @@ func jsonLen(rep StateReport) int {
 		n += len("null")
 	} else {
 		n += len("{}") + max(len(rep.Mirrors)-1, 0) // braces and commas
-		for p, m := range rep.Mirrors {
-			n += len(`"":{"routingHash":`) + intLen(int64(p)) + hashJSONLen(m.RoutingHash) +
+		for _, m := range rep.Mirrors {
+			n += len(`"":{"routingHash":`) + intLen(int64(m.Principal)) + hashJSONLen(m.RoutingHash) +
 				len(`,"pricingHash":`) + hashJSONLen(m.PricingHash) + len(`}`)
 		}
 	}

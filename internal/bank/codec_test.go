@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,10 +52,16 @@ func randReport(rng *rand.Rand) StateReport {
 		RoutingHash: randHash(rng),
 		PricingHash: randHash(rng),
 	}
-	if k := rng.Intn(8) - 1; k >= 0 { // nil one time in eight
-		rep.Mirrors = make(map[graph.NodeID]MirrorReport, k)
-		for i := 0; i < k; i++ {
-			rep.Mirrors[randID(rng)] = MirrorReport{RoutingHash: randHash(rng), PricingHash: randHash(rng)}
+	if k := rng.Intn(8) - 1; k >= 0 { // nil one time in eight, else possibly empty
+		ids := make([]graph.NodeID, k)
+		for i := range ids {
+			ids[i] = randID(rng)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids) // strictly ascending, as a node reports them
+		rep.Mirrors = make([]MirrorReport, len(ids))
+		for i, p := range ids {
+			rep.Mirrors[i] = MirrorReport{Principal: p, RoutingHash: randHash(rng), PricingHash: randHash(rng)}
 		}
 	}
 	if k := rng.Intn(6) - 1; k >= 0 {
@@ -70,8 +77,20 @@ func randReport(rng *rand.Rand) StateReport {
 	return rep
 }
 
+// jsonSize is the length of rep's JSON form as encoding/json writes it:
+// the struct tags, with the mirrors as an object keyed by principal.
 func jsonSize(t testing.TB, rep StateReport) int {
-	b, err := json.Marshal(rep)
+	form := struct {
+		StateReport
+		Mirrors map[graph.NodeID]MirrorReport `json:"mirrors"`
+	}{StateReport: rep}
+	if rep.Mirrors != nil {
+		form.Mirrors = make(map[graph.NodeID]MirrorReport, len(rep.Mirrors))
+		for _, m := range rep.Mirrors {
+			form.Mirrors[m.Principal] = m
+		}
+	}
+	b, err := json.Marshal(form)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +98,10 @@ func jsonSize(t testing.TB, rep StateReport) int {
 }
 
 // TestReportCodec is the codec's oracle: over seeded random reports,
-// jsonLen equals the length of encoding/json's output, decoding an
-// encoding returns the same report, and every proper prefix of an
-// encoding, or an encoding with one byte more, is rejected.
+// jsonLen equals the length of encoding/json's output (jsonSize),
+// decoding an encoding returns the same report, and every proper
+// prefix of an encoding, or an encoding with one byte more, is
+// rejected.
 func TestReportCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20_000; i++ {
@@ -90,9 +110,6 @@ func TestReportCodec(t *testing.T) {
 			t.Fatalf("report %d: jsonLen = %d, len(json.Marshal) = %d\n%+v", i, got, want, rep)
 		}
 		enc := appendReport(nil, rep)
-		if len(enc) > encodedCap(rep) {
-			t.Fatalf("report %d: encoding is %d bytes, over encodedCap %d", i, len(enc), encodedCap(rep))
-		}
 		got, err := decodeReport(enc)
 		if err != nil {
 			t.Fatalf("report %d: decode: %v", i, err)
@@ -111,19 +128,24 @@ func TestReportCodec(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMirrorsOutOfOrder: appendReport writes mirrors in
+// the order it is given, and the bank decodes only an ascending list.
 func TestDecodeRejectsMirrorsOutOfOrder(t *testing.T) {
-	rep := StateReport{Mirrors: map[graph.NodeID]MirrorReport{1: {}, 2: {}}}
-	enc := appendReport(nil, rep)
-	// Swap the two one-byte principal IDs: 2 then 1.
-	first := 1 + 3*hashSize + 1
-	second := first + 1 + 2*hashSize
-	enc[first], enc[second] = enc[second], enc[first]
-	if _, err := decodeReport(enc); err != errMirrorOrder {
-		t.Errorf("decreasing mirror IDs: err = %v, want %v", err, errMirrorOrder)
-	}
-	enc[first] = enc[second] // equal IDs: a duplicate key
-	if _, err := decodeReport(enc); err != errMirrorOrder {
-		t.Errorf("repeated mirror ID: err = %v, want %v", err, errMirrorOrder)
+	for _, tc := range []struct {
+		name string
+		ids  []graph.NodeID
+	}{
+		{"decreasing", []graph.NodeID{2, 1}},
+		{"repeated", []graph.NodeID{1, 1}},
+		{"decreasing after increasing", []graph.NodeID{-5, 7, 3}},
+	} {
+		rep := StateReport{Mirrors: make([]MirrorReport, len(tc.ids))}
+		for i, p := range tc.ids {
+			rep.Mirrors[i].Principal = p
+		}
+		if _, err := decodeReport(appendReport(nil, rep)); err != errMirrorOrder {
+			t.Errorf("%s mirror principals %v: err = %v, want %v", tc.name, tc.ids, err, errMirrorOrder)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/fpss"
 	"repro/internal/graph"
+	"repro/internal/sign"
 )
 
 // bankStateReportAlias keeps the ReportState hook signature readable
@@ -118,7 +119,8 @@ func TestMirrorsMatchTheirOwnViews(t *testing.T) {
 	} {
 		res := deviatorRun(t, g, d, tc.st)
 		for id, node := range res.Nodes {
-			for p := range node.mirrors {
+			for _, m := range node.mirrors {
+				p := m.principal
 				mr, mp, _ := node.MirrorOf(p)
 				c := node.checkOf(p)
 				advert, advertised := node.Derivation().View(p)
@@ -366,6 +368,70 @@ func TestLyingToBankDetected(t *testing.T) {
 	}
 }
 
+// TestUnorderedMirrorsReadAsMissingReport: a report lists its mirrors
+// in ascending principal order. A ReportState hook that swaps two of
+// them signs a payload the bank rejects as malformed, so the checkpoint
+// misses C's report and the run ends in non-progress.
+func TestUnorderedMirrorsReadAsMissingReport(t *testing.T) {
+	g := graph.Figure1()
+	c, _ := g.ByName("C")
+	var swapped bank.StateReport
+	res := deviatorRun(t, g, c, &Strategy{ReportState: func(truth bank.StateReport) bank.StateReport {
+		if len(truth.Mirrors) < 2 {
+			t.Fatalf("C reports %d mirrors, want at least two", len(truth.Mirrors))
+		}
+		truth.Mirrors[0], truth.Mirrors[1] = truth.Mirrors[1], truth.Mirrors[0]
+		swapped = truth
+		return truth
+	}})
+	want := []bank.Detection{{Principal: -1, Reason: "missing state reports"}}
+	if res.Completed || !slices.Equal(res.Detections, want) {
+		t.Fatalf("completed=%v detections=%v, want non-progress with %v", res.Completed, res.Detections, want)
+	}
+	for id, u := range res.Utilities {
+		if u != -NonProgressPenalty {
+			t.Errorf("node %d utility = %d, want %d", id, u, -NonProgressPenalty)
+		}
+	}
+	auth := sign.NewAuthority()
+	s, err := auth.Register(bank.SignerID(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _ := bank.EncodeReport(s, swapped)
+	if err := bank.New(auth, nil).Submit(env); err == nil || !strings.Contains(err.Error(), "malformed report") {
+		t.Errorf("the bank took the swapped report with err = %v, want a malformed report", err)
+	}
+}
+
+// TestNoMirrorsReportsEmptyList: with one checker per principal, some
+// node checks nobody. Its report lists no mirrors in an empty, non-nil
+// slice, which E4's JSON form counts as {} and the codec marks as
+// present, as when the mirrors were a map.
+func TestNoMirrorsReportsEmptyList(t *testing.T) {
+	g := graph.Figure1()
+	cfg := baseConfig(g)
+	cfg.CheckerLimit = 1
+	cfg.Strategies = map[graph.NodeID]*Strategy{}
+	empty := 0
+	for id := range g.N() {
+		cfg.Strategies[graph.NodeID(id)] = &Strategy{ReportState: func(truth bank.StateReport) bank.StateReport {
+			if truth.Mirrors == nil {
+				t.Errorf("node %d reports nil mirrors, want a non-nil list", id)
+			} else if len(truth.Mirrors) == 0 {
+				empty++
+			}
+			return truth
+		}}
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if empty == 0 {
+		t.Fatal("every node checks a principal; want one that checks nobody")
+	}
+}
+
 func TestPaymentFraudPenalized(t *testing.T) {
 	g := graph.Figure1()
 	x, _ := g.ByName("X")
@@ -462,8 +528,8 @@ func TestRunValidation(t *testing.T) {
 // MirrorOf derives a checker's mirror tables for a principal with
 // ComputeTables over the checker's views and DATA1 (tests).
 func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, bool) {
-	m, ok := n.mirrors[p]
-	if !ok {
+	m := n.mirror(p)
+	if m == nil {
 		return nil, nil, false
 	}
 	r, pt := fpss.ComputeTables(new(fpss.ComputeScratch), p, m.neighbors, n.CostsView(), m.views)
@@ -474,5 +540,5 @@ func (n *Node) MirrorOf(p graph.NodeID) (fpss.RoutingTable, fpss.PricingTable, b
 // as the run's memo holds it.
 func (n *Node) checkOf(p graph.NodeID) mirrorCheck {
 	advert, advertised := n.Derivation().View(p)
-	return n.memo.check(n.Derivation().Scratch(), n.mirrors[p], n.CostsView(), n.CostsView().HashCosts(), advert, advertised)
+	return n.memo.check(n.Derivation().Scratch(), n.mirror(p), n.CostsView(), n.CostsView().HashCosts(), advert, advertised)
 }

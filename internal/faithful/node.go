@@ -13,6 +13,7 @@
 package faithful
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -72,7 +73,9 @@ type Strategy struct {
 	// applies them to its own state for maximal consistency.
 	SpoofCopies func(self graph.NodeID) []ForwardCopy
 	// ReportState rewrites the node's state report before signing
-	// (lying to the bank about one's own or mirrored tables).
+	// (lying to the bank about one's own or mirrored tables). Mirrors
+	// left out of ascending principal order sign a payload that the
+	// bank rejects as malformed, and so reads as a missing report.
 	ReportState func(truth bank.StateReport) bank.StateReport
 	// ReportPayment misreports DATA4 in the execution phase.
 	ReportPayment func(truth fpss.PaymentList) fpss.PaymentList
@@ -238,7 +241,9 @@ type Node struct {
 	signer     *sign.Signer
 	memo       *mirrorMemo
 
-	mirrors map[graph.NodeID]*mirror
+	// mirrors are the node's mirrors of the principals it checks, in
+	// ascending principal order, their views carved from one array.
+	mirrors []mirror
 	flags   []bank.Flag
 }
 
@@ -258,8 +263,17 @@ func newNode(id graph.NodeID, trueCost graph.Cost, neighborsOf, checkersOf map[g
 		strategy:    strategy,
 		signer:      signer,
 		memo:        memo,
-		mirrors:     make(map[graph.NodeID]*mirror),
 	}
+}
+
+// mirror returns the node's mirror of principal p, or nil when it does
+// not check p.
+func (n *Node) mirror(p graph.NodeID) *mirror {
+	i, ok := slices.BinarySearchFunc(n.mirrors, p, func(m mirror, p graph.NodeID) int { return cmp.Compare(m.principal, p) })
+	if !ok {
+		return nil
+	}
+	return &n.mirrors[i]
 }
 
 // Recv dispatches protocol messages. The cost flood is the principal's
@@ -290,18 +304,24 @@ func (n *Node) onStartPhase2(ctx sim.Context) {
 		return
 	}
 	// Become a checker for every neighbor that this node is assigned
-	// to check (all of them under the paper's assignment).
-	for _, p := range n.neighborsOf[n.ID()] {
+	// to check (all of them under the paper's assignment). Topology
+	// lists neighbors in ascending order, so the mirrors ascend too.
+	own := n.neighborsOf[n.ID()]
+	n.mirrors = make([]mirror, 0, len(own))
+	nviews := 0
+	for _, p := range own {
 		if !slices.Contains(n.checkersOf[p], n.ID()) {
 			continue
 		}
 		neighbors := n.neighborsOf[p]
-		n.mirrors[p] = &mirror{
-			principal: p,
-			neighbors: neighbors,
-			views:     make([]fpss.NeighborView, len(neighbors)),
-			self:      slices.Index(neighbors, n.ID()),
-		}
+		n.mirrors = append(n.mirrors, mirror{principal: p, neighbors: neighbors, self: slices.Index(neighbors, n.ID())})
+		nviews += len(neighbors)
+	}
+	views := make([]fpss.NeighborView, nviews)
+	for i := range n.mirrors {
+		m := &n.mirrors[i]
+		k := len(m.neighbors)
+		m.views, views = views[:k:k], views[k:]
 	}
 	n.Advertise(ctx, true, n.recordSend)
 	// Spoof injection (deviation): fabricate forward copies and apply
@@ -363,7 +383,7 @@ func (n *Node) onUpdate(ctx sim.Context, u fpss.Update) {
 // its sender is checked against. Sent tables are immutable once
 // published, hooked ones included, so the mirror shares them.
 func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
-	if m, ok := n.mirrors[to]; ok {
+	if m := n.mirror(to); m != nil {
 		m.views[m.self] = fpss.NeighborView{Routing: u.Routing, Pricing: u.Pricing}
 		m.sent = true
 	}
@@ -373,8 +393,8 @@ func (n *Node) recordSend(to graph.NodeID, u fpss.Update) {
 // [CHECK2]): validate provenance, then mirror the principal's
 // computation.
 func (n *Node) onForwardCopy(fc ForwardCopy) {
-	m, ok := n.mirrors[fc.Principal]
-	if !ok {
+	m := n.mirror(fc.Principal)
+	if m == nil {
 		n.flag(fc.Principal, "forward copy from non-neighbor principal")
 		return
 	}
@@ -407,22 +427,18 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 	// each mirror is checked, once, against the views it has collected,
 	// or shares the verdict of another checker of the principal with
 	// the same views and advertisement (see mirrorMemo.check).
-	// Principals are walked in ascending order, so the flags, and the
-	// signed report, are the same in every run.
+	// Mirrors are walked in ascending principal order, so the flags,
+	// and the signed report, are the same in every run.
 	d, costs := n.Derivation(), n.CostsView()
-	principals := make([]graph.NodeID, 0, len(n.mirrors))
-	for p := range n.mirrors {
-		principals = append(principals, p)
-	}
-	slices.Sort(principals)
 	truth := bank.StateReport{
 		Node:      n.ID(),
 		CostsHash: costs.HashCosts(),
-		Mirrors:   make(map[graph.NodeID]bank.MirrorReport, len(n.mirrors)),
+		Mirrors:   make([]bank.MirrorReport, len(n.mirrors)),
 	}
 	truth.RoutingHash, truth.PricingHash = n.memo.hash(n.ID(), fpss.NeighborView{Routing: d.Routing(), Pricing: d.Pricing()})
-	for _, p := range principals {
-		m := n.mirrors[p]
+	for i := range n.mirrors {
+		m := &n.mirrors[i]
+		p := m.principal
 		advert, advertised := d.View(p)
 		c := n.memo.check(d.Scratch(), m, costs, truth.CostsHash, advert, advertised)
 		if testHookMirrorCheck != nil {
@@ -433,7 +449,8 @@ func (n *Node) onStateRequest(ctx sim.Context) {
 		} else if !c.matches {
 			n.flag(p, "advertisement diverges from checker mirror")
 		}
-		truth.Mirrors[p] = bank.MirrorReport{
+		truth.Mirrors[i] = bank.MirrorReport{
+			Principal:   p,
 			RoutingHash: c.routingHash,
 			PricingHash: c.pricingHash,
 		}

@@ -30,9 +30,12 @@ func benchBatch(n int) *Batch {
 
 // BenchmarkSettle is the sharded-settlement perf ladder: the 2PC
 // engine across shard counts, crash plans and a lossy rung. Each row
-// reports its run's committed, aborted and infra-aborted transfers and
-// the settlement messages sent, counts the BENCH_settle ladder gates
-// exactly.
+// reports its run's committed, aborted and infra-aborted transfers,
+// the settlement messages sent, and the deliveries the loss model
+// dropped and retried and the crash plan dropped: counts the
+// BENCH_settle ladder gates exactly. Sent counts a message once however
+// many attempts it takes, so only dropped and retried pin the retry
+// envelope, and crash-dropped the crash paths.
 func BenchmarkSettle(b *testing.B) {
 	type rung struct {
 		name string
@@ -79,6 +82,9 @@ func BenchmarkSettle(b *testing.B) {
 			b.ReportMetric(float64(res.Aborted), "aborted")
 			b.ReportMetric(float64(res.InfraAborts), "infra-aborts")
 			b.ReportMetric(float64(res.Counters.Sent), "settle-msgs")
+			b.ReportMetric(float64(res.Counters.Dropped), "dropped")
+			b.ReportMetric(float64(res.Counters.Retried), "retried")
+			b.ReportMetric(float64(res.Counters.CrashDropped), "crash-dropped")
 		})
 	}
 }

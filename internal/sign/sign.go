@@ -7,8 +7,13 @@
 // authenticated the envelope and recorded its sequence number.
 //
 // The paper deliberately minimizes cryptography; a shared-key
-// HMAC-SHA256 MAC is sufficient for unforgeability inside a closed
-// simulation and keeps the dependency surface at the standard library.
+// HMAC-SHA256 MAC (RFC 2104) is sufficient for unforgeability inside a
+// closed simulation and keeps the dependency surface at the standard
+// library. Its tags are crypto/hmac's, byte for byte, but each is
+// computed with two sha256.Sum256 calls over stack buffers instead of
+// a crypto/hmac state built per call, so signing allocates only the
+// envelope's copy of the payload and verifying allocates nothing, for
+// any message that fits the 2 KiB buffer.
 package sign
 
 import (
@@ -122,15 +127,41 @@ func (s *Signer) Sign(payload []byte) Envelope {
 	}
 }
 
+// macBufSize is the size of mac's stack buffer: the padded key and a
+// message (signer, zero byte, sequence number and payload) of up to
+// macBufSize-sha256.BlockSize bytes. A longer message is hashed from
+// the heap.
+const macBufSize = 2048
+
+// mac returns the HMAC-SHA256 tag under key of the signer's name, a
+// zero byte, seq as 8 big-endian bytes and payload.
 func mac(key []byte, signer string, seq uint64, payload []byte) [sha256.Size]byte {
-	h := hmac.New(sha256.New, key)
-	var seqb [8]byte
-	binary.BigEndian.PutUint64(seqb[:], seq)
-	h.Write([]byte(signer))
-	h.Write([]byte{0})
-	h.Write(seqb[:])
-	h.Write(payload)
-	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [macBufSize]byte
+	b := append(buf[:sha256.BlockSize], signer...)
+	b = append(b, 0)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = append(b, payload...)
+	return hmacSum(key, b)
+}
+
+// hmacSum returns HMAC-SHA256 (RFC 2104) under key of
+// b[sha256.BlockSize:], overwriting b's first sha256.BlockSize bytes
+// with the inner padded key, so that the inner hash is one Sum256 over
+// b and the outer one a Sum256 over the outer padded key and the inner
+// digest.
+func hmacSum(key, b []byte) [sha256.Size]byte {
+	if len(key) > sha256.BlockSize {
+		k := sha256.Sum256(key)
+		key = k[:]
+	}
+	var outer [sha256.BlockSize + sha256.Size]byte
+	copy(b[:sha256.BlockSize], key)
+	clear(b[len(key):sha256.BlockSize])
+	for i := range sha256.BlockSize {
+		outer[i] = b[i] ^ 0x5c
+		b[i] ^= 0x36
+	}
+	inner := sha256.Sum256(b)
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
 }
